@@ -254,7 +254,7 @@ def realize_branch(f, lam, prev_velocity=None, *, rtol=1e-9, atol=1e-12):
 # Sweep
 
 
-def _sweep_record(f, lam, boundary, mesh0, max_mesh, scan_opts, prev_v=None):
+def _sweep_record(f, lam, boundary, mesh0, max_mesh, scan_opts, prev_v):
     m, path = realize_branch(f, lam, prev_v)
     if path.max_el_residual() > DEFAULT_TOL_RES:
         raise BranchLost(lam, "trivial branch is not critical")
@@ -279,45 +279,26 @@ def _sweep_record(f, lam, boundary, mesh0, max_mesh, scan_opts, prev_v=None):
 
 
 def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
-                 refine_mesh=None, scan_opts=None, seed=0, threads=1,
+                 refine_mesh=None, scan_opts=None, seed=0,
                  refine_tol_rel=REFINE_TOL_REL, flank_rel=1e-3):
     """Sample the family, cross-check indices, and refine candidate parameters."""
     a, b = f.param_range
     lams = np.linspace(a, b, f.samples)
     records = []
-    if threads > 1 and isinstance(f.branch, InitialStateBranch):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_sweep_record, f, lam, boundary, mesh0, max_mesh,
-                            scan_opts)
-                for lam in lams
-            ]
-            results = [fut.result() for fut in futures]
-        records = [rec for rec, _ in results]
-        prev_end = None
-        for rec, path in results:
-            if prev_end is not None:
-                jump = float(np.linalg.norm(path.endpoint - prev_end))
-                if jump > f.continuity_tol:
-                    raise BranchLost(rec.lam, f"branch endpoint jumped by {jump:.3g}")
-            prev_end = path.endpoint
-    else:
-        prev_v = None
-        prev_end = None
-        for lam in lams:
-            rec, path = _sweep_record(f, lam, boundary, mesh0, max_mesh,
-                                      scan_opts, prev_v)
-            if prev_end is not None:
-                jump = float(np.linalg.norm(path.endpoint - prev_end))
-                if jump > f.continuity_tol:
-                    raise BranchLost(lam, f"branch endpoint jumped by {jump:.3g}")
-            prev_end = path.endpoint
-            prev_v = path.v0
-            records.append(rec)
-            log.info("sweep %s=%.6g: m-=%d m0=%d", f.param_name, lam,
-                     rec.m_minus, rec.m_zero)
+    prev_v = None
+    prev_end = None
+    for lam in lams:
+        rec, path = _sweep_record(f, lam, boundary, mesh0, max_mesh,
+                                  scan_opts, prev_v)
+        if prev_end is not None:
+            jump = float(np.linalg.norm(path.endpoint - prev_end))
+            if jump > f.continuity_tol:
+                raise BranchLost(lam, f"branch endpoint jumped by {jump:.3g}")
+        prev_end = path.endpoint
+        prev_v = path.v0
+        records.append(rec)
+        log.info("sweep %s=%.6g: m-=%d m0=%d", f.param_name, lam,
+                 rec.m_minus, rec.m_zero)
 
     stabilized = max(r.mesh for r in records)
     if refine_mesh is None:

@@ -6,7 +6,7 @@ Artifacts are CSV for sampled data and JSON for structured verdicts; every
 artifact embeds or sits next to the fully resolved configuration so that a
 run can be reproduced byte for byte.
 
-    fbt <command> --config cfg.json [--out DIR] [--seed N] [--threads K]
+    fbt <command> --config cfg.json [--out DIR] [--seed N]
 
 Commands: metric-check geodesic expmap conjugate focal index sweep branch
 zermelo fermat.  Exit codes: 0 success, 1 configuration error, 2 numerical
@@ -58,7 +58,6 @@ SOLVER_DEFAULTS = {
     "mesh0": 16,
     "max_mesh": 1024,
     "samples_out": 200,
-    "threads": 1,
     "invariant_samples": 200,
     "seeds_per_rung": 16,
     "max_found": 12,
@@ -190,16 +189,24 @@ def metric_from_config(cfg, param_overrides=None):
     if kind == "randers":
         return _metric.randers_expr(dim, mc["h"], mc["beta"], params, **kw)
     if kind == "zermelo":
-        z = _nav.ZermeloData.from_exprs(dim, mc["h"], mc["W"], params,
-                                        chart_box=mc.get("chart_box"))
-        return _nav.zermelo_to_randers(z, **{k: v for k, v in kw.items()
-                                             if k != "chart_box"})
+        return _nav.zermelo_to_randers(_zermelo_from_config(cfg, params),
+                                       **{k: v for k, v in kw.items()
+                                          if k != "chart_box"})
     if kind == "fermat":
         s = _stationary_from_config(cfg, params)
         pair = _nav.fermat_metric(s, **{k: v for k, v in kw.items()
                                         if k != "chart_box"})
         return pair[0] if mc.get("fermat_sign", "plus") == "plus" else pair[1]
     raise SchemaError(f"/metric/kind: unknown kind {kind!r}")
+
+
+def _zermelo_from_config(cfg, params=None):
+    mc = cfg["metric"]
+    return _nav.ZermeloData.from_exprs(
+        mc["dim"], mc["h"], mc["W"],
+        params if params is not None else mc.get("params", {}),
+        chart_box=mc.get("chart_box"),
+    )
 
 
 def _stationary_from_config(cfg, params=None):
@@ -402,7 +409,6 @@ def _scan_command(cfg, out, focal):
             "tau": rep.tau,
             "grid": rep.grid,
             "theta_null": rep.theta_null,
-            "theta_dip": rep.theta_dip,
             "instants": [
                 {"t": c.t, "multiplicity": c.multiplicity, "sigma_min_rel": c.sigma_min_rel}
                 for c in rep.instants
@@ -436,7 +442,7 @@ def _cmd_sweep(cfg, out):
         fam, boundary,
         mesh0=sv["mesh0"], max_mesh=sv["max_mesh"],
         scan_opts={"grid": sv["scan_grid"]},
-        seed=sv["seed"], threads=sv["threads"],
+        seed=sv["seed"],
     )
     verdicts = _bifurc.detect_bifurcation(scan)
     write_csv(
@@ -476,7 +482,6 @@ def _cmd_branch(cfg, out):
     if mu is None:
         scan = _bifurc.sweep_family(
             fam, mesh0=sv["mesh0"], max_mesh=sv["max_mesh"], seed=sv["seed"],
-            threads=sv["threads"],
         )
         if not scan.detections:
             write_json(os.path.join(out, "branch_evidence.json"),
@@ -517,7 +522,7 @@ def _cmd_zermelo(cfg, out):
         hi = np.maximum(prob["p"], prob["q"]) + 0.25
         res = _nav.grid_travel_time(
             m, prob["p"], prob["q"], box=np.stack([lo, hi], axis=1),
-            assume_homogeneous=True,
+            assume_homogeneous=_zermelo_from_config(cfg).homogeneous,
         )
         payload["grid_oracle"] = {
             "time": res.time,
@@ -612,8 +617,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override solver.seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="override solver.threads")
     args = parser.parse_args(argv)
 
     try:
@@ -623,8 +626,6 @@ def main(argv=None):
         return 1
     if args.seed is not None:
         cfg["solver"]["seed"] = args.seed
-    if args.threads is not None:
-        cfg["solver"]["threads"] = args.threads
     try:
         return run_command(args.command, cfg, args.out)
     except ConfigError as exc:

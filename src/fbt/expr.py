@@ -2,7 +2,9 @@
 
 Metric tensors, one-forms, wind fields and conformal factors are supplied in
 config files as strings like ``"4/(K*(1+x1^2+x2^2)^2)"``.  This module parses
-them into immutable ASTs and compiles them to fast closures.
+them into immutable ASTs, differentiates the ASTs symbolically, and compiles
+bundles of expressions together with their chart derivatives into
+straight-line Python functions.
 
 Grammar (recursive descent, see docs/expression-grammar.md)::
 
@@ -23,7 +25,9 @@ never silently returns NaN or infinity.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -41,6 +45,9 @@ __all__ = [
     "evaluate",
     "grad_fd",
     "bind",
+    "jet",
+    "diff",
+    "coordinates",
     "FUNCTIONS",
 ]
 
@@ -74,30 +81,66 @@ class DomainError(NumericalError):
 # AST
 
 
+class _Node:
+    """Arithmetic on ASTs builds new ASTs, folding constants and the
+    identities x+0, x*1, x*0, x/1, x^1, x^0 and --x."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _bin("+", self, other)
+
+    def __radd__(self, other):
+        return _bin("+", other, self)
+
+    def __sub__(self, other):
+        return _bin("-", self, other)
+
+    def __rsub__(self, other):
+        return _bin("-", other, self)
+
+    def __mul__(self, other):
+        return _bin("*", self, other)
+
+    def __rmul__(self, other):
+        return _bin("*", other, self)
+
+    def __truediv__(self, other):
+        return _bin("/", self, other)
+
+    def __pow__(self, other):
+        return _bin("^", self, other)
+
+    def __neg__(self):
+        if isinstance(self, Unary):
+            return self.arg
+        return _fold(Unary(self))
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Name:
+class Name(_Node):
     ident: str
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Node):
     arg: "Expression"
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str
     lhs: "Expression"
     rhs: "Expression"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Expression"
 
@@ -276,34 +319,7 @@ def to_source(node):
 
 
 # ---------------------------------------------------------------------------
-# Compilation and evaluation
-
-
-def _safe_sqrt(a):
-    if a < 0.0:
-        raise DomainError(f"sqrt of negative value {a!r}")
-    return math.sqrt(a)
-
-
-def _safe_log(a):
-    if a <= 0.0:
-        raise DomainError(f"log of non-positive value {a!r}")
-    return math.log(a)
-
-
-_FN_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": _safe_log,
-    "sqrt": _safe_sqrt,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "atan": math.atan,
-    "abs": abs,
-}
+# Names
 
 
 def _collect_names(node, out):
@@ -325,83 +341,343 @@ def names(node):
     return out
 
 
-def _compile(node, dim, params):
+def coordinates(node):
+    """1-based indices k of the chart coordinates xk occurring in the AST."""
+    return {int(m.group(1)) for m in map(_COORD_RE.match, names(node)) if m}
+
+
+# ---------------------------------------------------------------------------
+# Folding constructors and symbolic differentiation
+
+
+def _sign(a):
+    return 1.0 if a > 0.0 else -1.0 if a < 0.0 else 0.0
+
+
+# value semantics shared by constant folding; the generated code calls the
+# same functions (sqrt and log signal a domain error by ValueError)
+_FN_IMPL = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "sinh": math.sinh,
+    "cosh": math.cosh,
+    "tanh": math.tanh,
+    "atan": math.atan,
+    "abs": abs,
+    "sign": _sign,  # internal: appears only in derivatives of abs
+}
+
+_BIN_IMPL = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+
+_EVAL_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+
+ZERO = Num(0.0)
+ONE = Num(1.0)
+
+
+def _lift(value):
+    if isinstance(value, _Node):
+        return value
+    if isinstance(value, (int, float)):
+        return Num(float(value))
+    raise TypeError(f"not an expression node: {value!r}")
+
+
+def _fold(node):
+    """Replace an operation on constants by its value when that is finite."""
+    try:
+        if isinstance(node, Unary) and isinstance(node.arg, Num):
+            val = -node.arg.value
+        elif (isinstance(node, Bin) and isinstance(node.lhs, Num)
+              and isinstance(node.rhs, Num)):
+            val = _BIN_IMPL[node.op](node.lhs.value, node.rhs.value)
+        elif isinstance(node, Call) and isinstance(node.arg, Num):
+            val = _FN_IMPL[node.fn](node.arg.value)
+        else:
+            return node
+    except _EVAL_ERRORS:
+        return node
+    return Num(val) if math.isfinite(val) else node
+
+
+def _bin(op, lhs, rhs):
+    lhs, rhs = _lift(lhs), _lift(rhs)
+    if op == "+":
+        if lhs == ZERO:
+            return rhs
+        if rhs == ZERO:
+            return lhs
+    elif op == "-":
+        if rhs == ZERO:
+            return lhs
+        if lhs == ZERO:
+            return -rhs
+    elif op == "*":
+        if lhs == ZERO or rhs == ZERO:
+            return ZERO
+        if lhs == ONE:
+            return rhs
+        if rhs == ONE:
+            return lhs
+    elif op == "/":
+        if lhs == ZERO:
+            return ZERO
+        if rhs == ONE:
+            return lhs
+    elif op == "^":
+        if rhs == ONE:
+            return lhs
+        if rhs == ZERO:
+            return ONE
+    return _fold(Bin(op, lhs, rhs))
+
+
+def _call(fn, arg):
+    """The AST fn(arg), folded when arg is a constant."""
+    return _fold(Call(fn, _lift(arg)))
+
+
+# d fn(a) = _CHAIN[fn](fn(a), a, da)
+_CHAIN = {
+    "sin": lambda f, a, da: _call("cos", a) * da,
+    "cos": lambda f, a, da: -_call("sin", a) * da,
+    "tan": lambda f, a, da: (1.0 + f * f) * da,
+    "exp": lambda f, a, da: f * da,
+    "log": lambda f, a, da: da / a,
+    "sqrt": lambda f, a, da: da / (2.0 * f),
+    "sinh": lambda f, a, da: _call("cosh", a) * da,
+    "cosh": lambda f, a, da: _call("sinh", a) * da,
+    "tanh": lambda f, a, da: (1.0 - f * f) * da,
+    "atan": lambda f, a, da: da / (1.0 + a * a),
+    "abs": lambda f, a, da: _call("sign", a) * da,
+    "sign": lambda f, a, da: ZERO,
+}
+
+
+def diff(node, ident, memo=None):
+    """Symbolic derivative of the AST with respect to the name ident.
+
+    Forward-mode chain rule over the node types.  ``a^b`` takes the power
+    rule ``b*a^(b-1)*da`` when b does not depend on ident and the general
+    rule ``a^b*(db*log(a) + b*da/a)`` otherwise.  The derivative of abs is
+    ``sign`` (0 at 0), whose own derivative is 0.  ``memo`` caches results
+    per node for repeated differentiation by the same name.
+    """
+    if memo is None:
+        memo = {}
+    got = memo.get(node)
+    if got is not None:
+        return got
     if isinstance(node, Num):
-        c = node.value
-        return lambda x: c
-    if isinstance(node, Name):
-        m = _COORD_RE.match(node.ident)
-        if m:
-            k = int(m.group(1))
-            if k > dim:
-                raise UnboundName(node.ident)
-            k -= 1
-            return lambda x: x[k]
-        if node.ident not in params:
-            raise UnboundName(node.ident)
-        c = float(params[node.ident])
-        return lambda x: c
-    if isinstance(node, Unary):
-        f = _compile(node.arg, dim, params)
-        return lambda x: -f(x)
-    if isinstance(node, Call):
-        f = _compile(node.arg, dim, params)
-        g = _FN_IMPL[node.fn]
-
-        def call(x, g=g, f=f, fn=node.fn):
-            try:
-                return g(f(x))
-            except DomainError:
-                raise
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"{fn}: {exc}") from None
-
-        return call
-    if isinstance(node, Bin):
-        lf = _compile(node.lhs, dim, params)
-        rf = _compile(node.rhs, dim, params)
+        out = ZERO
+    elif isinstance(node, Name):
+        out = ONE if node.ident == ident else ZERO
+    elif isinstance(node, Unary):
+        out = -diff(node.arg, ident, memo)
+    elif isinstance(node, Call):
+        da = diff(node.arg, ident, memo)
+        out = ZERO if da == ZERO else _CHAIN[node.fn](node, node.arg, da)
+    elif isinstance(node, Bin):
+        a, b = node.lhs, node.rhs
+        da, db = diff(a, ident, memo), diff(b, ident, memo)
         if node.op == "+":
-            return lambda x: lf(x) + rf(x)
-        if node.op == "-":
-            return lambda x: lf(x) - rf(x)
-        if node.op == "*":
-            return lambda x: lf(x) * rf(x)
-        if node.op == "/":
+            out = da + db
+        elif node.op == "-":
+            out = da - db
+        elif node.op == "*":
+            out = da * b + a * db
+        elif node.op == "/":
+            out = (da - node * db) / b
+        elif db == ZERO:
+            out = ZERO if da == ZERO else b * a ** (b - 1.0) * da
+        else:
+            out = node * (db * _call("log", a) + b * da / a)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[node] = out
+    return out
 
-            def div(x):
-                d = rf(x)
-                if d == 0.0:
-                    raise DomainError("division by zero")
-                return lf(x) / d
 
-            return div
-        if node.op == "^":
+# ---------------------------------------------------------------------------
+# Code generation: one straight-line function per bundle of expressions
 
-            def power(x):
-                try:
-                    return math.pow(lf(x), rf(x))
-                except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                    raise DomainError(f"power: {exc}") from None
+_NAMESPACE = {"_" + fn: impl for fn, impl in _FN_IMPL.items()}
+_NAMESPACE.update(_pow=math.pow, _isfinite=math.isfinite, _inf=math.inf)
 
-            return power
-    raise TypeError(f"not an expression node: {node!r}")
+
+def _literal(value):
+    if math.isfinite(value):
+        return repr(value) if value >= 0.0 else f"({value!r})"
+    return "_inf" if value > 0.0 else "(-_inf)"
+
+
+class _Emitter:
+    """Emits one assignment per distinct subexpression, operands first, so
+    the operations run in the order a depth-first evaluation takes them."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.lines = []
+        self.memo = {}
+        self.params = set()
+
+    def __call__(self, node):
+        if isinstance(node, Num):
+            return _literal(node.value)
+        got = self.memo.get(node)
+        if got is not None:
+            return got
+        if isinstance(node, Name):
+            m = _COORD_RE.match(node.ident)
+            if not m:
+                self.params.add(node.ident)
+                self.memo[node] = "p_" + node.ident
+                return self.memo[node]
+            k = int(m.group(1))
+            if k > self.dim:
+                raise UnboundName(node.ident)
+            code = f"float(x[{k - 1}])"
+        elif isinstance(node, Unary):
+            code = f"-{self(node.arg)}"
+        elif isinstance(node, Call):
+            code = f"_{node.fn}({self(node.arg)})"
+        elif isinstance(node, Bin):
+            a, b = self(node.lhs), self(node.rhs)
+            code = f"_pow({a}, {b})" if node.op == "^" else f"{a} {node.op} {b}"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        name = f"_t{len(self.lines)}"
+        self.lines.append(f"{name} = {code}")
+        self.memo[node] = name
+        return name
+
+
+def _derivative_blocks(groups, dim, order):
+    """Node lists per (order, group) block in output order: block (r, g)
+    holds the r-th chart derivatives of group g, derivative indices first."""
+    flat = [list(g) for g in groups]
+    blocks = [flat]
+    if order >= 1:
+        memos = [{} for _ in range(dim)]
+        d1 = [[[diff(e, f"x{k + 1}", memos[k]) for e in g] for k in range(dim)]
+              for g in flat]
+        blocks.append([[e for row in g1 for e in row] for g1 in d1])
+    if order >= 2:
+        second = []
+        for g1 in d1:
+            d2 = {}
+            for k in range(dim):
+                for l in range(k, dim):
+                    d2[k, l] = d2[l, k] = [diff(e, f"x{l + 1}", memos[l])
+                                           for e in g1[k]]
+            second.append([e for k in range(dim) for l in range(dim)
+                           for e in d2[k, l]])
+        blocks.append(second)
+    return blocks
+
+
+@functools.lru_cache(maxsize=256)
+def _generate(groups, dim, order):
+    """Compile groups (a tuple of node tuples) with their derivatives up to
+    order; returns (factory over the parameters, parameter names)."""
+    emit = _Emitter(dim)
+    outputs = []
+    for block in _derivative_blocks(groups, dim, order):
+        for nodes in block:
+            outputs += [(e, emit(e)) for e in nodes]
+    params = sorted(emit.params)
+    checked = list(dict.fromkeys(
+        code for e, code in outputs
+        if not (isinstance(e, Num) and math.isfinite(e.value))
+    ))
+    body = [f"            {line}" for line in emit.lines] or ["            pass"]
+    src = "\n".join([
+        f"def _make({', '.join('p_' + p for p in params)}):",
+        "    def bundle(x):",
+        "        try:",
+        *body,
+        "        except (ValueError, OverflowError, ZeroDivisionError) as exc:",
+        "            raise DomainError(f'expression evaluation: {exc}') from None",
+        *([f"        if not ({' and '.join(f'_isfinite({c})' for c in checked)}):",
+           "            raise DomainError('non-finite result')"] if checked else []),
+        f"        return ({''.join(code + ', ' for _, code in outputs)})",
+        "    return bundle",
+    ])
+    ns = dict(_NAMESPACE, DomainError=DomainError)
+    exec(compile(src, "<fbt.expr bundle>", "exec"), ns)
+    return ns["_make"], params
+
+
+def _bound(groups, dim, params, order):
+    make, names_ = _generate(groups, dim, order)
+    values = []
+    for name in names_:
+        if name not in params:
+            raise UnboundName(name)
+        values.append(float(params[name]))
+    return make(*values)
+
+
+def _as_node(e):
+    return parse(e) if isinstance(e, str) else e
+
+
+def jet(groups, dim, params=None, order=0):
+    """Compile groups of expressions and their chart derivatives into one
+    function of the chart point.
+
+    Each group is a list of expressions (AST or source text) or a list of
+    rows.  The result f(x) returns a list of arrays: for each derivative
+    order r = 0..order and, within it, each group, the r-th derivatives of
+    the group with the derivative indices first, shape (dim,)*r + shape of
+    the group; entry [k, l, i, j] is d^2 g[i][j] / dx_k dx_l.  Shared
+    subexpressions are computed once.  Unbound names raise here; domain
+    violations and non-finite results raise DomainError at call time.
+    """
+    shapes, flat = [], []
+    for g in groups:
+        if len(g) and isinstance(g[0], (list, tuple)):
+            shapes.append((len(g), len(g[0])))
+            flat.append(tuple(_as_node(e) for row in g for e in row))
+        else:
+            shapes.append((len(g),))
+            flat.append(tuple(_as_node(e) for e in g))
+    fn = _bound(tuple(flat), dim, dict(params or {}), order)
+    layout = []
+    start = 0
+    for r in range(order + 1):
+        for shape, nodes in zip(shapes, flat):
+            stop = start + dim**r * len(nodes)
+            layout.append((start, stop, (dim,) * r + shape))
+            start = stop
+
+    def f(x):
+        out = np.array(fn(x))
+        return [out[a:b].reshape(s) for a, b, s in layout]
+
+    return f
 
 
 def bind(node, dim, params=None):
-    """Compile the AST into a closure f(x) -> float for a fixed binding.
+    """Compile the AST into a function f(x) -> float for a fixed binding.
 
     x is an array of chart coordinates of length ``dim``; parameter names are
     frozen from ``params``.  Unbound names raise here, not at call time.
     """
-    if isinstance(node, str):
-        node = parse(node)
-    inner = _compile(node, dim, dict(params or {}))
+    fn = _bound(((_as_node(node),),), dim, dict(params or {}), 0)
 
     def f(x):
-        val = inner(x)
-        if not math.isfinite(val):
-            raise DomainError(f"non-finite result {val!r}")
-        return val
+        return fn(x)[0]
 
     return f
 

@@ -161,11 +161,11 @@ class GeodesicPath:
             worst = max(worst, abs(self.speed(t) - self.F0))
         return worst
 
-    def el_residual(self, t, h=None):
+    def el_residual(self, t, h=1e-3):
         """First-order Euler-Lagrange residual |dv/dt - spray| / (1 + |spray|),
-        with dv/dt from central differences of the dense output."""
-        if h is None:
-            h = 1e-3 * max(1.0, self.tau)
+        with dv/dt from central differences of the dense output.  The step
+        is fixed: scaling it with tau lets truncation error alone exceed
+        DEFAULT_TOL_RES on long paths."""
         a = max(t - h, 0.0)
         b = min(t + h, self.tau)
         dv = (self.v(b) - self.v(a)) / (b - a)

@@ -37,7 +37,6 @@ __all__ = [
 SCAN_RTOL = 1e-10
 SCAN_ATOL = 1e-13
 THETA_NULL = 1e-6
-THETA_DIP = 1e-4
 DIP_TRIGGER = 0.05
 REFINE_TOL = 1e-10
 DEFAULT_GRID = 400
@@ -69,8 +68,9 @@ def spray_jacobians(m, x, v, step):
 
 
 def _default_fd_step(m):
-    # expression-backed derivative stacks carry FD noise; a larger step
-    # balances that noise against truncation
+    # finite-difference component derivatives (from_callables without
+    # derivative callables) carry noise; a larger step balances that noise
+    # against truncation
     return 1e-6 if m.has_analytic_dx else 3e-4
 
 
@@ -98,11 +98,9 @@ class JacobiFrame:
     def sigma(self, t):
         return np.linalg.svd(self.M(t), compute_uv=False)
 
-    def residual_max(self, n_samples=20, seed=0, h=None):
+    def residual_max(self, n_samples=20, seed=0, h=1e-3):
         """Linearized-equation residual via differentiation of the dense Mdot."""
         m = self.path.metric
-        if h is None:
-            h = 1e-3 * max(1.0, self.path.tau)
         rng = np.random.default_rng(seed)
         ts = rng.uniform(0.05 * self.path.tau, 0.95 * self.path.tau, size=n_samples)
         worst = 0.0
@@ -205,7 +203,6 @@ class ConjugateReport:
     instants: list
     grid: int
     theta_null: float
-    theta_dip: float
     refine_tol: float
     warnings: list = field(default_factory=list)
 
@@ -217,7 +214,7 @@ class ConjugateReport:
         return [(c.t, c.multiplicity, c.sigma_min_rel) for c in self.instants]
 
 
-def _scan_frame(frame, *, grid, theta_null, theta_dip, dip_trigger, refine_tol):
+def _scan_frame(frame, *, grid, theta_null, dip_trigger, refine_tol):
     path = frame.path
     tau = path.tau
     n = frame.dim
@@ -322,29 +319,26 @@ def _scan_frame(frame, *, grid, theta_null, theta_dip, dip_trigger, refine_tol):
         instants=merged,
         grid=grid,
         theta_null=theta_null,
-        theta_dip=theta_dip,
         refine_tol=refine_tol,
         warnings=notes,
     )
 
 
 def conjugate_scan(path, *, grid=DEFAULT_GRID, theta_null=THETA_NULL,
-                   theta_dip=THETA_DIP, dip_trigger=DIP_TRIGGER,
-                   refine_tol=REFINE_TOL, frame=None, rtol=SCAN_RTOL):
+                   dip_trigger=DIP_TRIGGER, refine_tol=REFINE_TOL, frame=None,
+                   rtol=SCAN_RTOL):
     """Locate conjugate instants with multiplicities over (0, tau]."""
     if frame is None:
         frame = jacobi_frame(path, "conjugate", rtol=rtol)
     return _scan_frame(frame, grid=grid, theta_null=theta_null,
-                       theta_dip=theta_dip, dip_trigger=dip_trigger,
-                       refine_tol=refine_tol)
+                       dip_trigger=dip_trigger, refine_tol=refine_tol)
 
 
 def focal_scan(path, boundary, *, grid=DEFAULT_GRID, theta_null=THETA_NULL,
-               theta_dip=THETA_DIP, dip_trigger=DIP_TRIGGER,
-               refine_tol=REFINE_TOL, frame=None, rtol=SCAN_RTOL):
+               dip_trigger=DIP_TRIGGER, refine_tol=REFINE_TOL, frame=None,
+               rtol=SCAN_RTOL):
     """Locate P-focal instants for a geodesic starting g_v-orthogonally to P."""
     if frame is None:
         frame = jacobi_frame(path, boundary, rtol=rtol)
     return _scan_frame(frame, grid=grid, theta_null=theta_null,
-                       theta_dip=theta_dip, dip_trigger=dip_trigger,
-                       refine_tol=refine_tol)
+                       dip_trigger=dip_trigger, refine_tol=refine_tol)

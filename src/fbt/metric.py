@@ -11,9 +11,11 @@ Every supported kind fits one algebraic template,
 with beta absent for plain Riemannian/quadratic kinds (then L = q, possibly
 indefinite for the quadratic pseudo-kind).  The v-derivatives are exact
 closed forms of (h, beta); the x-derivatives chain through (dh, dbeta,
-d2h, d2beta), which are either analytic closures (euclidean, sphere chart,
-constant-coefficient Randers) or central finite differences of the compiled
-component expressions.
+d2h, d2beta).  Expression-defined kinds (and the Zermelo and Fermat kinds
+built from them) get these exactly, from symbolic derivatives compiled into
+one function per derivative order; euclidean and the sphere chart carry
+analytic closures; only from_callables metrics without derivative callables
+fall back to central finite differences.
 """
 
 from __future__ import annotations
@@ -134,7 +136,12 @@ def _fd_second(fn, shape, step):
 
 
 class _Components:
-    """h, beta and derivative closures; finite differences fill the gaps."""
+    """h, beta and derivative callables; finite differences fill the gaps.
+
+    ``stack(x, order)`` returns (h, beta, dh, dbeta, d2h, d2beta) cut after
+    the given derivative order, with None for beta and its derivatives
+    when the kind has no one-form.
+    """
 
     def __init__(self, dim, h, beta=None, dh=None, d2h=None, dbeta=None,
                  d2beta=None, step1=FD_STEP_FIRST, step2=FD_STEP_SECOND):
@@ -152,6 +159,43 @@ class _Components:
             self.d2beta = (
                 d2beta if d2beta is not None else _fd_second(beta, (dim,), step2)
             )
+
+    def stack(self, x, order):
+        hx = np.asarray(self.h(x), dtype=float)
+        out = [hx, None if self.beta is None else np.asarray(self.beta(x), dtype=float)]
+        if order >= 1:
+            out += [self.dh(x), self.dbeta and self.dbeta(x)]
+        if order >= 2:
+            out += [self.d2h(x), self.d2beta and self.d2beta(x)]
+        return out
+
+
+class _ExprComponents:
+    """h (a symmetric matrix of expression ASTs) and beta (a vector of ASTs,
+    or None), with exact derivatives from one compiled bundle per order."""
+
+    analytic_dx = True
+
+    def __init__(self, dim, h, beta=None, params=None):
+        self.dim = dim
+        self._groups = [h] if beta is None else [h, beta]
+        self._params = dict(params or {})
+        # order 0 eagerly, so unbound names fail at construction
+        self._bundles = [_expr.jet(self._groups, dim, self._params, 0), None, None]
+        self.beta = None if beta is None else (lambda x: self.stack(x, 0)[1])
+
+    def h(self, x):
+        return self.stack(x, 0)[0]
+
+    def stack(self, x, order):
+        fn = self._bundles[order]
+        if fn is None:
+            fn = self._bundles[order] = _expr.jet(
+                self._groups, self.dim, self._params, order
+            )
+        if self.beta is None:
+            return [a for hk in fn(x) for a in (hk, None)]
+        return fn(x)
 
 
 class MetricField:
@@ -198,14 +242,13 @@ class MetricField:
 
     # -- scalar pieces shared by the formulas --------------------------------
 
-    def _qb(self, x, v):
-        hx = np.asarray(self._c.h(x), dtype=float)
+    def _qb(self, x, v, order=0):
+        """(hx, u, q, bx, b) plus the component derivatives up to order."""
+        hx, bx, *derivs = self._c.stack(x, order)
         u = hx @ v
         q = float(v @ u)
-        if self._c.beta is None:
-            return hx, u, q, None, 0.0
-        bx = np.asarray(self._c.beta(x), dtype=float)
-        return hx, u, q, bx, float(bx @ v)
+        b = 0.0 if bx is None else float(bx @ v)
+        return hx, u, q, bx, b, derivs
 
     def _sqrt_q(self, q):
         if q <= 0.0:
@@ -221,7 +264,7 @@ class MetricField:
         v = np.asarray(v, dtype=float)
         if validate:
             self._check(x, v)
-        _, _, q, bx, b = self._qb(x, v)
+        _, _, q, bx, b, _ = self._qb(x, v)
         if bx is None:
             return q
         s = self._sqrt_q(q)
@@ -233,7 +276,7 @@ class MetricField:
         v = np.asarray(v, dtype=float)
         if validate:
             self._check(x, v)
-        _, _, q, bx, b = self._qb(x, v)
+        _, _, q, bx, b, _ = self._qb(x, v)
         if self.pseudo:
             return q
         s = self._sqrt_q(q)
@@ -279,50 +322,48 @@ class MetricField:
         out += 2.0 * np.outer(bk, bx) + 2.0 * b * dbeta
         return out
 
-    def _pack(self, x, v):
-        hx, u, q, bx, b = self._qb(x, v)
+    def _pack(self, x, v, order=0):
+        """((hx, u, q, bx, b, s), component derivatives up to order)."""
+        hx, u, q, bx, b, derivs = self._qb(x, v, order)
         s = None if bx is None else self._sqrt_q(q)
-        return hx, u, q, bx, b, s
+        return (hx, u, q, bx, b, s), derivs
 
     def dvL(self, x, v):
-        return self._dvL(*self._pack(np.asarray(x, float), np.asarray(v, float)))
+        return self._dvL(*self._pack(np.asarray(x, float), np.asarray(v, float))[0])
 
     def dvvL(self, x, v):
-        return self._dvvL(*self._pack(np.asarray(x, float), np.asarray(v, float)))
+        return self._dvvL(*self._pack(np.asarray(x, float), np.asarray(v, float))[0])
 
     def dxL(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        hx, u, q, bx, b, s = self._pack(x, v)
-        qk = np.einsum("i,kij,j->k", v, self._c.dh(x), v)
-        bk = None if bx is None else self._c.dbeta(x) @ v
+        (hx, u, q, bx, b, s), (dh, dbeta) = self._pack(x, v, 1)
+        qk = np.einsum("i,kij,j->k", v, dh, v)
+        bk = None if bx is None else dbeta @ v
         return self._dxL(qk, bk, q, bx, b, s)
 
     def dxvL(self, x, v):
         """Mixed Hessian, dxvL[k, j] = d^2 L / dx_k dv_j."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        hx, u, q, bx, b, s = self._pack(x, v)
-        dh = self._c.dh(x)
+        (hx, u, q, bx, b, s), (dh, dbeta) = self._pack(x, v, 1)
         uk = np.einsum("kij,j->ki", dh, v)
         qk = np.einsum("i,kij,j->k", v, dh, v)
-        dbeta = self._c.dbeta(x) if bx is not None else None
         bk = None if dbeta is None else dbeta @ v
         return self._dxvL(hx, u, q, bx, b, s, uk, qk, dbeta, bk)
 
     def dxxL(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        hx, u, q, bx, b, s = self._pack(x, v)
-        qkl = np.einsum("i,klij,j->kl", v, self._c.d2h(x), v)
+        (hx, u, q, bx, b, s), (dh, dbeta, d2h, d2beta) = self._pack(x, v, 2)
+        qkl = np.einsum("i,klij,j->kl", v, d2h, v)
         if bx is None:
             return qkl
-        dh = self._c.dh(x)
         qk = np.einsum("i,kij,j->k", v, dh, v)
         sk = qk / (2.0 * s)
         skl = qkl / (2.0 * s) - np.outer(qk, qk) / (4.0 * s**3)
-        bk = self._c.dbeta(x) @ v
-        bkl = self._c.d2beta(x) @ v
+        bk = dbeta @ v
+        bkl = d2beta @ v
         return (
             qkl
             + 2.0 * (bkl * s + np.outer(bk, sk) + np.outer(sk, bk) + b * skl)
@@ -334,17 +375,14 @@ class MetricField:
         quadrature assembly)."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        hx, u, q, bx, b, s = self._pack(x, v)
-        dh = self._c.dh(x)
-        d2h = self._c.d2h(x)
+        (hx, u, q, bx, b, s), (dh, dbeta, d2h, d2beta) = self._pack(x, v, 2)
         uk = np.einsum("kij,j->ki", dh, v)
         qk = np.einsum("i,kij,j->k", v, dh, v)
         qkl = np.einsum("i,klij,j->kl", v, d2h, v)
         if bx is None:
             return qkl, 2.0 * uk, 2.0 * hx
-        dbeta = self._c.dbeta(x)
         bk = dbeta @ v
-        bkl = self._c.d2beta(x) @ v
+        bkl = d2beta @ v
         sk = qk / (2.0 * s)
         skl = qkl / (2.0 * s) - np.outer(qk, qk) / (4.0 * s**3)
         lxx = (
@@ -378,11 +416,9 @@ class MetricField:
         v = np.asarray(v, dtype=float)
         if validate:
             self._check(x, v)
-        hx, u, q, bx, b, s = self._pack(x, v)
-        dh = self._c.dh(x)
+        (hx, u, q, bx, b, s), (dh, dbeta) = self._pack(x, v, 1)
         uk = np.einsum("kij,j->ki", dh, v)
         qk = np.einsum("i,kij,j->k", v, dh, v)
-        dbeta = self._c.dbeta(x) if bx is not None else None
         bk = None if dbeta is None else dbeta @ v
         A = self._dvvL(hx, u, q, bx, b, s)
         rhs = (
@@ -528,46 +564,49 @@ def sphere_stereo(curvature, dim=2, **kw):
     return MetricField(dim, "sphere_stereo", comps, params=params, **kw)
 
 
-def _matrix_from_exprs(dim, rows, params, what):
+def _sym(dim, entry):
+    """Symmetric matrix of ASTs from entry(i, j) evaluated for i <= j."""
+    out = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            out[i][j] = out[j][i] = entry(i, j)
+    return out
+
+
+def _expr_matrix(dim, rows, what):
+    """Parse a dim x dim matrix of expressions and symmetrize it, entry
+    (i, j) = (rows[i][j] + rows[j][i]) / 2; equal entries stay as given."""
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ConfigError(f"{what} must be a {dim}x{dim} matrix of expressions")
-    fns = [[_expr.bind(rows[i][j], dim, params) for j in range(dim)] for i in range(dim)]
-
-    def h(x):
-        out = np.empty((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                out[i, j] = fns[i][j](x)
-        return 0.5 * (out + out.T)
-
-    return h
+    g = [[_expr.parse(e) if isinstance(e, str) else e for e in row] for row in rows]
+    return _sym(dim, lambda i, j: g[i][j] if g[i][j] == g[j][i]
+                else 0.5 * (g[i][j] + g[j][i]))
 
 
-def _vector_from_exprs(dim, comps, params, what):
+def _expr_vector(dim, comps, what):
     if len(comps) != dim:
         raise ConfigError(f"{what} must have {dim} component expressions")
-    fns = [_expr.bind(c, dim, params) for c in comps]
+    return [_expr.parse(e) if isinstance(e, str) else e for e in comps]
 
-    def b(x):
-        return np.array([f(x) for f in fns])
 
-    return b
+def _from_exprs(dim, kind, h, beta=None, params=None, *, pseudo=False,
+                randers_check=True, bound_check_samples=128, **kw):
+    """MetricField over expression ASTs (h symmetric) with exact derivatives."""
+    comps = _ExprComponents(dim, h, beta, params)
+    m = MetricField(dim, kind, comps, pseudo=pseudo, params=params, **kw)
+    if beta is not None and not pseudo and randers_check:
+        _check_randers_bound(m, n_check=bound_check_samples)
+    return m
 
 
 def riemannian_expr(dim, g, params=None, **kw):
-    comps = _Components(dim, h=_matrix_from_exprs(dim, g, params or {}, "g"))
-    return MetricField(
-        dim, "riemannian_expr", comps, params=params,
-        sources={"g": g}, **kw,
-    )
+    return _from_exprs(dim, "riemannian_expr", _expr_matrix(dim, g, "g"),
+                       params=params, sources={"g": g}, **kw)
 
 
 def quadratic_expr(dim, g, params=None, **kw):
-    comps = _Components(dim, h=_matrix_from_exprs(dim, g, params or {}, "g"))
-    return MetricField(
-        dim, "quadratic_expr", comps, pseudo=True, params=params,
-        sources={"g": g}, **kw,
-    )
+    return _from_exprs(dim, "quadratic_expr", _expr_matrix(dim, g, "g"),
+                       params=params, pseudo=True, sources={"g": g}, **kw)
 
 
 def _check_randers_bound(m, n_check=128, seed=7):
@@ -579,8 +618,7 @@ def _check_randers_bound(m, n_check=128, seed=7):
     worst = -math.inf
     worst_x = None
     for x in pts:
-        hx = np.asarray(m._c.h(x), dtype=float)
-        bx = np.asarray(m._c.beta(x), dtype=float)
+        hx, bx = m._c.stack(x, 0)
         try:
             norm2 = float(bx @ np.linalg.solve(hx, bx))
         except np.linalg.LinAlgError:
@@ -595,17 +633,11 @@ def _check_randers_bound(m, n_check=128, seed=7):
 
 
 def randers_expr(dim, h, beta, params=None, *, bound_check_samples=128, **kw):
-    comps = _Components(
-        dim,
-        h=_matrix_from_exprs(dim, h, params or {}, "h"),
-        beta=_vector_from_exprs(dim, beta, params or {}, "beta"),
-    )
-    m = MetricField(
-        dim, "randers", comps, params=params,
+    return _from_exprs(
+        dim, "randers", _expr_matrix(dim, h, "h"), _expr_vector(dim, beta, "beta"),
+        params, bound_check_samples=bound_check_samples,
         sources={"h": h, "beta": beta}, **kw,
     )
-    _check_randers_bound(m, n_check=bound_check_samples)
-    return m
 
 
 def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,

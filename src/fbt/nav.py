@@ -23,6 +23,7 @@ cross-check of the whole stack.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -72,19 +73,30 @@ def _sample_points(dim, box, n, seed):
 
 @dataclass
 class ZermeloData:
-    """Base Riemannian metric h and wind field W with sup |W|_h < 1."""
+    """Base Riemannian metric h and wind field W with sup |W|_h < 1, kept as
+    expression ASTs (h symmetrized) with their parameter binding."""
 
     dim: int
-    h: object
-    W: object
+    h: list
+    W: list
+    params: dict = field(default_factory=dict)
     chart_box: object = None
     sources: dict = field(default_factory=dict)
 
     @classmethod
     def from_exprs(cls, dim, h, W, params=None, chart_box=None):
-        h_fn = _metric._matrix_from_exprs(dim, h, params or {}, "h")
-        W_fn = _metric._vector_from_exprs(dim, W, params or {}, "W")
-        return cls(dim, h_fn, W_fn, chart_box, sources={"h": h, "W": W})
+        return cls(dim, _metric._expr_matrix(dim, h, "h"),
+                   _metric._expr_vector(dim, W, "W"), dict(params or {}),
+                   chart_box, sources={"h": h, "W": W})
+
+    @property
+    def homogeneous(self):
+        """True when neither h nor W depends on a chart coordinate."""
+        return not any(_expr.coordinates(e) for e in [*sum(self.h, []), *self.W])
+
+    @functools.cached_property
+    def _values(self):
+        return _expr.jet([self.h, self.W], self.dim, self.params)
 
     def validate(self, n_check=128, seed=11):
         box = self.chart_box
@@ -94,8 +106,7 @@ class ZermeloData:
         worst = -math.inf
         worst_x = None
         for x in _sample_points(self.dim, box, n_check, seed):
-            hx = np.asarray(self.h(x), dtype=float)
-            Wx = np.asarray(self.W(x), dtype=float)
+            hx, Wx = self._values(x)
             n2 = float(Wx @ hx @ Wx)
             if n2 > worst:
                 worst, worst_x = n2, x
@@ -106,26 +117,22 @@ class ZermeloData:
         return math.sqrt(max(worst, 0.0))
 
 
+def _lower(h, W):
+    """The covector h(W, .) as ASTs."""
+    n = len(W)
+    return [sum(h[i][j] * W[j] for j in range(n)) for i in range(n)]
+
+
 def zermelo_to_randers(z, **kw):
     """Convert wind data to the Randers metric whose length is travel time."""
     z.validate()
-
-    def a_fn(x):
-        hx = np.asarray(z.h(x), dtype=float)
-        Wx = np.asarray(z.W(x), dtype=float)
-        w_cov = hx @ Wx
-        lam_w = 1.0 - float(Wx @ w_cov)
-        return (np.outer(w_cov, w_cov) + lam_w * hx) / lam_w**2
-
-    def b_fn(x):
-        hx = np.asarray(z.h(x), dtype=float)
-        Wx = np.asarray(z.W(x), dtype=float)
-        w_cov = hx @ Wx
-        lam_w = 1.0 - float(Wx @ w_cov)
-        return -w_cov / lam_w
-
+    w_cov = _lower(z.h, z.W)
+    lam_w = 1.0 - sum(Wi * wi for Wi, wi in zip(z.W, w_cov))
+    a = _metric._sym(z.dim, lambda i, j: (w_cov[i] * w_cov[j] + lam_w * z.h[i][j])
+                     / (lam_w * lam_w))
+    b = [-(wi / lam_w) for wi in w_cov]
     kw.setdefault("chart_box", z.chart_box)
-    m = _metric.from_callables(z.dim, "zermelo", a_fn, b_fn, **kw)
+    m = _metric._from_exprs(z.dim, "zermelo", a, b, z.params, **kw)
     m.sources.update(z.sources)
     return m
 
@@ -157,73 +164,67 @@ def travel_time(m, path):
 @dataclass
 class StationaryData:
     """Spatial metric g0, vector field V and positive function f of a
-    conformally standard stationary splitting; gt = g0 / f."""
+    conformally standard stationary splitting; gt = g0 / f.  Kept as
+    expression ASTs (g0 symmetrized, f None for f = 1) with their parameter
+    binding."""
 
     dim: int
-    g0: object
-    V: object
+    g0: list
+    V: list
     f: object = None
+    params: dict = field(default_factory=dict)
     chart_box: object = None
     sources: dict = field(default_factory=dict)
 
     @classmethod
     def from_exprs(cls, dim, g0, V, f=None, params=None, chart_box=None):
-        g0_fn = _metric._matrix_from_exprs(dim, g0, params or {}, "g0")
-        V_fn = _metric._vector_from_exprs(dim, V, params or {}, "V")
-        f_fn = _expr.bind(f, dim, params) if f is not None else None
-        return cls(dim, g0_fn, V_fn, f_fn,
+        f_ast = _expr.parse(f) if isinstance(f, str) else f
+        return cls(dim, _metric._expr_matrix(dim, g0, "g0"),
+                   _metric._expr_vector(dim, V, "V"), f_ast, dict(params or {}),
                    chart_box=chart_box, sources={"g0": g0, "V": V, "f": f})
 
-    def gt(self, x):
-        g = np.asarray(self.g0(x), dtype=float)
-        if self.f is None:
-            return g
-        fx = float(self.f(x))
-        if fx <= 0.0:
-            raise ConfigError(f"conformal factor f = {fx!r} not positive at {x}")
-        return g / fx
+    def exprs(self):
+        """ASTs of gt and of the covector w = gt(V, .)."""
+        gt = self.g0
+        if self.f is not None:
+            gt = _metric._sym(self.dim, lambda i, j: self.g0[i][j] / self.f)
+        return gt, _lower(gt, self.V)
 
-    def w_cov(self, x):
-        return self.gt(x) @ np.asarray(self.V(x), dtype=float)
+    @functools.cached_property
+    def _values(self):
+        groups = [self.g0, self.V] + ([[self.f]] if self.f is not None else [])
+        return _expr.jet(groups, self.dim, self.params)
+
+    def gt_w(self, x):
+        """gt and w = gt V at the chart point x."""
+        g, V, *f = self._values(x)
+        if f:
+            fx = float(f[0][0])
+            if fx <= 0.0:
+                raise ConfigError(f"conformal factor f = {fx!r} not positive at {x}")
+            g = g / fx
+        return g, g @ V
 
 
 def fermat_metric(s, **kw):
     """The Randers pair (F, F-) of the stationary data, as MetricFields."""
-
-    def h_fn(x):
-        gt = s.gt(x)
-        w = gt @ np.asarray(s.V(x), dtype=float)
-        return gt + np.outer(w, w)
-
-    def beta_plus(x):
-        return s.w_cov(x)
-
-    def beta_minus(x):
-        return -s.w_cov(x)
-
+    gt, w = s.exprs()
+    h = _metric._sym(s.dim, lambda i, j: gt[i][j] + w[i] * w[j])
     kw.setdefault("chart_box", s.chart_box)
-    f_plus = _metric.from_callables(s.dim, "fermat", h_fn, beta_plus, **kw)
-    f_minus = _metric.from_callables(s.dim, "fermat", h_fn, beta_minus, **kw)
-    for m in (f_plus, f_minus):
+    pair = tuple(
+        _metric._from_exprs(s.dim, "fermat", h, beta, s.params, **kw)
+        for beta in (w, [-wi for wi in w])
+    )
+    for m in pair:
         m.sources.update(s.sources)
-    return f_plus, f_minus
+    return pair
 
 
 def _lorentz_metric(s, **kw):
     """The product-spacetime metric as a quadratic (indefinite) MetricField."""
     n = s.dim
-
-    def big(xz):
-        x = xz[:n]
-        gt = s.gt(x)
-        w = gt @ np.asarray(s.V(x), dtype=float)
-        out = np.empty((n + 1, n + 1))
-        out[:n, :n] = gt
-        out[:n, n] = w
-        out[n, :n] = w
-        out[n, n] = -1.0
-        return out
-
+    gt, w = s.exprs()
+    rows = [gt[i] + [w[i]] for i in range(n)] + [w + [_expr.Num(-1.0)]]
     box = kw.pop("chart_box", None)
     if box is None:
         base = s.chart_box
@@ -231,8 +232,8 @@ def _lorentz_metric(s, **kw):
             base = [[-_metric.DEFAULT_CHART_HALF_WIDTH,
                      _metric.DEFAULT_CHART_HALF_WIDTH]] * n
         box = list(base) + [[-1e6, 1e6]]
-    return _metric.from_callables(n + 1, "quadratic_expr", big, pseudo=True,
-                                  chart_box=box, **kw)
+    return _metric._from_exprs(n + 1, "quadratic_expr", rows, None, s.params,
+                               pseudo=True, chart_box=box, **kw)
 
 
 @dataclass
@@ -283,8 +284,7 @@ def lift_lightlike(s, x_path, t0=0.0, *, fermat=None, n_out=201,
         fermat, _ = fermat_metric(s)
 
     def assoc_speed(x, v):
-        gt = s.gt(x)
-        w = gt @ np.asarray(s.V(x), dtype=float)
+        gt, w = s.gt_w(x)
         return float(v @ gt @ v + (w @ v) ** 2)
 
     ss = np.linspace(0.0, x_path.tau, n_out)
@@ -315,8 +315,7 @@ def lift_lightlike(s, x_path, t0=0.0, *, fermat=None, n_out=201,
     null_worst = 0.0
     for t in ss:
         x, v = x_path.state(t)
-        gt = s.gt(x)
-        w = gt @ np.asarray(s.V(x), dtype=float)
+        gt, w = s.gt_w(x)
         A = float(w @ v)
         B = float(v @ gt @ v)
         Fv = fermat.F(x, v)

@@ -4,11 +4,16 @@ Everything here is deliberately written against closed forms or scalar ODEs,
 never through the code paths under test.
 """
 
+import math
+import operator
+import re
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import fbt
+from fbt import expr as _expr
 
 
 # ---------------------------------------------------------------------------
@@ -121,3 +126,38 @@ def expmap_fd(m, p, v, w, eps=1e-5):
     minus = fbt.exp_map(m, p, np.asarray(v) - eps * np.asarray(w),
                         rtol=1e-11, atol=1e-14)
     return (plus - minus) / (2.0 * eps)
+
+
+# ---------------------------------------------------------------------------
+# Tree-walking expression evaluator
+#
+# Evaluates an fbt.expr AST node by node with Python floats and the math
+# module, left operand first, as a direct reading of the grammar.  The
+# compiled bundles must agree with it bit for bit.
+
+_TREE_FN = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+    "log": math.log, "sqrt": math.sqrt, "sinh": math.sinh, "cosh": math.cosh,
+    "tanh": math.tanh, "atan": math.atan, "abs": abs,
+    "sign": lambda a: 1.0 if a > 0.0 else -1.0 if a < 0.0 else 0.0,
+}
+_TREE_OP = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv, "^": math.pow}
+
+
+def tree_eval(node, point, params=None):
+    """Value of the AST at the chart point; raises ValueError, OverflowError
+    or ZeroDivisionError where the compiled code raises DomainError."""
+    params = params or {}
+    if isinstance(node, _expr.Num):
+        return node.value
+    if isinstance(node, _expr.Name):
+        if re.fullmatch(r"x[1-9][0-9]*", node.ident):
+            return float(point[int(node.ident[1:]) - 1])
+        return float(params[node.ident])
+    if isinstance(node, _expr.Unary):
+        return -tree_eval(node.arg, point, params)
+    if isinstance(node, _expr.Call):
+        return _TREE_FN[node.fn](tree_eval(node.arg, point, params))
+    a = tree_eval(node.lhs, point, params)
+    return _TREE_OP[node.op](a, tree_eval(node.rhs, point, params))

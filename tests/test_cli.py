@@ -142,6 +142,12 @@ class TestCommands:
         assert cli.main(["geodesic", "--config", bad]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_removed_threads_option_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"metric": {"kind": "euclidean", "dim": 2},
+                                   "solver": {"threads": 2}})
+        assert cli.main(["sweep", "--config", cfg]) == 1
+        assert "threads" in capsys.readouterr().err
+
     def test_sweep_artifacts(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {
             "metric": {"kind": "riemannian_expr", "dim": 2,
@@ -178,6 +184,21 @@ class TestCommands:
                 for f in ("zermelo.json", "zermelo_path.csv", "resolved_config.json")
             })
         assert outs[0] == outs[1]
+
+    def test_zermelo_grid_oracle_varying_wind(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, {
+            "metric": {"kind": "zermelo", "dim": 2,
+                       "h": [["1", "0"], ["0", "1"]],
+                       "W": ["0.6*exp(-x1^2)", "0"],
+                       "chart_box": [[-3, 3], [-3, 3]]},
+            "problem": {"connect": {"p": [-1.0, 0.0], "q": [0.2, 0.9]}},
+            "solver": {"grid_oracle": True, "samples_out": 20},
+        }))
+        out = tmp_path / "run"
+        assert run_command("zermelo", cfg, str(out)) == 0
+        data = json.loads((out / "zermelo.json").read_text())
+        grid = data["grid_oracle"]
+        assert abs(grid["time"] - data["travel_time"]) <= 3 * grid["cell_time"]
 
     def test_fermat_command(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {

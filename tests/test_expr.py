@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from fbt import expr
 from fbt.expr import DomainError, ExprSyntaxError, UnboundName
+from fbt.metric import _ExprComponents
+
+from _oracles import tree_eval
 
 
 def ev(src, point=(0.0,), params=None):
@@ -143,3 +149,149 @@ def test_print_parse_round_trip(tree, x1, x2):
         return
     got = expr.evaluate(reparsed, (x1, x2), params)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Exact derivatives of compiled bundles
+
+# every grammar function, constant and coordinate-dependent exponents,
+# parameters and nested calls; all defined for x1 in [0.3, 1.5], x2 in [0.2, 1.2]
+DERIV_CASES = [
+    "sin(x1)*cos(x2)",
+    "tan(0.3*x1 + 0.1*x2)",
+    "exp(-lam*x2^2)",
+    "log(2 + x1^2 + x2)",
+    "sqrt(3 + x1*x2)",
+    "sinh(x1)/cosh(x2)",
+    "tanh(x1 - x2)",
+    "atan(x1*x2)",
+    "abs(x1 - 0.05)*x2 - abs(0.1 - x2)",
+    "x1^x2",
+    "2^(x1*x2)",
+    "(1 + x1^2)^(-lam/2)",
+    "(x1^2 + 1)^2.5",
+    "4/(K*(1+x1^2+x2^2)^2)",
+    "-x1^3 + x2/x1",
+    "exp(sin(sqrt(1 + x1^2)))*log(cosh(x2) + 1)",
+]
+PARAMS = {"lam": 1.3, "K": 0.7}
+
+
+def _to_sympy(node, sp, syms):
+    if isinstance(node, expr.Num):
+        return sp.Rational(node.value)
+    if isinstance(node, expr.Name):
+        if node.ident in syms:
+            return syms[node.ident]
+        return sp.Rational(PARAMS[node.ident])
+    if isinstance(node, expr.Unary):
+        return -_to_sympy(node.arg, sp, syms)
+    if isinstance(node, expr.Call):
+        fn = sp.Abs if node.fn == "abs" else getattr(sp, node.fn)
+        return fn(_to_sympy(node.arg, sp, syms))
+    a, b = _to_sympy(node.lhs, sp, syms), _to_sympy(node.rhs, sp, syms)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a**b}[node.op]
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_component_derivatives_match_sympy(chunk):
+    sp = pytest.importorskip("sympy")
+    srcs = [DERIV_CASES[(5 * chunk + i) % len(DERIV_CASES)] for i in range(5)]
+    h = [[srcs[0], srcs[1]], [srcs[2], srcs[3]]]
+    beta = [srcs[4], srcs[0]]
+    comps = _ExprComponents(2, [[expr.parse(e) for e in row] for row in h],
+                            [expr.parse(e) for e in beta], PARAMS)
+    syms = {"x1": sp.Symbol("x1", real=True), "x2": sp.Symbol("x2", real=True)}
+    xs = [syms["x1"], syms["x2"]]
+    rng = np.random.default_rng(100 + chunk)
+    for _ in range(3):
+        x = np.array([rng.uniform(0.3, 1.5), rng.uniform(0.2, 1.2)])
+        hx, bx, dh, dbeta, d2h, d2beta = comps.stack(x, 2)
+        subs = {syms["x1"]: sp.Rational(x[0]), syms["x2"]: sp.Rational(x[1])}
+        entries = [(e, hx[i, j], dh[:, i, j], d2h[:, :, i, j])
+                   for i, row in enumerate(h) for j, e in enumerate(row)]
+        entries += [(e, bx[i], dbeta[:, i], d2beta[:, :, i])
+                    for i, e in enumerate(beta)]
+        for src, val, grad, hess in entries:
+            f = _to_sympy(expr.parse(src), sp, syms)
+            want = [float(f.evalf(30, subs=subs))]
+            got = [val]
+            for k in range(2):
+                fk = sp.diff(f, xs[k])
+                want.append(float(fk.evalf(30, subs=subs)))
+                got.append(grad[k])
+                for l in range(2):
+                    want.append(float(sp.diff(fk, xs[l]).evalf(30, subs=subs)))
+                    got.append(hess[k, l])
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), src
+
+
+
+def _deriv_trees(depth):
+    if depth == 0:
+        return _leaf
+    sub = _deriv_trees(depth - 1)
+    return st.one_of(
+        _leaf,
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(
+            lambda t: expr.Bin(t[0], t[1], t[2])
+        ),
+        sub.map(expr.Unary),
+        st.tuples(st.sampled_from(expr.FUNCTIONS), sub).map(
+            lambda t: expr.Call(t[0], t[1])
+        ),
+    )
+
+
+def _tree_or_error(node, point, params):
+    try:
+        val = tree_eval(node, point, params)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return None
+    return val if math.isfinite(val) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_deriv_trees(3), x1=st.floats(-2.0, 2.0), x2=st.floats(0.2, 2.0))
+def test_compiled_bits_equal_tree_walk(tree, x1, x2):
+    """Values and first derivatives from one compiled bundle equal, bit for
+    bit, a node-by-node evaluation of the AST and of its derivative ASTs;
+    wherever that evaluation fails or is not finite, the bundle raises
+    DomainError."""
+    params = {"a": 1.7, "b": 0.3}
+    point = np.array([x1, x2])
+    nodes = [tree, expr.diff(tree, "x1"), expr.diff(tree, "x2")]
+    want = [_tree_or_error(e, point, params) for e in nodes]
+    try:
+        val, grad = expr.jet([[tree]], 2, params, order=1)(point)
+    except DomainError:
+        assert None in want
+        return
+    got = [val[0], grad[0, 0], grad[1, 0]]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert expr.evaluate(tree, point, params).hex() == want[0].hex()
+
+
+@pytest.mark.parametrize("src, point, order", [
+    ("sqrt(x1)", [0.0], 1),          # value 0, derivative 1/(2*0)
+    ("x1^0.5", [0.0], 1),            # power rule: 0^-0.5
+    ("x1^x2", [-2.0, 2.0], 1),       # d/dx2 needs log(-2)
+    ("1e307*x1^10", [1.0], 2),       # second derivative overflows to inf
+    ("abs(x1)*log(x1 + 1)", [-1.0], 0),
+])
+def test_domain_violation_in_value_or_derivative(src, point, order):
+    if order > 0:
+        # the value (and lower orders) still evaluate
+        expr.jet([[src]], len(point), order=order - 1)(np.array(point))
+    with pytest.raises(DomainError):
+        expr.jet([[src]], len(point), order=order)(np.array(point))
+
+
+def test_import_does_not_load_sympy():
+    src_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+    code = "import sys, fbt; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src_dir})
+    assert out.stdout.strip() == "False"

@@ -20,7 +20,7 @@ def _report(instants, tau, kind="conjugate"):
     return ConjugateReport(
         kind=kind, tau=tau,
         instants=[ConjugateInstant(t, m, 0.0) for t, m in instants],
-        grid=400, theta_null=1e-6, theta_dip=1e-4, refine_tol=1e-10,
+        grid=400, theta_null=1e-6, refine_tol=1e-10,
     )
 
 
@@ -81,6 +81,15 @@ class TestCrossCheck:
         rep = cross_check(path)
         assert rep.agree
         assert (rep.m_minus, rep.m_zero) == (want, 0)
+
+    def test_long_3d_sphere_path_is_critical(self, sphere3):
+        # three conjugate instants of multiplicity 2; a residual step that
+        # grows with tau put the EL residual of this path above 1e-5
+        path = integrate_geodesic(sphere3, PhaseState([0, 0, -1], [1, 0, 0]),
+                                  3.85 * np.pi)
+        rep = cross_check(path)
+        assert rep.agree
+        assert (rep.m_minus, rep.m_zero) == (6, 0)
 
     def test_warped_flanks(self):
         mu = flat_axis_warped_mu()
