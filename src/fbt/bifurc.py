@@ -20,8 +20,8 @@ from scipy.optimize import brentq
 
 from .errors import NumericalError
 from .metric import PhaseState
-from .geoflow import integrate_geodesic, connect, DEFAULT_TOL_RES
-from . import jacobi as _jacobi
+from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian, exp_map,
+                      integrate_geodesic, newton)
 from . import morse as _morse
 
 __all__ = [
@@ -48,8 +48,10 @@ REFINE_TOL_REL = 1e-6
 DEFAULT_RHO_LADDER = (1e-3, 1e-2, 1e-1)
 DEFAULT_SEEDS_PER_RUNG = 16
 DISTINCT_TOL = 1e-6
-DEFLATION_POWER = 2
-DEFLATION_SHIFT = 1.0
+# the hunt's relaxed integrator tolerance; accepted solutions are re-validated
+# at find_branches' rtol/atol
+HUNT_RTOL = 1e-8
+HUNT_ATOL = 1e-9
 
 
 class BranchLost(NumericalError):
@@ -240,7 +242,7 @@ def realize_branch(f, lam, prev_velocity=None, *, rtol=1e-9, atol=1e-12):
                                       rtol=rtol, atol=atol)
         elif isinstance(br, ConnectBranch):
             seed = br.v_seed if prev_velocity is None else prev_velocity
-            v0 = connect(m, br.p, br.q, seed, rtol=rtol, atol=atol)
+            v0 = connect(m, br.p, br.q, seed, tau=br.tau, rtol=rtol, atol=atol)
             path = integrate_geodesic(m, PhaseState(br.p, v0), br.tau,
                                       rtol=rtol, atol=atol)
         else:
@@ -419,65 +421,6 @@ def detect_bifurcation(scan):
 # Deflated branch hunting
 
 
-def _deflation_factor(v, roots):
-    fac = 1.0
-    grad = np.zeros_like(v)
-    for r in roots:
-        d = v - r
-        d2 = float(d @ d)
-        if d2 == 0.0:
-            return np.inf, grad
-        fac *= DEFLATION_SHIFT + 1.0 / d2
-        # d/dv log(shift + |d|^-2) = -2 d / (|d|^4 (shift + |d|^-2))
-        grad += -2.0 * d / (d2**2 * (DEFLATION_SHIFT + 1.0 / d2))
-    return fac, fac * grad
-
-
-def _deflated_newton(G, J, v0, roots, *, tol, max_iter=25, max_halvings=8,
-                     wander_limit=None):
-    v = v0.copy()
-    try:
-        r = G(v)
-    except NumericalError:
-        return None
-    for _ in range(max_iter):
-        fac, dfac = _deflation_factor(v, roots)
-        if not np.isfinite(fac):
-            return None
-        rn = float(np.linalg.norm(r))
-        if rn <= tol:
-            return v
-        try:
-            Jv = J(v)
-        except NumericalError:
-            return None
-        Jd = fac * Jv + np.outer(r, dfac)
-        # truncated pseudo-inverse: near a continuum of solutions the shooting
-        # Jacobian folds and untruncated steps run away along its null space
-        step, *_ = np.linalg.lstsq(Jd, -fac * r, rcond=1e-6)
-        if wander_limit is not None and np.linalg.norm(v + step - v0) > wander_limit:
-            step *= wander_limit / np.linalg.norm(v + step - v0)
-        alpha = 1.0
-        base = fac * rn
-        improved = False
-        for _ in range(max_halvings + 1):
-            try:
-                r_new = G(v + alpha * step)
-            except NumericalError:
-                alpha *= 0.5
-                continue
-            fac_new, _ = _deflation_factor(v + alpha * step, roots)
-            if np.isfinite(fac_new) and fac_new * np.linalg.norm(r_new) < base:
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            return None
-        v = v + alpha * step
-        r = r_new
-    return v if np.linalg.norm(r) <= tol else None
-
-
 def _c1_distance(path_a, path_b, n_samples=40):
     ts = np.linspace(0.0, path_a.tau, n_samples)
     worst = 0.0
@@ -488,20 +431,22 @@ def _c1_distance(path_a, path_b, n_samples=40):
     return worst
 
 
-def find_branches(f, mu, boundary="point-point", *, seed=0,
+def find_branches(f, mu, *, seed=0,
                   rho_ladder=DEFAULT_RHO_LADDER,
                   seeds_per_rung=DEFAULT_SEEDS_PER_RUNG,
                   delta=None, offsets=(-2, -1, 0, 1, 2), max_iter=15,
-                  max_found=12, rtol=1e-9, atol=1e-12, hunt_rtol=1e-8):
+                  max_found=12, rtol=1e-9, atol=1e-12):
     """Hunt for non-trivial geodesics with the trivial branch's boundary data.
 
     Deflated multi-start Newton shooting at parameters mu + offset*delta;
     seeds perturb the trivial initial velocity along the kernel direction of
-    the frame with seeded jitter.  The hunt runs at a relaxed integrator
-    tolerance with finite-difference shooting Jacobians; every accepted
-    solution is re-validated at the tight tolerance.  An empty list is a
-    valid outcome.  max_found caps the solutions kept per probed parameter
-    (a continuum of solutions would otherwise absorb every seed).
+    the shooting Jacobian with seeded jitter.  The hunt runs at a relaxed
+    integrator tolerance, and its shooting Jacobians (the kernel direction's
+    included) are central differences of integrated endpoints, not Jacobi
+    frames; every accepted solution is re-validated at the tight tolerance.
+    An empty list is a valid outcome.  max_found caps the solutions kept per
+    probed parameter (a continuum of solutions would otherwise absorb every
+    seed).
     """
     a, b = f.param_range
     if delta is None:
@@ -520,26 +465,14 @@ def find_branches(f, mu, boundary="point-point", *, seed=0,
         tol = 1e-10 * (1.0 + np.linalg.norm(q))
         tol_hunt = max(10.0 * tol, 3e-9 * (1.0 + np.linalg.norm(q)))
 
-        frame = _jacobi.jacobi_frame(triv, "conjugate", rtol=1e-9, atol=1e-12)
-        _, _, vt = np.linalg.svd(frame.M(tau))
-        kernel_dir = vt[-1]
-
-        def endpoint(v, ivp_rtol=hunt_rtol):
-            return integrate_geodesic(
-                m, PhaseState(p, v), tau, rtol=ivp_rtol, atol=1e3 * atol
-            ).endpoint
-
         def G(v):
-            return endpoint(v) - q
+            return exp_map(m, p, v, tau, rtol=HUNT_RTOL, atol=HUNT_ATOL) - q
 
         def J(v):
-            out = np.empty((m.dim, m.dim))
-            for j in range(m.dim):
-                h = 1e-6 * max(1.0, abs(v[j]))
-                vp = v.copy(); vp[j] += h
-                vm = v.copy(); vm[j] -= h
-                out[:, j] = (endpoint(vp) - endpoint(vm)) / (2.0 * h)
-            return out
+            return endpoint_jacobian(m, p, v, tau, rtol=HUNT_RTOL, atol=HUNT_ATOL)
+
+        _, _, vt = np.linalg.svd(J(v_triv))
+        kernel_dir = vt[-1]
 
         roots = [v_triv.copy()]
         found_here = []
@@ -553,11 +486,10 @@ def find_branches(f, mu, boundary="point-point", *, seed=0,
                     break
                 jitter = 0.3 * rho * rng.normal(size=m.dim) / np.sqrt(m.dim)
                 v_seed = v_triv + rho * kernel_dir + jitter
-                v_sol = _deflated_newton(
-                    G, J, v_seed, roots, tol=tol_hunt, max_iter=max_iter,
-                    wander_limit=5.0 * vnorm,
-                )
-                if v_sol is None:
+                try:
+                    v_sol = newton(G, J, v_seed, tol=tol_hunt, max_iter=max_iter,
+                                   roots=roots, wander_limit=5.0 * vnorm)
+                except NumericalError:
                     continue
                 if min(np.linalg.norm(v_sol - r) for r in roots) < DISTINCT_TOL:
                     continue
@@ -569,18 +501,19 @@ def find_branches(f, mu, boundary="point-point", *, seed=0,
                     continue
                 b_res = float(np.linalg.norm(path_sol.endpoint - q))
                 if b_res > 1e-10 * (1.0 + np.linalg.norm(q)):
-                    v_ref = _deflated_newton(
-                        lambda v: endpoint(v, rtol) - q, J, v_sol, [],
-                        tol=1e-9 * (1.0 + np.linalg.norm(q)), max_iter=6,
-                    )
-                    if v_ref is not None:
-                        v_sol = v_ref
-                        try:
-                            path_sol = integrate_geodesic(
-                                m, PhaseState(p, v_sol), tau, rtol=rtol, atol=atol
-                            )
-                        except NumericalError:
-                            continue
+                    try:
+                        v_ref = newton(
+                            lambda v: exp_map(m, p, v, tau, rtol=rtol, atol=atol) - q,
+                            J, v_sol,
+                            tol=1e-9 * (1.0 + np.linalg.norm(q)), max_iter=6,
+                        )
+                        path_ref = integrate_geodesic(
+                            m, PhaseState(p, v_ref), tau, rtol=rtol, atol=atol
+                        )
+                    except NumericalError:
+                        pass  # keep the unpolished solution; validation decides
+                    else:
+                        v_sol, path_sol = v_ref, path_ref
                         b_res = float(np.linalg.norm(path_sol.endpoint - q))
                 if min(np.linalg.norm(v_sol - r) for r in roots) < DISTINCT_TOL:
                     continue

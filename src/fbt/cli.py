@@ -235,10 +235,11 @@ def _problem_path(cfg, m):
         con = prob["connect"]
         seed = con.get("v_seed", (np.asarray(con["q"], float)
                                   - np.asarray(con["p"], float)).tolist())
-        v = _geoflow.connect(m, con["p"], con["q"], seed,
+        tau = con.get("tau", 1.0)
+        v = _geoflow.connect(m, con["p"], con["q"], seed, tau=tau,
                              rtol=sv["rtol"], atol=sv["atol"])
         return _geoflow.integrate_geodesic(
-            m, PhaseState(con["p"], v), con.get("tau", 1.0),
+            m, PhaseState(con["p"], v), tau,
             rtol=sv["rtol"], atol=sv["atol"], method=sv["method"],
         )
     raise SchemaError("/problem: an 'initial' or 'connect' block is required")
@@ -476,12 +477,15 @@ def _cmd_sweep(cfg, out):
 
 
 def _cmd_branch(cfg, out):
+    if cfg.get("problem", {}).get("boundary") is not None:
+        raise SchemaError("/problem/boundary: branch hunts are point-to-point")
     fam = _family_from_config(cfg)
     sv = cfg["solver"]
     mu = cfg.get("family", {}).get("mu")
     if mu is None:
         scan = _bifurc.sweep_family(
-            fam, mesh0=sv["mesh0"], max_mesh=sv["max_mesh"], seed=sv["seed"],
+            fam, mesh0=sv["mesh0"], max_mesh=sv["max_mesh"],
+            scan_opts={"grid": sv["scan_grid"]}, seed=sv["seed"],
         )
         if not scan.detections:
             write_json(os.path.join(out, "branch_evidence.json"),

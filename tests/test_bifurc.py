@@ -9,6 +9,7 @@ from fbt.bifurc import (
     classify_alternative,
     detect_bifurcation,
     find_branches,
+    realize_branch,
     sweep_family,
 )
 
@@ -84,6 +85,17 @@ class TestSweep:
         scan = sweep_family(fam)
         assert scan.detections == []
         assert all(r.agree for r in scan.records)
+
+
+    def test_connect_branch_honours_tau(self):
+        fam = FamilySpec(
+            param_name="K", param_range=(0.5, 1.5), samples=3,
+            metric_builder=lambda K: fbt.sphere_stereo(K),
+            branch=ConnectBranch([0, -1], [0.6, -0.4], [0.6, 0.6], tau=2.0),
+        )
+        _, path = realize_branch(fam, 1.0)
+        assert path.tau == 2.0
+        assert np.max(np.abs(path.endpoint - [0.6, -0.4])) < 1e-8
 
 
 class TestVerdicts:

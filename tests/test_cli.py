@@ -96,6 +96,19 @@ class TestCommands:
         assert last[1] == pytest.approx(3.0, abs=1e-12)
         assert (out / "resolved_config.json").exists()
 
+    def test_connect_tau_reaches_q(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, {
+            "metric": {"kind": "euclidean", "dim": 2},
+            "problem": {"connect": {"p": [0, 0], "q": [1, 0.5], "tau": 2.0}},
+            "solver": {"samples_out": 5},
+        }))
+        out = tmp_path / "run"
+        assert run_command("geodesic", cfg, str(out)) == 0
+        last = [float(x) for x in
+                (out / "geodesic.csv").read_text().splitlines()[-1].split(",")]
+        assert last[0] == 2.0
+        assert np.max(np.abs(np.array(last[1:3]) - [1, 0.5])) < 1e-8
+
     def test_index_json(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SPHERE))
         out = tmp_path / "run"
@@ -147,6 +160,17 @@ class TestCommands:
                                    "solver": {"threads": 2}})
         assert cli.main(["sweep", "--config", cfg]) == 1
         assert "threads" in capsys.readouterr().err
+
+    def test_branch_with_boundary_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "euclidean", "dim": 2},
+            "problem": {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0},
+                        "boundary": {"x0": [0, 0], "basis": [[0, 1]]}},
+            "family": {"parameter": "lam", "range": [0.0, 1.0], "samples": 2},
+        })
+        out = str(tmp_path / "run")
+        assert cli.main(["branch", "--config", cfg, "--out", out]) == 1
+        assert "/problem/boundary" in capsys.readouterr().err
 
     def test_sweep_artifacts(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {

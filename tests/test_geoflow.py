@@ -5,13 +5,17 @@ import fbt
 from fbt.geoflow import (
     BoundaryData,
     LeftChart,
+    NoConvergence,
     SingularJacobian,
     TangentSeed,
     connect,
+    endpoint_jacobian,
     exp_map,
     integrate_geodesic,
+    newton,
     orthogonal_initial,
 )
+from fbt.jacobi import expmap_jacobian
 from fbt.metric import PhaseState
 
 from _oracles import great_circle_chart, great_circle_velocity
@@ -104,9 +108,63 @@ class TestConnect:
         v = connect(sphere, [0, -1], q, [1.1, 0.2])
         assert np.max(np.abs(exp_map(sphere, [0, -1], v) - q)) < 1e-9
 
+    def test_tau_is_the_arrival_time(self, euclid):
+        v = connect(euclid, [0, 0], [1, 0.5], [1, 0.5], tau=2.0)
+        end = integrate_geodesic(euclid, PhaseState([0, 0], v), 2.0).endpoint
+        assert np.max(np.abs(end - [1, 0.5])) < 1e-8
+
     def test_antipode_degenerate(self, sphere):
         with pytest.raises(SingularJacobian):
             connect(sphere, [0, -1], [0, 1], [np.pi, 0.005])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.55])
+    def test_conjugate_seed_is_singular(self, sphere, theta):
+        # every velocity of norm pi is conjugate at p = (0, -1); at theta = 0.55
+        # an endpoint Jacobian integrated at rtol 1e-8 reads |det| = 1.9e-8 *
+        # scale there, past SING_TOL, while connect's reads 9e-10 * scale
+        seed = np.pi * np.array([np.cos(theta), np.sin(theta)])
+        q = exp_map(sphere, [0, -1], 0.9 * seed)
+        with pytest.raises(SingularJacobian):
+            connect(sphere, [0, -1], q, seed)
+
+
+class TestEndpointJacobian:
+    def test_matches_frame_route(self):
+        from conftest import catalog_metrics
+
+        rng = np.random.default_rng(5)
+        for m, base, scale in catalog_metrics():
+            x = base + 0.1 * rng.normal(size=m.dim)
+            v = rng.normal(size=m.dim)
+            v *= scale * rng.uniform(0.5, 1.2) / np.linalg.norm(v)
+            J = endpoint_jacobian(m, x, v, 1.0, rtol=1e-8, atol=1e-9)
+            ref = expmap_jacobian(m, x, v)
+            assert np.linalg.norm(J - ref) <= 1e-7 * np.linalg.norm(ref)
+
+    def test_euclidean_scales_with_tau(self, euclid):
+        J = endpoint_jacobian(euclid, [0, 0], [1.2, -0.3], 2.5, rtol=1e-8, atol=1e-9)
+        assert np.max(np.abs(J - 2.5 * np.eye(2))) < 1e-8
+
+
+class TestNewton:
+    @staticmethod
+    def G(v):
+        return np.array([v[0] ** 2 - 1.0, v[1]])
+
+    @staticmethod
+    def J(v):
+        return np.array([[2.0 * v[0], 0.0], [0.0, 1.0]])
+
+    def test_deflated_root_never_returned(self):
+        root = np.array([1.0, 0.0])
+        v = newton(self.G, self.J, root + [1e-9, 0.0], tol=1e-12, max_iter=50,
+                   roots=[root])
+        assert np.max(np.abs(v - [-1.0, 0.0])) < 1e-9
+
+    def test_start_on_deflated_root(self):
+        root = np.array([1.0, 0.0])
+        with pytest.raises(NoConvergence):
+            newton(self.G, self.J, root, tol=1e-12, max_iter=50, roots=[root])
 
 
 class TestOrthogonalInitial:
