@@ -641,8 +641,10 @@ def jet(groups, dim, params=None, order=0):
     order r = 0..order and, within it, each group, the r-th derivatives of
     the group with the derivative indices first, shape (dim,)*r + shape of
     the group; entry [k, l, i, j] is d^2 g[i][j] / dx_k dx_l.  Shared
-    subexpressions are computed once.  Unbound names raise here; domain
-    violations and non-finite results raise DomainError at call time.
+    subexpressions are computed once.  On a stack of points (..., dim) the
+    function runs once per point and every array gains the leading axes of
+    the stack.  Unbound names raise here; domain violations and non-finite
+    results raise DomainError at call time.
     """
     shapes, flat = [], []
     for g in groups:
@@ -662,8 +664,12 @@ def jet(groups, dim, params=None, order=0):
             start = stop
 
     def f(x):
-        out = np.array(fn(x))
-        return [out[a:b].reshape(s) for a, b, s in layout]
+        if np.ndim(x) == 1:
+            out = np.array(fn(x))
+            return [out[a:b].reshape(s) for a, b, s in layout]
+        lead = np.shape(x)[:-1]
+        out = np.array([fn(xi) for xi in np.reshape(x, (-1, dim)).tolist()])
+        return [out[:, a:b].reshape(lead + s) for a, b, s in layout]
 
     return f
 

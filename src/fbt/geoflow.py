@@ -107,11 +107,13 @@ class _HermiteSol:
         self.fs = fs
 
     def __call__(self, t):
-        t = float(t)
+        """y(t); at an array of times, shape (2n, len(t)) like scipy's
+        OdeSolution."""
+        t = np.asarray(t, dtype=float)
         ts = self.ts
-        i = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
+        i = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+        h = (ts[i + 1] - ts[i])[..., None]
+        s = (t - ts[i])[..., None] / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
@@ -121,7 +123,7 @@ class _HermiteSol:
             + h10 * h * self.fs[i]
             + h01 * self.ys[i + 1]
             + h11 * h * self.fs[i + 1]
-        )
+        ).T
 
 
 @dataclass
@@ -142,15 +144,16 @@ class GeodesicPath:
         return self.x0.shape[0]
 
     def state(self, t):
+        """(x, v) at time t; at an array of times, stacks (len(t), n)."""
         y = self.sol(t)
         n = self.dim
-        return y[:n], y[n:]
+        return y[:n].T, y[n:].T
 
     def x(self, t):
-        return self.sol(t)[: self.dim]
+        return self.sol(t)[: self.dim].T
 
     def v(self, t):
-        return self.sol(t)[self.dim:]
+        return self.sol(t)[self.dim:].T
 
     @property
     def endpoint(self):
@@ -161,28 +164,26 @@ class GeodesicPath:
         return self.metric.F(x, v)
 
     def speed_deviation(self, n_samples=200):
-        ts = np.linspace(0.0, self.tau, n_samples)
-        worst = 0.0
-        for t in ts:
-            worst = max(worst, abs(self.speed(t) - self.F0))
-        return worst
+        x, v = self.state(np.linspace(0.0, self.tau, n_samples))
+        return float(np.max(np.abs(self.metric.F(x, v) - self.F0)))
 
     def el_residual(self, t, h=1e-3):
         """First-order Euler-Lagrange residual |dv/dt - spray| / (1 + |spray|),
-        with dv/dt from central differences of the dense output.  The step
-        is fixed: scaling it with tau lets truncation error alone exceed
-        DEFAULT_TOL_RES on long paths."""
-        a = max(t - h, 0.0)
-        b = min(t + h, self.tau)
-        dv = (self.v(b) - self.v(a)) / (b - a)
+        with dv/dt from central differences of the dense output; at an array
+        of times, one residual per time.  The step is fixed: scaling it with
+        tau lets truncation error alone exceed DEFAULT_TOL_RES on long
+        paths."""
+        a = np.maximum(t - h, 0.0)
+        b = np.minimum(t + h, self.tau)
+        dv = (self.v(b) - self.v(a)) / (b - a)[..., None]
         x, v = self.state(t)
         s = self.metric.spray(x, v)
-        return float(np.linalg.norm(dv - s) / (1.0 + np.linalg.norm(s)))
+        return np.linalg.norm(dv - s, axis=-1) / (1.0 + np.linalg.norm(s, axis=-1))
 
     def max_el_residual(self, n_samples=20, seed=0):
         rng = np.random.default_rng(seed)
         ts = rng.uniform(0.05 * self.tau, 0.95 * self.tau, size=n_samples)
-        return max(self.el_residual(t) for t in ts)
+        return float(np.max(self.el_residual(ts)))
 
 
 def _chart_event(m):

@@ -51,20 +51,25 @@ class ResolutionWarning(UserWarning):
 
 
 def spray_jacobians(m, x, v, step):
-    """Directional central differences of the spray in x and in v."""
+    """Directional central differences of the spray in x and in v, with
+    steps step*max(1, |x_j|) and step*max(1, |v_j|), from one spray call on
+    the 4n perturbed states.  x and v may be stacks (..., n); A and B then
+    gain the leading axes."""
     n = m.dim
-    A = np.empty((n, n))
-    B = np.empty((n, n))
-    for j in range(n):
-        hx = step * max(1.0, abs(x[j]))
-        xp = x.copy(); xp[j] += hx
-        xm = x.copy(); xm[j] -= hx
-        A[:, j] = (m.spray(xp, v) - m.spray(xm, v)) / (2.0 * hx)
-        hv = step * max(1.0, abs(v[j]))
-        vp = v.copy(); vp[j] += hv
-        vm = v.copy(); vm[j] -= hv
-        B[:, j] = (m.spray(x, vp) - m.spray(x, vm)) / (2.0 * hv)
-    return A, B
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    hx = step * np.maximum(1.0, np.abs(x))
+    hv = step * np.maximum(1.0, np.abs(v))
+    # row j of each block perturbs component j
+    xs = np.repeat(x[..., None, :], n, axis=-2)
+    vs = np.repeat(v[..., None, :], n, axis=-2)
+    dx = hx[..., None] * np.eye(n)
+    dv = hv[..., None] * np.eye(n)
+    a = m.spray(np.concatenate([xs + dx, xs - dx, xs, xs], axis=-2),
+                np.concatenate([vs, vs, vs + dv, vs - dv], axis=-2))
+    A = (a[..., :n, :] - a[..., n:2 * n, :]) / (2.0 * hx)[..., None]
+    B = (a[..., 2 * n:3 * n, :] - a[..., 3 * n:, :]) / (2.0 * hv)[..., None]
+    return np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
 
 
 def _default_fd_step(m):
@@ -88,32 +93,30 @@ class JacobiFrame:
         return self.path.dim
 
     def M(self, t):
+        """M(t); at an array of times, a stack of matrices."""
         n = self.dim
-        return self.sol(t)[: n * n].reshape(n, n)
+        return self.sol(t)[: n * n].T.reshape(np.shape(t) + (n, n))
 
     def Mdot(self, t):
         n = self.dim
-        return self.sol(t)[n * n:].reshape(n, n)
+        return self.sol(t)[n * n:].T.reshape(np.shape(t) + (n, n))
 
     def sigma(self, t):
         return np.linalg.svd(self.M(t), compute_uv=False)
 
     def residual_max(self, n_samples=20, seed=0, h=1e-3):
         """Linearized-equation residual via differentiation of the dense Mdot."""
-        m = self.path.metric
         rng = np.random.default_rng(seed)
         ts = rng.uniform(0.05 * self.path.tau, 0.95 * self.path.tau, size=n_samples)
-        worst = 0.0
-        for t in ts:
-            a = max(t - h, 0.0)
-            b = min(t + h, self.path.tau)
-            Mdd = (self.Mdot(b) - self.Mdot(a)) / (b - a)
-            x, v = self.path.state(t)
-            A, B = spray_jacobians(m, x, v, self.fd_step)
-            R = Mdd - A @ self.M(t) - B @ self.Mdot(t)
-            scale = 1.0 + np.linalg.norm(A @ self.M(t) + B @ self.Mdot(t))
-            worst = max(worst, float(np.linalg.norm(R) / scale))
-        return worst
+        a = np.maximum(ts - h, 0.0)
+        b = np.minimum(ts + h, self.path.tau)
+        Mdd = (self.Mdot(b) - self.Mdot(a)) / (b - a)[:, None, None]
+        x, v = self.path.state(ts)
+        A, B = spray_jacobians(self.path.metric, x, v, self.fd_step)
+        M, Md = self.M(ts), self.Mdot(ts)
+        R = np.linalg.norm(Mdd - A @ M - B @ Md, axis=(-2, -1))
+        scale = 1.0 + np.linalg.norm(A @ M + B @ Md, axis=(-2, -1))
+        return float(np.max(R / scale))
 
 
 def _focal_init(m, path, b):

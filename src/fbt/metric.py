@@ -16,6 +16,14 @@ built from them) get these exactly, from symbolic derivatives compiled into
 one function per derivative order; euclidean and the sphere chart carry
 analytic closures; only from_callables metrics without derivative callables
 fall back to central finite differences.
+
+The evaluators F, L, spray, second_derivatives and the dxL, dvL, dxvL, dvvL,
+dxxL pieces accept a state (x, v of shape (n,)) or a stack of states (x, v
+of shape (N, n)) and return results with the matching leading shape.  The
+formulas are written once with broadcasting over the leading axes; on a
+stack only the components (the compiled bundle or the callables) run once
+per state.  Checks keep their per-state meaning: any state with q <= 0,
+F <= 0 or a singular vertical Hessian raises for the whole call.
 """
 
 from __future__ import annotations
@@ -84,6 +92,52 @@ class PhaseState:
 
 
 # ---------------------------------------------------------------------------
+# Broadcasting helpers.  Arrays carry a leading shape P (() for one state,
+# (N,) for a stack of N states) before the axes named here, so one formula
+# serves both.
+
+
+def _mv(A, v):
+    """A (P + (m, n)) applied to v (P + (n,)): P + (m,)."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _dot(a, b):
+    """a . b over the last axis: shape P (a numpy scalar for one state)."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0][()]
+
+
+def _any(mask):
+    """Whether any state's mask is set."""
+    return mask.any() if mask.ndim else bool(mask)
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _col(c):
+    """A value per state (shape P) as P + (1,), to scale vectors."""
+    return c[..., None]
+
+
+def _mat(c):
+    """A value per state (shape P) as P + (1, 1), to scale matrices."""
+    return c[..., None, None]
+
+
+class _Terms:
+    """Template terms at a state or a stack of states: v, hx, bx, u = h v
+    and q = v.u; with a one-form also s = sqrt(q), F = s + beta.v and
+    p = dF/dv = u/s + beta.  From order 1 dbeta, uk = dh v and qk = v.dh.v,
+    with a one-form sk = ds/dx = qk/(2s) and fx = dF/dx = sk + dbeta v; at
+    order 2 qkl = v.d2h.v and bkl = d2beta v."""
+
+    __slots__ = ("v", "hx", "bx", "u", "q", "s", "F", "p", "dbeta", "uk", "qk",
+                 "sk", "fx", "qkl", "bkl")
+
+
+# ---------------------------------------------------------------------------
 # Component bundle: h(x), beta(x) and their chart derivatives
 
 
@@ -140,7 +194,8 @@ class _Components:
 
     ``stack(x, order)`` returns (h, beta, dh, dbeta, d2h, d2beta) cut after
     the given derivative order, with None for beta and its derivatives
-    when the kind has no one-form.
+    when the kind has no one-form.  On a stack of points (..., n) each
+    entry gains the leading axes of the stack.
     """
 
     def __init__(self, dim, h, beta=None, dh=None, d2h=None, dbeta=None,
@@ -161,6 +216,11 @@ class _Components:
             )
 
     def stack(self, x, order):
+        if x.ndim > 1:
+            rows = [self.stack(xi, order) for xi in x.reshape(-1, self.dim)]
+            return [None if c[0] is None
+                    else np.array(c).reshape(x.shape[:-1] + np.shape(c[0]))
+                    for c in zip(*rows)]
         hx = np.asarray(self.h(x), dtype=float)
         out = [hx, None if self.beta is None else np.asarray(self.beta(x), dtype=float)]
         if order >= 1:
@@ -235,170 +295,142 @@ class MetricField:
     def _check(self, x, v):
         if not self.inside_chart(x):
             raise OutsideChart(f"point {np.asarray(x)} outside chart box")
-        if np.linalg.norm(v) < self.v_min:
-            raise ZeroVelocity(
-                f"|v| = {np.linalg.norm(v):.3e} below floor {self.v_min:.3e}"
-            )
-
-    # -- scalar pieces shared by the formulas --------------------------------
-
-    def _qb(self, x, v, order=0):
-        """(hx, u, q, bx, b) plus the component derivatives up to order."""
-        hx, bx, *derivs = self._c.stack(x, order)
-        u = hx @ v
-        q = float(v @ u)
-        b = 0.0 if bx is None else float(bx @ v)
-        return hx, u, q, bx, b, derivs
+        speed = float(np.min(np.linalg.norm(v, axis=-1)))
+        if speed < self.v_min:
+            raise ZeroVelocity(f"|v| = {speed:.3e} below floor {self.v_min:.3e}")
 
     def _sqrt_q(self, q):
-        if q <= 0.0:
+        if _any(q <= 0.0):
             raise ConvexityViolation(
-                f"quadratic part non-positive ({q!r}) at an evaluation point"
+                f"quadratic part non-positive ({float(np.min(q))!r}) at an "
+                "evaluation point"
             )
-        return math.sqrt(q)
+        return np.sqrt(q)
+
+    def _values(self, x, v, order=0, validate=False):
+        """Terms of L and F at (x, v), and the component derivatives up to
+        order."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if validate:
+            self._check(x, v)
+        t = _Terms()
+        t.v = v
+        t.hx, t.bx, *derivs = self._c.stack(x, order)
+        t.u = _mv(t.hx, v)
+        t.q = _dot(v, t.u)
+        if t.bx is not None:
+            t.s = self._sqrt_q(t.q)
+            t.F = t.s + _dot(t.bx, v)
+        return t, derivs
+
+    def _terms(self, x, v, order=0, validate=False):
+        """All template terms at (x, v) up to the given derivative order."""
+        t, derivs = self._values(x, v, order, validate)
+        v = t.v
+        randers = t.bx is not None
+        if randers:
+            t.p = t.u / _col(t.s) + t.bx
+        if order >= 1:
+            vk = v[..., None, :]
+            dh, t.dbeta = derivs[:2]
+            t.uk = _mv(dh, vk)
+            t.qk = _mv(t.uk, v)
+            if randers:
+                t.sk = t.qk / _col(2.0 * t.s)
+                t.fx = t.sk + _mv(t.dbeta, v)
+        if order >= 2:
+            d2h, d2beta = derivs[2:]
+            t.qkl = _mv(_mv(d2h, v[..., None, None, :]), vk)
+            if randers:
+                t.bkl = _mv(d2beta, vk)
+        return t
+
+    # -- formulas over the shared terms ----------------------------------------
+    #
+    # Without a one-form L = q.  With one, L = F^2 for F = s + beta.v, so
+    # every derivative follows by the chain rule from dF/dv = p, dF/dx = fx
+    # and the second derivatives of s = sqrt(q) and beta.v.
+
+    @staticmethod
+    def _dvL(t):
+        if t.bx is None:
+            return 2.0 * t.u
+        return _col(2.0 * t.F) * t.p
+
+    @staticmethod
+    def _dvvL(t):
+        if t.bx is None:
+            return 2.0 * t.hx
+        return (2.0 * _outer(t.p, t.p) + _mat(2.0 * t.F / t.s) * t.hx
+                - _mat(2.0 * t.F / t.s**3) * _outer(t.u, t.u))
+
+    @staticmethod
+    def _dxL(t):
+        if t.bx is None:
+            return t.qk
+        return _col(2.0 * t.F) * t.fx
+
+    @staticmethod
+    def _dxvL(t):
+        if t.bx is None:
+            return 2.0 * t.uk
+        dxp = t.uk / _mat(t.s) - _outer(t.sk, t.u) / _mat(t.q) + t.dbeta
+        return 2.0 * _outer(t.fx, t.p) + _mat(2.0 * t.F) * dxp
+
+    @staticmethod
+    def _dxxL(t):
+        if t.bx is None:
+            return t.qkl
+        skl = t.qkl / _mat(2.0 * t.s) - _outer(t.qk, t.qk) / _mat(4.0 * t.s**3)
+        return 2.0 * _outer(t.fx, t.fx) + _mat(2.0 * t.F) * (skl + t.bkl)
 
     # -- public evaluators ----------------------------------------------------
 
     def L(self, x, v, validate=False):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if validate:
-            self._check(x, v)
-        _, _, q, bx, b, _ = self._qb(x, v)
-        if bx is None:
-            return q
-        s = self._sqrt_q(q)
-        return (s + b) ** 2
+        t, _ = self._values(x, v, 0, validate)
+        return t.q if t.bx is None else t.F**2
 
     def F(self, x, v, validate=False):
         """F(x, v); for the quadratic pseudo-kind this is the Lagrangian value."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if validate:
-            self._check(x, v)
-        _, _, q, bx, b, _ = self._qb(x, v)
+        t, _ = self._values(x, v, 0, validate)
         if self.pseudo:
-            return q
-        s = self._sqrt_q(q)
-        val = s + b
-        if val <= 0.0:
-            raise ConvexityViolation(f"F = {val!r} not positive; metric degenerate here")
+            return t.q
+        val = self._sqrt_q(t.q) if t.bx is None else t.F
+        if _any(val <= 0.0):
+            raise ConvexityViolation(
+                f"F = {float(np.min(val))!r} not positive; metric degenerate here"
+            )
         return val
 
     def F_state(self, s, validate=True):
         return self.F(s.x, s.v, validate=validate)
 
-    # formula pieces over the shared pack (hx, u, q, bx, b[, s, dh, dbeta])
-
-    def _dvL(self, hx, u, q, bx, b, s):
-        if bx is None:
-            return 2.0 * u
-        return 2.0 * u + 2.0 * s * bx + (2.0 * b / s) * u + 2.0 * b * bx
-
-    def _dvvL(self, hx, u, q, bx, b, s):
-        if bx is None:
-            return 2.0 * hx
-        bu = np.outer(bx, u) + np.outer(u, bx)
-        return (
-            2.0 * hx
-            + (2.0 / s) * bu
-            + (2.0 * b / s) * hx
-            - (2.0 * b / s**3) * np.outer(u, u)
-            + 2.0 * np.outer(bx, bx)
-        )
-
-    def _dxL(self, qk, bk, q, bx, b, s):
-        if bx is None:
-            return qk
-        return qk * (1.0 + b / s) + 2.0 * bk * (s + b)
-
-    def _dxvL(self, hx, u, q, bx, b, s, uk, qk, dbeta, bk):
-        if bx is None:
-            return 2.0 * uk
-        sk = qk / (2.0 * s)
-        out = 2.0 * uk
-        out += 2.0 * np.outer(sk, bx) + 2.0 * s * dbeta
-        out += 2.0 * np.outer(bk / s - b * sk / q, u) + (2.0 * b / s) * uk
-        out += 2.0 * np.outer(bk, bx) + 2.0 * b * dbeta
-        return out
-
-    def _pack(self, x, v, order=0):
-        """((hx, u, q, bx, b, s), component derivatives up to order)."""
-        hx, u, q, bx, b, derivs = self._qb(x, v, order)
-        s = None if bx is None else self._sqrt_q(q)
-        return (hx, u, q, bx, b, s), derivs
-
     def dvL(self, x, v):
-        return self._dvL(*self._pack(np.asarray(x, float), np.asarray(v, float))[0])
+        return self._dvL(self._terms(x, v))
 
     def dvvL(self, x, v):
-        return self._dvvL(*self._pack(np.asarray(x, float), np.asarray(v, float))[0])
+        return self._dvvL(self._terms(x, v))
 
     def dxL(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        (hx, u, q, bx, b, s), (dh, dbeta) = self._pack(x, v, 1)
-        qk = np.einsum("i,kij,j->k", v, dh, v)
-        bk = None if bx is None else dbeta @ v
-        return self._dxL(qk, bk, q, bx, b, s)
+        return self._dxL(self._terms(x, v, 1))
 
     def dxvL(self, x, v):
-        """Mixed Hessian, dxvL[k, j] = d^2 L / dx_k dv_j."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        (hx, u, q, bx, b, s), (dh, dbeta) = self._pack(x, v, 1)
-        uk = np.einsum("kij,j->ki", dh, v)
-        qk = np.einsum("i,kij,j->k", v, dh, v)
-        bk = None if dbeta is None else dbeta @ v
-        return self._dxvL(hx, u, q, bx, b, s, uk, qk, dbeta, bk)
+        """Mixed Hessian, dxvL[..., k, j] = d^2 L / dx_k dv_j."""
+        return self._dxvL(self._terms(x, v, 1))
 
     def dxxL(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        (hx, u, q, bx, b, s), (dh, dbeta, d2h, d2beta) = self._pack(x, v, 2)
-        qkl = np.einsum("i,klij,j->kl", v, d2h, v)
-        if bx is None:
-            return qkl
-        qk = np.einsum("i,kij,j->k", v, dh, v)
-        sk = qk / (2.0 * s)
-        skl = qkl / (2.0 * s) - np.outer(qk, qk) / (4.0 * s**3)
-        bk = dbeta @ v
-        bkl = d2beta @ v
-        return (
-            qkl
-            + 2.0 * (bkl * s + np.outer(bk, sk) + np.outer(sk, bk) + b * skl)
-            + 2.0 * (bkl * b + np.outer(bk, bk))
-        )
+        return self._dxxL(self._terms(x, v, 2))
 
     def second_derivatives(self, x, v):
         """(dxxL, dxvL, dvvL) with shared component evaluations (hot path for
         quadrature assembly)."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        (hx, u, q, bx, b, s), (dh, dbeta, d2h, d2beta) = self._pack(x, v, 2)
-        uk = np.einsum("kij,j->ki", dh, v)
-        qk = np.einsum("i,kij,j->k", v, dh, v)
-        qkl = np.einsum("i,klij,j->kl", v, d2h, v)
-        if bx is None:
-            return qkl, 2.0 * uk, 2.0 * hx
-        bk = dbeta @ v
-        bkl = d2beta @ v
-        sk = qk / (2.0 * s)
-        skl = qkl / (2.0 * s) - np.outer(qk, qk) / (4.0 * s**3)
-        lxx = (
-            qkl
-            + 2.0 * (bkl * s + np.outer(bk, sk) + np.outer(sk, bk) + b * skl)
-            + 2.0 * (bkl * b + np.outer(bk, bk))
-        )
-        lxv = self._dxvL(hx, u, q, bx, b, s, uk, qk, dbeta, bk)
-        lvv = self._dvvL(hx, u, q, bx, b, s)
-        return lxx, lxv, lvv
+        t = self._terms(x, v, 2)
+        return self._dxxL(t), self._dxvL(t), self._dvvL(t)
 
     def fundamental_tensor(self, x, v, validate=False):
         """Vertical Hessian of L/2 at (x, v), symmetrized."""
-        if validate:
-            self._check(x, v)
-        g = 0.5 * self.dvvL(np.asarray(x, float), np.asarray(v, float))
+        g = 0.5 * self._dvvL(self._terms(x, v, 0, validate))
         g = 0.5 * (g + g.T)
         if not self.pseudo:
             w = np.linalg.eigvalsh(g)
@@ -412,21 +444,10 @@ class MetricField:
 
     def spray(self, x, v, validate=False):
         """Acceleration solving dvvL . a = dxL - dvxL . v (Euler-Lagrange)."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if validate:
-            self._check(x, v)
-        (hx, u, q, bx, b, s), (dh, dbeta) = self._pack(x, v, 1)
-        uk = np.einsum("kij,j->ki", dh, v)
-        qk = np.einsum("i,kij,j->k", v, dh, v)
-        bk = None if dbeta is None else dbeta @ v
-        A = self._dvvL(hx, u, q, bx, b, s)
-        rhs = (
-            self._dxL(qk, bk, q, bx, b, s)
-            - self._dxvL(hx, u, q, bx, b, s, uk, qk, dbeta, bk).T @ v
-        )
+        t = self._terms(x, v, 1, validate)
+        rhs = self._dxL(t) - (t.v[..., None, :] @ self._dxvL(t))[..., 0, :]
         try:
-            return np.linalg.solve(A, rhs)
+            return np.linalg.solve(self._dvvL(t), rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularVerticalHessian(str(exc)) from None
 

@@ -121,36 +121,42 @@ def _assemble(path, boundary, mesh):
     tau = path.tau
     nn = mesh + 1
     h = tau / mesh
-    K = np.zeros((nn * n, nn * n))
-    Mm = np.zeros((nn * n, nn * n))
     eye = np.eye(n)
-    for e in range(mesh):
-        ta = e * h
-        K_loc = np.zeros((2 * n, 2 * n))
-        M_loc = np.zeros((2 * n, 2 * n))
-        for gi in range(3):
-            t = ta + 0.5 * h * (1.0 + GAUSS3_NODES[gi])
-            w = 0.5 * h * GAUSS3_WEIGHTS[gi]
-            x, v = path.state(t)
-            Lxx, Lxv, Lvv = m.second_derivatives(x, v)
-            s = (t - ta) / h
-            phi = (1.0 - s, s)
-            dphi = (-1.0 / h, 1.0 / h)
-            for a in range(2):
-                for b in range(2):
-                    blk = (
-                        phi[a] * phi[b] * Lxx
-                        + phi[a] * dphi[b] * Lxv
-                        + dphi[a] * phi[b] * Lxv.T
-                        + dphi[a] * dphi[b] * Lvv
-                    )
-                    K_loc[a * n:(a + 1) * n, b * n:(b + 1) * n] += w * blk
-                    M_loc[a * n:(a + 1) * n, b * n:(b + 1) * n] += w * (
-                        phi[a] * phi[b] + dphi[a] * dphi[b]
-                    ) * eye
-        i0 = e * n
-        K[i0:i0 + 2 * n, i0:i0 + 2 * n] += K_loc
-        Mm[i0:i0 + 2 * n, i0:i0 + 2 * n] += M_loc
+    # Gauss points (element e, point g), all evaluated in one stacked call
+    ta = np.arange(mesh) * h
+    t = ta[:, None] + 0.5 * h * (1.0 + GAUSS3_NODES)
+    w = 0.5 * h * GAUSS3_WEIGHTS
+    x, v = path.state(t.ravel())
+    Lxx, Lxv, Lvv = (
+        a.reshape(mesh, 3, n, n) for a in m.second_derivatives(x, v)
+    )
+    s = (t - ta[:, None]) / h
+    phi = np.stack([1.0 - s, s], axis=-1)  # (mesh, 3, 2)
+    dphi = np.array([-1.0 / h, 1.0 / h])
+    pa, pb = phi[..., :, None], phi[..., None, :]
+    da, db = dphi[:, None], dphi[None, :]
+
+    def weighted(c, L):
+        # c (.., 2, 2) times L (mesh, 3, n, n): (mesh, 3, 2, 2, n, n)
+        return c[..., None, None] * L[:, :, None, None]
+
+    # element blocks [e, a, b] = sum over the element's Gauss points g of
+    # w_g * B[phi_a, phi_b](g), summed in g order as a scalar loop would
+    blk = (weighted(pa * pb, Lxx) + weighted(pa * db, Lxv)
+           + weighted(da * pb, np.swapaxes(Lxv, -1, -2)) + weighted(da * db, Lvv))
+    K_loc = (w[:, None, None, None, None] * blk).sum(axis=1)
+    M_loc = np.einsum("g,egab,ij->eabij", w, pa * pb + da * db, eye)
+    # block-tridiagonal scatter: element e couples nodes e and e + 1
+    K = np.zeros((nn, n, nn, n))
+    Mm = np.zeros((nn, n, nn, n))
+    e = np.arange(mesh)
+    for G, loc in ((K, K_loc), (Mm, M_loc)):
+        G[e, :, e, :] += loc[:, 0, 0]
+        G[e + 1, :, e + 1, :] += loc[:, 1, 1]
+        G[e, :, e + 1, :] += loc[:, 0, 1]
+        G[e + 1, :, e, :] += loc[:, 1, 0]
+    K = K.reshape(nn * n, nn * n)
+    Mm = Mm.reshape(nn * n, nn * n)
 
     if isinstance(boundary, BoundaryData):
         W = boundary.basis

@@ -383,14 +383,14 @@ def grid_travel_time(m, p, q, *, box, n=200, radius=6, assume_homogeneous=False)
         ij = np.clip(np.round((np.asarray(pt, float) - lo) / spacing), 0, n - 1)
         return int(ij[0]) * n + int(ij[1])
 
-    offs = _lattice_headings(radius)
-    deltas = [spacing * np.array(o, dtype=float) for o in offs]
+    offs = np.array(_lattice_headings(radius))
+    deltas = spacing * offs
     p_idx, q_idx = snap(p), snap(q)
     p_xy, q_xy = node_xy(p_idx), node_xy(q_idx)
 
     const_costs = None
     if assume_homogeneous:
-        const_costs = [m.F(p_xy, d) for d in deltas]
+        const_costs = m.F(np.broadcast_to(p_xy, deltas.shape), deltas)
 
     dist = np.full(n * n, np.inf)
     done = np.zeros(n * n, dtype=bool)
@@ -403,28 +403,28 @@ def grid_travel_time(m, p, q, *, box, n=200, radius=6, assume_homogeneous=False)
         done[idx] = True
         if idx == q_idx:
             break
-        i0, j0 = divmod(idx, n)
-        x0 = node_xy(idx)
-        for k, (oi, oj) in enumerate(offs):
-            i1, j1 = i0 + oi, j0 + oj
-            if not (0 <= i1 < n and 0 <= j1 < n):
-                continue
-            nxt = i1 * n + j1
-            if done[nxt]:
-                continue
-            if const_costs is not None:
-                cost = const_costs[k]
-            else:
-                cost = m.F(x0 + 0.5 * deltas[k], deltas[k])
+        # unsettled in-grid neighbours, their edge costs in one stacked call
+        ij = np.array(divmod(idx, n)) + offs
+        ok = np.all((ij >= 0) & (ij < n), axis=1)
+        nxt = ij[:, 0] * n + ij[:, 1]
+        ok[ok] = ~done[nxt[ok]]
+        if not ok.any():
+            continue
+        if const_costs is not None:
+            costs = const_costs[ok]
+        else:
+            costs = m.F(node_xy(idx) + 0.5 * deltas[ok], deltas[ok])
+        for k, cost in zip(nxt[ok].tolist(), costs.tolist()):
             nd = d + cost
-            if nd < dist[nxt]:
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
+            if nd < dist[k]:
+                dist[k] = nd
+                heapq.heappush(heap, (nd, k))
 
-    slowest = max(
-        m.F(q_xy, np.array([math.cos(a), math.sin(a)]))
+    headings = np.array([
+        [math.cos(a), math.sin(a)]
         for a in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    )
+    ])
+    slowest = float(np.max(m.F(np.broadcast_to(q_xy, headings.shape), headings)))
     cell_time = float(np.max(spacing)) * slowest
     return GridOracleResult(
         time=float(dist[q_idx]),

@@ -161,3 +161,94 @@ def tree_eval(node, point, params=None):
         return _TREE_FN[node.fn](tree_eval(node.arg, point, params))
     a = tree_eval(node.lhs, point, params)
     return _TREE_OP[node.op](a, tree_eval(node.rhs, point, params))
+
+
+# ---------------------------------------------------------------------------
+# Second-variation assembly, one element and one Gauss point at a time
+#
+# The reference for morse._assemble: the same stiffness and mass matrices
+# built by a direct loop over elements, 3-point Gauss nodes and 2x2 node
+# blocks, with one scalar second_derivatives call per Gauss point.
+
+_GAUSS3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
+_GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+
+
+def assemble_loop(path, boundary, mesh):
+    """Reduced (K, M) of the second variation on a uniform mesh."""
+    m = path.metric
+    n = m.dim
+    nn = mesh + 1
+    h = path.tau / mesh
+    K = np.zeros((nn * n, nn * n))
+    Mm = np.zeros((nn * n, nn * n))
+    eye = np.eye(n)
+    for e in range(mesh):
+        ta = e * h
+        K_loc = np.zeros((2 * n, 2 * n))
+        M_loc = np.zeros((2 * n, 2 * n))
+        for gi in range(3):
+            t = ta + 0.5 * h * (1.0 + _GAUSS3_NODES[gi])
+            w = 0.5 * h * _GAUSS3_WEIGHTS[gi]
+            x, v = path.state(t)
+            Lxx, Lxv, Lvv = m.second_derivatives(x, v)
+            s = (t - ta) / h
+            phi = (1.0 - s, s)
+            dphi = (-1.0 / h, 1.0 / h)
+            for a in range(2):
+                for b in range(2):
+                    blk = (
+                        phi[a] * phi[b] * Lxx
+                        + phi[a] * dphi[b] * Lxv
+                        + dphi[a] * phi[b] * Lxv.T
+                        + dphi[a] * dphi[b] * Lvv
+                    )
+                    K_loc[a * n:(a + 1) * n, b * n:(b + 1) * n] += w * blk
+                    M_loc[a * n:(a + 1) * n, b * n:(b + 1) * n] += w * (
+                        phi[a] * phi[b] + dphi[a] * dphi[b]
+                    ) * eye
+        i0 = e * n
+        K[i0:i0 + 2 * n, i0:i0 + 2 * n] += K_loc
+        Mm[i0:i0 + 2 * n, i0:i0 + 2 * n] += M_loc
+
+    if isinstance(boundary, fbt.BoundaryData):
+        W = boundary.basis
+        k = W.shape[1]
+        # node 0 restricted to T_{x0}P, last node clamped
+        T = np.zeros((nn * n, k + (mesh - 1) * n))
+        T[:n, :k] = W
+        for i in range(1, mesh):
+            T[i * n:(i + 1) * n, k + (i - 1) * n: k + i * n] = eye
+        K_red = T.T @ K @ T
+        M_red = T.T @ Mm @ T
+        A = W.T @ m.fundamental_tensor(path.x0, path.v0) @ W
+        K0 = 2.0 * (A @ boundary.shape_operator)
+        K_red[:k, :k] += 0.5 * (K0 + K0.T)
+    else:
+        idx = np.arange(n, mesh * n)
+        K_red = K[np.ix_(idx, idx)]
+        M_red = Mm[np.ix_(idx, idx)]
+    return 0.5 * (K_red + K_red.T), 0.5 * (M_red + M_red.T)
+
+
+# ---------------------------------------------------------------------------
+# Spray linearization, one perturbed column at a time
+
+
+def spray_jacobians_loop(m, x, v, step):
+    """Central differences of the spray along each e_j in x and in v, with
+    steps step*max(1, |x_j|) and step*max(1, |v_j|), one spray call per
+    perturbed state."""
+    n = m.dim
+    A = np.empty((n, n))
+    B = np.empty((n, n))
+    for j in range(n):
+        hx = step * max(1.0, abs(x[j]))
+        xp = x.copy(); xp[j] += hx
+        xm = x.copy(); xm[j] -= hx
+        A[:, j] = (m.spray(xp, v) - m.spray(xm, v)) / (2.0 * hx)
+        hv = step * max(1.0, abs(v[j]))
+        vp = v.copy(); vp[j] += hv
+        vm = v.copy(); vm[j] -= hv
+        B[:, j] = (m.spray(x, vp) - m.spray(x, vm)) / (2.0 * hv)
+    return A, B

@@ -81,6 +81,33 @@ class TestIntegrate:
         assert np.max(np.abs(a.endpoint - b.endpoint)) < 1e-8
 
 
+class TestSampledDiagnostics:
+    """Path samples at an array of times equal the per-time samples."""
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_state_at_array_of_times(self, method):
+        m = fbt.randers_expr(2, [["1", "0"], ["0", "1+0.1*x1^2"]], ["0.3*sin(x2)", "0"])
+        path = integrate_geodesic(m, PhaseState([0.1, -0.2], [0.9, 0.3]), 2.0,
+                                  method=method, n_steps=300)
+        ts = np.random.default_rng(4).uniform(0.0, 2.0, size=25)
+        x, v = path.state(ts)
+        assert x.shape == v.shape == (25, 2)
+        for i, t in enumerate(ts):
+            xi, vi = path.state(t)
+            assert np.max(np.abs(x[i] - xi)) <= 1e-14
+            assert np.max(np.abs(v[i] - vi)) <= 1e-14
+        res = path.el_residual(ts)
+        assert res.shape == (25,)
+        for i, t in enumerate(ts):
+            assert abs(res[i] - path.el_residual(t)) <= 1e-12
+        assert path.max_el_residual() < 1e-5
+
+    def test_speed_deviation_matches_samples(self, sphere):
+        path = integrate_geodesic(sphere, PhaseState([0.2, -0.9], [0.8, 0.3]), 4.0)
+        worst = max(abs(path.speed(t) - path.F0) for t in np.linspace(0.0, 4.0, 200))
+        assert abs(path.speed_deviation() - worst) <= 1e-15
+
+
 class TestExpMap:
     def test_euclidean_translation(self, euclid):
         assert np.allclose(exp_map(euclid, [1, 2], [0.3, -0.4]), [1.3, 1.6])

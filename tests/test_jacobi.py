@@ -9,10 +9,11 @@ from fbt.jacobi import (
     expmap_jacobian,
     focal_scan,
     jacobi_frame,
+    spray_jacobians,
 )
 from fbt.metric import PhaseState
 
-from _oracles import expmap_fd, jacobi_scalar, warped_metric
+from _oracles import expmap_fd, jacobi_scalar, spray_jacobians_loop, warped_metric
 
 
 class TestFrame:
@@ -166,3 +167,55 @@ class TestFocalScan:
         path = integrate_geodesic(euclid, PhaseState([0.0, 0.0], [1.0, 1.0]), 2.0)
         with pytest.raises(NotPerpendicular):
             focal_scan(path, b)
+
+
+class TestSprayJacobians:
+    def _cases(self):
+        from conftest import catalog_metrics
+
+        rng = np.random.default_rng(11)
+        for m, base, vscale in catalog_metrics() + [(fbt.sphere_stereo(1.0, dim=3),
+                                                      np.zeros(3), 1.0)]:
+            x = base + 0.2 * rng.normal(size=m.dim)
+            v = vscale * rng.normal(size=m.dim)
+            yield m, x, v
+
+    @pytest.mark.parametrize("step", [1e-6, 3e-4])
+    def test_matches_column_loop(self, step):
+        for m, x, v in self._cases():
+            A, B = spray_jacobians(m, x, v, step)
+            A_ref, B_ref = spray_jacobians_loop(m, x, v, step)
+            for got, ref in ((A, A_ref), (B, B_ref)):
+                assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    def test_stack_of_states(self):
+        for m, x, v in self._cases():
+            X = x + 0.1 * np.arange(3)[:, None]
+            V = v * (1.0 + 0.2 * np.arange(3))[:, None]
+            A, B = spray_jacobians(m, X, V, 1e-6)
+            assert A.shape == B.shape == (3, m.dim, m.dim)
+            for i in range(3):
+                Ai, Bi = spray_jacobians(m, X[i], V[i], 1e-6)
+                np.testing.assert_allclose(A[i], Ai, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(B[i], Bi, rtol=1e-12, atol=1e-12)
+
+    def test_residual_max_matches_sample_loop(self):
+        # the stacked samples of JacobiFrame.residual_max against a loop over
+        # the same sample times with one scalar evaluation each
+        z = fbt.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]],
+                                       ["0.6*exp(-x1^2)", "0"])
+        for m, x, v in [
+            (fbt.sphere_stereo(1.0), [0.0, -1.0], [1.0, 0.0]),
+            (warped_metric(1.3), [-0.5, 0.2], [1.0, 0.1]),
+            (fbt.zermelo_to_randers(z), [-1.0, 0.0], [1.0, 0.5]),
+        ]:
+            frame = jacobi_frame(integrate_geodesic(m, PhaseState(x, v), 1.5))
+            ts = np.random.default_rng(0).uniform(0.05 * 1.5, 0.95 * 1.5, size=20)
+            worst = 0.0
+            for t in ts:
+                a, b = max(t - 1e-3, 0.0), min(t + 1e-3, 1.5)
+                Mdd = (frame.Mdot(b) - frame.Mdot(a)) / (b - a)
+                A, B = spray_jacobians_loop(m, *frame.path.state(t), frame.fd_step)
+                drive = A @ frame.M(t) + B @ frame.Mdot(t)
+                worst = max(worst, np.linalg.norm(Mdd - drive) / (1.0 + np.linalg.norm(drive)))
+            assert frame.residual_max() == pytest.approx(worst, rel=1e-12)

@@ -160,3 +160,102 @@ class TestCheckInvariants:
     def test_randers_beyond_boundary_rejected(self):
         with pytest.raises(RandersBoundError):
             fbt.randers_expr(2, [["1", "0"], ["0", "1"]], ["1.01", "0"])
+
+
+def _stack_catalog():
+    """One metric of every kind, each with a base point and velocity scale."""
+    import fbt.nav as nav
+
+    z = nav.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]],
+                                   ["0.6*exp(-x1^2)", "0.1*sin(x2)"])
+    s = nav.StationaryData.from_exprs(2, [["1", "0"], ["0", "1+0.1*x1^2"]],
+                                      ["0.3", "0.1*x1"], f="1+0.1*x2^2")
+
+    def h_fd(x):
+        return np.array([[1.0 + 0.1 * x[1] ** 2, 0.05 * x[0]],
+                         [0.05 * x[0], np.exp(-0.3 * x[0] ** 2)]])
+
+    def beta_fd(x):
+        return np.array([0.2 * np.sin(x[1]), 0.1 * np.cos(x[0])])
+
+    return [
+        fbt.euclidean(2),
+        fbt.sphere_stereo(1.0),
+        fbt.sphere_stereo(2.0, dim=3),
+        fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-lam*x1^2)"]],
+                            params={"lam": 1.3}),
+        fbt.randers_expr(2, [["1+0.1*x2^2", "0.05*x1"], ["0.05*x1", "1"]],
+                         ["0.3*sin(x2)", "0.2*x1*x2"],
+                         chart_box=[[-1.5, 1.5], [-1.5, 1.5]]),
+        fbt.quadratic_expr(2, [["1", "0"], ["0", "-(1+0.1*x1^2)"]]),
+        nav.zermelo_to_randers(z),
+        nav.fermat_metric(s)[0],
+        fbt.from_callables(2, "fd_randers", h_fd, beta_fd,
+                           chart_box=[[-2, 2], [-2, 2]]),
+    ]
+
+
+class TestStackedEvaluation:
+    """Evaluators on a stack of states (N, n) give the per-row results."""
+
+    @pytest.mark.parametrize("m", _stack_catalog(), ids=lambda m: f"{m.kind}-{m.dim}")
+    def test_rows_equal_scalar_calls(self, m):
+        rng = np.random.default_rng(5)
+        X = 0.4 * rng.uniform(-1.0, 1.0, size=(6, m.dim))
+        V = rng.normal(size=(6, m.dim))
+        stacked = {
+            "F": m.F(X, V),
+            "spray": m.spray(X, V),
+            "second_derivatives": np.stack(m.second_derivatives(X, V), axis=1),
+        }
+        assert stacked["F"].shape == (6,)
+        assert stacked["spray"].shape == (6, m.dim)
+        assert stacked["second_derivatives"].shape == (6, 3, m.dim, m.dim)
+        for i in range(6):
+            rows = {
+                "F": m.F(X[i], V[i]),
+                "spray": m.spray(X[i], V[i]),
+                "second_derivatives": np.stack(m.second_derivatives(X[i], V[i])),
+            }
+            for name, want in rows.items():
+                np.testing.assert_allclose(stacked[name][i], want, rtol=1e-13,
+                                           atol=1e-14, err_msg=name)
+
+    def test_scalar_call_keeps_scalar_shape(self, randers_const):
+        assert np.shape(randers_const.F([0, 0], [1, 0])) == ()
+        assert randers_const.spray([0, 0], [1, 0]).shape == (2,)
+
+    @pytest.mark.parametrize("case", [
+        # q <= 0: an indefinite h makes F fail
+        ("convexity", lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "x1"]]),
+         [-1.0, 0.0], [0.4, 1.0]),
+        # F = sqrt(q) + b <= 0 with q > 0: a one-form of norm 2 at x1 = 1
+        ("F_not_positive", lambda: fbt.from_callables(
+            2, "randers", lambda x: np.eye(2), lambda x: np.array([2.0 * x[0], 0.0]),
+            randers_check=False), [1.0, 0.0], [-1.0, 0.0]),
+        # h degenerate at x1 = 0: the vertical Hessian is singular
+        ("singular", lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "x1^2"]]),
+         [0.0, 0.3], [1.0, 0.5]),
+        # the compiled bundle leaves the domain of log
+        ("domain", lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "2+log(x1)"]]),
+         [-1.0, 0.0], [1.0, 0.5]),
+    ], ids=lambda c: c[0])
+    def test_bad_row_raises_like_scalar_call(self, case):
+        _, make, x_bad, v_bad = case
+        m = make()
+        X = np.array([[0.5, 0.2], [0.7, -0.1], x_bad, [0.6, 0.4]])
+        V = np.array([[1.0, 0.3], [0.2, 1.0], v_bad, [-0.5, 0.8]])
+        raised = 0
+        for name in ("F", "spray", "second_derivatives"):
+            fn = getattr(m, name)
+            for i in (0, 1, 3):
+                fn(X[i], V[i])  # the good rows evaluate
+            try:
+                fn(np.array(x_bad), np.array(v_bad))
+            except Exception as exc:  # noqa: BLE001 - the class is the oracle
+                raised += 1
+                with pytest.raises(type(exc)):
+                    fn(X, V)
+            else:
+                fn(X, V)
+        assert raised > 0

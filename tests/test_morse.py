@@ -13,7 +13,7 @@ from fbt.morse import (
     index_spectral,
 )
 
-from _oracles import flat_axis_warped_mu, warped_metric
+from _oracles import assemble_loop, flat_axis_warped_mu, warped_metric
 
 
 def _report(instants, tau, kind="conjugate"):
@@ -152,3 +152,38 @@ class TestMeshConvergence:
         assert len(negs[0]) == len(negs[1]) == rep.m_minus
         for a, b in zip(*negs):
             assert abs(a - b) < 0.05 * abs(b)
+
+
+def _assembly_path(name):
+    if name == "sphere3":
+        m = fbt.sphere_stereo(1.0, dim=3)
+        return integrate_geodesic(m, PhaseState([0, 0, -1], [0.3, 0, 0.2]), 2.0)
+    if name == "warped":
+        m = fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-lam*x1^2)"]],
+                                params={"lam": 1.3})
+    else:
+        m = fbt.randers_expr(2, [["1+0.1*x2^2", "0"], ["0", "1+0.1*x1^2"]],
+                             ["0.3*sin(x2)", "0.2*sin(x1)"])
+    return integrate_geodesic(m, PhaseState([0.1, 0.0], [1.0, 0.2]), 2.5)
+
+
+class TestVectorizedAssembly:
+    """_assemble (one stacked evaluation, blocks by broadcasting) against
+    the element-by-element loop of _oracles.assemble_loop."""
+
+    @pytest.mark.parametrize("name", ["warped", "randers", "sphere3"])
+    def test_matches_loop(self, name):
+        path = _assembly_path(name)
+        e = np.eye(path.dim)
+        boundaries = [
+            "point-point",
+            BoundaryData(path.x0, e[:, 1], [[0.7]]),  # k = 1, curved
+            BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
+        ]
+        for boundary in boundaries:
+            for mesh in (4, 16, 64):
+                K, M = _assemble(path, boundary, mesh)
+                K_ref, M_ref = assemble_loop(path, boundary, mesh)
+                assert K.shape == K_ref.shape
+                assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
+                assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
