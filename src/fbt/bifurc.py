@@ -423,12 +423,9 @@ def detect_bifurcation(scan):
 
 def _c1_distance(path_a, path_b, n_samples=40):
     ts = np.linspace(0.0, path_a.tau, n_samples)
-    worst = 0.0
-    for t in ts:
-        xa, va = path_a.state(t)
-        xb, vb = path_b.state(t)
-        worst = max(worst, float(np.linalg.norm(xa - xb) + np.linalg.norm(va - vb)))
-    return worst
+    (xa, va), (xb, vb) = path_a.state(ts), path_b.state(ts)
+    return float(np.max(np.linalg.norm(xa - xb, axis=1)
+                        + np.linalg.norm(va - vb, axis=1)))
 
 
 def find_branches(f, mu, *, seed=0,

@@ -4,9 +4,13 @@ A frame carries n columns (J, J') through the linearized geodesic equation
 
     J'' = Dx spray . J  +  Dv spray . J',
 
-driven by the dense output of a stored GeodesicPath.  Conjugate and focal
-instants show up as rank drops of M(t): sign changes of det M catch odd
-multiplicities, dips of the smallest singular value catch the rest.
+driven by the dense output of a stored GeodesicPath.  The linear, smooth
+equation is integrated by the 8th-order Dormand-Prince pair (DOP853), with
+the spray linearized by a fourth-order difference of the spray.
+
+Conjugate and focal instants show up as rank drops of M(t): sign changes of
+det M catch odd multiplicities, dips of the smallest singular value catch
+the rest.  A scan reads its grid with one dense-output call.
 """
 
 from __future__ import annotations
@@ -34,8 +38,16 @@ __all__ = [
     "ResolutionWarning",
 ]
 
-SCAN_RTOL = 1e-10
-SCAN_ATOL = 1e-13
+# spray linearization step, for exact and finite-difference component
+# derivatives alike (see linearize_spray)
+FD_STEP = 1e-3
+SCAN_RTOL = 1e-11
+SCAN_ATOL = 1e-14
+# finite-difference component derivatives put rounding noise near 1e-11 into
+# the spray; below these tolerances DOP853's error control chases that noise
+# with thousands of steps
+FD_COMPONENT_RTOL = 1e-9
+FD_COMPONENT_ATOL = 1e-12
 THETA_NULL = 1e-6
 DIP_TRIGGER = 0.05
 REFINE_TOL = 1e-10
@@ -52,14 +64,17 @@ class ResolutionWarning(UserWarning):
 
 def spray_jacobians(m, x, v, step):
     """Directional central differences of the spray in x and in v, with
-    steps step*max(1, |x_j|) and step*max(1, |v_j|), from one spray call on
-    the 4n perturbed states.  x and v may be stacks (..., n); A and B then
-    gain the leading axes."""
+    steps step*max(1, |x_j|) in x_j and step*|v| in every v_j, from one
+    spray call on the 4n perturbed states.  The spray is 2-homogeneous in v,
+    so a v-step relative to the speed keeps the stencil off v = 0 at any
+    speed.  x and v may be stacks (..., n); A and B then gain the leading
+    axes, and step may be an array (..., 1) of one step per state."""
     n = m.dim
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     hx = step * np.maximum(1.0, np.abs(x))
-    hv = step * np.maximum(1.0, np.abs(v))
+    hv = np.broadcast_to(step * np.linalg.norm(v, axis=-1, keepdims=True),
+                         hx.shape)
     # row j of each block perturbs component j
     xs = np.repeat(x[..., None, :], n, axis=-2)
     vs = np.repeat(v[..., None, :], n, axis=-2)
@@ -72,11 +87,16 @@ def spray_jacobians(m, x, v, step):
     return np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
 
 
-def _default_fd_step(m):
-    # finite-difference component derivatives (from_callables without
-    # derivative callables) carry noise; a larger step balances that noise
-    # against truncation
-    return 1e-6 if m.has_analytic_dx else 3e-4
+def linearize_spray(m, x, v):
+    """A = Dx spray and B = Dv spray at a state or a stack of states, by the
+    Richardson combination (4 D(h) - D(2h)) / 3 of spray_jacobians at
+    h = FD_STEP and 2h, from one spray call: truncation O(h^4), rounding
+    noise about eps/h (a 1e-6 central difference has noise near 1e-10,
+    which DOP853 amplifies)."""
+    steps = np.reshape([FD_STEP, 2.0 * FD_STEP], (2,) + (1,) * np.ndim(x))
+    (A1, A2), (B1, B2) = spray_jacobians(m, np.stack([x, x]), np.stack([v, v]),
+                                         steps)
+    return (4.0 * A1 - A2) / 3.0, (4.0 * B1 - B2) / 3.0
 
 
 @dataclass
@@ -86,7 +106,6 @@ class JacobiFrame:
     boundary: BoundaryData | None
     sol: object
     ts: np.ndarray
-    fd_step: float
 
     @property
     def dim(self):
@@ -112,7 +131,7 @@ class JacobiFrame:
         b = np.minimum(ts + h, self.path.tau)
         Mdd = (self.Mdot(b) - self.Mdot(a)) / (b - a)[:, None, None]
         x, v = self.path.state(ts)
-        A, B = spray_jacobians(self.path.metric, x, v, self.fd_step)
+        A, B = linearize_spray(self.path.metric, x, v)
         M, Md = self.M(ts), self.Mdot(ts)
         R = np.linalg.norm(Mdd - A @ M - B @ Md, axis=(-2, -1))
         scale = 1.0 + np.linalg.norm(A @ M + B @ Md, axis=(-2, -1))
@@ -148,17 +167,18 @@ def _focal_init(m, path, b):
     return M0, Md0
 
 
-def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL,
-                 fd_step=None):
+def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL):
     """Propagate an n-column variational frame along a stored geodesic.
 
     init is "conjugate" (M(0) = 0, M'(0) = I) or a BoundaryData describing a
-    start submanifold for the focal problem.
+    start submanifold for the focal problem.  For a metric with
+    finite-difference component derivatives rtol and atol are raised to at
+    least FD_COMPONENT_RTOL and FD_COMPONENT_ATOL.
     """
     m = path.metric
     n = m.dim
-    if fd_step is None:
-        fd_step = _default_fd_step(m)
+    if not m.has_analytic_dx:
+        rtol, atol = max(rtol, FD_COMPONENT_RTOL), max(atol, FD_COMPONENT_ATOL)
     if isinstance(init, BoundaryData):
         M0, Md0 = _focal_init(m, path, init)
         kind, boundary = "focal", init
@@ -171,16 +191,15 @@ def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL,
     def rhs(t, y):
         M = y[: n * n].reshape(n, n)
         Md = y[n * n:].reshape(n, n)
-        x, v = path.state(t)
-        A, B = spray_jacobians(m, x, v, fd_step)
+        A, B = linearize_spray(m, *path.state(t))
         return np.concatenate([Md.ravel(), (A @ M + B @ Md).ravel()])
 
     y0 = np.concatenate([M0.ravel(), Md0.ravel()])
-    res = solve_ivp(rhs, (0.0, path.tau), y0, method="RK45", rtol=rtol,
+    res = solve_ivp(rhs, (0.0, path.tau), y0, method="DOP853", rtol=rtol,
                     atol=atol, dense_output=True)
     if res.status != 0:
         raise StepFailure(f"frame integration failed: {res.message}")
-    return JacobiFrame(path, kind, boundary, res.sol, res.t, fd_step)
+    return JacobiFrame(path, kind, boundary, res.sol, res.t)
 
 
 def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12, path=None):
@@ -188,7 +207,10 @@ def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12, path=None):
     J(1) of the Jacobi field with J(0) = 0, J'(0) = e_j."""
     if path is None:
         path = integrate_geodesic(m, PhaseState(p, v), 1.0, rtol=rtol, atol=atol)
-    frame = jacobi_frame(path, "conjugate", rtol=rtol, atol=max(atol, 1e-13))
+    # a decade tighter than the path, so that the frame adds little to the
+    # path's own error
+    frame = jacobi_frame(path, "conjugate", rtol=0.1 * rtol,
+                         atol=0.1 * max(atol, 1e-13))
     return frame.M(path.tau)
 
 
@@ -217,18 +239,21 @@ class ConjugateReport:
         return [(c.t, c.multiplicity, c.sigma_min_rel) for c in self.instants]
 
 
+def _scan_grid(frame, grid):
+    """The grid times over (0, tau] with det M and sigma_min / sigma_max
+    there (0 where M vanishes), from one dense-output call."""
+    ts = np.linspace(0.0, frame.path.tau, grid + 1)[1:]
+    Ms = frame.M(ts)
+    sv = np.linalg.svd(Ms, compute_uv=False)
+    ratios = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(ts)),
+                       where=sv[:, 0] > 0)
+    return ts, np.linalg.det(Ms), ratios
+
+
 def _scan_frame(frame, *, grid, theta_null, dip_trigger, refine_tol):
-    path = frame.path
-    tau = path.tau
+    tau = frame.path.tau
     n = frame.dim
-    ts = np.linspace(0.0, tau, grid + 1)[1:]
-    dets = np.empty(ts.shape[0])
-    ratios = np.empty(ts.shape[0])
-    for i, t in enumerate(ts):
-        M = frame.M(t)
-        dets[i] = np.linalg.det(M)
-        sv = np.linalg.svd(M, compute_uv=False)
-        ratios[i] = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    ts, dets, ratios = _scan_grid(frame, grid)
 
     cell = tau / grid
     candidates = []  # (t, via_det)

@@ -11,11 +11,11 @@ Every supported kind fits one algebraic template,
 with beta absent for plain Riemannian/quadratic kinds (then L = q, possibly
 indefinite for the quadratic pseudo-kind).  The v-derivatives are exact
 closed forms of (h, beta); the x-derivatives chain through (dh, dbeta,
-d2h, d2beta).  Expression-defined kinds (and the Zermelo and Fermat kinds
-built from them) get these exactly, from symbolic derivatives compiled into
-one function per derivative order; euclidean and the sphere chart carry
-analytic closures; only from_callables metrics without derivative callables
-fall back to central finite differences.
+d2h, d2beta).  Every catalog kind (euclidean, the sphere chart, the
+expression-defined kinds and the Zermelo and Fermat kinds built from them)
+gets these exactly, from symbolic derivatives compiled into one function
+per derivative order; only from_callables metrics without derivative
+callables fall back to central finite differences.
 
 The evaluators F, L, spray, second_derivatives and the dxL, dvL, dxvL, dvvL,
 dxxL pieces accept a state (x, v of shape (n,)) or a stack of states (x, v
@@ -190,7 +190,8 @@ def _fd_second(fn, shape, step):
 
 
 class _Components:
-    """h, beta and derivative callables; finite differences fill the gaps.
+    """h, beta and derivative callables of a from_callables metric; finite
+    differences fill the gaps.
 
     ``stack(x, order)`` returns (h, beta, dh, dbeta, d2h, d2beta) cut after
     the given derivative order, with None for beta and its derivatives
@@ -537,14 +538,8 @@ class InvariantReport:
 
 
 def euclidean(dim=2, **kw):
-    eye = np.eye(dim)
-    zeros1 = np.zeros((dim, dim, dim))
-    zeros2 = np.zeros((dim, dim, dim, dim))
-    comps = _Components(
-        dim,
-        h=lambda x: eye,
-        dh=lambda x: zeros1,
-        d2h=lambda x: zeros2,
+    comps = _ExprComponents(
+        dim, _sym(dim, lambda i, j: _expr.ONE if i == j else _expr.ZERO)
     )
     return MetricField(dim, "euclidean", comps, **kw)
 
@@ -558,30 +553,12 @@ def sphere_stereo(curvature, dim=2, **kw):
     if curvature <= 0:
         raise ConfigError(f"curvature must be positive, got {curvature}")
     K = float(curvature)
-    eye = np.eye(dim)
-
-    def rho(x):
-        return 4.0 / (K * (1.0 + float(x @ x)) ** 2)
-
-    def h(x):
-        return rho(x) * eye
-
-    def dh(x):
-        s = 1.0 + float(x @ x)
-        drho = -16.0 * np.asarray(x, float) / (K * s**3)
-        return drho[:, None, None] * eye
-
-    def d2h(x):
-        x = np.asarray(x, dtype=float)
-        s = 1.0 + float(x @ x)
-        d2rho = (-16.0 / (K * s**3)) * np.eye(dim) + (
-            96.0 / (K * s**4)
-        ) * np.outer(x, x)
-        return d2rho[:, :, None, None] * eye
-
+    r2 = "+".join(f"x{k + 1}^2" for k in range(dim))
+    rho = _expr.parse(f"4/(K*(1+{r2})^2)")
+    h = _sym(dim, lambda i, j: rho if i == j else _expr.ZERO)
     params = dict(kw.pop("params", {}) or {})
     params.setdefault("K", K)
-    comps = _Components(dim, h=h, dh=dh, d2h=d2h)
+    comps = _ExprComponents(dim, h, params={"K": K})
     return MetricField(dim, "sphere_stereo", comps, params=params, **kw)
 
 

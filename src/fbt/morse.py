@@ -158,25 +158,23 @@ def _assemble(path, boundary, mesh):
     K = K.reshape(nn * n, nn * n)
     Mm = Mm.reshape(nn * n, nn * n)
 
+    inner = slice(n, mesh * n)  # nodes 1 .. mesh - 1; the last node is clamped
     if isinstance(boundary, BoundaryData):
+        # node 0 is restricted to T_{x0}P: its dofs are W a for a in R^k
         W = boundary.basis
         k = W.shape[1]
-        # dof transform: node 0 restricted to T_{x0}P, last node clamped
-        free = nn * n
-        T = np.zeros((free, k + (mesh - 1) * n))
-        T[:n, :k] = W
-        for i in range(1, mesh):
-            T[i * n:(i + 1) * n, k + (i - 1) * n: k + i * n] = eye
-        K_red = T.T @ K @ T
-        M_red = T.T @ Mm @ T
+
+        def reduce(G):
+            return np.block([[W.T @ G[:n, :n] @ W, W.T @ G[:n, inner]],
+                             [G[inner, :n] @ W, G[inner, inner]]])
+
+        K_red, M_red = reduce(K), reduce(Mm)
         G0 = m.fundamental_tensor(path.x0, path.v0)
         A = W.T @ G0 @ W
         K0 = 2.0 * (A @ boundary.shape_operator)
         K_red[:k, :k] += 0.5 * (K0 + K0.T)
     else:
-        idx = np.arange(n, mesh * n)
-        K_red = K[np.ix_(idx, idx)]
-        M_red = Mm[np.ix_(idx, idx)]
+        K_red, M_red = K[inner, inner], Mm[inner, inner]
     K_red = 0.5 * (K_red + K_red.T)
     M_red = 0.5 * (M_red + M_red.T)
     return K_red, M_red

@@ -9,11 +9,14 @@ from fbt.bifurc import (
     classify_alternative,
     detect_bifurcation,
     find_branches,
+    _c1_distance,
     realize_branch,
     sweep_family,
 )
+from fbt.geoflow import integrate_geodesic
+from fbt.metric import PhaseState
 
-from _oracles import flat_axis_warped_mu, warped_metric
+from _oracles import c1_distance_loop, flat_axis_warped_mu, warped_metric
 
 
 def warped_family(samples=12, rng_hi=5.0):
@@ -200,3 +203,14 @@ class TestFindBranches:
         for a, b in zip(ev1.solutions, ev2.solutions):
             assert np.array_equal(a.v0, b.v0)
             assert a.speed == b.speed
+
+
+class TestC1Distance:
+    def test_matches_loop(self):
+        m = warped_metric(1.3)
+        a = integrate_geodesic(m, PhaseState([-0.5, 0.2], [1.0, 0.1]), 2.0)
+        b = integrate_geodesic(m, PhaseState([-0.5, 0.2], [1.0, 0.13]), 2.0)
+        got = _c1_distance(a, b)
+        ref = c1_distance_loop(a, b)
+        assert ref > 0.0
+        assert got == pytest.approx(ref, rel=1e-14)

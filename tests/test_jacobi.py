@@ -5,6 +5,7 @@ import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
 from fbt.jacobi import (
     NotPerpendicular,
+    _scan_grid,
     conjugate_scan,
     expmap_jacobian,
     focal_scan,
@@ -13,7 +14,15 @@ from fbt.jacobi import (
 )
 from fbt.metric import PhaseState
 
-from _oracles import expmap_fd, jacobi_scalar, spray_jacobians_loop, warped_metric
+from _oracles import (
+    expmap_fd,
+    frame_joint_flow,
+    jacobi_scalar,
+    richardson_jacobians_loop,
+    scan_grid_loop,
+    spray_jacobians_loop,
+    warped_metric,
+)
 
 
 class TestFrame:
@@ -70,6 +79,26 @@ class TestExpmapJacobian:
         e4 = np.max(np.abs(expmap_jacobian(sphere, [0, -1], [1e-4, 0]) - np.eye(2)))
         assert e3 < 5e-3
         assert e4 < 0.2 * e3
+
+    @pytest.mark.parametrize("speed", [1e-3, 1e-2])
+    def test_short_geodesic_with_one_form(self, speed):
+        # a one-form makes the spray non-quadratic in v, so a spray
+        # linearization whose v-stencil does not shrink with the speed
+        # reaches v = 0 (randers: the quadratic part vanishes there).  The
+        # oracle differences exp at eps = 1e-5 |v|; its own error is near
+        # 1e-9 (the 1e-6 central-difference frame read 8.1e-10 against it)
+        zermelo = fbt.zermelo_to_randers(fbt.ZermeloData.from_exprs(
+            2, [["1", "0"], ["0", "1"]], ["0.6*exp(-x1^2)", "0"]))
+        randers = fbt.randers_expr(
+            2, [["1+0.1*x2^2", "0"], ["0", "1+0.1*x1^2"]],
+            ["0.3*sin(x2)", "0.2*sin(x1)"])
+        p = np.array([0.1, 0.0])
+        for m in (randers, zermelo):
+            for v in (speed * np.array([1.0, 0.0]), speed * np.array([0.0, 1.0])):
+                J = expmap_jacobian(m, p, v)
+                ref = np.column_stack([expmap_fd(m, p, v, w, eps=1e-5 * speed)
+                                       for w in np.eye(2)])
+                assert np.max(np.abs(J - ref)) <= 2e-9
 
     def test_fd_oracle_small_sample(self):
         from conftest import catalog_metrics
@@ -215,7 +244,79 @@ class TestSprayJacobians:
             for t in ts:
                 a, b = max(t - 1e-3, 0.0), min(t + 1e-3, 1.5)
                 Mdd = (frame.Mdot(b) - frame.Mdot(a)) / (b - a)
-                A, B = spray_jacobians_loop(m, *frame.path.state(t), frame.fd_step)
+                A, B = richardson_jacobians_loop(m, *frame.path.state(t))
                 drive = A @ frame.M(t) + B @ frame.Mdot(t)
                 worst = max(worst, np.linalg.norm(Mdd - drive) / (1.0 + np.linalg.norm(drive)))
             assert frame.residual_max() == pytest.approx(worst, rel=1e-12)
+
+
+# (metric, x0, v0, tau, bound at the scan defaults, bound under
+# expmap_jacobian).  The paths are integrated at rtol 1e-12 so that the
+# frame's own error shows, not the path's.  Each bound is the error against
+# frame_joint_flow, rounded up in the second digit, of the RK5(4) frame on
+# central differences at step 1e-6 that preceded DOP853: at rtol 1e-10 /
+# atol 1e-13 for the scan defaults, and at the tolerances of
+# expmap_jacobian(rtol=1e-11, atol=1e-14) for the exp-map Jacobian.
+FRAME_CASES = {
+    "warped": (lambda: fbt.riemannian_expr(
+        2, [["1", "0"], ["0", "exp(-lam*x1^2)"]], params={"lam": 1.3}),
+        [0.1, 0.0], [1.0, 0.2], 2.5, 3.6e-11, 1.5e-11),
+    "randers": (lambda: fbt.randers_expr(
+        2, [["1+0.1*x2^2", "0"], ["0", "1+0.1*x1^2"]],
+        ["0.3*sin(x2)", "0.2*sin(x1)"]),
+        [0.1, 0.0], [1.0, 0.2], 2.5, 2.9e-11, 1.2e-11),
+    "sphere2": (lambda: fbt.sphere_stereo(1.0),
+                [0.0, -1.0], [1.0, 0.0], 3.2, 2.9e-11, 2.9e-11),
+    "sphere3": (lambda: fbt.sphere_stereo(1.0, dim=3),
+                [0.0, -1.0, 0.0], [1.0, 0.0, 0.0], 1.5 * np.pi, 4.6e-11, 3.5e-11),
+}
+
+
+class TestFrameAccuracy:
+    """Frames against the joint (x, v, M, M') flow of _oracles."""
+
+    @pytest.mark.parametrize("name", sorted(FRAME_CASES))
+    def test_scan_defaults(self, name):
+        make, x0, v0, tau, bound, _ = FRAME_CASES[name]
+        m = make()
+        path = integrate_geodesic(m, PhaseState(x0, v0), tau, rtol=1e-12, atol=1e-14)
+        ts = np.linspace(0.0, tau, 401)[1:]
+        ref = frame_joint_flow(m, x0, v0, ts)
+        err = np.max(np.abs(jacobi_frame(path).M(ts) - ref)) / np.max(np.abs(ref))
+        assert err <= bound
+
+    @pytest.mark.parametrize("name", sorted(FRAME_CASES))
+    def test_expmap_jacobian(self, name):
+        make, x0, v0, tau, _, bound = FRAME_CASES[name]
+        m = make()
+        v = tau * np.asarray(v0)
+        ref = frame_joint_flow(m, x0, v, [1.0])[0]
+        J = expmap_jacobian(m, x0, v, rtol=1e-11, atol=1e-14)
+        assert np.max(np.abs(J - ref)) / np.max(np.abs(ref)) <= bound
+
+    def test_finite_difference_components(self, sphere):
+        # from_callables without derivative callables: the tolerance floor
+        # keeps DOP853 from chasing the rounding noise of the component
+        # differences, which at rtol 1e-11 takes thousands of steps
+        eye = np.eye(2)
+        m = fbt.from_callables(2, "fd_sphere",
+                               lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * eye)
+        frame = jacobi_frame(integrate_geodesic(m, PhaseState([0, -1], [1, 0]), 3.2))
+        assert len(frame.ts) <= 100
+        exact = jacobi_frame(integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 3.2))
+        ts = np.linspace(0.0, 3.2, 401)[1:]
+        assert np.max(np.abs(frame.M(ts) - exact.M(ts))) <= 1e-6
+        rep = conjugate_scan(frame.path, frame=frame)
+        assert abs(rep.instants[0].t - np.pi) < 1e-6
+
+
+class TestScanGrid:
+    def test_batched_grid_matches_time_loop(self, sphere, sphere3):
+        for m, x, v, tau in [
+            (sphere, [0, -1], [1, 0], 2.5 * np.pi),
+            (sphere3, [0, -1, 0], [1, 0, 0.2], 1.5 * np.pi),
+            (warped_metric(1.3), [-0.5, 0.2], [1.0, 0.1], 2.0),
+        ]:
+            frame = jacobi_frame(integrate_geodesic(m, PhaseState(x, v), tau))
+            for got, ref in zip(_scan_grid(frame, 400), scan_grid_loop(frame, 400)):
+                assert np.array_equal(got, ref)

@@ -4,7 +4,7 @@ import pytest
 import fbt
 from fbt.metric import ConvexityViolation, OutsideChart, RandersBoundError, ZeroVelocity
 
-from _oracles import great_circle_chart
+from _oracles import great_circle_chart, sphere_stereo_closed
 
 
 def fd_hessian_half_L(m, x, v, h=1e-4):
@@ -259,3 +259,25 @@ class TestStackedEvaluation:
             else:
                 fn(X, V)
         assert raised > 0
+
+
+class TestSphereExpressionBuild:
+    """sphere_stereo on the compiled expression bundle against the
+    hand-derived component callables of _oracles.sphere_stereo_closed."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_closed_forms(self, dim):
+        rng = np.random.default_rng(5)
+        for K in (1.0, 2.0):
+            m = fbt.sphere_stereo(K, dim=dim)
+            ref = sphere_stereo_closed(K, dim)
+            x = rng.uniform(-2.0, 2.0, size=(6, dim))
+            v = rng.normal(size=(6, dim))
+            for xi in x:
+                got, want = m._c.stack(xi, 2), ref._c.stack(xi, 2)
+                for a, b in zip(got[::2], want[::2]):  # h, dh, d2h
+                    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            pairs = [(m.spray(x, v), ref.spray(x, v))]
+            pairs += zip(m.second_derivatives(x, v), ref.second_derivatives(x, v))
+            for a, b in pairs:
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))

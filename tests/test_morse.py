@@ -187,3 +187,24 @@ class TestVectorizedAssembly:
                 assert K.shape == K_ref.shape
                 assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
                 assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+
+
+class TestBoundaryReduction:
+    """The BoundaryData reduction by slicing K against the dense T^T K T
+    product of _oracles.assemble_loop, up to mesh 256."""
+
+    @pytest.mark.parametrize("name", ["warped", "randers", "sphere3"])
+    def test_matches_dense_product(self, name):
+        path = _assembly_path(name)
+        e = np.eye(path.dim)
+        boundaries = [
+            BoundaryData(path.x0, e[:, 1], [[0.7]]),
+            BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
+        ]
+        for boundary in boundaries:
+            for mesh in (4, 16, 64, 256):
+                K, M = _assemble(path, boundary, mesh)
+                K_ref, M_ref = assemble_loop(path, boundary, mesh)
+                assert K.shape == K_ref.shape
+                assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
+                assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
