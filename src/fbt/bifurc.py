@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from .errors import NumericalError
 from .metric import PhaseState
-from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian, exp_map,
+from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian,
                       integrate_geodesic, newton)
 from . import morse as _morse
 
@@ -438,9 +438,10 @@ def find_branches(f, mu, *, seed=0,
     Deflated multi-start Newton shooting at parameters mu + offset*delta;
     seeds perturb the trivial initial velocity along the kernel direction of
     the shooting Jacobian with seeded jitter.  The hunt runs at a relaxed
-    integrator tolerance, and its shooting Jacobians (the kernel direction's
-    included) are central differences of integrated endpoints, not Jacobi
-    frames; every accepted solution is re-validated at the tight tolerance.
+    integrator tolerance; each Newton iterate integrates the flow once and
+    reads the shooting Jacobian (the kernel direction's included) from its
+    complex-step copies, not from a Jacobi frame.  Every accepted solution
+    is polished and re-validated at the tight tolerance.
     An empty list is a valid outcome.  max_found caps the solutions kept per
     probed parameter (a continuum of solutions would otherwise absorb every
     seed).
@@ -462,13 +463,11 @@ def find_branches(f, mu, *, seed=0,
         tol = 1e-10 * (1.0 + np.linalg.norm(q))
         tol_hunt = max(10.0 * tol, 3e-9 * (1.0 + np.linalg.norm(q)))
 
-        def G(v):
-            return exp_map(m, p, v, tau, rtol=HUNT_RTOL, atol=HUNT_ATOL) - q
+        def GJ(v, rtol=HUNT_RTOL, atol=HUNT_ATOL):
+            x, jac = endpoint_jacobian(m, p, v, tau, rtol=rtol, atol=atol)
+            return x - q, jac
 
-        def J(v):
-            return endpoint_jacobian(m, p, v, tau, rtol=HUNT_RTOL, atol=HUNT_ATOL)
-
-        _, _, vt = np.linalg.svd(J(v_triv))
+        _, _, vt = np.linalg.svd(GJ(v_triv)[1])
         kernel_dir = vt[-1]
 
         roots = [v_triv.copy()]
@@ -484,7 +483,7 @@ def find_branches(f, mu, *, seed=0,
                 jitter = 0.3 * rho * rng.normal(size=m.dim) / np.sqrt(m.dim)
                 v_seed = v_triv + rho * kernel_dir + jitter
                 try:
-                    v_sol = newton(G, J, v_seed, tol=tol_hunt, max_iter=max_iter,
+                    v_sol = newton(GJ, v_seed, tol=tol_hunt, max_iter=max_iter,
                                    roots=roots, wander_limit=5.0 * vnorm)
                 except NumericalError:
                     continue
@@ -500,8 +499,7 @@ def find_branches(f, mu, *, seed=0,
                 if b_res > 1e-10 * (1.0 + np.linalg.norm(q)):
                     try:
                         v_ref = newton(
-                            lambda v: exp_map(m, p, v, tau, rtol=rtol, atol=atol) - q,
-                            J, v_sol,
+                            lambda v: GJ(v, rtol, atol), v_sol,
                             tol=1e-9 * (1.0 + np.linalg.norm(q)), max_iter=6,
                         )
                         path_ref = integrate_geodesic(

@@ -3,8 +3,9 @@
 Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) with
 an embedded Runge-Kutta 5(4) pair and dense output; a fixed-step RK4 mode is
 available for bit-reproducibility experiments.  Two-point problems are solved
-by one damped, optionally deflated Newton loop whose shooting Jacobian is a
-central difference of integrated endpoints, not a Jacobi frame.
+by one damped, optionally deflated Newton loop; each iterate integrates the
+flow once, over complex-step copies that carry the shooting Jacobian along
+with the endpoint.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NumericalError
-from .metric import PhaseState, ZeroVelocity
+from .metric import COMPLEX_STEP, PhaseState, ZeroVelocity
 
 __all__ = [
     "GeodesicPath",
@@ -186,28 +187,29 @@ class GeodesicPath:
         return float(np.max(self.el_residual(ts)))
 
 
-def _chart_event(m):
-    lo = m.chart_box[:, 0]
-    hi = m.chart_box[:, 1]
-    n = m.dim
+def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
+    """solve_ivp by RK45, stopped where the real part of y's first state
+    leaves the chart box or its speed reaches the floor; raises then and on
+    failure."""
+    n, lo, hi = m.dim, m.chart_box[:, 0], m.chart_box[:, 1]
 
-    def ev(t, y):
-        x = y[:n]
+    def chart(t, y):
+        x = y[:n].real
         return float(min(np.min(x - lo), np.min(hi - x)))
 
-    ev.terminal = True
-    return ev
+    def speed(t, y):
+        return float(np.linalg.norm(y[n:2 * n].real) - m.v_min)
 
-
-def _speed_event(m):
-    n = m.dim
-    floor = m.v_min
-
-    def ev(t, y):
-        return float(np.linalg.norm(y[n:]) - floor)
-
-    ev.terminal = True
-    return ev
+    chart.terminal = speed.terminal = True
+    res = solve_ivp(rhs, (0.0, tau), y0, method="RK45", rtol=rtol, atol=atol,
+                    events=[chart, speed], **kw)
+    if res.status == 1:
+        if len(res.t_events[0]):
+            raise LeftChart(float(res.t_events[0][0]))
+        raise ZeroVelocity(f"velocity reached the floor at t = {res.t_events[1][0]:.6g}")
+    if res.status != 0:
+        raise StepFailure(res.message)
+    return res
 
 
 def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
@@ -251,17 +253,8 @@ def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         sol = _HermiteSol(ts, ys, fs)
         return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, ts, ys, sol, F0)
 
-    events = [_chart_event(m), _speed_event(m)]
-    res = solve_ivp(
-        rhs, (0.0, tau), y0, method="RK45", rtol=rtol, atol=atol,
-        dense_output=True, events=events, max_step=max_step,
-    )
-    if res.status == 1:
-        if len(res.t_events[0]):
-            raise LeftChart(float(res.t_events[0][0]))
-        raise ZeroVelocity(f"velocity reached the floor at t = {res.t_events[1][0]:.6g}")
-    if res.status != 0:
-        raise StepFailure(res.message)
+    res = _solve(m, rhs, tau, y0, rtol=rtol, atol=atol, dense_output=True,
+                 max_step=max_step)
     ys = res.y.T
     return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, res.t, ys, res.sol, F0)
 
@@ -272,20 +265,28 @@ def exp_map(m, p, v, tau=1.0, **kw):
 
 
 def endpoint_jacobian(m, p, v, tau, *, rtol, atol):
-    """d x(tau) / d v for the geodesic from (p, v), by central differences of
-    endpoints integrated at rtol/atol.  At rtol 1e-9 this is accurate to
-    about 5e-10 relative, at 1e-8 to about 2e-8, and several times cheaper
-    than integrating a Jacobi frame."""
+    """x(tau) and d x(tau) / d v for the geodesic from (p, v), by one
+    integration of n copies of the flow started at v + i*h*e_j
+    (h = COMPLEX_STEP): column j is Im x_j(tau) / h.  The steps are chosen
+    on the shared real part, so this is the exact derivative of the discrete
+    flow at rtol/atol (internal numerical differentiation, Bock 1981)."""
+    p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    out = np.empty((m.dim, m.dim))
-    for j in range(m.dim):
-        h = 1e-6 * max(1.0, abs(v[j]))
-        vp = v.copy(); vp[j] += h
-        vm = v.copy(); vm[j] -= h
-        xp = exp_map(m, p, vp, tau, rtol=rtol, atol=atol)
-        xm = exp_map(m, p, vm, tau, rtol=rtol, atol=atol)
-        out[:, j] = (xp - xm) / (2.0 * h)
-    return out
+    m._check(p, v)
+    n = m.dim
+    y0 = np.concatenate([np.broadcast_to(p, (n, n)),
+                         v + 1j * COMPLEX_STEP * np.eye(n)], axis=1)
+
+    def rhs(t, y):
+        # the copies' real parts may differ by O(h^2) terms that the complex
+        # step neglects; sharing one lets the metric evaluate one jet
+        y = y.reshape(n, 2 * n)
+        y = y[0].real + 1j * y.imag
+        return np.concatenate([y[:, n:], m.spray(y[:, :n], y[:, n:])], axis=1).ravel()
+
+    y = _solve(m, rhs, tau, y0.ravel(), rtol=rtol, atol=atol).y[:, -1]
+    x = y.reshape(n, 2 * n)[:, :n]
+    return x[0].real, x.imag.T / COMPLEX_STEP
 
 
 def _deflation_factor(v, roots):
@@ -302,14 +303,16 @@ def _deflation_factor(v, roots):
     return fac, fac * grad
 
 
-def newton(G, J, v0, *, tol, max_iter, roots=(), wander_limit=None):
-    """Damped Newton for G(v) = 0, deflated at roots: G is scaled by
-    prod (shift + |v - r|^-2) (Farrell, Birkisson & Funke, SIAM J. Sci.
-    Comput. 37, 2015) and steps are halved until that scaled |G| drops.
-    Raises NoConvergence on failure; errors from G and J propagate."""
+def newton(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
+    """Damped Newton for G(v) = 0, GJ(v) returning G(v) and its Jacobian,
+    deflated at roots: G is scaled by prod (shift + |v - r|^-2) (Farrell,
+    Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015) and steps are halved
+    until that scaled |G| drops; an iterate costs one GJ call.  Raises
+    NoConvergence on failure.  A NumericalError from GJ at a trial point
+    halves the step; SingularJacobian and errors at v0 propagate."""
     v0 = np.asarray(v0, dtype=float)
     v = v0.copy()
-    r = G(v)
+    r, jac = GJ(v)
     for _ in range(max_iter):
         fac, dfac = _deflation_factor(v, roots)
         if not np.isfinite(fac):
@@ -317,7 +320,7 @@ def newton(G, J, v0, *, tol, max_iter, roots=(), wander_limit=None):
         rn = float(np.linalg.norm(r))
         if rn <= tol:
             return v
-        Jd = fac * J(v) + np.outer(r, dfac)
+        Jd = fac * jac + np.outer(r, dfac)
         # truncated pseudo-inverse: near a continuum of solutions the shooting
         # Jacobian folds and untruncated steps run away along its null space
         step, *_ = np.linalg.lstsq(Jd, -fac * r, rcond=1e-6)
@@ -326,7 +329,9 @@ def newton(G, J, v0, *, tol, max_iter, roots=(), wander_limit=None):
         alpha = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             try:
-                r_new = G(v + alpha * step)
+                r_new, jac_new = GJ(v + alpha * step)
+            except SingularJacobian:
+                raise
             except NumericalError:
                 alpha *= 0.5
                 continue
@@ -337,7 +342,7 @@ def newton(G, J, v0, *, tol, max_iter, roots=(), wander_limit=None):
         else:
             raise NoConvergence("Newton line search stalled")
         v = v + alpha * step
-        r = r_new
+        r, jac = r_new, jac_new
     if np.linalg.norm(r) <= tol:
         return v
     raise NoConvergence(
@@ -349,30 +354,28 @@ def newton(G, J, v0, *, tol, max_iter, roots=(), wander_limit=None):
 def connect(m, p, q, v_seed, *, tau=1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Newton shooting for the two-point problem x(tau) = q from x(0) = p.
 
-    Raises SingularJacobian when the shooting Jacobian degenerates, which
-    signals a (near-)conjugate endpoint rather than a solver bug.  The
-    Jacobian is integrated at the caller's rtol/atol: at the default rtol its
-    error (about 5e-10 relative, also at conjugate velocities) stays well
-    below SING_TOL, so the test does not depend on integration noise.
+    Raises SingularJacobian when the shooting Jacobian degenerates at an
+    iterate that is not yet a solution, which signals a (near-)conjugate
+    endpoint rather than a solver bug.  The Jacobian is the exact derivative
+    of the endpoint integrated at the caller's rtol/atol, so the test does
+    not depend on a difference step.
     """
     q = np.asarray(q, dtype=float)
+    tol = 1e-10 * (1.0 + np.linalg.norm(q))
 
-    def G(v):
-        return exp_map(m, p, v, tau, rtol=rtol, atol=atol) - q
-
-    def J(v):
-        jac = endpoint_jacobian(m, p, v, tau, rtol=rtol, atol=atol)
+    def GJ(v):
+        x, jac = endpoint_jacobian(m, p, v, tau, rtol=rtol, atol=atol)
+        r = x - q
         sv = np.linalg.svd(jac, compute_uv=False)
         scale = max(1.0, sv[0]) ** m.dim
-        if abs(np.prod(sv)) < SING_TOL * scale:
+        if np.linalg.norm(r) > tol and abs(np.prod(sv)) < SING_TOL * scale:
             raise SingularJacobian(
                 f"|det D exp| = {np.prod(sv):.3e} below {SING_TOL:.1e} * scale; "
                 "endpoint is conjugate or nearly so"
             )
-        return jac
+        return r, jac
 
-    return newton(G, J, v_seed, tol=1e-10 * (1.0 + np.linalg.norm(q)),
-                  max_iter=CONNECT_MAX_ITER)
+    return newton(GJ, v_seed, tol=tol, max_iter=CONNECT_MAX_ITER)
 
 
 def orthogonal_initial(m, b, v_seed, *, tol=1e-12, max_iter=50):

@@ -6,7 +6,7 @@ A frame carries n columns (J, J') through the linearized geodesic equation
 
 driven by the dense output of a stored GeodesicPath.  The linear, smooth
 equation is integrated by the 8th-order Dormand-Prince pair (DOP853), with
-the spray linearized by a fourth-order difference of the spray.
+the spray linearized by the complex step, exact to rounding.
 
 Conjugate and focal instants show up as rank drops of M(t): sign changes of
 det M catch odd multiplicities, dips of the smallest singular value catch
@@ -24,7 +24,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NumericalError
 from .geoflow import GeodesicPath, BoundaryData, StepFailure, integrate_geodesic
-from .metric import PhaseState
+from .metric import COMPLEX_STEP, PhaseState
 
 __all__ = [
     "JacobiFrame",
@@ -38,9 +38,6 @@ __all__ = [
     "ResolutionWarning",
 ]
 
-# spray linearization step, for exact and finite-difference component
-# derivatives alike (see linearize_spray)
-FD_STEP = 1e-3
 SCAN_RTOL = 1e-11
 SCAN_ATOL = 1e-14
 # finite-difference component derivatives put rounding noise near 1e-11 into
@@ -62,41 +59,20 @@ class ResolutionWarning(UserWarning):
     pass
 
 
-def spray_jacobians(m, x, v, step):
-    """Directional central differences of the spray in x and in v, with
-    steps step*max(1, |x_j|) in x_j and step*|v| in every v_j, from one
-    spray call on the 4n perturbed states.  The spray is 2-homogeneous in v,
-    so a v-step relative to the speed keeps the stencil off v = 0 at any
-    speed.  x and v may be stacks (..., n); A and B then gain the leading
-    axes, and step may be an array (..., 1) of one step per state."""
+def spray_jacobians(m, x, v):
+    """A = Dx spray and B = Dv spray at a state or a stack of states
+    (..., n), by the complex step: column j of A is
+    Im spray(x + i*h*e_j, v) / h and of B Im spray(x, v + i*h*e_j) / h, at
+    h = COMPLEX_STEP, from one spray call on the 2n complex states.
+    Nothing is subtracted, so there is no step to tune and no rounding
+    floor."""
     n = m.dim
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    hx = step * np.maximum(1.0, np.abs(x))
-    hv = np.broadcast_to(step * np.linalg.norm(v, axis=-1, keepdims=True),
-                         hx.shape)
-    # row j of each block perturbs component j
-    xs = np.repeat(x[..., None, :], n, axis=-2)
-    vs = np.repeat(v[..., None, :], n, axis=-2)
-    dx = hx[..., None] * np.eye(n)
-    dv = hv[..., None] * np.eye(n)
-    a = m.spray(np.concatenate([xs + dx, xs - dx, xs, xs], axis=-2),
-                np.concatenate([vs, vs, vs + dv, vs - dv], axis=-2))
-    A = (a[..., :n, :] - a[..., n:2 * n, :]) / (2.0 * hx)[..., None]
-    B = (a[..., 2 * n:3 * n, :] - a[..., 3 * n:, :]) / (2.0 * hv)[..., None]
-    return np.swapaxes(A, -1, -2), np.swapaxes(B, -1, -2)
-
-
-def linearize_spray(m, x, v):
-    """A = Dx spray and B = Dv spray at a state or a stack of states, by the
-    Richardson combination (4 D(h) - D(2h)) / 3 of spray_jacobians at
-    h = FD_STEP and 2h, from one spray call: truncation O(h^4), rounding
-    noise about eps/h (a 1e-6 central difference has noise near 1e-10,
-    which DOP853 amplifies)."""
-    steps = np.reshape([FD_STEP, 2.0 * FD_STEP], (2,) + (1,) * np.ndim(x))
-    (A1, A2), (B1, B2) = spray_jacobians(m, np.stack([x, x]), np.stack([v, v]),
-                                         steps)
-    return (4.0 * A1 - A2) / 3.0, (4.0 * B1 - B2) / 3.0
+    dz = 1j * COMPLEX_STEP * np.eye(n)
+    zero = np.zeros((n, n))
+    a = m.spray(np.asarray(x, dtype=float)[..., None, :] + np.concatenate([dz, zero]),
+                np.asarray(v, dtype=float)[..., None, :] + np.concatenate([zero, dz]))
+    a = np.swapaxes(a.imag, -1, -2) / COMPLEX_STEP
+    return a[..., :n], a[..., n:]
 
 
 @dataclass
@@ -131,7 +107,7 @@ class JacobiFrame:
         b = np.minimum(ts + h, self.path.tau)
         Mdd = (self.Mdot(b) - self.Mdot(a)) / (b - a)[:, None, None]
         x, v = self.path.state(ts)
-        A, B = linearize_spray(self.path.metric, x, v)
+        A, B = spray_jacobians(self.path.metric, x, v)
         M, Md = self.M(ts), self.Mdot(ts)
         R = np.linalg.norm(Mdd - A @ M - B @ Md, axis=(-2, -1))
         scale = 1.0 + np.linalg.norm(A @ M + B @ Md, axis=(-2, -1))
@@ -191,7 +167,7 @@ def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL):
     def rhs(t, y):
         M = y[: n * n].reshape(n, n)
         Md = y[n * n:].reshape(n, n)
-        A, B = linearize_spray(m, *path.state(t))
+        A, B = spray_jacobians(m, *path.state(t))
         return np.concatenate([Md.ravel(), (A @ M + B @ Md).ravel()])
 
     y0 = np.concatenate([M0.ravel(), Md0.ravel()])
@@ -202,11 +178,10 @@ def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL):
     return JacobiFrame(path, kind, boundary, res.sol, res.t)
 
 
-def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12, path=None):
+def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12):
     """D exp_p(v): column j is the endpoint derivative along e_j, realized as
     J(1) of the Jacobi field with J(0) = 0, J'(0) = e_j."""
-    if path is None:
-        path = integrate_geodesic(m, PhaseState(p, v), 1.0, rtol=rtol, atol=atol)
+    path = integrate_geodesic(m, PhaseState(p, v), 1.0, rtol=rtol, atol=atol)
     # a decade tighter than the path, so that the frame adds little to the
     # path's own error
     frame = jacobi_frame(path, "conjugate", rtol=0.1 * rtol,

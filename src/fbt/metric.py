@@ -17,6 +17,12 @@ gets these exactly, from symbolic derivatives compiled into one function
 per derivative order; only from_callables metrics without derivative
 callables fall back to central finite differences.
 
+Evaluators needing at most first chart derivatives (all but dxxL and
+second_derivatives) also take complex-step states x = a + i*b, v = c + i*d,
+|b|, |d| near COMPLEX_STEP: the components come from the real jet one order
+higher, h(a) + i*dh(a).b, the template is analytic and checks read real
+parts, so Im f = b.df/dx + d.df/dv to rounding.
+
 The evaluators F, L, spray, second_derivatives and the dxL, dvL, dxvL, dvvL,
 dxxL pieces accept a state (x, v of shape (n,)) or a stack of states (x, v
 of shape (N, n)) and return results with the matching leading shape.  The
@@ -55,8 +61,10 @@ __all__ = [
 
 DEFAULT_V_MIN = 1e-6
 DEFAULT_CHART_HALF_WIDTH = 10.0
-FD_STEP_FIRST = 1e-5
-FD_STEP_SECOND = 1e-4
+FD_FIRST_STEP = 1e-5
+FD_SECOND_STEP = 1e-4
+# the imaginary step of complex-step derivatives (see _jet)
+COMPLEX_STEP = 1e-30
 
 
 class ZeroVelocity(NumericalError):
@@ -141,49 +149,33 @@ class _Terms:
 # Component bundle: h(x), beta(x) and their chart derivatives
 
 
-def _fd_first(fn, shape, step):
+def _fd_first(fn, step):
+    """Central differences of fn along each e_k, at steps step*max(1, |x_k|),
+    with the derivative index first."""
     def d(x):
         x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        out = np.empty((n,) + shape)
-        for k in range(n):
-            h = step * max(1.0, abs(x[k]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += h
-            xm[k] -= h
-            out[k] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
-        return out
+        hs = step * np.maximum(1.0, np.abs(x))
+        return np.stack([(np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2.0 * h)
+                         for h, e in zip(hs, np.diag(hs))])
 
     return d
 
 
-def _fd_second(fn, shape, step):
+def _fd_second(fn, step):
+    """Second central differences of fn at the same steps: three points on
+    the diagonal, four mixed points off it."""
     def d2(x):
         x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        out = np.empty((n, n) + shape)
-        f0 = np.asarray(fn(x))
-        steps = [step * max(1.0, abs(x[k])) for k in range(n)]
-        for k in range(n):
-            hk = steps[k]
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += hk
-            xm[k] -= hk
-            out[k, k] = (np.asarray(fn(xp)) - 2.0 * f0 + np.asarray(fn(xm))) / hk**2
-            for l in range(k + 1, n):
-                hl = steps[l]
-                xpp = x.copy(); xpp[k] += hk; xpp[l] += hl
-                xpm = x.copy(); xpm[k] += hk; xpm[l] -= hl
-                xmp = x.copy(); xmp[k] -= hk; xmp[l] += hl
-                xmm = x.copy(); xmm[k] -= hk; xmm[l] -= hl
-                mixed = (
-                    np.asarray(fn(xpp)) - np.asarray(fn(xpm))
-                    - np.asarray(fn(xmp)) + np.asarray(fn(xmm))
-                ) / (4.0 * hk * hl)
-                out[k, l] = mixed
-                out[l, k] = mixed
+        E = np.diag(step * np.maximum(1.0, np.abs(x)))
+        f = lambda dx: np.asarray(fn(x + dx))
+        f0 = f(0.0)
+        out = np.empty(E.shape + f0.shape)
+        for k, ek in enumerate(E):
+            out[k, k] = (f(ek) - 2.0 * f0 + f(-ek)) / ek[k]**2
+            for l in range(k + 1, len(x)):
+                el = E[l]
+                out[k, l] = out[l, k] = (f(ek + el) - f(ek - el) - f(el - ek)
+                                         + f(-ek - el)) / (4.0 * ek[k] * el[l])
         return out
 
     return d2
@@ -200,21 +192,15 @@ class _Components:
     """
 
     def __init__(self, dim, h, beta=None, dh=None, d2h=None, dbeta=None,
-                 d2beta=None, step1=FD_STEP_FIRST, step2=FD_STEP_SECOND):
+                 d2beta=None):
         self.dim = dim
         self.h = h
         self.beta = beta
         self.analytic_dx = dh is not None and (beta is None or dbeta is not None)
-        self.dh = dh if dh is not None else _fd_first(h, (dim, dim), step1)
-        self.d2h = d2h if d2h is not None else _fd_second(h, (dim, dim), step2)
-        if beta is None:
-            self.dbeta = None
-            self.d2beta = None
-        else:
-            self.dbeta = dbeta if dbeta is not None else _fd_first(beta, (dim,), step1)
-            self.d2beta = (
-                d2beta if d2beta is not None else _fd_second(beta, (dim,), step2)
-            )
+        self.dh = dh or _fd_first(h, FD_FIRST_STEP)
+        self.d2h = d2h or _fd_second(h, FD_SECOND_STEP)
+        self.dbeta = beta and (dbeta or _fd_first(beta, FD_FIRST_STEP))
+        self.d2beta = beta and (d2beta or _fd_second(beta, FD_SECOND_STEP))
 
     def stack(self, x, order):
         if x.ndim > 1:
@@ -259,6 +245,26 @@ class _ExprComponents:
         return fn(x)
 
 
+def _jet(comps, x, order):
+    """comps.stack(x, order), also at a complex x = a + i*b: each entry D^r
+    is lifted by the next order, D^r(a) + i * b.D^(r+1)(a) (the first
+    derivative index contracted with b), exact for a complex step b."""
+    if not np.iscomplexobj(x):
+        return comps.stack(x, order)
+    a = x.real
+    first = a.reshape(-1, a.shape[-1])[0]
+    if x.ndim > 1 and (a == first).all():
+        a = first  # the states share one real part: one jet serves them all
+    jet = comps.stack(a, order + 1)
+    lead = a.ndim - 1
+    ib = 1j * x.imag[..., None, :]
+    # der is lead + (n,) + the shape of val; one matmul contracts b
+    return [None if val is None else
+            val + (ib @ der.reshape(der.shape[:lead + 1] + (-1,))).reshape(
+                x.shape[:-1] + val.shape[lead:])
+            for val, der in zip(jet[:2 * order + 2], jet[2:])]
+
+
 class MetricField:
     """Evaluator bundle for one metric on an axis-aligned chart box."""
 
@@ -288,22 +294,22 @@ class MetricField:
         return self._c.analytic_dx
 
     def inside_chart(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.real(x)
         return bool(
             np.all(x >= self.chart_box[:, 0]) and np.all(x <= self.chart_box[:, 1])
         )
 
     def _check(self, x, v):
         if not self.inside_chart(x):
-            raise OutsideChart(f"point {np.asarray(x)} outside chart box")
-        speed = float(np.min(np.linalg.norm(v, axis=-1)))
+            raise OutsideChart(f"point {np.real(x)} outside chart box")
+        speed = float(np.min(np.linalg.norm(np.real(v), axis=-1)))
         if speed < self.v_min:
             raise ZeroVelocity(f"|v| = {speed:.3e} below floor {self.v_min:.3e}")
 
     def _sqrt_q(self, q):
-        if _any(q <= 0.0):
+        if _any(np.real(q) <= 0.0):
             raise ConvexityViolation(
-                f"quadratic part non-positive ({float(np.min(q))!r}) at an "
+                f"quadratic part non-positive ({float(np.min(np.real(q)))!r}) at an "
                 "evaluation point"
             )
         return np.sqrt(q)
@@ -311,13 +317,13 @@ class MetricField:
     def _values(self, x, v, order=0, validate=False):
         """Terms of L and F at (x, v), and the component derivatives up to
         order."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
+        # as float arrays, or complex ones for a complex step
+        x, v = np.asarray(x) + 0.0, np.asarray(v) + 0.0
         if validate:
             self._check(x, v)
         t = _Terms()
         t.v = v
-        t.hx, t.bx, *derivs = self._c.stack(x, order)
+        t.hx, t.bx, *derivs = _jet(self._c, x, order)
         t.u = _mv(t.hx, v)
         t.q = _dot(v, t.u)
         if t.bx is not None:
@@ -398,9 +404,9 @@ class MetricField:
         if self.pseudo:
             return t.q
         val = self._sqrt_q(t.q) if t.bx is None else t.F
-        if _any(val <= 0.0):
+        if _any(np.real(val) <= 0.0):
             raise ConvexityViolation(
-                f"F = {float(np.min(val))!r} not positive; metric degenerate here"
+                f"F = {float(np.min(np.real(val)))!r} not positive; metric degenerate here"
             )
         return val
 

@@ -147,8 +147,9 @@ class TestConnect:
     @pytest.mark.parametrize("theta", [0.0, 0.55])
     def test_conjugate_seed_is_singular(self, sphere, theta):
         # every velocity of norm pi is conjugate at p = (0, -1); at theta = 0.55
-        # an endpoint Jacobian integrated at rtol 1e-8 reads |det| = 1.9e-8 *
-        # scale there, past SING_TOL, while connect's reads 9e-10 * scale
+        # connect's endpoint Jacobian (rtol 1e-9) reads |det| = 7.2e-11 *
+        # scale there, and one integrated at rtol 1e-8 reads 1.8e-9 * scale
+        # (central differences of endpoints read 1.9e-8, past SING_TOL)
         seed = np.pi * np.array([np.cos(theta), np.sin(theta)])
         q = exp_map(sphere, [0, -1], 0.9 * seed)
         with pytest.raises(SingularJacobian):
@@ -164,34 +165,36 @@ class TestEndpointJacobian:
             x = base + 0.1 * rng.normal(size=m.dim)
             v = rng.normal(size=m.dim)
             v *= scale * rng.uniform(0.5, 1.2) / np.linalg.norm(v)
-            J = endpoint_jacobian(m, x, v, 1.0, rtol=1e-8, atol=1e-9)
+            end, J = endpoint_jacobian(m, x, v, 1.0, rtol=1e-8, atol=1e-9)
             ref = expmap_jacobian(m, x, v)
             assert np.linalg.norm(J - ref) <= 1e-7 * np.linalg.norm(ref)
+            # the real part of the complex-step copies is the plain flow
+            x_ref = exp_map(m, x, v, rtol=1e-8, atol=1e-9)
+            assert np.max(np.abs(end - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
 
     def test_euclidean_scales_with_tau(self, euclid):
-        J = endpoint_jacobian(euclid, [0, 0], [1.2, -0.3], 2.5, rtol=1e-8, atol=1e-9)
+        end, J = endpoint_jacobian(euclid, [0, 0], [1.2, -0.3], 2.5, rtol=1e-8,
+                                   atol=1e-9)
         assert np.max(np.abs(J - 2.5 * np.eye(2))) < 1e-8
+        assert np.max(np.abs(end - 2.5 * np.array([1.2, -0.3]))) < 1e-12
 
 
 class TestNewton:
     @staticmethod
-    def G(v):
-        return np.array([v[0] ** 2 - 1.0, v[1]])
-
-    @staticmethod
-    def J(v):
-        return np.array([[2.0 * v[0], 0.0], [0.0, 1.0]])
+    def GJ(v):
+        return (np.array([v[0] ** 2 - 1.0, v[1]]),
+                np.array([[2.0 * v[0], 0.0], [0.0, 1.0]]))
 
     def test_deflated_root_never_returned(self):
         root = np.array([1.0, 0.0])
-        v = newton(self.G, self.J, root + [1e-9, 0.0], tol=1e-12, max_iter=50,
+        v = newton(self.GJ, root + [1e-9, 0.0], tol=1e-12, max_iter=50,
                    roots=[root])
         assert np.max(np.abs(v - [-1.0, 0.0])) < 1e-9
 
     def test_start_on_deflated_root(self):
         root = np.array([1.0, 0.0])
         with pytest.raises(NoConvergence):
-            newton(self.G, self.J, root, tol=1e-12, max_iter=50, roots=[root])
+            newton(self.GJ, root, tol=1e-12, max_iter=50, roots=[root])
 
 
 class TestOrthogonalInitial:

@@ -12,7 +12,7 @@ from fbt.jacobi import (
     jacobi_frame,
     spray_jacobians,
 )
-from fbt.metric import PhaseState
+from fbt.metric import ConvexityViolation, OutsideChart, PhaseState
 
 from _oracles import (
     expmap_fd,
@@ -20,7 +20,7 @@ from _oracles import (
     jacobi_scalar,
     richardson_jacobians_loop,
     scan_grid_loop,
-    spray_jacobians_loop,
+    sphere_stereo_closed,
     warped_metric,
 )
 
@@ -99,6 +99,20 @@ class TestExpmapJacobian:
                 ref = np.column_stack([expmap_fd(m, p, v, w, eps=1e-5 * speed)
                                        for w in np.eye(2)])
                 assert np.max(np.abs(J - ref)) <= 2e-9
+
+    def test_metric_varying_on_short_chart_lengths(self):
+        # g22 = exp(-lam x1^2) with lam = 1e4 varies on chart lengths near
+        # 0.01, so a spray linearization by differences at a fixed step of
+        # 1e-3 misses its curvature (1.3e-6 relative error); the oracle's
+        # eps = 1e-7 keeps its own truncation error (4.5e-8 at the default
+        # 1e-5) below the bound
+        m = fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-lam*x1^2)"]],
+                                params={"lam": 1e4})
+        p, v = np.array([-0.005, 0.1]), np.array([0.01, 0.003])
+        J = expmap_jacobian(m, p, v, rtol=1e-11, atol=1e-14)
+        for j, w in enumerate(np.eye(2)):
+            ref = expmap_fd(m, p, v, w, eps=1e-7)
+            assert np.linalg.norm(J[:, j] - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_fd_oracle_small_sample(self):
         from conftest import catalog_metrics
@@ -202,35 +216,73 @@ class TestSprayJacobians:
     def _cases(self):
         from conftest import catalog_metrics
 
+        eye = np.eye(2)
+        fd_only = fbt.from_callables(
+            2, "fd_sphere", lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * eye)
         rng = np.random.default_rng(11)
-        for m, base, vscale in catalog_metrics() + [(fbt.sphere_stereo(1.0, dim=3),
-                                                      np.zeros(3), 1.0)]:
+        for m, base, vscale in catalog_metrics() + [
+            (fbt.sphere_stereo(1.0, dim=3), np.zeros(3), 1.0),
+            (sphere_stereo_closed(1.0), np.array([0.3, -0.5]), 1.0),
+            (fd_only, np.array([0.3, -0.5]), 1.0),
+        ]:
             x = base + 0.2 * rng.normal(size=m.dim)
             v = vscale * rng.normal(size=m.dim)
             yield m, x, v
 
-    @pytest.mark.parametrize("step", [1e-6, 3e-4])
-    def test_matches_column_loop(self, step):
+    def test_matches_sixth_order_loop(self):
+        # the complex step against real central differences combined to
+        # sixth order (measured at most 1.8e-13).  Without derivative
+        # callables the complex step reads second differences of h where the
+        # loop differences first ones (measured 5.3e-9)
         for m, x, v in self._cases():
-            A, B = spray_jacobians(m, x, v, step)
-            A_ref, B_ref = spray_jacobians_loop(m, x, v, step)
+            bound = 1e-11 if m.has_analytic_dx else 1e-7
+            A, B = spray_jacobians(m, x, v)
+            A_ref, B_ref = richardson_jacobians_loop(m, x, v)
             for got, ref in ((A, A_ref), (B, B_ref)):
-                assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(got - ref)) <= bound * max(1.0, np.max(np.abs(ref)))
 
     def test_stack_of_states(self):
         for m, x, v in self._cases():
             X = x + 0.1 * np.arange(3)[:, None]
             V = v * (1.0 + 0.2 * np.arange(3))[:, None]
-            A, B = spray_jacobians(m, X, V, 1e-6)
+            A, B = spray_jacobians(m, X, V)
             assert A.shape == B.shape == (3, m.dim, m.dim)
             for i in range(3):
-                Ai, Bi = spray_jacobians(m, X[i], V[i], 1e-6)
+                Ai, Bi = spray_jacobians(m, X[i], V[i])
                 np.testing.assert_allclose(A[i], Ai, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(B[i], Bi, rtol=1e-12, atol=1e-12)
 
+    def test_complex_lift_keeps_real_part(self):
+        for m, x, v in self._cases():
+            s = m.spray(x, v)
+            for k in range(m.dim):
+                dz = 1e-30j * np.eye(m.dim)[k]
+                for got in (m.spray(x + dz, v), m.spray(x, v + dz)):
+                    assert np.max(np.abs(got.real - s)) <= 1e-14 * max(1.0, np.max(np.abs(s)))
+
+    def test_checks_read_the_real_part(self):
+        eye = np.eye(2)
+        dz = np.array([1e-30j, 0.0])
+        # |beta| = 2 > 1: F = |v| + beta.v is negative along -e1
+        strong = fbt.from_callables(2, "strong_wind", lambda x: eye,
+                                    beta=lambda x: np.array([2.0, 0.0]),
+                                    randers_check=False)
+        with pytest.raises(ConvexityViolation):
+            strong.F([0.0, 0.0], [-1.0, 0.0] + dz)
+        # indefinite h: the quadratic part v.h.v is negative along e2
+        indefinite = fbt.from_callables(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
+                                        beta=lambda x: np.array([0.1, 0.0]),
+                                        randers_check=False)
+        with pytest.raises(ConvexityViolation):
+            indefinite.spray([0.0, 0.0] + dz, [0.0, 1.0])
+        sphere = fbt.sphere_stereo(1.0)
+        with pytest.raises(OutsideChart):
+            sphere.spray([11.0, 0.0] + dz, [1.0, 0.0], validate=True)
+        sphere.spray([9.0, 0.0] + dz, [1.0, 0.0], validate=True)
+
     def test_residual_max_matches_sample_loop(self):
         # the stacked samples of JacobiFrame.residual_max against a loop over
-        # the same sample times with one scalar evaluation each
+        # the same sample times with one spray_jacobians call each
         z = fbt.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]],
                                        ["0.6*exp(-x1^2)", "0"])
         for m, x, v in [
@@ -244,7 +296,7 @@ class TestSprayJacobians:
             for t in ts:
                 a, b = max(t - 1e-3, 0.0), min(t + 1e-3, 1.5)
                 Mdd = (frame.Mdot(b) - frame.Mdot(a)) / (b - a)
-                A, B = richardson_jacobians_loop(m, *frame.path.state(t))
+                A, B = spray_jacobians(m, *frame.path.state(t))
                 drive = A @ frame.M(t) + B @ frame.Mdot(t)
                 worst = max(worst, np.linalg.norm(Mdd - drive) / (1.0 + np.linalg.norm(drive)))
             assert frame.residual_max() == pytest.approx(worst, rel=1e-12)
