@@ -21,6 +21,7 @@ from _oracles import (
     richardson_jacobians_loop,
     scan_grid_loop,
     sphere_stereo_closed,
+    spray_jacobians_loop,
     warped_metric,
 )
 
@@ -228,6 +229,22 @@ class TestSprayJacobians:
             x = base + 0.2 * rng.normal(size=m.dim)
             v = vscale * rng.normal(size=m.dim)
             yield m, x, v
+
+    @pytest.mark.parametrize("step", [1e-6, 3e-4])
+    def test_matches_column_loop(self, step):
+        # the complex step against one central difference per column at the
+        # relative step `step`: the loop's truncation error goes as step^2
+        # (measured 8.0e-8 at 3e-4) and its rounding as noise/step, where the
+        # noise is that of the spray itself -- machine precision with
+        # derivative callables (measured 6.2e-11 at 1e-6), the metric's own
+        # differences without them (measured 6.8e-7 at 1e-6)
+        for m, x, v in self._cases():
+            noise = 2e-16 if m.has_analytic_dx else 2e-12
+            bound = 2.0 * step ** 2 + noise / step
+            A, B = spray_jacobians(m, x, v)
+            A_ref, B_ref = spray_jacobians_loop(m, x, v, step)
+            for got, ref in ((A, A_ref), (B, B_ref)):
+                assert np.max(np.abs(got - ref)) <= bound * max(1.0, np.max(np.abs(ref)))
 
     def test_matches_sixth_order_loop(self):
         # the complex step against real central differences combined to
