@@ -473,23 +473,28 @@ def diff(node, ident, memo=None):
     ``sign`` (0 at 0), whose own derivative is 0.  ``memo`` caches results
     per node for repeated differentiation by the same name.
     """
-    if memo is None:
-        memo = {}
+    return _diff(node, ident, {} if memo is None else memo, {})
+
+
+def _diff(node, ident, memo, chain):
+    """diff, where chain maps other names to their own derivatives (ASTs):
+    names that stand for functions of ident.  Names it does not list are
+    constants."""
     got = memo.get(node)
     if got is not None:
         return got
     if isinstance(node, Num):
         out = ZERO
     elif isinstance(node, Name):
-        out = ONE if node.ident == ident else ZERO
+        out = ONE if node.ident == ident else chain.get(node.ident, ZERO)
     elif isinstance(node, Unary):
-        out = -diff(node.arg, ident, memo)
+        out = -_diff(node.arg, ident, memo, chain)
     elif isinstance(node, Call):
-        da = diff(node.arg, ident, memo)
+        da = _diff(node.arg, ident, memo, chain)
         out = ZERO if da == ZERO else _CHAIN[node.fn](node, node.arg, da)
     elif isinstance(node, Bin):
         a, b = node.lhs, node.rhs
-        da, db = diff(a, ident, memo), diff(b, ident, memo)
+        da, db = _diff(a, ident, memo, chain), _diff(b, ident, memo, chain)
         if node.op == "+":
             out = da + db
         elif node.op == "-":
@@ -523,13 +528,18 @@ def _literal(value):
 
 class _Emitter:
     """Emits one assignment per distinct subexpression, operands first, so
-    the operations run in the order a depth-first evaluation takes them."""
+    the operations run in the order a depth-first evaluation takes them.
 
-    def __init__(self, dim):
+    In placeholder mode (``placeholders=True``) every name is a variable
+    the surrounding code binds, emitted as itself and collected in
+    ``params``; no name is a chart coordinate."""
+
+    def __init__(self, dim, placeholders=False):
         self.dim = dim
         self.lines = []
         self.memo = {}
         self.params = set()
+        self.placeholders = placeholders
 
     def __call__(self, node):
         if isinstance(node, Num):
@@ -537,6 +547,10 @@ class _Emitter:
         got = self.memo.get(node)
         if got is not None:
             return got
+        if isinstance(node, Name) and self.placeholders:
+            self.params.add(node.ident)
+            self.memo[node] = node.ident
+            return node.ident
         if isinstance(node, Name):
             m = _COORD_RE.match(node.ident)
             if not m:

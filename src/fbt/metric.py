@@ -6,35 +6,47 @@ Hessian of L/2) and the geodesic spray.
 
 Every supported kind fits one algebraic template,
 
-    L(x, v) = q + 2*b*sqrt(q) + b^2        q = v.h(x)v,  b = beta(x).v,
+    L(v; h, b) = (sqrt(v.h v) + b.v)^2,
 
-with beta absent for plain Riemannian/quadratic kinds (then L = q, possibly
-indefinite for the quadratic pseudo-kind).  The v-derivatives are exact
-closed forms of (h, beta); the x-derivatives chain through (dh, dbeta,
-d2h, d2beta).  Every catalog kind (euclidean, the sphere chart, the
-expression-defined kinds and the Zermelo and Fermat kinds built from them)
-gets these exactly, from symbolic derivatives compiled into one function
-per derivative order; only from_callables metrics without derivative
-callables fall back to central finite differences.
+with the one-form b absent for plain Riemannian/quadratic kinds (then
+L = q = v.h v, possibly indefinite for the quadratic pseudo-kind).  The
+template is written once as an expression AST over placeholders for the
+components h_ij, b_i, their chart derivatives and v.  Symbolic
+differentiation gives the v-derivatives, and the chain rule through the
+derivative placeholders the x-derivatives.  One kernel per (dim, one-form
+or not) is generated lazily from it: straight-line code for F, L, every
+derivative piece and the spray (Cramer's rule up to dim 3,
+np.linalg.solve above), common subexpressions computed once.  The kernel
+reads the flat component tuple of the metric's compiled bundle
+(from_callables metrics flatten their callables' arrays into the same
+layout); every catalog kind gets exact chart derivatives, and only
+from_callables metrics without derivative callables fall back to central
+finite differences.
 
 Evaluators needing at most first chart derivatives (all but dxxL and
-second_derivatives) also take complex-step states x = a + i*b, v = c + i*d,
-|b|, |d| near COMPLEX_STEP: the components come from the real jet one order
-higher, h(a) + i*dh(a).b, the template is analytic and checks read real
-parts, so Im f = b.df/dx + d.df/dv to rounding.
+second_derivatives) also take complex-step states x = a + i*y,
+v = u + i*w, |y|, |w| near COMPLEX_STEP.  The real jet is evaluated one
+order higher, once per run of rows sharing the real part a, and a
+straight-line prologue of the kernel lifts each placeholder,
+h_ij -> h_ij + i*sum_k y_k dh_kij; the template is analytic, so
+Im f = y.df/dx + w.df/dv to rounding.  Checks read real parts.
 
-The evaluators F, L, spray, second_derivatives and the dxL, dvL, dxvL, dvvL,
-dxxL pieces accept a state (x, v of shape (n,)) or a stack of states (x, v
-of shape (N, n)) and return results with the matching leading shape.  The
-formulas are written once with broadcasting over the leading axes; on a
-stack only the components (the compiled bundle or the callables) run once
-per state.  Checks keep their per-state meaning: any state with q <= 0,
-F <= 0 or a singular vertical Hessian raises for the whole call.
+The evaluators accept a state (x, v of shape (n,)) or a stack of states (x,
+v of shape (N, n)) and return results with the matching leading shape.  One
+kernel source is compiled twice: over Python floats, run once per row for a
+single state and for complex-step stacks, and over numpy arrays, run once
+for a real stack.  Checks keep their per-state meaning: any state with
+q <= 0 (with a one-form, or in F), F <= 0 or a singular vertical Hessian
+raises for the whole call.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +75,7 @@ DEFAULT_V_MIN = 1e-6
 DEFAULT_CHART_HALF_WIDTH = 10.0
 FD_FIRST_STEP = 1e-5
 FD_SECOND_STEP = 1e-4
-# the imaginary step of complex-step derivatives (see _jet)
+# the imaginary step of complex-step derivatives
 COMPLEX_STEP = 1e-30
 
 
@@ -97,52 +109,6 @@ class PhaseState:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Broadcasting helpers.  Arrays carry a leading shape P (() for one state,
-# (N,) for a stack of N states) before the axes named here, so one formula
-# serves both.
-
-
-def _mv(A, v):
-    """A (P + (m, n)) applied to v (P + (n,)): P + (m,)."""
-    return (A @ v[..., None])[..., 0]
-
-
-def _dot(a, b):
-    """a . b over the last axis: shape P (a numpy scalar for one state)."""
-    return (a[..., None, :] @ b[..., None])[..., 0, 0][()]
-
-
-def _any(mask):
-    """Whether any state's mask is set."""
-    return mask.any() if mask.ndim else bool(mask)
-
-
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
-
-
-def _col(c):
-    """A value per state (shape P) as P + (1,), to scale vectors."""
-    return c[..., None]
-
-
-def _mat(c):
-    """A value per state (shape P) as P + (1, 1), to scale matrices."""
-    return c[..., None, None]
-
-
-class _Terms:
-    """Template terms at a state or a stack of states: v, hx, bx, u = h v
-    and q = v.u; with a one-form also s = sqrt(q), F = s + beta.v and
-    p = dF/dv = u/s + beta.  From order 1 dbeta, uk = dh v and qk = v.dh.v,
-    with a one-form sk = ds/dx = qk/(2s) and fx = dF/dx = sk + dbeta v; at
-    order 2 qkl = v.d2h.v and bkl = d2beta v."""
-
-    __slots__ = ("v", "hx", "bx", "u", "q", "s", "F", "p", "dbeta", "uk", "qk",
-                 "sk", "fx", "qkl", "bkl")
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +151,11 @@ class _Components:
     """h, beta and derivative callables of a from_callables metric; finite
     differences fill the gaps.
 
-    ``stack(x, order)`` returns (h, beta, dh, dbeta, d2h, d2beta) cut after
-    the given derivative order, with None for beta and its derivatives
-    when the kind has no one-form.  On a stack of points (..., n) each
-    entry gains the leading axes of the stack.
+    ``stack(x, order)`` returns (h, beta, dh, dbeta, d2h, d2beta) at one
+    point, cut after the given derivative order, with None for beta and its
+    derivatives when the kind has no one-form.  ``bundle(order)`` is the
+    function of x that flattens them into the layout of a compiled bundle
+    (see _layout), and ``rows(xs, order)`` stacks them for many points.
     """
 
     def __init__(self, dim, h, beta=None, dh=None, d2h=None, dbeta=None,
@@ -196,6 +163,7 @@ class _Components:
         self.dim = dim
         self.h = h
         self.beta = beta
+        self.oneform = beta is not None
         self.analytic_dx = dh is not None and (beta is None or dbeta is not None)
         self.dh = dh or _fd_first(h, FD_FIRST_STEP)
         self.d2h = d2h or _fd_second(h, FD_SECOND_STEP)
@@ -203,11 +171,7 @@ class _Components:
         self.d2beta = beta and (d2beta or _fd_second(beta, FD_SECOND_STEP))
 
     def stack(self, x, order):
-        if x.ndim > 1:
-            rows = [self.stack(xi, order) for xi in x.reshape(-1, self.dim)]
-            return [None if c[0] is None
-                    else np.array(c).reshape(x.shape[:-1] + np.shape(c[0]))
-                    for c in zip(*rows)]
+        x = np.asarray(x, dtype=float)
         hx = np.asarray(self.h(x), dtype=float)
         out = [hx, None if self.beta is None else np.asarray(self.beta(x), dtype=float)]
         if order >= 1:
@@ -216,53 +180,277 @@ class _Components:
             out += [self.d2h(x), self.d2beta and self.d2beta(x)]
         return out
 
+    def bundle(self, order):
+        return lambda x: self.rows([x], order)[0].tolist()
+
+    def rows(self, xs, order):
+        points = zip(*(self.stack(x, order) for x in xs))
+        return np.concatenate([np.reshape(c, (len(xs), -1)) for c in points
+                               if c[0] is not None], axis=1)
+
 
 class _ExprComponents:
     """h (a symmetric matrix of expression ASTs) and beta (a vector of ASTs,
-    or None), with exact derivatives from one compiled bundle per order."""
+    or None), with exact derivatives from one compiled bundle per order,
+    a function of x returning a flat tuple; ``rows(xs, order)`` stacks the
+    tuples of many points."""
 
     analytic_dx = True
 
     def __init__(self, dim, h, beta=None, params=None):
         self.dim = dim
-        self._groups = [h] if beta is None else [h, beta]
+        self.oneform = beta is not None
+        self._groups = (tuple(e for row in h for e in row),) + (
+            () if beta is None else (tuple(beta),))
         self._params = dict(params or {})
         # order 0 eagerly, so unbound names fail at construction
-        self._bundles = [_expr.jet(self._groups, dim, self._params, 0), None, None]
+        self._bundles = [_expr._bound(self._groups, dim, self._params, 0), None, None]
         self.beta = None if beta is None else (lambda x: self.stack(x, 0)[1])
 
     def h(self, x):
         return self.stack(x, 0)[0]
 
-    def stack(self, x, order):
+    def bundle(self, order):
         fn = self._bundles[order]
         if fn is None:
-            fn = self._bundles[order] = _expr.jet(
+            fn = self._bundles[order] = _expr._bound(
                 self._groups, self.dim, self._params, order
             )
-        if self.beta is None:
-            return [a for hk in fn(x) for a in (hk, None)]
-        return fn(x)
+        return fn
+
+    def rows(self, xs, order):
+        out = list(map(self.bundle(order), xs))
+        return np.fromiter(itertools.chain.from_iterable(out), float,
+                           len(out) * len(out[0])).reshape(len(out), -1)
+
+    def stack(self, x, order):
+        flat, out, start = self.bundle(order)(x), [], 0
+        n = self.dim
+        for r in range(order + 1):
+            for shape in ((n, n), (n,) if self.oneform else None):
+                if shape is None:
+                    out.append(None)
+                    continue
+                stop = start + n**r * math.prod(shape)
+                out.append(np.array(flat[start:stop]).reshape((n,) * r + shape))
+                start = stop
+        return out
 
 
-def _jet(comps, x, order):
-    """comps.stack(x, order), also at a complex x = a + i*b: each entry D^r
-    is lifted by the next order, D^r(a) + i * b.D^(r+1)(a) (the first
-    derivative index contracted with b), exact for a complex step b."""
-    if not np.iscomplexobj(x):
-        return comps.stack(x, order)
-    a = x.real
-    first = a.reshape(-1, a.shape[-1])[0]
-    if x.ndim > 1 and (a == first).all():
-        a = first  # the states share one real part: one jet serves them all
-    jet = comps.stack(a, order + 1)
-    lead = a.ndim - 1
-    ib = 1j * x.imag[..., None, :]
-    # der is lead + (n,) + the shape of val; one matmul contracts b
-    return [None if val is None else
-            val + (ib @ der.reshape(der.shape[:lead + 1] + (-1,))).reshape(
-                x.shape[:-1] + val.shape[lead:])
-            for val, der in zip(jet[:2 * order + 2], jet[2:])]
+# ---------------------------------------------------------------------------
+# The generated Lagrangian kernel
+#
+# Placeholders: h_i_j (i <= j) and b_i for the component values, v<i> for the
+# velocity, and one suffix _d<k> per chart derivative, sorted
+# (h_0_1_d0_d1 = d2 h01 / dx0 dx1).
+
+# chart derivative order of the components each kernel entry reads
+_ORDER = {"q": 0, "F": 0, "L": 0, "dvL": 0, "dvvL": 0, "dxL": 1, "dxvL": 1,
+          "spray": 1, "dxxL": 2, "second_derivatives": 2}
+
+
+def _d(name, k):
+    """The placeholder of d(name)/dx_k."""
+    base, *ders = name.split("_d")
+    return base + "".join(f"_d{j}" for j in sorted([*map(int, ders), k]))
+
+
+def _layout(dim, oneform, order):
+    """The placeholder at each position of the flat component tuple (a
+    compiled bundle's layout: per derivative order, h then beta, derivative
+    indices first), "_" where an entry repeats by symmetry."""
+    groups = [[f"h_{min(i, j)}_{max(i, j)}" for i in range(dim) for j in range(dim)]]
+    if oneform:
+        groups.append([f"b_{i}" for i in range(dim)])
+    out = []
+    for r in range(order + 1):
+        for group in groups:
+            for der in itertools.product(range(dim), repeat=r):
+                for name in group:
+                    for k in der:
+                        name = _d(name, k)
+                    out.append("_" if name in out else name)
+    return out
+
+
+class _Template:
+    """L(v; h, b) = (sqrt(v.h.v) + b.v)^2, or q = v.h.v without a one-form,
+    and its derivatives as ASTs over the placeholders: in v by symbolic
+    differentiation, in x by the chain rule through the component
+    placeholders."""
+
+    def __init__(self, dim, oneform):
+        Name, ZERO = _expr.Name, _expr.ZERO
+        self.dim = dim
+        self.v = v = [Name(f"v{i}") for i in range(dim)]
+        # q = sum over i <= j of h_ij w_ij, w_ii = v_i^2, w_ij = 2 v_i v_j
+        self.q = sum((Name(f"h_{i}_{j}") * (v[i] * v[i] if i == j else 2.0 * v[i] * v[j])
+                      for i in range(dim) for j in range(i, dim)), ZERO)
+        self.F = _expr._call("sqrt", self.q)
+        self.L = self.q
+        if oneform:
+            self.F = self.F + sum((Name(f"b_{i}") * v[i] for i in range(dim)), ZERO)
+            self.L = self.F ** 2
+        comps = [c for c in _layout(dim, oneform, 1) if c != "_"]
+        self._chain = [{c: Name(_d(c, k)) for c in comps} for k in range(dim)]
+        self._memo = {}
+
+    def dv(self, e, j):
+        return _expr._diff(e, f"v{j}", self._memo.setdefault(f"v{j}", {}), {})
+
+    def dx(self, e, k):
+        return _expr._diff(e, f"x{k}", self._memo.setdefault(f"x{k}", {}),
+                           self._chain[k])
+
+    @functools.cached_property
+    def dvL(self):
+        return [self.dv(self.L, j) for j in range(self.dim)]
+
+    @functools.cached_property
+    def dvvL(self):
+        return _sym(self.dim, lambda i, j: self.dv(self.dvL[i], j))
+
+    @functools.cached_property
+    def dxL(self):
+        return [self.dx(self.L, k) for k in range(self.dim)]
+
+    @functools.cached_property
+    def dxvL(self):
+        """dxvL[k][j] = d^2 L / dx_k dv_j."""
+        return [[self.dv(self.dxL[k], j) for j in range(self.dim)]
+                for k in range(self.dim)]
+
+    @functools.cached_property
+    def dxxL(self):
+        return _sym(self.dim, lambda k, l: self.dx(self.dxL[k], l))
+
+    @functools.cached_property
+    def rhs(self):
+        """dxL - v . dxvL, the right-hand side of the Euler-Lagrange system."""
+        n = self.dim
+        return [self.dxL[i] - sum((self.v[k] * self.dxvL[k][i] for k in range(n)),
+                                  _expr.ZERO) for i in range(n)]
+
+
+def _det(M):
+    """Determinant of a small matrix of ASTs by expansion along row 0."""
+    if not M:
+        return _expr.ONE
+    out = _expr.ZERO
+    for j, mj in enumerate(M[0]):
+        term = mj * _det([row[:j] + row[j + 1:] for row in M[1:]])
+        out = out - term if j % 2 else out + term
+    return out
+
+
+def _cramer(H, r):
+    """det H and the numerators adj(H) r of H^-1 r, for symmetric H."""
+    n = len(H)
+    minor = _sym(n, lambda i, j: _det([row[:j] + row[j + 1:]
+                                       for k, row in enumerate(H) if k != i]))
+
+    def cofactor_sum(i, col):
+        out = _expr.ZERO
+        for j in range(n):
+            term = minor[i][j] * col[j]
+            out = out - term if (i + j) % 2 else out + term
+        return out
+
+    return cofactor_sum(0, H[0]), [cofactor_sum(i, r) for i in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _template(dim, oneform):
+    return _Template(dim, oneform)
+
+
+def _outputs(t, entry):
+    """The ASTs an entry returns, flattened row-major."""
+    flat = lambda M: [e for row in M for e in row]
+    if entry == "second_derivatives":
+        return flat(t.dxxL) + flat(t.dxvL) + flat(t.dvvL)
+    got = getattr(t, entry)
+    if not isinstance(got, list):
+        return [got]
+    return flat(got) if isinstance(got[0], list) else got
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_source(dim, oneform, entry, lifted):
+    """Source of one kernel entry, kernel(c, v) -> tuple of outputs, c being
+    the flat component tuple at x.  The lifted kernel(c, y, v) takes the
+    complex step x = a + i*y with c the tuple at a one derivative order
+    higher, and its prologue lifts each placeholder P it reads to
+    P + i*sum_k y_k dP/dx_k (skipped when y = 0)."""
+    t = _template(dim, oneform)
+    emit = _expr._Emitter(dim, placeholders=True)
+    body = emit.lines
+    if oneform or entry == "F":
+        q = emit(t.q)
+        body.append(f"if _any({q}.real <= 0.0): _not_convex('quadratic part', {q})")
+    if oneform and entry == "F":
+        F = emit(t.F)
+        body.append(f"if _any({F}.real <= 0.0): _not_convex('F', {F})")
+    if entry != "spray":
+        outs = [emit(e) for e in _outputs(t, entry)]
+    elif dim <= 3:
+        det, num = _cramer(t.dvvL, t.rhs)
+        d = emit(det)
+        body.append(f"if _any({d}.real == 0.0): _singular({d})")
+        outs = [emit(e / det) for e in num]
+    else:
+        H = ", ".join(f"({''.join(emit(e) + ', ' for e in row)})" for row in t.dvvL)
+        r = "".join(emit(e) + ", " for e in t.rhs)
+        outs = [f"_a{i}" for i in range(dim)]
+        body.append(f"{', '.join(outs)}, = _solve(({H}), ({r}))")
+    order = _ORDER[entry]
+    head = [f"def kernel(c, {'y, ' if lifted else ''}v):",
+            f"    {', '.join(_layout(dim, oneform, order + lifted))}, = c",
+            f"    {', '.join(f'v{i}' for i in range(dim))}, = v"]
+    if lifted:
+        ys = [f"y{k}" for k in range(dim)]
+        head += [f"    {', '.join(ys)}, = y", f"    if {' or '.join(ys)}:"]
+        head += [f"        {c} = {c} + 1j * ({' + '.join(f'{y} * {_d(c, k)}' for k, y in enumerate(ys))})"
+                 for c in _layout(dim, oneform, order) if c in emit.params]
+    return "\n".join(head + [f"    {line}" for line in body]
+                     + [f"    return ({''.join(o + ', ' for o in outs)})"])
+
+
+def _not_convex(what, val):
+    raise ConvexityViolation(
+        f"{what} non-positive ({float(np.min(np.real(val)))!r}) at an evaluation point")
+
+
+def _singular(det):
+    raise SingularVerticalHessian("vertical Hessian singular at an evaluation point")
+
+
+def _solve(H, r):
+    """H^-1 r for one state (floats) or a stack (arrays over the last axis)."""
+    H, r = np.moveaxis(np.array(H), (0, 1), (-2, -1)), np.moveaxis(np.array(r), 0, -1)
+    try:
+        return np.moveaxis(np.linalg.solve(H, r[..., None])[..., 0], -1, 0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularVerticalHessian(str(exc)) from None
+
+
+# one source, compiled over floats, complex numbers or numpy arrays
+_NAMESPACES = {
+    "real": {"_sqrt": math.sqrt, "_pow": math.pow, "_any": bool},
+    "lifted": {"_sqrt": cmath.sqrt, "_pow": operator.pow, "_any": bool},
+    "stack": {"_sqrt": np.sqrt, "_pow": np.power, "_any": np.any},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(dim, oneform, entry, mode):
+    """The compiled kernel entry; mode is "real" (one real state),
+    "lifted" (one complex state) or "stack" (real states as array rows)."""
+    src = _kernel_source(dim, oneform, entry, mode == "lifted")
+    ns = dict(_NAMESPACES[mode], _not_convex=_not_convex, _singular=_singular,
+              _solve=_solve)
+    exec(compile(src, f"<fbt.metric kernel {entry}>", "exec"), ns)
+    return ns["kernel"]
 
 
 class MetricField:
@@ -306,139 +494,76 @@ class MetricField:
         if speed < self.v_min:
             raise ZeroVelocity(f"|v| = {speed:.3e} below floor {self.v_min:.3e}")
 
-    def _sqrt_q(self, q):
-        if _any(np.real(q) <= 0.0):
-            raise ConvexityViolation(
-                f"quadratic part non-positive ({float(np.min(np.real(q)))!r}) at an "
-                "evaluation point"
-            )
-        return np.sqrt(q)
-
-    def _values(self, x, v, order=0, validate=False):
-        """Terms of L and F at (x, v), and the component derivatives up to
-        order."""
-        # as float arrays, or complex ones for a complex step
-        x, v = np.asarray(x) + 0.0, np.asarray(v) + 0.0
+    def _eval(self, entry, x, v, validate=False):
+        """The kernel entry's flat outputs at a state or a stack of states:
+        shape lead + (K,) for x, v of shape lead + (n,)."""
+        x, v = np.asarray(x), np.asarray(v)
         if validate:
             self._check(x, v)
-        t = _Terms()
-        t.v = v
-        t.hx, t.bx, *derivs = _jet(self._c, x, order)
-        t.u = _mv(t.hx, v)
-        t.q = _dot(v, t.u)
-        if t.bx is not None:
-            t.s = self._sqrt_q(t.q)
-            t.F = t.s + _dot(t.bx, v)
-        return t, derivs
+        if x.shape != v.shape:
+            x, v = np.broadcast_arrays(x, v)
+        n, order, comps = self.dim, _ORDER[entry], self._c
+        if x.dtype.kind == "c" or v.dtype.kind == "c":
+            if order == 2:
+                raise TypeError(f"{entry} takes real states only")
+            kernel = _kernel(n, comps.oneform, entry, "lifted")
+            jet = comps.bundle(order + 1)
+            rows, prev, z = [], None, x.reshape(-1, n)
+            for a, y, u in zip(z.real.tolist(), z.imag.tolist(), v.reshape(-1, n).tolist()):
+                if a != prev:  # one real jet per run of rows sharing a real part
+                    c, prev = jet(a), a
+                rows.append(kernel(c, y, u))
+            out = np.array(rows, complex)
+        elif x.ndim == 1:
+            return np.array(_kernel(n, comps.oneform, entry, "real")(
+                comps.bundle(order)(x.tolist()), v.tolist()))
+        else:
+            c = comps.rows(x.reshape(-1, n).tolist(), order)
+            out = np.array(_kernel(n, comps.oneform, entry, "stack")(
+                np.ascontiguousarray(c.T), np.ascontiguousarray(v.reshape(-1, n).T))).T
+        return out.reshape(x.shape[:-1] + out.shape[-1:])
 
-    def _terms(self, x, v, order=0, validate=False):
-        """All template terms at (x, v) up to the given derivative order."""
-        t, derivs = self._values(x, v, order, validate)
-        v = t.v
-        randers = t.bx is not None
-        if randers:
-            t.p = t.u / _col(t.s) + t.bx
-        if order >= 1:
-            vk = v[..., None, :]
-            dh, t.dbeta = derivs[:2]
-            t.uk = _mv(dh, vk)
-            t.qk = _mv(t.uk, v)
-            if randers:
-                t.sk = t.qk / _col(2.0 * t.s)
-                t.fx = t.sk + _mv(t.dbeta, v)
-        if order >= 2:
-            d2h, d2beta = derivs[2:]
-            t.qkl = _mv(_mv(d2h, v[..., None, None, :]), vk)
-            if randers:
-                t.bkl = _mv(d2beta, vk)
-        return t
-
-    # -- formulas over the shared terms ----------------------------------------
-    #
-    # Without a one-form L = q.  With one, L = F^2 for F = s + beta.v, so
-    # every derivative follows by the chain rule from dF/dv = p, dF/dx = fx
-    # and the second derivatives of s = sqrt(q) and beta.v.
-
-    @staticmethod
-    def _dvL(t):
-        if t.bx is None:
-            return 2.0 * t.u
-        return _col(2.0 * t.F) * t.p
-
-    @staticmethod
-    def _dvvL(t):
-        if t.bx is None:
-            return 2.0 * t.hx
-        return (2.0 * _outer(t.p, t.p) + _mat(2.0 * t.F / t.s) * t.hx
-                - _mat(2.0 * t.F / t.s**3) * _outer(t.u, t.u))
-
-    @staticmethod
-    def _dxL(t):
-        if t.bx is None:
-            return t.qk
-        return _col(2.0 * t.F) * t.fx
-
-    @staticmethod
-    def _dxvL(t):
-        if t.bx is None:
-            return 2.0 * t.uk
-        dxp = t.uk / _mat(t.s) - _outer(t.sk, t.u) / _mat(t.q) + t.dbeta
-        return 2.0 * _outer(t.fx, t.p) + _mat(2.0 * t.F) * dxp
-
-    @staticmethod
-    def _dxxL(t):
-        if t.bx is None:
-            return t.qkl
-        skl = t.qkl / _mat(2.0 * t.s) - _outer(t.qk, t.qk) / _mat(4.0 * t.s**3)
-        return 2.0 * _outer(t.fx, t.fx) + _mat(2.0 * t.F) * (skl + t.bkl)
+    def _matrices(self, entry, x, v, validate=False):
+        out = self._eval(entry, x, v, validate)
+        return out.reshape(out.shape[:-1] + (-1, self.dim, self.dim))
 
     # -- public evaluators ----------------------------------------------------
 
     def L(self, x, v, validate=False):
-        t, _ = self._values(x, v, 0, validate)
-        return t.q if t.bx is None else t.F**2
+        return self._eval("L", x, v, validate)[..., 0]
 
     def F(self, x, v, validate=False):
         """F(x, v); for the quadratic pseudo-kind this is the Lagrangian value."""
-        t, _ = self._values(x, v, 0, validate)
-        if self.pseudo:
-            return t.q
-        val = self._sqrt_q(t.q) if t.bx is None else t.F
-        if _any(np.real(val) <= 0.0):
-            raise ConvexityViolation(
-                f"F = {float(np.min(np.real(val)))!r} not positive; metric degenerate here"
-            )
-        return val
+        return self._eval("q" if self.pseudo else "F", x, v, validate)[..., 0]
 
     def F_state(self, s, validate=True):
         return self.F(s.x, s.v, validate=validate)
 
     def dvL(self, x, v):
-        return self._dvL(self._terms(x, v))
+        return self._eval("dvL", x, v)
 
     def dvvL(self, x, v):
-        return self._dvvL(self._terms(x, v))
+        return self._matrices("dvvL", x, v)[..., 0, :, :]
 
     def dxL(self, x, v):
-        return self._dxL(self._terms(x, v, 1))
+        return self._eval("dxL", x, v)
 
     def dxvL(self, x, v):
         """Mixed Hessian, dxvL[..., k, j] = d^2 L / dx_k dv_j."""
-        return self._dxvL(self._terms(x, v, 1))
+        return self._matrices("dxvL", x, v)[..., 0, :, :]
 
     def dxxL(self, x, v):
-        return self._dxxL(self._terms(x, v, 2))
+        return self._matrices("dxxL", x, v)[..., 0, :, :]
 
     def second_derivatives(self, x, v):
-        """(dxxL, dxvL, dvvL) with shared component evaluations (hot path for
-        quadrature assembly)."""
-        t = self._terms(x, v, 2)
-        return self._dxxL(t), self._dxvL(t), self._dvvL(t)
+        """(dxxL, dxvL, dvvL) from one kernel call (hot path for quadrature
+        assembly)."""
+        out = self._matrices("second_derivatives", x, v)
+        return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
 
     def fundamental_tensor(self, x, v, validate=False):
-        """Vertical Hessian of L/2 at (x, v), symmetrized."""
-        g = 0.5 * self._dvvL(self._terms(x, v, 0, validate))
-        g = 0.5 * (g + g.T)
+        """Vertical Hessian of L/2 at (x, v)."""
+        g = 0.5 * self._matrices("dvvL", x, v, validate)[..., 0, :, :]
         if not self.pseudo:
             w = np.linalg.eigvalsh(g)
             tol_pd = 1e-10 * np.trace(g) / self.dim
@@ -451,12 +576,7 @@ class MetricField:
 
     def spray(self, x, v, validate=False):
         """Acceleration solving dvvL . a = dxL - dvxL . v (Euler-Lagrange)."""
-        t = self._terms(x, v, 1, validate)
-        rhs = self._dxL(t) - (t.v[..., None, :] @ self._dxvL(t))[..., 0, :]
-        try:
-            return np.linalg.solve(self._dvvL(t), rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularVerticalHessian(str(exc)) from None
+        return self._eval("spray", x, v, validate)
 
     # -- invariant sweep -------------------------------------------------------
 
@@ -646,7 +766,10 @@ def randers_expr(dim, h, beta, params=None, *, bound_check_samples=128, **kw):
 
 def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,
                    d2beta=None, pseudo=False, randers_check=True, **kw):
-    """Build a MetricField from component callables (library entry point)."""
+    """Build a MetricField from component callables (library entry point).
+
+    h(x) must return a symmetric matrix (and dh, d2h symmetric in their
+    last two axes): the kernel reads the upper triangle."""
     comps = _Components(dim, h=h, beta=beta, dh=dh, d2h=d2h,
                         dbeta=dbeta, d2beta=d2beta)
     m = MetricField(dim, kind, comps, pseudo=pseudo, **kw)

@@ -350,3 +350,153 @@ def c1_distance_loop(path_a, path_b, n_samples=40):
         xb, vb = path_b.state(t)
         worst = max(worst, float(np.linalg.norm(xa - xb) + np.linalg.norm(va - vb)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Template evaluators from hand-written broadcasting formulas
+#
+# The reference for the generated Lagrangian kernel of fbt.metric: the
+# closed forms of L = (sqrt(q) + beta.v)^2 (or L = q without a one-form) and
+# of its derivatives, written over numpy arrays as they stood before the
+# kernel, with np.linalg.solve for the spray.  The components come from the
+# metric's own bundle or callables (m._c.stack) one state at a time; a
+# complex state x = a + i*b takes the jet one order higher at a, lifted as
+# D^r(a) + i * b.D^(r+1)(a).
+
+
+def _mv(A, v):
+    """A (P + (m, n)) applied to v (P + (n,)): P + (m,)."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _dot(a, b):
+    """a . b over the last axis: shape P (a numpy scalar for one state)."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0][()]
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _col(c):
+    """A value per state (shape P) as P + (1,), to scale vectors."""
+    return c[..., None]
+
+
+def _mat(c):
+    """A value per state (shape P) as P + (1, 1), to scale matrices."""
+    return c[..., None, None]
+
+
+class _Terms:
+    """Template terms at a state: v, hx, bx, u = h v and q = v.u; with a
+    one-form also s = sqrt(q), F = s + beta.v and p = dF/dv = u/s + beta.
+    From order 1 dbeta, uk = dh v and qk = v.dh.v, with a one-form
+    sk = ds/dx = qk/(2s) and fx = dF/dx = sk + dbeta v; at order 2
+    qkl = v.d2h.v and bkl = d2beta v."""
+
+    __slots__ = ("v", "hx", "bx", "u", "q", "s", "F", "p", "dbeta", "uk", "qk",
+                 "sk", "fx", "qkl", "bkl")
+
+
+def _lifted_stack(m, x, order):
+    if not np.iscomplexobj(x):
+        return m._c.stack(x, order)
+    jet = m._c.stack(x.real, order + 1)
+    return [None if val is None else val + 1j * np.tensordot(x.imag, der, axes=1)
+            for val, der in zip(jet[:2 * order + 2], jet[2:])]
+
+
+def _template_terms(m, x, v, order):
+    t = _Terms()
+    t.v = v
+    t.hx, t.bx, *derivs = _lifted_stack(m, x, order)
+    t.u = _mv(t.hx, v)
+    t.q = _dot(v, t.u)
+    randers = t.bx is not None
+    if randers:
+        t.s = np.sqrt(t.q)
+        t.F = t.s + _dot(t.bx, v)
+        t.p = t.u / _col(t.s) + t.bx
+    if order >= 1:
+        vk = v[..., None, :]
+        dh, t.dbeta = derivs[:2]
+        t.uk = _mv(dh, vk)
+        t.qk = _mv(t.uk, v)
+        if randers:
+            t.sk = t.qk / _col(2.0 * t.s)
+            t.fx = t.sk + _mv(t.dbeta, v)
+    if order >= 2:
+        d2h, d2beta = derivs[2:]
+        t.qkl = _mv(_mv(d2h, v[..., None, None, :]), vk)
+        if randers:
+            t.bkl = _mv(d2beta, vk)
+    return t
+
+
+def _tdvL(t):
+    if t.bx is None:
+        return 2.0 * t.u
+    return _col(2.0 * t.F) * t.p
+
+
+def _tdvvL(t):
+    if t.bx is None:
+        return 2.0 * t.hx
+    return (2.0 * _outer(t.p, t.p) + _mat(2.0 * t.F / t.s) * t.hx
+            - _mat(2.0 * t.F / t.s**3) * _outer(t.u, t.u))
+
+
+def _tdxL(t):
+    if t.bx is None:
+        return t.qk
+    return _col(2.0 * t.F) * t.fx
+
+
+def _tdxvL(t):
+    if t.bx is None:
+        return 2.0 * t.uk
+    dxp = t.uk / _mat(t.s) - _outer(t.sk, t.u) / _mat(t.q) + t.dbeta
+    return 2.0 * _outer(t.fx, t.p) + _mat(2.0 * t.F) * dxp
+
+
+def _tdxxL(t):
+    if t.bx is None:
+        return t.qkl
+    skl = t.qkl / _mat(2.0 * t.s) - _outer(t.qk, t.qk) / _mat(4.0 * t.s**3)
+    return 2.0 * _outer(t.fx, t.fx) + _mat(2.0 * t.F) * (skl + t.bkl)
+
+
+def _tspray(t):
+    rhs = _tdxL(t) - (t.v[..., None, :] @ _tdxvL(t))[..., 0, :]
+    return np.linalg.solve(_tdvvL(t), rhs[..., None])[..., 0]
+
+
+_TEMPLATE = {
+    "F": (0, lambda t, pseudo: t.q if pseudo else np.sqrt(t.q) if t.bx is None else t.F),
+    "L": (0, lambda t, pseudo: t.q if t.bx is None else t.F**2),
+    "dvL": (0, lambda t, pseudo: _tdvL(t)),
+    "dvvL": (0, lambda t, pseudo: _tdvvL(t)),
+    "dxL": (1, lambda t, pseudo: _tdxL(t)),
+    "dxvL": (1, lambda t, pseudo: _tdxvL(t)),
+    "dxxL": (2, lambda t, pseudo: _tdxxL(t)),
+    "spray": (1, lambda t, pseudo: _tspray(t)),
+    "second_derivatives": (2, lambda t, pseudo: np.stack([_tdxxL(t), _tdxvL(t),
+                                                          _tdvvL(t)])),
+}
+
+
+def template_evaluators(m):
+    """name -> f(x, v) for F, L, spray, second_derivatives (stacked as
+    (..., 3, n, n)) and the dvL, dvvL, dxL, dxvL, dxxL pieces, at one state
+    (n,) or a stack (N, n), evaluated one state at a time."""
+    def make(order, formula):
+        def f(x, v):
+            x, v = np.asarray(x) + 0.0, np.asarray(v) + 0.0
+            rows = [formula(_template_terms(m, xi, vi, order), m.pseudo)
+                    for xi, vi in zip(x.reshape(-1, m.dim), v.reshape(-1, m.dim))]
+            out = np.array(rows)
+            return out.reshape(x.shape[:-1] + out.shape[1:])
+        return f
+
+    return {name: make(*spec) for name, spec in _TEMPLATE.items()}

@@ -295,3 +295,13 @@ def test_import_does_not_load_sympy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src_dir})
     assert out.stdout.strip() == "False"
+
+
+def test_diff_chains_through_names():
+    # a and b stand for functions of t with derivatives 2*t and cos(t)
+    e = expr.parse("a*b + sqrt(a)")
+    d = expr._diff(e, "t", {}, {"a": expr.parse("2*t"), "b": expr.parse("cos(t)")})
+    a, b, t = 1.7, 0.4, 0.3
+    want = 2 * t * b + a * math.cos(t) + 2 * t / (2 * math.sqrt(a))
+    assert ev(expr.to_source(d), params={"a": a, "b": b, "t": t}) == pytest.approx(want, rel=1e-15)
+    assert expr.diff(e, "t") == expr.ZERO

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import fbt
-from fbt.metric import ConvexityViolation, OutsideChart, RandersBoundError, ZeroVelocity
+from fbt.expr import DomainError
+from fbt.metric import (COMPLEX_STEP, ConvexityViolation, OutsideChart,
+                        RandersBoundError, SingularVerticalHessian, ZeroVelocity)
 
-from _oracles import great_circle_chart, sphere_stereo_closed
+from _oracles import great_circle_chart, sphere_stereo_closed, template_evaluators
 
 
 def fd_hessian_half_L(m, x, v, h=1e-4):
@@ -281,3 +287,122 @@ class TestSphereExpressionBuild:
             pairs += zip(m.second_derivatives(x, v), ref.second_derivatives(x, v))
             for a, b in pairs:
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def _kernel_catalog():
+    """_stack_catalog, a 4-D metric (the spray's np.linalg.solve path) and a
+    3-D indefinite quadratic kind."""
+    g4 = [["1+0.1*x2^2", "0.05*x1", "0", "0"], ["0.05*x1", "1", "0", "0.1*x3"],
+          ["0", "0", "exp(-x1^2)", "0"], ["0", "0.1*x3", "0", "2+sin(x4)"]]
+    return _stack_catalog() + [
+        fbt.riemannian_expr(4, g4),
+        fbt.quadratic_expr(3, [["1", "0", "0"], ["0", "-1", "0.1*x1"],
+                               ["0", "0.1*x1", "1+x3^2"]]),
+    ]
+
+
+EVALUATORS = ("F", "L", "spray", "second_derivatives", "dvL", "dvvL", "dxL",
+              "dxvL", "dxxL")
+
+
+class TestGeneratedKernel:
+    """Every evaluator of the generated kernel against the hand-written
+    broadcasting formulas of _oracles.template_evaluators."""
+
+    @staticmethod
+    def _states(m):
+        rng = np.random.default_rng(11)
+        n, h = m.dim, COMPLEX_STEP
+        X = 0.4 * rng.uniform(-1.0, 1.0, size=(5, n))
+        V = rng.normal(size=(5, n))
+        step = lambda: 1j * h * rng.normal(size=(5, n))
+        return {
+            "one real state": (X[0], V[0]),
+            "real stack": (X, V),
+            "complex rows sharing a real part": (X[0] + step(), V + step()),
+            "complex rows with their own real parts": (X + step(), V + step()),
+        }
+
+    @pytest.mark.parametrize("m", _kernel_catalog(), ids=lambda m: f"{m.kind}-{m.dim}")
+    def test_matches_template_oracle(self, m):
+        oracle = template_evaluators(m)
+        for case, (x, v) in self._states(m).items():
+            for name in EVALUATORS:
+                if np.iscomplexobj(x) and name in ("dxxL", "second_derivatives"):
+                    continue  # real states only
+                got = getattr(m, name)(x, v)
+                if name == "second_derivatives":
+                    got = np.stack(got, axis=-3)
+                want = oracle[name](x, v)
+                assert got.shape == want.shape, (case, name)
+                for part in (np.real, np.imag):
+                    err = np.max(np.abs(part(got) - part(want)))
+                    assert err <= 1e-13 * np.max(np.abs(part(want))), (
+                        case, name, part.__name__, err)
+
+    def test_complex_second_derivatives_rejected(self, randers_const):
+        with pytest.raises(TypeError):
+            randers_const.second_derivatives([0.0, 1e-30j], [1.0, 0.0])
+
+    def test_import_generates_nothing(self):
+        code = ("import sys, fbt; from fbt import metric; "
+                "assert 'sympy' not in sys.modules; "
+                "assert metric._kernel.cache_info().currsize == 0; "
+                "assert metric._template.cache_info().currsize == 0")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert out.returncode == 0, out.stderr
+
+
+def _frame_stack(x, v):
+    """The 2n complex states of a Jacobi-frame linearization at (x, v)."""
+    n = len(x)
+    dz = 1j * COMPLEX_STEP * np.eye(n)
+    zero = np.zeros((n, n))
+    return (np.asarray(x, float) + np.concatenate([dz, zero]),
+            np.asarray(v, float) + np.concatenate([zero, dz]))
+
+
+class TestKernelErrors:
+    """The checks of the generated kernel raise the library's errors on
+    one real state and on complex-step stacks."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_singular_vertical_hessian(self, dim):
+        # h degenerate at x1 = 0: Cramer's rule in 2-D, np.linalg.solve in 4-D
+        g = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+        g[-1][-1] = "x1^2"
+        m = fbt.riemannian_expr(dim, g)
+        x = np.full(dim, 0.3)
+        x[0] = 0.0
+        v = np.linspace(1.0, 0.5, dim)
+        for args in [(x, v), _frame_stack(x, v)]:
+            with pytest.raises(SingularVerticalHessian):
+                m.spray(*args)
+
+    def test_convexity_under_complex_step(self):
+        eye = np.eye(2)
+        strong = fbt.from_callables(2, "strong_wind", lambda x: eye,
+                                    beta=lambda x: np.array([2.0, 0.0]),
+                                    randers_check=False)
+        indefinite = fbt.from_callables(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
+                                        beta=lambda x: np.array([0.1, 0.0]),
+                                        randers_check=False)
+        # F = |v| + beta.v = -1 along -e1, q = v.h.v = -1 along e2
+        for m, name, v in [(strong, "F", [-1.0, 0.0]),
+                           (indefinite, "spray", [0.0, 1.0]),
+                           (indefinite, "F", [0.0, 1.0])]:
+            with pytest.raises(ConvexityViolation):
+                getattr(m, name)(*_frame_stack([0.2, 0.1], v))
+
+    def test_domain_error_propagates(self):
+        m = fbt.riemannian_expr(2, [["1", "0"], ["0", "2+log(x1)"]])
+        x, v = np.array([-1.0, 0.0]), np.array([1.0, 0.5])
+        cases = [(x, v), (np.stack([x + 2.0, x]), np.stack([v, v])), _frame_stack(x, v)]
+        for args in cases:
+            for name in ("F", "spray"):
+                with pytest.raises(DomainError):
+                    getattr(m, name)(*args)
+        with pytest.raises(DomainError):
+            m.second_derivatives(*cases[1])

@@ -20,3 +20,26 @@ def test_sphere_conjugate_script():
     first = re.search(r"t = ([0-9.]+)\s+multiplicity", out.stdout)
     assert first is not None, out.stdout
     assert abs(float(first.group(1)) - np.pi) < 1e-8
+
+
+def test_spray_timing_script():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "spray_timing.py"),
+         "--repeat", "1", "--number", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    header, *lines = out.stdout.splitlines()
+    assert header.split()[3:] == ["real1", "cs_n", "cs_2n", "stack192"]
+    rows = {tuple(line.split()[:3]): line.split()[3:] for line in lines}
+    kinds = ("euclidean", "sphere_stereo", "riemannian_expr", "randers",
+             "quadratic_expr", "zermelo", "fermat", "from_callables")
+    for kind in kinds:
+        for dim in ("2", "3"):
+            spray = rows[kind, dim, "spray"]
+            second = rows[kind, dim, "second_derivatives"]
+            assert all(float(c) > 0.0 for c in spray), (kind, dim, spray)
+            assert second[1:3] == ["-", "-"] and float(second[0]) > 0.0
+            assert float(second[3]) > 0.0
+    assert len(rows) == 2 * 2 * len(kinds)
