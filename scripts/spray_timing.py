@@ -1,4 +1,5 @@
-"""Microseconds per call of MetricField.spray and second_derivatives.
+"""Microseconds per call of MetricField.spray and second_derivatives, and
+of the two complex-step callers built on MetricField.complex_step.
 
 For each catalog kind in 2-D and 3-D this prints the minimum over repeats
 of the mean time per call on
@@ -9,6 +10,10 @@ of the mean time per call on
 * a real stack of 3*64 states (the Gauss points of a 64-element mesh).
 
 second_derivatives takes real states only, so its complex columns read "-".
+Two more rows per kind time whole callers: shoot_rhs, the right-hand side of
+endpoint_jacobian on the flat state of the n shooting copies (column cs_n),
+and spray_jacobians, the frame's spray linearization at one real state
+(column real1); their other columns read "-".
 
     PYTHONPATH=src python scripts/spray_timing.py [--repeat 5] [--number 200]
 """
@@ -20,6 +25,8 @@ import numpy as np
 
 import fbt
 import fbt.nav as nav
+from fbt.geoflow import _copies_rhs
+from fbt.jacobi import spray_jacobians
 from fbt.metric import COMPLEX_STEP
 
 COLUMNS = ("real1", "cs_n", "cs_2n", "stack192")
@@ -91,6 +98,14 @@ def states(dim, seed=0):
     return {"real1": (x, v), "cs_n": shoot, "cs_2n": frame, "stack192": stack}
 
 
+def callers(m, shapes):
+    """The complex-step callers timed per kind: (row name, column, fn, args)."""
+    xs, vs = shapes["cs_n"]
+    flat = np.concatenate([xs, vs], axis=1).ravel()
+    return [("shoot_rhs", "cs_n", _copies_rhs(m), (0.0, flat)),
+            ("spray_jacobians", "real1", spray_jacobians, (m, *shapes["real1"]))]
+
+
 def per_call_us(fn, args, repeat, number):
     best = np.inf
     for _ in range(repeat):
@@ -120,6 +135,11 @@ def main(argv=None):
                         continue
                     us = per_call_us(fn, shapes[col], args.repeat, args.number)
                     cells.append(f"{us:.1f}")
+                print(f"{kind:16s} {dim:3d} {name:18s}"
+                      + "".join(f" {c:>9s}" for c in cells), flush=True)
+            for name, col, fn, fargs in callers(m, shapes):
+                us = per_call_us(fn, fargs, args.repeat, args.number)
+                cells = [f"{us:.1f}" if c == col else "-" for c in COLUMNS]
                 print(f"{kind:16s} {dim:3d} {name:18s}"
                       + "".join(f" {c:>9s}" for c in cells), flush=True)
 

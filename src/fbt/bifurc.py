@@ -49,8 +49,10 @@ DEFAULT_RHO_LADDER = (1e-3, 1e-2, 1e-1)
 DEFAULT_SEEDS_PER_RUNG = 16
 DISTINCT_TOL = 1e-6
 # the hunt's relaxed integrator tolerance; accepted solutions are re-validated
-# at find_branches' rtol/atol
-HUNT_RTOL = 1e-8
+# at find_branches' rtol/atol.  Under DOP853 a hunt at 1e-8 stalls on the
+# round sphere's continuum of antipodal solutions (criterion 5 keeps 4, none
+# near the reference velocity); at 1e-9 it keeps 8, 6 of them near it
+HUNT_RTOL = 1e-9
 HUNT_ATOL = 1e-9
 
 
@@ -437,11 +439,12 @@ def find_branches(f, mu, *, seed=0,
 
     Deflated multi-start Newton shooting at parameters mu + offset*delta;
     seeds perturb the trivial initial velocity along the kernel direction of
-    the shooting Jacobian with seeded jitter.  The hunt runs at a relaxed
-    integrator tolerance; each Newton iterate integrates the flow once and
-    reads the shooting Jacobian (the kernel direction's included) from its
-    complex-step copies, not from a Jacobi frame.  Every accepted solution
-    is polished and re-validated at the tight tolerance.
+    the shooting Jacobian with seeded jitter.  The hunt runs at the relaxed
+    integrator tolerance HUNT_RTOL = 1e-9 / HUNT_ATOL = 1e-9; each Newton
+    iterate integrates the flow once and reads the shooting Jacobian (the
+    kernel direction's included) from its complex-step copies, not from a
+    Jacobi frame.  Every accepted solution is polished and re-validated at
+    the tight tolerance.
     An empty list is a valid outcome.  max_found caps the solutions kept per
     probed parameter (a continuum of solutions would otherwise absorb every
     seed).

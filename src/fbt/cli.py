@@ -63,7 +63,7 @@ SOLVER_DEFAULTS = {
     "max_found": 12,
     "grid_oracle": False,
     "check_lorentz": True,
-    "method": "rk45",
+    "method": "dop853",
 }
 
 OUTPUT_DEFAULTS = {"dir": ".", "formats": ["csv", "json"]}

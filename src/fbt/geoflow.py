@@ -1,11 +1,12 @@
 """Geodesic integration, the exponential map, and shooting solvers.
 
-Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) with
-an embedded Runge-Kutta 5(4) pair and dense output; a fixed-step RK4 mode is
-available for bit-reproducibility experiments.  Two-point problems are solved
-by one damped, optionally deflated Newton loop; each iterate integrates the
-flow once, over complex-step copies that carry the shooting Jacobian along
-with the endpoint.
+Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) by
+the 8th-order Dormand-Prince pair (DOP853), with dense output where a path
+is kept; a fixed-step RK4 mode is available for bit-reproducibility
+experiments.  Two-point problems are solved by one damped, optionally
+deflated Newton loop; each iterate integrates the flow once, over
+complex-step copies that carry the shooting Jacobian along with the
+endpoint.
 """
 
 from __future__ import annotations
@@ -187,8 +188,39 @@ class GeodesicPath:
         return float(np.max(self.el_residual(ts)))
 
 
+def _geodesic_rhs(m):
+    """(x, v)' = (v, spray(x, v)) on the flat real state."""
+    n = m.dim
+
+    def rhs(t, y):
+        return np.concatenate([y[n:], m.spray(y[:n], y[n:])])
+
+    return rhs
+
+
+def _copies_rhs(m):
+    """The right-hand side of n complex-step copies (x_j, v_j) of the flow,
+    flat and copy after copy.  The copies' real parts may differ by O(h^2)
+    terms that the complex step neglects; every copy is taken at the first
+    copy's real part, so the metric evaluates one real jet."""
+    n = m.dim
+    starts = range(0, 2 * n * n, 2 * n)
+
+    def rhs(t, y):
+        z = y.tolist()
+        a, u0 = [w.real for w in z[:n]], [w.real for w in z[n:2 * n]]
+        us = [[complex(r, w.imag) for r, w in zip(u0, z[k + n:k + 2 * n])]
+              for k in starts]
+        rows = zip(([w.imag for w in z[k:k + n]] for k in starts), us)
+        out = np.empty((n, 2 * n), complex)
+        out[:, :n], out[:, n:] = us, m.complex_step("spray", a, rows)
+        return out.ravel()
+
+    return rhs
+
+
 def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
-    """solve_ivp by RK45, stopped where the real part of y's first state
+    """solve_ivp by DOP853, stopped where the real part of y's first state
     leaves the chart box or its speed reaches the floor; raises then and on
     failure."""
     n, lo, hi = m.dim, m.chart_box[:, 0], m.chart_box[:, 1]
@@ -201,7 +233,7 @@ def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
         return float(np.linalg.norm(y[n:2 * n].real) - m.v_min)
 
     chart.terminal = speed.terminal = True
-    res = solve_ivp(rhs, (0.0, tau), y0, method="RK45", rtol=rtol, atol=atol,
+    res = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=rtol, atol=atol,
                     events=[chart, speed], **kw)
     if res.status == 1:
         if len(res.t_events[0]):
@@ -213,19 +245,20 @@ def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
 
 
 def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                       method="rk45", n_steps=None, max_step=np.inf):
-    """Integrate the geodesic with initial PhaseState s0 over [0, tau]."""
+                       method="dop853", n_steps=None, max_step=np.inf):
+    """Integrate the geodesic with initial PhaseState s0 over [0, tau] by
+    method "dop853" (adaptive) or "rk4" (n_steps fixed steps)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    if method not in ("dop853", "rk4"):
+        raise ValueError(f"unknown method {method!r}; expected 'dop853' or 'rk4'")
     if not isinstance(s0, PhaseState):
         s0 = PhaseState(*s0)
     m._check(s0.x, s0.v)
     n = m.dim
     F0 = m.F(s0.x, s0.v) if not m.pseudo else abs(m.F(s0.x, s0.v))
 
-    def rhs(t, y):
-        return np.concatenate([y[n:], m.spray(y[:n], y[n:])])
-
+    rhs = _geodesic_rhs(m)
     y0 = np.concatenate([s0.x, s0.v])
 
     if method == "rk4":
@@ -259,9 +292,16 @@ def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, res.t, ys, res.sol, F0)
 
 
-def exp_map(m, p, v, tau=1.0, **kw):
-    """x(tau) on the geodesic from (p, v); at tau = 1 this is exp_p(v)."""
-    return integrate_geodesic(m, PhaseState(p, v), tau, **kw).endpoint
+def exp_map(m, p, v, tau=1.0, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """x(tau) on the geodesic from (p, v); at tau = 1 this is exp_p(v).  The
+    steps are integrate_geodesic's, without its dense output."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    m._check(p, v)
+    res = _solve(m, _geodesic_rhs(m), tau, np.concatenate([p, v]), rtol=rtol, atol=atol)
+    return res.y[:m.dim, -1]
 
 
 def endpoint_jacobian(m, p, v, tau, *, rtol, atol):
@@ -276,15 +316,7 @@ def endpoint_jacobian(m, p, v, tau, *, rtol, atol):
     n = m.dim
     y0 = np.concatenate([np.broadcast_to(p, (n, n)),
                          v + 1j * COMPLEX_STEP * np.eye(n)], axis=1)
-
-    def rhs(t, y):
-        # the copies' real parts may differ by O(h^2) terms that the complex
-        # step neglects; sharing one lets the metric evaluate one jet
-        y = y.reshape(n, 2 * n)
-        y = y[0].real + 1j * y.imag
-        return np.concatenate([y[:, n:], m.spray(y[:, :n], y[:, n:])], axis=1).ravel()
-
-    y = _solve(m, rhs, tau, y0.ravel(), rtol=rtol, atol=atol).y[:, -1]
+    y = _solve(m, _copies_rhs(m), tau, y0.ravel(), rtol=rtol, atol=atol).y[:, -1]
     x = y.reshape(n, 2 * n)[:, :n]
     return x[0].real, x.imag.T / COMPLEX_STEP
 

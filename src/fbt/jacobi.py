@@ -63,16 +63,21 @@ def spray_jacobians(m, x, v):
     """A = Dx spray and B = Dv spray at a state or a stack of states
     (..., n), by the complex step: column j of A is
     Im spray(x + i*h*e_j, v) / h and of B Im spray(x, v + i*h*e_j) / h, at
-    h = COMPLEX_STEP, from one spray call on the 2n complex states.
-    Nothing is subtracted, so there is no step to tune and no rounding
-    floor."""
+    h = COMPLEX_STEP, from one complex-step evaluation of the 2n states per
+    state.  Nothing is subtracted, so there is no step to tune and no
+    rounding floor."""
     n = m.dim
-    dz = 1j * COMPLEX_STEP * np.eye(n)
-    zero = np.zeros((n, n))
-    a = m.spray(np.asarray(x, dtype=float)[..., None, :] + np.concatenate([dz, zero]),
-                np.asarray(v, dtype=float)[..., None, :] + np.concatenate([zero, dz]))
-    a = np.swapaxes(a.imag, -1, -2) / COMPLEX_STEP
-    return a[..., :n], a[..., n:]
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    zero = [0.0] * n
+    steps = [zero[:j] + [COMPLEX_STEP] + zero[j + 1:] for j in range(n)]
+    out = []
+    for a, u in zip(x.reshape(-1, n).tolist(), v.reshape(-1, n).tolist()):
+        u = [complex(w) for w in u]
+        rows = [(y, u) for y in steps]
+        rows += [(zero, u[:j] + [u[j] + 1j * COMPLEX_STEP] + u[j + 1:]) for j in range(n)]
+        out.append(m.complex_step("spray", a, rows).imag.T)
+    jac = np.reshape(out, x.shape[:-1] + (n, 2 * n)) / COMPLEX_STEP
+    return jac[..., :n], jac[..., n:]
 
 
 @dataclass

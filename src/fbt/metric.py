@@ -504,16 +504,11 @@ class MetricField:
             x, v = np.broadcast_arrays(x, v)
         n, order, comps = self.dim, _ORDER[entry], self._c
         if x.dtype.kind == "c" or v.dtype.kind == "c":
-            if order == 2:
-                raise TypeError(f"{entry} takes real states only")
-            kernel = _kernel(n, comps.oneform, entry, "lifted")
-            jet = comps.bundle(order + 1)
-            rows, prev, z = [], None, x.reshape(-1, n)
-            for a, y, u in zip(z.real.tolist(), z.imag.tolist(), v.reshape(-1, n).tolist()):
-                if a != prev:  # one real jet per run of rows sharing a real part
-                    c, prev = jet(a), a
-                rows.append(kernel(c, y, u))
-            out = np.array(rows, complex)
+            z = x.reshape(-1, n)
+            rows = zip(z.real.tolist(), z.imag.tolist(), v.reshape(-1, n).tolist())
+            runs = [self.complex_step(entry, a, [(y, u) for _, y, u in run])
+                    for a, run in itertools.groupby(rows, operator.itemgetter(0))]
+            out = runs[0] if len(runs) == 1 else np.concatenate(runs)
         elif x.ndim == 1:
             return np.array(_kernel(n, comps.oneform, entry, "real")(
                 comps.bundle(order)(x.tolist()), v.tolist()))
@@ -522,6 +517,18 @@ class MetricField:
             out = np.array(_kernel(n, comps.oneform, entry, "stack")(
                 np.ascontiguousarray(c.T), np.ascontiguousarray(v.reshape(-1, n).T))).T
         return out.reshape(x.shape[:-1] + out.shape[-1:])
+
+    def complex_step(self, entry, a, rows):
+        """The entry's flat outputs at the complex-step states x = a + i*y,
+        v = u for (y, u) in rows, as one complex array (len(rows), K): one
+        real jet at the shared real point a, then the lifted kernel once
+        per row, all on Python lists (a and y of floats, u of floats or
+        complex numbers)."""
+        if _ORDER[entry] == 2:
+            raise TypeError(f"{entry} takes real states only")
+        kernel = _kernel(self.dim, self._c.oneform, entry, "lifted")
+        c = self._c.bundle(_ORDER[entry] + 1)(a)
+        return np.array([kernel(c, y, u) for y, u in rows], complex)
 
     def _matrices(self, entry, x, v, validate=False):
         out = self._eval(entry, x, v, validate)

@@ -255,6 +255,36 @@ def spray_jacobians_loop(m, x, v, step):
 
 
 # ---------------------------------------------------------------------------
+# Complex-step states by numpy broadcasting
+#
+# The complex-step spray linearization and the right-hand side of the
+# shooting copies written as array expressions over one m.spray call, the
+# formulas the list-level MetricField.complex_step callers replaced; the
+# callers must match them bit for bit.
+
+
+def spray_jacobians_broadcast(m, x, v):
+    """A = Dx spray, B = Dv spray at a state or a stack (..., n) from one
+    spray call on the broadcast states x + i*h*e_j and v + i*h*e_j."""
+    n, h = m.dim, fbt.metric.COMPLEX_STEP
+    dz = 1j * h * np.eye(n)
+    zero = np.zeros((n, n))
+    a = m.spray(np.asarray(x, dtype=float)[..., None, :] + np.concatenate([dz, zero]),
+                np.asarray(v, dtype=float)[..., None, :] + np.concatenate([zero, dz]))
+    a = np.swapaxes(a.imag, -1, -2) / h
+    return a[..., :n], a[..., n:]
+
+
+def shooting_rhs_broadcast(m, y):
+    """d/dt of the flat state of n complex-step copies (x_j, v_j), every
+    copy taken at the first copy's real part."""
+    n = m.dim
+    y = y.reshape(n, 2 * n)
+    y = y[0].real + 1j * y.imag
+    return np.concatenate([y[:, n:], m.spray(y[:, :n], y[:, n:])], axis=1).ravel()
+
+
+# ---------------------------------------------------------------------------
 # Jacobi frame by one joint flow
 #
 # The geodesic and its variational frame integrated together as one system

@@ -161,6 +161,17 @@ class TestCommands:
         assert cli.main(["sweep", "--config", cfg]) == 1
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["rk45", "euler"])
+    def test_unknown_method_exit_1(self, tmp_path, capsys, method):
+        # the adaptive integrator is DOP853; "rk45" no longer names what runs
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "euclidean", "dim": 2},
+            "problem": {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}},
+            "solver": {"method": method},
+        })
+        assert cli.main(["geodesic", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "/solver/method" in capsys.readouterr().err
+
     def test_branch_with_boundary_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "metric": {"kind": "euclidean", "dim": 2},

@@ -74,6 +74,11 @@ class TestIntegrate:
             back = integrate_geodesic(m, PhaseState(xe, -ve), 2.0)
             assert np.max(np.abs(back.endpoint - path.x0)) < 1e-7
 
+    @pytest.mark.parametrize("method", ["rk45", "euler"])
+    def test_unknown_method_rejected(self, sphere, method):
+        with pytest.raises(ValueError, match="method"):
+            integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 1.0, method=method)
+
     def test_rk4_mode_agrees(self, sphere):
         a = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 1.5)
         b = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 1.5,
@@ -84,7 +89,7 @@ class TestIntegrate:
 class TestSampledDiagnostics:
     """Path samples at an array of times equal the per-time samples."""
 
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    @pytest.mark.parametrize("method", ["dop853", "rk4"])
     def test_state_at_array_of_times(self, method):
         m = fbt.randers_expr(2, [["1", "0"], ["0", "1+0.1*x1^2"]], ["0.3*sin(x2)", "0"])
         path = integrate_geodesic(m, PhaseState([0.1, -0.2], [0.9, 0.3]), 2.0,
@@ -118,6 +123,18 @@ class TestExpMap:
     def test_sphere_equator_point(self, sphere):
         got = exp_map(sphere, [0, -1], [np.pi / 2, 0])
         assert np.max(np.abs(got - great_circle_chart(1.0, np.pi / 2))) < 1e-8
+
+    def test_endpoint_matches_integrate_geodesic(self):
+        # exp_map takes the same steps without dense output
+        from conftest import catalog_metrics
+
+        rng = np.random.default_rng(8)
+        for m, base, scale in catalog_metrics():
+            x = base + 0.1 * rng.normal(size=m.dim)
+            v = scale * rng.normal(size=m.dim)
+            for kw in ({}, {"rtol": 1e-8, "atol": 1e-9}):
+                want = integrate_geodesic(m, PhaseState(x, v), 1.3, **kw).endpoint
+                np.testing.assert_array_equal(exp_map(m, x, v, 1.3, **kw), want)
 
 
 class TestConnect:

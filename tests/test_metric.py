@@ -10,7 +10,11 @@ from fbt.expr import DomainError
 from fbt.metric import (COMPLEX_STEP, ConvexityViolation, OutsideChart,
                         RandersBoundError, SingularVerticalHessian, ZeroVelocity)
 
-from _oracles import great_circle_chart, sphere_stereo_closed, template_evaluators
+from fbt.geoflow import _copies_rhs
+from fbt.jacobi import spray_jacobians
+
+from _oracles import (great_circle_chart, shooting_rhs_broadcast, sphere_stereo_closed,
+                      spray_jacobians_broadcast, template_evaluators)
 
 
 def fd_hessian_half_L(m, x, v, h=1e-4):
@@ -406,3 +410,88 @@ class TestKernelErrors:
                     getattr(m, name)(*args)
         with pytest.raises(DomainError):
             m.second_derivatives(*cases[1])
+
+
+def _copies_state(x, v):
+    """The flat start state of endpoint_jacobian's n complex-step copies."""
+    n = len(x)
+    return np.concatenate([np.broadcast_to(np.asarray(x, float), (n, n)),
+                           np.asarray(v, float) + 1j * COMPLEX_STEP * np.eye(n)],
+                          axis=1).ravel()
+
+
+class TestComplexStep:
+    """The list-level callers of MetricField.complex_step (the shooting
+    right-hand side and spray_jacobians) equal the broadcast formulas of
+    _oracles bit for bit, and the kernel and jet errors reach them."""
+
+    @staticmethod
+    def _cases():
+        from conftest import catalog_metrics
+
+        eye = np.eye(2)
+        fd_only = fbt.from_callables(
+            2, "fd_sphere", lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * eye)
+        rng = np.random.default_rng(17)
+        for m, base, vscale in catalog_metrics() + [
+            (fbt.sphere_stereo(1.0, dim=3), np.zeros(3), 1.0),
+            (fd_only, np.array([0.3, -0.5]), 1.0),
+        ]:
+            x = base + 0.2 * rng.normal(size=m.dim)
+            v = vscale * rng.normal(size=m.dim)
+            yield m, x, v, rng
+
+    def test_shooting_rhs_matches_broadcast(self):
+        for m, x, v, rng in self._cases():
+            n = m.dim
+            # real parts that differ between copies by far more than the
+            # O(h^2) of a real run, so that taking any copy but the first at
+            # its own real part changes the result
+            real = np.concatenate([x + 1e-3 * rng.normal(size=(n, n)),
+                                   v + 1e-3 * rng.normal(size=(n, n))], axis=1)
+            y = (real + 1j * COMPLEX_STEP * rng.normal(size=(n, 2 * n))).ravel()
+            for state in (y, _copies_state(x, v)):
+                np.testing.assert_array_equal(_copies_rhs(m)(0.0, state),
+                                              shooting_rhs_broadcast(m, state))
+
+    def test_spray_jacobians_match_broadcast(self):
+        for m, x, v, rng in self._cases():
+            X = x + 0.05 * rng.normal(size=(2, 3, m.dim))
+            V = v + 0.05 * rng.normal(size=(2, 3, m.dim))
+            for args in ((x, v), (X[0], V[0]), (X, V)):
+                got, want = spray_jacobians(m, *args), spray_jacobians_broadcast(m, *args)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape == args[0].shape + (m.dim,)
+                    np.testing.assert_array_equal(g, w)
+
+    def test_errors_propagate(self):
+        eye = np.eye(2)
+        strong = fbt.from_callables(2, "strong_wind", lambda x: eye,
+                                    beta=lambda x: np.array([2.0, 0.0]),
+                                    randers_check=False)
+        indefinite = fbt.from_callables(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
+                                        beta=lambda x: np.array([0.1, 0.0]),
+                                        randers_check=False)
+        singular = fbt.riemannian_expr(2, [["1", "0"], ["0", "x1^2"]])
+        logarithm = fbt.riemannian_expr(2, [["1", "0"], ["0", "2+log(x1)"]])
+        step = [([1e-30, 0.0], [0.0, 1.0]), ([0.0, 0.0], [0.0, 1.0 + 1e-30j])]
+        # F = |v| + beta.v = -1 along -e1
+        with pytest.raises(ConvexityViolation):
+            strong.complex_step("F", [0.2, 0.1], [([1e-30, 0.0], [-1.0, 0.0])])
+        # q = v.h.v = -1 along e2, under F and under the spray
+        with pytest.raises(ConvexityViolation):
+            indefinite.complex_step("F", [0.2, 0.1], step)
+        cases = [(indefinite, [0.2, 0.1], ConvexityViolation),
+                 (singular, [0.0, 0.3], SingularVerticalHessian),
+                 (logarithm, [-1.0, 0.0], DomainError)]
+        for m, x, err in cases:
+            with pytest.raises(err):
+                m.complex_step("spray", x, step)
+            with pytest.raises(err):
+                spray_jacobians(m, np.array(x), np.array([0.3, 1.0]))
+            with pytest.raises(err):
+                _copies_rhs(m)(0.0, _copies_state(x, [0.3, 1.0]))
+
+    def test_second_order_entries_rejected(self, randers_const):
+        with pytest.raises(TypeError):
+            randers_const.complex_step("dxxL", [0.0, 0.0], [([1e-30, 0.0], [1.0, 0.0])])

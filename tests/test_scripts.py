@@ -42,4 +42,8 @@ def test_spray_timing_script():
             assert all(float(c) > 0.0 for c in spray), (kind, dim, spray)
             assert second[1:3] == ["-", "-"] and float(second[0]) > 0.0
             assert float(second[3]) > 0.0
-    assert len(rows) == 2 * 2 * len(kinds)
+            shoot = rows[kind, dim, "shoot_rhs"]
+            assert shoot[0] == shoot[2] == shoot[3] == "-" and float(shoot[1]) > 0.0
+            frame = rows[kind, dim, "spray_jacobians"]
+            assert frame[1:] == ["-", "-", "-"] and float(frame[0]) > 0.0
+    assert len(rows) == 2 * 4 * len(kinds)
