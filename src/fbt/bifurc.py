@@ -16,10 +16,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError
 from .metric import PhaseState
+from .ode import brentq
 from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian,
                       integrate_geodesic, newton)
 from . import morse as _morse

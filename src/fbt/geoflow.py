@@ -1,8 +1,8 @@
 """Geodesic integration, the exponential map, and shooting solvers.
 
 Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) by
-the 8th-order Dormand-Prince pair (DOP853), with dense output where a path
-is kept; a fixed-step RK4 mode is available for bit-reproducibility
+the 8th-order Dormand-Prince pair (ode.dop853), with dense output where a
+path is kept; a fixed-step RK4 mode is available for bit-reproducibility
 experiments.  Two-point problems are solved by one damped, optionally
 deflated Newton loop; each iterate integrates the flow once, over
 complex-step copies that carry the shooting Jacobian along with the
@@ -11,13 +11,14 @@ endpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalError
 from .metric import COMPLEX_STEP, PhaseState, ZeroVelocity
+from .ode import StepFailure, dop853
 
 __all__ = [
     "GeodesicPath",
@@ -48,10 +49,6 @@ class LeftChart(NumericalError):
     def __init__(self, t_exit):
         super().__init__(f"geodesic left the chart box at t = {t_exit:.6g}")
         self.t_exit = t_exit
-
-
-class StepFailure(NumericalError):
-    pass
 
 
 class NoConvergence(NumericalError):
@@ -109,8 +106,8 @@ class _HermiteSol:
         self.fs = fs
 
     def __call__(self, t):
-        """y(t); at an array of times, shape (2n, len(t)) like scipy's
-        OdeSolution."""
+        """y(t); at an array of times, shape (2n, len(t)) like
+        ode.DenseOutput."""
         t = np.asarray(t, dtype=float)
         ts = self.ts
         i = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
@@ -130,7 +127,9 @@ class _HermiteSol:
 
 @dataclass
 class GeodesicPath:
-    """A densely sampled constant-speed geodesic on [0, tau]."""
+    """A densely sampled constant-speed geodesic on [0, tau]: ts are the
+    accepted step times, ys the states there, and sol the dense output
+    (ode.DenseOutput, or the Hermite interpolant of the rk4 mode)."""
 
     metric: object
     x0: np.ndarray
@@ -220,27 +219,24 @@ def _copies_rhs(m):
 
 
 def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
-    """solve_ivp by DOP853, stopped where the real part of y's first state
-    leaves the chart box or its speed reaches the floor; raises then and on
-    failure."""
-    n, lo, hi = m.dim, m.chart_box[:, 0], m.chart_box[:, 1]
+    """ode.dop853 over [0, tau], stopped where the real part of y's first
+    state leaves the chart box or its speed reaches the floor; raises then
+    and on failure."""
+    n, box = m.dim, m.chart_box.tolist()
 
     def chart(t, y):
-        x = y[:n].real
-        return float(min(np.min(x - lo), np.min(hi - x)))
+        x = y[:n].real.tolist()
+        return min(min(a - lo, hi - a) for a, (lo, hi) in zip(x, box))
 
     def speed(t, y):
-        return float(np.linalg.norm(y[n:2 * n].real) - m.v_min)
+        v = np.ravel(y[n:2 * n].real)
+        return math.sqrt(v.dot(v)) - m.v_min
 
-    chart.terminal = speed.terminal = True
-    res = solve_ivp(rhs, (0.0, tau), y0, method="DOP853", rtol=rtol, atol=atol,
-                    events=[chart, speed], **kw)
-    if res.status == 1:
-        if len(res.t_events[0]):
-            raise LeftChart(float(res.t_events[0][0]))
-        raise ZeroVelocity(f"velocity reached the floor at t = {res.t_events[1][0]:.6g}")
-    if res.status != 0:
-        raise StepFailure(res.message)
+    res = dop853(rhs, y0, tau, rtol=rtol, atol=atol, events=(chart, speed), **kw)
+    if res.event == 0:
+        raise LeftChart(float(res.ts[-1]))
+    if res.event == 1:
+        raise ZeroVelocity(f"velocity reached the floor at t = {res.ts[-1]:.6g}")
     return res
 
 
@@ -286,10 +282,9 @@ def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         sol = _HermiteSol(ts, ys, fs)
         return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, ts, ys, sol, F0)
 
-    res = _solve(m, rhs, tau, y0, rtol=rtol, atol=atol, dense_output=True,
+    res = _solve(m, rhs, tau, y0, rtol=rtol, atol=atol, dense=True,
                  max_step=max_step)
-    ys = res.y.T
-    return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, res.t, ys, res.sol, F0)
+    return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, res.ts, res.ys, res.sol, F0)
 
 
 def exp_map(m, p, v, tau=1.0, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -301,7 +296,7 @@ def exp_map(m, p, v, tau=1.0, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     v = np.asarray(v, dtype=float)
     m._check(p, v)
     res = _solve(m, _geodesic_rhs(m), tau, np.concatenate([p, v]), rtol=rtol, atol=atol)
-    return res.y[:m.dim, -1]
+    return res.ys[-1, :m.dim]
 
 
 def endpoint_jacobian(m, p, v, tau, *, rtol, atol):
@@ -316,7 +311,7 @@ def endpoint_jacobian(m, p, v, tau, *, rtol, atol):
     n = m.dim
     y0 = np.concatenate([np.broadcast_to(p, (n, n)),
                          v + 1j * COMPLEX_STEP * np.eye(n)], axis=1)
-    y = _solve(m, _copies_rhs(m), tau, y0.ravel(), rtol=rtol, atol=atol).y[:, -1]
+    y = _solve(m, _copies_rhs(m), tau, y0.ravel(), rtol=rtol, atol=atol).ys[-1]
     x = y.reshape(n, 2 * n)[:, :n]
     return x[0].real, x.imag.T / COMPLEX_STEP
 

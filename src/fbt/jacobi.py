@@ -5,7 +5,7 @@ A frame carries n columns (J, J') through the linearized geodesic equation
     J'' = Dx spray . J  +  Dv spray . J',
 
 driven by the dense output of a stored GeodesicPath.  The linear, smooth
-equation is integrated by the 8th-order Dormand-Prince pair (DOP853), with
+equation is integrated by the 8th-order Dormand-Prince pair (ode.dop853), with
 the spray linearized by the complex step, exact to rounding.
 
 Conjugate and focal instants show up as rank drops of M(t): sign changes of
@@ -19,12 +19,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import NumericalError
-from .geoflow import GeodesicPath, BoundaryData, StepFailure, integrate_geodesic
+from .geoflow import GeodesicPath, BoundaryData, integrate_geodesic
 from .metric import COMPLEX_STEP, PhaseState
+from .ode import brentq, dop853, minimize_bounded
 
 __all__ = [
     "JacobiFrame",
@@ -82,6 +81,9 @@ def spray_jacobians(m, x, v):
 
 @dataclass
 class JacobiFrame:
+    """M and M' along a path, read from the frame flow's dense output sol
+    (ode.DenseOutput) with step times ts."""
+
     path: GeodesicPath
     kind: str
     boundary: BoundaryData | None
@@ -176,11 +178,8 @@ def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL):
         return np.concatenate([Md.ravel(), (A @ M + B @ Md).ravel()])
 
     y0 = np.concatenate([M0.ravel(), Md0.ravel()])
-    res = solve_ivp(rhs, (0.0, path.tau), y0, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=True)
-    if res.status != 0:
-        raise StepFailure(f"frame integration failed: {res.message}")
-    return JacobiFrame(path, kind, boundary, res.sol, res.t)
+    res = dop853(rhs, y0, path.tau, rtol=rtol, atol=atol, dense=True)
+    return JacobiFrame(path, kind, boundary, res.sol, res.ts)
 
 
 def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12):
@@ -258,11 +257,9 @@ def _scan_frame(frame, *, grid, theta_null, dip_trigger, refine_tol):
     for i in range(1, len(ts) - 1):
         if ratios[i] < ratios[i - 1] and ratios[i] <= ratios[i + 1]:
             if ratios[i] < dip_trigger and dets[i - 1] * dets[i + 1] > 0.0:
-                r = minimize_scalar(
-                    ratf, bounds=(ts[i - 1], ts[i + 1]), method="bounded",
-                    options={"xatol": refine_tol},
-                )
-                candidates.append((float(r.x), False))
+                t_dip = minimize_bounded(ratf, ts[i - 1], ts[i + 1],
+                                         xatol=refine_tol)
+                candidates.append((t_dip, False))
     # right endpoint: an instant exactly at tau has no interior bracket
     if ratios[-1] < dip_trigger and (len(ts) < 2 or ratios[-1] < ratios[-2]):
         candidates.append((tau, False))

@@ -530,3 +530,25 @@ def template_evaluators(m):
         return f
 
     return {name: make(*spec) for name, spec in _TEMPLATE.items()}
+
+
+# ---------------------------------------------------------------------------
+# Point-set gap between sampled curves, by brute force: every sample against
+# every segment of the polyline, one pair at a time in plain Python
+
+
+def point_set_gap_brute(samples, other):
+    """Max over the rows of samples of the Euclidean distance to the polyline
+    through the rows of other."""
+    worst = 0.0
+    for p in np.asarray(samples, dtype=float).tolist():
+        best = math.inf
+        pts = np.asarray(other, dtype=float).tolist()
+        for a, b in zip(pts[:-1], pts[1:]):
+            ab = [bi - ai for ai, bi in zip(a, b)]
+            den = sum(c * c for c in ab)
+            s = sum((pi - ai) * c for pi, ai, c in zip(p, a, ab)) / den if den else 0.0
+            s = min(max(s, 0.0), 1.0)
+            best = min(best, sum((ai + s * c - pi) ** 2 for ai, c, pi in zip(a, ab, p)))
+        worst = max(worst, math.sqrt(best))
+    return worst

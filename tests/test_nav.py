@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fbt
+from fbt import nav
 from fbt.geoflow import connect, integrate_geodesic
 from fbt.metric import PhaseState
 from fbt.nav import (
@@ -16,7 +17,8 @@ from fbt.nav import (
     zermelo_to_randers,
 )
 
-from _oracles import constant_wind_time
+from _oracles import constant_wind_time, point_set_gap_brute
+from fbt.nav import _point_set_gap
 
 
 def _wind(wx, wy=0.0):
@@ -166,6 +168,34 @@ class TestLift:
         assert lift.null_residual_max <= 1e-9
         assert lift.lorentz_gap <= 1e-5
         assert np.all(np.diff(lift.t) > 0)
+
+    def test_stacked_lift_matches_per_point_samples(self):
+        s = self._stationary()
+        fp, _ = fermat_metric(s)
+        path = integrate_geodesic(fp, PhaseState([0, 0], [0.9, 0.5]), 1.3)
+        lift = lift_lightlike(s, path, fermat=fp, n_out=41)
+        ss = np.linspace(0.0, 1.3, 41)
+        np.testing.assert_array_equal(lift.x, [path.x(t) for t in ss])
+        total = [0.0]
+        for a, b in zip(ss[:-1], ss[1:]):
+            seg = 0.0
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            for node, wgt in zip(nav.GAUSS3_NODES, nav.GAUSS3_WEIGHTS):
+                seg += half * wgt * fp.F(*path.state(mid + half * node))
+            total.append(total[-1] + seg)
+        assert np.max(np.abs(lift.t - np.array(total))) <= 1e-14
+
+    def test_point_set_gap_matches_brute_force(self):
+        s = self._stationary()
+        fp, _ = fermat_metric(s)
+        path = integrate_geodesic(fp, PhaseState([0, 0], [1.0, 0.6]), 1.5)
+        # 150 samples span three row blocks, the last one partial
+        fine = path.x(np.linspace(0.0, 1.5, 150))
+        coarse = path.x(np.linspace(0.0, 1.5, 37)) + [0.0, 1e-4]
+        rng = np.random.default_rng(5)
+        cloud = fine + 1e-3 * rng.normal(size=fine.shape)
+        for a, b in ((fine, coarse), (coarse, fine), (cloud, coarse), (fine, fine)):
+            assert abs(_point_set_gap(a, b) - point_set_gap_brute(a, b)) <= 1e-12
 
     def test_variable_speed_path_rejected(self):
         s = self._stationary()
