@@ -309,7 +309,6 @@ def dop853(fun, y0, t_end, *, rtol, atol, max_step=math.inf, dense=False,
 
         t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, f_new
-        F = None
         if dense or events:
             g_new = [event(t, y) for event in events]
             active = [k for k, (a, b) in enumerate(zip(g, g_new))
