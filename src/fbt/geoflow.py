@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .metric import COMPLEX_STEP, PhaseState, ZeroVelocity
-from .ode import StepFailure, dop853
+from .ode import StepFailure, dop853, step_index
 
 __all__ = [
     "GeodesicPath",
@@ -110,7 +110,7 @@ class _HermiteSol:
         ode.DenseOutput."""
         t = np.asarray(t, dtype=float)
         ts = self.ts
-        i = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+        i = step_index(ts[:-1], t)
         h = (ts[i + 1] - ts[i])[..., None]
         s = (t - ts[i])[..., None] / h
         h00 = (1 + 2 * s) * (1 - s) ** 2

@@ -255,14 +255,19 @@ class LightlikeLift:
         ]
 
 
-def _point_set_gap(samples, other, block=64):
+# samples per row block of _point_set_gap
+_GAP_BLOCK = 64
+
+
+def _point_set_gap(samples, other):
     """One-sided gap: max over samples of the distance to the polyline other,
     each sample measured to its nearest vertex and the two segments there.
-    Samples go in row blocks, so the temporaries stay (block, len(other))."""
+    Samples go in row blocks, so the temporaries stay
+    (_GAP_BLOCK, len(other))."""
     worst = 0.0
     last = len(other) - 2
-    for start in range(0, len(samples), block):
-        pts = samples[start:start + block]
+    for start in range(0, len(samples), _GAP_BLOCK):
+        pts = samples[start:start + _GAP_BLOCK]
         d2 = np.sum((other[None] - pts[:, None]) ** 2, axis=2)
         i = np.argmin(d2, axis=1)
         best = d2[np.arange(len(pts)), i]

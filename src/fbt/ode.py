@@ -4,10 +4,12 @@
 of order 8(5,3) of Dormand and Prince (Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., Sec. II.5 and II.10, and their
 code DOP853), with its 7th-order dense output.  It takes the steps of
-scipy.integrate.solve_ivp(method="DOP853"): the same initial step selection
-(Sec. II.4), step-size controller, combined 3rd/5th-order error norm and
-"step too small" failure, so states, step times and evaluation counts agree
-to the bit.  The coefficients are those of Hairer's dop853.f in the layout of
+scipy.integrate.solve_ivp(method="DOP853") as of SciPy 1.17, the release the
+tests compare with: the same initial step selection (Sec. II.4, with the
+first step clamped to the interval and to max_step), step-size controller,
+combined 3rd/5th-order error norm and "step too small" failure, so states,
+step times and evaluation counts agree to the bit.  A SciPy release that
+selects its first step differently takes other steps.  The coefficients are those of Hairer's dop853.f in the layout of
 SciPy's `dop853_coefficients.py` (BSD-3-Clause, Copyright (c) 2001-2002
 Enthought, Inc. and 2003- SciPy Developers).
 
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = ["dop853", "DenseOutput", "OdeResult", "StepFailure", "brentq",
-           "minimize_bounded"]
+           "minimize_bounded", "step_index"]
 
 EPS = np.finfo(float).eps
 SAFETY = 0.9
@@ -205,31 +207,37 @@ def _weights(x):
     return w1, w2, w3, w4, w5, w6, w6 * x
 
 
+def step_index(starts, t):
+    """The index of the step that holds each time t, from the steps' start
+    times (an array): a time on a step boundary goes to the earlier step,
+    and times outside the steps to the first or last one."""
+    return np.clip(np.searchsorted(starts, t) - 1, 0, len(starts) - 1)
+
+
 class DenseOutput:
     """The DOP853 7th-order interpolant of every accepted step, stored
     stacked: y(t) = y_old + sum_k w_k(x) F_k on the step that holds t, with
-    x the fraction of that step.  A time on a step boundary is read on the
-    earlier step, and times outside [0, ts[-1]] on the first or last step.
-    At one time y(t) has shape (N,); at an array of times (N, len(t)), each
-    column equal to the one-time value."""
+    x = (t - t_old) / h the fraction of that step (see step_index).  Each
+    step keeps its own h, so a step cut short at an event root still reads
+    its full step's interpolant.  At one time y(t) has shape (N,); at an
+    array of times (N, len(t)), each column equal to the one-time value."""
 
-    def __init__(self, ts, y_old, F):
-        self.ts = ts
-        self._knots = ts.tolist()
-        self._dt = np.diff(ts)
-        self._h = self._dt.tolist()
+    def __init__(self, t_old, h, y_old, F):
+        # lists for the one-time lookup, arrays for the stacked one
+        self._t_old, self._h = t_old, h
+        self._t_old_a, self._h_a = np.array(t_old), np.array(h)
         self._y_old = y_old  # (steps, N)
         self._F = F  # (steps, 7, N)
 
     def __call__(self, t):
         if isinstance(t, float) or np.ndim(t) == 0:
             t = float(t)
-            i = min(max(bisect_left(self._knots, t) - 1, 0), len(self._h) - 1)
-            w = np.array(_weights((t - self._knots[i]) / self._h[i]))
+            i = min(max(bisect_left(self._t_old, t) - 1, 0), len(self._h) - 1)
+            w = np.array(_weights((t - self._t_old[i]) / self._h[i]))
             return w @ self._F[i] + self._y_old[i]
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self._h) - 1)
-        w = np.stack(_weights((t - self.ts[i]) / self._dt[i]), axis=-1)
+        i = step_index(self._t_old_a, t)
+        w = np.stack(_weights((t - self._t_old_a[i]) / self._h_a[i]), axis=-1)
         return ((w[:, None, :] @ self._F[i])[:, 0, :] + self._y_old[i]).T
 
 
@@ -268,7 +276,8 @@ def dop853(fun, y0, t_end, *, rtol, atol, max_step=math.inf, dense=False,
     nfev = 2
     K = np.empty((16, y.size), y.dtype)
     KT = [K[:s].T for s in range(16)]
-    ts, ys, y_olds, Fs = [t], [y], [], []
+    ts, ys = [t], [y]
+    steps = t_olds, hs, y_olds, Fs = [], [], [], []
     g = [event(t, y) for event in events]
 
     while True:
@@ -323,32 +332,34 @@ def dop853(fun, y0, t_end, *, rtol, atol, max_step=math.inf, dense=False,
                 F[1] = h * f_old - F[0]
                 F[2] = 2 * F[0] - h * (f + f_old)
                 F[3:] = h * np.dot(D, K)
+                t_olds.append(t_old)
+                hs.append(h)
                 y_olds.append(y_old)
                 Fs.append(F)
             if active:
-                seg = DenseOutput(np.array([t_old, t]), y_old[None], F[None])
+                seg = DenseOutput([t_old], [h], y_old[None], F[None])
                 roots = [brentq(lambda s, ev=events[k]: ev(s, seg(s)), t_old, t,
-                                xtol=4 * EPS, rtol=4 * EPS) for k in active]
+                                xtol=4 * EPS) for k in active]
                 first = min(range(len(active)), key=roots.__getitem__)
                 ts.append(roots[first])
                 ys.append(seg(roots[first]))
-                return _result(ts, ys, nfev, dense, y_olds, Fs, active[first])
+                return _result(ts, ys, nfev, dense, steps, active[first])
         ts.append(t)
         ys.append(y)
         if t >= t_end:
-            return _result(ts, ys, nfev, dense, y_olds, Fs, None)
+            return _result(ts, ys, nfev, dense, steps, None)
 
 
-def _result(ts, ys, nfev, dense, y_olds, Fs, event):
-    ts = np.array(ts)
-    sol = DenseOutput(ts, np.array(y_olds), np.array(Fs)) if dense else None
-    return OdeResult(ts, np.array(ys), nfev, sol, event)
+def _result(ts, ys, nfev, dense, steps, event):
+    t_old, h, y_old, F = steps
+    sol = DenseOutput(t_old, h, np.array(y_old), np.array(F)) if dense else None
+    return OdeResult(np.array(ts), np.array(ys), nfev, sol, event)
 
 
-def brentq(f, a, b, *, xtol=2e-12, rtol=4 * EPS):
+def brentq(f, a, b, *, xtol=2e-12):
     """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + rtol * |x| (Brent 1973, ch. 4; SciPy's brentq.c), in at most
-    BRENTQ_MAXITER iterations."""
+    xtol + 4 eps |x| (Brent 1973, ch. 4; SciPy's brentq.c with its default
+    rtol), in at most BRENTQ_MAXITER iterations."""
     def fx(x):
         v = float(f(x))
         if math.isnan(v):
@@ -372,7 +383,7 @@ def brentq(f, a, b, *, xtol=2e-12, rtol=4 * EPS):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + 4 * EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

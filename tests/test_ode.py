@@ -156,6 +156,27 @@ class TestEvents:
         with pytest.raises(ZeroVelocity):
             integrate_geodesic(m, PhaseState(y0[:2], y0[2:]), 3.0)
 
+    def test_dense_output_up_to_event(self):
+        # the last step is cut short at the event root but keeps its full
+        # step's interpolant, as in SciPy's OdeSolution
+        m = fbt.sphere_stereo(1.0)
+        m.v_min = 1.0
+        y0 = np.array([0.0, 3.0, 0.0, -3.0])
+        ref = _reference(_geodesic_rhs(m), y0, 3.0, rtol=1e-9, atol=1e-12,
+                         events=_chart_events(m), dense_output=True)
+        got = ode.dop853(_geodesic_rhs(m), y0, 3.0, rtol=1e-9, atol=1e-12,
+                         events=_chart_events(m), dense=True)
+        assert got.event == 1
+        t_old, t_root = got.ts[-2], got.ts[-1]
+        t = np.concatenate([np.linspace(t_old, t_root, 17),
+                            t_root - np.array([1e-9, 1e-12])])
+        bound = 1e-15 * np.max(np.abs(got.ys))
+        assert np.max(np.abs(got.sol(t) - ref.sol(t))) <= bound
+        for ti in t:
+            assert np.max(np.abs(got.sol(ti) - ref.sol(ti))) <= bound
+        # the state at the root is the interpolant's value there
+        np.testing.assert_array_equal(got.sol(t_root), got.ys[-1])
+
     def test_tiny_step_fails(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1
         def fun(t, y):
