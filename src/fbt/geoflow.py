@@ -92,10 +92,6 @@ class BoundaryData:
                 raise ValueError("shape operator must be symmetric")
             self.shape_operator = 0.5 * (self.shape_operator + self.shape_operator.T)
 
-    @property
-    def codim_basis_needed(self):
-        return self.basis.shape[0] - self.basis.shape[1]
-
 
 class _HermiteSol:
     """Piecewise cubic Hermite interpolant matching values and derivatives."""

@@ -12,14 +12,24 @@ coordinates on piecewise-linear fields,
 and count negative / near-zero eigenvalues of the generalized problem against
 the W^{1,2} mass matrix.  At a critical point this chart Hessian equals the
 covariant index form, so no connection coefficients are needed.
+
+The mass of piecewise-linear fields is T (x) I_n, T a scalar tridiagonal
+matrix over the nodes, so its Cholesky factor is a scalar bidiagonal matrix
+times I_n: the pencil reduces to one symmetric eigenproblem by two sweeps of
+a two-term recurrence over the nodes (Golub & Van Loan, Matrix Computations,
+8.7).  A perpendicular start keeps k = dim T_{x0}P dofs at node 0.  Every
+node is written in one orthonormal frame U = [Q, Q_perp], Q from the QR
+factorization W = Q R of the chart basis W of T_{x0}P, so node 0's dofs are
+its first k components and the mass keeps its Kronecker form: components
+j < k run over nodes 0 .. mesh - 1, the others over nodes 1 .. mesh - 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NumericalError
 from .geoflow import BoundaryData, DEFAULT_TOL_RES
@@ -61,7 +71,6 @@ class SpectralData:
     eigs_near_zero: list
     smallest: float
     smallest_signed: float
-    kernel_vector: np.ndarray | None = None
     history: list = field(default_factory=list)
 
 
@@ -115,13 +124,19 @@ def index_by_counting(report, tau):
 
 
 def _assemble(path, boundary, mesh):
-    """Global stiffness (second variation) and W^{1,2} mass on a uniform mesh."""
+    """Second variation K and the W^{1,2} mass of its pencil on a uniform mesh.
+
+    Returns (K, diag, off, k).  The dofs are node 0's first k components
+    (k = 0 for point-point) and nodes 1 .. mesh - 1, the last node being
+    clamped; a BoundaryData start writes every node in the frame U and node
+    0's basis coefficients a as R a.  The mass on these dofs is T (x) I_n, T
+    the scalar tridiagonal (diag, off) over nodes 0 .. mesh - 1.
+    """
     m = path.metric
     n = m.dim
     tau = path.tau
     nn = mesh + 1
     h = tau / mesh
-    eye = np.eye(n)
     # Gauss points (element e, point g), all evaluated in one stacked call
     ta = np.arange(mesh) * h
     t = ta[:, None] + 0.5 * h * (1.0 + GAUSS3_NODES)
@@ -145,57 +160,83 @@ def _assemble(path, boundary, mesh):
     blk = (weighted(pa * pb, Lxx) + weighted(pa * db, Lxv)
            + weighted(da * pb, np.swapaxes(Lxv, -1, -2)) + weighted(da * db, Lvv))
     K_loc = (w[:, None, None, None, None] * blk).sum(axis=1)
-    M_loc = np.einsum("g,egab,ij->eabij", w, pa * pb + da * db, eye)
-    # block-tridiagonal scatter: element e couples nodes e and e + 1
-    K = np.zeros((nn, n, nn, n))
-    Mm = np.zeros((nn, n, nn, n))
-    e = np.arange(mesh)
-    for G, loc in ((K, K_loc), (Mm, M_loc)):
-        G[e, :, e, :] += loc[:, 0, 0]
-        G[e + 1, :, e + 1, :] += loc[:, 1, 1]
-        G[e, :, e + 1, :] += loc[:, 0, 1]
-        G[e + 1, :, e, :] += loc[:, 1, 0]
-    K = K.reshape(nn * n, nn * n)
-    Mm = Mm.reshape(nn * n, nn * n)
-
-    inner = slice(n, mesh * n)  # nodes 1 .. mesh - 1; the last node is clamped
+    T_loc = np.einsum("g,egab->eab", w, pa * pb + da * db)
+    k, K0 = 0, np.zeros((0, 0))
     if isinstance(boundary, BoundaryData):
-        # node 0 is restricted to T_{x0}P: its dofs are W a for a in R^k
         W = boundary.basis
         k = W.shape[1]
-
-        def reduce(G):
-            return np.block([[W.T @ G[:n, :n] @ W, W.T @ G[:n, inner]],
-                             [G[inner, :n] @ W, G[inner, inner]]])
-
-        K_red, M_red = reduce(K), reduce(Mm)
+        U, R = np.linalg.qr(W, mode="complete")
+        K_loc = U.T @ K_loc @ U
+        # 2 W^T G0 W S in the coordinates R a; W^T W is the identity only
+        # to the basis validation's 1e-8
         G0 = m.fundamental_tensor(path.x0, path.v0)
-        A = W.T @ G0 @ W
-        K0 = 2.0 * (A @ boundary.shape_operator)
-        K_red[:k, :k] += 0.5 * (K0 + K0.T)
-    else:
-        K_red, M_red = K[inner, inner], Mm[inner, inner]
-    K_red = 0.5 * (K_red + K_red.T)
-    M_red = 0.5 * (M_red + M_red.T)
-    return K_red, M_red
+        K0 = 2.0 * (U[:, :k].T @ G0 @ W @ boundary.shape_operator
+                    @ np.linalg.inv(R[:k]))
+    # block-tridiagonal scatter: element e couples nodes e and e + 1
+    K = np.zeros((nn, n, nn, n))
+    e = np.arange(mesh)
+    K[e, :, e, :] += K_loc[:, 0, 0]
+    K[e + 1, :, e + 1, :] += K_loc[:, 1, 1]
+    K[e, :, e + 1, :] += K_loc[:, 0, 1]
+    K[e + 1, :, e, :] += K_loc[:, 1, 0]
+    keep = np.r_[:k, n:mesh * n]
+    K = K.reshape(nn * n, nn * n)[np.ix_(keep, keep)]
+    K[:k, :k] += 0.5 * (K0 + K0.T)
+    diag = T_loc[:, 0, 0].copy()
+    diag[1:] += T_loc[:-1, 1, 1]
+    return 0.5 * (K + K.T), diag, T_loc[:-1, 0, 1], k
 
 
-def _counts(path, boundary, mesh, want_vector=False):
-    K, Mm = _assemble(path, boundary, mesh)
-    if want_vector:
-        w, vecs = eigh(K, Mm)
-    else:
-        w = eigh(K, Mm, eigvals_only=True)
-        vecs = None
+def _chain(diag, off):
+    """Diagonal d of the bidiagonal Cholesky factor L of the tridiagonal
+    (diag, off), and a_i = L[i, i-1] / d_i (a_0 = 0)."""
+    d, a = [math.sqrt(diag[0])], [0.0]
+    for t, o in zip(diag[1:], off):
+        lo = o / d[-1]
+        d.append(math.sqrt(t - lo * lo))
+        a.append(lo / d[-1])
+    return np.array(d), np.array(a)
+
+
+def eigh(K, diag, off, k):
+    """Ascending eigenvalues of the pencil (K, M) of _assemble.
+
+    M factors as L L^T, L = (bidiagonal Cholesky factor of T) (x) I_n: the
+    first k components run over nodes 0 .. mesh - 1, the others over nodes
+    1 .. mesh - 1.  C = L^-1 K L^-T then takes two sweeps of a two-term
+    recurrence over the nodes, and eigvalsh(C) gives the eigenvalues (Golub
+    & Van Loan, Matrix Computations, 8.7).
+    """
+    nodes = len(diag)
+    n = (K.shape[0] - k) // (nodes - 1)
+    tangent = np.arange(n) < k
+    dA, aA = _chain(diag.tolist(), off.tolist())
+    dB, aB = _chain(diag[1:].tolist(), off[1:].tolist())
+    d = np.concatenate([np.full(k, dA[0]),
+                        np.where(tangent, dA[1:, None], dB[:, None]).ravel()])
+    a = np.where(tangent, aA[1:, None], aB[:, None])[:, :, None]
+
+    def sweep(A):
+        # rows of L^-1 A in place: y_i = x_i / d_i - a_i y_(i-1), node by node
+        A /= d[:, None]
+        B = A[k:].reshape(nodes - 1, n, -1)
+        B[0, :k] -= a[0, :k] * A[:k]
+        for i in range(1, nodes - 1):
+            B[i] -= a[i] * B[i - 1]
+        return A
+
+    C = sweep(sweep(np.array(K)).T.copy())
+    return np.linalg.eigvalsh(C)
+
+
+def _counts(path, boundary, mesh):
+    w = eigh(*_assemble(path, boundary, mesh))
     scale = float(np.max(np.abs(w)))
     theta = max(KER_FLOOR, KER_SHADOW * np.pi**2 / mesh**2) * scale
     m_minus = int(np.sum(w < -theta))
     m_zero = int(np.sum(np.abs(w) <= theta))
     near = [float(val) for val in w[np.abs(w) <= 100 * theta][:8]]
-    kern = None
-    if want_vector and vecs is not None:
-        kern = vecs[:, int(np.argmin(np.abs(w)))]
-    return m_minus, m_zero, theta, near, float(w[0]), kern
+    return m_minus, m_zero, theta, near, float(w[0])
 
 
 def smallest_eigenvalue(path, boundary, mesh, k=0, extrapolate=True):
@@ -205,19 +246,16 @@ def smallest_eigenvalue(path, boundary, mesh, k=0, extrapolate=True):
     Richardson extrapolation over meshes mesh/2 and mesh, which matters when
     a parameter refinement bisects this value through zero.
     """
-    K, Mm = _assemble(path, boundary, mesh)
-    w = eigh(K, Mm, eigvals_only=True, subset_by_index=[k, k])
-    fine = float(w[0])
+    fine = float(eigh(*_assemble(path, boundary, mesh))[k])
     if not extrapolate or mesh < 8:
         return fine
-    K2, Mm2 = _assemble(path, boundary, mesh // 2)
-    w2 = eigh(K2, Mm2, eigvals_only=True, subset_by_index=[k, k])
-    return (4.0 * fine - float(w2[0])) / 3.0
+    coarse = float(eigh(*_assemble(path, boundary, mesh // 2))[k])
+    return (4.0 * fine - coarse) / 3.0
 
 
 def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
                    max_refinements=8, tol_res=DEFAULT_TOL_RES,
-                   mesh_fixed=None, want_vector=False):
+                   mesh_fixed=None):
     """Morse index and nullity from the discrete second variation.
 
     The mesh doubles until (m_minus, m_zero) agree on three consecutive
@@ -229,23 +267,21 @@ def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
             f"path is not a critical point: EL residual {res:.3e} > {tol_res:.1e}"
         )
     if mesh_fixed is not None:
-        mm, mz, theta, near, smallest, kern = _counts(
-            path, boundary, mesh_fixed, want_vector
-        )
+        mm, mz, theta, near, smallest = _counts(path, boundary, mesh_fixed)
         sd = SpectralData(mesh_fixed, theta, near, smallest, smallest,
-                          kernel_vector=kern, history=[(mesh_fixed, mm, mz)])
+                          history=[(mesh_fixed, mm, mz)])
         return IndexReport(mm, mz, "spectral", spectral=sd)
 
     history = []
     mesh = mesh0
     while True:
-        mm, mz, theta, near, smallest, kern = _counts(path, boundary, mesh, want_vector)
+        mm, mz, theta, near, smallest = _counts(path, boundary, mesh)
         history.append((mesh, mm, mz))
         if len(history) >= 3:
             (m1, a1, b1), (m2, a2, b2), (m3, a3, b3) = history[-3:]
             if (a1, b1) == (a2, b2) == (a3, b3):
                 sd = SpectralData(mesh, theta, near, smallest, smallest,
-                                  kernel_vector=kern, history=history)
+                                  history=history)
                 return IndexReport(mm, mz, "spectral", spectral=sd)
         if mesh >= max_mesh or len(history) > max_refinements:
             raise NoStabilization(

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from scipy.linalg import eigh as scipy_eigh
 
 import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
 from fbt.jacobi import ConjugateInstant, ConjugateReport, conjugate_scan
 from fbt.metric import PhaseState
 from fbt.morse import (
+    KER_FLOOR,
+    KER_SHADOW,
     NotCritical,
     _assemble,
     cross_check,
+    eigh,
     index_by_counting,
     index_spectral,
+    smallest_eigenvalue,
 )
 
 from _oracles import assemble_loop, flat_axis_warped_mu, warped_metric
@@ -139,15 +145,12 @@ class TestMonotonicity:
 
 class TestMeshConvergence:
     def test_negative_eigenvalues_settle(self, sphere):
-        from scipy.linalg import eigh
-
         path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 2.5 * np.pi)
         rep = index_spectral(path)
         n_final = rep.spectral.mesh
         negs = []
         for mesh in (n_final // 2, n_final):
-            K, M = _assemble(path, "point-point", mesh)
-            w = eigh(K, M, eigvals_only=True)
+            w = eigh(*_assemble(path, "point-point", mesh))
             negs.append(np.sort(w[w < 0]))
         assert len(negs[0]) == len(negs[1]) == rep.m_minus
         for a, b in zip(*negs):
@@ -167,6 +170,35 @@ def _assembly_path(name):
     return integrate_geodesic(m, PhaseState([0.1, 0.0], [1.0, 0.2]), 2.5)
 
 
+def _reference(path, boundary, mesh):
+    """_oracles.assemble_loop's (K, M), written in _assemble's coordinates:
+    with W = Q R and U = [Q, Q_perp] from the complete QR of the basis, node
+    0's basis coefficients are R^-1 b and every other node is U z."""
+    K, M = assemble_loop(path, boundary, mesh)
+    if isinstance(boundary, BoundaryData):
+        U, R = np.linalg.qr(boundary.basis, mode="complete")
+        k = boundary.basis.shape[1]
+        P = block_diag(np.linalg.inv(R[:k]), *[U] * (mesh - 1))
+        K, M = P.T @ K @ P, P.T @ M @ P
+    return K, M
+
+
+def _mass(diag, off, k, n):
+    """The dense mass T (x) I_n without node 0's last n - k components."""
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    keep = np.r_[:k, n:len(diag) * n]
+    return np.kron(T, np.eye(n))[np.ix_(keep, keep)]
+
+
+def _check_assembly(path, boundary, mesh):
+    K, diag, off, k = _assemble(path, boundary, mesh)
+    M = _mass(diag, off, k, path.dim)
+    K_ref, M_ref = _reference(path, boundary, mesh)
+    assert K.shape == K_ref.shape
+    assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
+    assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+
+
 class TestVectorizedAssembly:
     """_assemble (one stacked evaluation, blocks by broadcasting) against
     the element-by-element loop of _oracles.assemble_loop."""
@@ -182,11 +214,7 @@ class TestVectorizedAssembly:
         ]
         for boundary in boundaries:
             for mesh in (4, 16, 64):
-                K, M = _assemble(path, boundary, mesh)
-                K_ref, M_ref = assemble_loop(path, boundary, mesh)
-                assert K.shape == K_ref.shape
-                assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
-                assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+                _check_assembly(path, boundary, mesh)
 
 
 class TestBoundaryReduction:
@@ -203,8 +231,46 @@ class TestBoundaryReduction:
         ]
         for boundary in boundaries:
             for mesh in (4, 16, 64, 256):
-                K, M = _assemble(path, boundary, mesh)
-                K_ref, M_ref = assemble_loop(path, boundary, mesh)
-                assert K.shape == K_ref.shape
-                assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
-                assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+                _check_assembly(path, boundary, mesh)
+
+
+def _solver_boundaries(path):
+    e = np.eye(3)
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    loose = Q + 1e-9 * rng.standard_normal((3, 2))  # orthonormal to about 1e-9
+    return {
+        "point-point": "point-point",
+        "k1": BoundaryData(path.x0, e[:, 1], [[0.7]]),
+        "k2": BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
+        "k2-loose": BoundaryData(path.x0, loose, [[-0.5, 0.3], [0.3, 0.9]]),
+    }
+
+
+class TestPencilSolver:
+    """morse.eigh (Cholesky reduction through the Kronecker mass) against
+    SciPy's generalized eigh on the pencil of _oracles.assemble_loop, in its
+    own basis coordinates."""
+
+    @pytest.mark.parametrize("which", ["point-point", "k1", "k2", "k2-loose"])
+    def test_matches_scipy(self, which):
+        path = _assembly_path("sphere3")
+        boundary = _solver_boundaries(path)[which]
+        if which == "k2-loose":
+            gram = boundary.basis.T @ boundary.basis
+            assert 1e-10 < np.max(np.abs(gram - np.eye(2))) < 1e-8
+        for mesh in (4, 8, 16, 32, 64, 128):
+            w_ref = scipy_eigh(*assemble_loop(path, boundary, mesh),
+                               eigvals_only=True)
+            scale = np.max(np.abs(w_ref))
+            w = eigh(*_assemble(path, boundary, mesh))
+            assert w.shape == w_ref.shape
+            assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+            for k in (0, 3):
+                got = smallest_eigenvalue(path, boundary, mesh, k=k,
+                                          extrapolate=False)
+                assert abs(got - w_ref[k]) <= 1e-12 * scale
+            theta = max(KER_FLOOR, KER_SHADOW * np.pi**2 / mesh**2) * scale
+            rep = index_spectral(path, boundary, mesh_fixed=mesh)
+            assert (rep.m_minus, rep.m_zero) == (
+                int(np.sum(w_ref < -theta)), int(np.sum(np.abs(w_ref) <= theta)))

@@ -282,3 +282,42 @@ def test_no_scipy_integrate_or_optimize(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == "[]"
+
+
+NO_SCIPY_GUARD = r"""
+import json, os, sys
+import numpy as np
+import fbt, fbt.cli
+from fbt.bifurc import FamilySpec, InitialStateBranch, sweep_family
+from fbt.geoflow import BoundaryData, integrate_geodesic
+from fbt.metric import PhaseState
+from fbt.morse import cross_check
+
+out = sys.argv[1]
+cfg = fbt.cli.load_config(os.path.join(out, "sphere.json"))
+assert fbt.cli.run_command("index", cfg, os.path.join(out, "index")) == 0
+circle = BoundaryData([1.0, 0.0], np.array([[0.0], [1.0]]), np.array([[-1.0]]))
+path = integrate_geodesic(fbt.euclidean(2), PhaseState([1.0, 0.0], [1.0, 0.0]), 2.0)
+assert cross_check(path, circle).agree
+fam = FamilySpec(param_name="K", param_range=(0.8, 1.3), samples=4,
+                 metric_builder=lambda lam: fbt.sphere_stereo(lam),
+                 branch=InitialStateBranch([0.0, -1.0], [1.0, 0.0], np.pi,
+                                           normalize_speed=1.0))
+assert sweep_family(fam, refine_mesh=32).detections[0].refined
+print(json.dumps(sorted(k for k in sys.modules if k.startswith("scipy"))))
+"""
+
+
+def test_no_scipy(tmp_path):
+    """fbt loads no scipy module, on import, in the index command, a focal
+    cross-check and a sweep that refines through smallest_eigenvalue."""
+    (tmp_path / "sphere.json").write_text(
+        '{"metric": {"kind": "sphere_stereo", "dim": 2, "params": {"K": 1.0}},'
+        ' "problem": {"initial": {"x": [0, -1], "v": [1, 0], "tau": 3.5}}}')
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_GUARD, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"
