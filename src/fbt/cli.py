@@ -376,7 +376,8 @@ def _cmd_expmap(cfg, out):
         raise SchemaError("/problem/initial: required for expmap")
     sv = cfg["solver"]
     endpoint = _geoflow.exp_map(m, ini["x"], ini["v"], rtol=sv["rtol"], atol=sv["atol"])
-    J = _jacobi.expmap_jacobian(m, ini["x"], ini["v"], rtol=sv["rtol"])
+    J = _jacobi.expmap_jacobian(m, ini["x"], ini["v"], rtol=sv["rtol"],
+                                atol=sv["atol"])
     sigma = np.linalg.svd(J, compute_uv=False)
     write_json(
         os.path.join(out, "expmap.json"),

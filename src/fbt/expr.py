@@ -43,7 +43,6 @@ __all__ = [
     "parse",
     "to_source",
     "evaluate",
-    "grad_fd",
     "bind",
     "jet",
     "diff",
@@ -706,18 +705,3 @@ def evaluate(node, point, params=None):
     """Evaluate at a chart point with the given parameter binding."""
     point = np.asarray(point, dtype=float)
     return bind(node, point.shape[0], params)(point)
-
-
-def grad_fd(node, point, params=None, step=None):
-    """Central-difference gradient with per-component step 1e-5*max(1,|x_i|)."""
-    point = np.asarray(point, dtype=float)
-    f = bind(node, point.shape[0], params)
-    grad = np.empty_like(point)
-    for i in range(point.shape[0]):
-        h = step if step is not None else 1e-5 * max(1.0, abs(point[i]))
-        xp = point.copy()
-        xm = point.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad

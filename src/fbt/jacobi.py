@@ -8,9 +8,11 @@ driven by the dense output of a stored GeodesicPath.  The linear, smooth
 equation is integrated by the 8th-order Dormand-Prince pair (ode.dop853), with
 the spray linearized by the complex step, exact to rounding.
 
-Conjugate and focal instants show up as rank drops of M(t): sign changes of
-det M catch odd multiplicities, dips of the smallest singular value catch
-the rest.  A scan reads its grid with one dense-output call.
+Conjugate and focal instants show up as rank drops of M(t).  A scan reads
+its grid with one dense-output call and brackets them there: sign changes of
+det M catch odd multiplicities, dips of the smallest singular value the
+rest.  Newton steps on the pencil (M(t), -M'(t)) refine each bracket and
+give the multiplicity (see _refine).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import NumericalError
 from .geoflow import GeodesicPath, BoundaryData, integrate_geodesic
 from .metric import COMPLEX_STEP, PhaseState
-from .ode import brentq, dop853, minimize_bounded
+from .ode import dop853
 
 __all__ = [
     "JacobiFrame",
@@ -46,7 +48,11 @@ FD_COMPONENT_RTOL = 1e-9
 FD_COMPONENT_ATOL = 1e-12
 THETA_NULL = 1e-6
 DIP_TRIGGER = 0.05
-REFINE_TOL = 1e-10
+# offsets closer than this many grid cells are one instant (a double
+# instant of a frame at rtol 1e-9 splits by some 5e-6 cells)
+SAME_INSTANT = 1e-3
+PENCIL_MAXITER = 10
+STEP_ROUND = 64 * np.finfo(float).eps  # a converged step, relative to max(1, |t|)
 DEFAULT_GRID = 400
 
 
@@ -207,7 +213,6 @@ class ConjugateReport:
     instants: list
     grid: int
     theta_null: float
-    refine_tol: float
     warnings: list = field(default_factory=list)
 
     @property
@@ -229,121 +234,113 @@ def _scan_grid(frame, grid):
     return ts, np.linalg.det(Ms), ratios
 
 
-def _scan_frame(frame, *, grid, theta_null, dip_trigger, refine_tol):
-    tau = frame.path.tau
+def _refine(frame, t, lo, hi, cell, theta_null):
+    """Pencil Newton from t in [lo, hi]: the instant it reaches, or None, and
+    the offsets there.
+
+    The offsets s at which M(t) + s M'(t) is singular are the distances to
+    the nearby singular times, as many as the kernel dimension at t*: a
+    Jacobi field with J(t*) = J'(t*) = 0 is trivial, so the pencil is
+    regular on ker M(t*).  Each iteration reads M and M' with one
+    dense-output call and steps by the real part of the least offset.  The
+    step inverts M + i h M' (h the grid cell), the linearization at the
+    complex time t + i h, singular only if i h is itself an offset; near t*
+    the offsets are real (a real pencil's simple ones, and the multiple ones
+    of a frame, whose Wronskian vanishes).  M' would not do: a column with
+    J' = 0 at t* makes it singular, as when curvatures differ by a factor 4.
+
+    No instant when an iterate leaves [lo, hi], when the step is still
+    complex at convergence (a dip that misses zero), or unless sigma_min /
+    sigma_max < theta_null there.  The multiplicity counts the offsets
+    within SAME_INSTANT cells."""
     n = frame.dim
+    close = SAME_INSTANT * cell
+    lo, hi = max(lo - close, close), hi + close
+    for _ in range(PENCIL_MAXITER):
+        y = frame.sol(t)
+        M, Md = y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = 1j * cell - 1.0 / np.linalg.eigvals(
+                np.linalg.solve(M + 1j * cell * Md, Md))
+        step = s[np.argmin(np.abs(s))]
+        t += step.real
+        if not lo < t < hi:
+            return None, None
+        if abs(step.real) <= STEP_ROUND * max(1.0, abs(t)):
+            break
+    else:
+        return None, None
+    sv = np.linalg.svd(M, compute_uv=False)
+    if abs(step.imag) > close or not sv[-1] < theta_null * sv[0]:
+        return None, None
+    mult = int(np.sum(np.abs(s) <= close))
+    return ConjugateInstant(min(t, frame.path.tau), mult, float(sv[-1] / sv[0])), s
+
+
+def _scan_frame(frame, *, grid, theta_null):
+    tau = frame.path.tau
     ts, dets, ratios = _scan_grid(frame, grid)
-
     cell = tau / grid
-    candidates = []  # (t, via_det)
+    close = SAME_INSTANT * cell
 
-    def detf(t):
-        return np.linalg.det(frame.M(t))
+    # brackets, grid indices with the cells on either side: the end of a
+    # det sign change with the smaller sigma ratio, a sigma_min / sigma_max
+    # dip without one, and the right endpoint, which has no interior bracket
+    i = np.flatnonzero(dets[:-1] * dets[1:] <= 0.0)
+    starts = set(np.where(ratios[i] <= ratios[i + 1], i, i + 1).tolist())
+    mid = ratios[1:-1]
+    dips = ((mid < ratios[:-2]) & (mid <= ratios[2:]) & (mid < DIP_TRIGGER)
+            & (dets[:-2] * dets[2:] > 0.0))
+    starts.update((np.flatnonzero(dips) + 1).tolist())
+    if ratios[-1] < DIP_TRIGGER and (len(ts) < 2 or ratios[-1] < ratios[-2]):
+        starts.add(len(ts) - 1)
+    grid_ts = np.concatenate([[0.0], ts, [tau]])
+    brackets = [tuple(grid_ts[j:j + 3]) for j in sorted(starts)]
 
-    def ratf(t):
-        sv = np.linalg.svd(frame.M(t), compute_uv=False)
-        return sv[-1] / sv[0] if sv[0] > 0 else 0.0
-
-    for i in range(len(ts) - 1):
-        if dets[i] == 0.0:
-            candidates.append((ts[i], True))
-        elif dets[i] * dets[i + 1] < 0.0:
-            t_star = brentq(detf, ts[i], ts[i + 1], xtol=refine_tol)
-            candidates.append((t_star, True))
-    if dets[-1] == 0.0:
-        candidates.append((ts[-1], True))
-
-    # dips of sigma_min / sigma_max without a determinant sign change
-    for i in range(1, len(ts) - 1):
-        if ratios[i] < ratios[i - 1] and ratios[i] <= ratios[i + 1]:
-            if ratios[i] < dip_trigger and dets[i - 1] * dets[i + 1] > 0.0:
-                t_dip = minimize_bounded(ratf, ts[i - 1], ts[i + 1],
-                                         xatol=refine_tol)
-                candidates.append((t_dip, False))
-    # right endpoint: an instant exactly at tau has no interior bracket
-    if ratios[-1] < dip_trigger and (len(ts) < 2 or ratios[-1] < ratios[-2]):
-        candidates.append((tau, False))
-
-    # deduplicate detections of the same instant by the two detectors
-    candidates.sort(key=lambda c: c[0])
-    dedup = []
-    for t, via_det in candidates:
-        if dedup and abs(t - dedup[-1][0]) <= max(100 * refine_tol, 1e-12 * tau):
-            dedup[-1] = (dedup[-1][0], dedup[-1][1] or via_det)
-        else:
-            dedup.append((t, via_det))
+    # an instant reached from two brackets counts once; a real offset within
+    # 3 cells of an instant is a neighbour that may share its bracket
+    found = []
+    for lo, t, hi in brackets:
+        inst, s = _refine(frame, t, lo, hi, cell, theta_null)
+        if inst is None or any(abs(inst.t - c.t) <= close for c in found):
+            continue
+        found.append(inst)
+        near = (np.abs(s) > close) & (np.abs(s) < 3 * cell) & (np.abs(s.imag) <= close)
+        brackets.extend((t1 - cell, t1, min(t1 + cell, tau))
+                        for t1 in inst.t + s[near].real)
 
     notes = []
-    instants = []
-    for t, via_det in dedup:
-        sv = np.linalg.svd(frame.M(t), compute_uv=False)
-        smax = sv[0] if sv[0] > 0 else 1.0
-        mult = int(np.sum(sv < theta_null * smax))
-        if mult == 0:
-            if via_det:
-                # a determinant sign change proves an odd-multiplicity zero
-                mult = 1
-                notes.append(
-                    f"instant t={t:.12g}: null threshold missed a proven sign change"
-                )
-            else:
-                continue
-        instants.append(ConjugateInstant(t, mult, float(sv[-1] / smax)))
-
-    # merge near-coincident instants closer than 3 grid cells
     merged = []
-    for inst in instants:
+    for inst in sorted(found, key=lambda c: c.t):
         if merged and inst.t - merged[-1].t < 3 * cell:
             prev = merged.pop()
-            msg = (
-                f"instants {prev.t:.9g} and {inst.t:.9g} closer than 3 grid cells; "
-                "merged with summed multiplicity"
-            )
+            msg = (f"instants {prev.t:.9g} and {inst.t:.9g} closer than 3 grid "
+                   "cells; merged with summed multiplicity")
             warnings.warn(msg, ResolutionWarning)
             notes.append(msg)
-            merged.append(
-                ConjugateInstant(
-                    0.5 * (prev.t + inst.t),
-                    prev.multiplicity + inst.multiplicity,
-                    min(prev.sigma_min_rel, inst.sigma_min_rel),
-                )
-            )
-        else:
-            merged.append(inst)
+            inst = ConjugateInstant(0.5 * (prev.t + inst.t),
+                                    prev.multiplicity + inst.multiplicity,
+                                    min(prev.sigma_min_rel, inst.sigma_min_rel))
+        merged.append(inst)
 
-    max_mult = n if frame.kind == "focal" else n - 1
-    for inst in merged:
-        if inst.multiplicity > max_mult:
-            notes.append(
-                f"multiplicity {inst.multiplicity} at t={inst.t:.9g} exceeds the "
-                f"bound {max_mult}"
-            )
-    return ConjugateReport(
-        kind=frame.kind,
-        tau=tau,
-        instants=merged,
-        grid=grid,
-        theta_null=theta_null,
-        refine_tol=refine_tol,
-        warnings=notes,
-    )
+    max_mult = frame.dim if frame.kind == "focal" else frame.dim - 1
+    notes += [f"multiplicity {c.multiplicity} at t={c.t:.9g} exceeds the bound "
+              f"{max_mult}" for c in merged if c.multiplicity > max_mult]
+    return ConjugateReport(kind=frame.kind, tau=tau, instants=merged, grid=grid,
+                           theta_null=theta_null, warnings=notes)
 
 
-def conjugate_scan(path, *, grid=DEFAULT_GRID, theta_null=THETA_NULL,
-                   dip_trigger=DIP_TRIGGER, refine_tol=REFINE_TOL, frame=None,
+def conjugate_scan(path, *, grid=DEFAULT_GRID, theta_null=THETA_NULL, frame=None,
                    rtol=SCAN_RTOL):
     """Locate conjugate instants with multiplicities over (0, tau]."""
     if frame is None:
         frame = jacobi_frame(path, "conjugate", rtol=rtol)
-    return _scan_frame(frame, grid=grid, theta_null=theta_null,
-                       dip_trigger=dip_trigger, refine_tol=refine_tol)
+    return _scan_frame(frame, grid=grid, theta_null=theta_null)
 
 
 def focal_scan(path, boundary, *, grid=DEFAULT_GRID, theta_null=THETA_NULL,
-               dip_trigger=DIP_TRIGGER, refine_tol=REFINE_TOL, frame=None,
-               rtol=SCAN_RTOL):
+               frame=None, rtol=SCAN_RTOL):
     """Locate P-focal instants for a geodesic starting g_v-orthogonally to P."""
     if frame is None:
         frame = jacobi_frame(path, boundary, rtol=rtol)
-    return _scan_frame(frame, grid=grid, theta_null=theta_null,
-                       dip_trigger=dip_trigger, refine_tol=refine_tol)
+    return _scan_frame(frame, grid=grid, theta_null=theta_null)

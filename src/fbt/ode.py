@@ -1,4 +1,4 @@
-"""Explicit ODE integration, scalar root finding and bounded minimization.
+"""Explicit ODE integration and scalar root finding.
 
 `dop853` integrates y' = f(t, y) from t = 0 by the explicit Runge-Kutta pair
 of order 8(5,3) of Dormand and Prince (Hairer, Norsett & Wanner, *Solving
@@ -13,10 +13,9 @@ selects its first step differently takes other steps.  The coefficients are thos
 SciPy's `dop853_coefficients.py` (BSD-3-Clause, Copyright (c) 2001-2002
 Enthought, Inc. and 2003- SciPy Developers).
 
-`brentq` and `minimize_bounded` are Brent's root finder and bounded minimizer
-(R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
-ch. 4 and 5), ported from SciPy's brentq.c and `_minimize_scalar_bounded` so
-that they make the same evaluations and return the same x.
+`brentq` is Brent's root finder (R. P. Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 4), ported from SciPy's brentq.c so that it
+makes the same evaluations and returns the same x.
 """
 
 from __future__ import annotations
@@ -30,16 +29,15 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = ["dop853", "DenseOutput", "OdeResult", "StepFailure", "brentq",
-           "minimize_bounded", "step_index"]
+           "step_index"]
 
 EPS = np.finfo(float).eps
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
-# SciPy's defaults
+# SciPy's default
 BRENTQ_MAXITER = 100
-BOUNDED_MAXFUN = 500
 
 # stage times; stages 13-15 serve the dense output only
 C = np.array([
@@ -409,79 +407,3 @@ def brentq(f, a, b, *, xtol=2e-12):
         fcur = fx(xcur)
     raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations, "
                        f"value is {xcur}")
-
-
-def minimize_bounded(f, a, b, *, xatol=1e-5):
-    """A local minimizer of f on [a, b] by golden sections and parabolic
-    steps (Brent 1973, ch. 5; SciPy's _minimize_scalar_bounded), after at
-    most BOUNDED_MAXFUN evaluations.
-
-    The tolerance is SciPy's, tol = sqrt(2.2e-16) * |x| + xatol / 3, kept so
-    that the port returns SciPy's x.  Its relative term is about 4.7e-8 at
-    x = pi, so there an xatol of 1e-10 is not met: the result can be off by
-    some 1e-8."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = float(a), float(b)
-    if a > b:
-        raise ValueError("the lower bound exceeds the upper bound")
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= BOUNDED_MAXFUN:
-            break
-    return xf

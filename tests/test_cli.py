@@ -129,6 +129,26 @@ class TestCommands:
         t = float(lines[1].split(",")[0])
         assert t == pytest.approx(np.pi, abs=1e-6)
 
+    def test_expmap_jacobian_reads_solver_atol(self, tmp_path, monkeypatch):
+        seen = []
+        jacobian = cli._jacobi.expmap_jacobian
+
+        def spy(*args, **kw):
+            seen.append(kw)
+            return jacobian(*args, **kw)
+
+        monkeypatch.setattr(cli._jacobi, "expmap_jacobian", spy)
+        cfg = load_config(write_cfg(tmp_path, {
+            "metric": {"kind": "euclidean", "dim": 2},
+            "problem": {"initial": {"x": [0, 0], "v": [1, 0.5], "tau": 1.0}},
+            "solver": {"rtol": 1e-8, "atol": 1e-10},
+        }))
+        out = tmp_path / "run"
+        assert run_command("expmap", cfg, str(out)) == 0
+        assert seen == [{"rtol": 1e-8, "atol": 1e-10}]
+        data = json.loads((out / "expmap.json").read_text())
+        assert np.allclose(data["jacobian"], np.eye(2), atol=1e-10)
+
     def test_metric_check(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {
             "metric": {"kind": "euclidean", "dim": 2},

@@ -84,35 +84,6 @@ class TestEval:
             ev("exp(x1)", (1e6,))
 
 
-class TestGradFd:
-    def test_square(self):
-        g = expr.grad_fd(expr.parse("x1^2"), [3.0])
-        assert g[0] == pytest.approx(6.0, abs=1e-8)
-
-    def test_product(self):
-        g = expr.grad_fd(expr.parse("x1*x2"), [2.0, 5.0])
-        assert np.allclose(g, [5.0, 2.0], atol=1e-8)
-
-    def test_sin_at_zero(self):
-        g = expr.grad_fd(expr.parse("sin(x1)"), [0.0])
-        assert g[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_quadratics_near_exact(self):
-        # central differences are exact on quadratics up to rounding
-        rng = np.random.default_rng(5)
-        e = expr.parse("2*x1^2 - 3*x1*x2 + x2^2 + 4*x1 - 7")
-        for _ in range(20):
-            x = rng.uniform(-3, 3, size=2)
-            g = expr.grad_fd(e, x)
-            exact = np.array([4 * x[0] - 3 * x[1] + 4, -3 * x[0] + 2 * x[1]])
-            scale = max(1.0, float(np.max(np.abs(exact))))
-            assert np.max(np.abs(g - exact)) / scale < 1e-9
-
-    def test_domain_error_propagates(self):
-        with pytest.raises(DomainError):
-            expr.grad_fd(expr.parse("sqrt(x1)"), [1e-9])
-
-
 # hypothesis: random ASTs round-trip through the printer
 
 _leaf = st.one_of(

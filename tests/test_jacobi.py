@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
 from fbt.jacobi import (
+    JacobiFrame,
     NotPerpendicular,
+    ResolutionWarning,
     _scan_grid,
     conjugate_scan,
     expmap_jacobian,
@@ -170,6 +174,14 @@ class TestConjugateScan:
         t_back = conjugate_scan(back).instants[0].t
         assert abs(t_back - t_fwd) < 1e-8
 
+    def test_sphere_dim3_double_instant_at_pi(self, sphere3):
+        # both kernel directions of the double instant converge together
+        path = integrate_geodesic(sphere3, PhaseState([0, -1, 0], [1, 0, 0]),
+                                  1.5 * np.pi, rtol=1e-12, atol=1e-14)
+        (inst,) = conjugate_scan(path).instants
+        assert inst.multiplicity == 2
+        assert abs(inst.t - np.pi) <= 1e-10
+
     def test_multiplicity_stable_under_threshold_change(self, sphere, sphere3):
         for m, x0, v0, tau in [
             (sphere, [0, -1], [1, 0], 2.5 * np.pi),
@@ -191,6 +203,16 @@ class TestFocalScan:
         assert len(rep.instants) == 1
         assert rep.instants[0].multiplicity == 1
         assert abs(rep.instants[0].t - 1.0) < 1e-9
+
+    def test_great_sphere_focuses_at_half_pi(self, sphere3):
+        # geodesics leaving a totally geodesic great sphere perpendicularly
+        # meet again after a quarter turn, with multiplicity 2
+        b = BoundaryData([0.0, 0.0, 0.0], np.eye(3)[:, 1:])
+        path = integrate_geodesic(sphere3, PhaseState([0, 0, 0], [0.5, 0, 0]), 2.0,
+                                  rtol=1e-12, atol=1e-14)
+        (inst,) = focal_scan(path, b).instants
+        assert inst.multiplicity == 2
+        assert abs(inst.t - np.pi / 2) <= 1e-10
 
     def test_straight_line_never_focuses(self, euclid):
         b = BoundaryData([0.0, 0.0], np.array([[1.0], [0.0]]))
@@ -389,3 +411,95 @@ class TestScanGrid:
             frame = jacobi_frame(integrate_geodesic(m, PhaseState(x, v), tau))
             for got, ref in zip(_scan_grid(frame, 400), scan_grid_loop(frame, 400)):
                 assert np.array_equal(got, ref)
+
+
+def _closed_form_frame(sol, n, tau):
+    """A frame on a straight path of length tau whose M and M' come from the
+    closed form sol(t) (the layout of the frame flow's dense output), so a
+    scan sees no integration error."""
+    path = integrate_geodesic(fbt.euclidean(n), PhaseState(np.zeros(n), np.eye(n)[0]), tau)
+    return JacobiFrame(path, "conjugate", None, sol, np.array([0.0, tau]))
+
+
+def _diagonal_frame(a, tau=4.0, q=None):
+    """M = q diag(sin(a_k t) / a_k) q^T, M' = q diag(cos(a_k t)) q^T for an
+    orthogonal q (the identity by default): column k of the diagonal frame
+    is singular at the multiples of pi / a_k."""
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    q = np.eye(n) if q is None else q
+
+    def sol(t):
+        at = np.multiply.outer(np.asarray(t, dtype=float), a)
+        M = (q * (np.sin(at) / a)[..., None, :]) @ q.T
+        Md = (q * np.cos(at)[..., None, :]) @ q.T
+        y = np.concatenate([M.reshape(at.shape[:-1] + (n * n,)),
+                            Md.reshape(at.shape[:-1] + (n * n,))], axis=-1)
+        return np.moveaxis(y, -1, 0)
+
+    return _closed_form_frame(sol, n, tau)
+
+
+class TestScanClosedForm:
+    """Scans of closed-form frames: grid 400 on tau = 4, so a cell is 0.01."""
+
+    def _scan(self, frame):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = conjugate_scan(frame.path, frame=frame)
+        return rep, [w.category for w in caught]
+
+    @pytest.mark.parametrize("gap", [0.005, 0.02])
+    def test_close_pair_merged_with_warning(self, gap):
+        # at a gap of half a cell det M keeps its sign on the grid, and the
+        # pair shares one bracket
+        t2 = np.pi + gap
+        rep, caught = self._scan(_diagonal_frame([1.0, np.pi / t2, 0.1]))
+        assert caught == [ResolutionWarning]
+        (inst,) = rep.instants
+        assert inst.multiplicity == 2
+        assert inst.t == pytest.approx(0.5 * (np.pi + t2), abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [0.04, 0.05, 0.06])
+    def test_pair_four_to_six_cells_apart(self, gap):
+        t2 = np.pi + gap
+        rep, caught = self._scan(_diagonal_frame([1.0, np.pi / t2, 0.1]))
+        assert caught == []
+        assert [c.multiplicity for c in rep.instants] == [1, 1]
+        assert abs(rep.instants[0].t - np.pi) <= 1e-12
+        assert abs(rep.instants[1].t - t2) <= 1e-12
+
+    def test_double_instant_without_sign_change(self):
+        frame = _diagonal_frame([1.0, 1.0, 0.1])
+        ts, dets, _ = _scan_grid(frame, 400)
+        assert np.all(dets > 0)
+        rep, caught = self._scan(frame)
+        assert caught == []
+        (inst,) = rep.instants
+        assert inst.multiplicity == 2
+        assert abs(inst.t - np.pi) <= 1e-12
+
+    def test_instant_where_another_column_is_stationary(self):
+        # at pi/2 the first column is singular and the second has J' = 0, so
+        # M' is singular there too; in this rotated basis a step that
+        # inverted M' wanders in its rounding and ends 8e-12 to 5e-10 off
+        q = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0]
+        rep, caught = self._scan(_diagonal_frame([2.0, 1.0, 0.1], q=q))
+        assert caught == []
+        assert [c.multiplicity for c in rep.instants] == [1, 2]
+        assert abs(rep.instants[0].t - np.pi / 2) <= 1e-12
+        assert abs(rep.instants[1].t - np.pi) <= 1e-12
+
+    def test_dip_that_misses_zero(self):
+        # the first two columns' sigma_min dips to 1e-3 at pi without reaching
+        # zero: the offsets there are +-1e-3 i
+        def sol(t):
+            t = np.asarray(t, dtype=float)
+            s, c, z, o = np.sin(t), np.cos(t), np.zeros_like(t), np.ones_like(t)
+            return np.array([s, z + 1e-3, z, z - 1e-3, s, z, z, z, 1 + t,
+                             c, z, z, z, c, z, z, z, o])
+
+        frame = _closed_form_frame(sol, 3, 4.0)
+        assert np.min(_scan_grid(frame, 400)[2]) < 0.05
+        rep, caught = self._scan(frame)
+        assert rep.instants == [] and caught == []

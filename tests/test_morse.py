@@ -26,7 +26,7 @@ def _report(instants, tau, kind="conjugate"):
     return ConjugateReport(
         kind=kind, tau=tau,
         instants=[ConjugateInstant(t, m, 0.0) for t, m in instants],
-        grid=400, theta_null=1e-6, refine_tol=1e-10,
+        grid=400, theta_null=1e-6,
     )
 
 

@@ -1,7 +1,6 @@
 """fbt.ode against SciPy, which stays the independent reference: the DOP853
 integrator takes the steps of solve_ivp(method="DOP853") to the bit, and the
-Brent ports make the evaluations of scipy.optimize's brentq and bounded
-minimize_scalar."""
+Brent port makes the evaluations of scipy.optimize's brentq."""
 
 import math
 import os
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 
 import fbt
 from fbt import ode
@@ -188,7 +186,7 @@ class TestEvents:
             ode.dop853(fun, np.array([1.0]), 2.0, rtol=1e-9, atol=1e-12)
 
 
-# smooth, kinked and flat scalar functions with a bracket or bounds each
+# smooth, kinked and flat scalar functions with a bracket each
 ROOTS = [
     (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, {}),
     (math.cos, 0.0, 2.0, {}),
@@ -199,15 +197,6 @@ ROOTS = [
     (lambda x: 1e-200 * (x - 0.7), 0.0, 1.0, {}),
     (lambda x: math.tanh(40 * (x - 0.123)), -1.0, 1.0, {"xtol": 1e-14}),
     (lambda x: x, -1.0, 0.0, {}),
-]
-MINIMA = [
-    (lambda x: (x - 1.2) ** 2, 0.0, 3.0, {}),
-    (lambda x: 1.0 + math.cos(x), 3.0, 3.3, {"xatol": 1e-10}),
-    (lambda x: abs(math.sin(x)), 2.9, 3.4, {"xatol": 1e-10}),
-    (lambda x: abs(x - 2.0) + 0.1 * x, 0.0, 5.0, {}),
-    (lambda x: (x - 0.5) ** 8, 0.0, 1.0, {"xatol": 1e-10}),
-    (lambda x: 1.0, -1.0, 1.0, {}),
-    (lambda x: math.exp(-x), 0.0, 2.0, {"xatol": 1e-12}),
 ]
 
 
@@ -233,17 +222,6 @@ def test_brentq_matches_scipy(f, a, b, kw):
 def test_brentq_rejects_same_signs():
     with pytest.raises(ValueError):
         ode.brentq(math.cos, 0.0, 1.0)
-
-
-def _scipy_bounded(f, a, b, **kw):
-    return minimize_scalar(f, bounds=(a, b), method="bounded", options=kw).x
-
-
-@pytest.mark.parametrize("f,a,b,kw", MINIMA)
-def test_minimize_bounded_matches_scipy(f, a, b, kw):
-    got = _run(ode.minimize_bounded, f, a, b, kw)
-    assert got == _run(_scipy_bounded, f, a, b, kw)
-    assert len(got[1]) > 2
 
 
 GUARD = r"""
