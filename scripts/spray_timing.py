@@ -5,15 +5,16 @@ For each catalog kind in 2-D and 3-D this prints the minimum over repeats
 of the mean time per call on
 
 * one real state (a geodesic right-hand side),
-* complex-step stacks of n and 2n copies (a shooting step and a
-  Jacobi-frame linearization),
+* complex-step stacks of n and 2n copies (a shooting or Jacobi-frame
+  step, and the full spray linearization of spray_jacobians),
 * a real stack of 3*64 states (the Gauss points of a 64-element mesh).
 
 second_derivatives takes real states only, so its complex columns read "-".
 Two more rows per kind time whole callers: shoot_rhs, the right-hand side of
 endpoint_jacobian on the flat state of the n shooting copies (column cs_n),
-and spray_jacobians, the frame's spray linearization at one real state
-(column real1); their other columns read "-".
+and spray_jacobians, the independent check of the frame equation in
+JacobiFrame.residual_max, at one real state (column real1); their other
+columns read "-".
 
     PYTHONPATH=src python scripts/spray_timing.py [--repeat 5] [--number 200]
 """

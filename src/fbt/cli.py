@@ -24,12 +24,8 @@ import os
 import sys
 from importlib import resources
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from .errors import ConfigError, NumericalError
 from . import expr as _expr
@@ -49,6 +45,8 @@ COMMANDS = (
     "metric-check", "geodesic", "expmap", "conjugate", "focal",
     "index", "sweep", "branch", "zermelo", "fermat",
 )
+# commands whose flows run on DOP853 whatever solver.method says
+DOP853_ONLY = ("expmap", "conjugate", "focal", "sweep", "branch")
 
 SOLVER_DEFAULTS = {
     "rtol": 1e-9,
@@ -98,13 +96,12 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
-    if jsonschema is not None:
-        validator = jsonschema.Draft202012Validator(_schema())
-        errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-        if errors:
-            e = errors[0]
-            pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-            raise SchemaError(f"{pointer or '/'}: {e.message}")
+    validator = jsonschema.Draft202012Validator(_schema())
+    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    if errors:
+        e = errors[0]
+        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
+        raise SchemaError(f"{pointer or '/'}: {e.message}")
 
     cfg.setdefault("solver", {})
     for key, val in SOLVER_DEFAULTS.items():
@@ -587,6 +584,8 @@ def run_command(cmd, cfg, out_dir="."):
     """Execute one subcommand; returns the process exit code."""
     if cmd not in _DISPATCH:
         raise ConfigError(f"unknown command {cmd!r}")
+    if cmd in DOP853_ONLY and cfg["solver"]["method"] != "dop853":
+        raise SchemaError(f"/solver/method: {cmd} integrates by dop853 only")
     os.makedirs(out_dir, exist_ok=True)
     _write_config_sibling(out_dir, cfg)
     try:

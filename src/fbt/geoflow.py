@@ -237,7 +237,7 @@ def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
 
 
 def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                       method="dop853", n_steps=None, max_step=np.inf):
+                       method="dop853", n_steps=None):
     """Integrate the geodesic with initial PhaseState s0 over [0, tau] by
     method "dop853" (adaptive) or "rk4" (n_steps fixed steps)."""
     if tau <= 0:
@@ -278,8 +278,7 @@ def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         sol = _HermiteSol(ts, ys, fs)
         return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, ts, ys, sol, F0)
 
-    res = _solve(m, rhs, tau, y0, rtol=rtol, atol=atol, dense=True,
-                 max_step=max_step)
+    res = _solve(m, rhs, tau, y0, rtol=rtol, atol=atol, dense=True)
     return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, res.ts, res.ys, res.sol, F0)
 
 

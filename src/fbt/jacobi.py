@@ -1,12 +1,14 @@
 """Jacobi frames, the exponential-map Jacobian, conjugate and focal scans.
 
 A frame carries n columns (J, J') through the linearized geodesic equation
-
-    J'' = Dx spray . J  +  Dv spray . J',
-
-driven by the dense output of a stored GeodesicPath.  The linear, smooth
-equation is integrated by the 8th-order Dormand-Prince pair (ode.dop853), with
-the spray linearized by the complex step, exact to rounding.
+J'' = Dx spray . J + Dv spray . J' together with its own geodesic: one real
+flow on (x, v, M, M') from a path's start state by the 8th-order
+Dormand-Prince pair (ode.dop853), with M and M' in the error norm.  Each
+stage evaluates the n complex-step rows spray(x + i h M_j, v + i h M'_j):
+the real part is the geodesic's spray, Im / h the column's J''.  So the
+counting index route (these scans) rides the frame's geodesic at SCAN_RTOL,
+the spectral one (morse) the stored path at its rtol, from the same
+(x0, v0, tau).  D exp is the shooting derivative (geoflow.endpoint_jacobian).
 
 Conjugate and focal instants show up as rank drops of M(t).  A scan reads
 its grid with one dense-output call and brackets them there: sign changes of
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geoflow import GeodesicPath, BoundaryData, integrate_geodesic
-from .metric import COMPLEX_STEP, PhaseState
-from .ode import dop853
+from .geoflow import GeodesicPath, BoundaryData, _solve, endpoint_jacobian
+from .metric import COMPLEX_STEP
 
 __all__ = [
     "JacobiFrame",
@@ -69,8 +70,8 @@ def spray_jacobians(m, x, v):
     (..., n), by the complex step: column j of A is
     Im spray(x + i*h*e_j, v) / h and of B Im spray(x, v + i*h*e_j) / h, at
     h = COMPLEX_STEP, from one complex-step evaluation of the 2n states per
-    state.  Nothing is subtracted, so there is no step to tune and no
-    rounding floor."""
+    state.  Nothing is subtracted, so no step to tune and no rounding floor.
+    This is residual_max's independent check of the frame flow."""
     n = m.dim
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     zero = [0.0] * n
@@ -87,8 +88,8 @@ def spray_jacobians(m, x, v):
 
 @dataclass
 class JacobiFrame:
-    """M and M' along a path, read from the frame flow's dense output sol
-    (ode.DenseOutput) with step times ts."""
+    """M and M' along a path: the last 2 n^2 components of the frame flow's
+    dense output sol (ode.DenseOutput) with step times ts."""
 
     path: GeodesicPath
     kind: str
@@ -103,21 +104,21 @@ class JacobiFrame:
     def M(self, t):
         """M(t); at an array of times, a stack of matrices."""
         n = self.dim
-        return self.sol(t)[: n * n].T.reshape(np.shape(t) + (n, n))
+        return self.sol(t)[-2 * n * n:-n * n].T.reshape(np.shape(t) + (n, n))
 
     def Mdot(self, t):
         n = self.dim
-        return self.sol(t)[n * n:].T.reshape(np.shape(t) + (n, n))
+        return self.sol(t)[-n * n:].T.reshape(np.shape(t) + (n, n))
 
     def sigma(self, t):
         return np.linalg.svd(self.M(t), compute_uv=False)
 
-    def residual_max(self, n_samples=20, seed=0, h=1e-3):
+    def residual_max(self, n_samples=20, seed=0):
         """Linearized-equation residual via differentiation of the dense Mdot."""
         rng = np.random.default_rng(seed)
         ts = rng.uniform(0.05 * self.path.tau, 0.95 * self.path.tau, size=n_samples)
-        a = np.maximum(ts - h, 0.0)
-        b = np.minimum(ts + h, self.path.tau)
+        a = np.maximum(ts - 1e-3, 0.0)
+        b = np.minimum(ts + 1e-3, self.path.tau)
         Mdd = (self.Mdot(b) - self.Mdot(a)) / (b - a)[:, None, None]
         x, v = self.path.state(ts)
         A, B = spray_jacobians(self.path.metric, x, v)
@@ -156,18 +157,33 @@ def _focal_init(m, path, b):
     return M0, Md0
 
 
-def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL):
-    """Propagate an n-column variational frame along a stored geodesic.
+def _frame_rhs(m):
+    """The frame flow's right-hand side on the flat real (x, v, M, M')."""
+    n = m.dim
+
+    def rhs(t, y):
+        ys = (COMPLEX_STEP * y[2 * n:-n * n]).reshape(n, n).T.tolist()
+        us = (y[n:2 * n] + 1j * COMPLEX_STEP * y[-n * n:].reshape(n, n).T).tolist()
+        out = m.complex_step("spray", y[:n].tolist(), zip(ys, us))
+        return np.concatenate([y[n:2 * n], out[0].real, y[-n * n:],
+                               (out.imag.T / COMPLEX_STEP).ravel()])
+
+    return rhs
+
+
+def jacobi_frame(path, init="conjugate"):
+    """Propagate an n-column variational frame, with its own geodesic, from
+    the path's start state over [0, path.tau].
 
     init is "conjugate" (M(0) = 0, M'(0) = I) or a BoundaryData describing a
-    start submanifold for the focal problem.  For a metric with
-    finite-difference component derivatives rtol and atol are raised to at
-    least FD_COMPONENT_RTOL and FD_COMPONENT_ATOL.
+    start submanifold for the focal problem.  The flow runs at SCAN_RTOL /
+    SCAN_ATOL (FD_COMPONENT_* for finite-difference component derivatives)
+    and raises LeftChart and ZeroVelocity as the geodesic flow does.
     """
     m = path.metric
     n = m.dim
-    if not m.has_analytic_dx:
-        rtol, atol = max(rtol, FD_COMPONENT_RTOL), max(atol, FD_COMPONENT_ATOL)
+    rtol, atol = ((SCAN_RTOL, SCAN_ATOL) if m.has_analytic_dx
+                  else (FD_COMPONENT_RTOL, FD_COMPONENT_ATOL))
     if isinstance(init, BoundaryData):
         M0, Md0 = _focal_init(m, path, init)
         kind, boundary = "focal", init
@@ -177,26 +193,17 @@ def jacobi_frame(path, init="conjugate", *, rtol=SCAN_RTOL, atol=SCAN_ATOL):
     else:
         raise ValueError(f"unknown frame init {init!r}")
 
-    def rhs(t, y):
-        M = y[: n * n].reshape(n, n)
-        Md = y[n * n:].reshape(n, n)
-        A, B = spray_jacobians(m, *path.state(t))
-        return np.concatenate([Md.ravel(), (A @ M + B @ Md).ravel()])
-
-    y0 = np.concatenate([M0.ravel(), Md0.ravel()])
-    res = dop853(rhs, y0, path.tau, rtol=rtol, atol=atol, dense=True)
+    y0 = np.concatenate([path.x0, path.v0, M0.ravel(), Md0.ravel()])
+    res = _solve(m, _frame_rhs(m), path.tau, y0, rtol=rtol, atol=atol, dense=True)
     return JacobiFrame(path, kind, boundary, res.sol, res.ts)
 
 
 def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12):
-    """D exp_p(v): column j is the endpoint derivative along e_j, realized as
-    J(1) of the Jacobi field with J(0) = 0, J'(0) = e_j."""
-    path = integrate_geodesic(m, PhaseState(p, v), 1.0, rtol=rtol, atol=atol)
-    # a decade tighter than the path, so that the frame adds little to the
-    # path's own error
-    frame = jacobi_frame(path, "conjugate", rtol=0.1 * rtol,
-                         atol=0.1 * max(atol, 1e-13))
-    return frame.M(path.tau)
+    """D exp_p(v), the shooting derivative d x(1) / d v of
+    geoflow.endpoint_jacobian, taken a decade tighter than rtol and atol:
+    the copies flow leaves the derivative out of its error norm."""
+    return endpoint_jacobian(m, p, v, 1.0, rtol=0.1 * rtol,
+                             atol=0.1 * max(atol, 1e-13))[1]
 
 
 @dataclass
@@ -258,7 +265,7 @@ def _refine(frame, t, lo, hi, cell, theta_null):
     lo, hi = max(lo - close, close), hi + close
     for _ in range(PENCIL_MAXITER):
         y = frame.sol(t)
-        M, Md = y[: n * n].reshape(n, n), y[n * n:].reshape(n, n)
+        M, Md = y[-2 * n * n:-n * n].reshape(n, n), y[-n * n:].reshape(n, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = 1j * cell - 1.0 / np.linalg.eigvals(
                 np.linalg.solve(M + 1j * cell * Md, Md))
@@ -330,17 +337,16 @@ def _scan_frame(frame, *, grid, theta_null):
                            theta_null=theta_null, warnings=notes)
 
 
-def conjugate_scan(path, *, grid=DEFAULT_GRID, theta_null=THETA_NULL, frame=None,
-                   rtol=SCAN_RTOL):
+def conjugate_scan(path, *, grid=DEFAULT_GRID, theta_null=THETA_NULL, frame=None):
     """Locate conjugate instants with multiplicities over (0, tau]."""
     if frame is None:
-        frame = jacobi_frame(path, "conjugate", rtol=rtol)
+        frame = jacobi_frame(path, "conjugate")
     return _scan_frame(frame, grid=grid, theta_null=theta_null)
 
 
 def focal_scan(path, boundary, *, grid=DEFAULT_GRID, theta_null=THETA_NULL,
-               frame=None, rtol=SCAN_RTOL):
+               frame=None):
     """Locate P-focal instants for a geodesic starting g_v-orthogonally to P."""
     if frame is None:
-        frame = jacobi_frame(path, boundary, rtol=rtol)
+        frame = jacobi_frame(path, boundary)
     return _scan_frame(frame, grid=grid, theta_null=theta_null)

@@ -6,12 +6,13 @@ Ordinary Differential Equations I*, 2nd ed., Sec. II.5 and II.10, and their
 code DOP853), with its 7th-order dense output.  It takes the steps of
 scipy.integrate.solve_ivp(method="DOP853") as of SciPy 1.17, the release the
 tests compare with: the same initial step selection (Sec. II.4, with the
-first step clamped to the interval and to max_step), step-size controller,
-combined 3rd/5th-order error norm and "step too small" failure, so states,
-step times and evaluation counts agree to the bit.  A SciPy release that
-selects its first step differently takes other steps.  The coefficients are those of Hairer's dop853.f in the layout of
-SciPy's `dop853_coefficients.py` (BSD-3-Clause, Copyright (c) 2001-2002
-Enthought, Inc. and 2003- SciPy Developers).
+first step clamped to the interval), step-size controller, combined
+3rd/5th-order error norm and "step too small" failure, so states, step times
+and evaluation counts agree to the bit.  A SciPy release that selects its
+first step differently takes other steps.  The coefficients are those of
+Hairer's dop853.f in the layout of SciPy's `dop853_coefficients.py`
+(BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy
+Developers).
 
 `brentq` is Brent's root finder (R. P. Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4), ported from SciPy's brentq.c so that it
@@ -175,7 +176,7 @@ def _sqnorm(x):
     return math.sqrt(x.dot(x)) ** 2
 
 
-def _initial_step(fun, y0, f0, t_end, max_step, rtol, atol):
+def _initial_step(fun, y0, f0, t_end, rtol, atol):
     """Hairer, Norsett & Wanner, Sec. II.4: a first step from the sizes of
     y0, f0 and a difference estimate of f'; costs one evaluation."""
     scale = atol + np.abs(y0) * rtol
@@ -188,7 +189,7 @@ def _initial_step(fun, y0, f0, t_end, max_step, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.125
-    return min(100 * h0, h1, t_end, max_step)
+    return min(100 * h0, h1, t_end)
 
 
 def _weights(x):
@@ -253,8 +254,7 @@ class OdeResult:
     event: int | None = None
 
 
-def dop853(fun, y0, t_end, *, rtol, atol, max_step=math.inf, dense=False,
-           events=()):
+def dop853(fun, y0, t_end, *, rtol, atol, dense=False, events=()):
     """Integrate y' = fun(t, y) over [0, t_end] from y0 (real or complex).
 
     The integration stops at the first root of any event function g(t, y)
@@ -263,14 +263,12 @@ def dop853(fun, y0, t_end, *, rtol, atol, max_step=math.inf, dense=False,
     ten float spacings of t."""
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if not max_step > 0:
-        raise ValueError(f"max_step must be positive, got {max_step}")
     y = np.asarray(y0)
     y = y.astype(complex if y.dtype.kind == "c" else float)
     rtol = max(rtol, 100 * EPS)
     t = 0.0
     f = fun(t, y)
-    h_abs = _initial_step(fun, y, f, t_end, max_step, rtol, atol)
+    h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
     nfev = 2
     K = np.empty((16, y.size), y.dtype)
     KT = [K[:s].T for s in range(16)]
@@ -280,10 +278,7 @@ def dop853(fun, y0, t_end, *, rtol, atol, max_step=math.inf, dense=False,
 
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:

@@ -192,6 +192,13 @@ class TestCommands:
         assert cli.main(["geodesic", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "/solver/method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["conjugate", "expmap"])
+    def test_rk4_rejected_where_only_dop853_runs(self, tmp_path, capsys, cmd):
+        # scans, exp-map Jacobians, sweeps and hunts integrate by DOP853 only
+        cfg = write_cfg(tmp_path, {**SPHERE, "solver": {"method": "rk4"}})
+        assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "/solver/method" in capsys.readouterr().err
+
     def test_branch_with_boundary_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "metric": {"kind": "euclidean", "dim": 2},

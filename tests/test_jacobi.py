@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fbt
-from fbt.geoflow import BoundaryData, integrate_geodesic
+from fbt.geoflow import BoundaryData, GeodesicPath, endpoint_jacobian, integrate_geodesic
 from fbt.jacobi import (
     JacobiFrame,
     NotPerpendicular,
@@ -65,8 +65,36 @@ class TestFrame:
         frame = jacobi_frame(path, "conjugate")
         assert frame.residual_max(n_samples=10, seed=4) < 1e-4
 
+    def test_scans_ride_the_frames_own_geodesic(self, sphere, monkeypatch):
+        # paths at the default rtol 1e-9; the frames read neither their
+        # states nor spray_jacobians, and integrate the geodesic with M and
+        # M' at the scan tolerance
+        path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 3.2)
+        normal = integrate_geodesic(sphere, PhaseState([0, 0], [0.5, 0]), 2.0)
+        b = BoundaryData([0.0, 0.0], np.array([[0.0], [1.0]]))
+
+        def forbidden(*args, **kw):
+            raise AssertionError("a frame read the stored path")
+
+        monkeypatch.setattr(GeodesicPath, "state", forbidden)
+        monkeypatch.setattr(fbt.jacobi, "spray_jacobians", forbidden)
+        (inst,) = conjugate_scan(path).instants
+        assert abs(inst.t - np.pi) <= 1e-11
+        (inst,) = focal_scan(normal, b).instants
+        assert abs(inst.t - np.pi / 2) <= 1e-11
+
 
 class TestExpmapJacobian:
+    def test_is_the_shooting_derivative(self):
+        m = fbt.randers_expr(2, [["1+0.1*x2^2", "0"], ["0", "1+0.1*x1^2"]],
+                             ["0.3*sin(x2)", "0.2*sin(x1)"])
+        p, v = [0.1, 0.0], [1.0, 0.2]
+        for rtol, atol in ((1e-9, 1e-12), (1e-11, 1e-14)):
+            _, ref = endpoint_jacobian(m, p, v, 1.0, rtol=0.1 * rtol,
+                                       atol=0.1 * max(atol, 1e-13))
+            J = expmap_jacobian(m, p, v, rtol=rtol, atol=atol)
+            np.testing.assert_array_equal(J, ref)
+
     def test_euclidean_identity(self, euclid):
         J = expmap_jacobian(euclid, [0, 0], [1.2, 0.3])
         assert np.max(np.abs(J - np.eye(2))) < 1e-10
@@ -342,8 +370,8 @@ class TestSprayJacobians:
 
 
 # (metric, x0, v0, tau, bound at the scan defaults, bound under
-# expmap_jacobian).  The paths are integrated at rtol 1e-12 so that the
-# frame's own error shows, not the path's.  Each bound is the error against
+# expmap_jacobian).  The paths are integrated at rtol 1e-12; a frame takes
+# only their start state and tau.  Each bound is the error against
 # frame_joint_flow, rounded up in the second digit, of the RK5(4) frame on
 # central differences at step 1e-6 that preceded DOP853: at rtol 1e-10 /
 # atol 1e-13 for the scan defaults, and at the tolerances of
