@@ -44,7 +44,11 @@ __all__ = [
 
 log = logging.getLogger("fbt.bifurc")
 
+# parameter refinement stops within this fraction of the family's range;
+# flank counts are read this fraction (at least ten refinement tolerances)
+# away from a detection
 REFINE_TOL_REL = 1e-6
+FLANK_REL = 1e-3
 DEFAULT_RHO_LADDER = (1e-3, 1e-2, 1e-1)
 DEFAULT_SEEDS_PER_RUNG = 16
 DISTINCT_TOL = 1e-6
@@ -54,6 +58,12 @@ DISTINCT_TOL = 1e-6
 # near the reference velocity); at 1e-9 it keeps 8, 6 of them near it
 HUNT_RTOL = 1e-9
 HUNT_ATOL = 1e-9
+# classify_alternative counts only solutions within this C1 distance of the
+# trivial branch; this many at mu make an (i)-like sequence, and speeds that
+# spread by more than SPEED_RTOL of the largest are distinct
+CLOSE_TOL = 0.5
+SEQUENCE_MIN = 3
+SPEED_RTOL = 1e-6
 
 
 class BranchLost(NumericalError):
@@ -223,7 +233,6 @@ class BifurcationScan:
     records: list
     detections: list
     verdicts: list = field(default_factory=list)
-    evidence: list = field(default_factory=list)
     seed: int = 0
 
 
@@ -271,7 +280,7 @@ def _sweep_record(f, lam, boundary, mesh0, max_mesh, scan_opts, prev_v):
         lam=float(lam),
         m_minus=rep.m_minus,
         m_zero=rep.m_zero,
-        min_abs_eig=abs(rep.spectral.smallest_signed)
+        min_abs_eig=abs(rep.spectral.smallest)
         if rep.m_zero == 0
         else min(abs(e) for e in rep.spectral.eigs_near_zero + [rep.spectral.smallest]),
         smallest_eig=rep.spectral.smallest,
@@ -283,8 +292,7 @@ def _sweep_record(f, lam, boundary, mesh0, max_mesh, scan_opts, prev_v):
 
 
 def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
-                 refine_mesh=None, scan_opts=None, seed=0,
-                 refine_tol_rel=REFINE_TOL_REL, flank_rel=1e-3):
+                 refine_mesh=None, scan_opts=None, seed=0):
     """Sample the family, cross-check indices, and refine candidate parameters."""
     a, b = f.param_range
     lams = np.linspace(a, b, f.samples)
@@ -307,8 +315,8 @@ def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
     stabilized = max(r.mesh for r in records)
     if refine_mesh is None:
         refine_mesh = max(256, stabilized)
-    refine_tol = refine_tol_rel * (b - a)
-    flank = max(flank_rel * (b - a), 10 * refine_tol)
+    refine_tol = REFINE_TOL_REL * (b - a)
+    flank = max(FLANK_REL * (b - a), 10 * refine_tol)
 
     def eig_k(lam, k):
         _, path = realize_branch(f, lam, None)
@@ -536,18 +544,18 @@ def find_branches(f, mu, *, seed=0,
     )
 
 
-def classify_alternative(evidence, *, n_i=3, close_tol=0.5, speed_rtol=1e-6):
+def classify_alternative(evidence):
     """Heuristic label for the bifurcation pattern in the evidence."""
-    at_mu = evidence.at_mu(close_tol)
-    left = evidence.on_side(-1, close_tol)
-    right = evidence.on_side(+1, close_tol)
+    at_mu = evidence.at_mu(CLOSE_TOL)
+    left = evidence.on_side(-1, CLOSE_TOL)
+    right = evidence.on_side(+1, CLOSE_TOL)
     counts = {"at_mu": len(at_mu), "left": len(left), "right": len(right)}
     speeds = [s.speed for s in left + right + at_mu]
     distinct = False
     if len(speeds) >= 2:
         smax = max(abs(x) for x in speeds)
-        distinct = (max(speeds) - min(speeds)) > speed_rtol * max(smax, 1e-300)
-    if len(at_mu) >= n_i:
+        distinct = (max(speeds) - min(speeds)) > SPEED_RTOL * max(smax, 1e-300)
+    if len(at_mu) >= SEQUENCE_MIN:
         label = "(i)-like"
     elif left and right:
         label = "(ii)-like"

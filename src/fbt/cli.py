@@ -17,7 +17,6 @@ failure (diagnostic JSON is still written).  Log level comes from FBT_LOG
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import os
@@ -45,8 +44,6 @@ COMMANDS = (
     "metric-check", "geodesic", "expmap", "conjugate", "focal",
     "index", "sweep", "branch", "zermelo", "fermat",
 )
-# commands whose flows run on DOP853 whatever solver.method says
-DOP853_ONLY = ("expmap", "conjugate", "focal", "sweep", "branch")
 
 SOLVER_DEFAULTS = {
     "rtol": 1e-9,
@@ -61,10 +58,7 @@ SOLVER_DEFAULTS = {
     "max_found": 12,
     "grid_oracle": False,
     "check_lorentz": True,
-    "method": "dop853",
 }
-
-OUTPUT_DEFAULTS = {"dir": ".", "formats": ["csv", "json"]}
 
 
 class ParseError(ConfigError):
@@ -106,9 +100,6 @@ def load_config(path):
     cfg.setdefault("solver", {})
     for key, val in SOLVER_DEFAULTS.items():
         cfg["solver"].setdefault(key, val)
-    cfg.setdefault("output", {})
-    for key, val in OUTPUT_DEFAULTS.items():
-        cfg["output"].setdefault(key, copy.deepcopy(val))
     _validate_semantics(cfg)
     return cfg
 
@@ -178,7 +169,7 @@ def metric_from_config(cfg, param_overrides=None):
     if kind == "euclidean":
         return _metric.euclidean(dim, **kw)
     if kind == "sphere_stereo":
-        return _metric.sphere_stereo(params["K"], dim, params=params, **kw)
+        return _metric.sphere_stereo(params["K"], dim, **kw)
     if kind == "riemannian_expr":
         return _metric.riemannian_expr(dim, mc["g"], params, **kw)
     if kind == "quadratic_expr":
@@ -226,7 +217,7 @@ def _problem_path(cfg, m):
             v0 = v0 * (ini["normalize_speed"] / m.F(ini["x"], v0))
         return _geoflow.integrate_geodesic(
             m, PhaseState(ini["x"], v0), ini["tau"],
-            rtol=sv["rtol"], atol=sv["atol"], method=sv["method"],
+            rtol=sv["rtol"], atol=sv["atol"],
         )
     if "connect" in prob:
         con = prob["connect"]
@@ -237,7 +228,7 @@ def _problem_path(cfg, m):
                              rtol=sv["rtol"], atol=sv["atol"])
         return _geoflow.integrate_geodesic(
             m, PhaseState(con["p"], v), tau,
-            rtol=sv["rtol"], atol=sv["atol"], method=sv["method"],
+            rtol=sv["rtol"], atol=sv["atol"],
         )
     raise SchemaError("/problem: an 'initial' or 'connect' block is required")
 
@@ -584,8 +575,6 @@ def run_command(cmd, cfg, out_dir="."):
     """Execute one subcommand; returns the process exit code."""
     if cmd not in _DISPATCH:
         raise ConfigError(f"unknown command {cmd!r}")
-    if cmd in DOP853_ONLY and cfg["solver"]["method"] != "dop853":
-        raise SchemaError(f"/solver/method: {cmd} integrates by dop853 only")
     os.makedirs(out_dir, exist_ok=True)
     _write_config_sibling(out_dir, cfg)
     try:

@@ -2,8 +2,7 @@
 
 Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) by
 the 8th-order Dormand-Prince pair (ode.dop853), with dense output where a
-path is kept; a fixed-step RK4 mode is available for bit-reproducibility
-experiments.  Two-point problems are solved by one damped, optionally
+path is kept.  Two-point problems are solved by one damped, optionally
 deflated Newton loop; each iterate integrates the flow once, over
 complex-step copies that carry the shooting Jacobian along with the
 endpoint.
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .metric import COMPLEX_STEP, PhaseState, ZeroVelocity
-from .ode import StepFailure, dop853, step_index
+from .ode import StepFailure, dop853
 
 __all__ = [
     "GeodesicPath",
@@ -93,39 +92,11 @@ class BoundaryData:
             self.shape_operator = 0.5 * (self.shape_operator + self.shape_operator.T)
 
 
-class _HermiteSol:
-    """Piecewise cubic Hermite interpolant matching values and derivatives."""
-
-    def __init__(self, ts, ys, fs):
-        self.ts = ts
-        self.ys = ys
-        self.fs = fs
-
-    def __call__(self, t):
-        """y(t); at an array of times, shape (2n, len(t)) like
-        ode.DenseOutput."""
-        t = np.asarray(t, dtype=float)
-        ts = self.ts
-        i = step_index(ts[:-1], t)
-        h = (ts[i + 1] - ts[i])[..., None]
-        s = (t - ts[i])[..., None] / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (
-            h00 * self.ys[i]
-            + h10 * h * self.fs[i]
-            + h01 * self.ys[i + 1]
-            + h11 * h * self.fs[i + 1]
-        ).T
-
-
 @dataclass
 class GeodesicPath:
     """A densely sampled constant-speed geodesic on [0, tau]: ts are the
-    accepted step times, ys the states there, and sol the dense output
-    (ode.DenseOutput, or the Hermite interpolant of the rk4 mode)."""
+    accepted step times, ys the states there, and sol their
+    ode.DenseOutput."""
 
     metric: object
     x0: np.ndarray
@@ -236,49 +207,16 @@ def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
     return res
 
 
-def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                       method="dop853", n_steps=None):
-    """Integrate the geodesic with initial PhaseState s0 over [0, tau] by
-    method "dop853" (adaptive) or "rk4" (n_steps fixed steps)."""
+def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Integrate the geodesic with initial PhaseState s0 over [0, tau]."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if method not in ("dop853", "rk4"):
-        raise ValueError(f"unknown method {method!r}; expected 'dop853' or 'rk4'")
     if not isinstance(s0, PhaseState):
         s0 = PhaseState(*s0)
     m._check(s0.x, s0.v)
-    n = m.dim
     F0 = m.F(s0.x, s0.v) if not m.pseudo else abs(m.F(s0.x, s0.v))
-
-    rhs = _geodesic_rhs(m)
     y0 = np.concatenate([s0.x, s0.v])
-
-    if method == "rk4":
-        steps = n_steps or max(64, int(np.ceil(200 * tau)))
-        ts = np.linspace(0.0, tau, steps + 1)
-        ys = np.empty((steps + 1, 2 * n))
-        fs = np.empty_like(ys)
-        ys[0] = y0
-        h = tau / steps
-        lo, hi = m.chart_box[:, 0], m.chart_box[:, 1]
-        for i in range(steps):
-            y = ys[i]
-            k1 = rhs(0.0, y)
-            k2 = rhs(0.0, y + 0.5 * h * k1)
-            k3 = rhs(0.0, y + 0.5 * h * k2)
-            k4 = rhs(0.0, y + h * k3)
-            ys[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            x_new = ys[i + 1][:n]
-            if np.any(x_new < lo) or np.any(x_new > hi):
-                raise LeftChart(ts[i + 1])
-            if np.linalg.norm(ys[i + 1][n:]) < m.v_min:
-                raise ZeroVelocity(f"velocity collapsed at t = {ts[i + 1]:.6g}")
-            fs[i] = k1
-        fs[-1] = rhs(0.0, ys[-1])
-        sol = _HermiteSol(ts, ys, fs)
-        return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, ts, ys, sol, F0)
-
-    res = _solve(m, rhs, tau, y0, rtol=rtol, atol=atol, dense=True)
+    res = _solve(m, _geodesic_rhs(m), tau, y0, rtol=rtol, atol=atol, dense=True)
     return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, res.ts, res.ys, res.sol, F0)
 
 

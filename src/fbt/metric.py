@@ -77,6 +77,8 @@ FD_FIRST_STEP = 1e-5
 FD_SECOND_STEP = 1e-4
 # the imaginary step of complex-step derivatives
 COMPLEX_STEP = 1e-30
+# the velocity scalings at which check_invariants tests the homogeneity of F
+HOMOGENEITY_FACTORS = (0.5, 2.0, 7.0)
 
 
 class ZeroVelocity(NumericalError):
@@ -456,15 +458,14 @@ def _kernel(dim, oneform, entry, mode):
 class MetricField:
     """Evaluator bundle for one metric on an axis-aligned chart box."""
 
-    def __init__(self, dim, kind, comps, *, pseudo=False, params=None,
-                 chart_box=None, v_min=DEFAULT_V_MIN, sources=None):
+    def __init__(self, dim, kind, comps, *, pseudo=False, chart_box=None,
+                 v_min=DEFAULT_V_MIN):
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
         self.kind = kind
         self._c = comps
         self.pseudo = bool(pseudo)
-        self.params = dict(params or {})
         if chart_box is None:
             chart_box = [[-DEFAULT_CHART_HALF_WIDTH, DEFAULT_CHART_HALF_WIDTH]] * dim
         self.chart_box = np.asarray(chart_box, dtype=float)
@@ -473,7 +474,6 @@ class MetricField:
         ):
             raise ConfigError(f"chart_box must be shape ({dim}, 2) with lo < hi")
         self.v_min = float(v_min)
-        self.sources = sources or {}
 
     # -- validation ---------------------------------------------------------
 
@@ -543,9 +543,6 @@ class MetricField:
         """F(x, v); for the quadratic pseudo-kind this is the Lagrangian value."""
         return self._eval("q" if self.pseudo else "F", x, v, validate)[..., 0]
 
-    def F_state(self, s, validate=True):
-        return self.F(s.x, s.v, validate=validate)
-
     def dvL(self, x, v):
         return self._eval("dvL", x, v)
 
@@ -587,7 +584,7 @@ class MetricField:
 
     # -- invariant sweep -------------------------------------------------------
 
-    def check_invariants(self, samples=200, seed=0, t_factors=(0.5, 2.0, 7.0)):
+    def check_invariants(self, samples=200, seed=0):
         rng = np.random.default_rng(seed)
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
         worst_hom = 0.0
@@ -606,7 +603,7 @@ class MetricField:
                 if self.pseudo and abs(fv) < 1e-10 * mag**2:
                     continue  # near the null cone homogeneity ratios blow up
                 deg = 2.0 if self.pseudo else 1.0
-                for t in t_factors:
+                for t in HOMOGENEITY_FACTORS:
                     err = abs(self.F(x, t * v) - t**deg * fv) / (t**deg * abs(fv))
                     worst_hom = max(worst_hom, err)
                 g = 0.5 * self.dvvL(x, v)
@@ -689,10 +686,8 @@ def sphere_stereo(curvature, dim=2, **kw):
     r2 = "+".join(f"x{k + 1}^2" for k in range(dim))
     rho = _expr.parse(f"4/(K*(1+{r2})^2)")
     h = _sym(dim, lambda i, j: rho if i == j else _expr.ZERO)
-    params = dict(kw.pop("params", {}) or {})
-    params.setdefault("K", K)
     comps = _ExprComponents(dim, h, params={"K": K})
-    return MetricField(dim, "sphere_stereo", comps, params=params, **kw)
+    return MetricField(dim, "sphere_stereo", comps, **kw)
 
 
 def _sym(dim, entry):
@@ -721,23 +716,23 @@ def _expr_vector(dim, comps, what):
 
 
 def _from_exprs(dim, kind, h, beta=None, params=None, *, pseudo=False,
-                randers_check=True, bound_check_samples=128, **kw):
+                randers_check=True, **kw):
     """MetricField over expression ASTs (h symmetric) with exact derivatives."""
     comps = _ExprComponents(dim, h, beta, params)
-    m = MetricField(dim, kind, comps, pseudo=pseudo, params=params, **kw)
+    m = MetricField(dim, kind, comps, pseudo=pseudo, **kw)
     if beta is not None and not pseudo and randers_check:
-        _check_randers_bound(m, n_check=bound_check_samples)
+        _check_randers_bound(m)
     return m
 
 
 def riemannian_expr(dim, g, params=None, **kw):
     return _from_exprs(dim, "riemannian_expr", _expr_matrix(dim, g, "g"),
-                       params=params, sources={"g": g}, **kw)
+                       params=params, **kw)
 
 
 def quadratic_expr(dim, g, params=None, **kw):
     return _from_exprs(dim, "quadratic_expr", _expr_matrix(dim, g, "g"),
-                       params=params, pseudo=True, sources={"g": g}, **kw)
+                       params=params, pseudo=True, **kw)
 
 
 def _check_randers_bound(m, n_check=128, seed=7):
@@ -763,12 +758,9 @@ def _check_randers_bound(m, n_check=128, seed=7):
     return math.sqrt(max(worst, 0.0))
 
 
-def randers_expr(dim, h, beta, params=None, *, bound_check_samples=128, **kw):
-    return _from_exprs(
-        dim, "randers", _expr_matrix(dim, h, "h"), _expr_vector(dim, beta, "beta"),
-        params, bound_check_samples=bound_check_samples,
-        sources={"h": h, "beta": beta}, **kw,
-    )
+def randers_expr(dim, h, beta, params=None, **kw):
+    return _from_exprs(dim, "randers", _expr_matrix(dim, h, "h"),
+                       _expr_vector(dim, beta, "beta"), params, **kw)
 
 
 def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,

@@ -47,6 +47,8 @@ __all__ = [
 
 END_TOL = 1e-8
 KER_FLOOR = 1e-7
+# index_spectral gives up after this many mesh doublings
+MAX_REFINEMENTS = 8
 # A true null mode interpolated on N elements acquires a discrete eigenvalue
 # of about 1.4 / N^2 times the pencil scale (measured on the antipodal null
 # mode); the kernel threshold sits a few times above that shadow and well
@@ -70,7 +72,6 @@ class SpectralData:
     theta_ker: float
     eigs_near_zero: list
     smallest: float
-    smallest_signed: float
     history: list = field(default_factory=list)
 
 
@@ -254,7 +255,6 @@ def smallest_eigenvalue(path, boundary, mesh, k=0, extrapolate=True):
 
 
 def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
-                   max_refinements=8, tol_res=DEFAULT_TOL_RES,
                    mesh_fixed=None):
     """Morse index and nullity from the discrete second variation.
 
@@ -262,13 +262,14 @@ def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
     meshes; ``mesh_fixed`` skips refinement (used inside parameter sweeps).
     """
     res = path.max_el_residual()
-    if res > tol_res:
+    if res > DEFAULT_TOL_RES:
         raise NotCritical(
-            f"path is not a critical point: EL residual {res:.3e} > {tol_res:.1e}"
+            f"path is not a critical point: EL residual {res:.3e} > "
+            f"{DEFAULT_TOL_RES:.1e}"
         )
     if mesh_fixed is not None:
         mm, mz, theta, near, smallest = _counts(path, boundary, mesh_fixed)
-        sd = SpectralData(mesh_fixed, theta, near, smallest, smallest,
+        sd = SpectralData(mesh_fixed, theta, near, smallest,
                           history=[(mesh_fixed, mm, mz)])
         return IndexReport(mm, mz, "spectral", spectral=sd)
 
@@ -280,10 +281,9 @@ def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
         if len(history) >= 3:
             (m1, a1, b1), (m2, a2, b2), (m3, a3, b3) = history[-3:]
             if (a1, b1) == (a2, b2) == (a3, b3):
-                sd = SpectralData(mesh, theta, near, smallest, smallest,
-                                  history=history)
+                sd = SpectralData(mesh, theta, near, smallest, history=history)
                 return IndexReport(mm, mz, "spectral", spectral=sd)
-        if mesh >= max_mesh or len(history) > max_refinements:
+        if mesh >= max_mesh or len(history) > MAX_REFINEMENTS:
             raise NoStabilization(
                 f"index counts did not stabilize by mesh {mesh}: {history}"
             )

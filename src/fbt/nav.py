@@ -52,6 +52,15 @@ __all__ = [
 
 GAUSS3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+# random chart points (besides the box centre) at which ZermeloData.validate
+# bounds |W|_h, and the seed that draws them
+WIND_CHECK_SAMPLES = 128
+WIND_CHECK_SEED = 11
+# relative variation of the associated Riemannian speed that lift_lightlike
+# accepts on a Fermat geodesic
+LIFT_SPEED_RTOL = 1e-8
+# the grid oracle's headings are the primitive lattice steps within this radius
+GRID_HEADING_RADIUS = 6
 
 
 class WindTooStrong(ConfigError):
@@ -81,13 +90,11 @@ class ZermeloData:
     W: list
     params: dict = field(default_factory=dict)
     chart_box: object = None
-    sources: dict = field(default_factory=dict)
 
     @classmethod
     def from_exprs(cls, dim, h, W, params=None, chart_box=None):
         return cls(dim, _metric._expr_matrix(dim, h, "h"),
-                   _metric._expr_vector(dim, W, "W"), dict(params or {}),
-                   chart_box, sources={"h": h, "W": W})
+                   _metric._expr_vector(dim, W, "W"), dict(params or {}), chart_box)
 
     @property
     def homogeneous(self):
@@ -98,14 +105,14 @@ class ZermeloData:
     def _values(self):
         return _expr.jet([self.h, self.W], self.dim, self.params)
 
-    def validate(self, n_check=128, seed=11):
+    def validate(self):
         box = self.chart_box
         if box is None:
             box = [[-_metric.DEFAULT_CHART_HALF_WIDTH,
                     _metric.DEFAULT_CHART_HALF_WIDTH]] * self.dim
         worst = -math.inf
         worst_x = None
-        for x in _sample_points(self.dim, box, n_check, seed):
+        for x in _sample_points(self.dim, box, WIND_CHECK_SAMPLES, WIND_CHECK_SEED):
             hx, Wx = self._values(x)
             n2 = float(Wx @ hx @ Wx)
             if n2 > worst:
@@ -132,9 +139,7 @@ def zermelo_to_randers(z, **kw):
                      / (lam_w * lam_w))
     b = [-(wi / lam_w) for wi in w_cov]
     kw.setdefault("chart_box", z.chart_box)
-    m = _metric._from_exprs(z.dim, "zermelo", a, b, z.params, **kw)
-    m.sources.update(z.sources)
-    return m
+    return _metric._from_exprs(z.dim, "zermelo", a, b, z.params, **kw)
 
 
 def travel_time(m, path):
@@ -174,14 +179,13 @@ class StationaryData:
     f: object = None
     params: dict = field(default_factory=dict)
     chart_box: object = None
-    sources: dict = field(default_factory=dict)
 
     @classmethod
     def from_exprs(cls, dim, g0, V, f=None, params=None, chart_box=None):
         f_ast = _expr.parse(f) if isinstance(f, str) else f
         return cls(dim, _metric._expr_matrix(dim, g0, "g0"),
                    _metric._expr_vector(dim, V, "V"), f_ast, dict(params or {}),
-                   chart_box=chart_box, sources={"g0": g0, "V": V, "f": f})
+                   chart_box=chart_box)
 
     def exprs(self):
         """ASTs of gt and of the covector w = gt(V, .)."""
@@ -215,13 +219,10 @@ def fermat_metric(s, **kw):
     gt, w = s.exprs()
     h = _metric._sym(s.dim, lambda i, j: gt[i][j] + w[i] * w[j])
     kw.setdefault("chart_box", s.chart_box)
-    pair = tuple(
+    return tuple(
         _metric._from_exprs(s.dim, "fermat", h, beta, s.params, **kw)
         for beta in (w, [-wi for wi in w])
     )
-    for m in pair:
-        m.sources.update(s.sources)
-    return pair
 
 
 def _lorentz_metric(s, **kw):
@@ -284,7 +285,7 @@ def _point_set_gap(samples, other):
 
 
 def lift_lightlike(s, x_path, t0=0.0, *, fermat=None, n_out=201,
-                   check_lorentz=False, speed_tol=1e-8):
+                   check_lorentz=False):
     """Lift a Fermat geodesic to the lightlike spacetime curve z = (x, t).
 
     Requires the spatial path to be parametrized with constant speed in the
@@ -305,10 +306,10 @@ def lift_lightlike(s, x_path, t0=0.0, *, fermat=None, n_out=201,
     # speed in the associated Riemannian metric gt + w w
     speed = B + A * A
     worst = float(np.max(np.abs(speed - speed[0])))
-    if worst > speed_tol * max(speed[0], 1e-300):
+    if worst > LIFT_SPEED_RTOL * max(speed[0], 1e-300):
         raise NotFermatGeodesic(
             f"path speed in the associated Riemannian metric varies by "
-            f"{worst:.3e} (relative tolerance {speed_tol:.1e})"
+            f"{worst:.3e} (relative tolerance {LIFT_SPEED_RTOL:.1e})"
         )
 
     # cumulative F-length on a fine composite Gauss grid
@@ -364,7 +365,7 @@ class GridOracleResult:
     headings: int
 
 
-def grid_travel_time(m, p, q, *, box, n=200, radius=6, assume_homogeneous=False):
+def grid_travel_time(m, p, q, *, box, n=200, assume_homogeneous=False):
     """Dijkstra shortest travel time over an n x n grid with lattice headings.
 
     Edge cost is the F-length of the straight step (midpoint rule).  Returns
@@ -385,7 +386,7 @@ def grid_travel_time(m, p, q, *, box, n=200, radius=6, assume_homogeneous=False)
         ij = np.clip(np.round((np.asarray(pt, float) - lo) / spacing), 0, n - 1)
         return int(ij[0]) * n + int(ij[1])
 
-    offs = np.array(_lattice_headings(radius))
+    offs = np.array(_lattice_headings(GRID_HEADING_RADIUS))
     deltas = spacing * offs
     p_idx, q_idx = snap(p), snap(q)
     p_xy, q_xy = node_xy(p_idx), node_xy(q_idx)

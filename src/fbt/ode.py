@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["dop853", "DenseOutput", "OdeResult", "StepFailure", "brentq",
-           "step_index"]
+__all__ = ["dop853", "DenseOutput", "OdeResult", "StepFailure", "brentq"]
 
 EPS = np.finfo(float).eps
 SAFETY = 0.9
@@ -206,20 +205,15 @@ def _weights(x):
     return w1, w2, w3, w4, w5, w6, w6 * x
 
 
-def step_index(starts, t):
-    """The index of the step that holds each time t, from the steps' start
-    times (an array): a time on a step boundary goes to the earlier step,
-    and times outside the steps to the first or last one."""
-    return np.clip(np.searchsorted(starts, t) - 1, 0, len(starts) - 1)
-
-
 class DenseOutput:
     """The DOP853 7th-order interpolant of every accepted step, stored
     stacked: y(t) = y_old + sum_k w_k(x) F_k on the step that holds t, with
-    x = (t - t_old) / h the fraction of that step (see step_index).  Each
-    step keeps its own h, so a step cut short at an event root still reads
-    its full step's interpolant.  At one time y(t) has shape (N,); at an
-    array of times (N, len(t)), each column equal to the one-time value."""
+    x = (t - t_old) / h the fraction of that step.  A time on a step boundary
+    reads the earlier step, and times outside the steps the first or last
+    one.  Each step keeps its own h, so a step cut short at an event root
+    still reads its full step's interpolant.  At one time y(t) has shape
+    (N,); at an array of times (N, len(t)), each column equal to the
+    one-time value."""
 
     def __init__(self, t_old, h, y_old, F):
         # lists for the one-time lookup, arrays for the stacked one
@@ -235,7 +229,7 @@ class DenseOutput:
             w = np.array(_weights((t - self._t_old[i]) / self._h[i]))
             return w @ self._F[i] + self._y_old[i]
         t = np.asarray(t, dtype=float)
-        i = step_index(self._t_old_a, t)
+        i = np.clip(np.searchsorted(self._t_old_a, t) - 1, 0, len(self._h) - 1)
         w = np.stack(_weights((t - self._t_old_a[i]) / self._h_a[i]), axis=-1)
         return ((w[:, None, :] @ self._F[i])[:, 0, :] + self._y_old[i]).T
 

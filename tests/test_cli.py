@@ -34,7 +34,6 @@ class TestLoadConfig:
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
         assert cfg["solver"]["rtol"] == 1e-9
         assert cfg["solver"]["seed"] == 12345
-        assert cfg["output"]["formats"] == ["csv", "json"]
 
     def test_missing_file(self):
         with pytest.raises(ParseError):
@@ -181,23 +180,40 @@ class TestCommands:
         assert cli.main(["sweep", "--config", cfg]) == 1
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [
+        {"solver": {"method": "dop853"}},
+        {"output": {"dir": "."}},
+        {"output": {"formats": ["csv", "json"]}},
+    ], ids=["solver.method", "output.dir", "output.formats"])
+    def test_removed_options_rejected(self, tmp_path, capsys, block):
+        # every flow runs DOP853, and artifacts go to --out
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "euclidean", "dim": 2},
+            "problem": {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}},
+            **block,
+        })
+        assert cli.main(["geodesic", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "was unexpected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["rk45", "euler"])
     def test_unknown_method_exit_1(self, tmp_path, capsys, method):
-        # the adaptive integrator is DOP853; "rk45" no longer names what runs
+        # the integrator is DOP853 and cannot be chosen; no method value is valid
         cfg = write_cfg(tmp_path, {
             "metric": {"kind": "euclidean", "dim": 2},
             "problem": {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}},
             "solver": {"method": method},
         })
         assert cli.main(["geodesic", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "/solver/method" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "/solver" in err and "'method' was unexpected" in err
 
     @pytest.mark.parametrize("cmd", ["conjugate", "expmap"])
     def test_rk4_rejected_where_only_dop853_runs(self, tmp_path, capsys, cmd):
         # scans, exp-map Jacobians, sweeps and hunts integrate by DOP853 only
         cfg = write_cfg(tmp_path, {**SPHERE, "solver": {"method": "rk4"}})
         assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        assert "/solver/method" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "/solver" in err and "'method' was unexpected" in err
 
     def test_branch_with_boundary_exit_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -285,3 +301,8 @@ class TestSchemaPublication:
         packaged = os.path.join(here, "src", "fbt", "config.schema.json")
         with open(docs) as a, open(packaged) as b:
             assert json.load(a) == json.load(b)
+
+    def test_solver_defaults_match_schema(self):
+        # a default must not outlive the option it fills
+        solver = cli._schema()["properties"]["solver"]["properties"]
+        assert set(cli.SOLVER_DEFAULTS) == set(solver)

@@ -66,7 +66,7 @@ class TestSpectral:
         assert (rep.m_minus, rep.m_zero) == (0, 1)
 
     def test_non_critical_rejected(self, euclid):
-        # an rk4 path of a *different* metric is not a critical point here
+        # a geodesic of a *different* metric is not a critical point here
         warped = warped_metric(2.0)
         path = integrate_geodesic(warped, PhaseState([0.0, 0.5], [1.0, 0.0]), 1.5)
         bad = integrate_geodesic(euclid, PhaseState([0.0, 0.5], [1.0, 0.3]), 1.5)
