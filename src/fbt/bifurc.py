@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericalError
 from .metric import PhaseState
 from .ode import brentq
-from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian,
+from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian, exp_map,
                       integrate_geodesic, newton)
 from . import morse as _morse
 
@@ -451,7 +451,9 @@ def find_branches(f, mu, *, seed=0,
     integrator tolerance HUNT_RTOL = 1e-9 / HUNT_ATOL = 1e-9; each Newton
     iterate integrates the flow once and reads the shooting Jacobian (the
     kernel direction's included) from its complex-step copies, not from a
-    Jacobi frame.  Every accepted solution is polished and re-validated at
+    Jacobi frame.  Damped line-search trials integrate the real flow alone
+    (exp_map), so a start that wanders costs about 40 % of a copies flow per
+    rejected trial.  Every accepted solution is polished and re-validated at
     the tight tolerance.
     An empty list is a valid outcome.  max_found caps the solutions kept per
     probed parameter (a continuum of solutions would otherwise absorb every
@@ -474,6 +476,9 @@ def find_branches(f, mu, *, seed=0,
         tol = 1e-10 * (1.0 + np.linalg.norm(q))
         tol_hunt = max(10.0 * tol, 3e-9 * (1.0 + np.linalg.norm(q)))
 
+        def G(v, rtol=HUNT_RTOL, atol=HUNT_ATOL):
+            return exp_map(m, p, v, tau, rtol=rtol, atol=atol) - q
+
         def GJ(v, rtol=HUNT_RTOL, atol=HUNT_ATOL):
             x, jac = endpoint_jacobian(m, p, v, tau, rtol=rtol, atol=atol)
             return x - q, jac
@@ -494,7 +499,7 @@ def find_branches(f, mu, *, seed=0,
                 jitter = 0.3 * rho * rng.normal(size=m.dim) / np.sqrt(m.dim)
                 v_seed = v_triv + rho * kernel_dir + jitter
                 try:
-                    v_sol = newton(GJ, v_seed, tol=tol_hunt, max_iter=max_iter,
+                    v_sol = newton(G, GJ, v_seed, tol=tol_hunt, max_iter=max_iter,
                                    roots=roots, wander_limit=5.0 * vnorm)
                 except NumericalError:
                     continue
@@ -510,6 +515,7 @@ def find_branches(f, mu, *, seed=0,
                 if b_res > 1e-10 * (1.0 + np.linalg.norm(q)):
                     try:
                         v_ref = newton(
+                            lambda v: G(v, rtol, atol),
                             lambda v: GJ(v, rtol, atol), v_sol,
                             tol=1e-9 * (1.0 + np.linalg.norm(q)), max_iter=6,
                         )

@@ -5,7 +5,8 @@ the 8th-order Dormand-Prince pair (ode.dop853), with dense output where a
 path is kept.  Two-point problems are solved by one damped, optionally
 deflated Newton loop; each iterate integrates the flow once, over
 complex-step copies that carry the shooting Jacobian along with the
-endpoint.
+endpoint.  A damped line-search trial needs the endpoint only and integrates
+the real flow (exp_map), at about 40 % of the cost of the copies.
 """
 
 from __future__ import annotations
@@ -263,12 +264,14 @@ def _deflation_factor(v, roots):
     return fac, fac * grad
 
 
-def newton(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
+def newton(G, GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
     """Damped Newton for G(v) = 0, GJ(v) returning G(v) and its Jacobian,
     deflated at roots: G is scaled by prod (shift + |v - r|^-2) (Farrell,
     Birkisson & Funke, SIAM J. Sci. Comput. 37, 2015) and steps are halved
-    until that scaled |G| drops; an iterate costs one GJ call.  Raises
-    NoConvergence on failure.  A NumericalError from GJ at a trial point
+    until that scaled |G| drops.  The full step is evaluated by GJ, so an
+    iterate that takes it costs one GJ call; a damped trial is evaluated by
+    the residual G alone, and GJ runs once more where one is accepted.
+    Raises NoConvergence on failure.  A NumericalError at a trial point
     halves the step; SingularJacobian and errors at v0 propagate."""
     v0 = np.asarray(v0, dtype=float)
     v = v0.copy()
@@ -288,20 +291,25 @@ def newton(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
             step *= wander_limit / np.linalg.norm(v + step - v0)
         alpha = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
+            trial = v + alpha * step
             try:
-                r_new, jac_new = GJ(v + alpha * step)
+                if alpha == 1.0:
+                    r_new, jac_new = GJ(trial)
+                else:
+                    r_new = G(trial)
+                fac_new, _ = _deflation_factor(trial, roots)
+                if np.isfinite(fac_new) and fac_new * np.linalg.norm(r_new) < fac * rn:
+                    if alpha < 1.0:
+                        r_new, jac_new = GJ(trial)
+                    break
             except SingularJacobian:
                 raise
             except NumericalError:
-                alpha *= 0.5
-                continue
-            fac_new, _ = _deflation_factor(v + alpha * step, roots)
-            if np.isfinite(fac_new) and fac_new * np.linalg.norm(r_new) < fac * rn:
-                break
+                pass
             alpha *= 0.5
         else:
             raise NoConvergence("Newton line search stalled")
-        v = v + alpha * step
+        v = trial
         r, jac = r_new, jac_new
     if np.linalg.norm(r) <= tol:
         return v
@@ -314,14 +322,19 @@ def newton(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
 def connect(m, p, q, v_seed, *, tau=1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Newton shooting for the two-point problem x(tau) = q from x(0) = p.
 
-    Raises SingularJacobian when the shooting Jacobian degenerates at an
-    iterate that is not yet a solution, which signals a (near-)conjugate
-    endpoint rather than a solver bug.  The Jacobian is the exact derivative
-    of the endpoint integrated at the caller's rtol/atol, so the test does
-    not depend on a difference step.
+    Raises SingularJacobian when the shooting Jacobian degenerates at the
+    seed, at a full Newton step or at an accepted damped step that is not
+    yet a solution, which signals a (near-)conjugate endpoint rather than a
+    solver bug.  Damped line-search trials read the residual alone, so a
+    rejected one never raises it.  The Jacobian is the exact derivative of
+    the endpoint integrated at the caller's rtol/atol, so the test does not
+    depend on a difference step.
     """
     q = np.asarray(q, dtype=float)
     tol = 1e-10 * (1.0 + np.linalg.norm(q))
+
+    def G(v):
+        return exp_map(m, p, v, tau, rtol=rtol, atol=atol) - q
 
     def GJ(v):
         x, jac = endpoint_jacobian(m, p, v, tau, rtol=rtol, atol=atol)
@@ -335,7 +348,7 @@ def connect(m, p, q, v_seed, *, tau=1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
             )
         return r, jac
 
-    return newton(GJ, v_seed, tol=tol, max_iter=CONNECT_MAX_ITER)
+    return newton(G, GJ, v_seed, tol=tol, max_iter=CONNECT_MAX_ITER)
 
 
 def orthogonal_initial(m, b, v_seed, *, tol=1e-12, max_iter=50):

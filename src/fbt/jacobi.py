@@ -162,11 +162,13 @@ def _frame_rhs(m):
     n = m.dim
 
     def rhs(t, y):
-        ys = (COMPLEX_STEP * y[2 * n:-n * n]).reshape(n, n).T.tolist()
-        us = (y[n:2 * n] + 1j * COMPLEX_STEP * y[-n * n:].reshape(n, n).T).tolist()
-        out = m.complex_step("spray", y[:n].tolist(), zip(ys, us))
-        return np.concatenate([y[n:2 * n], out[0].real, y[-n * n:],
-                               (out.imag.T / COMPLEX_STEP).ravel()])
+        z = y.tolist()
+        u, M, Md = z[n:2 * n], z[2 * n:2 * n + n * n], z[2 * n + n * n:]
+        rows = [([COMPLEX_STEP * w for w in M[j::n]],
+                 [complex(r, COMPLEX_STEP * w) for r, w in zip(u, Md[j::n])])
+                for j in range(n)]
+        out = m.complex_step("spray", z[:n], rows)
+        return np.concatenate([u, out[0].real, Md, (out.imag.T / COMPLEX_STEP).ravel()])
 
     return rhs
 

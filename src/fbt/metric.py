@@ -735,27 +735,43 @@ def quadratic_expr(dim, g, params=None, **kw):
                        params=params, pseudo=True, **kw)
 
 
+def _sample_points(box, n, seed):
+    """The centre of the chart box and n seeded uniform points in it, as the
+    rows of an (n + 1, dim) array."""
+    box = np.asarray(box, dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    u = np.random.default_rng(seed).uniform(size=(n, len(box)))
+    return np.vstack([0.5 * (lo + hi), lo + (hi - lo) * u])
+
+
+def _sampled_bound(pts, norm2, error, what):
+    """sqrt of the largest squared norm over the sample points, NaN skipped;
+    raises error, naming the first point that attains it, if it reaches 1."""
+    norm2 = np.where(np.isnan(norm2), -math.inf, norm2)
+    k = int(np.argmax(norm2))
+    worst = max(float(norm2[k]), 0.0)
+    if worst >= 1.0:
+        raise error(f"{what} = {math.sqrt(worst):.6f} >= 1 near {pts[k]}")
+    return math.sqrt(worst)
+
+
 def _check_randers_bound(m, n_check=128, seed=7):
     """Sample |beta|_h over the chart box; reject if it ever reaches 1."""
-    rng = np.random.default_rng(seed)
-    lo, hi = m.chart_box[:, 0], m.chart_box[:, 1]
-    pts = [0.5 * (lo + hi)]
-    pts += [lo + (hi - lo) * rng.uniform(size=m.dim) for _ in range(n_check)]
-    worst = -math.inf
-    worst_x = None
-    for x in pts:
-        hx, bx = m._c.stack(x, 0)
-        try:
-            norm2 = float(bx @ np.linalg.solve(hx, bx))
-        except np.linalg.LinAlgError:
-            raise RandersBoundError(f"h singular at sampled point {x}")
-        if norm2 > worst:
-            worst, worst_x = norm2, x
-    if worst >= 1.0:
-        raise RandersBoundError(
-            f"|beta|_h = {math.sqrt(max(worst, 0.0)):.6f} >= 1 near {worst_x}"
-        )
-    return math.sqrt(max(worst, 0.0))
+    pts = _sample_points(m.chart_box, n_check, seed)
+    n = m.dim
+    c = m._c.rows(pts.tolist(), 0)
+    h, b = c[:, :n * n].reshape(-1, n, n), c[:, n * n:]
+    try:
+        s = np.linalg.solve(h, b[..., None])
+    except np.linalg.LinAlgError:
+        for x, hx, bx in zip(pts, h, b):
+            try:
+                np.linalg.solve(hx, bx)
+            except np.linalg.LinAlgError:
+                raise RandersBoundError(f"h singular at sampled point {x}") from None
+        raise
+    return _sampled_bound(pts, (b[:, None] @ s)[:, 0, 0], RandersBoundError,
+                          "|beta|_h")
 
 
 def randers_expr(dim, h, beta, params=None, **kw):

@@ -71,15 +71,6 @@ class NotFermatGeodesic(NumericalError):
     pass
 
 
-def _sample_points(dim, box, n, seed):
-    rng = np.random.default_rng(seed)
-    box = np.asarray(box, dtype=float)
-    lo, hi = box[:, 0], box[:, 1]
-    pts = [0.5 * (lo + hi)]
-    pts += [lo + (hi - lo) * rng.uniform(size=dim) for _ in range(n)]
-    return pts
-
-
 @dataclass
 class ZermeloData:
     """Base Riemannian metric h and wind field W with sup |W|_h < 1, kept as
@@ -110,18 +101,10 @@ class ZermeloData:
         if box is None:
             box = [[-_metric.DEFAULT_CHART_HALF_WIDTH,
                     _metric.DEFAULT_CHART_HALF_WIDTH]] * self.dim
-        worst = -math.inf
-        worst_x = None
-        for x in _sample_points(self.dim, box, WIND_CHECK_SAMPLES, WIND_CHECK_SEED):
-            hx, Wx = self._values(x)
-            n2 = float(Wx @ hx @ Wx)
-            if n2 > worst:
-                worst, worst_x = n2, x
-        if worst >= 1.0:
-            raise WindTooStrong(
-                f"|W|_h = {math.sqrt(max(worst, 0.0)):.6f} >= 1 near {worst_x}"
-            )
-        return math.sqrt(max(worst, 0.0))
+        pts = _metric._sample_points(box, WIND_CHECK_SAMPLES, WIND_CHECK_SEED)
+        h, W = self._values(pts)
+        return _metric._sampled_bound(pts, (W[:, None] @ h @ W[..., None])[:, 0, 0],
+                                      WindTooStrong, "|W|_h")
 
 
 def _lower(h, W):
@@ -263,13 +246,15 @@ _GAP_BLOCK = 64
 def _point_set_gap(samples, other):
     """One-sided gap: max over samples of the distance to the polyline other,
     each sample measured to its nearest vertex and the two segments there.
-    Samples go in row blocks, so the temporaries stay
-    (_GAP_BLOCK, len(other))."""
+    Samples go in row blocks and the squared distances are summed one
+    coordinate at a time, so the temporaries stay (_GAP_BLOCK, len(other))."""
     worst = 0.0
     last = len(other) - 2
     for start in range(0, len(samples), _GAP_BLOCK):
         pts = samples[start:start + _GAP_BLOCK]
-        d2 = np.sum((other[None] - pts[:, None]) ** 2, axis=2)
+        d2 = (other[:, 0] - pts[:, 0, None]) ** 2
+        for k in range(1, other.shape[1]):
+            d2 += (other[:, k] - pts[:, k, None]) ** 2
         i = np.argmin(d2, axis=1)
         best = d2[np.arange(len(pts)), i]
         # distance to the adjacent segments refines the vertex distance

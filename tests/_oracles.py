@@ -552,3 +552,133 @@ def point_set_gap_brute(samples, other):
             best = min(best, sum((ai + s * c - pi) ** 2 for ai, c, pi in zip(a, ab, p)))
         worst = max(worst, math.sqrt(best))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Deflated damped Newton with the Jacobian at every line-search trial
+
+
+def newton_every_trial(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
+    """geoflow.newton's iteration with every trial, damped or not, evaluated
+    by GJ: the same steps, halvings and acceptance rule, and the residual
+    read from the copies' real part."""
+    from fbt.errors import NumericalError
+    from fbt.geoflow import (NEWTON_MAX_HALVINGS, NoConvergence,
+                             SingularJacobian, _deflation_factor)
+
+    v0 = np.asarray(v0, dtype=float)
+    v = v0.copy()
+    r, jac = GJ(v)
+    for _ in range(max_iter):
+        fac, dfac = _deflation_factor(v, roots)
+        if not np.isfinite(fac):
+            raise NoConvergence("Newton iterate landed on a deflated root")
+        rn = float(np.linalg.norm(r))
+        if rn <= tol:
+            return v
+        Jd = fac * jac + np.outer(r, dfac)
+        step, *_ = np.linalg.lstsq(Jd, -fac * r, rcond=1e-6)
+        if wander_limit is not None and np.linalg.norm(v + step - v0) > wander_limit:
+            step *= wander_limit / np.linalg.norm(v + step - v0)
+        alpha = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            try:
+                r_new, jac_new = GJ(v + alpha * step)
+            except SingularJacobian:
+                raise
+            except NumericalError:
+                alpha *= 0.5
+                continue
+            fac_new, _ = _deflation_factor(v + alpha * step, roots)
+            if np.isfinite(fac_new) and fac_new * np.linalg.norm(r_new) < fac * rn:
+                break
+            alpha *= 0.5
+        else:
+            raise NoConvergence("Newton line search stalled")
+        v = v + alpha * step
+        r, jac = r_new, jac_new
+    if np.linalg.norm(r) <= tol:
+        return v
+    raise NoConvergence(
+        f"Newton did not reach |residual| <= {tol:.3e} in {max_iter} iterations "
+        f"(final {np.linalg.norm(r):.3e})"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Point-set gap with (block, N, n) temporaries, and the sampled bound checks
+# one sample at a time
+
+
+def point_set_gap_blocks(samples, other, block=64):
+    """nav._point_set_gap with the squared vertex distances summed over the
+    last axis of one (block, N, n) difference array."""
+    worst = 0.0
+    last = len(other) - 2
+    for start in range(0, len(samples), block):
+        pts = samples[start:start + block]
+        d2 = np.sum((other[None] - pts[:, None]) ** 2, axis=2)
+        i = np.argmin(d2, axis=1)
+        best = d2[np.arange(len(pts)), i]
+        for j in (i - 1, i):
+            ok = (j >= 0) & (j <= last)
+            a, ab = other[j[ok]], other[j[ok] + 1] - other[j[ok]]
+            tt = np.clip(np.sum((pts[ok] - a) * ab, axis=1)
+                         / np.maximum(np.sum(ab * ab, axis=1), 1e-300), 0.0, 1.0)
+            proj = a + tt[:, None] * ab
+            best[ok] = np.minimum(best[ok], np.sum((proj - pts[ok]) ** 2, axis=1))
+        worst = max(worst, math.sqrt(float(np.max(best))))
+    return worst
+
+
+def _box_samples(box, n, seed):
+    rng = np.random.default_rng(seed)
+    box = np.asarray(box, dtype=float)
+    lo, hi = box[:, 0], box[:, 1]
+    return [0.5 * (lo + hi)] + [lo + (hi - lo) * rng.uniform(size=len(box))
+                                for _ in range(n)]
+
+
+def _sampled_worst(pts, norm2_at, error, what):
+    worst, worst_x = -math.inf, None
+    for x in pts:
+        norm2 = norm2_at(x)
+        if norm2 > worst:
+            worst, worst_x = norm2, x
+    if worst >= 1.0:
+        raise error(f"{what} = {math.sqrt(max(worst, 0.0)):.6f} >= 1 near {worst_x}")
+    return math.sqrt(max(worst, 0.0))
+
+
+def randers_bound_per_sample(m, n_check=128, seed=7):
+    """metric._check_randers_bound with one component evaluation and one
+    solve per sample point."""
+    from fbt.metric import RandersBoundError
+
+    def norm2_at(x):
+        hx, bx = m._c.stack(x, 0)
+        try:
+            return float(bx @ np.linalg.solve(hx, bx))
+        except np.linalg.LinAlgError:
+            raise RandersBoundError(f"h singular at sampled point {x}") from None
+
+    return _sampled_worst(_box_samples(m.chart_box, n_check, seed), norm2_at,
+                          RandersBoundError, "|beta|_h")
+
+
+def wind_bound_per_sample(z):
+    """nav.ZermeloData.validate with one component evaluation per sample
+    point of the chart box."""
+    from fbt.metric import DEFAULT_CHART_HALF_WIDTH
+    from fbt.nav import WIND_CHECK_SAMPLES, WIND_CHECK_SEED, WindTooStrong
+
+    box = z.chart_box
+    if box is None:
+        box = [[-DEFAULT_CHART_HALF_WIDTH, DEFAULT_CHART_HALF_WIDTH]] * z.dim
+
+    def norm2_at(x):
+        hx, Wx = z._values(x)
+        return float(Wx @ hx @ Wx)
+
+    return _sampled_worst(_box_samples(box, WIND_CHECK_SAMPLES, WIND_CHECK_SEED),
+                          norm2_at, WindTooStrong, "|W|_h")

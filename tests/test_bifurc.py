@@ -13,10 +13,12 @@ from fbt.bifurc import (
     realize_branch,
     sweep_family,
 )
-from fbt.geoflow import integrate_geodesic
+from fbt.errors import NumericalError
+from fbt.geoflow import integrate_geodesic, newton
 from fbt.metric import PhaseState
 
-from _oracles import c1_distance_loop, flat_axis_warped_mu, warped_metric
+from _oracles import (c1_distance_loop, flat_axis_warped_mu, newton_every_trial,
+                      warped_metric)
 
 
 def warped_family(samples=12, rng_hi=5.0):
@@ -203,6 +205,54 @@ class TestFindBranches:
         for a, b in zip(ev1.solutions, ev2.solutions):
             assert np.array_equal(a.v0, b.v0)
             assert a.speed == b.speed
+
+
+def _criterion_6_probe(kind):
+    """A warped or Randers probe below its critical parameter, at the probe
+    settings of criterion 6."""
+    h = [["exp(-lam*x2^2)", "0"], ["0", "1"]]
+    beta = ["0.2*exp(-lam*x2^2)", "0"] if kind == "randers" else None
+    fam = FamilySpec(
+        param_name="lam", param_range=(0.5, 5.0), samples=8,
+        metric_builder=lambda lam: (fbt.randers_expr(2, h, beta, {"lam": lam})
+                                    if beta else fbt.riemannian_expr(2, h, {"lam": lam})),
+        branch=InitialStateBranch([-1.0, 0.0], [1.0, 0.0], 2.0),
+    )
+    return lambda: find_branches(fam, 1.31, seed=2000, offsets=(0,),
+                                 rho_ladder=(1e-3, 1e-2), seeds_per_rung=2,
+                                 max_iter=8, max_found=2)
+
+
+class TestResidualOnlyTrials:
+    """Damped trials read G alone; the hunts keep the solutions the Newton
+    loop with the Jacobian at every trial finds, bit for bit."""
+
+    @pytest.mark.parametrize("hunt", [
+        _criterion_6_probe("warped"),
+        _criterion_6_probe("randers"),
+        lambda: find_branches(sphere_family(), 1.0, seed=7, seeds_per_rung=4,
+                              offsets=(0,), max_found=4),
+    ], ids=["warped_probe", "randers_probe", "sphere_hunt"])
+    def test_hunt_matches_jacobian_at_every_trial(self, hunt, monkeypatch):
+        def run(solve):
+            starts = []
+
+            def recording(G, GJ, v0, **kw):
+                try:
+                    v = solve(G, GJ, v0, **kw)
+                except NumericalError as exc:
+                    starts.append(f"{type(exc).__name__}: {exc}")
+                    raise
+                starts.append(v.tolist())
+                return v
+
+            monkeypatch.setattr(fbt.bifurc, "newton", recording)
+            return hunt().as_dict(), starts
+
+        ev, starts = run(newton)
+        assert run(lambda G, GJ, v0, **kw: newton_every_trial(GJ, v0, **kw)) \
+            == (ev, starts)
+        assert len(starts) >= 4
 
 
 class TestC1Distance:

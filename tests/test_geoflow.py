@@ -18,7 +18,7 @@ from fbt.geoflow import (
 from fbt.jacobi import expmap_jacobian
 from fbt.metric import PhaseState
 
-from _oracles import great_circle_chart, great_circle_velocity
+from _oracles import great_circle_chart, great_circle_velocity, newton_every_trial
 
 
 class TestIntegrate:
@@ -185,20 +185,87 @@ class TestEndpointJacobian:
 
 class TestNewton:
     @staticmethod
-    def GJ(v):
-        return (np.array([v[0] ** 2 - 1.0, v[1]]),
-                np.array([[2.0 * v[0], 0.0], [0.0, 1.0]]))
+    def G(v):
+        return np.array([v[0] ** 2 - 1.0, v[1]])
+
+    @classmethod
+    def GJ(cls, v):
+        return cls.G(v), np.array([[2.0 * v[0], 0.0], [0.0, 1.0]])
 
     def test_deflated_root_never_returned(self):
         root = np.array([1.0, 0.0])
-        v = newton(self.GJ, root + [1e-9, 0.0], tol=1e-12, max_iter=50,
+        v = newton(self.G, self.GJ, root + [1e-9, 0.0], tol=1e-12, max_iter=50,
                    roots=[root])
         assert np.max(np.abs(v - [-1.0, 0.0])) < 1e-9
 
     def test_start_on_deflated_root(self):
         root = np.array([1.0, 0.0])
         with pytest.raises(NoConvergence):
-            newton(self.GJ, root, tol=1e-12, max_iter=50, roots=[root])
+            newton(self.G, self.GJ, root, tol=1e-12, max_iter=50, roots=[root])
+
+    @staticmethod
+    def counting(zero_at, calls):
+        """A residual of 2 everywhere but 0 at zero_at, with Jacobian 2: from
+        v0 = 1 the full step lands on 0, the damped trials on 0.5, 0.75, ..."""
+        def G(v):
+            calls.append(("G", float(v[0])))
+            return np.array([0.0 if v[0] == zero_at else 2.0])
+
+        def GJ(v):
+            calls.append(("GJ", float(v[0])))
+            return np.array([0.0 if v[0] == zero_at else 2.0]), np.array([[2.0]])
+
+        return G, GJ
+
+    @pytest.mark.parametrize("zero_at, trials", [
+        # full step accepted: one GJ, no G
+        (0.0, [("GJ", 0.0)]),
+        # accepted at alpha = 1/4: GJ, two G, then GJ at the accepted iterate
+        (0.75, [("GJ", 0.0), ("G", 0.5), ("G", 0.75), ("GJ", 0.75)]),
+    ])
+    def test_evaluation_policy(self, zero_at, trials):
+        calls = []
+        G, GJ = self.counting(zero_at, calls)
+        v = newton(G, GJ, [1.0], tol=1e-12, max_iter=5)
+        assert v.tolist() == [zero_at]
+        assert calls == [("GJ", 1.0)] + trials
+
+    def test_stall_evaluates_damped_trials_by_residual(self):
+        calls = []
+        G, GJ = self.counting(None, calls)
+        with pytest.raises(NoConvergence, match="stalled"):
+            newton(G, GJ, [1.0], tol=1e-12, max_iter=5)
+        assert calls == ([("GJ", 1.0), ("GJ", 0.0)]
+                         + [("G", 1.0 - 0.5**k) for k in range(1, 9)])
+
+    def test_singular_jacobian_at_accepted_damped_iterate(self):
+        def GJ(v):
+            if v[0] == 0.75:
+                raise SingularJacobian("stub")
+            return np.array([2.0]), np.array([[2.0]])
+
+        G = lambda v: np.array([0.0 if v[0] == 0.75 else 2.0])
+        with pytest.raises(SingularJacobian):
+            newton(G, GJ, [1.0], tol=1e-12, max_iter=5)
+
+    def test_connect_matches_jacobian_at_every_trial(self, sphere, monkeypatch):
+        # from this seed the sphere's Newton path accepts damped steps
+        p, q, seed = [0.0, -1.0], [0.5, 0.9], [-2.5, 0.3]
+        calls = []
+
+        def spy(G, GJ, v0, **kw):
+            def G_spy(v):
+                calls.append("G")
+                return G(v)
+
+            return newton(G_spy, GJ, v0, **kw)
+
+        monkeypatch.setattr(fbt.geoflow, "newton", spy)
+        v = connect(sphere, p, q, seed)
+        monkeypatch.setattr(fbt.geoflow, "newton",
+                            lambda G, GJ, v0, **kw: newton_every_trial(GJ, v0, **kw))
+        assert np.array_equal(v, connect(sphere, p, q, seed))
+        assert calls
 
 
 class TestOrthogonalInitial:

@@ -172,6 +172,48 @@ class TestCheckInvariants:
             fbt.randers_expr(2, [["1", "0"], ["0", "1"]], ["1.01", "0"])
 
 
+def _bound_outcome(check, *args):
+    try:
+        return check(*args)
+    except RandersBoundError as exc:
+        return type(exc), str(exc)
+
+
+class TestRandersBoundCheck:
+    """The batched sampled bound check against one solve per sample."""
+
+    @pytest.mark.parametrize("h, beta, box", [
+        ([["1", "0"], ["0", "exp(-x1^2)"]], ["0.2*exp(-x2^2)", "0"], None),
+        ([["1", "0.1*x2"], ["0.1*x2", "2+sin(x1)"]], ["0.3*cos(x1)", "0.2"], None),
+        ([["1", "0"], ["0", "1"]], ["x1/10", "0"], None),  # reaches 1 at the box edge
+        ([["x1", "0"], ["0", "1"]], ["0.1", "0"], [[0, 1], [0, 1]]),
+        ([["x1", "0"], ["0", "1"]], ["0.1", "0"], [[-1, 1], [-1, 1]]),  # singular h
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1+x3^2"]],
+         ["0.1*x1", "0.2", "0.3*x2"], [[-2, 2]] * 3),
+    ])
+    def test_matches_per_sample_formula(self, h, beta, box):
+        from _oracles import randers_bound_per_sample
+        from fbt.metric import _check_randers_bound
+
+        m = fbt.randers_expr(len(h), h, beta, chart_box=box, randers_check=False)
+        got = _bound_outcome(_check_randers_bound, m)
+        assert got == _bound_outcome(randers_bound_per_sample, m)
+        for n_check, seed in ((3, 1), (500, 2)):
+            assert (_bound_outcome(_check_randers_bound, m, n_check, seed)
+                    == _bound_outcome(randers_bound_per_sample, m, n_check, seed))
+
+    def test_singular_h_names_the_point(self):
+        from fbt.metric import _check_randers_bound
+
+        m = fbt.from_callables(
+            2, "randers",
+            lambda x: np.diag([0.0, 1.0]) if x[1] > 0.5 else np.eye(2),
+            lambda x: np.array([0.1, 0.0]), randers_check=False,
+            chart_box=[[-1, 1], [-1, 1]])
+        with pytest.raises(RandersBoundError, match=r"h singular at sampled point \["):
+            _check_randers_bound(m)
+
+
 def _stack_catalog():
     """One metric of every kind, each with a base point and velocity scale."""
     import fbt.nav as nav

@@ -17,7 +17,7 @@ from fbt.nav import (
     zermelo_to_randers,
 )
 
-from _oracles import constant_wind_time, point_set_gap_brute
+from _oracles import constant_wind_time, point_set_gap_blocks, point_set_gap_brute
 from fbt.nav import _point_set_gap
 
 
@@ -59,6 +59,23 @@ class TestZermeloConversion:
         )
         with pytest.raises(WindTooStrong):
             zermelo_to_randers(z)
+
+    @pytest.mark.parametrize("h, W, box", [
+        ([["1", "0"], ["0", "1"]], ["0.6*exp(-x1^2)", "0"], [[-3, 3], [-3, 3]]),
+        ([["1", "0.1*x1"], ["0.1*x1", "1+x1^2"]], ["0.3", "0.2*sin(x2)"], None),
+        ([["1", "0"], ["0", "1"]], ["0.5 + 0.6*tanh(x1)", "0"], [[-2, 2], [-2, 2]]),
+    ])
+    def test_validate_matches_per_sample_formula(self, h, W, box):
+        from _oracles import wind_bound_per_sample
+
+        z = ZermeloData.from_exprs(2, h, W, chart_box=box)
+        outcomes = []
+        for check in (z.validate, lambda: wind_bound_per_sample(z)):
+            try:
+                outcomes.append(check())
+            except WindTooStrong as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTravelTime:
@@ -196,6 +213,14 @@ class TestLift:
         cloud = fine + 1e-3 * rng.normal(size=fine.shape)
         for a, b in ((fine, coarse), (coarse, fine), (cloud, coarse), (fine, fine)):
             assert abs(_point_set_gap(a, b) - point_set_gap_brute(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_point_set_gap_bits_match_one_difference_array(self, dim):
+        rng = np.random.default_rng(dim)
+        fine = np.cumsum(0.01 * rng.normal(size=(804, dim)), axis=0)
+        other = fine[::3] + 1e-4 * rng.normal(size=(268, dim))
+        for a, b in ((fine, other), (other, fine), (fine, fine)):
+            assert _point_set_gap(a, b) == point_set_gap_blocks(a, b)
 
     def test_variable_speed_path_rejected(self):
         s = self._stationary()
