@@ -36,7 +36,7 @@ def main():
 
     d = np.array([0.35, 0.2])
     res = fbt.grid_travel_time(m, [0, 0], d, box=[[-0.5, 0.5], [-0.5, 0.5]],
-                               n=200, assume_homogeneous=True)
+                               n=200)
     print(f"\ngrid oracle ({res.headings} headings): time {res.time:.6f}, "
           f"cell resolution {res.cell_time:.6f}")
     print(f"closed form at snapped endpoints: "

@@ -23,6 +23,7 @@ from .ode import brentq
 from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian, exp_map,
                       integrate_geodesic, newton)
 from . import morse as _morse
+from .jacobi import DEFAULT_GRID
 
 __all__ = [
     "FamilySpec",
@@ -267,16 +268,12 @@ def realize_branch(f, lam, prev_velocity=None, *, rtol=1e-9, atol=1e-12):
 # Sweep
 
 
-def _sweep_record(f, lam, boundary, mesh0, max_mesh, scan_opts, prev_v):
-    m, path = realize_branch(f, lam, prev_v)
+def _sweep_record(lam, path, boundary, grid, mesh0, max_mesh):
     if path.max_el_residual() > DEFAULT_TOL_RES:
         raise BranchLost(lam, "trivial branch is not critical")
-    rep = _morse.cross_check(
-        path, boundary,
-        scan_opts=scan_opts,
-        spectral_opts={"mesh0": mesh0, "max_mesh": max_mesh},
-    )
-    rec = ScanRecord(
+    rep = _morse.cross_check(path, boundary, grid=grid, mesh0=mesh0,
+                             max_mesh=max_mesh)
+    return ScanRecord(
         lam=float(lam),
         m_minus=rep.m_minus,
         m_zero=rep.m_zero,
@@ -288,20 +285,26 @@ def _sweep_record(f, lam, boundary, mesh0, max_mesh, scan_opts, prev_v):
         agree=bool(rep.agree),
         mesh=rep.spectral.mesh,
     )
-    return rec, path
 
 
-def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
-                 refine_mesh=None, scan_opts=None, seed=0):
-    """Sample the family, cross-check indices, and refine candidate parameters."""
+def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID, mesh0=16,
+                 max_mesh=1024, refine_mesh=None, seed=0, rtol=1e-9, atol=1e-12):
+    """Sample the family, cross-check indices, and refine candidate parameters.
+
+    Every branch (samples, refinement and flanks) is integrated at rtol and
+    atol."""
     a, b = f.param_range
     lams = np.linspace(a, b, f.samples)
     records = []
     prev_v = None
     prev_end = None
+
+    def realize(lam, prev_velocity=None):
+        return realize_branch(f, lam, prev_velocity, rtol=rtol, atol=atol)[1]
+
     for lam in lams:
-        rec, path = _sweep_record(f, lam, boundary, mesh0, max_mesh,
-                                  scan_opts, prev_v)
+        path = realize(lam, prev_v)
+        rec = _sweep_record(lam, path, boundary, grid, mesh0, max_mesh)
         if prev_end is not None:
             jump = float(np.linalg.norm(path.endpoint - prev_end))
             if jump > f.continuity_tol:
@@ -319,8 +322,11 @@ def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
     flank = max(FLANK_REL * (b - a), 10 * refine_tol)
 
     def eig_k(lam, k):
-        _, path = realize_branch(f, lam, None)
-        return _morse.smallest_eigenvalue(path, boundary, refine_mesh, k=k)
+        return _morse.smallest_eigenvalue(realize(lam), boundary, refine_mesh, k=k)
+
+    def flank_counts(lam):
+        rep = _morse.index_spectral(realize(lam), boundary, mesh_fixed=refine_mesh)
+        return rep.m_minus, rep.m_zero
 
     detections = []
     consumed = np.zeros(len(records), dtype=bool)
@@ -343,10 +349,9 @@ def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
         else:
             mu = brentq(lambda lam: eig_k(lam, k), rl.lam, rr.lam, xtol=refine_tol)
             refined = True
-        _, path_mu = realize_branch(f, mu, None)
-        rep_mu = _morse.index_spectral(path_mu, boundary, mesh_fixed=refine_mesh)
-        left = _flank_counts(f, boundary, mu - flank, refine_mesh)
-        right = _flank_counts(f, boundary, mu + flank, refine_mesh)
+        rep_mu = _morse.index_spectral(realize(mu), boundary, mesh_fixed=refine_mesh)
+        left = flank_counts(mu - flank)
+        right = flank_counts(mu + flank)
         detections.append(
             Detection(
                 mu=float(mu), nullity=rep_mu.m_zero,
@@ -365,10 +370,10 @@ def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
             while j + 1 < len(records) and records[j + 1].m_zero >= 1 and not consumed[j + 1]:
                 j += 1
             mu = 0.5 * (records[i].lam + records[j].lam)
-            _, path_mu = realize_branch(f, mu, None)
-            rep_mu = _morse.index_spectral(path_mu, boundary, mesh_fixed=refine_mesh)
-            left = _flank_counts(f, boundary, max(records[i].lam - flank, a), refine_mesh)
-            right = _flank_counts(f, boundary, min(records[j].lam + flank, b), refine_mesh)
+            rep_mu = _morse.index_spectral(realize(mu), boundary,
+                                           mesh_fixed=refine_mesh)
+            left = flank_counts(max(records[i].lam - flank, a))
+            right = flank_counts(min(records[j].lam + flank, b))
             detections.append(
                 Detection(
                     mu=float(mu), nullity=max(rep_mu.m_zero, 1),
@@ -390,12 +395,6 @@ def sweep_family(f, boundary="point-point", *, mesh0=16, max_mesh=1024,
         detections=detections,
         seed=seed,
     )
-
-
-def _flank_counts(f, boundary, lam, mesh):
-    _, path = realize_branch(f, lam, None)
-    rep = _morse.index_spectral(path, boundary, mesh_fixed=mesh)
-    return rep.m_minus, rep.m_zero
 
 
 # ---------------------------------------------------------------------------

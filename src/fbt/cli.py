@@ -398,7 +398,7 @@ def _scan_command(cfg, out, focal):
         {
             "tau": rep.tau,
             "grid": rep.grid,
-            "theta_null": rep.theta_null,
+            "theta_null": _jacobi.THETA_NULL,
             "instants": [
                 {"t": c.t, "multiplicity": c.multiplicity, "sigma_min_rel": c.sigma_min_rel}
                 for c in rep.instants
@@ -415,25 +415,23 @@ def _cmd_index(cfg, out):
     path = _problem_path(cfg, m)
     boundary = _boundary_from_config(cfg)
     sv = cfg["solver"]
-    rep = _morse.cross_check(
-        path, boundary,
-        scan_opts={"grid": sv["scan_grid"]},
-        spectral_opts={"mesh0": sv["mesh0"], "max_mesh": sv["max_mesh"]},
-    )
+    rep = _morse.cross_check(path, boundary, grid=sv["scan_grid"],
+                             mesh0=sv["mesh0"], max_mesh=sv["max_mesh"])
     write_json(os.path.join(out, "index.json"), rep.as_dict(), cfg=cfg)
     return 0
+
+
+def _sweep_options(sv):
+    """sweep_family's keywords from the solver block."""
+    return {"grid": sv["scan_grid"], "mesh0": sv["mesh0"], "max_mesh": sv["max_mesh"],
+            "seed": sv["seed"], "rtol": sv["rtol"], "atol": sv["atol"]}
 
 
 def _cmd_sweep(cfg, out):
     fam = _family_from_config(cfg)
     sv = cfg["solver"]
     boundary = _boundary_from_config(cfg)
-    scan = _bifurc.sweep_family(
-        fam, boundary,
-        mesh0=sv["mesh0"], max_mesh=sv["max_mesh"],
-        scan_opts={"grid": sv["scan_grid"]},
-        seed=sv["seed"],
-    )
+    scan = _bifurc.sweep_family(fam, boundary, **_sweep_options(sv))
     verdicts = _bifurc.detect_bifurcation(scan)
     write_csv(
         os.path.join(out, "sweep.csv"),
@@ -472,10 +470,7 @@ def _cmd_branch(cfg, out):
     sv = cfg["solver"]
     mu = cfg.get("family", {}).get("mu")
     if mu is None:
-        scan = _bifurc.sweep_family(
-            fam, mesh0=sv["mesh0"], max_mesh=sv["max_mesh"],
-            scan_opts={"grid": sv["scan_grid"]}, seed=sv["seed"],
-        )
+        scan = _bifurc.sweep_family(fam, **_sweep_options(sv))
         if not scan.detections:
             write_json(os.path.join(out, "branch_evidence.json"),
                        {"detections": [], "evidence": None,
@@ -485,7 +480,7 @@ def _cmd_branch(cfg, out):
         mu = scan.detections[0].mu
     ev = _bifurc.find_branches(
         fam, mu, seed=sv["seed"], seeds_per_rung=sv["seeds_per_rung"],
-        max_found=sv["max_found"],
+        max_found=sv["max_found"], rtol=sv["rtol"], atol=sv["atol"],
     )
     diag = _bifurc.classify_alternative(ev)
     write_json(
@@ -513,10 +508,8 @@ def _cmd_zermelo(cfg, out):
         prob = cfg["problem"]["connect"]
         lo = np.minimum(prob["p"], prob["q"]) - 0.25
         hi = np.maximum(prob["p"], prob["q"]) + 0.25
-        res = _nav.grid_travel_time(
-            m, prob["p"], prob["q"], box=np.stack([lo, hi], axis=1),
-            assume_homogeneous=_zermelo_from_config(cfg).homogeneous,
-        )
+        res = _nav.grid_travel_time(m, prob["p"], prob["q"],
+                                    box=np.stack([lo, hi], axis=1))
         payload["grid_oracle"] = {
             "time": res.time,
             "cell_time": res.cell_time,

@@ -8,7 +8,9 @@ stage evaluates the n complex-step rows spray(x + i h M_j, v + i h M'_j):
 the real part is the geodesic's spray, Im / h the column's J''.  So the
 counting index route (these scans) rides the frame's geodesic at SCAN_RTOL,
 the spectral one (morse) the stored path at its rtol, from the same
-(x0, v0, tau).  D exp is the shooting derivative (geoflow.endpoint_jacobian).
+(x0, v0, tau).  Every metric's chart derivatives are exact, so every frame
+runs at SCAN_RTOL / SCAN_ATOL: no finite-difference noise floor sits above
+them.  D exp is the shooting derivative (geoflow.endpoint_jacobian).
 
 Conjugate and focal instants show up as rank drops of M(t).  A scan reads
 its grid with one dense-output call and brackets them there: sign changes of
@@ -42,11 +44,7 @@ __all__ = [
 
 SCAN_RTOL = 1e-11
 SCAN_ATOL = 1e-14
-# finite-difference component derivatives put rounding noise near 1e-11 into
-# the spray; below these tolerances DOP853's error control chases that noise
-# with thousands of steps
-FD_COMPONENT_RTOL = 1e-9
-FD_COMPONENT_ATOL = 1e-12
+# an instant needs sigma_min / sigma_max of M below this at the refined time
 THETA_NULL = 1e-6
 DIP_TRIGGER = 0.05
 # offsets closer than this many grid cells are one instant (a double
@@ -179,13 +177,10 @@ def jacobi_frame(path, init="conjugate"):
 
     init is "conjugate" (M(0) = 0, M'(0) = I) or a BoundaryData describing a
     start submanifold for the focal problem.  The flow runs at SCAN_RTOL /
-    SCAN_ATOL (FD_COMPONENT_* for finite-difference component derivatives)
-    and raises LeftChart and ZeroVelocity as the geodesic flow does.
+    SCAN_ATOL and raises LeftChart and ZeroVelocity as the geodesic flow does.
     """
     m = path.metric
     n = m.dim
-    rtol, atol = ((SCAN_RTOL, SCAN_ATOL) if m.has_analytic_dx
-                  else (FD_COMPONENT_RTOL, FD_COMPONENT_ATOL))
     if isinstance(init, BoundaryData):
         M0, Md0 = _focal_init(m, path, init)
         kind, boundary = "focal", init
@@ -196,7 +191,8 @@ def jacobi_frame(path, init="conjugate"):
         raise ValueError(f"unknown frame init {init!r}")
 
     y0 = np.concatenate([path.x0, path.v0, M0.ravel(), Md0.ravel()])
-    res = _solve(m, _frame_rhs(m), path.tau, y0, rtol=rtol, atol=atol, dense=True)
+    res = _solve(m, _frame_rhs(m), path.tau, y0, rtol=SCAN_RTOL, atol=SCAN_ATOL,
+                 dense=True)
     return JacobiFrame(path, kind, boundary, res.sol, res.ts)
 
 
@@ -221,7 +217,6 @@ class ConjugateReport:
     tau: float
     instants: list
     grid: int
-    theta_null: float
     warnings: list = field(default_factory=list)
 
     @property
@@ -243,7 +238,7 @@ def _scan_grid(frame, grid):
     return ts, np.linalg.det(Ms), ratios
 
 
-def _refine(frame, t, lo, hi, cell, theta_null):
+def _refine(frame, t, lo, hi, cell):
     """Pencil Newton from t in [lo, hi]: the instant it reaches, or None, and
     the offsets there.
 
@@ -260,7 +255,7 @@ def _refine(frame, t, lo, hi, cell, theta_null):
 
     No instant when an iterate leaves [lo, hi], when the step is still
     complex at convergence (a dip that misses zero), or unless sigma_min /
-    sigma_max < theta_null there.  The multiplicity counts the offsets
+    sigma_max < THETA_NULL there.  The multiplicity counts the offsets
     within SAME_INSTANT cells."""
     n = frame.dim
     close = SAME_INSTANT * cell
@@ -280,13 +275,13 @@ def _refine(frame, t, lo, hi, cell, theta_null):
     else:
         return None, None
     sv = np.linalg.svd(M, compute_uv=False)
-    if abs(step.imag) > close or not sv[-1] < theta_null * sv[0]:
+    if abs(step.imag) > close or not sv[-1] < THETA_NULL * sv[0]:
         return None, None
     mult = int(np.sum(np.abs(s) <= close))
     return ConjugateInstant(min(t, frame.path.tau), mult, float(sv[-1] / sv[0])), s
 
 
-def _scan_frame(frame, *, grid, theta_null):
+def _scan_frame(frame, grid):
     tau = frame.path.tau
     ts, dets, ratios = _scan_grid(frame, grid)
     cell = tau / grid
@@ -310,7 +305,7 @@ def _scan_frame(frame, *, grid, theta_null):
     # 3 cells of an instant is a neighbour that may share its bracket
     found = []
     for lo, t, hi in brackets:
-        inst, s = _refine(frame, t, lo, hi, cell, theta_null)
+        inst, s = _refine(frame, t, lo, hi, cell)
         if inst is None or any(abs(inst.t - c.t) <= close for c in found):
             continue
         found.append(inst)
@@ -336,19 +331,18 @@ def _scan_frame(frame, *, grid, theta_null):
     notes += [f"multiplicity {c.multiplicity} at t={c.t:.9g} exceeds the bound "
               f"{max_mult}" for c in merged if c.multiplicity > max_mult]
     return ConjugateReport(kind=frame.kind, tau=tau, instants=merged, grid=grid,
-                           theta_null=theta_null, warnings=notes)
+                           warnings=notes)
 
 
-def conjugate_scan(path, *, grid=DEFAULT_GRID, theta_null=THETA_NULL, frame=None):
+def conjugate_scan(path, *, grid=DEFAULT_GRID, frame=None):
     """Locate conjugate instants with multiplicities over (0, tau]."""
     if frame is None:
         frame = jacobi_frame(path, "conjugate")
-    return _scan_frame(frame, grid=grid, theta_null=theta_null)
+    return _scan_frame(frame, grid)
 
 
-def focal_scan(path, boundary, *, grid=DEFAULT_GRID, theta_null=THETA_NULL,
-               frame=None):
+def focal_scan(path, boundary, *, grid=DEFAULT_GRID, frame=None):
     """Locate P-focal instants for a geodesic starting g_v-orthogonally to P."""
     if frame is None:
         frame = jacobi_frame(path, boundary)
-    return _scan_frame(frame, grid=grid, theta_null=theta_null)
+    return _scan_frame(frame, grid)

@@ -19,9 +19,8 @@ derivative piece and the spray (Cramer's rule up to dim 3,
 np.linalg.solve above), common subexpressions computed once.  The kernel
 reads the flat component tuple of the metric's compiled bundle
 (from_callables metrics flatten their callables' arrays into the same
-layout); every catalog kind gets exact chart derivatives, and only
-from_callables metrics without derivative callables fall back to central
-finite differences.
+layout).  Chart derivatives are exact on every path: symbolic for
+expression metrics, the caller's derivative callables for from_callables.
 
 Evaluators needing at most first chart derivatives (all but dxxL and
 second_derivatives) also take complex-step states x = a + i*y,
@@ -73,8 +72,6 @@ __all__ = [
 
 DEFAULT_V_MIN = 1e-6
 DEFAULT_CHART_HALF_WIDTH = 10.0
-FD_FIRST_STEP = 1e-5
-FD_SECOND_STEP = 1e-4
 # the imaginary step of complex-step derivatives
 COMPLEX_STEP = 1e-30
 # the velocity scalings at which check_invariants tests the homogeneity of F
@@ -117,41 +114,8 @@ class PhaseState:
 # Component bundle: h(x), beta(x) and their chart derivatives
 
 
-def _fd_first(fn, step):
-    """Central differences of fn along each e_k, at steps step*max(1, |x_k|),
-    with the derivative index first."""
-    def d(x):
-        x = np.asarray(x, dtype=float)
-        hs = step * np.maximum(1.0, np.abs(x))
-        return np.stack([(np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2.0 * h)
-                         for h, e in zip(hs, np.diag(hs))])
-
-    return d
-
-
-def _fd_second(fn, step):
-    """Second central differences of fn at the same steps: three points on
-    the diagonal, four mixed points off it."""
-    def d2(x):
-        x = np.asarray(x, dtype=float)
-        E = np.diag(step * np.maximum(1.0, np.abs(x)))
-        f = lambda dx: np.asarray(fn(x + dx))
-        f0 = f(0.0)
-        out = np.empty(E.shape + f0.shape)
-        for k, ek in enumerate(E):
-            out[k, k] = (f(ek) - 2.0 * f0 + f(-ek)) / ek[k]**2
-            for l in range(k + 1, len(x)):
-                el = E[l]
-                out[k, l] = out[l, k] = (f(ek + el) - f(ek - el) - f(el - ek)
-                                         + f(-ek - el)) / (4.0 * ek[k] * el[l])
-        return out
-
-    return d2
-
-
 class _Components:
-    """h, beta and derivative callables of a from_callables metric; finite
-    differences fill the gaps.
+    """h, beta and their derivative callables, of a from_callables metric.
 
     ``stack(x, order)`` returns (h, beta, dh, dbeta, d2h, d2beta) at one
     point, cut after the given derivative order, with None for beta and its
@@ -160,17 +124,14 @@ class _Components:
     (see _layout), and ``rows(xs, order)`` stacks them for many points.
     """
 
-    def __init__(self, dim, h, beta=None, dh=None, d2h=None, dbeta=None,
-                 d2beta=None):
+    # callables are opaque: never taken as constant over the chart
+    chart_constant = False
+
+    def __init__(self, dim, h, beta, dh, d2h, dbeta, d2beta):
         self.dim = dim
-        self.h = h
-        self.beta = beta
+        self.h, self.beta, self.dh, self.d2h = h, beta, dh, d2h
+        self.dbeta, self.d2beta = dbeta, d2beta
         self.oneform = beta is not None
-        self.analytic_dx = dh is not None and (beta is None or dbeta is not None)
-        self.dh = dh or _fd_first(h, FD_FIRST_STEP)
-        self.d2h = d2h or _fd_second(h, FD_SECOND_STEP)
-        self.dbeta = beta and (dbeta or _fd_first(beta, FD_FIRST_STEP))
-        self.d2beta = beta and (d2beta or _fd_second(beta, FD_SECOND_STEP))
 
     def stack(self, x, order):
         x = np.asarray(x, dtype=float)
@@ -197,8 +158,6 @@ class _ExprComponents:
     a function of x returning a flat tuple; ``rows(xs, order)`` stacks the
     tuples of many points."""
 
-    analytic_dx = True
-
     def __init__(self, dim, h, beta=None, params=None):
         self.dim = dim
         self.oneform = beta is not None
@@ -208,6 +167,10 @@ class _ExprComponents:
         # order 0 eagerly, so unbound names fail at construction
         self._bundles = [_expr._bound(self._groups, dim, self._params, 0), None, None]
         self.beta = None if beta is None else (lambda x: self.stack(x, 0)[1])
+
+    @functools.cached_property
+    def chart_constant(self):
+        return not any(_expr.coordinates(e) for g in self._groups for e in g)
 
     def h(self, x):
         return self.stack(x, 0)[0]
@@ -478,8 +441,10 @@ class MetricField:
     # -- validation ---------------------------------------------------------
 
     @property
-    def has_analytic_dx(self):
-        return self._c.analytic_dx
+    def chart_constant(self):
+        """True when no component reads a chart coordinate, so F(x, v) does
+        not depend on x; never for from_callables metrics."""
+        return self._c.chart_constant
 
     def inside_chart(self, x):
         x = np.real(x)
@@ -781,12 +746,26 @@ def randers_expr(dim, h, beta, params=None, **kw):
 
 def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,
                    d2beta=None, pseudo=False, randers_check=True, **kw):
-    """Build a MetricField from component callables (library entry point).
+    """Build a MetricField from closed-form component callables (library
+    entry point).
 
-    h(x) must return a symmetric matrix (and dh, d2h symmetric in their
-    last two axes): the kernel reads the upper triangle."""
-    comps = _Components(dim, h=h, beta=beta, dh=dh, d2h=d2h,
-                        dbeta=dbeta, d2beta=d2beta)
+    h(x) must return a symmetric matrix, dh(x) and d2h(x) its first and
+    second chart derivatives with the derivative indices first (shapes
+    (n, n, n) and (n, n, n, n), symmetric in the last two axes): the kernel
+    reads the upper triangle.  With a one-form beta(x), dbeta(x) and
+    d2beta(x) are required as well.  Frames and shooting differentiate the
+    spray by the complex step, which reads second chart derivatives, so a
+    missing callable raises ConfigError; riemannian_expr and randers_expr
+    differentiate formulas exactly instead."""
+    needed = {"dh": dh, "d2h": d2h}
+    if beta is not None:
+        needed.update(dbeta=dbeta, d2beta=d2beta)
+    missing = [name for name, fn in needed.items() if fn is None]
+    if missing:
+        raise ConfigError(
+            f"from_callables needs the derivative callables {', '.join(missing)}; "
+            "riemannian_expr and randers_expr differentiate formulas exactly")
+    comps = _Components(dim, h, beta, dh, d2h, dbeta, d2beta)
     m = MetricField(dim, kind, comps, pseudo=pseudo, **kw)
     if beta is not None and not pseudo and randers_check:
         _check_randers_bound(m)

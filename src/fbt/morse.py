@@ -240,15 +240,15 @@ def _counts(path, boundary, mesh):
     return m_minus, m_zero, theta, near, float(w[0])
 
 
-def smallest_eigenvalue(path, boundary, mesh, k=0, extrapolate=True):
+def smallest_eigenvalue(path, boundary, mesh, k=0):
     """k-th smallest eigenvalue of the spectral pencil on a fixed mesh.
 
-    With extrapolate=True the O(h^2) discretization bias is removed by
-    Richardson extrapolation over meshes mesh/2 and mesh, which matters when
-    a parameter refinement bisects this value through zero.
+    From mesh 8 on, the O(h^2) discretization bias is removed by Richardson
+    extrapolation over meshes mesh/2 and mesh, which matters when a
+    parameter refinement bisects this value through zero.
     """
     fine = float(eigh(*_assemble(path, boundary, mesh))[k])
-    if not extrapolate or mesh < 8:
+    if mesh < 8:
         return fine
     coarse = float(eigh(*_assemble(path, boundary, mesh // 2))[k])
     return (4.0 * fine - coarse) / 3.0
@@ -290,16 +290,16 @@ def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
         mesh *= 2
 
 
-def cross_check(path, boundary="point-point", *, scan_opts=None, spectral_opts=None):
-    """Run the counting and spectral routes and compare them."""
-    scan_opts = dict(scan_opts or {})
-    spectral_opts = dict(spectral_opts or {})
+def cross_check(path, boundary="point-point", *, grid=_jacobi.DEFAULT_GRID, mesh0=16,
+                max_mesh=1024):
+    """Run the counting route (a scan on grid) and the spectral one (meshes
+    from mesh0 up to max_mesh) and compare them."""
     if isinstance(boundary, BoundaryData):
-        report = _jacobi.focal_scan(path, boundary, **scan_opts)
+        report = _jacobi.focal_scan(path, boundary, grid=grid)
     else:
-        report = _jacobi.conjugate_scan(path, **scan_opts)
+        report = _jacobi.conjugate_scan(path, grid=grid)
     counting = index_by_counting(report, path.tau)
-    spectral = index_spectral(path, boundary, **spectral_opts)
+    spectral = index_spectral(path, boundary, mesh0=mesh0, max_mesh=max_mesh)
     agree = (
         counting.m_minus == spectral.m_minus and counting.m_zero == spectral.m_zero
     )

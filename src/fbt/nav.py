@@ -35,6 +35,7 @@ from . import expr as _expr
 from . import metric as _metric
 from .geoflow import GeodesicPath, integrate_geodesic
 from .metric import MetricField, PhaseState
+from .morse import GAUSS3_NODES, GAUSS3_WEIGHTS
 
 __all__ = [
     "ZermeloData",
@@ -50,8 +51,6 @@ __all__ = [
     "NotFermatGeodesic",
 ]
 
-GAUSS3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 # random chart points (besides the box centre) at which ZermeloData.validate
 # bounds |W|_h, and the seed that draws them
 WIND_CHECK_SAMPLES = 128
@@ -87,11 +86,6 @@ class ZermeloData:
         return cls(dim, _metric._expr_matrix(dim, h, "h"),
                    _metric._expr_vector(dim, W, "W"), dict(params or {}), chart_box)
 
-    @property
-    def homogeneous(self):
-        """True when neither h nor W depends on a chart coordinate."""
-        return not any(_expr.coordinates(e) for e in [*sum(self.h, []), *self.W])
-
     @functools.cached_property
     def _values(self):
         return _expr.jet([self.h, self.W], self.dim, self.params)
@@ -126,27 +120,25 @@ def zermelo_to_randers(z, **kw):
 
 
 def travel_time(m, path):
-    """Integral of F(x, dx/dt) along a GeodesicPath or a polyline (k, n) array."""
+    """Integral of F(x, dx/dt) along a GeodesicPath (3-point Gauss rule on
+    each step) or a polyline (k, n) array (the same rule on each segment).
+    All Gauss points go through one stacked F call; the terms are summed in
+    order, segment by segment."""
     if isinstance(path, GeodesicPath):
-        total = 0.0
-        ts = path.ts
-        for i in range(len(ts) - 1):
-            ta, tb = ts[i], ts[i + 1]
-            half = 0.5 * (tb - ta)
-            mid = 0.5 * (ta + tb)
-            for node, wgt in zip(GAUSS3_NODES, GAUSS3_WEIGHTS):
-                t = mid + half * node
-                x, v = path.state(t)
-                total += half * wgt * m.F(x, v)
-        return total
-    pts = np.asarray(path, dtype=float)
-    total = 0.0
-    for i in range(len(pts) - 1):
-        delta = pts[i + 1] - pts[i]
-        for node, wgt in zip(GAUSS3_NODES, GAUSS3_WEIGHTS):
-            x = pts[i] + 0.5 * (1.0 + node) * delta
-            total += 0.5 * wgt * m.F(x, delta)
-    return total
+        half = 0.5 * np.diff(path.ts)
+        mid = 0.5 * (path.ts[:-1] + path.ts[1:])
+        x, v = path.state((mid[:, None] + half[:, None] * GAUSS3_NODES).ravel())
+    else:
+        pts = np.asarray(path, dtype=float)
+        if len(pts) < 2:
+            return 0.0
+        half = np.full(len(pts) - 1, 0.5)
+        delta = np.diff(pts, axis=0)
+        x = pts[:-1, None] + (0.5 * (1.0 + GAUSS3_NODES))[:, None] * delta[:, None]
+        v = np.repeat(delta, 3, axis=0)
+        x = x.reshape(v.shape)
+    terms = half[:, None] * GAUSS3_WEIGHTS * m.F(x, v).reshape(-1, 3)
+    return float(np.cumsum(np.concatenate([[0.0], terms.ravel()]))[-1])
 
 
 @dataclass
@@ -350,10 +342,11 @@ class GridOracleResult:
     headings: int
 
 
-def grid_travel_time(m, p, q, *, box, n=200, assume_homogeneous=False):
+def grid_travel_time(m, p, q, *, box, n=200):
     """Dijkstra shortest travel time over an n x n grid with lattice headings.
 
-    Edge cost is the F-length of the straight step (midpoint rule).  Returns
+    Edge cost is the F-length of the straight step (midpoint rule), taken
+    once per heading when the metric is chart-constant.  Returns
     the optimal time between the snapped endpoints together with the time
     resolution of one grid cell.  Supports dim 2 only.
     """
@@ -377,7 +370,7 @@ def grid_travel_time(m, p, q, *, box, n=200, assume_homogeneous=False):
     p_xy, q_xy = node_xy(p_idx), node_xy(q_idx)
 
     const_costs = None
-    if assume_homogeneous:
+    if m.chart_constant:
         const_costs = m.F(np.broadcast_to(p_xy, deltas.shape), deltas)
 
     dist = np.full(n * n, np.inf)

@@ -682,3 +682,28 @@ def wind_bound_per_sample(z):
 
     return _sampled_worst(_box_samples(box, WIND_CHECK_SAMPLES, WIND_CHECK_SEED),
                           norm2_at, WindTooStrong, "|W|_h")
+
+
+# ---------------------------------------------------------------------------
+# Travel time, one Gauss point at a time in a running sum
+
+
+def travel_time_loop(m, path):
+    """nav.travel_time with one state and one F call per Gauss point."""
+    total = 0.0
+    if isinstance(path, fbt.geoflow.GeodesicPath):
+        ts = path.ts
+        for i in range(len(ts) - 1):
+            half = 0.5 * (ts[i + 1] - ts[i])
+            mid = 0.5 * (ts[i] + ts[i + 1])
+            for node, wgt in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
+                x, v = path.state(mid + half * node)
+                total += half * wgt * m.F(x, v)
+        return total
+    pts = np.asarray(path, dtype=float)
+    for i in range(len(pts) - 1):
+        delta = pts[i + 1] - pts[i]
+        for node, wgt in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
+            x = pts[i] + 0.5 * (1.0 + node) * delta
+            total += 0.5 * wgt * m.F(x, delta)
+    return total

@@ -52,3 +52,16 @@ def catalog_metrics():
         (warped_metric(1.3), np.array([-0.5, 0.2]), 1.0),
         (nav.fermat_metric(s)[0], np.zeros(2), 1.0),
     ]
+
+
+def locally_constant(dim, kind, h, beta=None, dbeta=None, **kw):
+    """from_callables with h(x) locally constant and beta(x) affine with the
+    constant gradient dbeta (derivative index first; zero when None), given
+    their exact chart derivatives: zero, but dbeta."""
+    n = dim
+    zeros = lambda *shape: (lambda x: np.zeros(shape))
+    if beta is not None:
+        grad = np.zeros((n, n)) if dbeta is None else np.asarray(dbeta, dtype=float)
+        kw.update(dbeta=lambda x: grad, d2beta=zeros(n, n, n))
+    return fbt.from_callables(n, kind, h, beta, dh=zeros(n, n, n),
+                              d2h=zeros(n, n, n, n), **kw)

@@ -303,8 +303,7 @@ def test_criterion_7_zermelo_times(zermelo_times):
         for _ in range(3):
             d = rng.uniform(-0.4, 0.4, size=2)
             res = fbt.grid_travel_time(m, [0, 0], d,
-                                       box=[[-0.5, 0.5], [-0.5, 0.5]], n=200,
-                                       assume_homogeneous=True)
+                                       box=[[-0.5, 0.5], [-0.5, 0.5]], n=200)
             want = constant_wind_time(res.q_snapped - res.p_snapped, [0.5, 0.0])
             assert res.time >= want - 1e-12
             assert abs(res.time - want) <= res.cell_time

@@ -129,7 +129,18 @@ class TestVerdicts:
                 out[2, 2] = lam
                 return out
 
-            return fbt.from_callables(3, "riemannian_expr", h)
+            # the x3 row and column are constant: only the 2-D block varies
+            def dh(x):
+                out = np.zeros((3, 3, 3))
+                out[:2, :2, :2] = base._c.stack(x[:2], 1)[2]
+                return out
+
+            def d2h(x):
+                out = np.zeros((3, 3, 3, 3))
+                out[:2, :2, :2, :2] = base._c.stack(x[:2], 2)[4]
+                return out
+
+            return fbt.from_callables(3, "riemannian_expr", h, dh=dh, d2h=d2h)
 
         fam = FamilySpec(
             param_name="lam", param_range=(1.0, 1.3), samples=4,

@@ -245,6 +245,29 @@ class TestCommands:
         assert det["detections"][0]["mu"] == pytest.approx((np.pi / 2) ** 2, abs=1e-4)
         assert det["verdicts"][0]["label"] == "sufficient-condition met"
 
+    @pytest.mark.parametrize("cmd", ["sweep", "branch"])
+    def test_family_commands_read_solver_tolerances(self, tmp_path, monkeypatch, cmd):
+        seen = []
+        realize = cli._bifurc.realize_branch
+
+        def spy(*args, **kw):
+            seen.append((kw.get("rtol"), kw.get("atol")))
+            return realize(*args, **kw)
+
+        monkeypatch.setattr(cli._bifurc, "realize_branch", spy)
+        cfg = load_config(write_cfg(tmp_path, {
+            "metric": {"kind": "riemannian_expr", "dim": 2,
+                       "g": [["exp(-lam*x2^2)", "0"], ["0", "1"]],
+                       "params": {"lam": 1.0}},
+            "problem": {"initial": {"x": [-1, 0], "v": [1, 0], "tau": 2.0}},
+            "family": {"parameter": "lam", "range": [2.0, 3.0], "samples": 4},
+            "solver": {"rtol": 1e-11, "atol": 1e-13, "max_mesh": 256,
+                       "seeds_per_rung": 1, "max_found": 1},
+        }))
+        assert run_command(cmd, cfg, str(tmp_path / "run")) == 0
+        assert len(seen) > 4
+        assert set(seen) == {(1e-11, 1e-13)}
+
     def test_zermelo_reproducible_bytes(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {
             "metric": {"kind": "zermelo", "dim": 2,

@@ -18,6 +18,7 @@ from fbt.jacobi import (
 )
 from fbt.metric import ConvexityViolation, OutsideChart, PhaseState
 
+from conftest import locally_constant
 from _oracles import (
     expmap_fd,
     frame_joint_flow,
@@ -210,14 +211,17 @@ class TestConjugateScan:
         assert inst.multiplicity == 2
         assert abs(inst.t - np.pi) <= 1e-10
 
-    def test_multiplicity_stable_under_threshold_change(self, sphere, sphere3):
+    def test_multiplicity_stable_under_threshold_change(self, sphere, sphere3,
+                                                        monkeypatch):
         for m, x0, v0, tau in [
             (sphere, [0, -1], [1, 0], 2.5 * np.pi),
             (sphere3, [0, -1, 0], [1, 0, 0], 1.5 * np.pi),
         ]:
             path = integrate_geodesic(m, PhaseState(x0, v0), tau)
-            a = conjugate_scan(path, theta_null=1e-6)
-            b = conjugate_scan(path, theta_null=1e-7)
+            monkeypatch.setattr(fbt.jacobi, "THETA_NULL", 1e-6)
+            a = conjugate_scan(path)
+            monkeypatch.setattr(fbt.jacobi, "THETA_NULL", 1e-7)
+            b = conjugate_scan(path)
             assert [c.multiplicity for c in a.instants] == [
                 c.multiplicity for c in b.instants
             ]
@@ -267,14 +271,10 @@ class TestSprayJacobians:
     def _cases(self):
         from conftest import catalog_metrics
 
-        eye = np.eye(2)
-        fd_only = fbt.from_callables(
-            2, "fd_sphere", lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * eye)
         rng = np.random.default_rng(11)
         for m, base, vscale in catalog_metrics() + [
             (fbt.sphere_stereo(1.0, dim=3), np.zeros(3), 1.0),
             (sphere_stereo_closed(1.0), np.array([0.3, -0.5]), 1.0),
-            (fd_only, np.array([0.3, -0.5]), 1.0),
         ]:
             x = base + 0.2 * rng.normal(size=m.dim)
             v = vscale * rng.normal(size=m.dim)
@@ -285,12 +285,10 @@ class TestSprayJacobians:
         # the complex step against one central difference per column at the
         # relative step `step`: the loop's truncation error goes as step^2
         # (measured 8.0e-8 at 3e-4) and its rounding as noise/step, where the
-        # noise is that of the spray itself -- machine precision with
-        # derivative callables (measured 6.2e-11 at 1e-6), the metric's own
-        # differences without them (measured 6.8e-7 at 1e-6)
+        # noise is that of the spray itself, machine precision with exact
+        # component derivatives (measured 6.2e-11 at 1e-6)
+        bound = 2.0 * step ** 2 + 2e-16 / step
         for m, x, v in self._cases():
-            noise = 2e-16 if m.has_analytic_dx else 2e-12
-            bound = 2.0 * step ** 2 + noise / step
             A, B = spray_jacobians(m, x, v)
             A_ref, B_ref = spray_jacobians_loop(m, x, v, step)
             for got, ref in ((A, A_ref), (B, B_ref)):
@@ -298,15 +296,12 @@ class TestSprayJacobians:
 
     def test_matches_sixth_order_loop(self):
         # the complex step against real central differences combined to
-        # sixth order (measured at most 1.8e-13).  Without derivative
-        # callables the complex step reads second differences of h where the
-        # loop differences first ones (measured 5.3e-9)
+        # sixth order (measured at most 1.8e-13)
         for m, x, v in self._cases():
-            bound = 1e-11 if m.has_analytic_dx else 1e-7
             A, B = spray_jacobians(m, x, v)
             A_ref, B_ref = richardson_jacobians_loop(m, x, v)
             for got, ref in ((A, A_ref), (B, B_ref)):
-                assert np.max(np.abs(got - ref)) <= bound * max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(got - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
 
     def test_stack_of_states(self):
         for m, x, v in self._cases():
@@ -331,15 +326,14 @@ class TestSprayJacobians:
         eye = np.eye(2)
         dz = np.array([1e-30j, 0.0])
         # |beta| = 2 > 1: F = |v| + beta.v is negative along -e1
-        strong = fbt.from_callables(2, "strong_wind", lambda x: eye,
-                                    beta=lambda x: np.array([2.0, 0.0]),
-                                    randers_check=False)
+        strong = locally_constant(2, "strong_wind", lambda x: eye,
+                                  lambda x: np.array([2.0, 0.0]), randers_check=False)
         with pytest.raises(ConvexityViolation):
             strong.F([0.0, 0.0], [-1.0, 0.0] + dz)
         # indefinite h: the quadratic part v.h.v is negative along e2
-        indefinite = fbt.from_callables(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
-                                        beta=lambda x: np.array([0.1, 0.0]),
-                                        randers_check=False)
+        indefinite = locally_constant(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
+                                      lambda x: np.array([0.1, 0.0]),
+                                      randers_check=False)
         with pytest.raises(ConvexityViolation):
             indefinite.spray([0.0, 0.0] + dz, [0.0, 1.0])
         sphere = fbt.sphere_stereo(1.0)
@@ -412,21 +406,6 @@ class TestFrameAccuracy:
         ref = frame_joint_flow(m, x0, v, [1.0])[0]
         J = expmap_jacobian(m, x0, v, rtol=1e-11, atol=1e-14)
         assert np.max(np.abs(J - ref)) / np.max(np.abs(ref)) <= bound
-
-    def test_finite_difference_components(self, sphere):
-        # from_callables without derivative callables: the tolerance floor
-        # keeps DOP853 from chasing the rounding noise of the component
-        # differences, which at rtol 1e-11 takes thousands of steps
-        eye = np.eye(2)
-        m = fbt.from_callables(2, "fd_sphere",
-                               lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * eye)
-        frame = jacobi_frame(integrate_geodesic(m, PhaseState([0, -1], [1, 0]), 3.2))
-        assert len(frame.ts) <= 100
-        exact = jacobi_frame(integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 3.2))
-        ts = np.linspace(0.0, 3.2, 401)[1:]
-        assert np.max(np.abs(frame.M(ts) - exact.M(ts))) <= 1e-6
-        rep = conjugate_scan(frame.path, frame=frame)
-        assert abs(rep.instants[0].t - np.pi) < 1e-6
 
 
 class TestScanGrid:

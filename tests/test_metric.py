@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fbt
+from fbt.errors import ConfigError
 from fbt.expr import DomainError
 from fbt.metric import (COMPLEX_STEP, ConvexityViolation, OutsideChart,
                         RandersBoundError, SingularVerticalHessian, ZeroVelocity)
@@ -13,6 +14,7 @@ from fbt.metric import (COMPLEX_STEP, ConvexityViolation, OutsideChart,
 from fbt.geoflow import _copies_rhs
 from fbt.jacobi import spray_jacobians
 
+from conftest import locally_constant
 from _oracles import (great_circle_chart, shooting_rhs_broadcast, sphere_stereo_closed,
                       spray_jacobians_broadcast, template_evaluators)
 
@@ -205,13 +207,30 @@ class TestRandersBoundCheck:
     def test_singular_h_names_the_point(self):
         from fbt.metric import _check_randers_bound
 
-        m = fbt.from_callables(
+        m = locally_constant(
             2, "randers",
             lambda x: np.diag([0.0, 1.0]) if x[1] > 0.5 else np.eye(2),
             lambda x: np.array([0.1, 0.0]), randers_check=False,
             chart_box=[[-1, 1], [-1, 1]])
         with pytest.raises(RandersBoundError, match=r"h singular at sampled point \["):
             _check_randers_bound(m)
+
+
+class TestFromCallables:
+    @pytest.mark.parametrize("given, oneform, missing", [
+        (("dh",), False, "d2h"),
+        (("dh", "d2h", "d2beta"), True, "dbeta"),
+        ((), True, "dh, d2h, dbeta, d2beta"),
+    ])
+    def test_missing_derivatives_named(self, given, oneform, missing):
+        shapes = {"dh": (2, 2, 2), "d2h": (2, 2, 2, 2), "dbeta": (2, 2),
+                  "d2beta": (2, 2, 2)}
+        derivs = {k: (lambda x, s=shapes[k]: np.zeros(s)) for k in given}
+        beta = (lambda x: np.array([0.1, 0.0])) if oneform else None
+        with pytest.raises(ConfigError) as exc:
+            fbt.from_callables(2, "randers", lambda x: np.eye(2), beta, **derivs)
+        assert f"callables {missing};" in str(exc.value)
+        assert "randers_expr" in str(exc.value)
 
 
 def _stack_catalog():
@@ -227,8 +246,29 @@ def _stack_catalog():
         return np.array([[1.0 + 0.1 * x[1] ** 2, 0.05 * x[0]],
                          [0.05 * x[0], np.exp(-0.3 * x[0] ** 2)]])
 
+    def dh_fd(x):
+        out = np.zeros((2, 2, 2))
+        out[0] = [[0.0, 0.05], [0.05, -0.6 * x[0] * np.exp(-0.3 * x[0] ** 2)]]
+        out[1, 0, 0] = 0.2 * x[1]
+        return out
+
+    def d2h_fd(x):
+        out = np.zeros((2, 2, 2, 2))
+        out[0, 0, 1, 1] = (0.36 * x[0] ** 2 - 0.6) * np.exp(-0.3 * x[0] ** 2)
+        out[1, 1, 0, 0] = 0.2
+        return out
+
     def beta_fd(x):
         return np.array([0.2 * np.sin(x[1]), 0.1 * np.cos(x[0])])
+
+    def dbeta_fd(x):
+        return np.array([[0.0, -0.1 * np.sin(x[0])], [0.2 * np.cos(x[1]), 0.0]])
+
+    def d2beta_fd(x):
+        out = np.zeros((2, 2, 2))
+        out[0, 0, 1] = -0.1 * np.cos(x[0])
+        out[1, 1, 0] = -0.2 * np.sin(x[1])
+        return out
 
     return [
         fbt.euclidean(2),
@@ -242,7 +282,8 @@ def _stack_catalog():
         fbt.quadratic_expr(2, [["1", "0"], ["0", "-(1+0.1*x1^2)"]]),
         nav.zermelo_to_randers(z),
         nav.fermat_metric(s)[0],
-        fbt.from_callables(2, "fd_randers", h_fd, beta_fd,
+        fbt.from_callables(2, "fd_randers", h_fd, beta_fd, dh=dh_fd, d2h=d2h_fd,
+                           dbeta=dbeta_fd, d2beta=d2beta_fd,
                            chart_box=[[-2, 2], [-2, 2]]),
     ]
 
@@ -282,9 +323,9 @@ class TestStackedEvaluation:
         ("convexity", lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "x1"]]),
          [-1.0, 0.0], [0.4, 1.0]),
         # F = sqrt(q) + b <= 0 with q > 0: a one-form of norm 2 at x1 = 1
-        ("F_not_positive", lambda: fbt.from_callables(
+        ("F_not_positive", lambda: locally_constant(
             2, "randers", lambda x: np.eye(2), lambda x: np.array([2.0 * x[0], 0.0]),
-            randers_check=False), [1.0, 0.0], [-1.0, 0.0]),
+            [[2.0, 0.0], [0.0, 0.0]], randers_check=False), [1.0, 0.0], [-1.0, 0.0]),
         # h degenerate at x1 = 0: the vertical Hessian is singular
         ("singular", lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "x1^2"]]),
          [0.0, 0.3], [1.0, 0.5]),
@@ -429,12 +470,11 @@ class TestKernelErrors:
 
     def test_convexity_under_complex_step(self):
         eye = np.eye(2)
-        strong = fbt.from_callables(2, "strong_wind", lambda x: eye,
-                                    beta=lambda x: np.array([2.0, 0.0]),
-                                    randers_check=False)
-        indefinite = fbt.from_callables(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
-                                        beta=lambda x: np.array([0.1, 0.0]),
-                                        randers_check=False)
+        strong = locally_constant(2, "strong_wind", lambda x: eye,
+                                  lambda x: np.array([2.0, 0.0]), randers_check=False)
+        indefinite = locally_constant(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
+                                      lambda x: np.array([0.1, 0.0]),
+                                      randers_check=False)
         # F = |v| + beta.v = -1 along -e1, q = v.h.v = -1 along e2
         for m, name, v in [(strong, "F", [-1.0, 0.0]),
                            (indefinite, "spray", [0.0, 1.0]),
@@ -471,13 +511,9 @@ class TestComplexStep:
     def _cases():
         from conftest import catalog_metrics
 
-        eye = np.eye(2)
-        fd_only = fbt.from_callables(
-            2, "fd_sphere", lambda x: 4.0 / (1.0 + float(x @ x)) ** 2 * eye)
         rng = np.random.default_rng(17)
         for m, base, vscale in catalog_metrics() + [
             (fbt.sphere_stereo(1.0, dim=3), np.zeros(3), 1.0),
-            (fd_only, np.array([0.3, -0.5]), 1.0),
         ]:
             x = base + 0.2 * rng.normal(size=m.dim)
             v = vscale * rng.normal(size=m.dim)
@@ -508,12 +544,11 @@ class TestComplexStep:
 
     def test_errors_propagate(self):
         eye = np.eye(2)
-        strong = fbt.from_callables(2, "strong_wind", lambda x: eye,
-                                    beta=lambda x: np.array([2.0, 0.0]),
-                                    randers_check=False)
-        indefinite = fbt.from_callables(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
-                                        beta=lambda x: np.array([0.1, 0.0]),
-                                        randers_check=False)
+        strong = locally_constant(2, "strong_wind", lambda x: eye,
+                                  lambda x: np.array([2.0, 0.0]), randers_check=False)
+        indefinite = locally_constant(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
+                                      lambda x: np.array([0.1, 0.0]),
+                                      randers_check=False)
         singular = fbt.riemannian_expr(2, [["1", "0"], ["0", "x1^2"]])
         logarithm = fbt.riemannian_expr(2, [["1", "0"], ["0", "2+log(x1)"]])
         step = [([1e-30, 0.0], [0.0, 1.0]), ([0.0, 0.0], [0.0, 1.0 + 1e-30j])]

@@ -17,7 +17,9 @@ from fbt.nav import (
     zermelo_to_randers,
 )
 
-from _oracles import constant_wind_time, point_set_gap_blocks, point_set_gap_brute
+from conftest import locally_constant
+from _oracles import (constant_wind_time, point_set_gap_blocks, point_set_gap_brute,
+                      travel_time_loop)
 from fbt.nav import _point_set_gap
 
 
@@ -88,6 +90,16 @@ class TestTravelTime:
         t = travel_time(m, np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert t == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    def test_stacked_sum_matches_point_loop(self):
+        # bit for bit: the same terms, summed in the same order
+        z = ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]],
+                                   ["0.6*exp(-x1^2)", "0.1*sin(x2)"])
+        m = zermelo_to_randers(z)
+        path = integrate_geodesic(m, PhaseState([-1.0, 0.0], [1.0, 0.5]), 1.5)
+        poly = path.x(np.linspace(0.0, 1.5, 17))
+        for curve in (path, poly, poly[:2], poly[:1]):
+            assert travel_time(m, curve) == travel_time_loop(m, curve)
+
     def test_connect_matches_closed_form(self):
         W = np.array([0.5, 0.0])
         m = zermelo_to_randers(_wind(0.5))
@@ -121,11 +133,24 @@ class TestGridOracle:
     def test_small_grid_matches_closed_form(self):
         m = zermelo_to_randers(_wind(0.5))
         res = grid_travel_time(m, [0, 0], [0.3, 0.2],
-                               box=[[-0.5, 0.5], [-0.5, 0.5]], n=80,
-                               assume_homogeneous=True)
+                               box=[[-0.5, 0.5], [-0.5, 0.5]], n=80)
         want = constant_wind_time(res.q_snapped - res.p_snapped, [0.5, 0.0])
         assert res.time >= want - 1e-12  # lattice paths can never beat the norm
         assert abs(res.time - want) <= res.cell_time
+
+    def test_varying_wind_edge_costs_read_the_chart(self):
+        # every edge priced at p instead would put the grid time 1.9 cells
+        # above the geodesic's (1.2579 against 1.1285)
+        z = ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]],
+                                   ["0.6*exp(-x1^2)", "0"], chart_box=[[-3, 3], [-3, 3]])
+        m = zermelo_to_randers(z)
+        assert not m.chart_constant
+        assert zermelo_to_randers(_wind(0.5)).chart_constant
+        assert not locally_constant(2, "flat", lambda x: np.eye(2)).chart_constant
+        p, q = np.array([-1.0, 0.0]), np.array([0.2, 0.9])
+        path = integrate_geodesic(m, PhaseState(p, connect(m, p, q, q - p)), 1.0)
+        res = grid_travel_time(m, p, q, box=[[-1.25, 0.45], [-0.25, 1.15]], n=60)
+        assert abs(res.time - travel_time(m, path)) <= res.cell_time
 
 
 class TestFermat:
