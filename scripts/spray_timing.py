@@ -5,16 +5,17 @@ For each catalog kind in 2-D and 3-D this prints the minimum over repeats
 of the mean time per call on
 
 * one real state (a geodesic right-hand side),
-* complex-step stacks of n and 2n copies (a shooting or Jacobi-frame
-  step, and the full spray linearization of spray_jacobians),
+* complex-step stacks of n and 2n rows (one step of the variational flow,
+  one row per frame column, and the full spray linearization of
+  spray_jacobians),
 * a real stack of 3*64 states (the Gauss points of a 64-element mesh).
 
 second_derivatives takes real states only, so its complex columns read "-".
-Two more rows per kind time whole callers: shoot_rhs, the right-hand side of
-endpoint_jacobian on the flat state of the n shooting copies (column cs_n),
-and spray_jacobians, the independent check of the frame equation in
-JacobiFrame.residual_max, at one real state (column real1); their other
-columns read "-".
+Two more rows per kind time whole callers: shoot_rhs, the variational
+right-hand side _frame_rhs at endpoint_jacobian's start state (p, v, 0, I),
+n complex-step rows (column cs_n), and spray_jacobians, the independent
+check of the frame equation in JacobiFrame.residual_max, at one real state
+(column real1); their other columns read "-".
 
     PYTHONPATH=src python scripts/spray_timing.py [--repeat 5] [--number 200]
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 import fbt
 import fbt.nav as nav
-from fbt.geoflow import _copies_rhs
+from fbt.geoflow import _frame_rhs
 from fbt.jacobi import spray_jacobians
 from fbt.metric import COMPLEX_STEP
 
@@ -92,7 +93,7 @@ def states(dim, seed=0):
     v = rng.normal(size=dim)
     dz = 1j * COMPLEX_STEP * np.eye(dim)
     zero = np.zeros((dim, dim))
-    # shooting: n copies at v + i*h*e_j whose x carry their own small steps
+    # frame columns with J != 0, so that the x rows carry steps too
     shoot = (x + 1j * COMPLEX_STEP * rng.normal(size=(dim, dim)), v + dz)
     frame = (x + np.concatenate([dz, zero]), v + np.concatenate([zero, dz]))
     stack = (x + 0.05 * rng.normal(size=(192, dim)), v + 0.1 * rng.normal(size=(192, dim)))
@@ -101,9 +102,10 @@ def states(dim, seed=0):
 
 def callers(m, shapes):
     """The complex-step callers timed per kind: (row name, column, fn, args)."""
-    xs, vs = shapes["cs_n"]
-    flat = np.concatenate([xs, vs], axis=1).ravel()
-    return [("shoot_rhs", "cs_n", _copies_rhs(m), (0.0, flat)),
+    x, v = shapes["real1"]
+    n = m.dim
+    start = np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
+    return [("shoot_rhs", "cs_n", _frame_rhs(m), (0.0, start)),
             ("spray_jacobians", "real1", spray_jacobians, (m, *shapes["real1"]))]
 
 

@@ -448,12 +448,12 @@ def find_branches(f, mu, *, seed=0,
     seeds perturb the trivial initial velocity along the kernel direction of
     the shooting Jacobian with seeded jitter.  The hunt runs at the relaxed
     integrator tolerance HUNT_RTOL = 1e-9 / HUNT_ATOL = 1e-9; each Newton
-    iterate integrates the flow once and reads the shooting Jacobian (the
-    kernel direction's included) from its complex-step copies, not from a
-    Jacobi frame.  Damped line-search trials integrate the real flow alone
-    (exp_map), so a start that wanders costs about 40 % of a copies flow per
-    rejected trial.  Every accepted solution is polished and re-validated at
-    the tight tolerance.
+    iterate integrates the variational flow once, with its steps chosen on
+    (x, v), and reads the shooting Jacobian (the kernel direction's
+    included) from it.  Damped line-search trials integrate the geodesic
+    flow alone (exp_map), so a start that wanders costs under half a
+    variational flow per rejected trial.  Every accepted solution is
+    polished and re-validated at the tight tolerance.
     An empty list is a valid outcome.  max_found caps the solutions kept per
     probed parameter (a continuum of solutions would otherwise absorb every
     seed).

@@ -2,11 +2,13 @@
 
 Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) by
 the 8th-order Dormand-Prince pair (ode.dop853), with dense output where a
-path is kept.  Two-point problems are solved by one damped, optionally
-deflated Newton loop; each iterate integrates the flow once, over
-complex-step copies that carry the shooting Jacobian along with the
-endpoint.  A damped line-search trial needs the endpoint only and integrates
-the real flow (exp_map), at about 40 % of the cost of the copies.
+path is kept.  Their linearization on (x, v, M, M') has one right-hand
+side, _frame_rhs: frames keep M and M' in the error norm, shooting does not.
+Two-point problems are solved by one damped, optionally deflated Newton
+loop; each iterate integrates that flow once from (p, v, 0, I) and reads
+the shooting Jacobian M(tau).  A damped line-search trial needs the
+endpoint only and integrates the geodesic flow (exp_map), at under half
+the cost.
 """
 
 from __future__ import annotations
@@ -165,39 +167,33 @@ def _geodesic_rhs(m):
     return rhs
 
 
-def _copies_rhs(m):
-    """The right-hand side of n complex-step copies (x_j, v_j) of the flow,
-    flat and copy after copy.  The copies' real parts may differ by O(h^2)
-    terms that the complex step neglects; every copy is taken at the first
-    copy's real part, so the metric evaluates one real jet."""
+def _frame_rhs(m):
+    """The variational flow's right-hand side on the flat real (x, v, M, M'),
+    from the complex-step rows spray(x + i h M_j, v + i h M'_j)."""
     n = m.dim
-    starts = range(0, 2 * n * n, 2 * n)
 
     def rhs(t, y):
         z = y.tolist()
-        a, u0 = [w.real for w in z[:n]], [w.real for w in z[n:2 * n]]
-        us = [[complex(r, w.imag) for r, w in zip(u0, z[k + n:k + 2 * n])]
-              for k in starts]
-        rows = zip(([w.imag for w in z[k:k + n]] for k in starts), us)
-        out = np.empty((n, 2 * n), complex)
-        out[:, :n], out[:, n:] = us, m.complex_step("spray", a, rows)
-        return out.ravel()
+        u, M, Md = z[n:2 * n], z[2 * n:2 * n + n * n], z[2 * n + n * n:]
+        rows = [([COMPLEX_STEP * w for w in M[j::n]],
+                 [complex(r, COMPLEX_STEP * w) for r, w in zip(u, Md[j::n])])
+                for j in range(n)]
+        out = m.complex_step("spray", z[:n], rows)
+        return np.concatenate([u, out[0].real, Md, (out.imag.T / COMPLEX_STEP).ravel()])
 
     return rhs
 
 
 def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
-    """ode.dop853 over [0, tau], stopped where the real part of y's first
-    state leaves the chart box or its speed reaches the floor; raises then
-    and on failure."""
+    """ode.dop853 over [0, tau], stopped where the state's (x, v) leaves the
+    chart box or its speed reaches the floor; raises then and on failure."""
     n, box = m.dim, m.chart_box.tolist()
 
     def chart(t, y):
-        x = y[:n].real.tolist()
-        return min(min(a - lo, hi - a) for a, (lo, hi) in zip(x, box))
+        return min(min(a - lo, hi - a) for a, (lo, hi) in zip(y[:n].tolist(), box))
 
     def speed(t, y):
-        v = np.ravel(y[n:2 * n].real)
+        v = y[n:2 * n]
         return math.sqrt(v.dot(v)) - m.v_min
 
     res = dop853(rhs, y0, tau, rtol=rtol, atol=atol, events=(chart, speed), **kw)
@@ -235,19 +231,18 @@ def exp_map(m, p, v, tau=1.0, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
 
 def endpoint_jacobian(m, p, v, tau, *, rtol, atol):
     """x(tau) and d x(tau) / d v for the geodesic from (p, v), by one
-    integration of n copies of the flow started at v + i*h*e_j
-    (h = COMPLEX_STEP): column j is Im x_j(tau) / h.  The steps are chosen
-    on the shared real part, so this is the exact derivative of the discrete
-    flow at rtol/atol (internal numerical differentiation, Bock 1981)."""
+    integration of the variational flow from (p, v, 0, I): the Jacobian is
+    M(tau).  The error norm reads (x, v) alone, so the steps are the
+    geodesic's and M(tau) is the exact derivative of the discrete flow at
+    rtol/atol (internal numerical differentiation, Bock 1981)."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     m._check(p, v)
     n = m.dim
-    y0 = np.concatenate([np.broadcast_to(p, (n, n)),
-                         v + 1j * COMPLEX_STEP * np.eye(n)], axis=1)
-    y = _solve(m, _copies_rhs(m), tau, y0.ravel(), rtol=rtol, atol=atol).ys[-1]
-    x = y.reshape(n, 2 * n)[:, :n]
-    return x[0].real, x.imag.T / COMPLEX_STEP
+    y0 = np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
+    y = _solve(m, _frame_rhs(m), tau, y0, rtol=rtol, atol=atol,
+               norm_size=2 * n).ys[-1]
+    return y[:n], y[2 * n:2 * n + n * n].reshape(n, n)
 
 
 def _deflation_factor(v, roots):

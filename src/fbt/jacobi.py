@@ -2,15 +2,16 @@
 
 A frame carries n columns (J, J') through the linearized geodesic equation
 J'' = Dx spray . J + Dv spray . J' together with its own geodesic: one real
-flow on (x, v, M, M') from a path's start state by the 8th-order
-Dormand-Prince pair (ode.dop853), with M and M' in the error norm.  Each
-stage evaluates the n complex-step rows spray(x + i h M_j, v + i h M'_j):
+flow on (x, v, M, M') (geoflow._frame_rhs) from a path's start state by the
+8th-order Dormand-Prince pair (ode.dop853), with M and M' in the error norm.
+Each stage evaluates the n complex-step rows spray(x + i h M_j, v + i h M'_j):
 the real part is the geodesic's spray, Im / h the column's J''.  So the
 counting index route (these scans) rides the frame's geodesic at SCAN_RTOL,
 the spectral one (morse) the stored path at its rtol, from the same
 (x0, v0, tau).  Every metric's chart derivatives are exact, so every frame
 runs at SCAN_RTOL / SCAN_ATOL: no finite-difference noise floor sits above
-them.  D exp is the shooting derivative (geoflow.endpoint_jacobian).
+them.  D exp is the shooting derivative (geoflow.endpoint_jacobian): the
+same flow from (p, v, 0, I) with (x, v) alone in the error norm.
 
 Conjugate and focal instants show up as rank drops of M(t).  A scan reads
 its grid with one dense-output call and brackets them there: sign changes of
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geoflow import GeodesicPath, BoundaryData, _solve, endpoint_jacobian
+from .geoflow import GeodesicPath, BoundaryData, _frame_rhs, _solve, endpoint_jacobian
 from .metric import COMPLEX_STEP
 
 __all__ = [
@@ -155,22 +156,6 @@ def _focal_init(m, path, b):
     return M0, Md0
 
 
-def _frame_rhs(m):
-    """The frame flow's right-hand side on the flat real (x, v, M, M')."""
-    n = m.dim
-
-    def rhs(t, y):
-        z = y.tolist()
-        u, M, Md = z[n:2 * n], z[2 * n:2 * n + n * n], z[2 * n + n * n:]
-        rows = [([COMPLEX_STEP * w for w in M[j::n]],
-                 [complex(r, COMPLEX_STEP * w) for r, w in zip(u, Md[j::n])])
-                for j in range(n)]
-        out = m.complex_step("spray", z[:n], rows)
-        return np.concatenate([u, out[0].real, Md, (out.imag.T / COMPLEX_STEP).ravel()])
-
-    return rhs
-
-
 def jacobi_frame(path, init="conjugate"):
     """Propagate an n-column variational frame, with its own geodesic, from
     the path's start state over [0, path.tau].
@@ -199,7 +184,7 @@ def jacobi_frame(path, init="conjugate"):
 def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12):
     """D exp_p(v), the shooting derivative d x(1) / d v of
     geoflow.endpoint_jacobian, taken a decade tighter than rtol and atol:
-    the copies flow leaves the derivative out of its error norm."""
+    its steps are chosen on (x, v), the derivative is out of the error norm."""
     return endpoint_jacobian(m, p, v, 1.0, rtol=0.1 * rtol,
                              atol=0.1 * max(atol, 1e-13))[1]
 

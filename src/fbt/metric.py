@@ -147,6 +147,8 @@ class _Components:
         return lambda x: self.rows([x], order)[0].tolist()
 
     def rows(self, xs, order):
+        if not xs:
+            return _no_rows(self, order)
         points = zip(*(self.stack(x, order) for x in xs))
         return np.concatenate([np.reshape(c, (len(xs), -1)) for c in points
                                if c[0] is not None], axis=1)
@@ -184,6 +186,8 @@ class _ExprComponents:
         return fn
 
     def rows(self, xs, order):
+        if not xs:
+            return _no_rows(self, order)
         out = list(map(self.bundle(order), xs))
         return np.fromiter(itertools.chain.from_iterable(out), float,
                            len(out) * len(out[0])).reshape(len(out), -1)
@@ -218,6 +222,11 @@ def _d(name, k):
     """The placeholder of d(name)/dx_k."""
     base, *ders = name.split("_d")
     return base + "".join(f"_d{j}" for j in sorted([*map(int, ders), k]))
+
+
+def _no_rows(comps, order):
+    """rows() of no points: shape (0, the length of a flat component tuple)."""
+    return np.empty((0, len(_layout(comps.dim, comps.oneform, order))))
 
 
 def _layout(dim, oneform, order):
@@ -455,7 +464,7 @@ class MetricField:
     def _check(self, x, v):
         if not self.inside_chart(x):
             raise OutsideChart(f"point {np.real(x)} outside chart box")
-        speed = float(np.min(np.linalg.norm(np.real(v), axis=-1)))
+        speed = float(np.min(np.linalg.norm(np.real(v), axis=-1), initial=math.inf))
         if speed < self.v_min:
             raise ZeroVelocity(f"|v| = {speed:.3e} below floor {self.v_min:.3e}")
 
@@ -497,7 +506,8 @@ class MetricField:
 
     def _matrices(self, entry, x, v, validate=False):
         out = self._eval(entry, x, v, validate)
-        return out.reshape(out.shape[:-1] + (-1, self.dim, self.dim))
+        n = self.dim
+        return out.reshape(*out.shape[:-1], out.shape[-1] // n**2, n, n)
 
     # -- public evaluators ----------------------------------------------------
 

@@ -130,8 +130,6 @@ def travel_time(m, path):
         x, v = path.state((mid[:, None] + half[:, None] * GAUSS3_NODES).ravel())
     else:
         pts = np.asarray(path, dtype=float)
-        if len(pts) < 2:
-            return 0.0
         half = np.full(len(pts) - 1, 0.5)
         delta = np.diff(pts, axis=0)
         x = pts[:-1, None] + (0.5 * (1.0 + GAUSS3_NODES))[:, None] * delta[:, None]

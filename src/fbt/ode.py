@@ -9,7 +9,10 @@ tests compare with: the same initial step selection (Sec. II.4, with the
 first step clamped to the interval), step-size controller, combined
 3rd/5th-order error norm and "step too small" failure, so states, step times
 and evaluation counts agree to the bit.  A SciPy release that selects its
-first step differently takes other steps.  The coefficients are those of
+first step differently takes other steps.  SciPy has no counterpart of
+norm_size, which keeps the trailing components out of the error norm: a
+variational block there rides on its base flow's steps, and is the exact
+derivative of that discrete flow.  The coefficients are those of
 Hairer's dop853.f in the layout of SciPy's `dop853_coefficients.py`
 (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy
 Developers).
@@ -169,21 +172,19 @@ def _rms(x):
 
 def _sqnorm(x):
     """np.linalg.norm(x) ** 2, by the same operations."""
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im)) ** 2
     return math.sqrt(x.dot(x)) ** 2
 
 
-def _initial_step(fun, y0, f0, t_end, rtol, atol):
+def _initial_step(fun, y0, f0, t_end, rtol, atol, k):
     """Hairer, Norsett & Wanner, Sec. II.4: a first step from the sizes of
-    y0, f0 and a difference estimate of f'; costs one evaluation."""
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    the leading k components of y0, f0 and a difference estimate of f';
+    costs one evaluation."""
+    scale = atol + np.abs(y0[:k]) * rtol
+    d0, d1 = _rms(y0[:k] / scale), _rms(f0[:k] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     f1 = fun(h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1[:k] - f0[:k]) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -248,24 +249,30 @@ class OdeResult:
     event: int | None = None
 
 
-def dop853(fun, y0, t_end, *, rtol, atol, dense=False, events=()):
-    """Integrate y' = fun(t, y) over [0, t_end] from y0 (real or complex).
+def dop853(fun, y0, t_end, *, rtol, atol, dense=False, events=(), norm_size=None):
+    """Integrate y' = fun(t, y) over [0, t_end] from the real y0.
 
-    The integration stops at the first root of any event function g(t, y)
-    that changes sign (or reaches zero) over a step, found by brentq on the
+    The error norm and the initial step read the leading norm_size
+    components of y (all of them when None); the others ride along.  The
+    integration stops at the first root of any event function g(t, y) that
+    changes sign (or reaches zero) over a step, found by brentq on the
     step's dense output.  Raises StepFailure when the step size falls below
-    ten float spacings of t."""
+    ten float spacings of t, and TypeError on a y0 that is not real."""
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     y = np.asarray(y0)
-    y = y.astype(complex if y.dtype.kind == "c" else float)
+    if not np.can_cast(y.dtype, float):
+        raise TypeError(f"y0 must be real, got dtype {y.dtype}")
+    y = y.astype(float)
+    k = y.size if norm_size is None else norm_size
     rtol = max(rtol, 100 * EPS)
     t = 0.0
     f = fun(t, y)
-    h_abs = _initial_step(fun, y, f, t_end, rtol, atol)
+    h_abs = _initial_step(fun, y, f, t_end, rtol, atol, k)
     nfev = 2
-    K = np.empty((16, y.size), y.dtype)
+    K = np.empty((16, y.size))
     KT = [K[:s].T for s in range(16)]
+    KE = KT[13][:k]
     ts, ys = [t], [y]
     steps = t_olds, hs, y_olds, Fs = [], [], [], []
     g = [event(t, y) for event in events]
@@ -288,13 +295,13 @@ def dop853(fun, y0, t_end, *, rtol, atol, dense=False, events=()):
             y_new = y + h * np.dot(KT[12], B)
             f_new = K[12] = fun(t + h, y_new)
             nfev += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            n5 = _sqnorm(np.dot(KT[13], E5) / scale)
-            n3 = _sqnorm(np.dot(KT[13], E3) / scale)
+            scale = atol + np.maximum(np.abs(y[:k]), np.abs(y_new[:k])) * rtol
+            n5 = _sqnorm(np.dot(KE, E5) / scale)
+            n3 = _sqnorm(np.dot(KE, E3) / scale)
             if n5 == 0 and n3 == 0:
                 err = 0.0
             else:
-                err = h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * y.size)
+                err = h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * k)
             if err < 1:
                 factor = (MAX_FACTOR if err == 0 else
                           min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT))
@@ -314,7 +321,7 @@ def dop853(fun, y0, t_end, *, rtol, atol, dense=False, events=()):
                 for s, c, a in _EXTRA:
                     K[s] = fun(t_old + c * h, y_old + np.dot(KT[s], a) * h)
                 nfev += 3
-                F = np.empty((7, y.size), y.dtype)
+                F = np.empty((7, y.size))
                 F[0] = y - y_old
                 F[1] = h * f_old - F[0]
                 F[2] = 2 * F[0] - h * (f + f_old)

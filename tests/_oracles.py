@@ -257,10 +257,12 @@ def spray_jacobians_loop(m, x, v, step):
 # ---------------------------------------------------------------------------
 # Complex-step states by numpy broadcasting
 #
-# The complex-step spray linearization and the right-hand side of the
-# shooting copies written as array expressions over one m.spray call, the
-# formulas the list-level MetricField.complex_step callers replaced; the
-# callers must match them bit for bit.
+# The complex-step spray linearization and the variational right-hand side
+# written as array expressions over one m.spray call, the formulas the
+# list-level MetricField.complex_step callers replaced; the callers must
+# match them bit for bit.  shooting_rhs_broadcast is the former encoding of
+# the shooting derivative, n complex-step copies (x_j, v_j) of the flow; it
+# stays as the reference that endpoint_jacobian is checked against.
 
 
 def spray_jacobians_broadcast(m, x, v):
@@ -273,6 +275,17 @@ def spray_jacobians_broadcast(m, x, v):
                 np.asarray(v, dtype=float)[..., None, :] + np.concatenate([zero, dz]))
     a = np.swapaxes(a.imag, -1, -2) / h
     return a[..., :n], a[..., n:]
+
+
+def frame_rhs_broadcast(m, y):
+    """d/dt of the flat real (x, v, M, M') from one spray call on the n
+    complex-step states x + i*h*M_j, v + i*h*M'_j (M_j column j of M)."""
+    n, h = m.dim, fbt.metric.COMPLEX_STEP
+    x, v = y[:n], y[n:2 * n]
+    M = y[2 * n:2 * n + n * n].reshape(n, n)
+    Md = y[2 * n + n * n:].reshape(n, n)
+    a = m.spray(x + 1j * h * M.T, v + 1j * h * Md.T)
+    return np.concatenate([v, a[0].real, Md.ravel(), (a.imag.T / h).ravel()])
 
 
 def shooting_rhs_broadcast(m, y):
@@ -561,7 +574,7 @@ def point_set_gap_brute(samples, other):
 def newton_every_trial(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
     """geoflow.newton's iteration with every trial, damped or not, evaluated
     by GJ: the same steps, halvings and acceptance rule, and the residual
-    read from the copies' real part."""
+    read from the variational flow's (x, v) block."""
     from fbt.errors import NumericalError
     from fbt.geoflow import (NEWTON_MAX_HALVINGS, NoConvergence,
                              SingularJacobian, _deflation_factor)

@@ -11,11 +11,11 @@ from fbt.expr import DomainError
 from fbt.metric import (COMPLEX_STEP, ConvexityViolation, OutsideChart,
                         RandersBoundError, SingularVerticalHessian, ZeroVelocity)
 
-from fbt.geoflow import _copies_rhs
+from fbt.geoflow import _frame_rhs
 from fbt.jacobi import spray_jacobians
 
 from conftest import locally_constant
-from _oracles import (great_circle_chart, shooting_rhs_broadcast, sphere_stereo_closed,
+from _oracles import (frame_rhs_broadcast, great_circle_chart, sphere_stereo_closed,
                       spray_jacobians_broadcast, template_evaluators)
 
 
@@ -314,6 +314,16 @@ class TestStackedEvaluation:
                 np.testing.assert_allclose(stacked[name][i], want, rtol=1e-13,
                                            atol=1e-14, err_msg=name)
 
+    @pytest.mark.parametrize("m", _stack_catalog(), ids=lambda m: f"{m.kind}-{m.dim}")
+    def test_empty_stack(self, m):
+        n = m.dim
+        for lead in ((0,), (0, 3), (3, 0)):
+            z = np.zeros(lead + (n,))
+            assert m.F(z, z, validate=True).shape == lead
+            assert m.spray(z, z).shape == lead + (n,)
+            for d2 in m.second_derivatives(z, z):
+                assert d2.shape == lead + (n, n)
+
     def test_scalar_call_keeps_scalar_shape(self, randers_const):
         assert np.shape(randers_const.F([0, 0], [1, 0])) == ()
         assert randers_const.spray([0, 0], [1, 0]).shape == (2,)
@@ -494,16 +504,14 @@ class TestKernelErrors:
             m.second_derivatives(*cases[1])
 
 
-def _copies_state(x, v):
-    """The flat start state of endpoint_jacobian's n complex-step copies."""
+def _shooting_state(x, v):
+    """The flat start state (x, v, 0, I) of endpoint_jacobian's flow."""
     n = len(x)
-    return np.concatenate([np.broadcast_to(np.asarray(x, float), (n, n)),
-                           np.asarray(v, float) + 1j * COMPLEX_STEP * np.eye(n)],
-                          axis=1).ravel()
+    return np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
 
 
 class TestComplexStep:
-    """The list-level callers of MetricField.complex_step (the shooting
+    """The list-level callers of MetricField.complex_step (the variational
     right-hand side and spray_jacobians) equal the broadcast formulas of
     _oracles bit for bit, and the kernel and jet errors reach them."""
 
@@ -519,18 +527,14 @@ class TestComplexStep:
             v = vscale * rng.normal(size=m.dim)
             yield m, x, v, rng
 
-    def test_shooting_rhs_matches_broadcast(self):
+    def test_frame_rhs_matches_broadcast(self):
         for m, x, v, rng in self._cases():
             n = m.dim
-            # real parts that differ between copies by far more than the
-            # O(h^2) of a real run, so that taking any copy but the first at
-            # its own real part changes the result
-            real = np.concatenate([x + 1e-3 * rng.normal(size=(n, n)),
-                                   v + 1e-3 * rng.normal(size=(n, n))], axis=1)
-            y = (real + 1j * COMPLEX_STEP * rng.normal(size=(n, 2 * n))).ravel()
-            for state in (y, _copies_state(x, v)):
-                np.testing.assert_array_equal(_copies_rhs(m)(0.0, state),
-                                              shooting_rhs_broadcast(m, state))
+            # a frame with J != 0 in every column, and the shooting start
+            y = np.concatenate([x, v, rng.normal(size=2 * n * n)])
+            for state in (y, _shooting_state(x, v)):
+                np.testing.assert_array_equal(_frame_rhs(m)(0.0, state),
+                                              frame_rhs_broadcast(m, state))
 
     def test_spray_jacobians_match_broadcast(self):
         for m, x, v, rng in self._cases():
@@ -567,7 +571,7 @@ class TestComplexStep:
             with pytest.raises(err):
                 spray_jacobians(m, np.array(x), np.array([0.3, 1.0]))
             with pytest.raises(err):
-                _copies_rhs(m)(0.0, _copies_state(x, [0.3, 1.0]))
+                _frame_rhs(m)(0.0, _shooting_state(x, [0.3, 1.0]))
 
     def test_second_order_entries_rejected(self, randers_const):
         with pytest.raises(TypeError):

@@ -14,10 +14,12 @@ from scipy.optimize import brentq as scipy_brentq
 
 import fbt
 from fbt import ode
-from fbt.geoflow import (LeftChart, StepFailure, _copies_rhs, _geodesic_rhs,
+from fbt.geoflow import (LeftChart, StepFailure, _frame_rhs, _geodesic_rhs,
                          endpoint_jacobian, exp_map, integrate_geodesic)
-from fbt.jacobi import SCAN_ATOL, SCAN_RTOL, _frame_rhs, jacobi_frame
+from fbt.jacobi import SCAN_ATOL, SCAN_RTOL, jacobi_frame
 from fbt.metric import COMPLEX_STEP, PhaseState, ZeroVelocity
+
+from _oracles import shooting_rhs_broadcast
 
 
 def _randers():
@@ -61,18 +63,43 @@ class TestMirrorsSolveIvp:
         _assert_dense_close(path.sol, ref.sol, path.ts, path.ys)
         np.testing.assert_array_equal(exp_map(m, s0.x, s0.v, 3.0), ref.y[:2, -1])
 
-    def test_complex_step_copies(self):
+    def test_norm_reads_leading_components(self):
+        # the steps of the shooting flow are chosen on (x, v) alone: a
+        # million times larger M' changes neither them nor the (x, v) block
+        m = _randers()
+        p, v, n = np.array([0.1, -0.2]), np.array([0.9, 0.3]), 2
+        runs = {}
+        for size in (2 * n, None):
+            for s in (1.0, 1e6):
+                y0 = np.concatenate([p, v, np.zeros(n * n), s * np.eye(n).ravel()])
+                runs[size, s] = ode.dop853(_frame_rhs(m), y0, 2.0, rtol=1e-9,
+                                           atol=1e-12, norm_size=size)
+        a, b = runs[2 * n, 1.0], runs[2 * n, 1e6]
+        np.testing.assert_array_equal(a.ts, b.ts)
+        np.testing.assert_array_equal(a.ys[:, :2 * n], b.ys[:, :2 * n])
+        assert a.nfev == b.nfev
+        # under the full norm the scaled frame takes other steps
+        assert runs[None, 1.0].nfev != runs[None, 1e6].nfev
+
+    def test_endpoint_jacobian_matches_copies(self):
+        # the former shooting encoding, n complex-step copies of the flow
+        # started at v + i*h*e_j, integrated by SciPy
         m = _randers()
         p, v, n = np.array([0.1, -0.2]), np.array([0.9, 0.3]), 2
         y0 = np.concatenate([np.broadcast_to(p, (n, n)),
                              v + 1j * COMPLEX_STEP * np.eye(n)], axis=1).ravel()
-        got = ode.dop853(_copies_rhs(m), y0, 2.0, rtol=1e-9, atol=1e-12)
-        ref = _reference(_copies_rhs(m), y0, 2.0, rtol=1e-9, atol=1e-12)
-        _assert_same_steps(got, ref)
-        x, jac = endpoint_jacobian(m, p, v, 2.0, rtol=1e-9, atol=1e-12)
+        ref = _reference(lambda t, y: shooting_rhs_broadcast(m, y), y0, 2.0,
+                         rtol=1e-9, atol=1e-12)
         y = ref.y[:, -1].reshape(n, 2 * n)[:, :n]
-        np.testing.assert_array_equal(x, y[0].real)
-        np.testing.assert_array_equal(jac, y.imag.T / COMPLEX_STEP)
+        x, jac = endpoint_jacobian(m, p, v, 2.0, rtol=1e-9, atol=1e-12)
+        ref_jac = y.imag.T / COMPLEX_STEP
+        assert np.max(np.abs(x - y[0].real)) <= 1e-14 * np.max(np.abs(x))
+        assert np.linalg.norm(jac - ref_jac) <= 1e-13 * np.linalg.norm(ref_jac)
+
+    def test_complex_state_rejected(self):
+        with pytest.raises(TypeError):
+            ode.dop853(lambda t, y: -y, np.array([1.0 + 1e-30j, 2.0]), 1.0,
+                       rtol=1e-9, atol=1e-12)
 
     def test_jacobi_frame(self):
         # the frame's one real flow on (x, v, M, M') from the path's start
@@ -98,11 +125,11 @@ def _chart_events(m):
     n, lo, hi = m.dim, m.chart_box[:, 0], m.chart_box[:, 1]
 
     def chart(t, y):
-        x = y[:n].real
+        x = y[:n]
         return float(min(np.min(x - lo), np.min(hi - x)))
 
     def speed(t, y):
-        return float(np.linalg.norm(y[n:2 * n].real) - m.v_min)
+        return float(np.linalg.norm(y[n:2 * n]) - m.v_min)
 
     chart.terminal = speed.terminal = True
     return [chart, speed]
