@@ -13,7 +13,8 @@ two-sided, one-sided pair).  The diagnosis is explicitly not a certificate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -88,6 +89,15 @@ class InitialStateBranch:
         self.x0 = np.asarray(self.x0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
 
+    def realize(self, m, seed=None, *, rtol, atol):
+        """The geodesic of m from (x0, v0) over [0, tau].  seed is ignored:
+        a start state needs no velocity guess."""
+        v0 = self.v0.copy()
+        if self.normalize_speed is not None:
+            v0 *= self.normalize_speed / m.F(self.x0, v0)
+        return integrate_geodesic(m, PhaseState(self.x0, v0), self.tau,
+                                  rtol=rtol, atol=atol)
+
 
 @dataclass
 class ConnectBranch:
@@ -103,9 +113,22 @@ class ConnectBranch:
         self.q = np.asarray(self.q, dtype=float)
         self.v_seed = np.asarray(self.v_seed, dtype=float)
 
+    def realize(self, m, seed=None, *, rtol, atol):
+        """The geodesic of m from p to q over [0, tau], shot from seed
+        (v_seed when None)."""
+        v0 = connect(m, self.p, self.q, self.v_seed if seed is None else seed,
+                     tau=self.tau, rtol=rtol, atol=atol)
+        return integrate_geodesic(m, PhaseState(self.p, v0), self.tau,
+                                  rtol=rtol, atol=atol)
+
 
 @dataclass
 class FamilySpec:
+    """A one-parameter family: metric_builder(lam) gives the metric at lam,
+    and branch, an InitialStateBranch or a ConnectBranch, prescribes the
+    trivial geodesic; its realize(m, seed, rtol=, atol=) integrates that
+    geodesic on one member."""
+
     param_name: str
     param_range: tuple
     samples: int
@@ -120,8 +143,6 @@ class ScanRecord:
     m_minus: int
     m_zero: int
     min_abs_eig: float
-    smallest_eig: float
-    instants: list
     agree: bool
     mesh: int
 
@@ -230,10 +251,8 @@ class Diagnosis:
 class BifurcationScan:
     param_name: str
     param_range: tuple
-    boundary: str
     records: list
     detections: list
-    verdicts: list = field(default_factory=list)
     seed: int = 0
 
 
@@ -242,23 +261,11 @@ class BifurcationScan:
 
 
 def realize_branch(f, lam, prev_velocity=None, *, rtol=1e-9, atol=1e-12):
-    """Build the family metric at lam and integrate the trivial branch."""
+    """Build the family metric at lam and realize the trivial branch on it,
+    seeded by prev_velocity."""
     m = f.metric_builder(lam)
-    br = f.branch
     try:
-        if isinstance(br, InitialStateBranch):
-            v0 = br.v0.copy()
-            if br.normalize_speed is not None:
-                v0 *= br.normalize_speed / m.F(br.x0, v0)
-            path = integrate_geodesic(m, PhaseState(br.x0, v0), br.tau,
-                                      rtol=rtol, atol=atol)
-        elif isinstance(br, ConnectBranch):
-            seed = br.v_seed if prev_velocity is None else prev_velocity
-            v0 = connect(m, br.p, br.q, seed, tau=br.tau, rtol=rtol, atol=atol)
-            path = integrate_geodesic(m, PhaseState(br.p, v0), br.tau,
-                                      rtol=rtol, atol=atol)
-        else:
-            raise TypeError(f"unknown branch prescription {br!r}")
+        path = f.branch.realize(m, prev_velocity, rtol=rtol, atol=atol)
     except NumericalError as exc:
         raise BranchLost(lam, str(exc)) from exc
     return m, path
@@ -280,8 +287,6 @@ def _sweep_record(lam, path, boundary, grid, mesh0, max_mesh):
         min_abs_eig=abs(rep.spectral.smallest)
         if rep.m_zero == 0
         else min(abs(e) for e in rep.spectral.eigs_near_zero + [rep.spectral.smallest]),
-        smallest_eig=rep.spectral.smallest,
-        instants=rep.instants,
         agree=bool(rep.agree),
         mesh=rep.spectral.mesh,
     )
@@ -324,9 +329,19 @@ def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID, mesh0=16,
     def eig_k(lam, k):
         return _morse.smallest_eigenvalue(realize(lam), boundary, refine_mesh, k=k)
 
-    def flank_counts(lam):
-        rep = _morse.index_spectral(realize(lam), boundary, mesh_fixed=refine_mesh)
-        return rep.m_minus, rep.m_zero
+    def detection(mu, lo, hi, refined=False, plateau=False):
+        # spectral counts at mu and at the flanks lo and hi, in that order; a
+        # plateau has positive nullity by construction
+        at_mu, left, right = (
+            _morse.index_spectral(realize(lam), boundary, mesh_fixed=refine_mesh)
+            for lam in (mu, lo, hi)
+        )
+        return Detection(
+            mu=float(mu), nullity=max(at_mu.m_zero, int(plateau)),
+            m_left=left.m_minus, m0_left=left.m_zero,
+            m_right=right.m_minus, m0_right=right.m_zero,
+            refined=refined, plateau=plateau,
+        )
 
     detections = []
     consumed = np.zeros(len(records), dtype=bool)
@@ -349,48 +364,23 @@ def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID, mesh0=16,
         else:
             mu = brentq(lambda lam: eig_k(lam, k), rl.lam, rr.lam, xtol=refine_tol)
             refined = True
-        rep_mu = _morse.index_spectral(realize(mu), boundary, mesh_fixed=refine_mesh)
-        left = flank_counts(mu - flank)
-        right = flank_counts(mu + flank)
-        detections.append(
-            Detection(
-                mu=float(mu), nullity=rep_mu.m_zero,
-                m_left=left[0], m0_left=left[1],
-                m_right=right[0], m0_right=right[1],
-                refined=refined,
-            )
-        )
+        detections.append(detection(mu, mu - flank, mu + flank, refined=refined))
         consumed[i] = consumed[i + 1] = True
 
     # plateau candidates: persistent nullity without an index jump
-    i = 0
-    while i < len(records):
-        if records[i].m_zero >= 1 and not consumed[i]:
-            j = i
-            while j + 1 < len(records) and records[j + 1].m_zero >= 1 and not consumed[j + 1]:
-                j += 1
-            mu = 0.5 * (records[i].lam + records[j].lam)
-            rep_mu = _morse.index_spectral(realize(mu), boundary,
-                                           mesh_fixed=refine_mesh)
-            left = flank_counts(max(records[i].lam - flank, a))
-            right = flank_counts(min(records[j].lam + flank, b))
-            detections.append(
-                Detection(
-                    mu=float(mu), nullity=max(rep_mu.m_zero, 1),
-                    m_left=left[0], m0_left=left[1],
-                    m_right=right[0], m0_right=right[1],
-                    refined=False, plateau=True,
-                )
-            )
-            i = j + 1
-        else:
-            i += 1
+    runs = groupby(zip(records, consumed),
+                   key=lambda rc: rc[0].m_zero >= 1 and not rc[1])
+    for on_plateau, run in runs:
+        if on_plateau:
+            lams_run = [r.lam for r, _ in run]
+            first, last = lams_run[0], lams_run[-1]
+            detections.append(detection(0.5 * (first + last), max(first - flank, a),
+                                        min(last + flank, b), plateau=True))
 
     detections.sort(key=lambda d: d.mu)
     return BifurcationScan(
         param_name=f.param_name,
         param_range=(float(a), float(b)),
-        boundary=boundary if isinstance(boundary, str) else "perpendicular",
         records=records,
         detections=detections,
         seed=seed,
@@ -422,7 +412,6 @@ def detect_bifurcation(scan):
             Verdict(mu=d.mu, interval_left=il, interval_right=ir,
                     nullity=d.nullity, label=label)
         )
-    scan.verdicts = verdicts
     return verdicts
 
 

@@ -34,7 +34,6 @@ from . import jacobi as _jacobi
 from . import morse as _morse
 from . import bifurc as _bifurc
 from . import nav as _nav
-from .metric import PhaseState
 
 __all__ = ["load_config", "run_command", "write_csv", "write_json", "main"]
 
@@ -206,31 +205,28 @@ def _stationary_from_config(cfg, params=None):
     )
 
 
-def _problem_path(cfg, m):
-    """Realize the configured problem as a GeodesicPath."""
+def _branch_from_config(cfg):
+    """The problem's trivial branch spec, from its 'initial' or 'connect'
+    block."""
     prob = cfg.get("problem", {})
-    sv = cfg["solver"]
     if "initial" in prob:
         ini = prob["initial"]
-        v0 = np.asarray(ini["v"], dtype=float)
-        if "normalize_speed" in ini:
-            v0 = v0 * (ini["normalize_speed"] / m.F(ini["x"], v0))
-        return _geoflow.integrate_geodesic(
-            m, PhaseState(ini["x"], v0), ini["tau"],
-            rtol=sv["rtol"], atol=sv["atol"],
+        return _bifurc.InitialStateBranch(
+            ini["x"], ini["v"], ini["tau"],
+            normalize_speed=ini.get("normalize_speed"),
         )
     if "connect" in prob:
         con = prob["connect"]
         seed = con.get("v_seed", (np.asarray(con["q"], float)
                                   - np.asarray(con["p"], float)).tolist())
-        tau = con.get("tau", 1.0)
-        v = _geoflow.connect(m, con["p"], con["q"], seed, tau=tau,
-                             rtol=sv["rtol"], atol=sv["atol"])
-        return _geoflow.integrate_geodesic(
-            m, PhaseState(con["p"], v), tau,
-            rtol=sv["rtol"], atol=sv["atol"],
-        )
+        return _bifurc.ConnectBranch(con["p"], con["q"], seed, con.get("tau", 1.0))
     raise SchemaError("/problem: an 'initial' or 'connect' block is required")
+
+
+def _problem_path(cfg, m):
+    """Realize the configured problem on m as a GeodesicPath."""
+    sv = cfg["solver"]
+    return _branch_from_config(cfg).realize(m, rtol=sv["rtol"], atol=sv["atol"])
 
 
 def _boundary_from_config(cfg):
@@ -247,31 +243,17 @@ def _family_from_config(cfg):
     fam = cfg.get("family")
     if fam is None:
         raise SchemaError("/family: required for this command")
-    prob = cfg.get("problem", {})
     pname = fam["parameter"]
 
     def builder(lam):
         return metric_from_config(cfg, {pname: lam})
 
-    if "initial" in prob:
-        ini = prob["initial"]
-        branch = _bifurc.InitialStateBranch(
-            ini["x"], ini["v"], ini["tau"],
-            normalize_speed=ini.get("normalize_speed"),
-        )
-    elif "connect" in prob:
-        con = prob["connect"]
-        seed = con.get("v_seed", (np.asarray(con["q"], float)
-                                  - np.asarray(con["p"], float)).tolist())
-        branch = _bifurc.ConnectBranch(con["p"], con["q"], seed, con.get("tau", 1.0))
-    else:
-        raise SchemaError("/problem: family sweeps need an 'initial' or 'connect' block")
     return _bifurc.FamilySpec(
         param_name=pname,
         param_range=tuple(fam["range"]),
         samples=fam["samples"],
         metric_builder=builder,
-        branch=branch,
+        branch=_branch_from_config(cfg),
         continuity_tol=fam.get("continuity_tol", 0.5),
     )
 
@@ -494,10 +476,14 @@ def _cmd_branch(cfg, out):
 def _cmd_zermelo(cfg, out):
     if cfg["metric"]["kind"] != "zermelo":
         raise SchemaError("/metric/kind: the zermelo command needs kind 'zermelo'")
-    m = metric_from_config(cfg)
-    path = _problem_path(cfg, m)
-    time = _nav.travel_time(m, path)
     sv = cfg["solver"]
+    branch = _branch_from_config(cfg)
+    if sv["grid_oracle"] and not isinstance(branch, _bifurc.ConnectBranch):
+        raise SchemaError("/solver/grid_oracle: the grid oracle needs a 'connect' "
+                          "problem")
+    m = metric_from_config(cfg)
+    path = branch.realize(m, rtol=sv["rtol"], atol=sv["atol"])
+    time = _nav.travel_time(m, path)
     payload = {
         "travel_time": time,
         "initial_velocity": path.v0,
@@ -505,10 +491,9 @@ def _cmd_zermelo(cfg, out):
         "speed_F": path.F0,
     }
     if sv["grid_oracle"]:
-        prob = cfg["problem"]["connect"]
-        lo = np.minimum(prob["p"], prob["q"]) - 0.25
-        hi = np.maximum(prob["p"], prob["q"]) + 0.25
-        res = _nav.grid_travel_time(m, prob["p"], prob["q"],
+        lo = np.minimum(branch.p, branch.q) - 0.25
+        hi = np.maximum(branch.p, branch.q) + 0.25
+        res = _nav.grid_travel_time(m, branch.p, branch.q,
                                     box=np.stack([lo, hi], axis=1))
         payload["grid_oracle"] = {
             "time": res.time,
@@ -529,6 +514,10 @@ def _cmd_zermelo(cfg, out):
 def _cmd_fermat(cfg, out):
     if cfg["metric"]["kind"] != "fermat":
         raise SchemaError("/metric/kind: the fermat command needs kind 'fermat'")
+    if cfg["metric"].get("fermat_sign", "plus") != "plus":
+        # t' = F-(x, x') is not lightlike: F- governs past-pointing curves
+        raise SchemaError("/metric/fermat_sign: the fermat command lifts F+ "
+                          "geodesics only")
     s = _stationary_from_config(cfg)
     m = metric_from_config(cfg)
     path = _problem_path(cfg, m)

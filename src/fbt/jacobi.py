@@ -204,10 +204,6 @@ class ConjugateReport:
     grid: int
     warnings: list = field(default_factory=list)
 
-    @property
-    def total_multiplicity(self):
-        return sum(c.multiplicity for c in self.instants)
-
     def as_rows(self):
         return [(c.t, c.multiplicity, c.sigma_min_rel) for c in self.instants]
 

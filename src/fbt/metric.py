@@ -544,12 +544,16 @@ class MetricField:
         """Vertical Hessian of L/2 at (x, v)."""
         g = 0.5 * self._matrices("dvvL", x, v, validate)[..., 0, :, :]
         if not self.pseudo:
-            w = np.linalg.eigvalsh(g)
-            tol_pd = 1e-10 * np.trace(g) / self.dim
-            if w[0] <= tol_pd:
+            # per state: its smallest eigenvalue against its own trace
+            w = np.linalg.eigvalsh(g)[..., 0]
+            tol_pd = 1e-10 * np.trace(g, axis1=-2, axis2=-1) / self.dim
+            bad = np.argwhere(w <= tol_pd)
+            if len(bad):
+                i = tuple(int(k) for k in bad[0])
+                where = f" at state {i[0] if len(i) == 1 else i}" if i else ""
                 raise ConvexityViolation(
-                    f"fundamental tensor not positive definite "
-                    f"(min eig {w[0]:.3e}, tol {tol_pd:.3e})"
+                    f"fundamental tensor not positive definite{where} "
+                    f"(min eig {w[i]:.3e}, tol {tol_pd[i]:.3e})"
                 )
         return g
 

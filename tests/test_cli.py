@@ -316,6 +316,61 @@ class TestCommands:
         lines = (out / "fermat_lift.csv").read_text().splitlines()
         assert lines[0] == "s,x1,x2,t"
 
+    def test_zermelo_grid_oracle_needs_connect(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "zermelo", "dim": 2,
+                       "h": [["1", "0"], ["0", "1"]], "W": ["0.5", "0"],
+                       "chart_box": [[-2, 2], [-2, 2]]},
+            "problem": {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}},
+            "solver": {"grid_oracle": True},
+        })
+        out = tmp_path / "run"
+        assert cli.main(["zermelo", "--config", cfg, "--out", str(out)]) == 1
+        assert "/solver/grid_oracle" in capsys.readouterr().err
+        assert not (out / "zermelo.json").exists()
+
+    def test_fermat_minus_rejected(self, tmp_path, capsys):
+        # t' = F-(x, x') is not lightlike, so there is no minus lift to write
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "fermat", "dim": 2, "fermat_sign": "minus",
+                       "g0": [["1", "0"], ["0", "1"]], "V": ["0.3", "0"],
+                       "f": "1", "chart_box": [[-3, 3], [-3, 3]]},
+            "problem": {"connect": {"p": [0, 0], "q": [1.2, 0.8]}},
+        })
+        out = tmp_path / "run"
+        assert cli.main(["fermat", "--config", cfg, "--out", str(out)]) == 1
+        assert "/metric/fermat_sign" in capsys.readouterr().err
+        assert not (out / "fermat.json").exists()
+
+    def test_one_realization(self, tmp_path, capsys):
+        # path commands and family commands realize a problem through the
+        # same branch spec, and reject a missing problem alike
+        for problem in (
+            {"initial": {"x": [0, -1], "v": [1, 0.5], "tau": 2.5,
+                         "normalize_speed": 2.0}},
+            {"connect": {"p": [0, -1], "q": [0.6, -0.4], "tau": 2.0}},
+        ):
+            cfg = load_config(write_cfg(tmp_path, {
+                "metric": {"kind": "sphere_stereo", "dim": 2, "params": {"K": 1.0}},
+                "problem": problem,
+                "family": {"parameter": "K", "range": [1.0, 2.0], "samples": 2},
+            }))
+            path = cli._problem_path(cfg, metric_from_config(cfg))
+            _, fam_path = cli._bifurc.realize_branch(cli._family_from_config(cfg), 1.0)
+            assert np.array_equal(path.ts, fam_path.ts)
+            assert np.array_equal(path.ys, fam_path.ys)
+
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "euclidean", "dim": 2},
+            "family": {"parameter": "lam", "range": [0.0, 1.0], "samples": 2},
+        })
+        errs = []
+        for cmd in ("geodesic", "sweep"):
+            assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / cmd)]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "/problem: an 'initial' or 'connect' block is required" in errs[0]
+
 
 class TestSchemaPublication:
     def test_docs_schema_matches_packaged(self):

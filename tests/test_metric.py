@@ -300,15 +300,18 @@ class TestStackedEvaluation:
             "F": m.F(X, V),
             "spray": m.spray(X, V),
             "second_derivatives": np.stack(m.second_derivatives(X, V), axis=1),
+            "fundamental_tensor": m.fundamental_tensor(X, V),
         }
         assert stacked["F"].shape == (6,)
         assert stacked["spray"].shape == (6, m.dim)
         assert stacked["second_derivatives"].shape == (6, 3, m.dim, m.dim)
+        assert stacked["fundamental_tensor"].shape == (6, m.dim, m.dim)
         for i in range(6):
             rows = {
                 "F": m.F(X[i], V[i]),
                 "spray": m.spray(X[i], V[i]),
                 "second_derivatives": np.stack(m.second_derivatives(X[i], V[i])),
+                "fundamental_tensor": m.fundamental_tensor(X[i], V[i]),
             }
             for name, want in rows.items():
                 np.testing.assert_allclose(stacked[name][i], want, rtol=1e-13,
@@ -349,7 +352,7 @@ class TestStackedEvaluation:
         X = np.array([[0.5, 0.2], [0.7, -0.1], x_bad, [0.6, 0.4]])
         V = np.array([[1.0, 0.3], [0.2, 1.0], v_bad, [-0.5, 0.8]])
         raised = 0
-        for name in ("F", "spray", "second_derivatives"):
+        for name in ("F", "spray", "second_derivatives", "fundamental_tensor"):
             fn = getattr(m, name)
             for i in (0, 1, 3):
                 fn(X[i], V[i])  # the good rows evaluate
