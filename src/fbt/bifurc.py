@@ -284,9 +284,7 @@ def _sweep_record(lam, path, boundary, grid, mesh0, max_mesh):
         lam=float(lam),
         m_minus=rep.m_minus,
         m_zero=rep.m_zero,
-        min_abs_eig=abs(rep.spectral.smallest)
-        if rep.m_zero == 0
-        else min(abs(e) for e in rep.spectral.eigs_near_zero + [rep.spectral.smallest]),
+        min_abs_eig=rep.spectral.min_abs_eig,
         agree=bool(rep.agree),
         mesh=rep.spectral.mesh,
     )

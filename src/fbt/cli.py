@@ -44,6 +44,10 @@ COMMANDS = (
     "index", "sweep", "branch", "zermelo", "fermat",
 )
 
+# metric fields holding a dim x dim matrix of expressions; the others in
+# _validate_semantics hold a vector of dim expressions
+MATRIX_FIELDS = ("g", "h", "g0")
+
 SOLVER_DEFAULTS = {
     "rtol": 1e-9,
     "atol": 1e-12,
@@ -120,22 +124,18 @@ def _validate_semantics(cfg):
         if name not in mc:
             raise SchemaError(f"/metric/{name}: required for kind '{kind}'")
         block = mc[name]
-        rows = block if isinstance(block[0], list) else [block]
-        if isinstance(block[0], list) and (
-            len(block) != dim or any(len(r) != dim for r in block)
-        ):
-            raise SchemaError(f"/metric/{name}: expected a {dim}x{dim} matrix")
-        if not isinstance(block[0], list) and len(block) != dim:
-            raise SchemaError(f"/metric/{name}: expected {dim} components")
-        for i, row in enumerate(rows):
-            for j, src in enumerate(row):
-                try:
-                    _expr.parse(src)
-                except _expr.ExprSyntaxError as exc:
-                    where = f"/metric/{name}/{i}" + (
-                        f"/{j}" if isinstance(block[0], list) else ""
-                    )
-                    raise ExpressionError(f"{where}: {exc}") from None
+        if name in MATRIX_FIELDS:
+            _check_matrix(block, dim, f"/metric/{name}")
+            cells = [(f"/{i}/{j}", src) for i, row in enumerate(block)
+                     for j, src in enumerate(row)]
+        else:
+            _check_vector(block, dim, f"/metric/{name}")
+            cells = [(f"/{i}", src) for i, src in enumerate(block)]
+        for where, src in cells:
+            try:
+                _expr.parse(src)
+            except _expr.ExprSyntaxError as exc:
+                raise ExpressionError(f"/metric/{name}{where}: {exc}") from None
     if kind == "sphere_stereo" and "K" not in mc.get("params", {}):
         raise SchemaError("/metric/params/K: required for kind 'sphere_stereo'")
     if "f" in mc and mc["f"] is not None:
@@ -147,10 +147,26 @@ def _validate_semantics(cfg):
         prob = cfg.get("problem", {}).get(vec_name)
         if prob:
             for key in ("x", "v", "p", "q", "v_seed"):
-                if key in prob and len(prob[key]) != dim:
-                    raise SchemaError(
-                        f"/problem/{vec_name}/{key}: expected {dim} components"
-                    )
+                if key in prob:
+                    _check_vector(prob[key], dim, f"/problem/{vec_name}/{key}")
+    bd = cfg.get("problem", {}).get("boundary")
+    if bd is not None:
+        _check_vector(bd["x0"], dim, "/problem/boundary/x0")
+        for i, row in enumerate(bd["basis"]):
+            _check_vector(row, dim, f"/problem/boundary/basis/{i}")
+        if "shape_operator" in bd:
+            _check_matrix(bd["shape_operator"], len(bd["basis"]),
+                          "/problem/boundary/shape_operator")
+
+
+def _check_vector(block, n, pointer):
+    if len(block) != n:
+        raise SchemaError(f"{pointer}: expected {n} components")
+
+
+def _check_matrix(block, n, pointer):
+    if len(block) != n or any(len(r) != n for r in block):
+        raise SchemaError(f"{pointer}: expected a {n}x{n} matrix")
 
 
 def metric_from_config(cfg, param_overrides=None):
@@ -235,8 +251,11 @@ def _boundary_from_config(cfg):
         return "point-point"
     basis = np.asarray(bd["basis"], dtype=float).T  # rows in config -> columns
     shape = bd.get("shape_operator")
-    return _geoflow.BoundaryData(bd["x0"], basis,
-                                 None if shape is None else np.asarray(shape, float))
+    try:
+        return _geoflow.BoundaryData(bd["x0"], basis,
+                                     None if shape is None else np.asarray(shape, float))
+    except ValueError as exc:
+        raise SchemaError(f"/problem/boundary: {exc}") from None
 
 
 def _family_from_config(cfg):

@@ -22,7 +22,6 @@ give the multiplicity (see _refine).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "conjugate_scan",
     "focal_scan",
     "NotPerpendicular",
-    "ResolutionWarning",
 ]
 
 SCAN_RTOL = 1e-11
@@ -57,10 +55,6 @@ DEFAULT_GRID = 400
 
 
 class NotPerpendicular(NumericalError):
-    pass
-
-
-class ResolutionWarning(UserWarning):
     pass
 
 
@@ -294,36 +288,19 @@ def _scan_frame(frame, grid):
         brackets.extend((t1 - cell, t1, min(t1 + cell, tau))
                         for t1 in inst.t + s[near].real)
 
-    notes = []
-    merged = []
-    for inst in sorted(found, key=lambda c: c.t):
-        if merged and inst.t - merged[-1].t < 3 * cell:
-            prev = merged.pop()
-            msg = (f"instants {prev.t:.9g} and {inst.t:.9g} closer than 3 grid "
-                   "cells; merged with summed multiplicity")
-            warnings.warn(msg, ResolutionWarning)
-            notes.append(msg)
-            inst = ConjugateInstant(0.5 * (prev.t + inst.t),
-                                    prev.multiplicity + inst.multiplicity,
-                                    min(prev.sigma_min_rel, inst.sigma_min_rel))
-        merged.append(inst)
-
+    found.sort(key=lambda c: c.t)
     max_mult = frame.dim if frame.kind == "focal" else frame.dim - 1
-    notes += [f"multiplicity {c.multiplicity} at t={c.t:.9g} exceeds the bound "
-              f"{max_mult}" for c in merged if c.multiplicity > max_mult]
-    return ConjugateReport(kind=frame.kind, tau=tau, instants=merged, grid=grid,
+    notes = [f"multiplicity {c.multiplicity} at t={c.t:.9g} exceeds the bound "
+             f"{max_mult}" for c in found if c.multiplicity > max_mult]
+    return ConjugateReport(kind=frame.kind, tau=tau, instants=found, grid=grid,
                            warnings=notes)
 
 
-def conjugate_scan(path, *, grid=DEFAULT_GRID, frame=None):
+def conjugate_scan(path, *, grid=DEFAULT_GRID):
     """Locate conjugate instants with multiplicities over (0, tau]."""
-    if frame is None:
-        frame = jacobi_frame(path, "conjugate")
-    return _scan_frame(frame, grid)
+    return _scan_frame(jacobi_frame(path, "conjugate"), grid)
 
 
-def focal_scan(path, boundary, *, grid=DEFAULT_GRID, frame=None):
+def focal_scan(path, boundary, *, grid=DEFAULT_GRID):
     """Locate P-focal instants for a geodesic starting g_v-orthogonally to P."""
-    if frame is None:
-        frame = jacobi_frame(path, boundary)
-    return _scan_frame(frame, grid)
+    return _scan_frame(jacobi_frame(path, boundary), grid)

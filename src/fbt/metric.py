@@ -468,12 +468,10 @@ class MetricField:
         if speed < self.v_min:
             raise ZeroVelocity(f"|v| = {speed:.3e} below floor {self.v_min:.3e}")
 
-    def _eval(self, entry, x, v, validate=False):
+    def _eval(self, entry, x, v):
         """The kernel entry's flat outputs at a state or a stack of states:
         shape lead + (K,) for x, v of shape lead + (n,)."""
         x, v = np.asarray(x), np.asarray(v)
-        if validate:
-            self._check(x, v)
         if x.shape != v.shape:
             x, v = np.broadcast_arrays(x, v)
         n, order, comps = self.dim, _ORDER[entry], self._c
@@ -504,19 +502,19 @@ class MetricField:
         c = self._c.bundle(_ORDER[entry] + 1)(a)
         return np.array([kernel(c, y, u) for y, u in rows], complex)
 
-    def _matrices(self, entry, x, v, validate=False):
-        out = self._eval(entry, x, v, validate)
+    def _matrices(self, entry, x, v):
+        out = self._eval(entry, x, v)
         n = self.dim
         return out.reshape(*out.shape[:-1], out.shape[-1] // n**2, n, n)
 
     # -- public evaluators ----------------------------------------------------
 
-    def L(self, x, v, validate=False):
-        return self._eval("L", x, v, validate)[..., 0]
+    def L(self, x, v):
+        return self._eval("L", x, v)[..., 0]
 
-    def F(self, x, v, validate=False):
+    def F(self, x, v):
         """F(x, v); for the quadratic pseudo-kind this is the Lagrangian value."""
-        return self._eval("q" if self.pseudo else "F", x, v, validate)[..., 0]
+        return self._eval("q" if self.pseudo else "F", x, v)[..., 0]
 
     def dvL(self, x, v):
         return self._eval("dvL", x, v)
@@ -540,9 +538,9 @@ class MetricField:
         out = self._matrices("second_derivatives", x, v)
         return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
 
-    def fundamental_tensor(self, x, v, validate=False):
+    def fundamental_tensor(self, x, v):
         """Vertical Hessian of L/2 at (x, v)."""
-        g = 0.5 * self._matrices("dvvL", x, v, validate)[..., 0, :, :]
+        g = 0.5 * self._matrices("dvvL", x, v)[..., 0, :, :]
         if not self.pseudo:
             # per state: its smallest eigenvalue against its own trace
             w = np.linalg.eigvalsh(g)[..., 0]
@@ -557,9 +555,9 @@ class MetricField:
                 )
         return g
 
-    def spray(self, x, v, validate=False):
+    def spray(self, x, v):
         """Acceleration solving dvvL . a = dxL - dvxL . v (Euler-Lagrange)."""
-        return self._eval("spray", x, v, validate)
+        return self._eval("spray", x, v)
 
     # -- invariant sweep -------------------------------------------------------
 

@@ -72,6 +72,7 @@ class SpectralData:
     theta_ker: float
     eigs_near_zero: list
     smallest: float
+    min_abs_eig: float
     history: list = field(default_factory=list)
 
 
@@ -107,14 +108,14 @@ class IndexReport:
         return out
 
 
-def index_by_counting(report, tau):
+def index_by_counting(report):
     """Morse index and nullity from a conjugate/focal scan over (0, tau]."""
     m_minus = 0
     m_zero = 0
     for inst in report.instants:
-        if abs(inst.t - tau) <= END_TOL:
+        if abs(inst.t - report.tau) <= END_TOL:
             m_zero += inst.multiplicity
-        elif inst.t < tau:
+        elif inst.t < report.tau:
             m_minus += inst.multiplicity
     return IndexReport(
         m_minus=m_minus,
@@ -237,7 +238,8 @@ def _counts(path, boundary, mesh):
     m_minus = int(np.sum(w < -theta))
     m_zero = int(np.sum(np.abs(w) <= theta))
     near = [float(val) for val in w[np.abs(w) <= 100 * theta][:8]]
-    return m_minus, m_zero, theta, near, float(w[0])
+    return m_minus, m_zero, SpectralData(mesh, theta, near, float(w[0]),
+                                         float(np.min(np.abs(w))))
 
 
 def smallest_eigenvalue(path, boundary, mesh, k=0):
@@ -268,20 +270,19 @@ def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
             f"{DEFAULT_TOL_RES:.1e}"
         )
     if mesh_fixed is not None:
-        mm, mz, theta, near, smallest = _counts(path, boundary, mesh_fixed)
-        sd = SpectralData(mesh_fixed, theta, near, smallest,
-                          history=[(mesh_fixed, mm, mz)])
+        mm, mz, sd = _counts(path, boundary, mesh_fixed)
+        sd.history = [(mesh_fixed, mm, mz)]
         return IndexReport(mm, mz, "spectral", spectral=sd)
 
     history = []
     mesh = mesh0
     while True:
-        mm, mz, theta, near, smallest = _counts(path, boundary, mesh)
+        mm, mz, sd = _counts(path, boundary, mesh)
         history.append((mesh, mm, mz))
         if len(history) >= 3:
             (m1, a1, b1), (m2, a2, b2), (m3, a3, b3) = history[-3:]
             if (a1, b1) == (a2, b2) == (a3, b3):
-                sd = SpectralData(mesh, theta, near, smallest, history=history)
+                sd.history = history
                 return IndexReport(mm, mz, "spectral", spectral=sd)
         if mesh >= max_mesh or len(history) > MAX_REFINEMENTS:
             raise NoStabilization(
@@ -298,7 +299,7 @@ def cross_check(path, boundary="point-point", *, grid=_jacobi.DEFAULT_GRID, mesh
         report = _jacobi.focal_scan(path, boundary, grid=grid)
     else:
         report = _jacobi.conjugate_scan(path, grid=grid)
-    counting = index_by_counting(report, path.tau)
+    counting = index_by_counting(report)
     spectral = index_spectral(path, boundary, mesh0=mesh0, max_mesh=max_mesh)
     agree = (
         counting.m_minus == spectral.m_minus and counting.m_zero == spectral.m_zero

@@ -16,6 +16,7 @@ from fbt.bifurc import (
 from fbt.errors import NumericalError
 from fbt.geoflow import integrate_geodesic, newton
 from fbt.metric import PhaseState
+from fbt.morse import _assemble, eigh
 
 from _oracles import (c1_distance_loop, flat_axis_warped_mu, newton_every_trial,
                       warped_metric)
@@ -79,6 +80,17 @@ class TestSweep:
         for r in scan.records:
             want = 0 if r.lam < mu else 1
             assert r.m_minus == want
+
+    def test_min_abs_eig_is_closest_to_zero(self):
+        # past the crossing w[0] is the negative eigenvalue of the index, not
+        # the one closest to zero
+        fam = warped_family(samples=10)
+        scan = sweep_family(fam)
+        assert any(r.m_minus > 0 and r.m_zero == 0 for r in scan.records)
+        for r in scan.records:
+            _, path = realize_branch(fam, r.lam)
+            w = eigh(*_assemble(path, "point-point", r.mesh))
+            assert r.min_abs_eig == pytest.approx(np.min(np.abs(w)), rel=1e-12)
 
     def test_connect_branch_family(self):
         # same warped family, trivial branch realized by two-point shooting

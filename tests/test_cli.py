@@ -174,6 +174,35 @@ class TestCommands:
         assert cli.main(["geodesic", "--config", bad]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd,metric,boundary,pointer", [
+        ("geodesic", {"kind": "riemannian_expr", "g": []}, None, "/metric/g"),
+        ("geodesic", {"kind": "randers", "h": [["1", "0"], ["0", "1"]], "beta": []},
+         None, "/metric/beta"),
+        ("geodesic", {"kind": "zermelo", "h": [["1", "0"], ["0", "1"]], "W": []},
+         None, "/metric/W"),
+        ("geodesic", {"kind": "fermat", "g0": [["1", "0"], ["0", "1"]], "V": []},
+         None, "/metric/V"),
+        ("focal", {"kind": "euclidean"}, {"x0": [0, 0], "basis": [[0, 2]]},
+         "/problem/boundary"),
+        ("focal", {"kind": "euclidean"}, {"x0": [0, 0], "basis": [[0, 1, 0]]},
+         "/problem/boundary/basis/0"),
+        ("index", {"kind": "euclidean"}, {"x0": [0, 0, 0], "basis": [[0, 1]]},
+         "/problem/boundary/x0"),
+        ("index", {"kind": "euclidean"},
+         {"x0": [0, 0], "basis": [[0, 1]], "shape_operator": [[1, 0], [0, 1]]},
+         "/problem/boundary/shape_operator"),
+    ], ids=["empty-g", "empty-beta", "empty-W", "empty-V", "basis-not-orthonormal",
+            "basis-row-length", "x0-length", "shape-operator-size"])
+    def test_malformed_block_exit_1(self, tmp_path, capsys, cmd, metric, boundary,
+                                    pointer):
+        problem = {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}}
+        if boundary is not None:
+            problem["boundary"] = boundary
+        cfg = write_cfg(tmp_path, {"metric": {"dim": 2, **metric}, "problem": problem})
+        assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{pointer}:" in err
+
     def test_removed_threads_option_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"metric": {"kind": "euclidean", "dim": 2},
                                    "solver": {"threads": 2}})

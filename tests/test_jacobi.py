@@ -6,9 +6,10 @@ import pytest
 import fbt
 from fbt.geoflow import BoundaryData, GeodesicPath, endpoint_jacobian, integrate_geodesic
 from fbt.jacobi import (
+    DEFAULT_GRID,
     JacobiFrame,
     NotPerpendicular,
-    ResolutionWarning,
+    _scan_frame,
     _scan_grid,
     conjugate_scan,
     expmap_jacobian,
@@ -338,8 +339,9 @@ class TestSprayJacobians:
             indefinite.spray([0.0, 0.0] + dz, [0.0, 1.0])
         sphere = fbt.sphere_stereo(1.0)
         with pytest.raises(OutsideChart):
-            sphere.spray([11.0, 0.0] + dz, [1.0, 0.0], validate=True)
-        sphere.spray([9.0, 0.0] + dz, [1.0, 0.0], validate=True)
+            sphere._check([11.0, 0.0] + dz, [1.0, 0.0])
+        sphere._check([9.0, 0.0] + dz, [1.0, 0.0])
+        sphere.spray([9.0, 0.0] + dz, [1.0, 0.0])
 
     def test_residual_max_matches_sample_loop(self):
         # the stacked samples of JacobiFrame.residual_max against a loop over
@@ -453,28 +455,31 @@ class TestScanClosedForm:
     def _scan(self, frame):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rep = conjugate_scan(frame.path, frame=frame)
+            rep = _scan_frame(frame, DEFAULT_GRID)
         return rep, [w.category for w in caught]
 
-    @pytest.mark.parametrize("gap", [0.005, 0.02])
-    def test_close_pair_merged_with_warning(self, gap):
+    @pytest.mark.parametrize("gap", [0.005, 0.02, 0.04, 0.05, 0.06])
+    def test_pair_half_to_six_cells_apart(self, gap):
         # at a gap of half a cell det M keeps its sign on the grid, and the
         # pair shares one bracket
         t2 = np.pi + gap
         rep, caught = self._scan(_diagonal_frame([1.0, np.pi / t2, 0.1]))
-        assert caught == [ResolutionWarning]
-        (inst,) = rep.instants
-        assert inst.multiplicity == 2
-        assert inst.t == pytest.approx(0.5 * (np.pi + t2), abs=1e-12)
-
-    @pytest.mark.parametrize("gap", [0.04, 0.05, 0.06])
-    def test_pair_four_to_six_cells_apart(self, gap):
-        t2 = np.pi + gap
-        rep, caught = self._scan(_diagonal_frame([1.0, np.pi / t2, 0.1]))
-        assert caught == []
+        assert caught == [] and rep.warnings == []
         assert [c.multiplicity for c in rep.instants] == [1, 1]
         assert abs(rep.instants[0].t - np.pi) <= 1e-12
         assert abs(rep.instants[1].t - t2) <= 1e-12
+
+    def test_pair_closing_at_tau(self):
+        # one instant 0.02 (2.5 cells) before tau = pi and one at tau: the
+        # earlier is the index, the one at tau the nullity
+        t1 = np.pi - 0.02
+        rep, caught = self._scan(_diagonal_frame([1.0, np.pi / t1, 0.1], tau=np.pi))
+        assert caught == [] and rep.warnings == []
+        assert [c.multiplicity for c in rep.instants] == [1, 1]
+        assert abs(rep.instants[0].t - t1) <= 1e-12
+        assert rep.instants[1].t == np.pi
+        counting = fbt.index_by_counting(rep)
+        assert (counting.m_minus, counting.m_zero) == (1, 1)
 
     def test_double_instant_without_sign_change(self):
         frame = _diagonal_frame([1.0, 1.0, 0.1])

@@ -50,11 +50,11 @@ class TestFEval:
 
     def test_zero_velocity_rejected(self, euclid):
         with pytest.raises(ZeroVelocity):
-            euclid.F([0, 0], [1e-9, 0], validate=True)
+            euclid._check([0, 0], [1e-9, 0])
 
     def test_outside_chart_rejected(self, euclid):
         with pytest.raises(OutsideChart):
-            euclid.F([11, 0], [1, 0], validate=True)
+            euclid._check([11, 0], [1, 0])
 
     def test_quadratic_kind_signed(self, minkowski):
         assert minkowski.F([0, 0], [1, 0]) == 1.0
@@ -322,7 +322,8 @@ class TestStackedEvaluation:
         n = m.dim
         for lead in ((0,), (0, 3), (3, 0)):
             z = np.zeros(lead + (n,))
-            assert m.F(z, z, validate=True).shape == lead
+            m._check(z, z)
+            assert m.F(z, z).shape == lead
             assert m.spray(z, z).shape == lead + (n,)
             for d2 in m.second_derivatives(z, z):
                 assert d2.shape == lead + (n, n)

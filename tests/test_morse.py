@@ -32,17 +32,15 @@ def _report(instants, tau, kind="conjugate"):
 
 class TestCounting:
     def test_empty(self):
-        rep = index_by_counting(_report([], 3.0), 3.0)
+        rep = index_by_counting(_report([], 3.0))
         assert (rep.m_minus, rep.m_zero) == (0, 0)
 
     def test_two_interior(self):
-        rep = index_by_counting(
-            _report([(np.pi, 1), (2 * np.pi, 1)], 2.5 * np.pi), 2.5 * np.pi
-        )
+        rep = index_by_counting(_report([(np.pi, 1), (2 * np.pi, 1)], 2.5 * np.pi))
         assert (rep.m_minus, rep.m_zero) == (2, 0)
 
     def test_instant_at_endpoint_is_nullity(self):
-        rep = index_by_counting(_report([(np.pi, 1)], np.pi), np.pi)
+        rep = index_by_counting(_report([(np.pi, 1)], np.pi))
         assert (rep.m_minus, rep.m_zero) == (0, 1)
 
 
@@ -112,6 +110,22 @@ class TestCrossCheck:
         path = integrate_geodesic(m, PhaseState([0, 0], [1, 0]), 2.0)
         rep = cross_check(path)
         assert rep.agree and (rep.m_minus, rep.m_zero) == (0, 0)
+
+    def test_product_of_spheres_pair_closing_at_tau(self):
+        # S^2 x S^2 with the second factor run at speed c: its first
+        # conjugate instant pi / c lies 2 grid cells before tau = pi, where
+        # the first factor's sits
+        rho = "4/(1+{}^2+{}^2)^2"
+        g = [["0"] * 4 for _ in range(4)]
+        for k, (a, b) in enumerate([("x1", "x2"), ("x3", "x4")]):
+            g[2 * k][2 * k] = g[2 * k + 1][2 * k + 1] = rho.format(a, b)
+        m = fbt.riemannian_expr(4, g)
+        c = np.pi / (np.pi - 2 * np.pi / 400)
+        path = integrate_geodesic(m, PhaseState([0, -1, 0, -1], [1, 0, c, 0]), np.pi,
+                                  rtol=1e-11)
+        rep = cross_check(path)
+        assert rep.agree
+        assert (rep.m_minus, rep.m_zero) == (1, 1)
 
     def test_focal_circle(self, euclid):
         b = BoundaryData([1.0, 0.0], np.array([[0.0], [1.0]]), np.array([[-1.0]]))
