@@ -21,8 +21,8 @@ import numpy as np
 from .errors import NumericalError
 from .metric import PhaseState
 from .ode import brentq
-from .geoflow import (DEFAULT_TOL_RES, connect, endpoint_jacobian, exp_map,
-                      integrate_geodesic, newton)
+from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_TOL_RES, connect,
+                      endpoint_jacobian, exp_map, integrate_geodesic, newton)
 from . import morse as _morse
 from .jacobi import DEFAULT_GRID
 
@@ -53,6 +53,7 @@ REFINE_TOL_REL = 1e-6
 FLANK_REL = 1e-3
 DEFAULT_RHO_LADDER = (1e-3, 1e-2, 1e-1)
 DEFAULT_SEEDS_PER_RUNG = 16
+DEFAULT_MAX_FOUND = 12
 DISTINCT_TOL = 1e-6
 # the hunt's relaxed integrator tolerance; accepted solutions are re-validated
 # at find_branches' rtol/atol.  Under DOP853 a hunt at 1e-8 stalls on the
@@ -66,6 +67,8 @@ HUNT_ATOL = 1e-9
 CLOSE_TOL = 0.5
 SEQUENCE_MIN = 3
 SPEED_RTOL = 1e-6
+# a C1 distance compares two paths at this many equispaced times
+C1_SAMPLES = 40
 
 
 class BranchLost(NumericalError):
@@ -135,6 +138,10 @@ class FamilySpec:
     metric_builder: object
     branch: object
     continuity_tol: float = 0.5
+
+    def __post_init__(self):
+        if not self.param_range[0] < self.param_range[1]:
+            raise ValueError(f"param_range must be increasing, got {self.param_range}")
 
 
 @dataclass
@@ -260,7 +267,7 @@ class BifurcationScan:
 # Branch realization
 
 
-def realize_branch(f, lam, prev_velocity=None, *, rtol=1e-9, atol=1e-12):
+def realize_branch(f, lam, prev_velocity=None, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Build the family metric at lam and realize the trivial branch on it,
     seeded by prev_velocity."""
     m = f.metric_builder(lam)
@@ -290,8 +297,9 @@ def _sweep_record(lam, path, boundary, grid, mesh0, max_mesh):
     )
 
 
-def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID, mesh0=16,
-                 max_mesh=1024, refine_mesh=None, seed=0, rtol=1e-9, atol=1e-12):
+def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID,
+                 mesh0=_morse.DEFAULT_MESH0, max_mesh=_morse.DEFAULT_MAX_MESH,
+                 refine_mesh=None, seed=0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Sample the family, cross-check indices, and refine candidate parameters.
 
     Every branch (samples, refinement and flanks) is integrated at rtol and
@@ -417,8 +425,8 @@ def detect_bifurcation(scan):
 # Deflated branch hunting
 
 
-def _c1_distance(path_a, path_b, n_samples=40):
-    ts = np.linspace(0.0, path_a.tau, n_samples)
+def _c1_distance(path_a, path_b):
+    ts = np.linspace(0.0, path_a.tau, C1_SAMPLES)
     (xa, va), (xb, vb) = path_a.state(ts), path_b.state(ts)
     return float(np.max(np.linalg.norm(xa - xb, axis=1)
                         + np.linalg.norm(va - vb, axis=1)))
@@ -428,7 +436,7 @@ def find_branches(f, mu, *, seed=0,
                   rho_ladder=DEFAULT_RHO_LADDER,
                   seeds_per_rung=DEFAULT_SEEDS_PER_RUNG,
                   delta=None, offsets=(-2, -1, 0, 1, 2), max_iter=15,
-                  max_found=12, rtol=1e-9, atol=1e-12):
+                  max_found=DEFAULT_MAX_FOUND, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Hunt for non-trivial geodesics with the trivial branch's boundary data.
 
     Deflated multi-start Newton shooting at parameters mu + offset*delta;
@@ -452,7 +460,7 @@ def find_branches(f, mu, *, seed=0,
     solutions = []
     for off in offsets:
         lam = mu + off * delta
-        if not (min(a, b) <= lam <= max(a, b)):
+        if not a <= lam <= b:
             continue
         m, triv = realize_branch(f, lam, None, rtol=rtol, atol=atol)
         q = triv.endpoint

@@ -49,16 +49,16 @@ COMMANDS = (
 MATRIX_FIELDS = ("g", "h", "g0")
 
 SOLVER_DEFAULTS = {
-    "rtol": 1e-9,
-    "atol": 1e-12,
+    "rtol": _geoflow.DEFAULT_RTOL,
+    "atol": _geoflow.DEFAULT_ATOL,
     "seed": 12345,
-    "scan_grid": 400,
-    "mesh0": 16,
-    "max_mesh": 1024,
+    "scan_grid": _jacobi.DEFAULT_GRID,
+    "mesh0": _morse.DEFAULT_MESH0,
+    "max_mesh": _morse.DEFAULT_MAX_MESH,
     "samples_out": 200,
-    "invariant_samples": 200,
-    "seeds_per_rung": 16,
-    "max_found": 12,
+    "invariant_samples": _metric.INVARIANT_SAMPLES,
+    "seeds_per_rung": _bifurc.DEFAULT_SEEDS_PER_RUNG,
+    "max_found": _bifurc.DEFAULT_MAX_FOUND,
     "grid_oracle": False,
     "check_lorentz": True,
 }
@@ -81,6 +81,15 @@ def _schema():
         return json.load(fh)
 
 
+def _check_schema(cfg):
+    validator = jsonschema.Draft202012Validator(_schema())
+    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    if errors:
+        e = errors[0]
+        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
+        raise SchemaError(f"{pointer or '/'}: {e.message}")
+
+
 def load_config(path):
     """Read, schema-validate, and default-fill a JSON config file."""
     try:
@@ -93,13 +102,7 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise SchemaError(f"{pointer or '/'}: {e.message}")
-
+    _check_schema(cfg)
     cfg.setdefault("solver", {})
     for key, val in SOLVER_DEFAULTS.items():
         cfg["solver"].setdefault(key, val)
@@ -111,15 +114,20 @@ def _validate_semantics(cfg):
     mc = cfg["metric"]
     dim = mc["dim"]
     kind = mc["kind"]
-    needed = {
-        "euclidean": [],
-        "sphere_stereo": [],
-        "riemannian_expr": ["g"],
-        "quadratic_expr": ["g"],
-        "randers": ["h", "beta"],
-        "zermelo": ["h", "W"],
-        "fermat": ["g0", "V"],
+    # each kind's required and optional fields: no kind reads a field outside
+    # them but kind, dim, params, chart_box and v_min
+    needed, optional = {
+        "euclidean": ([], []),
+        "sphere_stereo": ([], []),
+        "riemannian_expr": (["g"], []),
+        "quadratic_expr": (["g"], []),
+        "randers": (["h", "beta"], []),
+        "zermelo": (["h", "W"], []),
+        "fermat": (["g0", "V"], ["f", "fermat_sign"]),
     }[kind]
+    for name in mc:
+        if name not in ("kind", "dim", "params", "chart_box", "v_min", *needed, *optional):
+            raise SchemaError(f"/metric/{name}: kind '{kind}' does not read it")
     for name in needed:
         if name not in mc:
             raise SchemaError(f"/metric/{name}: required for kind '{kind}'")
@@ -138,7 +146,7 @@ def _validate_semantics(cfg):
                 raise ExpressionError(f"/metric/{name}{where}: {exc}") from None
     if kind == "sphere_stereo" and "K" not in mc.get("params", {}):
         raise SchemaError("/metric/params/K: required for kind 'sphere_stereo'")
-    if "f" in mc and mc["f"] is not None:
+    if "f" in mc:
         try:
             _expr.parse(mc["f"])
         except _expr.ExprSyntaxError as exc:
@@ -192,33 +200,18 @@ def metric_from_config(cfg, param_overrides=None):
     if kind == "randers":
         return _metric.randers_expr(dim, mc["h"], mc["beta"], params, **kw)
     if kind == "zermelo":
-        return _nav.zermelo_to_randers(_zermelo_from_config(cfg, params),
-                                       **{k: v for k, v in kw.items()
-                                          if k != "chart_box"})
+        z = _nav.ZermeloData.from_exprs(dim, mc["h"], mc["W"], params, mc.get("chart_box"))
+        return _nav.zermelo_to_randers(z, **kw)
     if kind == "fermat":
-        s = _stationary_from_config(cfg, params)
-        pair = _nav.fermat_metric(s, **{k: v for k, v in kw.items()
-                                        if k != "chart_box"})
-        return pair[0] if mc.get("fermat_sign", "plus") == "plus" else pair[1]
+        pair = _nav.fermat_metric(_stationary_from_config(cfg, params), **kw)
+        return pair[1] if mc.get("fermat_sign") == "minus" else pair[0]
     raise SchemaError(f"/metric/kind: unknown kind {kind!r}")
 
 
-def _zermelo_from_config(cfg, params=None):
+def _stationary_from_config(cfg, params):
     mc = cfg["metric"]
-    return _nav.ZermeloData.from_exprs(
-        mc["dim"], mc["h"], mc["W"],
-        params if params is not None else mc.get("params", {}),
-        chart_box=mc.get("chart_box"),
-    )
-
-
-def _stationary_from_config(cfg, params=None):
-    mc = cfg["metric"]
-    return _nav.StationaryData.from_exprs(
-        mc["dim"], mc["g0"], mc["V"], mc.get("f"),
-        params if params is not None else mc.get("params", {}),
-        chart_box=mc.get("chart_box"),
-    )
+    return _nav.StationaryData.from_exprs(mc["dim"], mc["g0"], mc["V"], mc.get("f"),
+                                          params, mc.get("chart_box"))
 
 
 def _branch_from_config(cfg):
@@ -235,7 +228,8 @@ def _branch_from_config(cfg):
         con = prob["connect"]
         seed = con.get("v_seed", (np.asarray(con["q"], float)
                                   - np.asarray(con["p"], float)).tolist())
-        return _bifurc.ConnectBranch(con["p"], con["q"], seed, con.get("tau", 1.0))
+        return _bifurc.ConnectBranch(con["p"], con["q"], seed,
+                                     con.get("tau", _bifurc.ConnectBranch.tau))
     raise SchemaError("/problem: an 'initial' or 'connect' block is required")
 
 
@@ -267,14 +261,15 @@ def _family_from_config(cfg):
     def builder(lam):
         return metric_from_config(cfg, {pname: lam})
 
-    return _bifurc.FamilySpec(
-        param_name=pname,
-        param_range=tuple(fam["range"]),
-        samples=fam["samples"],
-        metric_builder=builder,
-        branch=_branch_from_config(cfg),
-        continuity_tol=fam.get("continuity_tol", 0.5),
-    )
+    branch = _branch_from_config(cfg)
+    try:
+        return _bifurc.FamilySpec(
+            param_name=pname, param_range=tuple(fam["range"]), samples=fam["samples"],
+            metric_builder=builder, branch=branch,
+            continuity_tol=fam.get("continuity_tol", _bifurc.FamilySpec.continuity_tol),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"/family/range: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +318,18 @@ def write_json(path, payload, cfg=None):
         fh.write("\n")
 
 
+def _write_path_csv(file, cfg, m, path, velocity):
+    """t, x, v (with velocity) and F at solver.samples_out times of path."""
+    n = m.dim
+    header = ["t"] + [f"x{i+1}" for i in range(n)]
+    header += [f"v{i+1}" for i in range(n) if velocity] + ["F"]
+    rows = []
+    for t in np.linspace(0.0, path.tau, cfg["solver"]["samples_out"]):
+        x, v = path.state(t)
+        rows.append([t, *x, *(v if velocity else ()), m.F(x, v)])
+    write_csv(file, header, rows)
+
+
 def _write_config_sibling(out_dir, cfg):
     write_json(os.path.join(out_dir, "resolved_config.json"), {}, cfg=cfg)
 
@@ -343,18 +350,7 @@ def _cmd_metric_check(cfg, out):
 def _cmd_geodesic(cfg, out):
     m = metric_from_config(cfg)
     path = _problem_path(cfg, m)
-    n_out = cfg["solver"]["samples_out"]
-    header = (
-        ["t"]
-        + [f"x{i+1}" for i in range(m.dim)]
-        + [f"v{i+1}" for i in range(m.dim)]
-        + ["F"]
-    )
-    rows = []
-    for t in np.linspace(0.0, path.tau, n_out):
-        x, v = path.state(t)
-        rows.append([t, *x, *v, m.F(x, v)])
-    write_csv(os.path.join(out, "geodesic.csv"), header, rows)
+    _write_path_csv(os.path.join(out, "geodesic.csv"), cfg, m, path, True)
     return 0
 
 
@@ -520,24 +516,18 @@ def _cmd_zermelo(cfg, out):
             "headings": res.headings,
         }
     write_json(os.path.join(out, "zermelo.json"), payload, cfg=cfg)
-    n_out = sv["samples_out"]
-    header = ["t"] + [f"x{i+1}" for i in range(m.dim)] + ["F"]
-    rows = []
-    for t in np.linspace(0.0, path.tau, n_out):
-        x, v = path.state(t)
-        rows.append([t, *x, m.F(x, v)])
-    write_csv(os.path.join(out, "zermelo_path.csv"), header, rows)
+    _write_path_csv(os.path.join(out, "zermelo_path.csv"), cfg, m, path, False)
     return 0
 
 
 def _cmd_fermat(cfg, out):
     if cfg["metric"]["kind"] != "fermat":
         raise SchemaError("/metric/kind: the fermat command needs kind 'fermat'")
-    if cfg["metric"].get("fermat_sign", "plus") != "plus":
+    if cfg["metric"].get("fermat_sign") == "minus":
         # t' = F-(x, x') is not lightlike: F- governs past-pointing curves
         raise SchemaError("/metric/fermat_sign: the fermat command lifts F+ "
                           "geodesics only")
-    s = _stationary_from_config(cfg)
+    s = _stationary_from_config(cfg, cfg["metric"].get("params", {}))
     m = metric_from_config(cfg)
     path = _problem_path(cfg, m)
     sv = cfg["solver"]
@@ -615,12 +605,9 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        cfg["solver"]["seed"] = args.seed
-    try:
+        if args.seed is not None:
+            cfg["solver"]["seed"] = args.seed
+            _check_schema(cfg)
         return run_command(args.command, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

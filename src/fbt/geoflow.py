@@ -41,6 +41,12 @@ __all__ = [
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 DEFAULT_TOL_RES = 1e-5
+RESIDUAL_STEP = 1e-3
+RESIDUAL_SAMPLES = 20
+RESIDUAL_SEED = 0
+SPEED_SAMPLES = 200
+ORTHO_TOL = 1e-12
+ORTHO_MAX_ITER = 50
 CONNECT_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 8
 SING_TOL = 1e-8
@@ -134,27 +140,31 @@ class GeodesicPath:
         x, v = self.state(t)
         return self.metric.F(x, v)
 
-    def speed_deviation(self, n_samples=200):
-        x, v = self.state(np.linspace(0.0, self.tau, n_samples))
+    def speed_deviation(self):
+        x, v = self.state(np.linspace(0.0, self.tau, SPEED_SAMPLES))
         return float(np.max(np.abs(self.metric.F(x, v) - self.F0)))
 
-    def el_residual(self, t, h=1e-3):
+    def el_residual(self, t):
         """First-order Euler-Lagrange residual |dv/dt - spray| / (1 + |spray|),
         with dv/dt from central differences of the dense output; at an array
-        of times, one residual per time.  The step is fixed: scaling it with
-        tau lets truncation error alone exceed DEFAULT_TOL_RES on long
-        paths."""
-        a = np.maximum(t - h, 0.0)
-        b = np.minimum(t + h, self.tau)
+        of times, one residual per time.  The step RESIDUAL_STEP is fixed:
+        scaling it with tau lets truncation error alone exceed
+        DEFAULT_TOL_RES on long paths."""
+        a = np.maximum(t - RESIDUAL_STEP, 0.0)
+        b = np.minimum(t + RESIDUAL_STEP, self.tau)
         dv = (self.v(b) - self.v(a)) / (b - a)[..., None]
         x, v = self.state(t)
         s = self.metric.spray(x, v)
         return np.linalg.norm(dv - s, axis=-1) / (1.0 + np.linalg.norm(s, axis=-1))
 
-    def max_el_residual(self, n_samples=20, seed=0):
-        rng = np.random.default_rng(seed)
-        ts = rng.uniform(0.05 * self.tau, 0.95 * self.tau, size=n_samples)
-        return float(np.max(self.el_residual(ts)))
+    def max_el_residual(self):
+        return float(np.max(self.el_residual(_residual_times(self.tau))))
+
+
+def _residual_times(tau):
+    """The RESIDUAL_SAMPLES seeded times in [0.05 tau, 0.95 tau] of a residual check."""
+    rng = np.random.default_rng(RESIDUAL_SEED)
+    return rng.uniform(0.05 * tau, 0.95 * tau, size=RESIDUAL_SAMPLES)
 
 
 def _geodesic_rhs(m):
@@ -346,7 +356,7 @@ def connect(m, p, q, v_seed, *, tau=1.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return newton(G, GJ, v_seed, tol=tol, max_iter=CONNECT_MAX_ITER)
 
 
-def orthogonal_initial(m, b, v_seed, *, tol=1e-12, max_iter=50):
+def orthogonal_initial(m, b, v_seed):
     """Adjust v_seed so the start velocity is g_v-orthogonal to P.
 
     Gauss-Newton on the k constraints g_v(v, w_j) = 0 with minimal-norm
@@ -367,11 +377,11 @@ def orthogonal_initial(m, b, v_seed, *, tol=1e-12, max_iter=50):
     if np.linalg.norm(v - tangential) < 1e-10 * norm:
         raise TangentSeed("seed velocity is tangent to P")
 
-    for _ in range(max_iter):
+    for _ in range(ORTHO_MAX_ITER):
         # g_v(v, w) = dvL(x, v) . w / 2 by homogeneity of L
         c = 0.5 * (W.T @ m.dvL(x0, v))
         scale = 1.0 + abs(m.L(x0, v))
-        if np.linalg.norm(c) <= tol * scale:
+        if np.linalg.norm(c) <= ORTHO_TOL * scale:
             return v
         G = m.fundamental_tensor(x0, v)
         rows = (G @ W).T
@@ -379,4 +389,5 @@ def orthogonal_initial(m, b, v_seed, *, tol=1e-12, max_iter=50):
         v = v + step
         if np.linalg.norm(v) < m.v_min:
             raise NoConvergence("velocity collapsed during orthogonalization")
-    raise NoConvergence(f"orthogonal_initial did not converge in {max_iter} iterations")
+    raise NoConvergence(
+        f"orthogonal_initial did not converge in {ORTHO_MAX_ITER} iterations")

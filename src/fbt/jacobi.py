@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geoflow import GeodesicPath, BoundaryData, _frame_rhs, _solve, endpoint_jacobian
+from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, RESIDUAL_STEP, BoundaryData,
+                      GeodesicPath, _frame_rhs, _residual_times, _solve,
+                      endpoint_jacobian)
 from .metric import COMPLEX_STEP
 
 __all__ = [
@@ -106,12 +108,11 @@ class JacobiFrame:
     def sigma(self, t):
         return np.linalg.svd(self.M(t), compute_uv=False)
 
-    def residual_max(self, n_samples=20, seed=0):
+    def residual_max(self):
         """Linearized-equation residual via differentiation of the dense Mdot."""
-        rng = np.random.default_rng(seed)
-        ts = rng.uniform(0.05 * self.path.tau, 0.95 * self.path.tau, size=n_samples)
-        a = np.maximum(ts - 1e-3, 0.0)
-        b = np.minimum(ts + 1e-3, self.path.tau)
+        ts = _residual_times(self.path.tau)
+        a = np.maximum(ts - RESIDUAL_STEP, 0.0)
+        b = np.minimum(ts + RESIDUAL_STEP, self.path.tau)
         Mdd = (self.Mdot(b) - self.Mdot(a)) / (b - a)[:, None, None]
         x, v = self.path.state(ts)
         A, B = spray_jacobians(self.path.metric, x, v)
@@ -175,7 +176,7 @@ def jacobi_frame(path, init="conjugate"):
     return JacobiFrame(path, kind, boundary, res.sol, res.ts)
 
 
-def expmap_jacobian(m, p, v, *, rtol=1e-9, atol=1e-12):
+def expmap_jacobian(m, p, v, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """D exp_p(v), the shooting derivative d x(1) / d v of
     geoflow.endpoint_jacobian, taken a decade tighter than rtol and atol:
     its steps are chosen on (x, v), the derivative is out of the error norm."""

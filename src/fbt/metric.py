@@ -72,6 +72,9 @@ __all__ = [
 
 DEFAULT_V_MIN = 1e-6
 DEFAULT_CHART_HALF_WIDTH = 10.0
+INVARIANT_SAMPLES = 200
+# a definite metric with a one-form samples |beta|_h < 1 over its chart box
+RANDERS_CHECK = True
 # the imaginary step of complex-step derivatives
 COMPLEX_STEP = 1e-30
 # the velocity scalings at which check_invariants tests the homogeneity of F
@@ -427,6 +430,12 @@ def _kernel(dim, oneform, entry, mode):
     return ns["kernel"]
 
 
+def _chart_box(box, dim):
+    """box, or the default box [-w, w]^dim, w = DEFAULT_CHART_HALF_WIDTH."""
+    w = DEFAULT_CHART_HALF_WIDTH
+    return [[-w, w]] * dim if box is None else box
+
+
 class MetricField:
     """Evaluator bundle for one metric on an axis-aligned chart box."""
 
@@ -438,14 +447,14 @@ class MetricField:
         self.kind = kind
         self._c = comps
         self.pseudo = bool(pseudo)
-        if chart_box is None:
-            chart_box = [[-DEFAULT_CHART_HALF_WIDTH, DEFAULT_CHART_HALF_WIDTH]] * dim
-        self.chart_box = np.asarray(chart_box, dtype=float)
+        self.chart_box = np.asarray(_chart_box(chart_box, dim), dtype=float)
         if self.chart_box.shape != (dim, 2) or np.any(
             self.chart_box[:, 1] <= self.chart_box[:, 0]
         ):
             raise ConfigError(f"chart_box must be shape ({dim}, 2) with lo < hi")
         self.v_min = float(v_min)
+        if comps.oneform and not self.pseudo and RANDERS_CHECK:
+            _check_randers_bound(self)
 
     # -- validation ---------------------------------------------------------
 
@@ -561,7 +570,7 @@ class MetricField:
 
     # -- invariant sweep -------------------------------------------------------
 
-    def check_invariants(self, samples=200, seed=0):
+    def check_invariants(self, samples=INVARIANT_SAMPLES, seed=0):
         rng = np.random.default_rng(seed)
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
         worst_hom = 0.0
@@ -692,14 +701,9 @@ def _expr_vector(dim, comps, what):
     return [_expr.parse(e) if isinstance(e, str) else e for e in comps]
 
 
-def _from_exprs(dim, kind, h, beta=None, params=None, *, pseudo=False,
-                randers_check=True, **kw):
+def _from_exprs(dim, kind, h, beta=None, params=None, **kw):
     """MetricField over expression ASTs (h symmetric) with exact derivatives."""
-    comps = _ExprComponents(dim, h, beta, params)
-    m = MetricField(dim, kind, comps, pseudo=pseudo, **kw)
-    if beta is not None and not pseudo and randers_check:
-        _check_randers_bound(m)
-    return m
+    return MetricField(dim, kind, _ExprComponents(dim, h, beta, params), **kw)
 
 
 def riemannian_expr(dim, g, params=None, **kw):
@@ -757,7 +761,7 @@ def randers_expr(dim, h, beta, params=None, **kw):
 
 
 def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,
-                   d2beta=None, pseudo=False, randers_check=True, **kw):
+                   d2beta=None, **kw):
     """Build a MetricField from closed-form component callables (library
     entry point).
 
@@ -778,7 +782,4 @@ def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,
             f"from_callables needs the derivative callables {', '.join(missing)}; "
             "riemannian_expr and randers_expr differentiate formulas exactly")
     comps = _Components(dim, h, beta, dh, d2h, dbeta, d2beta)
-    m = MetricField(dim, kind, comps, pseudo=pseudo, **kw)
-    if beta is not None and not pseudo and randers_check:
-        _check_randers_bound(m)
-    return m
+    return MetricField(dim, kind, comps, **kw)

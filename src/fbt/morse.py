@@ -47,6 +47,8 @@ __all__ = [
 
 END_TOL = 1e-8
 KER_FLOOR = 1e-7
+DEFAULT_MESH0 = 16
+DEFAULT_MAX_MESH = 1024
 # index_spectral gives up after this many mesh doublings
 MAX_REFINEMENTS = 8
 # A true null mode interpolated on N elements acquires a discrete eigenvalue
@@ -256,8 +258,8 @@ def smallest_eigenvalue(path, boundary, mesh, k=0):
     return (4.0 * fine - coarse) / 3.0
 
 
-def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
-                   mesh_fixed=None):
+def index_spectral(path, boundary="point-point", *, mesh0=DEFAULT_MESH0,
+                   max_mesh=DEFAULT_MAX_MESH, mesh_fixed=None):
     """Morse index and nullity from the discrete second variation.
 
     The mesh doubles until (m_minus, m_zero) agree on three consecutive
@@ -291,8 +293,8 @@ def index_spectral(path, boundary="point-point", *, mesh0=16, max_mesh=1024,
         mesh *= 2
 
 
-def cross_check(path, boundary="point-point", *, grid=_jacobi.DEFAULT_GRID, mesh0=16,
-                max_mesh=1024):
+def cross_check(path, boundary="point-point", *, grid=_jacobi.DEFAULT_GRID,
+                mesh0=DEFAULT_MESH0, max_mesh=DEFAULT_MAX_MESH):
     """Run the counting route (a scan on grid) and the spectral one (meshes
     from mesh0 up to max_mesh) and compare them."""
     if isinstance(boundary, BoundaryData):

@@ -56,8 +56,9 @@ __all__ = [
 WIND_CHECK_SAMPLES = 128
 WIND_CHECK_SEED = 11
 # relative variation of the associated Riemannian speed that lift_lightlike
-# accepts on a Fermat geodesic
+# accepts on a Fermat geodesic, and the number of lifted samples it writes
 LIFT_SPEED_RTOL = 1e-8
+LIFT_SAMPLES = 201
 # the grid oracle's headings are the primitive lattice steps within this radius
 GRID_HEADING_RADIUS = 6
 
@@ -91,10 +92,7 @@ class ZermeloData:
         return _expr.jet([self.h, self.W], self.dim, self.params)
 
     def validate(self):
-        box = self.chart_box
-        if box is None:
-            box = [[-_metric.DEFAULT_CHART_HALF_WIDTH,
-                    _metric.DEFAULT_CHART_HALF_WIDTH]] * self.dim
+        box = _metric._chart_box(self.chart_box, self.dim)
         pts = _metric._sample_points(box, WIND_CHECK_SAMPLES, WIND_CHECK_SEED)
         h, W = self._values(pts)
         return _metric._sampled_bound(pts, (W[:, None] @ h @ W[..., None])[:, 0, 0],
@@ -198,20 +196,14 @@ def fermat_metric(s, **kw):
     )
 
 
-def _lorentz_metric(s, **kw):
+def _lorentz_metric(s):
     """The product-spacetime metric as a quadratic (indefinite) MetricField."""
     n = s.dim
     gt, w = s.exprs()
     rows = [gt[i] + [w[i]] for i in range(n)] + [w + [_expr.Num(-1.0)]]
-    box = kw.pop("chart_box", None)
-    if box is None:
-        base = s.chart_box
-        if base is None:
-            base = [[-_metric.DEFAULT_CHART_HALF_WIDTH,
-                     _metric.DEFAULT_CHART_HALF_WIDTH]] * n
-        box = list(base) + [[-1e6, 1e6]]
+    box = list(_metric._chart_box(s.chart_box, n)) + [[-1e6, 1e6]]
     return _metric._from_exprs(n + 1, "quadratic_expr", rows, None, s.params,
-                               pseudo=True, chart_box=box, **kw)
+                               pseudo=True, chart_box=box)
 
 
 @dataclass
@@ -259,21 +251,18 @@ def _point_set_gap(samples, other):
     return worst
 
 
-def lift_lightlike(s, x_path, t0=0.0, *, fermat=None, n_out=201,
-                   check_lorentz=False):
+def lift_lightlike(s, x_path, t0=0.0, *, fermat, check_lorentz=False):
     """Lift a Fermat geodesic to the lightlike spacetime curve z = (x, t).
 
     Requires the spatial path to be parametrized with constant speed in the
-    associated Riemannian metric; t grows by the running F-length.  With
+    associated Riemannian metric; t grows by the running length in fermat,
+    the F of fermat_metric(s), at LIFT_SAMPLES equispaced times.  With
     check_lorentz=True the spacetime geodesic of the quadratic metric is
     integrated from the lifted initial data and the spatial projections are
     compared as point sets.  Every sample set is read from the dense output
     and evaluated in one stacked call.
     """
-    if fermat is None:
-        fermat, _ = fermat_metric(s)
-
-    ss = np.linspace(0.0, x_path.tau, n_out)
+    ss = np.linspace(0.0, x_path.tau, LIFT_SAMPLES)
     xs, vs = x_path.state(ss)
     gt, w = s.gt_w(xs)
     A = np.sum(w * vs, axis=1)
@@ -307,8 +296,8 @@ def lift_lightlike(s, x_path, t0=0.0, *, fermat=None, n_out=201,
         dz0 = np.concatenate([v0, [fermat.F(x0, v0)]])
         zpath = integrate_geodesic(lor, PhaseState(z0, dz0), x_path.tau)
         n = s.dim
-        proj = zpath.x(np.linspace(0, zpath.tau, 4 * n_out))[:, :n]
-        fine = x_path.x(np.linspace(0, x_path.tau, 4 * n_out))
+        proj = zpath.x(np.linspace(0, zpath.tau, 4 * LIFT_SAMPLES))[:, :n]
+        fine = x_path.x(np.linspace(0, x_path.tau, 4 * LIFT_SAMPLES))
         gap = max(_point_set_gap(proj, fine), _point_set_gap(fine, proj))
 
     return LightlikeLift(ss, xs, t_vals, null_worst, gap)

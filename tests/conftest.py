@@ -30,6 +30,12 @@ def randers_const():
 
 
 @pytest.fixture
+def no_randers_check(monkeypatch):
+    """Factories build definite metrics whose one-form reaches |beta|_h >= 1."""
+    monkeypatch.setattr(fbt.metric, "RANDERS_CHECK", False)
+
+
+@pytest.fixture
 def minkowski():
     return fbt.quadratic_expr(2, [["1", "0"], ["0", "-1"]])
 

@@ -56,6 +56,14 @@ class TestSweep:
         assert scan.detections == []
         assert all(r.m_minus == 0 and r.m_zero == 0 for r in scan.records)
 
+    @pytest.mark.parametrize("param_range", [(5.0, 0.5), (1.0, 1.0)])
+    def test_range_must_increase(self, param_range):
+        # brentq's bracket tolerance is a fraction of b - a
+        with pytest.raises(ValueError, match="param_range must be increasing"):
+            FamilySpec(param_name="lam", param_range=param_range, samples=4,
+                       metric_builder=lambda lam: warped_metric(lam, flat_axis=True),
+                       branch=InitialStateBranch([-1.0, 0.0], [1.0, 0.0], 2.0))
+
     def test_warped_family_crossing(self):
         scan = sweep_family(warped_family())
         assert len(scan.detections) == 1

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 
@@ -202,6 +203,55 @@ class TestCommands:
         assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and f"{pointer}:" in err
+
+    def test_seed_override_judged_by_schema(self, tmp_path, capsys):
+        # --seed meets solver.seed's bound before anything runs
+        cfg = write_cfg(tmp_path, SPHERE)
+        out = tmp_path / "run"
+        assert cli.main(["metric-check", "--config", cfg, "--out", str(out),
+                         "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: /solver/seed: ")
+        assert not (out / "resolved_config.json").exists()
+        assert cli.main(["metric-check", "--config", cfg, "--out", str(out),
+                         "--seed", "7"]) == 0
+        assert json.loads((out / "metric_check.json").read_text())["seed"] == 7
+
+    @pytest.mark.parametrize("cmd", ["sweep", "branch"])
+    @pytest.mark.parametrize("rng", [[5.0, 0.5], [1.0, 1.0]], ids=["reversed", "empty"])
+    def test_non_increasing_family_range_exit_1(self, tmp_path, capsys, cmd, rng):
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "riemannian_expr", "dim": 2,
+                       "g": [["exp(-lam*x2^2)", "0"], ["0", "1"]]},
+            "problem": {"initial": {"x": [-1, 0], "v": [1, 0], "tau": 2.0}},
+            "family": {"parameter": "lam", "range": rng, "samples": 4},
+        })
+        assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "config error: /family/range: param_range must be increasing" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind,fields,pointer", [
+        ("riemannian_expr", {"beta": ["0.1", "0"], "W": ["0.1", "0"], "f": "2",
+                             "fermat_sign": "minus"}, "/metric/beta"),
+        ("riemannian_expr", {"f": "2"}, "/metric/f"),
+        ("riemannian_expr", {"fermat_sign": "minus"}, "/metric/fermat_sign"),
+        ("randers", {"h": [["1", "0"], ["0", "1"]], "beta": ["0.1", "0"],
+                     "W": ["0.1", "0"]}, "/metric/W"),
+        ("zermelo", {"h": [["1", "0"], ["0", "1"]], "W": ["0.1", "0"],
+                     "V": ["0.1", "0"]}, "/metric/V"),
+        ("euclidean", {"g0": [["1", "0"], ["0", "1"]]}, "/metric/g0"),
+    ], ids=["riemannian-all", "riemannian-f", "riemannian-sign", "randers-W",
+            "zermelo-V", "euclidean-g0"])
+    def test_field_the_kind_does_not_read_exit_1(self, tmp_path, capsys, kind, fields,
+                                                 pointer):
+        metric = {"kind": kind, "dim": 2, "params": {"c": 1.0},
+                  "chart_box": [[-2, 2], [-2, 2]], "v_min": 1e-6, **fields}
+        if kind == "riemannian_expr":
+            metric["g"] = [["1", "0"], ["0", "1"]]
+        cfg = write_cfg(tmp_path, {"metric": metric, "problem": {
+            "initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}}})
+        assert cli.main(["geodesic", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {pointer}: kind '{kind}' does not read it")
 
     def test_removed_threads_option_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"metric": {"kind": "euclidean", "dim": 2},
@@ -408,6 +458,32 @@ class TestSchemaPublication:
         packaged = os.path.join(here, "src", "fbt", "config.schema.json")
         with open(docs) as a, open(packaged) as b:
             assert json.load(a) == json.load(b)
+
+    def test_solver_defaults_are_the_library_defaults(self):
+        # an unset solver option takes the default of each keyword the CLI
+        # passes it to
+        from fbt import bifurc, geoflow, jacobi, metric, morse
+        passed_to = {
+            "rtol": [(geoflow.integrate_geodesic, "rtol"), (bifurc.sweep_family, "rtol"),
+                     (bifurc.find_branches, "rtol"), (jacobi.expmap_jacobian, "rtol")],
+            "atol": [(geoflow.integrate_geodesic, "atol"), (bifurc.sweep_family, "atol"),
+                     (bifurc.find_branches, "atol"), (jacobi.expmap_jacobian, "atol")],
+            "scan_grid": [(bifurc.sweep_family, "grid"), (morse.cross_check, "grid"),
+                          (jacobi.conjugate_scan, "grid")],
+            "mesh0": [(bifurc.sweep_family, "mesh0"), (morse.cross_check, "mesh0")],
+            "max_mesh": [(bifurc.sweep_family, "max_mesh"), (morse.cross_check, "max_mesh")],
+            "seeds_per_rung": [(bifurc.find_branches, "seeds_per_rung")],
+            "max_found": [(bifurc.find_branches, "max_found")],
+            "invariant_samples": [(metric.MetricField.check_invariants, "samples")],
+        }
+        # the CLI's own choices: its seed, its sample count, and the checks
+        # a command runs unless told not to
+        own = {"seed", "samples_out", "grid_oracle", "check_lorentz"}
+        assert set(cli.SOLVER_DEFAULTS) == set(passed_to) | own
+        for key, targets in passed_to.items():
+            for fn, name in targets:
+                default = inspect.signature(fn).parameters[name].default
+                assert cli.SOLVER_DEFAULTS[key] == default, (key, fn.__name__)
 
     def test_solver_defaults_match_schema(self):
         # a default must not outlive the option it fills

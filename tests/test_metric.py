@@ -193,24 +193,26 @@ class TestRandersBoundCheck:
         ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1+x3^2"]],
          ["0.1*x1", "0.2", "0.3*x2"], [[-2, 2]] * 3),
     ])
+    @pytest.mark.usefixtures("no_randers_check")
     def test_matches_per_sample_formula(self, h, beta, box):
         from _oracles import randers_bound_per_sample
         from fbt.metric import _check_randers_bound
 
-        m = fbt.randers_expr(len(h), h, beta, chart_box=box, randers_check=False)
+        m = fbt.randers_expr(len(h), h, beta, chart_box=box)
         got = _bound_outcome(_check_randers_bound, m)
         assert got == _bound_outcome(randers_bound_per_sample, m)
         for n_check, seed in ((3, 1), (500, 2)):
             assert (_bound_outcome(_check_randers_bound, m, n_check, seed)
                     == _bound_outcome(randers_bound_per_sample, m, n_check, seed))
 
+    @pytest.mark.usefixtures("no_randers_check")
     def test_singular_h_names_the_point(self):
         from fbt.metric import _check_randers_bound
 
         m = locally_constant(
             2, "randers",
             lambda x: np.diag([0.0, 1.0]) if x[1] > 0.5 else np.eye(2),
-            lambda x: np.array([0.1, 0.0]), randers_check=False,
+            lambda x: np.array([0.1, 0.0]),
             chart_box=[[-1, 1], [-1, 1]])
         with pytest.raises(RandersBoundError, match=r"h singular at sampled point \["):
             _check_randers_bound(m)
@@ -339,7 +341,7 @@ class TestStackedEvaluation:
         # F = sqrt(q) + b <= 0 with q > 0: a one-form of norm 2 at x1 = 1
         ("F_not_positive", lambda: locally_constant(
             2, "randers", lambda x: np.eye(2), lambda x: np.array([2.0 * x[0], 0.0]),
-            [[2.0, 0.0], [0.0, 0.0]], randers_check=False), [1.0, 0.0], [-1.0, 0.0]),
+            [[2.0, 0.0], [0.0, 0.0]]), [1.0, 0.0], [-1.0, 0.0]),
         # h degenerate at x1 = 0: the vertical Hessian is singular
         ("singular", lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "x1^2"]]),
          [0.0, 0.3], [1.0, 0.5]),
@@ -347,6 +349,7 @@ class TestStackedEvaluation:
         ("domain", lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "2+log(x1)"]]),
          [-1.0, 0.0], [1.0, 0.5]),
     ], ids=lambda c: c[0])
+    @pytest.mark.usefixtures("no_randers_check")
     def test_bad_row_raises_like_scalar_call(self, case):
         _, make, x_bad, v_bad = case
         m = make()
@@ -482,13 +485,13 @@ class TestKernelErrors:
             with pytest.raises(SingularVerticalHessian):
                 m.spray(*args)
 
+    @pytest.mark.usefixtures("no_randers_check")
     def test_convexity_under_complex_step(self):
         eye = np.eye(2)
         strong = locally_constant(2, "strong_wind", lambda x: eye,
-                                  lambda x: np.array([2.0, 0.0]), randers_check=False)
+                                  lambda x: np.array([2.0, 0.0]))
         indefinite = locally_constant(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
-                                      lambda x: np.array([0.1, 0.0]),
-                                      randers_check=False)
+                                      lambda x: np.array([0.1, 0.0]))
         # F = |v| + beta.v = -1 along -e1, q = v.h.v = -1 along e2
         for m, name, v in [(strong, "F", [-1.0, 0.0]),
                            (indefinite, "spray", [0.0, 1.0]),
@@ -550,13 +553,13 @@ class TestComplexStep:
                     assert g.shape == w.shape == args[0].shape + (m.dim,)
                     np.testing.assert_array_equal(g, w)
 
+    @pytest.mark.usefixtures("no_randers_check")
     def test_errors_propagate(self):
         eye = np.eye(2)
         strong = locally_constant(2, "strong_wind", lambda x: eye,
-                                  lambda x: np.array([2.0, 0.0]), randers_check=False)
+                                  lambda x: np.array([2.0, 0.0]))
         indefinite = locally_constant(2, "indefinite", lambda x: np.diag([1.0, -1.0]),
-                                      lambda x: np.array([0.1, 0.0]),
-                                      randers_check=False)
+                                      lambda x: np.array([0.1, 0.0]))
         singular = fbt.riemannian_expr(2, [["1", "0"], ["0", "x1^2"]])
         logarithm = fbt.riemannian_expr(2, [["1", "0"], ["0", "2+log(x1)"]])
         step = [([1e-30, 0.0], [0.0, 1.0]), ([0.0, 0.0], [0.0, 1.0 + 1e-30j])]

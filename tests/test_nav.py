@@ -211,11 +211,12 @@ class TestLift:
         assert lift.lorentz_gap <= 1e-5
         assert np.all(np.diff(lift.t) > 0)
 
-    def test_stacked_lift_matches_per_point_samples(self):
+    def test_stacked_lift_matches_per_point_samples(self, monkeypatch):
+        monkeypatch.setattr(nav, "LIFT_SAMPLES", 41)
         s = self._stationary()
         fp, _ = fermat_metric(s)
         path = integrate_geodesic(fp, PhaseState([0, 0], [0.9, 0.5]), 1.3)
-        lift = lift_lightlike(s, path, fermat=fp, n_out=41)
+        lift = lift_lightlike(s, path, fermat=fp)
         ss = np.linspace(0.0, 1.3, 41)
         np.testing.assert_array_equal(lift.x, [path.x(t) for t in ss])
         total = [0.0]
