@@ -1,10 +1,12 @@
 """Configuration loading, subcommand dispatch, and report persistence.
 
 The only module with I/O.  Configs are strict JSON validated against the
-published schema (docs/config.schema.json, also shipped inside the package).
-Artifacts are CSV for sampled data and JSON for structured verdicts; every
-artifact embeds or sits next to the fully resolved configuration so that a
-run can be reproduced byte for byte.
+published schema (docs/config.schema.json, also shipped inside the package)
+by fbt's own walk, which knows exactly the keywords the schema uses; numpy
+is the only run-time dependency.  Artifacts are CSV for sampled data and
+JSON for structured verdicts; every artifact embeds or sits next to the
+fully resolved configuration so that a run can be reproduced byte for byte.
+A config error, in loading or inside a command, writes nothing.
 
     fbt <command> --config cfg.json [--out DIR] [--seed N]
 
@@ -17,13 +19,13 @@ failure (diagnostic JSON is still written).  Log level comes from FBT_LOG
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, NumericalError
@@ -76,18 +78,84 @@ class ExpressionError(ConfigError):
     pass
 
 
+@functools.cache
 def _schema():
     with resources.files("fbt").joinpath("config.schema.json").open("rb") as fh:
         return json.load(fh)
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+
+def _is(node, name):
+    """JSON Schema's type test: a bool is a boolean only; 2.0 is an integer."""
+    if isinstance(node, bool):
+        return name == "boolean"
+    if name == "integer" and isinstance(node, float):
+        return node.is_integer()
+    return isinstance(node, _TYPES[name])
+
+
+def _walk(node, schema, path, errors):
+    """Check node against a subschema of config.schema.json as JSON Schema
+    2020-12 does, appending (path, message) per failure in keyword order.
+    Knows exactly the schema's keywords and raises on any other.  Returns
+    node, an int if it is an integral float at an integer leaf."""
+    obj, arr = isinstance(node, dict), isinstance(node, list)
+    for key, arg in schema.items():
+        fail = None
+        if key == "$ref" and arg.startswith("#/$defs/"):
+            node = _walk(node, _schema()["$defs"][arg[len("#/$defs/"):]], path, errors)
+        elif key == "type":
+            fail = not _is(node, arg) and f"{node!r} is not of type {arg!r}"
+        elif key == "enum":
+            fail = node not in arg and f"{node!r} is not one of {arg!r}"
+        elif key == "minimum":
+            fail = (_is(node, "number") and node < arg
+                    and f"{node!r} is less than the minimum of {arg!r}")
+        elif key == "exclusiveMinimum":
+            fail = (_is(node, "number") and node <= arg
+                    and f"{node!r} is less than or equal to the minimum of {arg!r}")
+        elif key == "minItems":
+            fail = arr and len(node) < arg and f"{node!r} is too short"
+        elif key == "maxItems":
+            fail = arr and len(node) > arg and f"{node!r} is too long"
+        elif key == "items":
+            for i, item in enumerate(node if arr else ()):
+                node[i] = _walk(item, arg, path + (i,), errors)
+        elif key == "properties":
+            for name, sub in arg.items():
+                if obj and name in node:
+                    node[name] = _walk(node[name], sub, path + (name,), errors)
+        elif key == "required":
+            errors.extend((path, f"{name!r} is a required property")
+                          for name in arg if obj and name not in node)
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted(k for k in node if k not in known) if obj else []
+            if arg is not False:
+                for name in extras:
+                    node[name] = _walk(node[name], arg, path + (name,), errors)
+            elif extras:
+                verb = "was" if len(extras) == 1 else "were"
+                fail = (f"Additional properties are not allowed "
+                        f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key not in ("$schema", "title", "$defs"):
+            raise NotImplementedError(f"config schema keyword {key!r}")
+        if fail:
+            errors.append((path, fail))
+    return int(node) if schema.get("type") == "integer" and _is(node, "integer") else node
+
+
 def _check_schema(cfg):
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    """Validate cfg in place (2.0 at an integer leaf becomes 2); raise the
+    first error by path."""
+    errors = []
+    _walk(cfg, _schema(), (), errors)
     if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise SchemaError(f"{pointer or '/'}: {e.message}")
+        path, message = min(errors, key=lambda e: e[0])
+        raise SchemaError(f"/{'/'.join(map(str, path))}: {message}")
 
 
 def load_config(path):
@@ -189,22 +257,26 @@ def metric_from_config(cfg, param_overrides=None):
         kw["chart_box"] = mc["chart_box"]
     if "v_min" in mc:
         kw["v_min"] = mc["v_min"]
-    if kind == "euclidean":
-        return _metric.euclidean(dim, **kw)
-    if kind == "sphere_stereo":
-        return _metric.sphere_stereo(params["K"], dim, **kw)
-    if kind == "riemannian_expr":
-        return _metric.riemannian_expr(dim, mc["g"], params, **kw)
-    if kind == "quadratic_expr":
-        return _metric.quadratic_expr(dim, mc["g"], params, **kw)
-    if kind == "randers":
-        return _metric.randers_expr(dim, mc["h"], mc["beta"], params, **kw)
-    if kind == "zermelo":
-        z = _nav.ZermeloData.from_exprs(dim, mc["h"], mc["W"], params, mc.get("chart_box"))
-        return _nav.zermelo_to_randers(z, **kw)
-    if kind == "fermat":
-        pair = _nav.fermat_metric(_stationary_from_config(cfg, params), **kw)
-        return pair[1] if mc.get("fermat_sign") == "minus" else pair[0]
+    try:  # a bound or name the library rejects is an error of the metric block
+        if kind == "euclidean":
+            return _metric.euclidean(dim, **kw)
+        if kind == "sphere_stereo":
+            return _metric.sphere_stereo(params["K"], dim, **kw)
+        if kind == "riemannian_expr":
+            return _metric.riemannian_expr(dim, mc["g"], params, **kw)
+        if kind == "quadratic_expr":
+            return _metric.quadratic_expr(dim, mc["g"], params, **kw)
+        if kind == "randers":
+            return _metric.randers_expr(dim, mc["h"], mc["beta"], params, **kw)
+        if kind == "zermelo":
+            z = _nav.ZermeloData.from_exprs(dim, mc["h"], mc["W"], params,
+                                            mc.get("chart_box"))
+            return _nav.zermelo_to_randers(z, **kw)
+        if kind == "fermat":
+            pair = _nav.fermat_metric(_stationary_from_config(cfg, params), **kw)
+            return pair[1] if mc.get("fermat_sign") == "minus" else pair[0]
+    except ConfigError as exc:
+        raise SchemaError(f"/metric: {exc}") from None
     raise SchemaError(f"/metric/kind: unknown kind {kind!r}")
 
 
@@ -328,10 +400,6 @@ def _write_path_csv(file, cfg, m, path, velocity):
         x, v = path.state(t)
         rows.append([t, *x, *(v if velocity else ()), m.F(x, v)])
     write_csv(file, header, rows)
-
-
-def _write_config_sibling(out_dir, cfg):
-    write_json(os.path.join(out_dir, "resolved_config.json"), {}, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +595,8 @@ def _cmd_fermat(cfg, out):
         # t' = F-(x, x') is not lightlike: F- governs past-pointing curves
         raise SchemaError("/metric/fermat_sign: the fermat command lifts F+ "
                           "geodesics only")
-    s = _stationary_from_config(cfg, cfg["metric"].get("params", {}))
     m = metric_from_config(cfg)
+    s = _stationary_from_config(cfg, cfg["metric"].get("params", {}))
     path = _problem_path(cfg, m)
     sv = cfg["solver"]
     t0 = cfg.get("problem", {}).get("t0", 0.0)
@@ -567,9 +635,8 @@ def run_command(cmd, cfg, out_dir="."):
     if cmd not in _DISPATCH:
         raise ConfigError(f"unknown command {cmd!r}")
     os.makedirs(out_dir, exist_ok=True)
-    _write_config_sibling(out_dir, cfg)
     try:
-        return _DISPATCH[cmd](cfg, out_dir)
+        code = _DISPATCH[cmd](cfg, out_dir)
     except NumericalError as exc:
         write_json(
             os.path.join(out_dir, "diagnostic.json"),
@@ -577,7 +644,10 @@ def run_command(cmd, cfg, out_dir="."):
             cfg=cfg,
         )
         log.error("%s failed: %s", cmd, exc)
-        return 2
+        code = 2
+    # written last: a config error raised by the command leaves nothing behind
+    write_json(os.path.join(out_dir, "resolved_config.json"), {}, cfg=cfg)
+    return code
 
 
 def _setup_logging():

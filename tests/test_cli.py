@@ -1,9 +1,12 @@
+import copy
 import inspect
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbt import cli
 from fbt.cli import (
@@ -192,17 +195,49 @@ class TestCommands:
         ("index", {"kind": "euclidean"},
          {"x0": [0, 0], "basis": [[0, 1]], "shape_operator": [[1, 0], [0, 1]]},
          "/problem/boundary/shape_operator"),
+        # raised while building the metric or inside the command
+        ("geodesic", {"kind": "sphere_stereo", "params": {"K": -1}}, None, "/metric"),
+        ("geodesic", {"kind": "euclidean", "chart_box": [[1, -1], [-1, 1]]}, None,
+         "/metric"),
+        ("geodesic", {"kind": "euclidean", "chart_box": [[-1, 1]]}, None, "/metric"),
+        ("geodesic", {"kind": "zermelo", "h": [["1", "0"], ["0", "1"]],
+                      "W": ["1.5", "0"]}, None, "/metric"),
+        ("geodesic", {"kind": "randers", "h": [["1", "0"], ["0", "1"]],
+                      "beta": ["2", "0"]}, None, "/metric"),
+        ("geodesic", {"kind": "riemannian_expr", "g": [["1 + a", "0"], ["0", "1"]]},
+         None, "/metric"),
+        ("focal", {"kind": "euclidean"}, None, "/problem/boundary"),
     ], ids=["empty-g", "empty-beta", "empty-W", "empty-V", "basis-not-orthonormal",
-            "basis-row-length", "x0-length", "shape-operator-size"])
+            "basis-row-length", "x0-length", "shape-operator-size", "negative-K",
+            "reversed-chart-box", "chart-box-shape", "strong-wind", "strong-beta",
+            "unbound-name", "focal-without-boundary"])
     def test_malformed_block_exit_1(self, tmp_path, capsys, cmd, metric, boundary,
                                     pointer):
         problem = {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}}
         if boundary is not None:
             problem["boundary"] = boundary
         cfg = write_cfg(tmp_path, {"metric": {"dim": 2, **metric}, "problem": problem})
-        assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 1
+        out = tmp_path / "run"
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and f"{pointer}:" in err
+        assert not list(out.glob("*"))
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        # JSON Schema counts 2.0 as an integer, and the accepted config holds 2
+        solver = {"scan_grid": 400, "seed": 3, "samples_out": 20, "invariant_samples": 50}
+        ints = {**SPHERE, "solver": solver}
+        floats = {**SPHERE, "metric": {**SPHERE["metric"], "dim": 2.0},
+                  "solver": {k: float(v) for k, v in solver.items()}}
+        for cmd in ("geodesic", "conjugate", "metric-check"):
+            outs = []
+            for name, payload in (("ints", ints), ("floats", floats)):
+                out = tmp_path / cmd / name
+                assert cli.main([cmd, "--config", write_cfg(tmp_path, payload, name),
+                                 "--out", str(out)]) == 0
+                outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            assert "resolved_config.json" in outs[0]
+            assert outs[0] == outs[1]
 
     def test_seed_override_judged_by_schema(self, tmp_path, capsys):
         # --seed meets solver.seed's bound before anything runs
@@ -489,3 +524,129 @@ class TestSchemaPublication:
         # a default must not outlive the option it fills
         solver = cli._schema()["properties"]["solver"]["properties"]
         assert set(cli.SOLVER_DEFAULTS) == set(solver)
+
+
+# configs of the tests above, between them reaching every block and leaf of
+# the schema; the oracle test mutates them
+ORACLE_BASES = [
+    MINIMAL,
+    SPHERE,
+    {"metric": {"kind": "riemannian_expr", "dim": 2,
+                "g": [["exp(-lam*x2^2)", "0"], ["0", "1"]], "params": {"lam": 1.0}},
+     "problem": {"initial": {"x": [-1, 0], "v": [1, 0], "tau": 2.0,
+                             "normalize_speed": 1.0},
+                 "boundary": {"x0": [0, 0], "basis": [[0, 1]],
+                              "shape_operator": [[1.0]]},
+                 "t0": 0.0},
+     "family": {"parameter": "lam", "range": [2.0, 3.0], "samples": 4, "mu": 2.5,
+                "continuity_tol": 0.1},
+     "solver": {"rtol": 1e-11, "atol": 1e-13, "seed": 7, "scan_grid": 400, "mesh0": 16,
+                "max_mesh": 256, "samples_out": 5, "invariant_samples": 50,
+                "seeds_per_rung": 1, "max_found": 1, "grid_oracle": False,
+                "check_lorentz": True}},
+    {"metric": {"kind": "zermelo", "dim": 2, "h": [["1", "0"], ["0", "1"]],
+                "W": ["0.5", "0"], "chart_box": [[-2, 2], [-2, 2]], "v_min": 1e-6},
+     "problem": {"connect": {"p": [0, 0], "q": [0.3, 0.2], "v_seed": [0.3, 0.2],
+                             "tau": 1.0}},
+     "solver": {"grid_oracle": True}},
+    {"metric": {"kind": "fermat", "dim": 2, "fermat_sign": "plus",
+                "g0": [["1", "0"], ["0", "1"]], "V": ["0.3", "0"], "f": "1"},
+     "problem": {"connect": {"p": [0, 0], "q": [1.2, 0.8]}, "t0": 1.5}},
+    {"metric": {"kind": "randers", "dim": 2, "h": [["1", "0"], ["0", "1"]],
+                "beta": ["0.1", "0"]}},
+]
+
+ODD_VALUES = ["x", "", 0, -1, 1, 1.5, 2.0, -1e-9, 1e9, True, False, None, [], [1],
+              [[1, 2]], ["1", "0"], {}, {"a": 1}]
+ODD_NUMBERS = [-1, -0.0, 0, 1e-12, 1, 1.5, 2, 3.0, 4, 7, 8.0, 15, 16, 16.5]
+ODD_KEYS = ["a", "b", "method", "threads", "output", "kind", "dim", "seed", "x"]
+
+
+def _nodes(node, path=()):
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+# each mutation, with the nodes it applies to
+MUTATIONS = {
+    "drop": lambda path, node: bool(path),
+    "swap": lambda path, node: bool(path),
+    "add": lambda path, node: isinstance(node, dict),
+    "number": lambda path, node: type(node) in (int, float),
+    "lengthen": lambda path, node: isinstance(node, list),
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    """A config of ORACLE_BASES with 1-3 mutations: a key or an item dropped,
+    a value of another type, a key added, a number moved onto or past its
+    bound, an array lengthened."""
+    cfg = copy.deepcopy(draw(st.sampled_from(ORACLE_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(sorted(MUTATIONS)))
+        nodes = [(p, n) for p, n in _nodes(cfg) if MUTATIONS[op](p, n)]
+        if not nodes:
+            continue
+        path, node = draw(st.sampled_from(nodes))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "swap":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif op == "add":
+            node[draw(st.sampled_from(ODD_KEYS))] = copy.deepcopy(
+                draw(st.sampled_from(ODD_VALUES)))
+        elif op == "number":
+            parent[path[-1]] = draw(st.sampled_from(ODD_NUMBERS))
+        else:
+            node.append(copy.deepcopy(node[-1]) if node else 0)
+    return cfg
+
+
+class TestSchemaOracle:
+    """fbt's own schema walk against jsonschema's Draft 2020-12 validator."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(cfg=mutated_configs())
+    def test_walk_agrees_with_jsonschema(self, cfg):
+        errors = sorted(jsonschema.Draft202012Validator(cli._schema()).iter_errors(cfg),
+                        key=lambda e: list(e.absolute_path))
+        want = got = None
+        if errors:
+            want = f"/{'/'.join(map(str, errors[0].absolute_path))}: {errors[0].message}"
+        try:
+            cli._check_schema(copy.deepcopy(cfg))
+        except SchemaError as exc:
+            got = str(exc)
+        assert got == want
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "string", "pattern": "^a"},
+        {"$ref": "https://example.com/other.json"},
+    ], ids=["pattern", "remote-ref"])
+    def test_unknown_keyword_raises(self, schema):
+        # the walk knows the schema's keywords only, so the schema cannot
+        # outgrow it silently
+        with pytest.raises(NotImplementedError):
+            cli._walk("abc", schema, (), [])
+
+    def test_bases_reach_every_keyword(self, monkeypatch):
+        # the mutations start from configs that meet each keyword of the schema
+        seen, walk = set(), cli._walk
+
+        def spy(node, schema, path, errors):
+            seen.update(schema)
+            return walk(node, schema, path, errors)
+
+        monkeypatch.setattr(cli, "_walk", spy)
+        for cfg in ORACLE_BASES:
+            cli._check_schema(copy.deepcopy(cfg))
+        assert seen >= {"type", "$ref", "enum", "minimum", "exclusiveMinimum",
+                        "minItems", "maxItems", "items", "properties", "required",
+                        "additionalProperties"}

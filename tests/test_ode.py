@@ -293,13 +293,16 @@ fam = FamilySpec(param_name="K", param_range=(0.8, 1.3), samples=4,
                  branch=InitialStateBranch([0.0, -1.0], [1.0, 0.0], np.pi,
                                            normalize_speed=1.0))
 assert sweep_family(fam, refine_mesh=32).detections[0].refined
-print(json.dumps(sorted(k for k in sys.modules if k.startswith("scipy"))))
+# no scipy, and none of jsonschema's family: fbt validates its config itself
+banned = ("scipy", "jsonschema", "referencing", "rpds", "attr")
+print(json.dumps(sorted(k for k in sys.modules if k.startswith(banned))))
 """
 
 
 def test_no_scipy(tmp_path):
-    """fbt loads no scipy module, on import, in the index command, a focal
-    cross-check and a sweep that refines through smallest_eigenvalue."""
+    """fbt loads no scipy module and no jsonschema, referencing, rpds or
+    attrs module, on import, in the index command, a focal cross-check and a
+    sweep that refines through smallest_eigenvalue."""
     (tmp_path / "sphere.json").write_text(
         '{"metric": {"kind": "sphere_stereo", "dim": 2, "params": {"K": 1.0}},'
         ' "problem": {"initial": {"x": [0, -1], "v": [1, 0], "tau": 3.5}}}')
