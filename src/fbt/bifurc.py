@@ -447,7 +447,11 @@ def find_branches(f, mu, *, seed=0,
     (x, v), and reads the shooting Jacobian (the kernel direction's
     included) from it.  Damped line-search trials integrate the geodesic
     flow alone (exp_map), so a start that wanders costs under half a
-    variational flow per rejected trial.  Every accepted solution is
+    variational flow per rejected trial.  A start that the trivial branch
+    or a kept solution repels, and that cannot leave its deflation radius
+    within max_iter, ends early with NoConvergence("... repelled from a
+    deflated root") (see geoflow.newton); most starts away from a detection
+    end so after one variational flow.  Every accepted solution is
     polished and re-validated at the tight tolerance.
     An empty list is a valid outcome.  max_found caps the solutions kept per
     probed parameter (a continuum of solutions would otherwise absorb every

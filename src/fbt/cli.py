@@ -246,6 +246,9 @@ def _check_matrix(block, n, pointer):
 
 
 def metric_from_config(cfg, param_overrides=None):
+    """The configured metric.  A config error the library raises is reported
+    at /metric, or at /family/range naming the sample's value where a family
+    sample overrides a parameter."""
     mc = cfg["metric"]
     dim = mc["dim"]
     kind = mc["kind"]
@@ -276,7 +279,11 @@ def metric_from_config(cfg, param_overrides=None):
             pair = _nav.fermat_metric(_stationary_from_config(cfg, params), **kw)
             return pair[1] if mc.get("fermat_sign") == "minus" else pair[0]
     except ConfigError as exc:
-        raise SchemaError(f"/metric: {exc}") from None
+        where = "/metric"
+        if param_overrides:
+            where = "/family/range: at " + ", ".join(
+                f"{k} = {float(v)!r}" for k, v in param_overrides.items())
+        raise SchemaError(f"{where}: {exc}") from None
     raise SchemaError(f"/metric/kind: unknown kind {kind!r}")
 
 

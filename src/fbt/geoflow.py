@@ -51,6 +51,9 @@ CONNECT_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 8
 SING_TOL = 1e-8
 DEFLATION_SHIFT = 1.0
+# iterates a repelled start keeps, once outside the deflation radius, to
+# converge: the first lands near the new root, the second meets the tolerance
+REPEL_RESERVE = 2
 
 
 class LeftChart(NumericalError):
@@ -269,6 +272,28 @@ def _deflation_factor(v, roots):
     return fac, fac * grad
 
 
+def _check_repelled(v, r, jac, roots, left):
+    """Raise NoConvergence when v cannot leave a deflated root's radius and
+    converge within `left` iterates.  Where the undeflated step delta lands
+    within half of |v - root| of a root, the deflated step is tau * delta
+    with tau = 1 / (1 - grad log m . delta) (Farrell, Croci & Surowiec,
+    Optim. Methods Softw. 35, 2020), which along the ray to the root maps
+    the distance d to 2 d / (1 - shift d^2): it only doubles near the root."""
+    delta, *_ = np.linalg.lstsq(jac, -r, rcond=1e-6)
+    for root in roots:
+        d = float(np.linalg.norm(v - root))
+        if np.linalg.norm(v + delta - root) >= 0.5 * d:
+            continue
+        need = REPEL_RESERVE
+        while need <= left and DEFLATION_SHIFT * d * d < 1.0:
+            d = 2.0 * d / (1.0 - DEFLATION_SHIFT * d * d)
+            need += 1
+        if need > left:
+            raise NoConvergence(
+                f"Newton needs more than {left} more iterates to leave the "
+                "deflation radius and converge: repelled from a deflated root")
+
+
 def newton(G, GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
     """Damped Newton for G(v) = 0, GJ(v) returning G(v) and its Jacobian,
     deflated at roots: G is scaled by prod (shift + |v - r|^-2) (Farrell,
@@ -276,18 +301,25 @@ def newton(G, GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
     until that scaled |G| drops.  The full step is evaluated by GJ, so an
     iterate that takes it costs one GJ call; a damped trial is evaluated by
     the residual G alone, and GJ runs once more where one is accepted.
+    With roots, a start whose undeflated step points back at a root only
+    doubles its distance from it per iterate; once that cannot carry it past
+    the deflation radius 1/sqrt(shift) with REPEL_RESERVE iterates to spare
+    before max_iter, it ends with NoConvergence("... repelled from a
+    deflated root") before the next step is taken.
     Raises NoConvergence on failure.  A NumericalError at a trial point
     halves the step; SingularJacobian and errors at v0 propagate."""
     v0 = np.asarray(v0, dtype=float)
     v = v0.copy()
     r, jac = GJ(v)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         fac, dfac = _deflation_factor(v, roots)
         if not np.isfinite(fac):
             raise NoConvergence("Newton iterate landed on a deflated root")
         rn = float(np.linalg.norm(r))
         if rn <= tol:
             return v
+        if len(roots):
+            _check_repelled(v, r, jac, roots, max_iter - it)
         Jd = fac * jac + np.outer(r, dfac)
         # truncated pseudo-inverse: near a continuum of solutions the shooting
         # Jacobian folds and untruncated steps run away along its null space

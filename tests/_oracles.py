@@ -573,22 +573,24 @@ def point_set_gap_brute(samples, other):
 
 def newton_every_trial(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
     """geoflow.newton's iteration with every trial, damped or not, evaluated
-    by GJ: the same steps, halvings and acceptance rule, and the residual
-    read from the variational flow's (x, v) block."""
+    by GJ: the same steps, halvings, acceptance rule and repelled-start exit,
+    and the residual read from the variational flow's (x, v) block."""
     from fbt.errors import NumericalError
     from fbt.geoflow import (NEWTON_MAX_HALVINGS, NoConvergence,
-                             SingularJacobian, _deflation_factor)
+                             SingularJacobian, _check_repelled, _deflation_factor)
 
     v0 = np.asarray(v0, dtype=float)
     v = v0.copy()
     r, jac = GJ(v)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         fac, dfac = _deflation_factor(v, roots)
         if not np.isfinite(fac):
             raise NoConvergence("Newton iterate landed on a deflated root")
         rn = float(np.linalg.norm(r))
         if rn <= tol:
             return v
+        if len(roots):
+            _check_repelled(v, r, jac, roots, max_iter - it)
         Jd = fac * jac + np.outer(r, dfac)
         step, *_ = np.linalg.lstsq(Jd, -fac * r, rcond=1e-6)
         if wander_limit is not None and np.linalg.norm(v + step - v0) > wander_limit:
@@ -609,6 +611,59 @@ def newton_every_trial(GJ, v0, *, tol, max_iter, roots=(), wander_limit=None):
         else:
             raise NoConvergence("Newton line search stalled")
         v = v + alpha * step
+        r, jac = r_new, jac_new
+    if np.linalg.norm(r) <= tol:
+        return v
+    raise NoConvergence(
+        f"Newton did not reach |residual| <= {tol:.3e} in {max_iter} iterations "
+        f"(final {np.linalg.norm(r):.3e})"
+    )
+
+
+def newton_without_repelled_exit(G, GJ, v0, *, tol, max_iter, roots=(),
+                                 wander_limit=None):
+    """geoflow.newton as it was before the repelled-start exit: a start that
+    walks away from a deflated root runs until max_iter or a stalled line
+    search."""
+    from fbt.errors import NumericalError
+    from fbt.geoflow import (NEWTON_MAX_HALVINGS, NoConvergence,
+                             SingularJacobian, _deflation_factor)
+
+    v0 = np.asarray(v0, dtype=float)
+    v = v0.copy()
+    r, jac = GJ(v)
+    for _ in range(max_iter):
+        fac, dfac = _deflation_factor(v, roots)
+        if not np.isfinite(fac):
+            raise NoConvergence("Newton iterate landed on a deflated root")
+        rn = float(np.linalg.norm(r))
+        if rn <= tol:
+            return v
+        Jd = fac * jac + np.outer(r, dfac)
+        step, *_ = np.linalg.lstsq(Jd, -fac * r, rcond=1e-6)
+        if wander_limit is not None and np.linalg.norm(v + step - v0) > wander_limit:
+            step *= wander_limit / np.linalg.norm(v + step - v0)
+        alpha = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            trial = v + alpha * step
+            try:
+                if alpha == 1.0:
+                    r_new, jac_new = GJ(trial)
+                else:
+                    r_new = G(trial)
+                fac_new, _ = _deflation_factor(trial, roots)
+                if np.isfinite(fac_new) and fac_new * np.linalg.norm(r_new) < fac * rn:
+                    if alpha < 1.0:
+                        r_new, jac_new = GJ(trial)
+                    break
+            except SingularJacobian:
+                raise
+            except NumericalError:
+                pass
+            alpha *= 0.5
+        else:
+            raise NoConvergence("Newton line search stalled")
+        v = trial
         r, jac = r_new, jac_new
     if np.linalg.norm(r) <= tol:
         return v

@@ -19,7 +19,7 @@ from fbt.metric import PhaseState
 from fbt.morse import _assemble, eigh
 
 from _oracles import (c1_distance_loop, flat_axis_warped_mu, newton_every_trial,
-                      warped_metric)
+                      newton_without_repelled_exit, warped_metric)
 
 
 def warped_family(samples=12, rng_hi=5.0):
@@ -182,6 +182,21 @@ class TestVerdicts:
         assert detect_bifurcation(sweep_family(fam)) == []
 
 
+def _one_sided_pair_hunt():
+    fam = warped_family()
+    mu = sweep_family(fam).detections[0].mu
+    # the pitchfork opens like angle ~ 1.2 sqrt(lam - mu): keep the probe
+    # close and ladder the perturbation up to that scale
+    return find_branches(fam, mu, seed=3, seeds_per_rung=4,
+                         rho_ladder=(1e-1, 2.5e-1), delta=0.04,
+                         offsets=(-1, 1), max_found=3)
+
+
+@pytest.fixture(scope="module")
+def one_sided_pair():
+    return _one_sided_pair_hunt()
+
+
 class TestFindBranches:
     def test_flat_family_finds_nothing(self):
         fam = FamilySpec(
@@ -207,14 +222,8 @@ class TestFindBranches:
             assert s.endpoint_residual <= 1e-8
         assert classify_alternative(ev).label == "(i)-like"
 
-    def test_warped_one_sided_pair(self):
-        fam = warped_family()
-        mu = sweep_family(fam).detections[0].mu
-        # the pitchfork opens like angle ~ 1.2 sqrt(lam - mu): keep the probe
-        # close and ladder the perturbation up to that scale
-        ev = find_branches(fam, mu, seed=3, seeds_per_rung=4,
-                           rho_ladder=(1e-1, 2.5e-1), delta=0.04,
-                           offsets=(-1, 1), max_found=3)
+    def test_warped_one_sided_pair(self, one_sided_pair):
+        ev = one_sided_pair
         left = ev.on_side(-1)
         right = ev.on_side(+1)
         # bent geodesics exist on the high side of the crossing only
@@ -284,6 +293,40 @@ class TestResidualOnlyTrials:
         assert run(lambda G, GJ, v0, **kw: newton_every_trial(GJ, v0, **kw)) \
             == (ev, starts)
         assert len(starts) >= 4
+
+
+class TestRepelledExit:
+    """Ending the starts repelled from a deflated root keeps the solutions
+    the loop without that exit finds, bit for bit."""
+
+    @pytest.mark.parametrize("hunt", [
+        _criterion_6_probe("warped"),
+        _criterion_6_probe("randers"),
+        # criterion 5's hunt
+        lambda: find_branches(sphere_family(), 1.0, seed=12345, seeds_per_rung=8,
+                              offsets=(0,), max_found=8),
+    ], ids=["warped_probe", "randers_probe", "sphere_hunt"])
+    def test_hunt_keeps_solutions_of_loop_without_exit(self, hunt, monkeypatch):
+        exits = []
+
+        def recording(G, GJ, v0, **kw):
+            try:
+                return newton(G, GJ, v0, **kw)
+            except NumericalError as exc:
+                exits.append(str(exc))
+                raise
+
+        monkeypatch.setattr(fbt.bifurc, "newton", recording)
+        ev = hunt().as_dict()
+        assert any("repelled from a deflated root" in e for e in exits)
+        monkeypatch.setattr(fbt.bifurc, "newton", newton_without_repelled_exit)
+        assert hunt().as_dict() == ev
+
+    def test_one_sided_pair_keeps_solutions_of_loop_without_exit(
+            self, one_sided_pair, monkeypatch):
+        # seeds at 0.1 and 0.25 |v| start outside every repelled region
+        monkeypatch.setattr(fbt.bifurc, "newton", newton_without_repelled_exit)
+        assert _one_sided_pair_hunt().as_dict() == one_sided_pair.as_dict()
 
 
 class TestC1Distance:

@@ -264,6 +264,19 @@ class TestCommands:
         assert "config error: /family/range: param_range must be increasing" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("cmd", ["sweep", "branch"])
+    def test_family_value_rejected_by_metric_exit_1(self, tmp_path, capsys, cmd):
+        # the sphere's curvature must be positive: the first sample, K = -1,
+        # is the family's fault, not the metric block's
+        cfg = write_cfg(tmp_path, {
+            **SPHERE, "family": {"parameter": "K", "range": [-1.0, 1.0], "samples": 4}})
+        out = tmp_path / "run"
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: /family/range: at K = -1.0: "
+            "curvature must be positive, got -1.0\n")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("kind,fields,pointer", [
         ("riemannian_expr", {"beta": ["0.1", "0"], "W": ["0.1", "0"], "f": "2",
                              "fermat_sign": "minus"}, "/metric/beta"),

@@ -18,7 +18,7 @@ from fbt.geoflow import (
 from fbt.metric import PhaseState
 
 from _oracles import (frame_joint_flow, great_circle_chart, great_circle_velocity,
-                      newton_every_trial)
+                      newton_every_trial, newton_without_repelled_exit)
 
 
 class TestIntegrate:
@@ -224,11 +224,62 @@ class TestNewton:
         (0.75, [("GJ", 0.0), ("G", 0.5), ("G", 0.75), ("GJ", 0.75)]),
     ])
     def test_evaluation_policy(self, zero_at, trials):
+        # without roots the repelled-start exit never runs
+        for solve in (newton, newton_without_repelled_exit):
+            calls = []
+            G, GJ = self.counting(zero_at, calls)
+            v = solve(G, GJ, [1.0], tol=1e-12, max_iter=5, roots=())
+            assert v.tolist() == [zero_at]
+            assert calls == [("GJ", 1.0)] + trials
+
+    # G = A (v - ROOT), well conditioned, with ROOT its only root.  Deflated
+    # at ROOT, iterates from |v - ROOT| = 1e-3 map the distance d to
+    # 2 d / (1 - d^2) and need 10 to pass the deflation radius 1, 12 with
+    # the reserve to converge outside it.
+    A = np.array([[2.0, 0.5], [0.5, 1.5]])
+    ROOT = np.array([0.3, -0.2])
+    V0 = ROOT + 1e-3 * np.array([0.6, 0.8])
+
+    def linear(self, calls):
+        def G(v):
+            calls.append(("G", tuple(v)))
+            return self.A @ (v - self.ROOT)
+
+        def GJ(v):
+            calls.append(("GJ", tuple(v)))
+            return self.A @ (v - self.ROOT), self.A
+
+        return G, GJ
+
+    @pytest.mark.parametrize("max_iter", [8, 11])
+    def test_repelled_start_ends_before_its_first_step(self, max_iter):
         calls = []
-        G, GJ = self.counting(zero_at, calls)
-        v = newton(G, GJ, [1.0], tol=1e-12, max_iter=5)
-        assert v.tolist() == [zero_at]
-        assert calls == [("GJ", 1.0)] + trials
+        G, GJ = self.linear(calls)
+        with pytest.raises(NoConvergence, match="repelled from a deflated root"):
+            newton(G, GJ, self.V0, tol=1e-12, max_iter=max_iter, roots=[self.ROOT])
+        assert calls == [("GJ", tuple(self.V0))]
+
+    @pytest.mark.parametrize("max_iter, same_exit", [(12, False), (16, True)])
+    def test_start_that_can_escape_takes_the_deflated_steps(self, max_iter, same_exit):
+        runs = []
+        for solve in (newton, newton_without_repelled_exit):
+            calls = []
+            G, GJ = self.linear(calls)
+            with pytest.raises(NoConvergence) as exc:
+                solve(G, GJ, self.V0, tol=1e-12, max_iter=max_iter, roots=[self.ROOT])
+            runs.append((calls, str(exc.value)))
+        (calls, _), (calls_before, _) = runs
+        assert calls == calls_before[:len(calls)]
+        # the start and the ten iterates that leave the deflation radius
+        assert [c[0] for c in calls[:11]] == ["GJ"] * 11
+        assert (runs[0] == runs[1]) == same_exit
+
+    def test_undeflated_start_near_the_root_converges(self):
+        calls = []
+        G, GJ = self.linear(calls)
+        v = newton(G, GJ, self.V0, tol=1e-12, max_iter=8)
+        assert np.max(np.abs(v - self.ROOT)) < 1e-12
+        assert [c[0] for c in calls] == ["GJ", "GJ"]
 
     def test_stall_evaluates_damped_trials_by_residual(self):
         calls = []
