@@ -12,6 +12,7 @@ two-sided, one-sided pair).  The diagnosis is explicitly not a certificate.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from itertools import groupby
@@ -303,7 +304,9 @@ def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID,
     """Sample the family, cross-check indices, and refine candidate parameters.
 
     Every branch (samples, refinement and flanks) is integrated at rtol and
-    atol."""
+    atol.  The refinement realizes each parameter once (brentq's bracket
+    ends and its root are read again from that member) and solves each of
+    a member's pencils once (morse keeps them on the path)."""
     a, b = f.param_range
     lams = np.linspace(a, b, f.samples)
     records = []
@@ -332,14 +335,16 @@ def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID,
     refine_tol = REFINE_TOL_REL * (b - a)
     flank = max(FLANK_REL * (b - a), 10 * refine_tol)
 
+    member = functools.cache(realize)
+
     def eig_k(lam, k):
-        return _morse.smallest_eigenvalue(realize(lam), boundary, refine_mesh, k=k)
+        return _morse.smallest_eigenvalue(member(lam), boundary, refine_mesh, k=k)
 
     def detection(mu, lo, hi, refined=False, plateau=False):
         # spectral counts at mu and at the flanks lo and hi, in that order; a
         # plateau has positive nullity by construction
         at_mu, left, right = (
-            _morse.index_spectral(realize(lam), boundary, mesh_fixed=refine_mesh)
+            _morse.index_spectral(member(lam), boundary, mesh_fixed=refine_mesh)
             for lam in (mu, lo, hi)
         )
         return Detection(

@@ -108,7 +108,8 @@ class BoundaryData:
 class GeodesicPath:
     """A densely sampled constant-speed geodesic on [0, tau]: ts are the
     accepted step times, ys the states there, and sol their
-    ode.DenseOutput."""
+    ode.DenseOutput.  A path is never changed after construction, so
+    morse keeps the eigenvalues of its pencils in _spectra."""
 
     metric: object
     x0: np.ndarray
@@ -118,6 +119,9 @@ class GeodesicPath:
     ys: np.ndarray
     sol: object
     F0: float
+    # mesh -> (boundary, ascending eigenvalues), filled by morse._spectrum
+    _spectra: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     @property
     def dim(self):

@@ -233,8 +233,23 @@ def eigh(K, diag, off, k):
     return np.linalg.eigvalsh(C)
 
 
+def _spectrum(path, boundary, mesh):
+    """Ascending eigenvalues of the pencil of path on mesh, read-only.
+
+    The only place a pencil is assembled and solved.  The eigenvalues are
+    kept on the path per mesh with the boundary object they were computed
+    for, and a later call hits only for that same object.
+    """
+    hit = path._spectra.get(mesh)
+    if hit is None or hit[0] is not boundary:
+        w = eigh(*_assemble(path, boundary, mesh))
+        w.flags.writeable = False
+        hit = path._spectra[mesh] = (boundary, w)
+    return hit[1]
+
+
 def _counts(path, boundary, mesh):
-    w = eigh(*_assemble(path, boundary, mesh))
+    w = _spectrum(path, boundary, mesh)
     scale = float(np.max(np.abs(w)))
     theta = max(KER_FLOOR, KER_SHADOW * np.pi**2 / mesh**2) * scale
     m_minus = int(np.sum(w < -theta))
@@ -248,14 +263,17 @@ def smallest_eigenvalue(path, boundary, mesh, k=0):
     """k-th smallest eigenvalue of the spectral pencil on a fixed mesh.
 
     From mesh 8 on, the O(h^2) discretization bias is removed by Richardson
-    extrapolation over meshes mesh/2 and mesh, which matters when a
-    parameter refinement bisects this value through zero.
+    extrapolation over meshes mesh // 2 and mesh with their actual ratio
+    r = mesh / (mesh // 2): (r^2 fine - coarse) / (r^2 - 1), which is
+    (4 fine - coarse) / 3 at an even mesh.  This matters when a parameter
+    refinement bisects the value through zero.
     """
-    fine = float(eigh(*_assemble(path, boundary, mesh))[k])
+    fine = float(_spectrum(path, boundary, mesh)[k])
     if mesh < 8:
         return fine
-    coarse = float(eigh(*_assemble(path, boundary, mesh // 2))[k])
-    return (4.0 * fine - coarse) / 3.0
+    coarse = float(_spectrum(path, boundary, mesh // 2)[k])
+    r2 = (mesh / (mesh // 2)) ** 2
+    return (r2 * fine - coarse) / (r2 - 1.0)
 
 
 def index_spectral(path, boundary="point-point", *, mesh0=DEFAULT_MESH0,

@@ -52,6 +52,17 @@ def flat_axis_warped_mu(lo=0.5, hi=5.0):
     return warped_dirichlet_crossing(lambda lam: (lambda t: lam), lo, hi)
 
 
+def flat_axis_warped_eigenvalue(lam, tau):
+    """Smallest eigenvalue of the point-point second variation of the energy
+    (integrand F^2) against the W^{1,2} mass along the flat axis of
+    warped_metric(lam, flat_axis=True) at unit speed over [0, tau], for
+    lam < (pi / tau)^2.  Across the axis B = 2 int(eta'^2 - lam eta^2) and the
+    mode eta = sin(pi t / tau) gives 2 (q - lam) / (1 + q), q = (pi / tau)^2;
+    every mode along the axis lies above it."""
+    q = (math.pi / tau) ** 2
+    return 2.0 * (q - lam) / (1.0 + q)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form warped metric with analytic derivatives (for frame accuracy
 # tests the finite-difference expression stack is not good enough)

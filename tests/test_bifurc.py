@@ -1,8 +1,14 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fbt
+from fbt import morse
 from fbt.bifurc import (
+    FLANK_REL,
+    REFINE_TOL_REL,
     ConnectBranch,
     FamilySpec,
     InitialStateBranch,
@@ -16,7 +22,8 @@ from fbt.bifurc import (
 from fbt.errors import NumericalError
 from fbt.geoflow import integrate_geodesic, newton
 from fbt.metric import PhaseState
-from fbt.morse import _assemble, eigh
+from fbt.morse import _assemble, eigh, index_spectral, smallest_eigenvalue
+from fbt.ode import brentq
 
 from _oracles import (c1_distance_loop, flat_axis_warped_mu, newton_every_trial,
                       newton_without_repelled_exit, warped_metric)
@@ -43,6 +50,42 @@ def sphere_family(samples=8):
         branch=InitialStateBranch([0.0, -1.0], [1.0, 0.0], np.pi,
                                   normalize_speed=1.0),
     )
+
+
+def randers_family(samples=4):
+    h = [["exp(-lam*x2^2)", "0"], ["0", "1"]]
+    beta = ["0.2*exp(-lam*x2^2)", "0"]
+    return FamilySpec(
+        param_name="lam", param_range=(0.5, 5.0), samples=samples,
+        metric_builder=lambda lam: fbt.randers_expr(2, h, beta, {"lam": lam}),
+        branch=InitialStateBranch([-1.0, 0.0], [1.0, 0.0], 2.0),
+    )
+
+
+REFINE_MESH = 128
+
+
+def _check_against_fresh_members(fam, scan, d):
+    """d's mu is brentq over smallest_eigenvalue of members realized afresh
+    at every evaluation, and its flank counts are theirs too."""
+    a, b = fam.param_range
+    refine_tol = REFINE_TOL_REL * (b - a)
+    flank = max(FLANK_REL * (b - a), 10 * refine_tol)
+    rl, rr = next((rl, rr) for rl, rr in zip(scan.records, scan.records[1:])
+                  if rl.lam < d.mu < rr.lam)
+    k = min(rl.m_minus, rr.m_minus)
+
+    def fresh(lam):
+        return realize_branch(fam, lam)[1]
+
+    mu = brentq(lambda lam: smallest_eigenvalue(fresh(lam), "point-point",
+                                                REFINE_MESH, k=k),
+                rl.lam, rr.lam, xtol=refine_tol)
+    assert d.mu == mu
+    left, right = (index_spectral(fresh(lam), mesh_fixed=REFINE_MESH)
+                   for lam in (mu - flank, mu + flank))
+    assert (d.m_left, d.m0_left) == (left.m_minus, left.m_zero)
+    assert (d.m_right, d.m0_right) == (right.m_minus, right.m_zero)
 
 
 class TestSweep:
@@ -121,6 +164,41 @@ class TestSweep:
         _, path = realize_branch(fam, 1.0)
         assert path.tau == 2.0
         assert np.max(np.abs(path.endpoint - [0.6, -0.4])) < 1e-8
+
+    @pytest.mark.parametrize("make", [warped_family, randers_family],
+                             ids=["warped", "randers"])
+    def test_refinement_evaluates_each_member_once(self, make, monkeypatch):
+        # a sample is realized once more by the refinement, which realizes
+        # each of its own parameters once and solves each pencil once
+        fam = make()
+        builds = collections.Counter()
+        pencils = collections.Counter()
+        paths = []  # keeps every path alive, so no id is reused
+        assemble = morse._assemble
+
+        def counted_build(lam):
+            builds[float(lam)] += 1
+            return fam.metric_builder(lam)
+
+        def counted_assemble(path, boundary, mesh):
+            paths.append(path)
+            pencils[id(path), mesh] += 1
+            return assemble(path, boundary, mesh)
+
+        monkeypatch.setattr(morse, "_assemble", counted_assemble)
+        counted = dataclasses.replace(fam, metric_builder=counted_build)
+        scan = sweep_family(counted, refine_mesh=REFINE_MESH)
+        monkeypatch.undo()
+
+        samples = {r.lam for r in scan.records}
+        assert set(builds) > samples
+        for lam, n in builds.items():
+            assert n <= (2 if lam in samples else 1), lam
+        assert max(pencils.values()) == 1
+        refined = [d for d in scan.detections if d.refined]
+        assert refined
+        for d in refined:
+            _check_against_fresh_members(fam, scan, d)
 
 
 class TestVerdicts:
