@@ -74,8 +74,8 @@ C1_SAMPLES = 40
 
 class BranchLost(NumericalError):
     def __init__(self, lam, reason):
-        super().__init__(f"trivial branch lost at parameter {lam!r}: {reason}")
-        self.lam = lam
+        self.lam = float(lam)
+        super().__init__(f"trivial branch lost at parameter {self.lam}: {reason}")
 
 
 @dataclass
@@ -284,10 +284,11 @@ def realize_branch(f, lam, prev_velocity=None, *, rtol=DEFAULT_RTOL, atol=DEFAUL
 
 
 def _sweep_record(lam, path, boundary, grid, mesh0, max_mesh):
-    if path.max_el_residual() > DEFAULT_TOL_RES:
-        raise BranchLost(lam, "trivial branch is not critical")
-    rep = _morse.cross_check(path, boundary, grid=grid, mesh0=mesh0,
-                             max_mesh=max_mesh)
+    try:
+        rep = _morse.cross_check(path, boundary, grid=grid, mesh0=mesh0,
+                                 max_mesh=max_mesh)
+    except _morse.NotCritical as exc:
+        raise BranchLost(lam, str(exc)) from exc
     return ScanRecord(
         lam=float(lam),
         m_minus=rep.m_minus,

@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, RESIDUAL_STEP, BoundaryData,
-                      GeodesicPath, _frame_rhs, _residual_times, _solve,
-                      endpoint_jacobian)
+from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, BoundaryData, GeodesicPath,
+                      _frame_rhs, _residual_times, _solve, endpoint_jacobian)
 from .metric import COMPLEX_STEP
 
 __all__ = [
@@ -109,11 +108,10 @@ class JacobiFrame:
         return np.linalg.svd(self.M(t), compute_uv=False)
 
     def residual_max(self):
-        """Linearized-equation residual via differentiation of the dense Mdot."""
-        ts = _residual_times(self.path.tau)
-        a = np.maximum(ts - RESIDUAL_STEP, 0.0)
-        b = np.minimum(ts + RESIDUAL_STEP, self.path.tau)
-        Mdd = (self.Mdot(b) - self.Mdot(a)) / (b - a)[:, None, None]
+        """Linearized-equation residual, with M'' the dense output's exact
+        derivative of M'."""
+        ts, n = _residual_times(self.path.tau), self.dim
+        Mdd = self.sol.derivative(ts)[-n * n:].T.reshape(ts.shape + (n, n))
         x, v = self.path.state(ts)
         A, B = spray_jacobians(self.path.metric, x, v)
         M, Md = self.M(ts), self.Mdot(ts)

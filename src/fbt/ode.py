@@ -3,7 +3,8 @@
 `dop853` integrates y' = f(t, y) from t = 0 by the explicit Runge-Kutta pair
 of order 8(5,3) of Dormand and Prince (Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., Sec. II.5 and II.10, and their
-code DOP853), with its 7th-order dense output.  It takes the steps of
+code DOP853), with its 7th-order dense output and that polynomial's exact
+derivative, which residual checks read.  It takes the steps of
 scipy.integrate.solve_ivp(method="DOP853") as of SciPy 1.17, the release the
 tests compare with: the same initial step selection (Sec. II.4, with the
 first step clamped to the interval), step-size controller, combined
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .metric import COMPLEX_STEP
 
 __all__ = ["dop853", "DenseOutput", "OdeResult", "StepFailure", "brentq"]
 
@@ -214,7 +216,7 @@ class DenseOutput:
     one.  Each step keeps its own h, so a step cut short at an event root
     still reads its full step's interpolant.  At one time y(t) has shape
     (N,); at an array of times (N, len(t)), each column equal to the
-    one-time value."""
+    one-time value.  derivative(t) reads y'(t) in the same shapes."""
 
     def __init__(self, t_old, h, y_old, F):
         # lists for the one-time lookup, arrays for the stacked one
@@ -229,9 +231,20 @@ class DenseOutput:
             i = min(max(bisect_left(self._t_old, t) - 1, 0), len(self._h) - 1)
             w = np.array(_weights((t - self._t_old[i]) / self._h[i]))
             return w @ self._F[i] + self._y_old[i]
+        return self._stacked(t, 0)
+
+    def derivative(self, t):
+        """y'(t) as Im y(t + i c) / c at c = COMPLEX_STEP: the complex step of
+        the weights w_k, polynomials in x, so exact to rounding.  One time is
+        read as a stack of one, whose complex products round as a stack's."""
+        y = self._stacked(np.atleast_1d(t), 1j * COMPLEX_STEP).imag / COMPLEX_STEP
+        return y.reshape(y.shape[:1] + np.shape(t))
+
+    def _stacked(self, t, shift):
+        """y(t + shift) at an array of real times t."""
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self._t_old_a, t) - 1, 0, len(self._h) - 1)
-        w = np.stack(_weights((t - self._t_old_a[i]) / self._h_a[i]), axis=-1)
+        w = np.stack(_weights((t - self._t_old_a[i] + shift) / self._h_a[i]), axis=-1)
         return ((w[:, None, :] @ self._F[i])[:, 0, :] + self._y_old[i]).T
 
 

@@ -9,6 +9,7 @@ from fbt import morse
 from fbt.bifurc import (
     FLANK_REL,
     REFINE_TOL_REL,
+    BranchLost,
     ConnectBranch,
     FamilySpec,
     InitialStateBranch,
@@ -20,7 +21,7 @@ from fbt.bifurc import (
     sweep_family,
 )
 from fbt.errors import NumericalError
-from fbt.geoflow import integrate_geodesic, newton
+from fbt.geoflow import GeodesicPath, integrate_geodesic, newton
 from fbt.metric import PhaseState
 from fbt.morse import _assemble, eigh, index_spectral, smallest_eigenvalue
 from fbt.ode import brentq
@@ -199,6 +200,42 @@ class TestSweep:
         assert refined
         for d in refined:
             _check_against_fresh_members(fam, scan, d)
+
+
+class TestSweepCriticality:
+    @staticmethod
+    def _count_residuals(monkeypatch):
+        calls, paths = collections.Counter(), []  # paths keeps each id unique
+        residual = GeodesicPath.max_el_residual
+
+        def counted(path):
+            paths.append(path)
+            calls[id(path)] += 1
+            return residual(path)
+
+        monkeypatch.setattr(GeodesicPath, "max_el_residual", counted)
+        return calls
+
+    def test_each_sample_is_tested_once(self, monkeypatch):
+        # cross_check's spectral route is a sample's one criticality test;
+        # the refinement's members are paths of their own
+        calls = self._count_residuals(monkeypatch)
+        scan = sweep_family(warped_family(samples=4), refine_mesh=REFINE_MESH)
+        assert len(scan.records) == 4 and scan.detections
+        assert set(calls.values()) == {1}
+
+    def test_non_critical_sample_loses_the_branch(self, monkeypatch):
+        # at rtol 1e-6 the 3.85 pi great circle's EL residual is some 5e-5
+        fam = FamilySpec(
+            param_name="K", param_range=(0.9, 1.1), samples=3,
+            metric_builder=lambda K: fbt.sphere_stereo(K),
+            branch=InitialStateBranch([0.0, -1.0], [1.0, 0.0], 3.85 * np.pi),
+        )
+        calls = self._count_residuals(monkeypatch)
+        with pytest.raises(BranchLost, match=r"parameter 0\.9: .*EL residual") as exc:
+            sweep_family(fam, rtol=1e-6)
+        assert type(exc.value.lam) is float and exc.value.lam == 0.9
+        assert list(calls.values()) == [1]
 
 
 class TestVerdicts:

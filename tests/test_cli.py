@@ -173,6 +173,22 @@ class TestCommands:
         diag = json.loads((out / "diagnostic.json").read_text())
         assert diag["error"] == "LeftChart"
 
+    def test_lost_branch_diagnostic_names_the_parameter(self, tmp_path):
+        # a 3.85 pi great circle at rtol 1e-6 is not critical at K = 0.9
+        cfg = load_config(write_cfg(tmp_path, {
+            **SPHERE,
+            "problem": {"initial": {"x": [0, -1], "v": [1, 0], "tau": 3.85 * np.pi}},
+            "family": {"parameter": "K", "range": [0.9, 1.1], "samples": 3},
+            "solver": {"rtol": 1e-6},
+        }))
+        out = tmp_path / "run"
+        assert run_command("sweep", cfg, str(out)) == 2
+        diag = json.loads((out / "diagnostic.json").read_text())
+        assert diag["error"] == "BranchLost"
+        assert diag["message"].startswith(
+            "trivial branch lost at parameter 0.9: path is not a critical point: "
+            "EL residual ")
+
     def test_main_config_error_exit_1(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, {"metric": {"kind": "weird", "dim": 2}})
         assert cli.main(["geodesic", "--config", bad]) == 1

@@ -34,7 +34,18 @@ class TestIntegrate:
         path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 2.0)
         for t in np.linspace(0.1, 2.0, 7):
             assert np.max(np.abs(path.x(t) - great_circle_chart(1.0, t))) < 1e-8
-            assert np.max(np.abs(path.v(t) - great_circle_velocity(1.0, t))) < 1e-8
+            assert np.max(np.abs(path.state(t)[1] - great_circle_velocity(1.0, t))) < 1e-8
+            # unit speed on the chart unit circle: dv/dt = -x(t)
+            dv = path.sol.derivative(t)[2:]
+            assert np.max(np.abs(dv + great_circle_chart(1.0, t))) < 3e-7
+
+    def test_el_residual_is_the_path_defect(self, sphere):
+        # the residual follows the path's error down: no differencing floor
+        s0 = PhaseState([0, -1], [1, 0])
+        loose = integrate_geodesic(sphere, s0, 3.85 * np.pi)
+        tight = integrate_geodesic(sphere, s0, 3.85 * np.pi, rtol=1e-12, atol=1e-15)
+        assert 5e-8 < loose.max_el_residual() < 2e-7
+        assert tight.max_el_residual() < 1e-9
 
     def test_constant_wind_straight(self):
         z = fbt.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]], ["0.5", "0"])

@@ -83,7 +83,8 @@ class TestCrossCheck:
         rep = cross_check(path)
         assert rep.agree and (rep.m_minus, rep.m_zero) == (0, 0)
 
-    @pytest.mark.parametrize("tau,want", [(1.5 * np.pi, 1), (2.5 * np.pi, 2)])
+    @pytest.mark.parametrize("tau,want", [(1.5 * np.pi, 1), (2.5 * np.pi, 2),
+                                          (3.85 * np.pi, 3), (7.5 * np.pi, 7)])
     def test_sphere(self, sphere, tau, want):
         path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), tau)
         rep = cross_check(path)
@@ -91,13 +92,14 @@ class TestCrossCheck:
         assert (rep.m_minus, rep.m_zero) == (want, 0)
 
     def test_long_3d_sphere_path_is_critical(self, sphere3):
-        # three conjugate instants of multiplicity 2; a residual step that
-        # grows with tau put the EL residual of this path above 1e-5
-        path = integrate_geodesic(sphere3, PhaseState([0, 0, -1], [1, 0, 0]),
-                                  3.85 * np.pi)
-        rep = cross_check(path)
-        assert rep.agree
-        assert (rep.m_minus, rep.m_zero) == (6, 0)
+        # conjugate instants of multiplicity 2 at every multiple of pi; the
+        # EL residual is the path's defect, some 1e-7 at the default rtol
+        for turns, want in [(3.85, 6), (7.5, 14)]:
+            path = integrate_geodesic(sphere3, PhaseState([0, 0, -1], [1, 0, 0]),
+                                      turns * np.pi)
+            rep = cross_check(path)
+            assert rep.agree
+            assert (rep.m_minus, rep.m_zero) == (want, 0)
 
     def test_warped_flanks(self):
         mu = flat_axis_warped_mu()

@@ -120,6 +120,39 @@ class TestMirrorsSolveIvp:
         assert frame.M(np.array([0.5, 1.3])).shape == (2, n, n)
 
 
+def _richardson(f, t, h):
+    """f'(t) from central differences at h, h/2, h/4 and h/8 with Richardson
+    extrapolation: exact up to rounding for a polynomial f of degree <= 8."""
+    d = [(f(t + h / 2 ** k) - f(t - h / 2 ** k)) * 2 ** k / (2 * h) for k in range(4)]
+    for j in range(1, 4):
+        d = [(4 ** j * fine - coarse) / (4 ** j - 1) for coarse, fine in zip(d, d[1:])]
+    return d[0]
+
+
+class TestDerivative:
+    def _path(self):
+        return integrate_geodesic(_randers(), PhaseState([0.2, -0.9], [0.8, 0.3]), 3.0)
+
+    def test_matches_richardson_on_one_step(self):
+        # on a step the dense output is a polynomial of degree 7 in t, so
+        # extrapolated differences that stay on the step read its derivative
+        path = self._path()
+        for k in (2, 5):
+            a, b = path.ts[k], path.ts[k + 1]
+            h = (b - a) / 8
+            for t in np.linspace(a + 2 * h, b - 2 * h, 5):
+                ref = _richardson(path.sol, t, h)
+                assert np.max(np.abs(path.sol.derivative(t) - ref)) < 1e-12
+
+    def test_one_time_reads_the_stacked_value(self):
+        path = self._path()
+        t = np.concatenate([np.linspace(0.0, 3.0, 41), path.ts])
+        d = path.sol.derivative(t)
+        assert d.shape == (4, t.size)
+        for j, tj in enumerate(t):
+            np.testing.assert_array_equal(path.sol.derivative(tj), d[:, j])
+
+
 def _chart_events(m):
     """The two stopping events of geoflow's flow, as SciPy events."""
     n, lo, hi = m.dim, m.chart_box[:, 0], m.chart_box[:, 1]
