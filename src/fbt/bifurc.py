@@ -12,7 +12,6 @@ two-sided, one-sided pair).  The diagnosis is explicitly not a certificate.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from itertools import groupby
@@ -307,7 +306,10 @@ def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID,
     Every branch (samples, refinement and flanks) is integrated at rtol and
     atol.  The refinement realizes each parameter once (brentq's bracket
     ends and its root are read again from that member) and solves each of
-    a member's pencils once (morse keeps them on the path)."""
+    a member's pencils once (morse keeps them on the path).  With an
+    InitialStateBranch the bracket ends are the sample paths themselves;
+    a ConnectBranch's samples are seeded by continuation, so the
+    refinement realizes its own."""
     a, b = f.param_range
     lams = np.linspace(a, b, f.samples)
     records = []
@@ -317,8 +319,13 @@ def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID,
     def realize(lam, prev_velocity=None):
         return realize_branch(f, lam, prev_velocity, rtol=rtol, atol=atol)[1]
 
+    # the refinement's members by parameter; an InitialStateBranch ignores its
+    # seed, so its sample paths (and the pencils solved on them) serve again
+    members = {}
     for lam in lams:
         path = realize(lam, prev_v)
+        if isinstance(f.branch, InitialStateBranch):
+            members[float(lam)] = path
         rec = _sweep_record(lam, path, boundary, grid, mesh0, max_mesh)
         if prev_end is not None:
             jump = float(np.linalg.norm(path.endpoint - prev_end))
@@ -336,7 +343,10 @@ def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID,
     refine_tol = REFINE_TOL_REL * (b - a)
     flank = max(FLANK_REL * (b - a), 10 * refine_tol)
 
-    member = functools.cache(realize)
+    def member(lam):
+        if lam not in members:
+            members[lam] = realize(lam)
+        return members[lam]
 
     def eig_k(lam, k):
         return _morse.smallest_eigenvalue(member(lam), boundary, refine_mesh, k=k)

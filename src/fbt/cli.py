@@ -402,11 +402,10 @@ def _write_path_csv(file, cfg, m, path, velocity):
     n = m.dim
     header = ["t"] + [f"x{i+1}" for i in range(n)]
     header += [f"v{i+1}" for i in range(n) if velocity] + ["F"]
-    rows = []
-    for t in np.linspace(0.0, path.tau, cfg["solver"]["samples_out"]):
-        x, v = path.state(t)
-        rows.append([t, *x, *(v if velocity else ()), m.F(x, v)])
-    write_csv(file, header, rows)
+    ts = np.linspace(0.0, path.tau, cfg["solver"]["samples_out"])
+    x, v = path.state(ts)
+    cols = [ts[:, None], x, *([v] if velocity else []), m.F(x, v)[:, None]]
+    write_csv(file, header, np.concatenate(cols, axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------

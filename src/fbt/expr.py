@@ -512,6 +512,29 @@ def _diff(node, ident, memo, chain):
     return out
 
 
+def _zeroed(node, zeros, memo):
+    """The AST with ZERO for every name in zeros, rebuilt through the
+    folding constructors, so the terms those zeros annihilate drop out."""
+    got = memo.get(node)
+    if got is not None:
+        return got
+    if isinstance(node, Num):
+        out = node
+    elif isinstance(node, Name):
+        out = ZERO if node.ident in zeros else node
+    elif isinstance(node, Unary):
+        out = -_zeroed(node.arg, zeros, memo)
+    elif isinstance(node, Call):
+        out = _call(node.fn, _zeroed(node.arg, zeros, memo))
+    elif isinstance(node, Bin):
+        out = _bin(node.op, _zeroed(node.lhs, zeros, memo),
+                   _zeroed(node.rhs, zeros, memo))
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[node] = out
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Code generation: one straight-line function per bundle of expressions
 
@@ -602,13 +625,15 @@ def _derivative_blocks(groups, dim, order):
 @functools.lru_cache(maxsize=256)
 def _generate(groups, dim, order):
     """Compile groups (a tuple of node tuples) with their derivatives up to
-    order; returns (factory over the parameters, parameter names)."""
+    order; returns (factory over the parameters, parameter names, the
+    positions of the outputs whose AST is the constant zero)."""
     emit = _Emitter(dim)
     outputs = []
     for block in _derivative_blocks(groups, dim, order):
         for nodes in block:
             outputs += [(e, emit(e)) for e in nodes]
     params = sorted(emit.params)
+    zeros = tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO)
     checked = list(dict.fromkeys(
         code for e, code in outputs
         if not (isinstance(e, Num) and math.isfinite(e.value))
@@ -628,17 +653,19 @@ def _generate(groups, dim, order):
     ])
     ns = dict(_NAMESPACE, DomainError=DomainError)
     exec(compile(src, "<fbt.expr bundle>", "exec"), ns)
-    return ns["_make"], params
+    return ns["_make"], params, zeros
 
 
 def _bound(groups, dim, params, order):
-    make, names_ = _generate(groups, dim, order)
+    """The bundle's function of x at the parameter binding, and the
+    positions of its outputs whose AST is the constant zero."""
+    make, names_, zeros = _generate(groups, dim, order)
     values = []
     for name in names_:
         if name not in params:
             raise UnboundName(name)
         values.append(float(params[name]))
-    return make(*values)
+    return make(*values), zeros
 
 
 def _as_node(e):
@@ -667,7 +694,7 @@ def jet(groups, dim, params=None, order=0):
         else:
             shapes.append((len(g),))
             flat.append(tuple(_as_node(e) for e in g))
-    fn = _bound(tuple(flat), dim, dict(params or {}), order)
+    fn, _ = _bound(tuple(flat), dim, dict(params or {}), order)
     layout = []
     start = 0
     for r in range(order + 1):
@@ -693,7 +720,7 @@ def bind(node, dim, params=None):
     x is an array of chart coordinates of length ``dim``; parameter names are
     frozen from ``params``.  Unbound names raise here, not at call time.
     """
-    fn = _bound(((_as_node(node),),), dim, dict(params or {}), 0)
+    fn, _ = _bound(((_as_node(node),),), dim, dict(params or {}), 0)
 
     def f(x):
         return fn(x)[0]

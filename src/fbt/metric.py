@@ -14,9 +14,10 @@ template is written once as an expression AST over placeholders for the
 components h_ij, b_i, their chart derivatives and v.  Symbolic
 differentiation gives the v-derivatives, and the chain rule through the
 derivative placeholders the x-derivatives.  One kernel per (dim, one-form
-or not) is generated lazily from it: straight-line code for F, L, every
-derivative piece and the spray (Cramer's rule up to dim 3,
-np.linalg.solve above), common subexpressions computed once.  The kernel
+or not, structural zeros) is generated lazily from it: straight-line code
+for F, L, every derivative piece and the spray (Cramer's rule up to dim 3,
+np.linalg.solve above), common subexpressions computed once, the terms
+the metric's identically zero components annihilate left out.  The kernel
 reads the flat component tuple of the metric's compiled bundle
 (from_callables metrics flatten their callables' arrays into the same
 layout).  Chart derivatives are exact on every path: symbolic for
@@ -149,6 +150,10 @@ class _Components:
     def bundle(self, order):
         return lambda x: self.rows([x], order)[0].tolist()
 
+    def zeros(self, order):
+        # opaque callables have no structural zeros: the generic kernel
+        return frozenset()
+
     def rows(self, xs, order):
         if not xs:
             return _no_rows(self, order)
@@ -169,8 +174,8 @@ class _ExprComponents:
         self._groups = (tuple(e for row in h for e in row),) + (
             () if beta is None else (tuple(beta),))
         self._params = dict(params or {})
-        # order 0 eagerly, so unbound names fail at construction
-        self._bundles = [_expr._bound(self._groups, dim, self._params, 0), None, None]
+        self._bundles, self._zeros = [None] * 3, [None] * 3
+        self.bundle(0)  # eagerly, so unbound names fail at construction
         self.beta = None if beta is None else (lambda x: self.stack(x, 0)[1])
 
     @functools.cached_property
@@ -183,10 +188,17 @@ class _ExprComponents:
     def bundle(self, order):
         fn = self._bundles[order]
         if fn is None:
-            fn = self._bundles[order] = _expr._bound(
-                self._groups, self.dim, self._params, order
-            )
+            fn, at = _expr._bound(self._groups, self.dim, self._params, order)
+            layout = _layout(self.dim, self.oneform, order)
+            self._zeros[order] = frozenset(layout[i] for i in at) - {"_"}
+            self._bundles[order] = fn
         return fn
+
+    def zeros(self, order):
+        """The structural zeros up to the derivative order: the placeholders
+        whose component AST is ZERO, as the bundle's generation reports."""
+        self.bundle(order)
+        return self._zeros[order]
 
     def rows(self, xs, order):
         if not xs:
@@ -353,31 +365,46 @@ def _outputs(t, entry):
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_source(dim, oneform, entry, lifted):
+def _kernel_source(dim, oneform, entry, lifted, zeros):
     """Source of one kernel entry, kernel(c, v) -> tuple of outputs, c being
     the flat component tuple at x.  The lifted kernel(c, y, v) takes the
     complex step x = a + i*y with c the tuple at a one derivative order
     higher, and its prologue lifts each placeholder P it reads to
-    P + i*sum_k y_k dP/dx_k (skipped when y = 0)."""
+    P + i*sum_k y_k dP/dx_k (skipped when y = 0).
+
+    zeros names the metric's structural zeros among the placeholders c
+    holds: those whose component AST is the constant zero (an off-diagonal
+    h_ij of a conformal metric, every derivative of a constant entry).  The
+    kernel is generated with ZERO in their place, so the products they
+    annihilate and the sums they pad fold away, and the prologue lifts
+    neither them nor by them.  Every dropped term is an exact zero, and
+    adding an exact zero to a non-zero sum is exact in IEEE arithmetic, so
+    every non-zero output keeps its value bit for bit.  An output that is
+    zero may change the sign of that zero (0 * x is -0.0 for x < 0, and
+    -0.0 + 0.0 is 0.0).  An output with no term left is a literal.  The
+    empty set gives the generic kernel, which from_callables metrics use."""
     t = _template(dim, oneform)
+    memo = {}
+    cut = lambda e: _expr._zeroed(e, zeros, memo)
     emit = _expr._Emitter(dim, placeholders=True)
     body = emit.lines
     if oneform or entry == "F":
-        q = emit(t.q)
+        q = emit(cut(t.q))
         body.append(f"if _any({q}.real <= 0.0): _not_convex('quadratic part', {q})")
     if oneform and entry == "F":
-        F = emit(t.F)
+        F = emit(cut(t.F))
         body.append(f"if _any({F}.real <= 0.0): _not_convex('F', {F})")
     if entry != "spray":
-        outs = [emit(e) for e in _outputs(t, entry)]
+        outs = [emit(cut(e)) for e in _outputs(t, entry)]
     elif dim <= 3:
-        det, num = _cramer(t.dvvL, t.rhs)
+        det, num = _cramer([[cut(e) for e in row] for row in t.dvvL],
+                           [cut(e) for e in t.rhs])
         d = emit(det)
         body.append(f"if _any({d}.real == 0.0): _singular({d})")
         outs = [emit(e / det) for e in num]
     else:
-        H = ", ".join(f"({''.join(emit(e) + ', ' for e in row)})" for row in t.dvvL)
-        r = "".join(emit(e) + ", " for e in t.rhs)
+        H = ", ".join(f"({''.join(emit(cut(e)) + ', ' for e in row)})" for row in t.dvvL)
+        r = "".join(emit(cut(e)) + ", " for e in t.rhs)
         outs = [f"_a{i}" for i in range(dim)]
         body.append(f"{', '.join(outs)}, = _solve(({H}), ({r}))")
     order = _ORDER[entry]
@@ -386,9 +413,13 @@ def _kernel_source(dim, oneform, entry, lifted):
             f"    {', '.join(f'v{i}' for i in range(dim))}, = v"]
     if lifted:
         ys = [f"y{k}" for k in range(dim)]
-        head += [f"    {', '.join(ys)}, = y", f"    if {' or '.join(ys)}:"]
-        head += [f"        {c} = {c} + 1j * ({' + '.join(f'{y} * {_d(c, k)}' for k, y in enumerate(ys))})"
-                 for c in _layout(dim, oneform, order) if c in emit.params]
+        lifts = []
+        for c in _layout(dim, oneform, order):
+            terms = [f"{y} * {_d(c, k)}" for k, y in enumerate(ys) if _d(c, k) not in zeros]
+            if c in emit.params and terms:
+                lifts.append(f"        {c} = {c} + 1j * ({' + '.join(terms)})")
+        if lifts:
+            head += [f"    {', '.join(ys)}, = y", f"    if {' or '.join(ys)}:", *lifts]
     return "\n".join(head + [f"    {line}" for line in body]
                      + [f"    return ({''.join(o + ', ' for o in outs)})"])
 
@@ -403,8 +434,12 @@ def _singular(det):
 
 
 def _solve(H, r):
-    """H^-1 r for one state (floats) or a stack (arrays over the last axis)."""
-    H, r = np.moveaxis(np.array(H), (0, 1), (-2, -1)), np.moveaxis(np.array(r), 0, -1)
+    """H^-1 r for one state (floats or complex numbers) or a stack (arrays
+    over the last axis, where a literal entry stands for every row)."""
+    n = len(r)
+    e = np.broadcast_arrays(*itertools.chain(*H), *r)
+    H = np.moveaxis(np.reshape(e[:n * n], (n, n) + e[0].shape), (0, 1), (-2, -1))
+    r = np.moveaxis(np.array(e[n * n:]), 0, -1)
     try:
         return np.moveaxis(np.linalg.solve(H, r[..., None])[..., 0], -1, 0)
     except np.linalg.LinAlgError as exc:
@@ -420,10 +455,11 @@ _NAMESPACES = {
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(dim, oneform, entry, mode):
+def _kernel(dim, oneform, entry, mode, zeros):
     """The compiled kernel entry; mode is "real" (one real state),
-    "lifted" (one complex state) or "stack" (real states as array rows)."""
-    src = _kernel_source(dim, oneform, entry, mode == "lifted")
+    "lifted" (one complex state) or "stack" (real states as array rows);
+    zeros are the structural zeros of _kernel_source."""
+    src = _kernel_source(dim, oneform, entry, mode == "lifted", zeros)
     ns = dict(_NAMESPACES[mode], _not_convex=_not_convex, _singular=_singular,
               _solve=_solve)
     exec(compile(src, f"<fbt.metric kernel {entry}>", "exec"), ns)
@@ -491,12 +527,17 @@ class MetricField:
                     for a, run in itertools.groupby(rows, operator.itemgetter(0))]
             out = runs[0] if len(runs) == 1 else np.concatenate(runs)
         elif x.ndim == 1:
-            return np.array(_kernel(n, comps.oneform, entry, "real")(
+            return np.array(_kernel(n, comps.oneform, entry, "real", comps.zeros(order))(
                 comps.bundle(order)(x.tolist()), v.tolist()))
         else:
             c = comps.rows(x.reshape(-1, n).tolist(), order)
-            out = np.array(_kernel(n, comps.oneform, entry, "stack")(
-                np.ascontiguousarray(c.T), np.ascontiguousarray(v.reshape(-1, n).T))).T
+            cols = _kernel(n, comps.oneform, entry, "stack", comps.zeros(order))(
+                np.ascontiguousarray(c.T), np.ascontiguousarray(v.reshape(-1, n).T))
+            # a literal output (a term-free structural zero) stands for every row
+            out = np.empty((len(cols), len(c)))
+            for row, col in zip(out, cols):
+                row[...] = col
+            out = out.T
         return out.reshape(x.shape[:-1] + out.shape[-1:])
 
     def complex_step(self, entry, a, rows):
@@ -507,8 +548,9 @@ class MetricField:
         complex numbers)."""
         if _ORDER[entry] == 2:
             raise TypeError(f"{entry} takes real states only")
-        kernel = _kernel(self.dim, self._c.oneform, entry, "lifted")
-        c = self._c.bundle(_ORDER[entry] + 1)(a)
+        order = _ORDER[entry] + 1
+        kernel = _kernel(self.dim, self._c.oneform, entry, "lifted", self._c.zeros(order))
+        c = self._c.bundle(order)(a)
         return np.array([kernel(c, y, u) for y, u in rows], complex)
 
     def _matrices(self, entry, x, v):
@@ -571,39 +613,36 @@ class MetricField:
     # -- invariant sweep -------------------------------------------------------
 
     def check_invariants(self, samples=INVARIANT_SAMPLES, seed=0):
+        """Sample homogeneity, the Euler identity, symmetry and definiteness
+        of the fundamental tensor at seeded states.  All samples are
+        evaluated as one stack; if that raises, each sample alone, so that
+        every failing sample has its own entry in failures."""
         rng = np.random.default_rng(seed)
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
-        worst_hom = 0.0
-        worst_euler = 0.0
-        worst_sym = 0.0
-        min_eig_ratio = math.inf
-        failures = []
+        draws = []
         for _ in range(samples):
             x = lo + (hi - lo) * rng.uniform(size=self.dim)
             direction = rng.normal(size=self.dim)
             direction /= np.linalg.norm(direction)
             mag = rng.uniform(self.v_min, 10.0)
-            v = mag * direction
-            try:
-                fv = self.F(x, v)
-                if self.pseudo and abs(fv) < 1e-10 * mag**2:
-                    continue  # near the null cone homogeneity ratios blow up
-                deg = 2.0 if self.pseudo else 1.0
-                for t in HOMOGENEITY_FACTORS:
-                    err = abs(self.F(x, t * v) - t**deg * fv) / (t**deg * abs(fv))
-                    worst_hom = max(worst_hom, err)
-                g = 0.5 * self.dvvL(x, v)
-                worst_sym = max(worst_sym, float(np.max(np.abs(g - g.T))))
-                gs = 0.5 * (g + g.T)
-                euler = abs(float(v @ gs @ v) - fv * fv) / max(fv * fv, 1e-300)
-                worst_euler = max(worst_euler, euler)
-                if not self.pseudo:
-                    w = np.linalg.eigvalsh(gs)
-                    min_eig_ratio = min(min_eig_ratio, w[0] / max(abs(w[-1]), 1e-300))
-                    if w[0] <= 0:
-                        failures.append(("definiteness", x.tolist(), v.tolist()))
-            except NumericalError as exc:
-                failures.append((type(exc).__name__, x.tolist(), v.tolist()))
+            draws.append((x, mag * direction, mag))
+        try:
+            terms = [self._invariant_terms(draws)]
+        except NumericalError:
+            terms = []
+            for x, v, mag in draws:
+                try:
+                    terms.append(self._invariant_terms([(x, v, mag)]))
+                except NumericalError as exc:
+                    terms.append(([], [], [], [], [(type(exc).__name__, x.tolist(),
+                                                    v.tolist())]))
+        hom, sym, euler, ratios, failures = (
+            [e for t in terms for e in t[k]] for k in range(5))
+        # left folds from the identity, as a per-sample running max/min
+        worst_hom = max([0.0, *hom])
+        worst_euler = max([0.0, *euler])
+        worst_sym = max([0.0, *sym])
+        min_eig_ratio = min([math.inf, *ratios])
         passed = (
             worst_hom <= 1e-9
             and worst_euler <= 1e-6
@@ -621,6 +660,37 @@ class MetricField:
             failures=failures,
             passed=passed,
         )
+
+    def _invariant_terms(self, draws):
+        """Per kept sample of draws (x, v, |v|): the homogeneity errors at
+        HOMOGENEITY_FACTORS, the symmetry and Euler errors and the
+        eigenvalue ratio of the fundamental tensor, and the definiteness
+        failures.  A pseudo-metric skips samples near its null cone, where
+        the homogeneity ratios blow up."""
+        X = np.array([x for x, _, _ in draws]).reshape(-1, self.dim)
+        V = np.array([v for _, v, _ in draws]).reshape(-1, self.dim)
+        fv = self.F(X, V)
+        keep = [not (self.pseudo and abs(f) < 1e-10 * mag**2)
+                for f, (_, _, mag) in zip(fv, draws)]
+        X, V, fv = X[keep], V[keep], fv[keep]
+        deg = 2.0 if self.pseudo else 1.0
+        hom = np.stack([np.abs(self.F(X, t * V) - t**deg * fv) / (t**deg * np.abs(fv))
+                        for t in HOMOGENEITY_FACTORS], axis=-1)
+        g = 0.5 * self.dvvL(X, V)
+        gt = np.swapaxes(g, -1, -2)
+        sym = np.max(np.abs(g - gt), axis=(-2, -1))
+        gs = 0.5 * (g + gt)
+        # v.gs.v per sample on fresh arrays: a stacked product would regroup
+        # its sum, and on views of the stacks matmul can round differently
+        euler = [abs(float(v @ s.copy() @ v) - f * f) / max(f * f, 1e-300)
+                 for v, s, f in zip(V.tolist(), gs, fv)]
+        ratios, failures = [], []
+        if not self.pseudo:
+            w = np.linalg.eigvalsh(gs)
+            ratios = (w[:, 0] / np.maximum(np.abs(w[:, -1]), 1e-300)).tolist()
+            failures = [("definiteness", x.tolist(), v.tolist())
+                        for x, v, wi in zip(X, V, w) if wi[0] <= 0]
+        return hom.ravel().tolist(), sym.tolist(), euler, ratios, failures
 
 
 @dataclass

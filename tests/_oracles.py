@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 import fbt
+from fbt import cli as _cli
 from fbt import expr as _expr
 
 
@@ -786,3 +787,66 @@ def travel_time_loop(m, path):
             x = pts[i] + 0.5 * (1.0 + node) * delta
             total += 0.5 * wgt * m.F(x, delta)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Invariant sweep and path CSV, one sample at a time
+#
+# MetricField.check_invariants and cli._write_path_csv as they stood before
+# they evaluated stacks: one F, dvvL and eigvalsh call per sample, and one
+# state and F call per output row.  The stacked versions must match them
+# byte for byte.
+
+
+def invariants_loop(m, samples, seed):
+    """m.check_invariants(samples, seed).as_dict(), one sample at a time."""
+    rng = np.random.default_rng(seed)
+    lo, hi = m.chart_box[:, 0], m.chart_box[:, 1]
+    worst_hom = worst_euler = worst_sym = 0.0
+    min_eig_ratio = math.inf
+    failures = []
+    for _ in range(samples):
+        x = lo + (hi - lo) * rng.uniform(size=m.dim)
+        direction = rng.normal(size=m.dim)
+        direction /= np.linalg.norm(direction)
+        mag = rng.uniform(m.v_min, 10.0)
+        v = mag * direction
+        try:
+            fv = m.F(x, v)
+            if m.pseudo and abs(fv) < 1e-10 * mag**2:
+                continue
+            deg = 2.0 if m.pseudo else 1.0
+            for t in fbt.metric.HOMOGENEITY_FACTORS:
+                err = abs(m.F(x, t * v) - t**deg * fv) / (t**deg * abs(fv))
+                worst_hom = max(worst_hom, err)
+            g = 0.5 * m.dvvL(x, v)
+            worst_sym = max(worst_sym, float(np.max(np.abs(g - g.T))))
+            gs = 0.5 * (g + g.T)
+            euler = abs(float(v @ gs @ v) - fv * fv) / max(fv * fv, 1e-300)
+            worst_euler = max(worst_euler, euler)
+            if not m.pseudo:
+                w = np.linalg.eigvalsh(gs)
+                min_eig_ratio = min(min_eig_ratio, w[0] / max(abs(w[-1]), 1e-300))
+                if w[0] <= 0:
+                    failures.append(("definiteness", x.tolist(), v.tolist()))
+        except fbt.errors.NumericalError as exc:
+            failures.append((type(exc).__name__, x.tolist(), v.tolist()))
+    passed = (worst_hom <= 1e-9 and worst_euler <= 1e-6 and not failures
+              and (m.pseudo or min_eig_ratio > 0))
+    return fbt.metric.InvariantReport(
+        kind=m.kind, samples=samples, seed=seed, max_homogeneity_error=worst_hom,
+        max_euler_error=worst_euler, max_symmetry_error=worst_sym,
+        min_eigenvalue_ratio=None if m.pseudo else min_eig_ratio,
+        failures=failures, passed=bool(passed)).as_dict()
+
+
+def path_csv_loop(file, samples_out, m, path, velocity):
+    """cli._write_path_csv with one path.state and one m.F call per row."""
+    n = m.dim
+    header = ["t"] + [f"x{i+1}" for i in range(n)]
+    header += [f"v{i+1}" for i in range(n) if velocity] + ["F"]
+    rows = []
+    for t in np.linspace(0.0, path.tau, samples_out):
+        x, v = path.state(t)
+        rows.append([t, *x, *(v if velocity else ()), m.F(x, v)])
+    _cli.write_csv(file, header, rows)

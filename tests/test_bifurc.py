@@ -201,6 +201,51 @@ class TestSweep:
         for d in refined:
             _check_against_fresh_members(fam, scan, d)
 
+    @pytest.mark.parametrize("make", [warped_family, randers_family],
+                             ids=["warped", "randers"])
+    def test_initial_state_samples_serve_the_refinement(self, make):
+        """An InitialStateBranch ignores its seed, so the refinement reads
+        the samples' own paths: every parameter is built once, and records
+        and detections equal those of a sweep that realizes the bracket
+        ends afresh (the same branch behind a class sweep_family does not
+        know)."""
+        fam = make()
+        builds = collections.Counter()
+
+        def counted_build(lam):
+            builds[float(lam)] += 1
+            return fam.metric_builder(lam)
+
+        class Opaque:
+            def realize(self, m, seed=None, **kw):
+                return fam.branch.realize(m, seed, **kw)
+
+        scan = sweep_family(dataclasses.replace(fam, metric_builder=counted_build),
+                            refine_mesh=REFINE_MESH)
+        fresh = sweep_family(dataclasses.replace(fam, branch=Opaque()),
+                             refine_mesh=REFINE_MESH)
+        assert any(d.refined for d in scan.detections)
+        assert set(builds.values()) == {1}
+        assert scan.records == fresh.records
+        assert scan.detections == fresh.detections
+
+    def test_connect_branch_refinement_realizes_its_own_ends(self):
+        """A ConnectBranch's samples are shot from the previous sample's
+        velocity, so the refinement realizes the bracket ends again from
+        the seedless shot."""
+        builds = collections.Counter()
+
+        def counted_build(lam):
+            builds[float(lam)] += 1
+            return warped_metric(lam, flat_axis=True)
+
+        fam = FamilySpec("lam", (0.5, 5.0), 4, counted_build,
+                         ConnectBranch([-1.0, 0.0], [1.0, 0.0], [1.0, 0.0], tau=2.0))
+        scan = sweep_family(fam, refine_mesh=REFINE_MESH)
+        d, = [d for d in scan.detections if d.refined]
+        ends = [r.lam for r in scan.records if abs(r.lam - d.mu) < 1.5]
+        assert len(ends) == 2 and all(builds[lam] == 2 for lam in ends)
+
 
 class TestSweepCriticality:
     @staticmethod

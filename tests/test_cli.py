@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fbt
 from fbt import cli
 from fbt.cli import (
     ExpressionError,
@@ -17,6 +18,8 @@ from fbt.cli import (
     metric_from_config,
     run_command,
 )
+
+from _oracles import path_csv_loop
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -111,6 +114,28 @@ class TestCommands:
                 (out / "geodesic.csv").read_text().splitlines()[-1].split(",")]
         assert last[0] == 2.0
         assert np.max(np.abs(np.array(last[1:3]) - [1, 0.5])) < 1e-8
+
+    @pytest.mark.parametrize("velocity", [True, False], ids=["geodesic", "zermelo_path"])
+    def test_path_csv_matches_per_row_loop(self, tmp_path, velocity):
+        """_write_path_csv reads the path and F as stacks; its file equals
+        the per-row loop's of _oracles byte for byte."""
+        from fbt.geoflow import integrate_geodesic
+        from fbt.metric import PhaseState
+        from fbt import nav
+
+        z = nav.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]],
+                                       ["0.6*exp(-x1^2)", "0"])
+        cfg = {"solver": {"samples_out": cli.SOLVER_DEFAULTS["samples_out"]}}
+        for m, x, v, tau in [
+            (fbt.sphere_stereo(1.3, dim=3), [0.0, -1.0, 0.2], [1.0, 0.3, 0.0], 2.5),
+            (nav.zermelo_to_randers(z), [-0.5, 0.1], [1.0, 0.2], 1.0),
+        ]:
+            path = integrate_geodesic(m, PhaseState(x, v), tau)
+            cli._write_path_csv(tmp_path / "stacked.csv", cfg, m, path, velocity)
+            path_csv_loop(tmp_path / "loop.csv", cfg["solver"]["samples_out"], m, path,
+                          velocity)
+            assert ((tmp_path / "stacked.csv").read_bytes()
+                    == (tmp_path / "loop.csv").read_bytes())
 
     def test_index_json(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, SPHERE))

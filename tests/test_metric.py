@@ -1,4 +1,7 @@
+import itertools
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,15 +11,17 @@ import pytest
 import fbt
 from fbt.errors import ConfigError
 from fbt.expr import DomainError
-from fbt.metric import (COMPLEX_STEP, ConvexityViolation, OutsideChart,
-                        RandersBoundError, SingularVerticalHessian, ZeroVelocity)
+from fbt.metric import (_ORDER, COMPLEX_STEP, ConvexityViolation,
+                        OutsideChart, RandersBoundError, SingularVerticalHessian,
+                        ZeroVelocity, _kernel, _kernel_source)
 
 from fbt.geoflow import _frame_rhs
 from fbt.jacobi import spray_jacobians
 
 from conftest import locally_constant
-from _oracles import (frame_rhs_broadcast, great_circle_chart, sphere_stereo_closed,
-                      spray_jacobians_broadcast, template_evaluators)
+from _oracles import (frame_rhs_broadcast, great_circle_chart, invariants_loop,
+                      sphere_stereo_closed, spray_jacobians_broadcast,
+                      template_evaluators)
 
 
 def fd_hessian_half_L(m, x, v, h=1e-4):
@@ -583,3 +588,225 @@ class TestComplexStep:
     def test_second_order_entries_rejected(self, randers_const):
         with pytest.raises(TypeError):
             randers_const.complex_step("dxxL", [0.0, 0.0], [([1e-30, 0.0], [1.0, 0.0])])
+
+
+def _conformal_callables(dim):
+    """from_callables with h = rho I, rho = 1 / (1 + |x|^2 / 4)."""
+    eye = np.eye(dim)
+
+    def h(x):
+        return eye / (1.0 + 0.25 * float(x @ x))
+
+    def dh(x):
+        s = 1.0 + 0.25 * float(x @ x)
+        return (-0.5 * np.asarray(x, float) / s**2)[:, None, None] * eye
+
+    def d2h(x):
+        s = 1.0 + 0.25 * float(x @ x)
+        d2 = -0.5 * eye / s**2 + 0.5 * np.outer(x, x) / s**3
+        return d2[:, :, None, None] * eye
+
+    return fbt.from_callables(dim, "from_callables", h, dh=dh, d2h=d2h)
+
+
+def _zero_catalog(dim):
+    """One metric of every catalog kind in the given dimension, most with
+    structural zeros: off-diagonal entries, constant entries, zero one-form
+    and wind components."""
+    import fbt.nav as nav
+
+    def eye():
+        return [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+
+    warp = eye()
+    warp[-1][-1] = "exp(-lam*x1^2)"
+    g = eye()
+    g[0][0] = f"1+0.1*x{dim}^2"
+    if dim > 1:
+        g[0][1] = g[1][0] = "0.05*x1"
+    h = eye()
+    h[0][0] = "1+0.1*x1^2"
+    pad = ["0"] * (dim - 1)
+    z = nav.ZermeloData.from_exprs(dim, eye(), ["0.4*exp(-x1^2)"] + pad)
+    z_const = nav.ZermeloData.from_exprs(dim, eye(), ["0.3"] + pad)
+    s = nav.StationaryData.from_exprs(dim, warp, ["0.3"] + pad, f=f"1+0.1*x{dim}^2",
+                                      params={"lam": 0.5})
+    return [
+        ("euclidean", fbt.euclidean(dim)),
+        ("sphere_stereo", fbt.sphere_stereo(1.3, dim=dim)),
+        ("warped", fbt.riemannian_expr(dim, warp, params={"lam": 1.3})),
+        ("riemannian_expr", fbt.riemannian_expr(dim, g)),
+        ("randers", fbt.randers_expr(dim, h, ["0.3*sin(x1)"] + pad)),
+        ("zermelo", nav.zermelo_to_randers(z)),
+        ("zermelo_constant", nav.zermelo_to_randers(z_const)),
+        ("fermat", nav.fermat_metric(s)[0]),
+        ("from_callables", _conformal_callables(dim)),
+    ]
+
+
+def _zero_cases():
+    return [(dim, kind, m) for dim in (1, 2, 3, 4) for kind, m in _zero_catalog(dim)]
+
+
+class TestStructuralZeros:
+    """Kernels generated without a metric's structural zeros against the
+    generic kernel (the empty zero set): every output the same bit for
+    bit.  The one exception is the sign of an output that is itself zero:
+    dropping a term that is exactly zero can turn -0.0 into 0.0 or back."""
+
+    @staticmethod
+    def _both(m, entry, mode, *args):
+        comps, order = m._c, _ORDER[entry] + (mode == "lifted")
+        v0 = args[-1][0]  # a float or, in a stack, a row of every state
+        dtype = complex if mode == "lifted" else float  # as complex_step reads
+        return [np.array(np.broadcast_arrays(
+                    *_kernel(m.dim, comps.oneform, entry, mode, zeros)(*args), v0)[:-1], dtype)
+                for zeros in (comps.zeros(order), frozenset())]
+
+    @staticmethod
+    def _assert_bits(got, want, what):
+        """got and want have the same bits but where both are zeros;
+        complex arrays are read as their (real, imag) float pairs."""
+        g, w = (np.ascontiguousarray(a).view(np.float64) for a in (got, want))
+        assert g.shape == w.shape, what
+        differ = g.view(np.uint64) != w.view(np.uint64)
+        assert not np.any(differ & ((g != 0) | (w != 0))), what
+
+    @pytest.mark.parametrize("dim, kind, m", _zero_cases(),
+                             ids=lambda c: c if isinstance(c, str) else None)
+    def test_specialized_equals_generic(self, dim, kind, m):
+        rng = np.random.default_rng(dim)
+        comps = m._c
+        if kind == "from_callables":
+            assert comps.zeros(2) == frozenset()
+        n = m.dim
+        for entry, order in _ORDER.items():
+            for _ in range(4):
+                x = 0.3 * rng.uniform(-1.0, 1.0, size=n)
+                v = rng.normal(size=n)
+                args = (comps.bundle(order)(x.tolist()), v.tolist())
+                got, want = self._both(m, entry, "real", *args)
+                self._assert_bits(got, want, (entry, "real"))
+                X = x + 0.05 * rng.normal(size=(3, n))
+                V = v + 0.1 * rng.normal(size=(3, n))
+                args = (np.ascontiguousarray(comps.rows(X.tolist(), order).T),
+                        np.ascontiguousarray(V.T))
+                got, want = self._both(m, entry, "stack", *args)
+                self._assert_bits(got, want, (entry, "stack"))
+                if order == 2:
+                    continue  # real states only
+                c = comps.bundle(order + 1)(x.tolist())
+                for y, u in [(COMPLEX_STEP * rng.normal(size=n), v),
+                             (np.zeros(n), v + 1j * COMPLEX_STEP * rng.normal(size=n)),
+                             (np.zeros(n), v)]:
+                    got, want = self._both(m, entry, "lifted", c, y.tolist(), u.tolist())
+                    self._assert_bits(got, want, (entry, "lifted"))
+
+    def test_only_zero_signs_move(self):
+        """The exception is real: the generic Euclidean dxvL sums 0 * v_k,
+        which is -0.0 when every v_k < 0; the specialized kernel returns
+        the literal 0.0."""
+        m = fbt.euclidean(2)
+        got, want = self._both(m, "dxvL", "real", m._c.bundle(1)([0.1, 0.2]), [-1.0, -0.5])
+        assert not np.any(got) and not np.any(want)
+        assert np.all(np.signbit(want)) and not np.any(np.signbit(got))
+        self._assert_bits(got, want, "dxvL")
+        with pytest.raises(AssertionError):
+            self._assert_bits(got + 1e-300, want, "dxvL")
+
+    def test_zeros_read_off_the_bundle(self):
+        """The 3-D sphere's zeros are its off-diagonal entries and their
+        derivatives; a constant entry's derivatives are zeros too."""
+        sphere = fbt.sphere_stereo(1.0, dim=3)
+        off = [f"h_{i}_{j}" for i, j in ((0, 1), (0, 2), (1, 2))]
+        want = {p + "".join(f"_d{k}" for k in ks) for p in off
+                for r in range(3) for ks in itertools.combinations_with_replacement(range(3), r)}
+        assert sphere._c.zeros(2) == want
+        assert sphere._c.zeros(0) == set(off)
+        warped = fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-x1^2)"]])
+        assert {"h_0_0_d0", "h_0_0_d1", "h_1_1_d1"} <= warped._c.zeros(1)
+        assert "h_1_1_d0" not in warped._c.zeros(1)
+
+    def test_specialized_source_reads_no_zero(self):
+        m = fbt.sphere_stereo(1.0, dim=3)
+        for lifted in (False, True):
+            zeros = m._c.zeros(1 + lifted)
+            src = _kernel_source(3, False, "spray", lifted, zeros)
+            generic = _kernel_source(3, False, "spray", lifted, frozenset())
+            body = src.splitlines()[2:]  # past the unpacking of c
+            assert not any(re.search(rf"\b{z}\b", line) for z in zeros for line in body)
+            assert len(src.splitlines()) < len(generic.splitlines())
+
+    def test_lifted_kernel_with_nothing_to_lift(self):
+        """Every component of the Euclidean metric is constant: the lifted
+        prologue is empty, and the spray is a literal zero."""
+        m = fbt.euclidean(2)
+        src = _kernel_source(2, False, "spray", True, m._c.zeros(2))
+        assert "if y" not in src and "1j" not in src
+        out = m.complex_step("spray", [0.1, 0.2], [([1e-30, 0.0], [1.0, 0.5]),
+                                                     ([0.0, 0.0], [1.0, 0.5 + 1e-30j])])
+        assert out.shape == (2, 2) and not np.any(out)
+
+    @pytest.mark.parametrize("entry", ["dxvL", "spray", "second_derivatives"])
+    def test_stack_broadcasts_literal_outputs(self, entry):
+        """Literal outputs of a stack kernel stand for every row: dxvL of a
+        diagonal metric and the spray of a constant wind."""
+        import fbt.nav as nav
+
+        z = nav.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]], ["0.3", "0"])
+        rng = np.random.default_rng(3)
+        X, V = 0.3 * rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        for literal, m in [(True, fbt.euclidean(2)), (True, nav.zermelo_to_randers(z)),
+                           (False, fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-x1^2)"]]))]:
+            src = _kernel_source(2, m._c.oneform, entry, False, m._c.zeros(_ORDER[entry]))
+            assert not literal or re.search(r"return \(.*\b0\.0,", src), src
+            got = getattr(m, entry)(X, V)
+            rows = [getattr(m, entry)(X[i], V[i]) for i in range(5)]
+            if entry == "second_derivatives":
+                got, rows = np.stack(got, axis=1), [np.stack(r) for r in rows]
+            assert got.shape == (5,) + np.shape(rows[0])
+            np.testing.assert_array_equal(got, np.array(rows))
+
+    def test_solve_accepts_literal_entries(self):
+        """At dim 4 the spray solves H a = r by np.linalg.solve; a diagonal
+        metric's H has literal zeros beside the stack's arrays."""
+        m = fbt.sphere_stereo(1.0, dim=4)
+        src = _kernel_source(4, False, "spray", False, m._c.zeros(1))
+        assert "0.0, " in src.split("_solve(")[1]
+        rng = np.random.default_rng(4)
+        X, V = 0.3 * rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        stacked = m.spray(X, V)
+        np.testing.assert_array_equal(stacked, [m.spray(x, v) for x, v in zip(X, V)])
+        c = m._c.bundle(2)(X[0].tolist())
+        for y, u in zip(*_frame_stack(np.zeros(4), V[0])):
+            y, u = y.imag.tolist(), u.tolist()
+            np.testing.assert_array_equal(
+                m.complex_step("spray", X[0].tolist(), [(y, u)])[0],
+                _kernel(4, False, "spray", "lifted", frozenset())(c, y, u))
+
+
+class TestInvariantsStacked:
+    """check_invariants evaluates its samples as stacks; the report equals
+    the per-sample loop of _oracles.invariants_loop byte for byte, also
+    when a sample raises and the sweep falls back to one sample at a time."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: fbt.sphere_stereo(1.3, dim=3),
+        lambda: fbt.euclidean(2),
+        lambda: fbt.randers_expr(2, [["1+0.1*x2^2", "0.05*x1"], ["0.05*x1", "1"]],
+                                 ["0.3*sin(x2)", "0.2*x1*x2"],
+                                 chart_box=[[-1.5, 1.5], [-1.5, 1.5]]),
+        lambda: fbt.quadratic_expr(2, [["1", "0"], ["0", "-(1+0.1*x1^2)"]]),
+        lambda: fbt.riemannian_expr(2, [["1", "0"], ["0", "x1"]]),
+        lambda: locally_constant(2, "strong_wind", lambda x: np.eye(2),
+                                 lambda x: np.array([2.0, 0.0])),
+    ], ids=["sphere3", "euclidean", "randers", "quadratic", "indefinite", "strong_wind"])
+    @pytest.mark.usefixtures("no_randers_check")
+    def test_matches_per_sample_loop(self, make):
+        m = make()
+        for seed in (0, 17):
+            got = m.check_invariants(samples=120, seed=seed).as_dict()
+            want = invariants_loop(m, 120, seed)
+            # as metric_check.json writes them (numpy scalars as Python values)
+            dump = lambda rep: json.dumps(rep, default=lambda o: o.item())
+            assert dump(got) == dump(want)
