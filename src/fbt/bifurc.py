@@ -487,8 +487,7 @@ def find_branches(f, mu, *, seed=0,
         p = triv.x0
         tau = triv.tau
         v_triv = triv.v0
-        tol = 1e-10 * (1.0 + np.linalg.norm(q))
-        tol_hunt = max(10.0 * tol, 3e-9 * (1.0 + np.linalg.norm(q)))
+        tol_hunt = 3e-9 * (1.0 + np.linalg.norm(q))
 
         def G(v, rtol=HUNT_RTOL, atol=HUNT_ATOL):
             return exp_map(m, p, v, tau, rtol=rtol, atol=atol) - q

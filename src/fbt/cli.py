@@ -219,15 +219,22 @@ def _validate_semantics(cfg):
             _expr.parse(mc["f"])
         except _expr.ExprSyntaxError as exc:
             raise ExpressionError(f"/metric/f: {exc}") from None
+    problem = cfg.get("problem", {})
     for vec_name in ("initial", "connect"):
-        prob = cfg.get("problem", {}).get(vec_name)
-        if prob:
+        block = problem.get(vec_name)
+        if block:
             for key in ("x", "v", "p", "q", "v_seed"):
-                if key in prob:
-                    _check_vector(prob[key], dim, f"/problem/{vec_name}/{key}")
-    bd = cfg.get("problem", {}).get("boundary")
+                if key in block:
+                    _check_vector(block[key], dim, f"/problem/{vec_name}/{key}")
+    bd = problem.get("boundary")
     if bd is not None:
         _check_vector(bd["x0"], dim, "/problem/boundary/x0")
+        # the path starts at initial.x, or at connect.p (see _branch_from_config)
+        start = (problem["initial"]["x"] if "initial" in problem
+                 else problem.get("connect", {}).get("p"))
+        if start is not None and not np.array_equal(bd["x0"], start):
+            raise SchemaError(f"/problem/boundary/x0: the boundary must pass through "
+                              f"the path's start {start}")
         for i, row in enumerate(bd["basis"]):
             _check_vector(row, dim, f"/problem/boundary/basis/{i}")
         if "shape_operator" in bd:

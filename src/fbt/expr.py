@@ -42,7 +42,6 @@ __all__ = [
     "DomainError",
     "parse",
     "to_source",
-    "evaluate",
     "bind",
     "jet",
     "diff",
@@ -726,9 +725,3 @@ def bind(node, dim, params=None):
         return fn(x)[0]
 
     return f
-
-
-def evaluate(node, point, params=None):
-    """Evaluate at a chart point with the given parameter binding."""
-    point = np.asarray(point, dtype=float)
-    return bind(node, point.shape[0], params)(point)

@@ -102,6 +102,12 @@ class BoundaryData:
                 raise ValueError("shape operator must be symmetric")
             self.shape_operator = 0.5 * (self.shape_operator + self.shape_operator.T)
 
+    def check_start(self, x):
+        """Raise ValueError unless P passes through x, a path's start."""
+        if not np.array_equal(self.x0, x):
+            raise ValueError(f"boundary x0 {self.x0.tolist()} is not the path's "
+                             f"start {np.asarray(x).tolist()}")
+
 
 @dataclass
 class GeodesicPath:
@@ -138,10 +144,6 @@ class GeodesicPath:
     @property
     def endpoint(self):
         return self.ys[-1][: self.dim]
-
-    def speed(self, t):
-        x, v = self.state(t)
-        return self.metric.F(x, v)
 
     def speed_deviation(self):
         x, v = self.state(np.linspace(0.0, self.tau, SPEED_SAMPLES))

@@ -104,9 +104,6 @@ class JacobiFrame:
         n = self.dim
         return self.sol(t)[-n * n:].T.reshape(np.shape(t) + (n, n))
 
-    def sigma(self, t):
-        return np.linalg.svd(self.M(t), compute_uv=False)
-
     def residual_max(self):
         """Linearized-equation residual, with M'' the dense output's exact
         derivative of M'."""
@@ -126,6 +123,7 @@ def _focal_init(m, path, b):
     the g_v-orthogonal complement with J(0) = 0."""
     n = m.dim
     x0, v0 = path.x0, path.v0
+    b.check_start(x0)
     W = b.basis
     k = W.shape[1]
     G = m.fundamental_tensor(x0, v0)

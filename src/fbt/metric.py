@@ -1,8 +1,9 @@
 """Finsler metrics on a single chart box.
 
-A MetricField bundles evaluators for F, L = F^2 and the chart derivatives
-dxL, dvL, dxxL, dxvL, dvvL, plus the fundamental tensor (the vertical
-Hessian of L/2) and the geodesic spray.
+A MetricField bundles evaluators for F, L = F^2 and its velocity
+derivatives dvL and dvvL, the second derivatives (dxxL, dxvL, dvvL) in one
+call, the fundamental tensor (the vertical Hessian of L/2) and the geodesic
+spray.
 
 Every supported kind fits one algebraic template,
 
@@ -23,7 +24,7 @@ reads the flat component tuple of the metric's compiled bundle
 layout).  Chart derivatives are exact on every path: symbolic for
 expression metrics, the caller's derivative callables for from_callables.
 
-Evaluators needing at most first chart derivatives (all but dxxL and
+Evaluators needing at most first chart derivatives (all but
 second_derivatives) also take complex-step states x = a + i*y,
 v = u + i*w, |y|, |w| near COMPLEX_STEP.  The real jet is evaluated one
 order higher, once per run of rows sharing the real part a, and a
@@ -74,8 +75,11 @@ __all__ = [
 DEFAULT_V_MIN = 1e-6
 DEFAULT_CHART_HALF_WIDTH = 10.0
 INVARIANT_SAMPLES = 200
-# a definite metric with a one-form samples |beta|_h < 1 over its chart box
+# a definite metric with a one-form samples |beta|_h < 1 over its chart box,
+# at the centre and RANDERS_CHECK_SAMPLES points drawn from RANDERS_CHECK_SEED
 RANDERS_CHECK = True
+RANDERS_CHECK_SAMPLES = 128
+RANDERS_CHECK_SEED = 7
 # the imaginary step of complex-step derivatives
 COMPLEX_STEP = 1e-30
 # the velocity scalings at which check_invariants tests the homogeneity of F
@@ -176,14 +180,10 @@ class _ExprComponents:
         self._params = dict(params or {})
         self._bundles, self._zeros = [None] * 3, [None] * 3
         self.bundle(0)  # eagerly, so unbound names fail at construction
-        self.beta = None if beta is None else (lambda x: self.stack(x, 0)[1])
 
     @functools.cached_property
     def chart_constant(self):
         return not any(_expr.coordinates(e) for g in self._groups for e in g)
-
-    def h(self, x):
-        return self.stack(x, 0)[0]
 
     def bundle(self, order):
         fn = self._bundles[order]
@@ -229,8 +229,8 @@ class _ExprComponents:
 # (h_0_1_d0_d1 = d2 h01 / dx0 dx1).
 
 # chart derivative order of the components each kernel entry reads
-_ORDER = {"q": 0, "F": 0, "L": 0, "dvL": 0, "dvvL": 0, "dxL": 1, "dxvL": 1,
-          "spray": 1, "dxxL": 2, "second_derivatives": 2}
+_ORDER = {"q": 0, "F": 0, "L": 0, "dvL": 0, "dvvL": 0, "spray": 1,
+          "second_derivatives": 2}
 
 
 def _d(name, k):
@@ -435,15 +435,23 @@ def _singular(det):
 
 def _solve(H, r):
     """H^-1 r for one state (floats or complex numbers) or a stack (arrays
-    over the last axis, where a literal entry stands for every row)."""
+    over the last axis, where a literal entry stands for every row).
+
+    A complex-step system (A + iB)(a + ib) = c + id is solved to first order
+    in the step by two real solves, A a = c and A b = d - B a (the dropped
+    B b is of the step's square), so the real part a is the real state's
+    solution bit for bit."""
     n = len(r)
     e = np.broadcast_arrays(*itertools.chain(*H), *r)
     H = np.moveaxis(np.reshape(e[:n * n], (n, n) + e[0].shape), (0, 1), (-2, -1))
-    r = np.moveaxis(np.array(e[n * n:]), 0, -1)
+    r = np.moveaxis(np.array(e[n * n:]), 0, -1)[..., None]
     try:
-        return np.moveaxis(np.linalg.solve(H, r[..., None])[..., 0], -1, 0)
+        a = np.linalg.solve(H.real, r.real)
+        if np.iscomplexobj(H) or np.iscomplexobj(r):
+            a = a + 1j * np.linalg.solve(H.real, r.imag - H.imag @ a)
     except np.linalg.LinAlgError as exc:
         raise SingularVerticalHessian(str(exc)) from None
+    return np.moveaxis(a[..., 0], -1, 0)
 
 
 # one source, compiled over floats, complex numbers or numpy arrays
@@ -573,19 +581,9 @@ class MetricField:
     def dvvL(self, x, v):
         return self._matrices("dvvL", x, v)[..., 0, :, :]
 
-    def dxL(self, x, v):
-        return self._eval("dxL", x, v)
-
-    def dxvL(self, x, v):
-        """Mixed Hessian, dxvL[..., k, j] = d^2 L / dx_k dv_j."""
-        return self._matrices("dxvL", x, v)[..., 0, :, :]
-
-    def dxxL(self, x, v):
-        return self._matrices("dxxL", x, v)[..., 0, :, :]
-
     def second_derivatives(self, x, v):
         """(dxxL, dxvL, dvvL) from one kernel call (hot path for quadrature
-        assembly)."""
+        assembly); the mixed Hessian is dxvL[..., k, j] = d^2 L / dx_k dv_j."""
         out = self._matrices("second_derivatives", x, v)
         return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
 
@@ -806,9 +804,9 @@ def _sampled_bound(pts, norm2, error, what):
     return math.sqrt(worst)
 
 
-def _check_randers_bound(m, n_check=128, seed=7):
+def _check_randers_bound(m):
     """Sample |beta|_h over the chart box; reject if it ever reaches 1."""
-    pts = _sample_points(m.chart_box, n_check, seed)
+    pts = _sample_points(m.chart_box, RANDERS_CHECK_SAMPLES, RANDERS_CHECK_SEED)
     n = m.dim
     c = m._c.rows(pts.tolist(), 0)
     h, b = c[:, :n * n].reshape(-1, n, n), c[:, n * n:]

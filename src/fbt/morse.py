@@ -167,6 +167,7 @@ def _assemble(path, boundary, mesh):
     T_loc = np.einsum("g,egab->eab", w, pa * pb + da * db)
     k, K0 = 0, np.zeros((0, 0))
     if isinstance(boundary, BoundaryData):
+        boundary.check_start(path.x0)
         W = boundary.basis
         k = W.shape[1]
         U, R = np.linalg.qr(W, mode="complete")

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from . import expr as _expr
 from . import metric as _metric
-from .geoflow import GeodesicPath, integrate_geodesic
+from .geoflow import integrate_geodesic
 from .metric import MetricField, PhaseState
 from .morse import GAUSS3_NODES, GAUSS3_WEIGHTS
 
@@ -118,21 +118,12 @@ def zermelo_to_randers(z, **kw):
 
 
 def travel_time(m, path):
-    """Integral of F(x, dx/dt) along a GeodesicPath (3-point Gauss rule on
-    each step) or a polyline (k, n) array (the same rule on each segment).
-    All Gauss points go through one stacked F call; the terms are summed in
-    order, segment by segment."""
-    if isinstance(path, GeodesicPath):
-        half = 0.5 * np.diff(path.ts)
-        mid = 0.5 * (path.ts[:-1] + path.ts[1:])
-        x, v = path.state((mid[:, None] + half[:, None] * GAUSS3_NODES).ravel())
-    else:
-        pts = np.asarray(path, dtype=float)
-        half = np.full(len(pts) - 1, 0.5)
-        delta = np.diff(pts, axis=0)
-        x = pts[:-1, None] + (0.5 * (1.0 + GAUSS3_NODES))[:, None] * delta[:, None]
-        v = np.repeat(delta, 3, axis=0)
-        x = x.reshape(v.shape)
+    """Integral of F(x, dx/dt) along a GeodesicPath, by the 3-point Gauss
+    rule on each integrator step.  All Gauss points go through one stacked
+    F call; the terms are summed in order, step by step."""
+    half = 0.5 * np.diff(path.ts)
+    mid = 0.5 * (path.ts[:-1] + path.ts[1:])
+    x, v = path.state((mid[:, None] + half[:, None] * GAUSS3_NODES).ravel())
     terms = half[:, None] * GAUSS3_WEIGHTS * m.F(x, v).reshape(-1, 3)
     return float(np.cumsum(np.concatenate([[0.0], terms.ravel()]))[-1])
 

@@ -532,9 +532,6 @@ _TEMPLATE = {
     "L": (0, lambda t, pseudo: t.q if t.bx is None else t.F**2),
     "dvL": (0, lambda t, pseudo: _tdvL(t)),
     "dvvL": (0, lambda t, pseudo: _tdvvL(t)),
-    "dxL": (1, lambda t, pseudo: _tdxL(t)),
-    "dxvL": (1, lambda t, pseudo: _tdxvL(t)),
-    "dxxL": (2, lambda t, pseudo: _tdxxL(t)),
     "spray": (1, lambda t, pseudo: _tspray(t)),
     "second_derivatives": (2, lambda t, pseudo: np.stack([_tdxxL(t), _tdxvL(t),
                                                           _tdvvL(t)])),
@@ -542,8 +539,8 @@ _TEMPLATE = {
 
 
 def template_evaluators(m):
-    """name -> f(x, v) for F, L, spray, second_derivatives (stacked as
-    (..., 3, n, n)) and the dvL, dvvL, dxL, dxvL, dxxL pieces, at one state
+    """name -> f(x, v) for F, L, dvL, dvvL, spray and second_derivatives
+    (dxxL, dxvL, dvvL stacked as (..., 3, n, n)), at one state
     (n,) or a stack (N, n), evaluated one state at a time."""
     def make(order, formula):
         def f(x, v):
@@ -730,10 +727,10 @@ def _sampled_worst(pts, norm2_at, error, what):
     return math.sqrt(max(worst, 0.0))
 
 
-def randers_bound_per_sample(m, n_check=128, seed=7):
+def randers_bound_per_sample(m):
     """metric._check_randers_bound with one component evaluation and one
     solve per sample point."""
-    from fbt.metric import RandersBoundError
+    from fbt.metric import RANDERS_CHECK_SAMPLES, RANDERS_CHECK_SEED, RandersBoundError
 
     def norm2_at(x):
         hx, bx = m._c.stack(x, 0)
@@ -742,8 +739,9 @@ def randers_bound_per_sample(m, n_check=128, seed=7):
         except np.linalg.LinAlgError:
             raise RandersBoundError(f"h singular at sampled point {x}") from None
 
-    return _sampled_worst(_box_samples(m.chart_box, n_check, seed), norm2_at,
-                          RandersBoundError, "|beta|_h")
+    return _sampled_worst(_box_samples(m.chart_box, RANDERS_CHECK_SAMPLES,
+                                       RANDERS_CHECK_SEED),
+                          norm2_at, RandersBoundError, "|beta|_h")
 
 
 def wind_bound_per_sample(z):
@@ -771,21 +769,13 @@ def wind_bound_per_sample(z):
 def travel_time_loop(m, path):
     """nav.travel_time with one state and one F call per Gauss point."""
     total = 0.0
-    if isinstance(path, fbt.geoflow.GeodesicPath):
-        ts = path.ts
-        for i in range(len(ts) - 1):
-            half = 0.5 * (ts[i + 1] - ts[i])
-            mid = 0.5 * (ts[i] + ts[i + 1])
-            for node, wgt in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-                x, v = path.state(mid + half * node)
-                total += half * wgt * m.F(x, v)
-        return total
-    pts = np.asarray(path, dtype=float)
-    for i in range(len(pts) - 1):
-        delta = pts[i + 1] - pts[i]
+    ts = path.ts
+    for i in range(len(ts) - 1):
+        half = 0.5 * (ts[i + 1] - ts[i])
+        mid = 0.5 * (ts[i] + ts[i + 1])
         for node, wgt in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
-            x = pts[i] + 0.5 * (1.0 + node) * delta
-            total += 0.5 * wgt * m.F(x, delta)
+            x, v = path.state(mid + half * node)
+            total += half * wgt * m.F(x, v)
     return total
 
 

@@ -305,7 +305,7 @@ class TestVerdicts:
 
             def h(x):
                 out = eye.copy()
-                out[:2, :2] = base._c.h(x[:2])
+                out[:2, :2] = base._c.stack(x[:2], 0)[0]
                 out[2, 2] = lam
                 return out
 

@@ -248,10 +248,14 @@ class TestCommands:
         ("geodesic", {"kind": "riemannian_expr", "g": [["1 + a", "0"], ["0", "1"]]},
          None, "/metric"),
         ("focal", {"kind": "euclidean"}, None, "/problem/boundary"),
+        # P must pass through the path's start, initial.x = (0, 0)
+        *[(cmd, {"kind": "euclidean"}, {"x0": [1, 0], "basis": [[0, 1]]},
+           "/problem/boundary/x0") for cmd in ("focal", "index", "sweep")],
     ], ids=["empty-g", "empty-beta", "empty-W", "empty-V", "basis-not-orthonormal",
             "basis-row-length", "x0-length", "shape-operator-size", "negative-K",
             "reversed-chart-box", "chart-box-shape", "strong-wind", "strong-beta",
-            "unbound-name", "focal-without-boundary"])
+            "unbound-name", "focal-without-boundary", "x0-off-start-focal",
+            "x0-off-start-index", "x0-off-start-sweep"])
     def test_malformed_block_exit_1(self, tmp_path, capsys, cmd, metric, boundary,
                                     pointer):
         problem = {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}}

@@ -199,7 +199,7 @@ class TestRandersBoundCheck:
          ["0.1*x1", "0.2", "0.3*x2"], [[-2, 2]] * 3),
     ])
     @pytest.mark.usefixtures("no_randers_check")
-    def test_matches_per_sample_formula(self, h, beta, box):
+    def test_matches_per_sample_formula(self, h, beta, box, monkeypatch):
         from _oracles import randers_bound_per_sample
         from fbt.metric import _check_randers_bound
 
@@ -207,8 +207,10 @@ class TestRandersBoundCheck:
         got = _bound_outcome(_check_randers_bound, m)
         assert got == _bound_outcome(randers_bound_per_sample, m)
         for n_check, seed in ((3, 1), (500, 2)):
-            assert (_bound_outcome(_check_randers_bound, m, n_check, seed)
-                    == _bound_outcome(randers_bound_per_sample, m, n_check, seed))
+            monkeypatch.setattr(fbt.metric, "RANDERS_CHECK_SAMPLES", n_check)
+            monkeypatch.setattr(fbt.metric, "RANDERS_CHECK_SEED", seed)
+            assert (_bound_outcome(_check_randers_bound, m)
+                    == _bound_outcome(randers_bound_per_sample, m))
 
     @pytest.mark.usefixtures("no_randers_check")
     def test_singular_h_names_the_point(self):
@@ -398,20 +400,21 @@ class TestSphereExpressionBuild:
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
+# a 4-D metric: the spray's np.linalg.solve path
+G4 = [["1+0.1*x2^2", "0.05*x1", "0", "0"], ["0.05*x1", "1", "0", "0.1*x3"],
+      ["0", "0", "exp(-x1^2)", "0"], ["0", "0.1*x3", "0", "2+sin(x4)"]]
+
+
 def _kernel_catalog():
-    """_stack_catalog, a 4-D metric (the spray's np.linalg.solve path) and a
-    3-D indefinite quadratic kind."""
-    g4 = [["1+0.1*x2^2", "0.05*x1", "0", "0"], ["0.05*x1", "1", "0", "0.1*x3"],
-          ["0", "0", "exp(-x1^2)", "0"], ["0", "0.1*x3", "0", "2+sin(x4)"]]
+    """_stack_catalog, a 4-D metric and a 3-D indefinite quadratic kind."""
     return _stack_catalog() + [
-        fbt.riemannian_expr(4, g4),
+        fbt.riemannian_expr(4, G4),
         fbt.quadratic_expr(3, [["1", "0", "0"], ["0", "-1", "0.1*x1"],
                                ["0", "0.1*x1", "1+x3^2"]]),
     ]
 
 
-EVALUATORS = ("F", "L", "spray", "second_derivatives", "dvL", "dvvL", "dxL",
-              "dxvL", "dxxL")
+EVALUATORS = ("F", "L", "spray", "second_derivatives", "dvL", "dvvL")
 
 
 class TestGeneratedKernel:
@@ -437,7 +440,7 @@ class TestGeneratedKernel:
         oracle = template_evaluators(m)
         for case, (x, v) in self._states(m).items():
             for name in EVALUATORS:
-                if np.iscomplexobj(x) and name in ("dxxL", "second_derivatives"):
+                if np.iscomplexobj(x) and name == "second_derivatives":
                     continue  # real states only
                 got = getattr(m, name)(x, v)
                 if name == "second_derivatives":
@@ -587,7 +590,8 @@ class TestComplexStep:
 
     def test_second_order_entries_rejected(self, randers_const):
         with pytest.raises(TypeError):
-            randers_const.complex_step("dxxL", [0.0, 0.0], [([1e-30, 0.0], [1.0, 0.0])])
+            randers_const.complex_step("second_derivatives", [0.0, 0.0],
+                                       [([1e-30, 0.0], [1.0, 0.0])])
 
 
 def _conformal_callables(dim):
@@ -703,11 +707,12 @@ class TestStructuralZeros:
                     self._assert_bits(got, want, (entry, "lifted"))
 
     def test_only_zero_signs_move(self):
-        """The exception is real: the generic Euclidean dxvL sums 0 * v_k,
-        which is -0.0 when every v_k < 0; the specialized kernel returns
-        the literal 0.0."""
+        """The exception is real: the generic Euclidean dxvL (the middle
+        block of second_derivatives) sums 0 * v_k, which is -0.0 when every
+        v_k < 0; the specialized kernel returns the literal 0.0."""
         m = fbt.euclidean(2)
-        got, want = self._both(m, "dxvL", "real", m._c.bundle(1)([0.1, 0.2]), [-1.0, -0.5])
+        got, want = (a[4:8] for a in self._both(
+            m, "second_derivatives", "real", m._c.bundle(2)([0.1, 0.2]), [-1.0, -0.5]))
         assert not np.any(got) and not np.any(want)
         assert np.all(np.signbit(want)) and not np.any(np.signbit(got))
         self._assert_bits(got, want, "dxvL")
@@ -747,10 +752,11 @@ class TestStructuralZeros:
                                                      ([0.0, 0.0], [1.0, 0.5 + 1e-30j])])
         assert out.shape == (2, 2) and not np.any(out)
 
-    @pytest.mark.parametrize("entry", ["dxvL", "spray", "second_derivatives"])
+    @pytest.mark.parametrize("entry", ["spray", "second_derivatives"])
     def test_stack_broadcasts_literal_outputs(self, entry):
-        """Literal outputs of a stack kernel stand for every row: dxvL of a
-        diagonal metric and the spray of a constant wind."""
+        """Literal outputs of a stack kernel stand for every row: the dxvL
+        block of a diagonal metric's second derivatives and the spray of a
+        constant wind."""
         import fbt.nav as nav
 
         z = nav.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]], ["0.3", "0"])
@@ -783,6 +789,24 @@ class TestStructuralZeros:
             np.testing.assert_array_equal(
                 m.complex_step("spray", X[0].tolist(), [(y, u)])[0],
                 _kernel(4, False, "spray", "lifted", frozenset())(c, y, u))
+
+    @pytest.mark.parametrize("make", [lambda: fbt.sphere_stereo(1.0, dim=4),
+                                      lambda: fbt.riemannian_expr(4, G4)],
+                             ids=["sphere_stereo", "riemannian_expr"])
+    def test_frame_rows_read_the_real_spray(self, make):
+        """At dim 4 the real part of every complex-step frame row is the
+        real spray bit for bit, as Cramer's rule gives it up to dim 3, so a
+        variational flow integrates integrate_geodesic's geodesic."""
+        m, h = make(), COMPLEX_STEP
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            x, v = 0.3 * rng.normal(size=4), rng.normal(size=4)
+            M, Md = rng.normal(size=(2, 4, 4))
+            rows = [((h * M[:, j]).tolist(), (v + 1j * h * Md[:, j]).tolist())
+                    for j in range(4)]
+            want = m.spray(x, v)
+            for row in m.complex_step("spray", x.tolist(), rows):
+                np.testing.assert_array_equal(row.real, want)
 
 
 class TestInvariantsStacked:

@@ -7,7 +7,7 @@ from scipy.linalg import eigh as scipy_eigh
 
 import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
-from fbt.jacobi import ConjugateInstant, ConjugateReport, conjugate_scan
+from fbt.jacobi import ConjugateInstant, ConjugateReport, conjugate_scan, focal_scan
 from fbt.metric import PhaseState
 from fbt.morse import (
     KER_FLOOR,
@@ -140,6 +140,14 @@ class TestCrossCheck:
             rep = cross_check(path, b)
             assert rep.agree
             assert (rep.m_minus, rep.m_zero) == want
+
+    def test_boundary_off_the_start_rejected(self, euclid):
+        # P through (1, 0) is not the submanifold of a path from (0, 0)
+        b = BoundaryData([1.0, 0.0], np.array([[0.0], [1.0]]))
+        path = integrate_geodesic(euclid, PhaseState([0.0, 0.0], [1.0, 0.0]), 2.0)
+        for route in (focal_scan, cross_check, index_spectral):
+            with pytest.raises(ValueError, match=r"x0 \[1.0, 0.0\] is not the path's start"):
+                route(path, b)
 
 
 class TestMonotonicity:
