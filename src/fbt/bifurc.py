@@ -174,15 +174,6 @@ class Verdict:
     nullity: int
     label: str
 
-    def as_dict(self):
-        return {
-            "mu": self.mu,
-            "interval_left": list(self.interval_left),
-            "interval_right": list(self.interval_right),
-            "nullity": self.nullity,
-            "label": self.label,
-        }
-
 
 @dataclass
 class BranchSolution:
@@ -193,17 +184,6 @@ class BranchSolution:
     c1_distance: float
     endpoint_residual: float
     el_residual: float
-
-    def as_dict(self):
-        return {
-            "lambda": self.lam,
-            "offset": self.offset,
-            "v0": self.v0.tolist(),
-            "speed": self.speed,
-            "c1_distance": self.c1_distance,
-            "endpoint_residual": self.endpoint_residual,
-            "el_residual": self.el_residual,
-        }
 
 
 @dataclass
@@ -227,16 +207,6 @@ class BranchEvidence:
             out = [s for s in out if s.c1_distance <= close_tol]
         return out
 
-    def as_dict(self):
-        return {
-            "mu": self.mu,
-            "delta": self.delta,
-            "seed": self.seed,
-            "rho_ladder": list(self.rho_ladder),
-            "seeds_per_rung": self.seeds_per_rung,
-            "solutions": [s.as_dict() for s in self.solutions],
-        }
-
 
 @dataclass
 class Diagnosis:
@@ -244,14 +214,6 @@ class Diagnosis:
     distinct_speeds: bool
     counts: dict
     note: str = "diagnostic, not a certificate"
-
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "distinct_speeds": self.distinct_speeds,
-            "counts": self.counts,
-            "note": self.note,
-        }
 
 
 @dataclass

@@ -4,8 +4,9 @@ The only module with I/O.  Configs are strict JSON validated against the
 published schema (docs/config.schema.json, also shipped inside the package)
 by fbt's own walk, which knows exactly the keywords the schema uses; numpy
 is the only run-time dependency.  Artifacts are CSV for sampled data and
-JSON for structured verdicts; every artifact embeds or sits next to the
-fully resolved configuration so that a run can be reproduced byte for byte.
+JSON for structured verdicts, a result dataclass written by its fields
+(_jsonable); every artifact embeds or sits next to the fully resolved
+configuration so that a run can be reproduced byte for byte.
 A config error, in loading or inside a command, writes nothing.
 
     fbt <command> --config cfg.json [--out DIR] [--seed N]
@@ -19,6 +20,7 @@ failure (diagnostic JSON is still written).  Log level comes from FBT_LOG
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -45,6 +47,9 @@ COMMANDS = (
     "metric-check", "geodesic", "expmap", "conjugate", "focal",
     "index", "sweep", "branch", "zermelo", "fermat",
 )
+
+# the commands that read problem.boundary; every other command rejects it
+BOUNDARY_COMMANDS = ("focal", "index", "sweep")
 
 # metric fields holding a dim x dim matrix of expressions; the others in
 # _validate_semantics hold a vector of dim expressions
@@ -379,7 +384,22 @@ def write_csv(path, header, rows):
         fh.write(data)
 
 
+# result fields that the JSON artifacts spell otherwise
+ARTIFACT_KEYS = {
+    "lam": "lambda",
+    "m_left": "index_left",
+    "m_right": "index_right",
+    "m0_left": "nullity_left",
+    "m0_right": "nullity_right",
+}
+
+
 def _jsonable(obj):
+    """obj as JSON values; a result dataclass becomes the dict of its fields,
+    keyed by field name or its ARTIFACT_KEYS spelling."""
+    if dataclasses.is_dataclass(obj):
+        return {ARTIFACT_KEYS.get(f.name, f.name): _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating,)):
@@ -424,7 +444,7 @@ def _cmd_metric_check(cfg, out):
     rep = m.check_invariants(
         samples=cfg["solver"]["invariant_samples"], seed=cfg["solver"]["seed"]
     )
-    write_json(os.path.join(out, "metric_check.json"), rep.as_dict(), cfg=cfg)
+    write_json(os.path.join(out, "metric_check.json"), rep, cfg=cfg)
     return 0
 
 
@@ -469,20 +489,12 @@ def _scan_command(cfg, out, focal):
     write_csv(
         os.path.join(out, f"{stem}.csv"),
         ["t", "multiplicity", "sigma_min"],
-        rep.as_rows(),
+        [(c.t, c.multiplicity, c.sigma_min_rel) for c in rep.instants],
     )
     write_json(
         os.path.join(out, f"{stem}.json"),
-        {
-            "tau": rep.tau,
-            "grid": rep.grid,
-            "theta_null": _jacobi.THETA_NULL,
-            "instants": [
-                {"t": c.t, "multiplicity": c.multiplicity, "sigma_min_rel": c.sigma_min_rel}
-                for c in rep.instants
-            ],
-            "warnings": rep.warnings,
-        },
+        {"tau": rep.tau, "grid": rep.grid, "theta_null": _jacobi.THETA_NULL,
+         "instants": rep.instants, "warnings": rep.warnings},
         cfg=cfg,
     )
     return 0
@@ -495,7 +507,13 @@ def _cmd_index(cfg, out):
     sv = cfg["solver"]
     rep = _morse.cross_check(path, boundary, grid=sv["scan_grid"],
                              mesh0=sv["mesh0"], max_mesh=sv["max_mesh"])
-    write_json(os.path.join(out, "index.json"), rep.as_dict(), cfg=cfg)
+    doc = _jsonable(rep)
+    # index.json leaves out an empty instant list and the eigenvalue that
+    # only sweep.csv reads
+    if not rep.instants:
+        del doc["instants"]
+    del doc["spectral"]["min_abs_eig"]
+    write_json(os.path.join(out, "index.json"), doc, cfg=cfg)
     return 0
 
 
@@ -518,32 +536,14 @@ def _cmd_sweep(cfg, out):
     )
     write_json(
         os.path.join(out, "detections.json"),
-        {
-            "parameter": scan.param_name,
-            "range": list(scan.param_range),
-            "detections": [
-                {
-                    "mu": d.mu,
-                    "nullity": d.nullity,
-                    "index_left": d.m_left,
-                    "index_right": d.m_right,
-                    "nullity_left": d.m0_left,
-                    "nullity_right": d.m0_right,
-                    "refined": d.refined,
-                    "plateau": d.plateau,
-                }
-                for d in scan.detections
-            ],
-            "verdicts": [v.as_dict() for v in verdicts],
-        },
+        {"parameter": scan.param_name, "range": scan.param_range,
+         "detections": scan.detections, "verdicts": verdicts},
         cfg=cfg,
     )
     return 0
 
 
 def _cmd_branch(cfg, out):
-    if cfg.get("problem", {}).get("boundary") is not None:
-        raise SchemaError("/problem/boundary: branch hunts are point-to-point")
     fam = _family_from_config(cfg)
     sv = cfg["solver"]
     mu = cfg.get("family", {}).get("mu")
@@ -563,7 +563,7 @@ def _cmd_branch(cfg, out):
     diag = _bifurc.classify_alternative(ev)
     write_json(
         os.path.join(out, "branch_evidence.json"),
-        {"evidence": ev.as_dict(), "diagnosis": diag.as_dict()},
+        {"evidence": ev, "diagnosis": diag},
         cfg=cfg,
     )
     return 0
@@ -625,7 +625,8 @@ def _cmd_fermat(cfg, out):
         cfg=cfg,
     )
     header = ["s"] + [f"x{i+1}" for i in range(s.dim)] + ["t"]
-    write_csv(os.path.join(out, "fermat_lift.csv"), header, lift.as_rows())
+    rows = np.column_stack([lift.s_grid, lift.x, lift.t]).tolist()
+    write_csv(os.path.join(out, "fermat_lift.csv"), header, rows)
     return 0
 
 
@@ -647,6 +648,8 @@ def run_command(cmd, cfg, out_dir="."):
     """Execute one subcommand; returns the process exit code."""
     if cmd not in _DISPATCH:
         raise ConfigError(f"unknown command {cmd!r}")
+    if "boundary" in cfg.get("problem", {}) and cmd not in BOUNDARY_COMMANDS:
+        raise SchemaError(f"/problem/boundary: the {cmd} command does not read it")
     os.makedirs(out_dir, exist_ok=True)
     try:
         code = _DISPATCH[cmd](cfg, out_dir)

@@ -87,7 +87,6 @@ class JacobiFrame:
 
     path: GeodesicPath
     kind: str
-    boundary: BoundaryData | None
     sol: object
     ts: np.ndarray
 
@@ -159,17 +158,17 @@ def jacobi_frame(path, init="conjugate"):
     n = m.dim
     if isinstance(init, BoundaryData):
         M0, Md0 = _focal_init(m, path, init)
-        kind, boundary = "focal", init
+        kind = "focal"
     elif init == "conjugate":
         M0, Md0 = np.zeros((n, n)), np.eye(n)
-        kind, boundary = "conjugate", None
+        kind = "conjugate"
     else:
         raise ValueError(f"unknown frame init {init!r}")
 
     y0 = np.concatenate([path.x0, path.v0, M0.ravel(), Md0.ravel()])
     res = _solve(m, _frame_rhs(m), path.tau, y0, rtol=SCAN_RTOL, atol=SCAN_ATOL,
                  dense=True)
-    return JacobiFrame(path, kind, boundary, res.sol, res.ts)
+    return JacobiFrame(path, kind, res.sol, res.ts)
 
 
 def expmap_jacobian(m, p, v, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -194,9 +193,6 @@ class ConjugateReport:
     instants: list
     grid: int
     warnings: list = field(default_factory=list)
-
-    def as_rows(self):
-        return [(c.t, c.multiplicity, c.sigma_min_rel) for c in self.instants]
 
 
 def _scan_grid(frame, grid):

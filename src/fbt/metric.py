@@ -703,19 +703,6 @@ class InvariantReport:
     failures: list = field(default_factory=list)
     passed: bool = False
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_homogeneity_error": self.max_homogeneity_error,
-            "max_euler_error": self.max_euler_error,
-            "max_symmetry_error": self.max_symmetry_error,
-            "min_eigenvalue_ratio": self.min_eigenvalue_ratio,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Factories

@@ -87,28 +87,6 @@ class IndexReport:
     spectral: SpectralData | None = None
     agree: bool | None = None
 
-    def as_dict(self):
-        out = {
-            "m_minus": self.m_minus,
-            "m_zero": self.m_zero,
-            "route": self.route,
-            "agree": self.agree,
-        }
-        if self.instants:
-            out["instants"] = [
-                {"t": t, "multiplicity": mult, "sigma_min_rel": s}
-                for (t, mult, s) in self.instants
-            ]
-        if self.spectral is not None:
-            out["spectral"] = {
-                "mesh": self.spectral.mesh,
-                "theta_ker": self.spectral.theta_ker,
-                "eigs_near_zero": self.spectral.eigs_near_zero,
-                "smallest": self.spectral.smallest,
-                "history": self.spectral.history,
-            }
-        return out
-
 
 def index_by_counting(report):
     """Morse index and nullity from a conjugate/focal scan over (0, tau]."""
@@ -123,7 +101,7 @@ def index_by_counting(report):
         m_minus=m_minus,
         m_zero=m_zero,
         route="counting",
-        instants=report.as_rows(),
+        instants=report.instants,
     )
 
 

@@ -205,12 +205,6 @@ class LightlikeLift:
     null_residual_max: float
     lorentz_gap: float | None = None
 
-    def as_rows(self):
-        return [
-            (float(s), *map(float, xi), float(ti))
-            for s, xi, ti in zip(self.s_grid, self.x, self.t)
-        ]
-
 
 # samples per row block of _point_set_gap
 _GAP_BLOCK = 64

@@ -789,7 +789,7 @@ def travel_time_loop(m, path):
 
 
 def invariants_loop(m, samples, seed):
-    """m.check_invariants(samples, seed).as_dict(), one sample at a time."""
+    """m.check_invariants(samples, seed), one sample at a time."""
     rng = np.random.default_rng(seed)
     lo, hi = m.chart_box[:, 0], m.chart_box[:, 1]
     worst_hom = worst_euler = worst_sym = 0.0
@@ -827,7 +827,7 @@ def invariants_loop(m, samples, seed):
         kind=m.kind, samples=samples, seed=seed, max_homogeneity_error=worst_hom,
         max_euler_error=worst_euler, max_symmetry_error=worst_sym,
         min_eigenvalue_ratio=None if m.pseudo else min_eig_ratio,
-        failures=failures, passed=bool(passed)).as_dict()
+        failures=failures, passed=bool(passed))
 
 
 def path_csv_loop(file, samples_out, m, path, velocity):

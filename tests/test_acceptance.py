@@ -107,7 +107,7 @@ def run_warped_sweep_artifacts(tmp_dir, seed):
                 {"mu": d.mu, "nullity": d.nullity, "index_left": d.m_left,
                  "index_right": d.m_right} for d in scan.detections
             ],
-            "verdicts": [v.as_dict() for v in verdicts],
+            "verdicts": verdicts,
         },
     )
     return scan
@@ -118,7 +118,7 @@ def run_sphere_branch_artifacts(tmp_dir, seed):
                        offsets=(0,), max_found=8)
     diag = classify_alternative(ev)
     _cli.write_json(tmp_dir / "branch_evidence.json",
-                    {"evidence": ev.as_dict(), "diagnosis": diag.as_dict()})
+                    {"evidence": ev, "diagnosis": diag})
     return ev, diag
 
 

@@ -20,6 +20,7 @@ from fbt.bifurc import (
     realize_branch,
     sweep_family,
 )
+from fbt.cli import _jsonable
 from fbt.errors import NumericalError
 from fbt.geoflow import GeodesicPath, integrate_geodesic, newton
 from fbt.metric import PhaseState
@@ -447,7 +448,7 @@ class TestResidualOnlyTrials:
                 return v
 
             monkeypatch.setattr(fbt.bifurc, "newton", recording)
-            return hunt().as_dict(), starts
+            return _jsonable(hunt()), starts
 
         ev, starts = run(newton)
         assert run(lambda G, GJ, v0, **kw: newton_every_trial(GJ, v0, **kw)) \
@@ -477,16 +478,16 @@ class TestRepelledExit:
                 raise
 
         monkeypatch.setattr(fbt.bifurc, "newton", recording)
-        ev = hunt().as_dict()
+        ev = _jsonable(hunt())
         assert any("repelled from a deflated root" in e for e in exits)
         monkeypatch.setattr(fbt.bifurc, "newton", newton_without_repelled_exit)
-        assert hunt().as_dict() == ev
+        assert _jsonable(hunt()) == ev
 
     def test_one_sided_pair_keeps_solutions_of_loop_without_exit(
             self, one_sided_pair, monkeypatch):
         # seeds at 0.1 and 0.25 |v| start outside every repelled region
         monkeypatch.setattr(fbt.bifurc, "newton", newton_without_repelled_exit)
-        assert _one_sided_pair_hunt().as_dict() == one_sided_pair.as_dict()
+        assert _jsonable(_one_sided_pair_hunt()) == _jsonable(one_sided_pair)
 
 
 class TestC1Distance:

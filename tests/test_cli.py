@@ -251,11 +251,25 @@ class TestCommands:
         # P must pass through the path's start, initial.x = (0, 0)
         *[(cmd, {"kind": "euclidean"}, {"x0": [1, 0], "basis": [[0, 1]]},
            "/problem/boundary/x0") for cmd in ("focal", "index", "sweep")],
+        # only focal, index and sweep read a boundary
+        *[(cmd, metric, {"x0": [0, 0], "basis": [[0, 1]]}, "/problem/boundary")
+          for cmd, metric in [
+              ("metric-check", {"kind": "euclidean"}),
+              ("geodesic", {"kind": "euclidean"}),
+              ("expmap", {"kind": "euclidean"}),
+              ("conjugate", {"kind": "euclidean"}),
+              ("zermelo", {"kind": "zermelo", "h": [["1", "0"], ["0", "1"]],
+                           "W": ["0.5", "0"]}),
+              ("fermat", {"kind": "fermat", "g0": [["1", "0"], ["0", "1"]],
+                          "V": ["0.3", "0"]}),
+          ]],
     ], ids=["empty-g", "empty-beta", "empty-W", "empty-V", "basis-not-orthonormal",
             "basis-row-length", "x0-length", "shape-operator-size", "negative-K",
             "reversed-chart-box", "chart-box-shape", "strong-wind", "strong-beta",
             "unbound-name", "focal-without-boundary", "x0-off-start-focal",
-            "x0-off-start-index", "x0-off-start-sweep"])
+            "x0-off-start-index", "x0-off-start-sweep", "boundary-metric-check",
+            "boundary-geodesic", "boundary-expmap", "boundary-conjugate",
+            "boundary-zermelo", "boundary-fermat"])
     def test_malformed_block_exit_1(self, tmp_path, capsys, cmd, metric, boundary,
                                     pointer):
         problem = {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}}
@@ -542,6 +556,92 @@ class TestCommands:
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
         assert "/problem: an 'initial' or 'connect' block is required" in errs[0]
+
+
+def key_paths(doc):
+    """The key paths of a JSON artifact, '/'-joined with '*' for a list
+    item; the embedded config counts as one key."""
+    paths = set()
+
+    def walk(node, prefix):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                paths.add(prefix + key)
+                if prefix or key != "config":
+                    walk(child, prefix + key + "/")
+        elif isinstance(node, list):
+            for child in node:
+                walk(child, prefix + "*/")
+
+    walk(doc, "")
+    return paths
+
+
+INSTANT_KEYS = {"instants", "instants/*/t", "instants/*/multiplicity",
+                "instants/*/sigma_min_rel"}
+INDEX_KEYS = {"config", "m_minus", "m_zero", "route", "agree", "spectral",
+              "spectral/mesh", "spectral/theta_ker", "spectral/eigs_near_zero",
+              "spectral/smallest", "spectral/history"}
+SCAN_KEYS = {"config", "tau", "grid", "theta_null", "warnings", *INSTANT_KEYS}
+SPHERE_BOUNDARY = {**SPHERE, "problem": {**SPHERE["problem"], "boundary": {
+    "x0": [0, -1], "basis": [[0, 1]]}}}
+WARPED_FAMILY = {
+    "metric": {"kind": "riemannian_expr", "dim": 2,
+               "g": [["exp(-lam*x2^2)", "0"], ["0", "1"]], "params": {"lam": 1.0}},
+    "problem": {"initial": {"x": [-1, 0], "v": [1, 0], "tau": 2.0}},
+    "family": {"parameter": "lam", "range": [2.0, 3.0], "samples": 4},
+    "solver": {"max_mesh": 256},
+}
+SPHERE_HUNT = {
+    "metric": SPHERE["metric"],
+    "problem": {"initial": {"x": [0, -1], "v": [1, 0], "tau": np.pi}},
+    "family": {"parameter": "K", "range": [0.5, 1.5], "samples": 3, "mu": 1.0},
+    "solver": {"seeds_per_rung": 1, "max_found": 1},
+}
+
+
+class TestArtifactKeys:
+    """Each JSON artifact's key tree, pinned: the keys of a result object's
+    artifact are its field names, so renaming a field must fail here."""
+
+    @pytest.mark.parametrize("cmd,payload,file,keys", [
+        ("metric-check", {**SPHERE, "solver": {"invariant_samples": 50}},
+         "metric_check.json",
+         {"config", "kind", "samples", "seed", "max_homogeneity_error",
+          "max_euler_error", "max_symmetry_error", "min_eigenvalue_ratio",
+          "failures", "passed"}),
+        ("conjugate", SPHERE, "conjugate.json", SCAN_KEYS),
+        ("focal", SPHERE_BOUNDARY, "focal.json", SCAN_KEYS),
+        ("index", SPHERE, "index.json", INDEX_KEYS | INSTANT_KEYS),
+        # no conjugate instant before tau = 2: the empty list is left out
+        ("index", {**SPHERE, "problem": {"initial": {"x": [0, -1], "v": [1, 0],
+                                                     "tau": 2.0}}},
+         "index.json", INDEX_KEYS),
+        ("sweep", WARPED_FAMILY, "detections.json",
+         {"config", "parameter", "range", "detections", "detections/*/mu",
+          "detections/*/nullity", "detections/*/index_left",
+          "detections/*/index_right", "detections/*/nullity_left",
+          "detections/*/nullity_right", "detections/*/refined",
+          "detections/*/plateau", "verdicts", "verdicts/*/mu",
+          "verdicts/*/interval_left", "verdicts/*/interval_right",
+          "verdicts/*/nullity", "verdicts/*/label"}),
+        ("branch", SPHERE_HUNT, "branch_evidence.json",
+         {"config", "evidence", "evidence/mu", "evidence/delta", "evidence/seed",
+          "evidence/rho_ladder", "evidence/seeds_per_rung", "evidence/solutions",
+          "evidence/solutions/*/lambda", "evidence/solutions/*/offset",
+          "evidence/solutions/*/v0", "evidence/solutions/*/speed",
+          "evidence/solutions/*/c1_distance",
+          "evidence/solutions/*/endpoint_residual",
+          "evidence/solutions/*/el_residual", "diagnosis", "diagnosis/label",
+          "diagnosis/distinct_speeds", "diagnosis/counts", "diagnosis/counts/at_mu",
+          "diagnosis/counts/left", "diagnosis/counts/right", "diagnosis/note"}),
+    ], ids=["metric_check", "conjugate", "focal", "index", "index-no-instants",
+            "detections", "branch_evidence"])
+    def test_key_tree(self, tmp_path, cmd, payload, file, keys):
+        cfg = load_config(write_cfg(tmp_path, payload))
+        out = tmp_path / "run"
+        assert run_command(cmd, cfg, str(out)) == 0
+        assert key_paths(json.loads((out / file).read_text())) == keys
 
 
 class TestSchemaPublication:

@@ -427,7 +427,7 @@ def _closed_form_frame(sol, n, tau):
     closed form sol(t) (the layout of the frame flow's dense output), so a
     scan sees no integration error."""
     path = integrate_geodesic(fbt.euclidean(n), PhaseState(np.zeros(n), np.eye(n)[0]), tau)
-    return JacobiFrame(path, "conjugate", None, sol, np.array([0.0, tau]))
+    return JacobiFrame(path, "conjugate", sol, np.array([0.0, tau]))
 
 
 def _diagonal_frame(a, tau=4.0, q=None):

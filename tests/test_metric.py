@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fbt
+from fbt.cli import _jsonable
 from fbt.errors import ConfigError
 from fbt.expr import DomainError
 from fbt.metric import (_ORDER, COMPLEX_STEP, ConvexityViolation,
@@ -829,8 +830,7 @@ class TestInvariantsStacked:
     def test_matches_per_sample_loop(self, make):
         m = make()
         for seed in (0, 17):
-            got = m.check_invariants(samples=120, seed=seed).as_dict()
+            got = m.check_invariants(samples=120, seed=seed)
             want = invariants_loop(m, 120, seed)
-            # as metric_check.json writes them (numpy scalars as Python values)
-            dump = lambda rep: json.dumps(rep, default=lambda o: o.item())
-            assert dump(got) == dump(want)
+            # as metric_check.json writes them
+            assert json.dumps(_jsonable(got)) == json.dumps(_jsonable(want))
