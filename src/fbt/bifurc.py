@@ -195,12 +195,6 @@ class BranchEvidence:
     rho_ladder: tuple
     seeds_per_rung: int
 
-    def at_mu(self, close_tol=None):
-        out = [s for s in self.solutions if s.offset == 0]
-        if close_tol is not None:
-            out = [s for s in out if s.c1_distance <= close_tol]
-        return out
-
     def on_side(self, sign, close_tol=None):
         out = [s for s in self.solutions if np.sign(s.offset) == sign]
         if close_tol is not None:
@@ -527,7 +521,7 @@ def find_branches(f, mu, *, seed=0,
 
 def classify_alternative(evidence):
     """Heuristic label for the bifurcation pattern in the evidence."""
-    at_mu = evidence.at_mu(CLOSE_TOL)
+    at_mu = evidence.on_side(0, CLOSE_TOL)
     left = evidence.on_side(-1, CLOSE_TOL)
     right = evidence.on_side(+1, CLOSE_TOL)
     counts = {"at_mu": len(at_mu), "left": len(left), "right": len(right)}

@@ -343,6 +343,19 @@ def _boundary_from_config(cfg):
         raise SchemaError(f"/problem/boundary: {exc}") from None
 
 
+def _parameters_read(mc):
+    """The parameter names the configured metric reads: K for sphere_stereo,
+    the names other than chart coordinates in an expression kind's fields."""
+    if mc["kind"] == "sphere_stereo":
+        return {"K"}
+    srcs = [mc["f"]] if "f" in mc else []
+    for name in ("g", "h", "beta", "W", "g0", "V"):
+        block = mc.get(name, [])
+        srcs += [e for row in block for e in row] if name in MATRIX_FIELDS else block
+    names = {n for s in srcs for n in _expr.names(_expr.parse(s))}
+    return {n for n in names if not _expr._COORD_RE.match(n)}
+
+
 def _family_from_config(cfg):
     fam = cfg.get("family")
     if fam is None:
@@ -353,6 +366,8 @@ def _family_from_config(cfg):
         return metric_from_config(cfg, {pname: lam})
 
     branch = _branch_from_config(cfg)
+    if pname not in _parameters_read(cfg["metric"]):
+        raise SchemaError(f"/family/parameter: no metric field reads {pname!r}")
     try:
         return _bifurc.FamilySpec(
             param_name=pname, param_range=tuple(fam["range"]), samples=fam["samples"],
@@ -550,10 +565,10 @@ def _cmd_branch(cfg, out):
     if mu is None:
         scan = _bifurc.sweep_family(fam, **_sweep_options(sv))
         if not scan.detections:
+            diag = _bifurc.Diagnosis(label="undetermined", distinct_speeds=False,
+                                     counts={"at_mu": 0, "left": 0, "right": 0})
             write_json(os.path.join(out, "branch_evidence.json"),
-                       {"detections": [], "evidence": None,
-                        "diagnosis": {"label": "undetermined"}},
-                       cfg=cfg)
+                       {"evidence": None, "diagnosis": diag}, cfg=cfg)
             return 0
         mu = scan.detections[0].mu
     ev = _bifurc.find_branches(

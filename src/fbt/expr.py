@@ -694,23 +694,27 @@ def jet(groups, dim, params=None, order=0):
             shapes.append((len(g),))
             flat.append(tuple(_as_node(e) for e in g))
     fn, _ = _bound(tuple(flat), dim, dict(params or {}), order)
-    layout = []
-    start = 0
-    for r in range(order + 1):
-        for shape, nodes in zip(shapes, flat):
-            stop = start + dim**r * len(nodes)
-            layout.append((start, stop, (dim,) * r + shape))
-            start = stop
 
     def f(x):
-        if np.ndim(x) == 1:
-            out = np.array(fn(x))
-            return [out[a:b].reshape(s) for a, b, s in layout]
-        lead = np.shape(x)[:-1]
         out = np.array([fn(xi) for xi in np.reshape(x, (-1, dim)).tolist()])
-        return [out[:, a:b].reshape(lead + s) for a, b, s in layout]
+        return _unflatten(out.reshape(np.shape(x)[:-1] + out.shape[-1:]), shapes, dim,
+                          order)
 
     return f
+
+
+def _unflatten(flat, shapes, dim, order):
+    """Cut flat bundle outputs, an array lead + (K,), into one array per
+    derivative order r = 0..order and, within it, per group of the given
+    shapes: shape lead + (dim,)*r + the group's shape."""
+    lead, out, start = flat.shape[:-1], [], 0
+    for r in range(order + 1):
+        for shape in shapes:
+            shape = (dim,) * r + shape
+            stop = start + math.prod(shape)
+            out.append(flat[..., start:stop].reshape(lead + shape))
+            start = stop
+    return out
 
 
 def bind(node, dim, params=None):

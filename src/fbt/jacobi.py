@@ -188,7 +188,6 @@ class ConjugateInstant:
 
 @dataclass
 class ConjugateReport:
-    kind: str
     tau: float
     instants: list
     grid: int
@@ -285,8 +284,7 @@ def _scan_frame(frame, grid):
     max_mult = frame.dim if frame.kind == "focal" else frame.dim - 1
     notes = [f"multiplicity {c.multiplicity} at t={c.t:.9g} exceeds the bound "
              f"{max_mult}" for c in found if c.multiplicity > max_mult]
-    return ConjugateReport(kind=frame.kind, tau=tau, instants=found, grid=grid,
-                           warnings=notes)
+    return ConjugateReport(tau=tau, instants=found, grid=grid, warnings=notes)
 
 
 def conjugate_scan(path, *, grid=DEFAULT_GRID):

@@ -123,102 +123,60 @@ class PhaseState:
 
 
 class _Components:
-    """h, beta and their derivative callables, of a from_callables metric.
+    """h(x), beta(x) and their chart derivatives, of a metric of any kind.
 
-    ``stack(x, order)`` returns (h, beta, dh, dbeta, d2h, d2beta) at one
-    point, cut after the given derivative order, with None for beta and its
-    derivatives when the kind has no one-form.  ``bundle(order)`` is the
-    function of x that flattens them into the layout of a compiled bundle
-    (see _layout), and ``rows(xs, order)`` stacks them for many points.
-    """
+    ``compile(order)`` returns the bundle, a function of x giving the flat
+    component tuple up to that derivative order (see _layout), and the
+    positions of its structural zeros.  ``rows(xs, order)`` stacks the tuples
+    of many points; ``stack(x, order)`` cuts them, at a point or a stack of
+    points (..., n), into (h, beta, dh, dbeta, d2h, d2beta) up to the order,
+    None for beta and its derivatives when the kind has no one-form."""
 
-    # callables are opaque: never taken as constant over the chart
-    chart_constant = False
-
-    def __init__(self, dim, h, beta, dh, d2h, dbeta, d2beta):
-        self.dim = dim
-        self.h, self.beta, self.dh, self.d2h = h, beta, dh, d2h
-        self.dbeta, self.d2beta = dbeta, d2beta
-        self.oneform = beta is not None
-
-    def stack(self, x, order):
-        x = np.asarray(x, dtype=float)
-        hx = np.asarray(self.h(x), dtype=float)
-        out = [hx, None if self.beta is None else np.asarray(self.beta(x), dtype=float)]
-        if order >= 1:
-            out += [self.dh(x), self.dbeta and self.dbeta(x)]
-        if order >= 2:
-            out += [self.d2h(x), self.d2beta and self.d2beta(x)]
-        return out
-
-    def bundle(self, order):
-        return lambda x: self.rows([x], order)[0].tolist()
-
-    def zeros(self, order):
-        # opaque callables have no structural zeros: the generic kernel
-        return frozenset()
-
-    def rows(self, xs, order):
-        if not xs:
-            return _no_rows(self, order)
-        points = zip(*(self.stack(x, order) for x in xs))
-        return np.concatenate([np.reshape(c, (len(xs), -1)) for c in points
-                               if c[0] is not None], axis=1)
-
-
-class _ExprComponents:
-    """h (a symmetric matrix of expression ASTs) and beta (a vector of ASTs,
-    or None), with exact derivatives from one compiled bundle per order,
-    a function of x returning a flat tuple; ``rows(xs, order)`` stacks the
-    tuples of many points."""
-
-    def __init__(self, dim, h, beta=None, params=None):
-        self.dim = dim
-        self.oneform = beta is not None
-        self._groups = (tuple(e for row in h for e in row),) + (
-            () if beta is None else (tuple(beta),))
-        self._params = dict(params or {})
+    def __init__(self, dim, oneform, compile, chart_constant):
+        self.dim, self.oneform, self.chart_constant = dim, oneform, chart_constant
+        self._compile = compile
         self._bundles, self._zeros = [None] * 3, [None] * 3
         self.bundle(0)  # eagerly, so unbound names fail at construction
-
-    @functools.cached_property
-    def chart_constant(self):
-        return not any(_expr.coordinates(e) for g in self._groups for e in g)
 
     def bundle(self, order):
         fn = self._bundles[order]
         if fn is None:
-            fn, at = _expr._bound(self._groups, self.dim, self._params, order)
+            fn, at = self._compile(order)
             layout = _layout(self.dim, self.oneform, order)
             self._zeros[order] = frozenset(layout[i] for i in at) - {"_"}
             self._bundles[order] = fn
         return fn
 
     def zeros(self, order):
-        """The structural zeros up to the derivative order: the placeholders
-        whose component AST is ZERO, as the bundle's generation reports."""
+        """The placeholders compile reports as structural zeros, up to the
+        derivative order: those whose component AST is ZERO."""
         self.bundle(order)
         return self._zeros[order]
 
     def rows(self, xs, order):
         if not xs:
-            return _no_rows(self, order)
+            return np.empty((0, len(_layout(self.dim, self.oneform, order))))
         out = list(map(self.bundle(order), xs))
         return np.fromiter(itertools.chain.from_iterable(out), float,
                            len(out) * len(out[0])).reshape(len(out), -1)
 
     def stack(self, x, order):
-        flat, out, start = self.bundle(order)(x), [], 0
-        n = self.dim
-        for r in range(order + 1):
-            for shape in ((n, n), (n,) if self.oneform else None):
-                if shape is None:
-                    out.append(None)
-                    continue
-                stop = start + n**r * math.prod(shape)
-                out.append(np.array(flat[start:stop]).reshape((n,) * r + shape))
-                start = stop
-        return out
+        x, n = np.asarray(x, dtype=float), self.dim
+        c = self.rows(x.reshape(-1, n).tolist(), order)
+        out = _expr._unflatten(c.reshape(x.shape[:-1] + c.shape[-1:]),
+                               [(n, n)] + [(n,)] * self.oneform, n, order)
+        return out if self.oneform else [a for h in out for a in (h, None)]
+
+
+def _ExprComponents(dim, h, beta=None, params=None):
+    """The components of h (a symmetric matrix of expression ASTs) and beta
+    (a vector of ASTs, or None), with exact derivatives from the bundles
+    expr compiles."""
+    groups = (tuple(e for row in h for e in row),) + (
+        () if beta is None else (tuple(beta),))
+    return _Components(dim, beta is not None,
+                       functools.partial(_expr._bound, groups, dim, dict(params or {})),
+                       not any(_expr.coordinates(e) for g in groups for e in g))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +195,6 @@ def _d(name, k):
     """The placeholder of d(name)/dx_k."""
     base, *ders = name.split("_d")
     return base + "".join(f"_d{j}" for j in sorted([*map(int, ders), k]))
-
-
-def _no_rows(comps, order):
-    """rows() of no points: shape (0, the length of a flat component tuple)."""
-    return np.empty((0, len(_layout(comps.dim, comps.oneform, order))))
 
 
 def _layout(dim, oneform, order):
@@ -794,9 +747,7 @@ def _sampled_bound(pts, norm2, error, what):
 def _check_randers_bound(m):
     """Sample |beta|_h over the chart box; reject if it ever reaches 1."""
     pts = _sample_points(m.chart_box, RANDERS_CHECK_SAMPLES, RANDERS_CHECK_SEED)
-    n = m.dim
-    c = m._c.rows(pts.tolist(), 0)
-    h, b = c[:, :n * n].reshape(-1, n, n), c[:, n * n:]
+    h, b = m._c.stack(pts, 0)
     try:
         s = np.linalg.solve(h, b[..., None])
     except np.linalg.LinAlgError:
@@ -836,5 +787,15 @@ def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,
         raise ConfigError(
             f"from_callables needs the derivative callables {', '.join(missing)}; "
             "riemannian_expr and randers_expr differentiate formulas exactly")
-    comps = _Components(dim, h, beta, dh, d2h, dbeta, d2beta)
-    return MetricField(dim, kind, comps, **kw)
+    fns = [f for f in (h, beta, dh, dbeta, d2h, d2beta) if f is not None]
+
+    def compile(order):
+        cut = fns[:len(fns) // 3 * (order + 1)]  # per order, h then beta
+
+        def bundle(x):
+            x = np.asarray(x, dtype=float)
+            return np.concatenate([np.asarray(f(x), float).ravel() for f in cut]).tolist()
+
+        return bundle, ()  # opaque callables: no structural zeros
+
+    return MetricField(dim, kind, _Components(dim, beta is not None, compile, False), **kw)

@@ -247,7 +247,7 @@ def test_criterion_5_exponential_non_injectivity(sphere_branch):
         p = np.array([0.0, -1.0])
         v_ref = np.pi * np.array([1.0, 0.0])
         q = exp_map(sphere, p, v_ref)
-        close = [s for s in ev.at_mu()
+        close = [s for s in ev.on_side(0)
                  if np.linalg.norm(np.pi * s.v0 - v_ref) <= 0.2]
         assert len(close) >= 3
         vs = [np.pi * s.v0 for s in close]

@@ -373,7 +373,7 @@ class TestFindBranches:
     def test_sphere_rotational_family(self):
         ev = find_branches(sphere_family(), 1.0, seed=42, seeds_per_rung=8,
                            offsets=(0,), max_found=6)
-        at_mu = ev.at_mu()
+        at_mu = ev.on_side(0)
         assert len(at_mu) >= 3
         vs = [s.v0 for s in at_mu]
         for i in range(len(vs)):

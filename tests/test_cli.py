@@ -324,6 +324,37 @@ class TestCommands:
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("cmd", ["sweep", "branch"])
+    def test_family_parameter_no_field_reads_exit_1(self, tmp_path, capsys, cmd):
+        # sweeping lam would change nothing: no field of g reads it
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "riemannian_expr", "dim": 2,
+                       "g": [["exp(-x2^2)", "0"], ["0", "1"]]},
+            "problem": {"initial": {"x": [-1, 0], "v": [1, 0], "tau": 2.0}},
+            "family": {"parameter": "lam", "range": [0.5, 3.0], "samples": 4},
+        })
+        out = tmp_path / "run"
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: /family/parameter: no metric field reads 'lam'\n")
+        assert not os.listdir(out)
+
+    @pytest.mark.parametrize("metric, names", [
+        ({"kind": "euclidean", "dim": 2}, set()),
+        ({"kind": "sphere_stereo", "dim": 2, "params": {"K": 1.0}}, {"K"}),
+        ({"kind": "quadratic_expr", "dim": 2, "g": [["1", "0"], ["0", "-a*x1"]]},
+         {"a"}),
+        ({"kind": "randers", "dim": 2, "h": [["1", "0"], ["0", "1"]],
+          "beta": ["b*x2", "0"]}, {"b"}),
+        ({"kind": "zermelo", "dim": 2, "h": [["c", "0"], ["0", "1"]],
+          "W": ["0.1*w", "0"]}, {"c", "w"}),
+        ({"kind": "fermat", "dim": 2, "g0": [["1", "0"], ["0", "1"]],
+          "V": ["v", "0"], "f": "1+s*x1^2", "fermat_sign": "minus"}, {"v", "s"}),
+    ], ids=lambda c: c["kind"] if isinstance(c, dict) else None)
+    def test_parameters_read(self, metric, names):
+        # the names of each kind's fields, chart coordinates left out
+        assert cli._parameters_read(metric) == names
+
+    @pytest.mark.parametrize("cmd", ["sweep", "branch"])
     def test_family_value_rejected_by_metric_exit_1(self, tmp_path, capsys, cmd):
         # the sphere's curvature must be positive: the first sample, K = -1,
         # is the family's fault, not the metric block's
@@ -635,8 +666,17 @@ class TestArtifactKeys:
           "evidence/solutions/*/el_residual", "diagnosis", "diagnosis/label",
           "diagnosis/distinct_speeds", "diagnosis/counts", "diagnosis/counts/at_mu",
           "diagnosis/counts/left", "diagnosis/counts/right", "diagnosis/note"}),
+        # no detection below the first conjugate parameter: no evidence, and
+        # the diagnosis keeps its key tree
+        ("branch", {**WARPED_FAMILY,
+                    "problem": {"initial": {"x": [-1, 0], "v": [1, 0], "tau": 1.0}},
+                    "family": {"parameter": "lam", "range": [0.5, 1.0], "samples": 4}},
+         "branch_evidence.json",
+         {"config", "evidence", "diagnosis", "diagnosis/label",
+          "diagnosis/distinct_speeds", "diagnosis/counts", "diagnosis/counts/at_mu",
+          "diagnosis/counts/left", "diagnosis/counts/right", "diagnosis/note"}),
     ], ids=["metric_check", "conjugate", "focal", "index", "index-no-instants",
-            "detections", "branch_evidence"])
+            "detections", "branch_evidence", "branch_evidence-no-detection"])
     def test_key_tree(self, tmp_path, cmd, payload, file, keys):
         cfg = load_config(write_cfg(tmp_path, payload))
         out = tmp_path / "run"

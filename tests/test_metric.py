@@ -14,7 +14,7 @@ from fbt.errors import ConfigError
 from fbt.expr import DomainError
 from fbt.metric import (_ORDER, COMPLEX_STEP, ConvexityViolation,
                         OutsideChart, RandersBoundError, SingularVerticalHessian,
-                        ZeroVelocity, _kernel, _kernel_source)
+                        ZeroVelocity, _kernel, _kernel_source, _layout)
 
 from fbt.geoflow import _frame_rhs
 from fbt.jacobi import spray_jacobians
@@ -295,6 +295,8 @@ def _stack_catalog():
         fbt.from_callables(2, "fd_randers", h_fd, beta_fd, dh=dh_fd, d2h=d2h_fd,
                            dbeta=dbeta_fd, d2beta=d2beta_fd,
                            chart_box=[[-2, 2], [-2, 2]]),
+        locally_constant(2, "constant_callables",
+                         lambda x: np.array([[2.0, 0.3], [0.3, 1.0]])),
     ]
 
 
@@ -337,6 +339,28 @@ class TestStackedEvaluation:
             assert m.spray(z, z).shape == lead + (n,)
             for d2 in m.second_derivatives(z, z):
                 assert d2.shape == lead + (n, n)
+        for order in range(3):
+            width = len(_layout(n, m._c.oneform, order))
+            assert m._c.rows([], order).shape == (0, width)
+
+    @pytest.mark.parametrize("m", _stack_catalog(), ids=lambda m: f"{m.kind}-{m.dim}")
+    def test_component_stack_equals_per_point(self, m):
+        # stack cuts the flat tuples of a stack of points as of each point
+        X = 0.4 * np.random.default_rng(6).uniform(-1.0, 1.0, size=(5, m.dim))
+        for order in range(3):
+            stacked = m._c.stack(X, order)
+            points = [m._c.stack(x, order) for x in X]
+            assert len(stacked) == 2 * order + 2
+            for k, got in enumerate(stacked):
+                if got is None:
+                    assert not m._c.oneform and k % 2
+                    assert all(p[k] is None for p in points)
+                    continue
+                # block k: derivative order k // 2 of h (k even) or beta
+                rank = k // 2 + 2 - k % 2
+                want = np.array([p[k] for p in points])
+                assert got.shape == want.shape == (5,) + (m.dim,) * rank
+                assert got.tobytes() == want.tobytes()
 
     def test_scalar_call_keeps_scalar_shape(self, randers_const):
         assert np.shape(randers_const.F([0, 0], [1, 0])) == ()

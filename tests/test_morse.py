@@ -26,12 +26,9 @@ from _oracles import (assemble_loop, flat_axis_warped_eigenvalue,
                       flat_axis_warped_mu, warped_metric)
 
 
-def _report(instants, tau, kind="conjugate"):
+def _report(instants, tau):
     return ConjugateReport(
-        kind=kind, tau=tau,
-        instants=[ConjugateInstant(t, m, 0.0) for t, m in instants],
-        grid=400,
-    )
+        tau=tau, instants=[ConjugateInstant(t, m, 0.0) for t, m in instants], grid=400)
 
 
 class TestCounting:
