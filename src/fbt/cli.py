@@ -43,18 +43,6 @@ __all__ = ["load_config", "run_command", "write_csv", "write_json", "main"]
 
 log = logging.getLogger("fbt")
 
-COMMANDS = (
-    "metric-check", "geodesic", "expmap", "conjugate", "focal",
-    "index", "sweep", "branch", "zermelo", "fermat",
-)
-
-# the commands that read problem.boundary; every other command rejects it
-BOUNDARY_COMMANDS = ("focal", "index", "sweep")
-
-# metric fields holding a dim x dim matrix of expressions; the others in
-# _validate_semantics hold a vector of dim expressions
-MATRIX_FIELDS = ("g", "h", "g0")
-
 SOLVER_DEFAULTS = {
     "rtol": _geoflow.DEFAULT_RTOL,
     "atol": _geoflow.DEFAULT_ATOL,
@@ -187,44 +175,25 @@ def _validate_semantics(cfg):
     mc = cfg["metric"]
     dim = mc["dim"]
     kind = mc["kind"]
-    # each kind's required and optional fields: no kind reads a field outside
-    # them but kind, dim, params, chart_box and v_min
-    needed, optional = {
-        "euclidean": ([], []),
-        "sphere_stereo": ([], []),
-        "riemannian_expr": (["g"], []),
-        "quadratic_expr": (["g"], []),
-        "randers": (["h", "beta"], []),
-        "zermelo": (["h", "W"], []),
-        "fermat": (["g0", "V"], ["f", "fermat_sign"]),
-    }[kind]
+    required, optional, names, _ = KINDS[kind]
     for name in mc:
-        if name not in ("kind", "dim", "params", "chart_box", "v_min", *needed, *optional):
+        if name not in ("kind", "dim", "params", "chart_box", "v_min", *required, *optional):
             raise SchemaError(f"/metric/{name}: kind '{kind}' does not read it")
-    for name in needed:
-        if name not in mc:
+    for name in required + optional:
+        if name in mc:
+            for where, src in _cells(mc, name):
+                try:
+                    _expr.parse(src)
+                except _expr.ExprSyntaxError as exc:
+                    raise ExpressionError(f"{where}: {exc}") from None
+        elif name in required:
             raise SchemaError(f"/metric/{name}: required for kind '{kind}'")
-        block = mc[name]
-        if name in MATRIX_FIELDS:
-            _check_matrix(block, dim, f"/metric/{name}")
-            cells = [(f"/{i}/{j}", src) for i, row in enumerate(block)
-                     for j, src in enumerate(row)]
-        else:
-            _check_vector(block, dim, f"/metric/{name}")
-            cells = [(f"/{i}", src) for i, src in enumerate(block)]
-        for where, src in cells:
-            try:
-                _expr.parse(src)
-            except _expr.ExprSyntaxError as exc:
-                raise ExpressionError(f"/metric/{name}{where}: {exc}") from None
-    if kind == "sphere_stereo" and "K" not in mc.get("params", {}):
-        raise SchemaError("/metric/params/K: required for kind 'sphere_stereo'")
-    if "f" in mc:
-        try:
-            _expr.parse(mc["f"])
-        except _expr.ExprSyntaxError as exc:
-            raise ExpressionError(f"/metric/f: {exc}") from None
+    for name in names:
+        if name not in mc.get("params", {}):
+            raise SchemaError(f"/metric/params/{name}: required for kind '{kind}'")
     problem = cfg.get("problem", {})
+    if "initial" in problem and "connect" in problem:
+        raise SchemaError("/problem: give an 'initial' or a 'connect' block, not both")
     for vec_name in ("initial", "connect"):
         block = problem.get(vec_name)
         if block:
@@ -257,52 +226,71 @@ def _check_matrix(block, n, pointer):
         raise SchemaError(f"{pointer}: expected a {n}x{n} matrix")
 
 
-def metric_from_config(cfg, param_overrides=None):
-    """The configured metric.  A config error the library raises is reported
-    at /metric, or at /family/range naming the sample's value where a family
+def _cells(mc, name):
+    """The (pointer, source) expression cells of the metric field name, after
+    checking its size against dim.  The schema gives the field's shape: a
+    matrix, a vector or one string of expressions, or no expression."""
+    shape = _schema()["properties"]["metric"]["properties"][name]
+    block, pointer = mc[name], f"/metric/{name}"
+    if shape.get("$ref") == "#/$defs/matrix":
+        _check_matrix(block, mc["dim"], pointer)
+        return [(f"{pointer}/{i}/{j}", src) for i, row in enumerate(block)
+                for j, src in enumerate(row)]
+    if shape.get("$ref") == "#/$defs/vector":
+        _check_vector(block, mc["dim"], pointer)
+        return [(f"{pointer}/{i}", src) for i, src in enumerate(block)]
+    return [(pointer, block)] if shape.get("type") == "string" else []
+
+
+def _stationary(dim, g0, V, f, sign, params, chart_box=None, **kw):
+    """A fermat config's stationary data, which the fermat command lifts
+    through."""
+    return _nav.StationaryData.from_exprs(dim, g0, V, f, params, chart_box)
+
+
+def _fermat(dim, g0, V, f, sign, params, **kw):
+    """F+ of a fermat config, or F- where fermat_sign is 'minus'."""
+    pair = _nav.fermat_metric(_stationary(dim, g0, V, f, sign, params, **kw), **kw)
+    return pair[1] if sign == "minus" else pair[0]
+
+
+# each metric kind: the fields it requires, its optional fields, the
+# parameters it reads outside its expression fields, and its factory, called
+# as factory(dim, *fields, params, **kw) with the fields in that order (None
+# for an optional field not given) and kw the chart_box and v_min given.
+# No kind reads a metric field outside these but kind, dim, params,
+# chart_box and v_min.
+KINDS = {
+    "euclidean": ((), (), (), lambda dim, params, **kw: _metric.euclidean(dim, **kw)),
+    "sphere_stereo": ((), (), ("K",), lambda dim, params, **kw: _metric.sphere_stereo(
+        params["K"], dim, **kw)),
+    "riemannian_expr": (("g",), (), (), _metric.riemannian_expr),
+    "quadratic_expr": (("g",), (), (), _metric.quadratic_expr),
+    "randers": (("h", "beta"), (), (), _metric.randers_expr),
+    "zermelo": (("h", "W"), (), (), lambda dim, h, W, params, **kw: _nav.zermelo_to_randers(
+        _nav.ZermeloData.from_exprs(dim, h, W, params, kw.get("chart_box")), **kw)),
+    "fermat": (("g0", "V"), ("f", "fermat_sign"), (), _fermat),
+}
+
+
+def metric_from_config(cfg, param_overrides=None, factory=None):
+    """The configured metric, or what factory makes of the arguments of the
+    kind's factory.  A config error the library raises is reported at
+    /metric, or at /family/range naming the sample's value where a family
     sample overrides a parameter."""
     mc = cfg["metric"]
-    dim = mc["dim"]
-    kind = mc["kind"]
-    params = dict(mc.get("params", {}))
-    if param_overrides:
-        params.update(param_overrides)
-    kw = {}
-    if "chart_box" in mc:
-        kw["chart_box"] = mc["chart_box"]
-    if "v_min" in mc:
-        kw["v_min"] = mc["v_min"]
+    required, optional, _, kind_factory = KINDS[mc["kind"]]
+    params = {**mc.get("params", {}), **(param_overrides or {})}
+    kw = {key: mc[key] for key in ("chart_box", "v_min") if key in mc}
     try:  # a bound or name the library rejects is an error of the metric block
-        if kind == "euclidean":
-            return _metric.euclidean(dim, **kw)
-        if kind == "sphere_stereo":
-            return _metric.sphere_stereo(params["K"], dim, **kw)
-        if kind == "riemannian_expr":
-            return _metric.riemannian_expr(dim, mc["g"], params, **kw)
-        if kind == "quadratic_expr":
-            return _metric.quadratic_expr(dim, mc["g"], params, **kw)
-        if kind == "randers":
-            return _metric.randers_expr(dim, mc["h"], mc["beta"], params, **kw)
-        if kind == "zermelo":
-            z = _nav.ZermeloData.from_exprs(dim, mc["h"], mc["W"], params,
-                                            mc.get("chart_box"))
-            return _nav.zermelo_to_randers(z, **kw)
-        if kind == "fermat":
-            pair = _nav.fermat_metric(_stationary_from_config(cfg, params), **kw)
-            return pair[1] if mc.get("fermat_sign") == "minus" else pair[0]
+        return (factory or kind_factory)(
+            mc["dim"], *(mc.get(name) for name in required + optional), params, **kw)
     except ConfigError as exc:
         where = "/metric"
         if param_overrides:
             where = "/family/range: at " + ", ".join(
                 f"{k} = {float(v)!r}" for k, v in param_overrides.items())
         raise SchemaError(f"{where}: {exc}") from None
-    raise SchemaError(f"/metric/kind: unknown kind {kind!r}")
-
-
-def _stationary_from_config(cfg, params):
-    mc = cfg["metric"]
-    return _nav.StationaryData.from_exprs(mc["dim"], mc["g0"], mc["V"], mc.get("f"),
-                                          params, mc.get("chart_box"))
 
 
 def _branch_from_config(cfg):
@@ -344,22 +332,18 @@ def _boundary_from_config(cfg):
 
 
 def _parameters_read(mc):
-    """The parameter names the configured metric reads: K for sphere_stereo,
-    the names other than chart coordinates in an expression kind's fields."""
-    if mc["kind"] == "sphere_stereo":
-        return {"K"}
-    srcs = [mc["f"]] if "f" in mc else []
-    for name in ("g", "h", "beta", "W", "g0", "V"):
-        block = mc.get(name, [])
-        srcs += [e for row in block for e in row] if name in MATRIX_FIELDS else block
-    names = {n for s in srcs for n in _expr.names(_expr.parse(s))}
-    return {n for n in names if not _expr._COORD_RE.match(n)}
+    """The parameter names the configured metric reads: those its kind reads
+    outside expressions (K for sphere_stereo), and the names other than
+    chart coordinates in its expression fields."""
+    required, optional, names, _ = KINDS[mc["kind"]]
+    srcs = [src for name in required + optional if name in mc
+            for _, src in _cells(mc, name)]
+    found = {n for s in srcs for n in _expr.names(_expr.parse(s))}
+    return set(names) | {n for n in found if not _expr._COORD_RE.match(n)}
 
 
 def _family_from_config(cfg):
-    fam = cfg.get("family")
-    if fam is None:
-        raise SchemaError("/family: required for this command")
+    fam = cfg["family"]
     pname = fam["parameter"]
 
     def builder(lam):
@@ -472,9 +456,7 @@ def _cmd_geodesic(cfg, out):
 
 def _cmd_expmap(cfg, out):
     m = metric_from_config(cfg)
-    ini = cfg.get("problem", {}).get("initial")
-    if ini is None:
-        raise SchemaError("/problem/initial: required for expmap")
+    ini = cfg["problem"]["initial"]
     sv = cfg["solver"]
     endpoint = _geoflow.exp_map(m, ini["x"], ini["v"], rtol=sv["rtol"], atol=sv["atol"])
     J = _jacobi.expmap_jacobian(m, ini["x"], ini["v"], rtol=sv["rtol"],
@@ -493,10 +475,7 @@ def _scan_command(cfg, out, focal):
     path = _problem_path(cfg, m)
     sv = cfg["solver"]
     if focal:
-        boundary = _boundary_from_config(cfg)
-        if boundary == "point-point":
-            raise SchemaError("/problem/boundary: required for focal scans")
-        rep = _jacobi.focal_scan(path, boundary, grid=sv["scan_grid"])
+        rep = _jacobi.focal_scan(path, _boundary_from_config(cfg), grid=sv["scan_grid"])
         stem = "focal"
     else:
         rep = _jacobi.conjugate_scan(path, grid=sv["scan_grid"])
@@ -561,7 +540,7 @@ def _cmd_sweep(cfg, out):
 def _cmd_branch(cfg, out):
     fam = _family_from_config(cfg)
     sv = cfg["solver"]
-    mu = cfg.get("family", {}).get("mu")
+    mu = cfg["family"].get("mu")
     if mu is None:
         scan = _bifurc.sweep_family(fam, **_sweep_options(sv))
         if not scan.detections:
@@ -624,10 +603,10 @@ def _cmd_fermat(cfg, out):
         raise SchemaError("/metric/fermat_sign: the fermat command lifts F+ "
                           "geodesics only")
     m = metric_from_config(cfg)
-    s = _stationary_from_config(cfg, cfg["metric"].get("params", {}))
+    s = metric_from_config(cfg, factory=_stationary)
     path = _problem_path(cfg, m)
     sv = cfg["solver"]
-    t0 = cfg.get("problem", {}).get("t0", 0.0)
+    t0 = cfg["problem"].get("t0", 0.0)
     lift = _nav.lift_lightlike(s, path, t0, fermat=m,
                                check_lorentz=sv["check_lorentz"])
     write_json(
@@ -645,29 +624,47 @@ def _cmd_fermat(cfg, out):
     return 0
 
 
-_DISPATCH = {
-    "metric-check": _cmd_metric_check,
-    "geodesic": _cmd_geodesic,
-    "expmap": _cmd_expmap,
-    "conjugate": lambda cfg, out: _scan_command(cfg, out, focal=False),
-    "focal": lambda cfg, out: _scan_command(cfg, out, focal=True),
-    "index": _cmd_index,
-    "sweep": _cmd_sweep,
-    "branch": _cmd_branch,
-    "zermelo": _cmd_zermelo,
-    "fermat": _cmd_fermat,
+# each command: its handler, the config parts it requires, and which of the
+# optional parts problem/boundary, problem/t0, family and family/mu it reads;
+# run_command rejects an optional part that the command does not read
+COMMANDS = {
+    "metric-check": (_cmd_metric_check, (), ()),
+    "geodesic": (_cmd_geodesic, (), ()),
+    "expmap": (_cmd_expmap, ("problem/initial",), ()),
+    "conjugate": (functools.partial(_scan_command, focal=False), (), ()),
+    "focal": (functools.partial(_scan_command, focal=True), ("problem/boundary",),
+              ("problem/boundary",)),
+    "index": (_cmd_index, (), ("problem/boundary",)),
+    "sweep": (_cmd_sweep, ("family",), ("family", "problem/boundary")),
+    "branch": (_cmd_branch, ("family",), ("family", "family/mu")),
+    "zermelo": (_cmd_zermelo, (), ()),
+    "fermat": (_cmd_fermat, (), ("problem/t0",)),
 }
 
 
+def _has(cfg, part):
+    *blocks, leaf = part.split("/")
+    for key in blocks:
+        cfg = cfg.get(key, {})
+    return leaf in cfg
+
+
 def run_command(cmd, cfg, out_dir="."):
-    """Execute one subcommand; returns the process exit code."""
-    if cmd not in _DISPATCH:
+    """Execute one subcommand; returns the process exit code.  A part the
+    command requires and lacks, or an optional part it does not read, is a
+    config error raised before anything is written."""
+    if cmd not in COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}")
-    if "boundary" in cfg.get("problem", {}) and cmd not in BOUNDARY_COMMANDS:
-        raise SchemaError(f"/problem/boundary: the {cmd} command does not read it")
+    handler, required, reads = COMMANDS[cmd]
+    for part in required:
+        if not _has(cfg, part):
+            raise SchemaError(f"/{part}: required for the {cmd} command")
+    for part in sorted({p for _, _, r in COMMANDS.values() for p in r} - set(reads)):
+        if _has(cfg, part):
+            raise SchemaError(f"/{part}: the {cmd} command does not read it")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        code = _DISPATCH[cmd](cfg, out_dir)
+        code = handler(cfg, out_dir)
     except NumericalError as exc:
         write_json(
             os.path.join(out_dir, "diagnostic.json"),

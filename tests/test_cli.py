@@ -219,40 +219,42 @@ class TestCommands:
         assert cli.main(["geodesic", "--config", bad]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd,metric,boundary,pointer", [
-        ("geodesic", {"kind": "riemannian_expr", "g": []}, None, "/metric/g"),
+    @pytest.mark.parametrize("cmd,metric,parts,pointer", [
+        ("geodesic", {"kind": "riemannian_expr", "g": []}, {}, "/metric/g"),
         ("geodesic", {"kind": "randers", "h": [["1", "0"], ["0", "1"]], "beta": []},
-         None, "/metric/beta"),
+         {}, "/metric/beta"),
         ("geodesic", {"kind": "zermelo", "h": [["1", "0"], ["0", "1"]], "W": []},
-         None, "/metric/W"),
+         {}, "/metric/W"),
         ("geodesic", {"kind": "fermat", "g0": [["1", "0"], ["0", "1"]], "V": []},
-         None, "/metric/V"),
-        ("focal", {"kind": "euclidean"}, {"x0": [0, 0], "basis": [[0, 2]]},
+         {}, "/metric/V"),
+        ("focal", {"kind": "euclidean"}, {"boundary": {"x0": [0, 0], "basis": [[0, 2]]}},
          "/problem/boundary"),
-        ("focal", {"kind": "euclidean"}, {"x0": [0, 0], "basis": [[0, 1, 0]]},
-         "/problem/boundary/basis/0"),
-        ("index", {"kind": "euclidean"}, {"x0": [0, 0, 0], "basis": [[0, 1]]},
-         "/problem/boundary/x0"),
+        ("focal", {"kind": "euclidean"},
+         {"boundary": {"x0": [0, 0], "basis": [[0, 1, 0]]}}, "/problem/boundary/basis/0"),
         ("index", {"kind": "euclidean"},
-         {"x0": [0, 0], "basis": [[0, 1]], "shape_operator": [[1, 0], [0, 1]]},
+         {"boundary": {"x0": [0, 0, 0], "basis": [[0, 1]]}}, "/problem/boundary/x0"),
+        ("index", {"kind": "euclidean"},
+         {"boundary": {"x0": [0, 0], "basis": [[0, 1]],
+                       "shape_operator": [[1, 0], [0, 1]]}},
          "/problem/boundary/shape_operator"),
         # raised while building the metric or inside the command
-        ("geodesic", {"kind": "sphere_stereo", "params": {"K": -1}}, None, "/metric"),
-        ("geodesic", {"kind": "euclidean", "chart_box": [[1, -1], [-1, 1]]}, None,
+        ("geodesic", {"kind": "sphere_stereo", "params": {"K": -1}}, {}, "/metric"),
+        ("geodesic", {"kind": "euclidean", "chart_box": [[1, -1], [-1, 1]]}, {},
          "/metric"),
-        ("geodesic", {"kind": "euclidean", "chart_box": [[-1, 1]]}, None, "/metric"),
+        ("geodesic", {"kind": "euclidean", "chart_box": [[-1, 1]]}, {}, "/metric"),
         ("geodesic", {"kind": "zermelo", "h": [["1", "0"], ["0", "1"]],
-                      "W": ["1.5", "0"]}, None, "/metric"),
+                      "W": ["1.5", "0"]}, {}, "/metric"),
         ("geodesic", {"kind": "randers", "h": [["1", "0"], ["0", "1"]],
-                      "beta": ["2", "0"]}, None, "/metric"),
+                      "beta": ["2", "0"]}, {}, "/metric"),
         ("geodesic", {"kind": "riemannian_expr", "g": [["1 + a", "0"], ["0", "1"]]},
-         None, "/metric"),
-        ("focal", {"kind": "euclidean"}, None, "/problem/boundary"),
+         {}, "/metric"),
+        ("focal", {"kind": "euclidean"}, {}, "/problem/boundary"),
         # P must pass through the path's start, initial.x = (0, 0)
-        *[(cmd, {"kind": "euclidean"}, {"x0": [1, 0], "basis": [[0, 1]]},
+        *[(cmd, {"kind": "euclidean"}, {"boundary": {"x0": [1, 0], "basis": [[0, 1]]}},
            "/problem/boundary/x0") for cmd in ("focal", "index", "sweep")],
         # only focal, index and sweep read a boundary
-        *[(cmd, metric, {"x0": [0, 0], "basis": [[0, 1]]}, "/problem/boundary")
+        *[(cmd, metric, {"boundary": {"x0": [0, 0], "basis": [[0, 1]]}},
+           "/problem/boundary")
           for cmd, metric in [
               ("metric-check", {"kind": "euclidean"}),
               ("geodesic", {"kind": "euclidean"}),
@@ -263,19 +265,33 @@ class TestCommands:
               ("fermat", {"kind": "fermat", "g0": [["1", "0"], ["0", "1"]],
                           "V": ["0.3", "0"]}),
           ]],
+        # likewise the other optional parts of cli.COMMANDS: a family outside
+        # sweep and branch, t0 outside fermat, mu outside branch
+        ("geodesic", {"kind": "euclidean"},
+         {"family": {"parameter": "lam", "range": [0.5, 1.0], "samples": 2}}, "/family"),
+        ("index", {"kind": "euclidean"}, {"t0": 0.0}, "/problem/t0"),
+        ("sweep", {"kind": "sphere_stereo", "params": {"K": 1.0}},
+         {"family": {"parameter": "K", "range": [1.0, 2.0], "samples": 2, "mu": 1.5}},
+         "/family/mu"),
+        # a path starts from one block
+        ("geodesic", {"kind": "euclidean"}, {"connect": {"p": [0, 0], "q": [1, 0]}},
+         "/problem"),
     ], ids=["empty-g", "empty-beta", "empty-W", "empty-V", "basis-not-orthonormal",
             "basis-row-length", "x0-length", "shape-operator-size", "negative-K",
             "reversed-chart-box", "chart-box-shape", "strong-wind", "strong-beta",
             "unbound-name", "focal-without-boundary", "x0-off-start-focal",
             "x0-off-start-index", "x0-off-start-sweep", "boundary-metric-check",
             "boundary-geodesic", "boundary-expmap", "boundary-conjugate",
-            "boundary-zermelo", "boundary-fermat"])
-    def test_malformed_block_exit_1(self, tmp_path, capsys, cmd, metric, boundary,
+            "boundary-zermelo", "boundary-fermat", "family-geodesic", "t0-index",
+            "mu-sweep", "initial-and-connect"])
+    def test_malformed_block_exit_1(self, tmp_path, capsys, cmd, metric, parts,
                                     pointer):
-        problem = {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}}
-        if boundary is not None:
-            problem["boundary"] = boundary
-        cfg = write_cfg(tmp_path, {"metric": {"dim": 2, **metric}, "problem": problem})
+        # each part goes into the problem block, a family beside it
+        cfg = {"metric": {"dim": 2, **metric},
+               "problem": {"initial": {"x": [0, 0], "v": [1, 0], "tau": 1.0}}}
+        for key, part in parts.items():
+            (cfg if key == "family" else cfg["problem"])[key] = part
+        cfg = write_cfg(tmp_path, cfg)
         out = tmp_path / "run"
         assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -577,12 +593,12 @@ class TestCommands:
             assert np.array_equal(path.ts, fam_path.ts)
             assert np.array_equal(path.ys, fam_path.ys)
 
-        cfg = write_cfg(tmp_path, {
-            "metric": {"kind": "euclidean", "dim": 2},
-            "family": {"parameter": "lam", "range": [0.0, 1.0], "samples": 2},
-        })
+        metric = {"kind": "euclidean", "dim": 2}
+        family = {"parameter": "lam", "range": [0.0, 1.0], "samples": 2}
         errs = []
-        for cmd in ("geodesic", "sweep"):
+        for cmd, payload in (("geodesic", {"metric": metric}),
+                             ("sweep", {"metric": metric, "family": family})):
+            cfg = write_cfg(tmp_path, payload, f"{cmd}.json")
             assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / cmd)]) == 1
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
@@ -722,6 +738,20 @@ class TestSchemaPublication:
         # a default must not outlive the option it fills
         solver = cli._schema()["properties"]["solver"]["properties"]
         assert set(cli.SOLVER_DEFAULTS) == set(solver)
+
+    def test_tables_match_schema(self):
+        # one KINDS row per kind, each field a row names a metric property,
+        # and each part a command names a path of the schema
+        props = cli._schema()["properties"]
+        fields = props["metric"]["properties"]
+        assert sorted(cli.KINDS) == sorted(fields["kind"]["enum"])
+        for required, optional, _, _ in cli.KINDS.values():
+            assert set(required + optional) <= set(fields) - {"kind", "dim", "params"}
+        for _, required, reads in cli.COMMANDS.values():
+            for part in required + reads:
+                node = {"properties": props}
+                for key in part.split("/"):
+                    node = node["properties"][key]
 
 
 # configs of the tests above, between them reaching every block and leaf of
