@@ -254,7 +254,7 @@ def _sweep_record(lam, path, boundary, grid, mesh0, max_mesh):
     )
 
 
-def sweep_family(f, boundary="point-point", *, grid=DEFAULT_GRID,
+def sweep_family(f, boundary=None, *, grid=DEFAULT_GRID,
                  mesh0=_morse.DEFAULT_MESH0, max_mesh=_morse.DEFAULT_MAX_MESH,
                  refine_mesh=None, seed=0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Sample the family, cross-check indices, and refine candidate parameters.

@@ -321,7 +321,7 @@ def _problem_path(cfg, m):
 def _boundary_from_config(cfg):
     bd = cfg.get("problem", {}).get("boundary")
     if bd is None:
-        return "point-point"
+        return None
     basis = np.asarray(bd["basis"], dtype=float).T  # rows in config -> columns
     shape = bd.get("shape_operator")
     try:
@@ -470,16 +470,14 @@ def _cmd_expmap(cfg, out):
     return 0
 
 
-def _scan_command(cfg, out, focal):
+def _scan_command(cfg, out):
+    """conjugate and focal: the scan of the configured start, a point or
+    problem.boundary."""
     m = metric_from_config(cfg)
     path = _problem_path(cfg, m)
-    sv = cfg["solver"]
-    if focal:
-        rep = _jacobi.focal_scan(path, _boundary_from_config(cfg), grid=sv["scan_grid"])
-        stem = "focal"
-    else:
-        rep = _jacobi.conjugate_scan(path, grid=sv["scan_grid"])
-        stem = "conjugate"
+    boundary = _boundary_from_config(cfg)
+    rep = _jacobi.focal_scan(path, boundary, grid=cfg["solver"]["scan_grid"])
+    stem = "conjugate" if boundary is None else "focal"
     write_csv(
         os.path.join(out, f"{stem}.csv"),
         ["t", "multiplicity", "sigma_min"],
@@ -631,9 +629,8 @@ COMMANDS = {
     "metric-check": (_cmd_metric_check, (), ()),
     "geodesic": (_cmd_geodesic, (), ()),
     "expmap": (_cmd_expmap, ("problem/initial",), ()),
-    "conjugate": (functools.partial(_scan_command, focal=False), (), ()),
-    "focal": (functools.partial(_scan_command, focal=True), ("problem/boundary",),
-              ("problem/boundary",)),
+    "conjugate": (_scan_command, (), ()),
+    "focal": (_scan_command, ("problem/boundary",), ("problem/boundary",)),
     "index": (_cmd_index, (), ("problem/boundary",)),
     "sweep": (_cmd_sweep, ("family",), ("family", "problem/boundary")),
     "branch": (_cmd_branch, ("family",), ("family", "family/mu")),

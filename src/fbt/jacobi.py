@@ -13,11 +13,13 @@ runs at SCAN_RTOL / SCAN_ATOL: no finite-difference noise floor sits above
 them.  D exp is the shooting derivative (geoflow.endpoint_jacobian): the
 same flow from (p, v, 0, I) with (x, v) alone in the error norm.
 
-Conjugate and focal instants show up as rank drops of M(t).  A scan reads
-its grid with one dense-output call and brackets them there: sign changes of
+Conjugate and focal instants show up as rank drops of M(t).  A point start
+is boundary None, the 0-dimensional start submanifold (M(0) = 0, M'(0) = I),
+so a conjugate scan is the focal scan of a point.  A scan reads its grid
+with one dense-output call and brackets the instants there: sign changes of
 det M catch odd multiplicities, dips of the smallest singular value the
 rest.  Newton steps on the pencil (M(t), -M'(t)) refine each bracket and
-give the multiplicity (see _refine).
+give the multiplicity (see _refine), flagged above n - 1 for every start.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, BoundaryData, GeodesicPath,
-                      _frame_rhs, _residual_times, _solve, endpoint_jacobian)
+from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, GeodesicPath, _frame_rhs,
+                      _residual_times, _solve, endpoint_jacobian)
 from .metric import COMPLEX_STEP
 
 __all__ = [
@@ -86,7 +88,6 @@ class JacobiFrame:
     dense output sol (ode.DenseOutput) with step times ts."""
 
     path: GeodesicPath
-    kind: str
     sol: object
     ts: np.ndarray
 
@@ -116,59 +117,47 @@ class JacobiFrame:
         return float(np.max(R / scale))
 
 
-def _focal_init(m, path, b):
-    """Initial frame for a start submanifold P: k columns with J(0) in T_pP and
-    tangential J'(0) coupled through the shape operator, n-k columns spanning
-    the g_v-orthogonal complement with J(0) = 0."""
-    n = m.dim
+def _frame_init(path, boundary):
+    """Initial frame for a start submanifold P (None: a point, k = 0): k
+    columns with J(0) in T_pP and tangential J'(0) coupled through the shape
+    operator, n-k columns spanning the g_v-orthogonal complement with J(0) = 0."""
+    m, n = path.metric, path.dim
+    M0, Md0 = np.zeros((n, n)), np.eye(n)
+    if boundary is None:
+        return M0, Md0
     x0, v0 = path.x0, path.v0
-    b.check_start(x0)
-    W = b.basis
+    boundary.check_start(x0)
+    W = boundary.basis
     k = W.shape[1]
-    G = m.fundamental_tensor(x0, v0)
     if k > 0:
+        G = m.fundamental_tensor(x0, v0)
         res = np.max(np.abs(W.T @ G @ v0)) / (1.0 + abs(float(v0 @ G @ v0)))
         if res > 1e-8:
             raise NotPerpendicular(
                 f"path does not start g_v-orthogonally to P (residual {res:.3e})"
             )
-    M0 = np.zeros((n, n))
-    Md0 = np.zeros((n, n))
-    if k > 0:
         M0[:, :k] = W
-        Md0[:, :k] = W @ b.shape_operator
+        Md0[:, :k] = W @ boundary.shape_operator
         # complement: null space of the k x n constraint matrix (G W)^T
-        _, sv, vt = np.linalg.svd(W.T @ G)
-        comp = vt[k:].T
-    else:
-        comp = np.eye(n)
-    Md0[:, k:] = comp
+        _, _, vt = np.linalg.svd(W.T @ G)
+        Md0[:, k:] = vt[k:].T
     return M0, Md0
 
 
-def jacobi_frame(path, init="conjugate"):
+def jacobi_frame(path, boundary=None):
     """Propagate an n-column variational frame, with its own geodesic, from
     the path's start state over [0, path.tau].
 
-    init is "conjugate" (M(0) = 0, M'(0) = I) or a BoundaryData describing a
-    start submanifold for the focal problem.  The flow runs at SCAN_RTOL /
+    boundary is the BoundaryData of a start submanifold P, or None for a
+    point start (M(0) = 0, M'(0) = I).  The flow runs at SCAN_RTOL /
     SCAN_ATOL and raises LeftChart and ZeroVelocity as the geodesic flow does.
     """
     m = path.metric
-    n = m.dim
-    if isinstance(init, BoundaryData):
-        M0, Md0 = _focal_init(m, path, init)
-        kind = "focal"
-    elif init == "conjugate":
-        M0, Md0 = np.zeros((n, n)), np.eye(n)
-        kind = "conjugate"
-    else:
-        raise ValueError(f"unknown frame init {init!r}")
-
+    M0, Md0 = _frame_init(path, boundary)
     y0 = np.concatenate([path.x0, path.v0, M0.ravel(), Md0.ravel()])
     res = _solve(m, _frame_rhs(m), path.tau, y0, rtol=SCAN_RTOL, atol=SCAN_ATOL,
                  dense=True)
-    return JacobiFrame(path, kind, res.sol, res.ts)
+    return JacobiFrame(path, res.sol, res.ts)
 
 
 def expmap_jacobian(m, p, v, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -280,18 +269,19 @@ def _scan_frame(frame, grid):
         brackets.extend((t1 - cell, t1, min(t1 + cell, tau))
                         for t1 in inst.t + s[near].real)
 
+    # the Jacobi field t gamma'(t) of every start never vanishes
     found.sort(key=lambda c: c.t)
-    max_mult = frame.dim if frame.kind == "focal" else frame.dim - 1
     notes = [f"multiplicity {c.multiplicity} at t={c.t:.9g} exceeds the bound "
-             f"{max_mult}" for c in found if c.multiplicity > max_mult]
+             f"{frame.dim - 1}" for c in found if c.multiplicity > frame.dim - 1]
     return ConjugateReport(tau=tau, instants=found, grid=grid, warnings=notes)
 
 
 def conjugate_scan(path, *, grid=DEFAULT_GRID):
     """Locate conjugate instants with multiplicities over (0, tau]."""
-    return _scan_frame(jacobi_frame(path, "conjugate"), grid)
+    return _scan_frame(jacobi_frame(path), grid)
 
 
 def focal_scan(path, boundary, *, grid=DEFAULT_GRID):
-    """Locate P-focal instants for a geodesic starting g_v-orthogonally to P."""
+    """Locate P-focal instants for a geodesic starting g_v-orthogonally to P,
+    or conjugate ones for boundary None."""
     return _scan_frame(jacobi_frame(path, boundary), grid)

@@ -17,7 +17,8 @@ The mass of piecewise-linear fields is T (x) I_n, T a scalar tridiagonal
 matrix over the nodes, so its Cholesky factor is a scalar bidiagonal matrix
 times I_n: the pencil reduces to one symmetric eigenproblem by two sweeps of
 a two-term recurrence over the nodes (Golub & Van Loan, Matrix Computations,
-8.7).  A perpendicular start keeps k = dim T_{x0}P dofs at node 0.  Every
+8.7).  A perpendicular start keeps k = dim T_{x0}P dofs at node 0 (a point
+start, boundary None, keeps none and skips the frame below).  Every
 node is written in one orthonormal frame U = [Q, Q_perp], Q from the QR
 factorization W = Q R of the chart basis W of T_{x0}P, so node 0's dofs are
 its first k components and the mass keeps its Kronecker form: components
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geoflow import BoundaryData, DEFAULT_TOL_RES
+from .geoflow import DEFAULT_TOL_RES
 from . import jacobi as _jacobi
 
 __all__ = [
@@ -109,10 +110,10 @@ def _assemble(path, boundary, mesh):
     """Second variation K and the W^{1,2} mass of its pencil on a uniform mesh.
 
     Returns (K, diag, off, k).  The dofs are node 0's first k components
-    (k = 0 for point-point) and nodes 1 .. mesh - 1, the last node being
-    clamped; a BoundaryData start writes every node in the frame U and node
-    0's basis coefficients a as R a.  The mass on these dofs is T (x) I_n, T
-    the scalar tridiagonal (diag, off) over nodes 0 .. mesh - 1.
+    (k = 0 for a point, boundary None) and nodes 1 .. mesh - 1, the last
+    node being clamped; a BoundaryData start writes every node in the frame
+    U and node 0's basis coefficients a as R a.  The mass on these dofs is
+    T (x) I_n, T the scalar tridiagonal (diag, off) over nodes 0 .. mesh - 1.
     """
     m = path.metric
     n = m.dim
@@ -144,7 +145,7 @@ def _assemble(path, boundary, mesh):
     K_loc = (w[:, None, None, None, None] * blk).sum(axis=1)
     T_loc = np.einsum("g,egab->eab", w, pa * pb + da * db)
     k, K0 = 0, np.zeros((0, 0))
-    if isinstance(boundary, BoundaryData):
+    if boundary is not None:
         boundary.check_start(path.x0)
         W = boundary.basis
         k = W.shape[1]
@@ -255,7 +256,7 @@ def smallest_eigenvalue(path, boundary, mesh, k=0):
     return (r2 * fine - coarse) / (r2 - 1.0)
 
 
-def index_spectral(path, boundary="point-point", *, mesh0=DEFAULT_MESH0,
+def index_spectral(path, boundary=None, *, mesh0=DEFAULT_MESH0,
                    max_mesh=DEFAULT_MAX_MESH, mesh_fixed=None):
     """Morse index and nullity from the discrete second variation.
 
@@ -290,15 +291,11 @@ def index_spectral(path, boundary="point-point", *, mesh0=DEFAULT_MESH0,
         mesh *= 2
 
 
-def cross_check(path, boundary="point-point", *, grid=_jacobi.DEFAULT_GRID,
+def cross_check(path, boundary=None, *, grid=_jacobi.DEFAULT_GRID,
                 mesh0=DEFAULT_MESH0, max_mesh=DEFAULT_MAX_MESH):
     """Run the counting route (a scan on grid) and the spectral one (meshes
     from mesh0 up to max_mesh) and compare them."""
-    if isinstance(boundary, BoundaryData):
-        report = _jacobi.focal_scan(path, boundary, grid=grid)
-    else:
-        report = _jacobi.conjugate_scan(path, grid=grid)
-    counting = index_by_counting(report)
+    counting = index_by_counting(_jacobi.focal_scan(path, boundary, grid=grid))
     spectral = index_spectral(path, boundary, mesh0=mesh0, max_mesh=max_mesh)
     agree = (
         counting.m_minus == spectral.m_minus and counting.m_zero == spectral.m_zero

@@ -80,7 +80,7 @@ def _check_against_fresh_members(fam, scan, d):
     def fresh(lam):
         return realize_branch(fam, lam)[1]
 
-    mu = brentq(lambda lam: smallest_eigenvalue(fresh(lam), "point-point",
+    mu = brentq(lambda lam: smallest_eigenvalue(fresh(lam), None,
                                                 REFINE_MESH, k=k),
                 rl.lam, rr.lam, xtol=refine_tol)
     assert d.mu == mu
@@ -142,7 +142,7 @@ class TestSweep:
         assert any(r.m_minus > 0 and r.m_zero == 0 for r in scan.records)
         for r in scan.records:
             _, path = realize_branch(fam, r.lam)
-            w = eigh(*_assemble(path, "point-point", r.mesh))
+            w = eigh(*_assemble(path, None, r.mesh))
             assert r.min_abs_eig == pytest.approx(np.min(np.abs(w)), rel=1e-12)
 
     def test_connect_branch_family(self):

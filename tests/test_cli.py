@@ -549,6 +549,22 @@ class TestCommands:
         lines = (out / "fermat_lift.csv").read_text().splitlines()
         assert lines[0] == "s,x1,x2,t"
 
+    def test_fermat_command_varying_wind(self, tmp_path):
+        # the connect geodesic has constant F-speed, not constant speed in
+        # the associated Riemannian metric; the lift takes it all the same
+        cfg = write_cfg(tmp_path, {
+            "metric": {"kind": "fermat", "dim": 2,
+                       "g0": [["1", "0"], ["0", "1"]], "V": ["0.3*x2", "0"],
+                       "f": "1", "chart_box": [[-3, 3], [-3, 3]]},
+            "problem": {"connect": {"p": [0, 0], "q": [1.2, 0.8]}},
+        })
+        out = tmp_path / "run"
+        assert cli.main(["fermat", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads((out / "fermat.json").read_text())
+        assert data["null_residual_max"] <= 1e-9
+        assert data["lorentz_projection_gap"] <= 1e-5
+        assert not (out / "diagnostic.json").exists()
+
     def test_zermelo_grid_oracle_needs_connect(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "metric": {"kind": "zermelo", "dim": 2,

@@ -35,13 +35,13 @@ from _oracles import (
 class TestFrame:
     def test_flat_frame_linear(self, euclid):
         path = integrate_geodesic(euclid, PhaseState([0, 0], [1, 0]), 3.0)
-        frame = jacobi_frame(path, "conjugate")
+        frame = jacobi_frame(path)
         for t in (0.5, 1.7, 3.0):
             assert np.max(np.abs(frame.M(t) - t * np.eye(2))) < 1e-12
 
     def test_sphere_transverse_sine(self, sphere):
         path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 3.2)
-        frame = jacobi_frame(path, "conjugate")
+        frame = jacobi_frame(path)
         sv = np.linalg.svd(frame.M(np.pi), compute_uv=False)
         assert sv[-1] < 1e-6 * sv[0]
         # away from pi the frame is far from singular
@@ -54,7 +54,7 @@ class TestFrame:
         lam = 1.7
         m = warped_metric(lam)
         path = integrate_geodesic(m, PhaseState([0.0, 0.0], [1.0, 0.0]), 2.0)
-        frame = jacobi_frame(path, "conjugate")
+        frame = jacobi_frame(path)
         sol = jacobi_scalar(lambda t: lam - lam**2 * t**2, (0.0, 2.0), 0.0, 1.0)
         for t in np.linspace(0.2, 2.0, 8):
             u = sol.sol(t)[0]
@@ -64,7 +64,7 @@ class TestFrame:
 
     def test_linearization_residual(self, sphere):
         path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 2.0)
-        frame = jacobi_frame(path, "conjugate")
+        frame = jacobi_frame(path)
         assert frame.residual_max() < 1e-4
 
     def test_scans_ride_the_frames_own_geodesic(self, sphere, monkeypatch):
@@ -427,7 +427,7 @@ def _closed_form_frame(sol, n, tau):
     closed form sol(t) (the layout of the frame flow's dense output), so a
     scan sees no integration error."""
     path = integrate_geodesic(fbt.euclidean(n), PhaseState(np.zeros(n), np.eye(n)[0]), tau)
-    return JacobiFrame(path, "conjugate", sol, np.array([0.0, tau]))
+    return JacobiFrame(path, sol, np.array([0.0, tau]))
 
 
 def _diagonal_frame(a, tau=4.0, q=None):

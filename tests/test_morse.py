@@ -7,7 +7,8 @@ from scipy.linalg import eigh as scipy_eigh
 
 import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
-from fbt.jacobi import ConjugateInstant, ConjugateReport, conjugate_scan, focal_scan
+from fbt.jacobi import (ConjugateInstant, ConjugateReport, conjugate_scan, focal_scan,
+                        jacobi_frame)
 from fbt.metric import PhaseState
 from fbt.morse import (
     KER_FLOOR,
@@ -175,7 +176,7 @@ class TestMeshConvergence:
         n_final = rep.spectral.mesh
         negs = []
         for mesh in (n_final // 2, n_final):
-            w = eigh(*_assemble(path, "point-point", mesh))
+            w = eigh(*_assemble(path, None, mesh))
             negs.append(np.sort(w[w < 0]))
         assert len(negs[0]) == len(negs[1]) == rep.m_minus
         for a, b in zip(*negs):
@@ -233,7 +234,7 @@ class TestVectorizedAssembly:
         path = _assembly_path(name)
         e = np.eye(path.dim)
         boundaries = [
-            "point-point",
+            None,
             BoundaryData(path.x0, e[:, 1], [[0.7]]),  # k = 1, curved
             BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
         ]
@@ -265,7 +266,7 @@ def _solver_boundaries(path):
     Q, _ = np.linalg.qr(rng.standard_normal((3, 2)))
     loose = Q + 1e-9 * rng.standard_normal((3, 2))  # orthonormal to about 1e-9
     return {
-        "point-point": "point-point",
+        "point-point": None,
         "k1": BoundaryData(path.x0, e[:, 1], [[0.7]]),
         "k2": BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
         "k2-loose": BoundaryData(path.x0, loose, [[-0.5, 0.3], [0.3, 0.9]]),
@@ -312,10 +313,10 @@ class TestRichardson:
         lam, tau = 2.0, 2.0
         path = integrate_geodesic(warped_metric(lam, flat_axis=True),
                                   PhaseState([-1.0, 0.0], [1.0, 0.0]), tau)
-        fine, coarse = (eigh(*_assemble(path, "point-point", m))[0]
+        fine, coarse = (eigh(*_assemble(path, None, m))[0]
                         for m in (mesh, mesh // 2))
         r2 = (mesh / (mesh // 2)) ** 2
-        got = smallest_eigenvalue(path, "point-point", mesh)
+        got = smallest_eigenvalue(path, None, mesh)
         assert got == (r2 * fine - coarse) / (r2 - 1.0)
         assert abs(got - flat_axis_warped_eigenvalue(lam, tau)) <= 2e-6
 
@@ -342,8 +343,8 @@ class TestSpectrumMemo:
 
     def test_spectrum_is_read_only(self):
         path = _assembly_path("warped")
-        w = _spectrum(path, "point-point", 16)
-        assert _spectrum(path, "point-point", 16) is w
+        w = _spectrum(path, None, 16)
+        assert _spectrum(path, None, 16) is w
         with pytest.raises(ValueError):
             w[0] = 0.0
 
@@ -355,3 +356,55 @@ class TestSpectrumMemo:
         assert path == twin
         assert repr(path) == repr(twin)
         assert "_spectra" not in repr(path)
+
+
+def _point_start_path(name):
+    if name == "sphere2":
+        m = fbt.sphere_stereo(1.0)
+        return integrate_geodesic(m, PhaseState([0, -1], [1, 0]), 3.2)
+    if name == "sphere3-double":
+        m = fbt.sphere_stereo(1.0, dim=3)
+        return integrate_geodesic(m, PhaseState([0, -1, 0], [1, 0, 0.2]), 1.5 * np.pi)
+    return _assembly_path(name)
+
+
+class TestPointStart:
+    """A point start is boundary None: the 0-dimensional start submanifold,
+    BoundaryData(x0, an n x 0 basis), gives the same bits on every route."""
+
+    NAMES = ["sphere2", "sphere3-double", "warped", "randers", "sphere3"]
+
+    @staticmethod
+    def _point(path):
+        return BoundaryData(path.x0, np.zeros((path.dim, 0)))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_frame_and_scans(self, name):
+        path = _point_start_path(name)
+        frame = jacobi_frame(path)
+        as_p = jacobi_frame(path, self._point(path))
+        assert np.array_equal(frame.ts, as_p.ts)
+        ts = np.linspace(0.0, path.tau, 97)
+        assert np.array_equal(frame.sol(ts), as_p.sol(ts))
+        conj = conjugate_scan(path)
+        assert focal_scan(path, None) == conj
+        assert focal_scan(path, self._point(path)) == conj
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_assembly_and_pencil(self, name):
+        path = _point_start_path(name)
+        for mesh in (16, 64):
+            K, diag, off, k = _assemble(path, None, mesh)
+            K_p, diag_p, off_p, k_p = _assemble(path, self._point(path), mesh)
+            assert k == k_p == 0
+            for a, b in ((K, K_p), (diag, diag_p), (off, off_p)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(eigh(K, diag, off, k), eigh(K_p, diag_p, off_p, k_p))
+
+    @pytest.mark.parametrize("name", ["sphere2", "sphere3-double", "warped"])
+    def test_cross_check(self, name):
+        path = _point_start_path(name)
+        rep = cross_check(path)
+        assert cross_check(path, None) == rep
+        assert cross_check(path, self._point(path)) == rep
+        assert rep.agree

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import fbt
 from fbt import nav
@@ -245,6 +246,36 @@ class TestLift:
         other = fine[::3] + 1e-4 * rng.normal(size=(268, dim))
         for a, b in ((fine, other), (other, fine), (fine, fine)):
             assert _point_set_gap(a, b) == point_set_gap_blocks(a, b)
+
+    @pytest.mark.parametrize("V, f", [
+        (["0.3*x2", "0"], "1"),
+        (["0.3", "0"], "1+0.1*x1^2"),
+        (["0.3*x2", "0.1*x1"], "1+0.1*x1^2"),
+    ], ids=["varying-V", "varying-f", "both"])
+    def test_lift_of_any_fermat_geodesic(self, V, f):
+        # a constant-F-speed geodesic whose speed in gt + w w varies
+        s = StationaryData.from_exprs(2, [["1", "0"], ["0", "1"]], V, f,
+                                      chart_box=[[-3, 3], [-3, 3]])
+        fp, _ = fermat_metric(s)
+        v = connect(fp, [0, 0], [1.2, 0.8], [1.2, 0.8])
+        path = integrate_geodesic(fp, PhaseState([0, 0], v), 1.0)
+        lift = lift_lightlike(s, path, fermat=fp, check_lorentz=True)
+        assert lift.null_residual_max <= 1e-9
+        assert lift.lorentz_gap <= 1e-5
+        # the spacetime geodesic from the lifted initial data, run past the
+        # endpoint; its t where its projection passes the endpoint is the
+        # arrival time
+        q = path.endpoint
+        z0 = np.concatenate([path.x0, [0.0]])
+        dz0 = np.concatenate([path.v0, [fp.F(path.x0, path.v0)]])
+        lor = integrate_geodesic(nav._lorentz_metric(s), PhaseState(z0, dz0), 2.0)
+
+        def along(sigma):
+            z, dz = lor.state(sigma)
+            return float((z[:2] - q) @ dz[:2])
+
+        sigma = brentq(along, 0.0, 2.0, xtol=1e-14)
+        assert abs(lor.x(sigma)[2] - lift.t[-1]) <= 1e-8
 
     def test_variable_speed_path_rejected(self):
         s = self._stationary()
