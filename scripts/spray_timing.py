@@ -11,11 +11,13 @@ of the mean time per call on
 * a real stack of 3*64 states (the Gauss points of a 64-element mesh).
 
 second_derivatives takes real states only, so its complex columns read "-".
-Two more rows per kind time whole callers: shoot_rhs, the variational
+Three more rows per kind time whole callers: shoot_rhs, the variational
 right-hand side _frame_rhs at endpoint_jacobian's start state (p, v, 0, I),
-n complex-step rows (column cs_n), and spray_jacobians, the independent
-check of the frame equation in JacobiFrame.residual_max, at one real state
-(column real1); their other columns read "-".
+n complex-step rows (column cs_n); frame_rhs, the same right-hand side at a
+conjugate scan frame's start state (jacobi._frame_init), n - 1 rows (also
+under cs_n); and spray_jacobians, the independent check of the frame
+equation in JacobiFrame.residual_max, at one real state (column real1).
+Their other columns read "-".
 
     PYTHONPATH=src python scripts/spray_timing.py [--repeat 5] [--number 200]
 """
@@ -28,7 +30,7 @@ import numpy as np
 import fbt
 import fbt.nav as nav
 from fbt.geoflow import _frame_rhs
-from fbt.jacobi import spray_jacobians
+from fbt.jacobi import _frame_init, spray_jacobians
 from fbt.metric import COMPLEX_STEP
 
 COLUMNS = ("real1", "cs_n", "cs_2n", "stack192")
@@ -104,8 +106,10 @@ def callers(m, shapes):
     """The complex-step callers timed per kind: (row name, column, fn, args)."""
     x, v = shapes["real1"]
     n = m.dim
-    start = np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
-    return [("shoot_rhs", "cs_n", _frame_rhs(m), (0.0, start)),
+    shoot = np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
+    frame, _ = _frame_init(fbt.integrate_geodesic(m, fbt.PhaseState(x, v), 0.1), None)
+    return [("shoot_rhs", "cs_n", _frame_rhs(m), (0.0, shoot)),
+            ("frame_rhs", "cs_n", _frame_rhs(m), (0.0, frame)),
             ("spray_jacobians", "real1", spray_jacobians, (m, *shapes["real1"]))]
 
 

@@ -3,7 +3,8 @@
 Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) by
 the 8th-order Dormand-Prince pair (ode.dop853), with dense output where a
 path is kept.  Their linearization on (x, v, M, M') has one right-hand
-side, _frame_rhs: frames keep M and M' in the error norm, shooting does not.
+side, _frame_rhs, for any number of columns: Jacobi frames carry n - 1 with
+M and M' in the error norm, shooting all n with (x, v) alone in it.
 Two-point problems are solved by one damped, optionally deflated Newton
 loop; each iterate integrates that flow once from (p, v, 0, I) and reads
 the shooting Jacobian M(tau).  A damped line-search trial needs the
@@ -179,18 +180,24 @@ def _geodesic_rhs(m):
 
 
 def _frame_rhs(m):
-    """The variational flow's right-hand side on the flat real (x, v, M, M'),
-    from the complex-step rows spray(x + i h M_j, v + i h M'_j)."""
+    """The variational flow's right-hand side on the flat real (x, v, M, M')
+    with M and M' of n rows and as many columns as y carries (n for
+    shooting, n - 1 for a frame, row-major), from one complex-step row
+    spray(x + i h M_j, v + i h M'_j) per column; with no column, the real
+    spray."""
     n = m.dim
 
     def rhs(t, y):
         z = y.tolist()
-        u, M, Md = z[n:2 * n], z[2 * n:2 * n + n * n], z[2 * n + n * n:]
-        rows = [([COMPLEX_STEP * w for w in M[j::n]],
-                 [complex(r, COMPLEX_STEP * w) for r, w in zip(u, Md[j::n])])
-                for j in range(n)]
-        out = m.complex_step("spray", z[:n], rows)
-        return np.concatenate([u, out[0].real, Md, (out.imag.T / COMPLEX_STEP).ravel()])
+        c = len(z) // (2 * n) - 1
+        k = 2 * n + n * c
+        u, M, Md = z[n:2 * n], z[2 * n:k], z[k:]
+        rows = [([COMPLEX_STEP * w for w in M[j::c]],
+                 [complex(r, COMPLEX_STEP * w) for r, w in zip(u, Md[j::c])])
+                for j in range(c)]
+        out = m.complex_step("spray", z[:n], rows) if c else m.spray(y[:n], y[n:])[None]
+        return np.concatenate([y[n:2 * n], out[0].real, y[k:],
+                               out[:c].imag.T.ravel() / COMPLEX_STEP])
 
     return rhs
 

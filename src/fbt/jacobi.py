@@ -1,17 +1,23 @@
 """Jacobi frames, the exponential-map Jacobian, conjugate and focal scans.
 
-A frame carries n columns (J, J') through the linearized geodesic equation
-J'' = Dx spray . J + Dv spray . J' together with its own geodesic: one real
-flow on (x, v, M, M') (geoflow._frame_rhs) from a path's start state by the
-8th-order Dormand-Prince pair (ode.dop853), with M and M' in the error norm.
-Each stage evaluates the n complex-step rows spray(x + i h M_j, v + i h M'_j):
-the real part is the geodesic's spray, Im / h the column's J''.  So the
-counting index route (these scans) rides the frame's geodesic at SCAN_RTOL,
-the spectral one (morse) the stored path at its rtol, from the same
-(x0, v0, tau).  Every metric's chart derivatives are exact, so every frame
-runs at SCAN_RTOL / SCAN_ATOL: no finite-difference noise floor sits above
-them.  D exp is the shooting derivative (geoflow.endpoint_jacobian): the
-same flow from (p, v, 0, I) with (x, v) alone in the error norm.
+A frame M holds n Jacobi fields, columns solving the linearized geodesic
+equation J'' = Dx spray . J + Dv spray . J'.  The tangential field t v(t)
+is one of them in closed form, and g_v(J, v) is affine in t for every
+Jacobi field, so the frame flow carries only n - 1 columns N, started
+g_v-orthogonal to v with zero slope (_frame_init), together with its own
+geodesic: one real flow on (x, v, N, N') (geoflow._frame_rhs) from a path's
+start state by the 8th-order Dormand-Prince pair (ode.dop853), with N and
+N' in the error norm.  Each stage evaluates the n - 1 complex-step rows
+spray(x + i h N_j, v + i h N'_j): the real part is the geodesic's spray,
+Im / h the column's J''.  M = [N | t v] C and M' = [N' | v + t a] C, with a
+the spray at the frame's state and C the constant change to the start
+basis.  So the counting index route (these scans) rides the frame's
+geodesic at SCAN_RTOL, the spectral one (morse) the stored path at its
+rtol, from the same (x0, v0, tau).  Every metric's chart derivatives are
+exact, so every frame runs at SCAN_RTOL / SCAN_ATOL: no finite-difference
+noise floor sits above them.  D exp is the shooting derivative
+(geoflow.endpoint_jacobian): the same right-hand side on all n columns from
+(p, v, 0, I), with (x, v) alone in the error norm.
 
 Conjugate and focal instants show up as rank drops of M(t).  A point start
 is boundary None, the 0-dimensional start submanifold (M(0) = 0, M'(0) = I),
@@ -84,12 +90,16 @@ def spray_jacobians(m, x, v):
 
 @dataclass
 class JacobiFrame:
-    """M and M' along a path: the last 2 n^2 components of the frame flow's
-    dense output sol (ode.DenseOutput) with step times ts."""
+    """M and M' along a path.  sol (ode.DenseOutput, with step times ts) is
+    the frame flow on (x, v, N, N') of the n - 1 carried columns N, row-major
+    n x (n - 1); with the tangential field t v(t) last they form the basis
+    B = [N | t v], B' = [N' | v + t a] (a = v' the frame's spray), and
+    M = B C, M' = B' C for the constant C of _frame_init."""
 
     path: GeodesicPath
     sol: object
     ts: np.ndarray
+    C: np.ndarray
 
     @property
     def dim(self):
@@ -97,67 +107,105 @@ class JacobiFrame:
 
     def M(self, t):
         """M(t); at an array of times, a stack of matrices."""
-        n = self.dim
-        return self.sol(t)[-2 * n * n:-n * n].T.reshape(np.shape(t) + (n, n))
+        n, ts = self.dim, np.atleast_1d(t)
+        y = self.sol(ts).T
+        B = _basis(y[:, 2 * n:n * n + n], ts[:, None] * y[:, n:2 * n])
+        return (B @ self.C).reshape(np.shape(t) + (n, n))
 
     def Mdot(self, t):
+        return self.pencil(t)[1]
+
+    def pencil(self, t):
+        """M(t) and M'(t) from one dense-output call and the spray a = v' at
+        the frame's state there."""
         n = self.dim
-        return self.sol(t)[-n * n:].T.reshape(np.shape(t) + (n, n))
+        y = np.moveaxis(self.sol(t), 0, -1)
+        tv, v = np.asarray(t, dtype=float)[..., None], y[..., n:2 * n]
+        a = self.path.metric.spray(y[..., :n], v)
+        B = _basis(y[..., 2 * n:n * n + n], tv * v)
+        Bd = _basis(y[..., n * n + n:], v + tv * a)
+        return B @ self.C, Bd @ self.C
 
     def residual_max(self):
-        """Linearized-equation residual, with M'' the dense output's exact
-        derivative of M'."""
+        """Linearized-equation residual of the carried columns, with N'' the
+        dense output's exact derivative of N'."""
         ts, n = _residual_times(self.path.tau), self.dim
-        Mdd = self.sol.derivative(ts)[-n * n:].T.reshape(ts.shape + (n, n))
+        y, dy = self.sol(ts), self.sol.derivative(ts)
+        N, Nd, Ndd = (z.T.reshape(ts.shape + (n, n - 1))
+                      for z in (y[2 * n:n * n + n], y[n * n + n:], dy[n * n + n:]))
         x, v = self.path.state(ts)
         A, B = spray_jacobians(self.path.metric, x, v)
-        M, Md = self.M(ts), self.Mdot(ts)
-        R = np.linalg.norm(Mdd - A @ M - B @ Md, axis=(-2, -1))
-        scale = 1.0 + np.linalg.norm(A @ M + B @ Md, axis=(-2, -1))
-        return float(np.max(R / scale))
+        drive = A @ N + B @ Nd
+        R = np.linalg.norm(Ndd - drive, axis=(-2, -1))
+        return float(np.max(R / (1.0 + np.linalg.norm(drive, axis=(-2, -1)))))
+
+
+def _basis(N, last):
+    """The n x n matrices [N | last] from flat carried columns N
+    (..., n (n - 1)) and a last column (..., n)."""
+    n = last.shape[-1]
+    return np.concatenate([N.reshape(last.shape + (n - 1,)), last[..., None]], axis=-1)
 
 
 def _frame_init(path, boundary):
-    """Initial frame for a start submanifold P (None: a point, k = 0): k
-    columns with J(0) in T_pP and tangential J'(0) coupled through the shape
-    operator, n-k columns spanning the g_v-orthogonal complement with J(0) = 0."""
-    m, n = path.metric, path.dim
-    M0, Md0 = np.zeros((n, n)), np.eye(n)
-    if boundary is None:
-        return M0, Md0
-    x0, v0 = path.x0, path.v0
-    boundary.check_start(x0)
-    W = boundary.basis
+    """The frame flow's initial state and the matrix C of JacobiFrame, for a
+    start submanifold P of basis W and shape operator S (None: a point,
+    k = 0).
+
+    The frame M has k columns with M(0) = W, M'(0) = W S and n - k columns
+    with M(0) = 0 and M'(0) spanning the g_v-orthogonal complement of T_pP.
+    g_{v(t)}(J, v(t)) is affine in t for every Jacobi field J, with slope
+    dxL.J(0) / 2 + g_v(v0, J'(0)) (by the Euler-Lagrange equation of L), so
+    the flow carries k columns with M'(0) = W S + v0 alpha, alpha chosen to
+    cancel the slope, and n - k - 1 with M(0) = 0 and M'(0) spanning the
+    g_v-orthogonal complement of [W, v0]: each stays g-orthogonal to v(t).
+    The tangential field t v(t), which never vanishes, completes them, and
+    C maps that basis onto M.  On the indefinite quadratic kind g_v(v0, v0)
+    may vanish, so there the complement is chart-orthogonal to v0 and no
+    slope is cancelled."""
+    m, n, x0, v0 = path.metric, path.dim, path.x0, path.v0
+    W, S = np.zeros((n, 0)), np.zeros((0, 0))
+    if boundary is not None:
+        boundary.check_start(x0)
+        W, S = boundary.basis, boundary.shape_operator
     k = W.shape[1]
+    G = m.fundamental_tensor(x0, v0)
+    gv = G @ v0
+    M0, Md0, WS = np.zeros((n, n)), np.eye(n), W @ S
     if k > 0:
-        G = m.fundamental_tensor(x0, v0)
-        res = np.max(np.abs(W.T @ G @ v0)) / (1.0 + abs(float(v0 @ G @ v0)))
+        res = np.max(np.abs(W.T @ gv)) / (1.0 + abs(float(v0 @ gv)))
         if res > 1e-8:
             raise NotPerpendicular(
                 f"path does not start g_v-orthogonally to P (residual {res:.3e})"
             )
-        M0[:, :k] = W
-        Md0[:, :k] = W @ boundary.shape_operator
+        M0[:, :k], Md0[:, :k] = W, WS
         # complement: null space of the k x n constraint matrix (G W)^T
-        _, _, vt = np.linalg.svd(W.T @ G)
-        Md0[:, k:] = vt[k:].T
-    return M0, Md0
+        Md0[:, k:] = np.linalg.svd(W.T @ G)[2][k:].T
+        if not m.pseudo:
+            dxL = m.L(x0 + 1j * COMPLEX_STEP * W.T, v0).imag / COMPLEX_STEP
+            WS = WS - np.outer(v0, 0.5 * dxL + gv @ WS) / float(v0 @ gv)
+    ends = np.vstack([W.T @ G, v0 if m.pseudo else gv])
+    Nd0 = np.hstack([WS, np.linalg.svd(ends)[2][k + 1:].T])
+    y0 = np.concatenate([x0, v0, M0[:, :-1].ravel(), Nd0.ravel()])
+    C = np.linalg.lstsq(np.vstack([M0, np.column_stack([Nd0, v0])]),
+                        np.vstack([M0, Md0]), rcond=None)[0]
+    return y0, C
 
 
 def jacobi_frame(path, boundary=None):
-    """Propagate an n-column variational frame, with its own geodesic, from
-    the path's start state over [0, path.tau].
+    """Propagate a Jacobi frame, with its own geodesic, from the path's start
+    state over [0, path.tau].
 
     boundary is the BoundaryData of a start submanifold P, or None for a
-    point start (M(0) = 0, M'(0) = I).  The flow runs at SCAN_RTOL /
-    SCAN_ATOL and raises LeftChart and ZeroVelocity as the geodesic flow does.
+    point start (M(0) = 0, M'(0) = I).  The flow carries n - 1 columns (see
+    _frame_init), runs at SCAN_RTOL / SCAN_ATOL and raises LeftChart and
+    ZeroVelocity as the geodesic flow does.
     """
     m = path.metric
-    M0, Md0 = _frame_init(path, boundary)
-    y0 = np.concatenate([path.x0, path.v0, M0.ravel(), Md0.ravel()])
+    y0, C = _frame_init(path, boundary)
     res = _solve(m, _frame_rhs(m), path.tau, y0, rtol=SCAN_RTOL, atol=SCAN_ATOL,
                  dense=True)
-    return JacobiFrame(path, res.sol, res.ts)
+    return JacobiFrame(path, res.sol, res.ts, C)
 
 
 def expmap_jacobian(m, p, v, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -213,12 +261,10 @@ def _refine(frame, t, lo, hi, cell):
     complex at convergence (a dip that misses zero), or unless sigma_min /
     sigma_max < THETA_NULL there.  The multiplicity counts the offsets
     within SAME_INSTANT cells."""
-    n = frame.dim
     close = SAME_INSTANT * cell
     lo, hi = max(lo - close, close), hi + close
     for _ in range(PENCIL_MAXITER):
-        y = frame.sol(t)
-        M, Md = y[-2 * n * n:-n * n].reshape(n, n), y[-n * n:].reshape(n, n)
+        M, Md = frame.pencil(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = 1j * cell - 1.0 / np.linalg.eigvals(
                 np.linalg.solve(M + 1j * cell * Md, Md))

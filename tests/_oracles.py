@@ -351,6 +351,51 @@ def frame_joint_flow(m, x0, v0, ts):
 
 
 # ---------------------------------------------------------------------------
+# n-column reference frames
+#
+# The frame flow that carries all n columns: M(0) = [W | 0] and
+# M'(0) = [W S | a basis of the g_v-orthogonal complement of T_pP] (M'(0) = I
+# for a point start), integrated at the scan tolerances by the n-column
+# right-hand side of shooting (which TestMirrorsSolveIvp checks against
+# SciPy and the complex-step copies), with M and M' read off the flow's
+# last 2 n^2 components.  Closed-form frames lay out their sol(t) the same
+# way.
+
+
+class FlatFrame(fbt.jacobi.JacobiFrame):
+    """A frame whose sol(t) ends with M and M', n^2 components each,
+    row-major; C is unused."""
+
+    def M(self, t):
+        return self.pencil(t)[0]
+
+    def pencil(self, t):
+        n = self.dim
+        y = self.sol(t)
+        shape = np.shape(t) + (n, n)
+        return y[-2 * n * n:-n * n].T.reshape(shape), y[-n * n:].T.reshape(shape)
+
+
+def reference_frame(path, boundary=None):
+    """The n-column frame of path from a point (boundary None) or from the
+    start submanifold of a BoundaryData."""
+    m, n = path.metric, path.dim
+    M0, Md0 = np.zeros((n, n)), np.eye(n)
+    k = 0 if boundary is None else boundary.basis.shape[1]
+    if k:
+        W = boundary.basis
+        M0[:, :k] = W
+        Md0[:, :k] = W @ boundary.shape_operator
+        G = m.fundamental_tensor(path.x0, path.v0)
+        Md0[:, k:] = np.linalg.svd(W.T @ G)[2][k:].T
+    y0 = np.concatenate([path.x0, path.v0, M0.ravel(), Md0.ravel()])
+    res = fbt.geoflow._solve(m, fbt.geoflow._frame_rhs(m), path.tau, y0,
+                             rtol=fbt.jacobi.SCAN_RTOL, atol=fbt.jacobi.SCAN_ATOL,
+                             dense=True)
+    return FlatFrame(path, res.sol, res.ts, np.eye(n))
+
+
+# ---------------------------------------------------------------------------
 # Conjugate-scan grid, one time at a time
 
 

@@ -157,6 +157,23 @@ class TestCommands:
         t = float(lines[1].split(",")[0])
         assert t == pytest.approx(np.pi, abs=1e-6)
 
+    @pytest.mark.parametrize("cmd", ["conjugate", "index"])
+    def test_one_dimensional_metric(self, tmp_path, cmd):
+        # a 1-D frame carries no column: the tangential field t v(t) is all
+        # of M, and it never vanishes
+        cfg = load_config(write_cfg(tmp_path, {
+            "metric": {"kind": "euclidean", "dim": 1},
+            "problem": {"initial": {"x": [0], "v": [1], "tau": 2.0}},
+        }))
+        out = tmp_path / "run"
+        assert run_command(cmd, cfg, str(out)) == 0
+        if cmd == "conjugate":
+            lines = (out / "conjugate.csv").read_text().splitlines()
+            assert lines == ["t,multiplicity,sigma_min"]
+        else:
+            data = json.loads((out / "index.json").read_text())
+            assert (data["m_minus"], data["m_zero"], data["agree"]) == (0, 0, True)
+
     def test_expmap_jacobian_reads_solver_atol(self, tmp_path, monkeypatch):
         seen = []
         jacobian = cli._jacobi.expmap_jacobian

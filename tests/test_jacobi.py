@@ -7,7 +7,6 @@ import fbt
 from fbt.geoflow import BoundaryData, GeodesicPath, endpoint_jacobian, integrate_geodesic
 from fbt.jacobi import (
     DEFAULT_GRID,
-    JacobiFrame,
     NotPerpendicular,
     _scan_frame,
     _scan_grid,
@@ -21,9 +20,11 @@ from fbt.metric import ConvexityViolation, OutsideChart, PhaseState
 
 from conftest import locally_constant
 from _oracles import (
+    FlatFrame,
     expmap_fd,
     frame_joint_flow,
     jacobi_scalar,
+    reference_frame,
     richardson_jacobians_loop,
     scan_grid_loop,
     sphere_stereo_closed,
@@ -346,7 +347,7 @@ class TestSprayJacobians:
     def test_residual_max_matches_sample_loop(self):
         # the stacked samples of JacobiFrame.residual_max against a loop over
         # the same sample times with one derivative read and one
-        # spray_jacobians call each
+        # spray_jacobians call each, on the carried column (x, v, N, N')
         z = fbt.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]],
                                        ["0.6*exp(-x1^2)", "0"])
         for m, x, v in [
@@ -358,10 +359,10 @@ class TestSprayJacobians:
             ts = np.random.default_rng(0).uniform(0.05 * 1.5, 0.95 * 1.5, size=20)
             worst = 0.0
             for t in ts:
-                Mdd = frame.sol.derivative(t)[-4:].reshape(2, 2)
+                y, Ndd = frame.sol(t), frame.sol.derivative(t)[6:]
                 A, B = spray_jacobians(m, *frame.path.state(t))
-                drive = A @ frame.M(t) + B @ frame.Mdot(t)
-                worst = max(worst, np.linalg.norm(Mdd - drive) / (1.0 + np.linalg.norm(drive)))
+                drive = A @ y[4:6] + B @ y[6:]
+                worst = max(worst, np.linalg.norm(Ndd - drive) / (1.0 + np.linalg.norm(drive)))
             assert frame.residual_max() == pytest.approx(worst, rel=1e-12)
 
 
@@ -410,6 +411,98 @@ class TestFrameAccuracy:
         assert np.max(np.abs(J - ref)) / np.max(np.abs(ref)) <= bound
 
 
+def _nonclosed_randers():
+    # beta = (0.2 exp(-1.8 x2^2), 0.1 x1) is not closed
+    return fbt.randers_expr(2, [["exp(-1.8*x2^2)", "0"], ["0", "1"]],
+                            ["0.2*exp(-1.8*x2^2)", "0.1*x1"])
+
+
+def _warped_focal():
+    # P is the x1 direction at x1 = 0.3, where dL/dx1 != 0 along v0 = e2
+    m = fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-lam*x1^2)"]], params={"lam": 1.3})
+    b = BoundaryData([0.3, 0.0], np.array([[1.0], [0.0]]), np.array([[-1.0]]))
+    return m, [0.3, 0.0], [0.0, 1.0], 4.0, b
+
+
+def _randers_focal():
+    b = BoundaryData([0.0, 0.3], np.array([[0.0], [1.0]]), np.array([[-0.7]]))
+    return _nonclosed_randers(), [0.0, 0.3], [1.0, 0.0], 3.0, b
+
+
+def _sphere_cases():
+    great = BoundaryData([0.0, 0.0, 0.0], np.eye(3)[:, 1:])
+    for K in (0.5, 1.0, 1.25):
+        tau = 2.5 * np.pi / np.sqrt(K)
+        yield f"sphere2-K{K}", (lambda K=K, tau=tau: (
+            fbt.sphere_stereo(K), [0.0, -1.0], [1.0, 0.0], tau, None))
+        yield f"sphere3-K{K}", (lambda K=K, tau=tau: (
+            fbt.sphere_stereo(K, dim=3), [0.0, -1.0, 0.0], [1.0, 0.0, 0.3], tau, None))
+        yield f"sphere3-focal-K{K}", (lambda K=K: (
+            fbt.sphere_stereo(K, dim=3), [0.0, 0.0, 0.0], [0.5, 0.0, 0.0], 2.5, great))
+
+
+# name -> () -> (metric, x0, v0, tau, boundary or None)
+SCAN_CASES = {
+    **dict(_sphere_cases()),
+    "sphere2-focal": lambda: (fbt.sphere_stereo(1.0), [0.0, 0.0], [0.5, 0.0], 2.5,
+                              BoundaryData([0.0, 0.0], np.array([[0.0], [1.0]]))),
+    "warped": lambda: (fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-lam*x1^2)"]],
+                                           params={"lam": 1.3}),
+                       [0.0, 0.0], [0.0, 1.0], 4.0, None),
+    "randers": lambda: (_nonclosed_randers(), [0.0, 0.3], [1.0, 0.1], 4.0, None),
+    "warped-focal": _warped_focal,
+    "randers-focal": _randers_focal,
+    "circle-focal": lambda: (fbt.euclidean(2), [1.0, 0.0], [1.0, 0.0], 2.0,
+                             BoundaryData([1.0, 0.0], np.array([[0.0], [1.0]]),
+                                          np.array([[-1.0]]))),
+}
+
+
+class TestCarriedColumns:
+    """Frames carry n - 1 columns g-orthogonal to the velocity and rebuild
+    the n-th, the tangential field t v(t), in closed form."""
+
+    @pytest.mark.parametrize("name", ["randers", "warped-focal"])
+    def test_orthogonal_to_velocity(self, name):
+        # g_{v(t)}(J, v(t)) is affine in t and starts at 0 with slope 0;
+        # measured at most 2.2e-11 max |J| on these paths
+        m, x0, v0, tau, b = SCAN_CASES[name]()
+        path = integrate_geodesic(m, PhaseState(x0, v0), tau)
+        frame = jacobi_frame(path, b)
+        n = m.dim
+        y = frame.sol(np.linspace(0.0, tau, 201)[1:]).T
+        x, v, N = y[:, :n], y[:, n:2 * n], y[:, 2 * n:n * n + n].reshape(-1, n, n - 1)
+        g = np.einsum("tij,tj,tik->tk", m.fundamental_tensor(x, v), v, N)
+        assert np.all(np.max(np.abs(g), axis=0)
+                      <= 1e-10 * np.max(np.linalg.norm(N, axis=1), axis=0))
+
+    def test_null_geodesic_of_the_quadratic_kind(self):
+        # g_v(v0, v0) = 0 puts v0 in its own g-orthogonal complement, so the
+        # carried column is chart-orthogonal to v0 there
+        m = fbt.quadratic_expr(2, [["1", "0"], ["0", "-(1+0.1*x1^2)"]])
+        path = integrate_geodesic(m, PhaseState([0.0, 0.0], [1.0, 1.0]), 3.0)
+        assert abs(m.F(path.x0, path.v0)) <= 1e-15
+        ts = np.linspace(0.0, 3.0, 41)[1:]
+        M, ref = jacobi_frame(path).M(ts), reference_frame(path).M(ts)
+        assert np.max(np.abs(M - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert conjugate_scan(path).instants == []
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_scans_match_n_column_reference(self, name):
+        m, x0, v0, tau, b = SCAN_CASES[name]()
+        if b is not None:
+            v0 = fbt.geoflow.orthogonal_initial(m, b, v0)
+        path = integrate_geodesic(m, PhaseState(x0, v0), tau)
+        got = focal_scan(path, b)
+        ref = _scan_frame(reference_frame(path, b), DEFAULT_GRID)
+        assert ref.instants
+        assert ([c.multiplicity for c in got.instants]
+                == [c.multiplicity for c in ref.instants])
+        for c, r in zip(got.instants, ref.instants):
+            assert abs(c.t - r.t) <= 1e-10
+        assert got.warnings == ref.warnings == []
+
+
 class TestScanGrid:
     def test_batched_grid_matches_time_loop(self, sphere, sphere3):
         for m, x, v, tau in [
@@ -424,10 +517,10 @@ class TestScanGrid:
 
 def _closed_form_frame(sol, n, tau):
     """A frame on a straight path of length tau whose M and M' come from the
-    closed form sol(t) (the layout of the frame flow's dense output), so a
-    scan sees no integration error."""
+    closed form sol(t) (the layout of an n-column frame flow's dense
+    output), so a scan sees no integration error."""
     path = integrate_geodesic(fbt.euclidean(n), PhaseState(np.zeros(n), np.eye(n)[0]), tau)
-    return JacobiFrame(path, sol, np.array([0.0, tau]))
+    return FlatFrame(path, sol, np.array([0.0, tau]), np.eye(n))
 
 
 def _diagonal_frame(a, tau=4.0, q=None):

@@ -16,7 +16,7 @@ import fbt
 from fbt import ode
 from fbt.geoflow import (LeftChart, StepFailure, _frame_rhs, _geodesic_rhs,
                          endpoint_jacobian, exp_map, integrate_geodesic)
-from fbt.jacobi import SCAN_ATOL, SCAN_RTOL, jacobi_frame
+from fbt.jacobi import SCAN_ATOL, SCAN_RTOL, _frame_init, jacobi_frame
 from fbt.metric import COMPLEX_STEP, PhaseState, ZeroVelocity
 
 from _oracles import shooting_rhs_broadcast
@@ -107,7 +107,7 @@ class TestMirrorsSolveIvp:
         s0 = PhaseState([0.1, -0.9, 0.2], [0.8, 0.3, -0.2])
         path = integrate_geodesic(m, s0, 4.0)
         n = m.dim
-        y0 = np.concatenate([s0.x, s0.v, np.zeros(n * n), np.eye(n).ravel()])
+        y0, _ = _frame_init(path, None)
         frame = jacobi_frame(path)
         ref = _reference(_frame_rhs(m), y0, path.tau, rtol=SCAN_RTOL,
                          atol=SCAN_ATOL, dense_output=True)

@@ -41,11 +41,12 @@ def test_spray_timing_script():
             assert all(float(c) > 0.0 for c in spray), (kind, dim, spray)
             assert second[1:3] == ["-", "-"] and float(second[0]) > 0.0
             assert float(second[3]) > 0.0
-            shoot = rows[kind, dim, "shoot_rhs"]
-            assert shoot[0] == shoot[2] == shoot[3] == "-" and float(shoot[1]) > 0.0
+            for caller in ("shoot_rhs", "frame_rhs"):
+                cells = rows[kind, dim, caller]
+                assert cells[0] == cells[2] == cells[3] == "-" and float(cells[1]) > 0.0
             frame = rows[kind, dim, "spray_jacobians"]
             assert frame[1:] == ["-", "-", "-"] and float(frame[0]) > 0.0
-    assert len(rows) == 2 * 4 * len(kinds)
+    assert len(rows) == 2 * 5 * len(kinds)
 
 
 def test_warped_sweep_script():
