@@ -367,6 +367,8 @@ def _family_from_config(cfg):
 
 
 def _fmt(x):
+    if x is None:
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):

@@ -486,6 +486,8 @@ class MetricField:
             rows = zip(z.real.tolist(), z.imag.tolist(), v.reshape(-1, n).tolist())
             runs = [self.complex_step(entry, a, [(y, u) for _, y, u in run])
                     for a, run in itertools.groupby(rows, operator.itemgetter(0))]
+            if not runs:  # no state to lift: the real stack's empty outputs
+                return self._eval(entry, x.real, v.real).astype(complex)
             out = runs[0] if len(runs) == 1 else np.concatenate(runs)
         elif x.ndim == 1:
             return np.array(_kernel(n, comps.oneform, entry, "real", comps.zeros(order))(

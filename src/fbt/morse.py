@@ -13,16 +13,31 @@ and count negative / near-zero eigenvalues of the generalized problem against
 the W^{1,2} mass matrix.  At a critical point this chart Hessian equals the
 covariant index form, so no connection coefficients are needed.
 
-The mass of piecewise-linear fields is T (x) I_n, T a scalar tridiagonal
-matrix over the nodes, so its Cholesky factor is a scalar bidiagonal matrix
-times I_n: the pencil reduces to one symmetric eigenproblem by two sweeps of
-a two-term recurrence over the nodes (Golub & Van Loan, Matrix Computations,
-8.7).  A perpendicular start keeps k = dim T_{x0}P dofs at node 0 (a point
-start, boundary None, keeps none and skips the frame below).  Every
-node is written in one orthonormal frame U = [Q, Q_perp], Q from the QR
-factorization W = Q R of the chart basis W of T_{x0}P, so node 0's dofs are
-its first k components and the mass keeps its Kronecker form: components
-j < k run over nodes 0 .. mesh - 1, the others over nodes 1 .. mesh - 1.
+The fields are normal.  The index form splits into its normal part and a
+tangential part int f'^2 g_T(T, T) > 0, and every null field is normal
+(Bao, Chern & Shen, An Introduction to Riemann-Finsler Geometry, ch. 7), so
+the fields g_v-orthogonal to the velocity carry m- and m0.  They are
+written V(t) = P(t) c(t): P(t) a chart-orthonormal basis of the complement
+of g v(t), turned along the path without spin (jacobi.normal_basis;
+P' = -u u'^T P, u = g v / |g v|), and c piecewise linear with n - 1
+components a node.  P and P' are read at the Gauss points from the Hessians
+evaluated there (2 g v = dvvL v, and along a geodesic (2 g v)' = dxL =
+dxvL v / 2), so the element blocks come from (n - 1) x (n - 1) coefficient
+Hessians.  The mass goes on the coefficients, T (x) I_{n-1}, T the scalar
+tridiagonal W^{1,2} mass of one component over the nodes; by Sylvester's
+law of inertia the counts hold for any SPD mass.  Its Cholesky factor is a
+scalar bidiagonal matrix times I_{n-1}: the pencil reduces to one symmetric
+eigenproblem by two sweeps of a two-term recurrence over the nodes (Golub &
+Van Loan, Matrix Computations, 8.7).  A 1-D metric has no normal field: its
+pencil is empty and its index (0, 0).
+
+A perpendicular start keeps k = dim T_{x0}P dofs at node 0 (a point start,
+boundary None, keeps none).  T_{x0}P lies in the complement of g v0 (a start
+that is not g_v-orthogonal raises NotPerpendicular, as the frames do), so
+P(0)'s first k columns are Q from the QR factorization W = Q R of the chart
+basis W of T_{x0}P: node 0's dofs are its first k coefficients, and the
+mass keeps its Kronecker form: components j < k run over nodes
+0 .. mesh - 1, the others over nodes 1 .. mesh - 1.
 """
 
 from __future__ import annotations
@@ -74,8 +89,8 @@ class SpectralData:
     mesh: int
     theta_ker: float
     eigs_near_zero: list
-    smallest: float
-    min_abs_eig: float
+    smallest: float | None
+    min_abs_eig: float | None
     history: list = field(default_factory=list)
 
 
@@ -107,64 +122,83 @@ def index_by_counting(report):
 
 
 def _assemble(path, boundary, mesh):
-    """Second variation K and the W^{1,2} mass of its pencil on a uniform mesh.
+    """Second variation K on normal fields and the W^{1,2} mass of its
+    pencil on a uniform mesh.
 
-    Returns (K, diag, off, k).  The dofs are node 0's first k components
-    (k = 0 for a point, boundary None) and nodes 1 .. mesh - 1, the last
-    node being clamped; a BoundaryData start writes every node in the frame
-    U and node 0's basis coefficients a as R a.  The mass on these dofs is
-    T (x) I_n, T the scalar tridiagonal (diag, off) over nodes 0 .. mesh - 1.
+    Returns (K, diag, off, k).  The dofs are node 0's first k normal
+    coefficients (k = 0 for a point, boundary None) and the n - 1 of each
+    of nodes 1 .. mesh - 1, the last node being clamped; a BoundaryData
+    start writes node 0's basis coefficients a as R a.  The mass on these
+    dofs is T (x) I_{n-1}, T the scalar tridiagonal (diag, off) over nodes
+    0 .. mesh - 1.
     """
     m = path.metric
     n = m.dim
+    r = n - 1
     tau = path.tau
     nn = mesh + 1
     h = tau / mesh
-    # Gauss points (element e, point g), all evaluated in one stacked call
+    k, K0, Q = 0, np.zeros((0, 0)), None
+    if boundary is not None:
+        boundary.check_start(path.x0)
+        W = boundary.basis
+        k = W.shape[1]
+        G0 = m.fundamental_tensor(path.x0, path.v0)
+        _jacobi.check_perpendicular(W, G0 @ path.v0, path.v0)
+        Q, R = np.linalg.qr(W)
+        # 2 W^T G0 W S in the coordinates R a; W^T W is the identity only
+        # to the basis validation's 1e-8
+        K0 = 2.0 * (Q.T @ G0 @ W @ boundary.shape_operator @ np.linalg.inv(R))
+    # the start and the Gauss points (element e, point g), all evaluated in
+    # one stacked call
     ta = np.arange(mesh) * h
     t = ta[:, None] + 0.5 * h * (1.0 + GAUSS3_NODES)
     w = 0.5 * h * GAUSS3_WEIGHTS
-    x, v = path.state(t.ravel())
-    Lxx, Lxv, Lvv = (
-        a.reshape(mesh, 3, n, n) for a in m.second_derivatives(x, v)
-    )
+    x, v = path.state(np.r_[0.0, t.ravel()])
+    Lxx, Lxv, Lvv = m.second_derivatives(x, v)
+    # the normal frame P and its rate P' = -u u'^T P, u the unit vector
+    # along g v: by Euler's theorem 2 g v = dvvL v, and along a geodesic
+    # (2 g v)' = dxL = dxvL v / 2
+    gv = (Lvv @ v[:, :, None])[..., 0]
+    size = np.linalg.norm(gv, axis=-1, keepdims=True)
+    u = gv / size
+    du = 0.5 * (Lxv @ v[:, :, None])[..., 0] / size
+    du -= u * np.sum(u * du, axis=-1, keepdims=True)
+    P = _jacobi.normal_basis(u, Q)[1:]
+    dP = -u[1:, :, None] * (du[1:, None, :] @ P)
+    # the coefficient Hessians: B[V, W] of V = P c, V' = P' c + P c'
+    Lxx, Lxv, Lvv = Lxx[1:], Lxv[1:], Lvv[1:]
+    Pt, dPt = np.swapaxes(P, -1, -2), np.swapaxes(dP, -1, -2)
+    C = Pt @ Lxv @ dP
+    Axx, Axv, Avv = (a.reshape(mesh, 3, r, r) for a in (
+        Pt @ Lxx @ P + C + np.swapaxes(C, -1, -2) + dPt @ Lvv @ dP,
+        Pt @ Lxv @ P + dPt @ Lvv @ P,
+        Pt @ Lvv @ P))
     s = (t - ta[:, None]) / h
     phi = np.stack([1.0 - s, s], axis=-1)  # (mesh, 3, 2)
     dphi = np.array([-1.0 / h, 1.0 / h])
     pa, pb = phi[..., :, None], phi[..., None, :]
     da, db = dphi[:, None], dphi[None, :]
 
-    def weighted(c, L):
-        # c (.., 2, 2) times L (mesh, 3, n, n): (mesh, 3, 2, 2, n, n)
-        return c[..., None, None] * L[:, :, None, None]
+    def weighted(c, A):
+        # c (.., 2, 2) times A (mesh, 3, r, r): (mesh, 3, 2, 2, r, r)
+        return c[..., None, None] * A[:, :, None, None]
 
     # element blocks [e, a, b] = sum over the element's Gauss points g of
     # w_g * B[phi_a, phi_b](g), summed in g order as a scalar loop would
-    blk = (weighted(pa * pb, Lxx) + weighted(pa * db, Lxv)
-           + weighted(da * pb, np.swapaxes(Lxv, -1, -2)) + weighted(da * db, Lvv))
+    blk = (weighted(pa * pb, Axx) + weighted(pa * db, Axv)
+           + weighted(da * pb, np.swapaxes(Axv, -1, -2)) + weighted(da * db, Avv))
     K_loc = (w[:, None, None, None, None] * blk).sum(axis=1)
     T_loc = np.einsum("g,egab->eab", w, pa * pb + da * db)
-    k, K0 = 0, np.zeros((0, 0))
-    if boundary is not None:
-        boundary.check_start(path.x0)
-        W = boundary.basis
-        k = W.shape[1]
-        U, R = np.linalg.qr(W, mode="complete")
-        K_loc = U.T @ K_loc @ U
-        # 2 W^T G0 W S in the coordinates R a; W^T W is the identity only
-        # to the basis validation's 1e-8
-        G0 = m.fundamental_tensor(path.x0, path.v0)
-        K0 = 2.0 * (U[:, :k].T @ G0 @ W @ boundary.shape_operator
-                    @ np.linalg.inv(R[:k]))
     # block-tridiagonal scatter: element e couples nodes e and e + 1
-    K = np.zeros((nn, n, nn, n))
+    K = np.zeros((nn, r, nn, r))
     e = np.arange(mesh)
     K[e, :, e, :] += K_loc[:, 0, 0]
     K[e + 1, :, e + 1, :] += K_loc[:, 1, 1]
     K[e, :, e + 1, :] += K_loc[:, 0, 1]
     K[e + 1, :, e, :] += K_loc[:, 1, 0]
-    keep = np.r_[:k, n:mesh * n]
-    K = K.reshape(nn * n, nn * n)[np.ix_(keep, keep)]
+    keep = np.r_[:k, r:mesh * r]
+    K = K.reshape(nn * r, nn * r)[np.ix_(keep, keep)]
     K[:k, :k] += 0.5 * (K0 + K0.T)
     diag = T_loc[:, 0, 0].copy()
     diag[1:] += T_loc[:-1, 1, 1]
@@ -185,15 +219,15 @@ def _chain(diag, off):
 def eigh(K, diag, off, k):
     """Ascending eigenvalues of the pencil (K, M) of _assemble.
 
-    M factors as L L^T, L = (bidiagonal Cholesky factor of T) (x) I_n: the
-    first k components run over nodes 0 .. mesh - 1, the others over nodes
-    1 .. mesh - 1.  C = L^-1 K L^-T then takes two sweeps of a two-term
+    M factors as L L^T, L = (bidiagonal Cholesky factor of T) (x) I_r, r the
+    components a node: the first k run over nodes 0 .. mesh - 1, the others
+    over nodes 1 .. mesh - 1.  C = L^-1 K L^-T then takes two sweeps of a two-term
     recurrence over the nodes, and eigvalsh(C) gives the eigenvalues (Golub
     & Van Loan, Matrix Computations, 8.7).
     """
     nodes = len(diag)
-    n = (K.shape[0] - k) // (nodes - 1)
-    tangent = np.arange(n) < k
+    r = (K.shape[0] - k) // (nodes - 1)
+    tangent = np.arange(r) < k
     dA, aA = _chain(diag.tolist(), off.tolist())
     dB, aB = _chain(diag[1:].tolist(), off[1:].tolist())
     d = np.concatenate([np.full(k, dA[0]),
@@ -203,7 +237,7 @@ def eigh(K, diag, off, k):
     def sweep(A):
         # rows of L^-1 A in place: y_i = x_i / d_i - a_i y_(i-1), node by node
         A /= d[:, None]
-        B = A[k:].reshape(nodes - 1, n, -1)
+        B = A[k:].reshape(nodes - 1, r, -1)
         B[0, :k] -= a[0, :k] * A[:k]
         for i in range(1, nodes - 1):
             B[i] -= a[i] * B[i - 1]
@@ -216,13 +250,14 @@ def eigh(K, diag, off, k):
 def _spectrum(path, boundary, mesh):
     """Ascending eigenvalues of the pencil of path on mesh, read-only.
 
-    The only place a pencil is assembled and solved.  The eigenvalues are
-    kept on the path per mesh with the boundary object they were computed
-    for, and a later call hits only for that same object.
+    The only place a pencil is assembled and solved; a 1-D metric's is
+    empty and is not solved.  The eigenvalues are kept on the path per mesh
+    with the boundary object they were computed for, and a later call hits
+    only for that same object.
     """
     hit = path._spectra.get(mesh)
     if hit is None or hit[0] is not boundary:
-        w = eigh(*_assemble(path, boundary, mesh))
+        w = np.zeros(0) if path.dim == 1 else eigh(*_assemble(path, boundary, mesh))
         w.flags.writeable = False
         hit = path._spectra[mesh] = (boundary, w)
     return hit[1]
@@ -230,6 +265,10 @@ def _spectrum(path, boundary, mesh):
 
 def _counts(path, boundary, mesh):
     w = _spectrum(path, boundary, mesh)
+    if not len(w):
+        # no normal field: nothing is negative or null, and no eigenvalue
+        # is the smallest
+        return 0, 0, SpectralData(mesh, 0.0, [], None, None)
     scale = float(np.max(np.abs(w)))
     theta = max(KER_FLOOR, KER_SHADOW * np.pi**2 / mesh**2) * scale
     m_minus = int(np.sum(w < -theta))

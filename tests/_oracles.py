@@ -243,6 +243,90 @@ def assemble_loop(path, boundary, mesh):
     return 0.5 * (K_red + K_red.T), 0.5 * (M_red + M_red.T)
 
 
+def normal_pencil_loop(path, boundary, mesh, start=None):
+    """Reduced (K, M) of the second variation on normal fields V = P c, one
+    element and one Gauss point at a time.
+
+    At t = 0 and at each Gauss point, in time order, P is a chart-orthonormal
+    basis of the null space of (g v)^T, from its SVD, turned onto the
+    previous point's basis by the orthogonal Procrustes fit (the SVD of
+    B^T P_prev).  P' = -u u'^T P with u = g v / |g v| and, by the
+    Euler-Lagrange equation, (g v)' = dxL / 2, dxL by the complex step of
+    L.  V' = P' c + P c' enters the bilinear form term by term, and the mass
+    is the W^{1,2} mass of the coefficients c, T (x) I_(n-1).  start (n x
+    (n - 1)) is P at t = 0; by default the Procrustes fit there to the
+    start's basis Q (from the QR of the boundary basis W = Q R) followed by
+    the SVD complement of [Q, g v].
+    Node 0 keeps its first k coefficients z = R a (V(0) = W a), the last
+    node is clamped."""
+    m = path.metric
+    n = m.dim
+    r = n - 1
+    h = path.tau / mesh
+    k, Q = 0, np.zeros((n, 0))
+    if boundary is not None:
+        Q, R = np.linalg.qr(boundary.basis)
+        k = Q.shape[1]
+
+    def frame(t, prev):
+        x, v = path.state(t)
+        gv = m.fundamental_tensor(x, v) @ v
+        step = fbt.metric.COMPLEX_STEP
+        dxL = m.L(x + 1j * step * np.eye(n), v).imag / step
+        size = np.linalg.norm(gv)
+        u = gv / size
+        du = 0.5 * dxL / size
+        du = du - u * (u @ du)
+        B = np.linalg.svd(gv[None])[2][1:].T
+        if prev is None:
+            prev = np.hstack([Q, np.linalg.svd(np.vstack([Q.T, gv]))[2][k + 1:].T])
+        U, _, Vt = np.linalg.svd(B.T @ prev)
+        P = B @ U @ Vt
+        return x, v, P, -np.outer(u, du @ P)
+
+    P = frame(0.0, None)[2] if start is None else start
+    nn = mesh + 1
+    K = np.zeros((nn * r, nn * r))
+    Mm = np.zeros((nn * r, nn * r))
+    eye = np.eye(r)
+    for e in range(mesh):
+        ta = e * h
+        K_loc = np.zeros((2 * r, 2 * r))
+        M_loc = np.zeros((2 * r, 2 * r))
+        for gi in range(3):
+            t = ta + 0.5 * h * (1.0 + _GAUSS3_NODES[gi])
+            w = 0.5 * h * _GAUSS3_WEIGHTS[gi]
+            x, v, P, dP = frame(t, P)
+            Lxx, Lxv, Lvv = m.second_derivatives(x, v)
+            s = (t - ta) / h
+            phi = (1.0 - s, s)
+            dphi = (-1.0 / h, 1.0 / h)
+            Vx = [phi[a] * P for a in range(2)]
+            Vv = [phi[a] * dP + dphi[a] * P for a in range(2)]
+            for a in range(2):
+                for b in range(2):
+                    blk = (Vx[a].T @ Lxx @ Vx[b] + Vx[a].T @ Lxv @ Vv[b]
+                           + Vv[a].T @ Lxv.T @ Vx[b] + Vv[a].T @ Lvv @ Vv[b])
+                    K_loc[a * r:(a + 1) * r, b * r:(b + 1) * r] += w * blk
+                    M_loc[a * r:(a + 1) * r, b * r:(b + 1) * r] += w * (
+                        phi[a] * phi[b] + dphi[a] * dphi[b]) * eye
+        i0 = e * r
+        K[i0:i0 + 2 * r, i0:i0 + 2 * r] += K_loc
+        Mm[i0:i0 + 2 * r, i0:i0 + 2 * r] += M_loc
+    # node 0 restricted to its first k coefficients, last node clamped
+    T = np.zeros((nn * r, k + (mesh - 1) * r))
+    T[:k, :k] = np.eye(k)
+    T[r:mesh * r, k:] = np.eye((mesh - 1) * r)
+    K_red, M_red = T.T @ K @ T, T.T @ Mm @ T
+    if k:
+        Rinv = np.linalg.inv(R)
+        W = boundary.basis
+        A = W.T @ m.fundamental_tensor(path.x0, path.v0) @ W
+        K0 = 2.0 * Rinv.T @ (A @ boundary.shape_operator) @ Rinv
+        K_red[:k, :k] += 0.5 * (K0 + K0.T)
+    return 0.5 * (K_red + K_red.T), 0.5 * (M_red + M_red.T)
+
+
 # ---------------------------------------------------------------------------
 # Spray linearization, one perturbed column at a time
 

@@ -173,6 +173,24 @@ class TestCommands:
         else:
             data = json.loads((out / "index.json").read_text())
             assert (data["m_minus"], data["m_zero"], data["agree"]) == (0, 0, True)
+            # no normal field: the spectral pencil is empty
+            assert data["spectral"]["smallest"] is None
+            assert data["spectral"]["eigs_near_zero"] == []
+
+    def test_one_dimensional_sweep(self, tmp_path):
+        # no normal field: every sample reads (0, 0) and no eigenvalue, so
+        # sweep.csv leaves min_abs_eig empty
+        cfg = load_config(write_cfg(tmp_path, {
+            "metric": {"kind": "riemannian_expr", "dim": 1, "g": [["1+lam*x1^2"]],
+                       "params": {"lam": 1.0}},
+            "problem": {"initial": {"x": [0.1], "v": [1], "tau": 1.0}},
+            "family": {"parameter": "lam", "range": [0.5, 1.0], "samples": 3},
+        }))
+        out = tmp_path / "run"
+        assert run_command("sweep", cfg, str(out)) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines == ["lambda,m_minus,m_zero,min_abs_eig",
+                         "0.5,0,0,", "0.75,0,0,", "1,0,0,"]
 
     def test_expmap_jacobian_reads_solver_atol(self, tmp_path, monkeypatch):
         seen = []
@@ -697,6 +715,10 @@ class TestArtifactKeys:
         ("index", {**SPHERE, "problem": {"initial": {"x": [0, -1], "v": [1, 0],
                                                      "tau": 2.0}}},
          "index.json", INDEX_KEYS),
+        # a 1-D metric's empty pencil: smallest is null, the keys stay
+        ("index", {"metric": {"kind": "euclidean", "dim": 1},
+                   "problem": {"initial": {"x": [0], "v": [1], "tau": 2.0}}},
+         "index.json", INDEX_KEYS),
         ("sweep", WARPED_FAMILY, "detections.json",
          {"config", "parameter", "range", "detections", "detections/*/mu",
           "detections/*/nullity", "detections/*/index_left",
@@ -725,7 +747,7 @@ class TestArtifactKeys:
           "diagnosis/distinct_speeds", "diagnosis/counts", "diagnosis/counts/at_mu",
           "diagnosis/counts/left", "diagnosis/counts/right", "diagnosis/note"}),
     ], ids=["metric_check", "conjugate", "focal", "index", "index-no-instants",
-            "detections", "branch_evidence", "branch_evidence-no-detection"])
+            "index-1d", "detections", "branch_evidence", "branch_evidence-no-detection"])
     def test_key_tree(self, tmp_path, cmd, payload, file, keys):
         cfg = load_config(write_cfg(tmp_path, payload))
         out = tmp_path / "run"

@@ -343,6 +343,17 @@ class TestStackedEvaluation:
             width = len(_layout(n, m._c.oneform, order))
             assert m._c.rows([], order).shape == (0, width)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_complex_stack(self, dim):
+        # a complex-step stack of no states has the real stack's shapes
+        m = fbt.sphere_stereo(1.0, dim=dim)
+        for lead in ((0,), (0, 3), (3, 0)):
+            z, zc = np.zeros(lead + (dim,)), np.zeros(lead + (dim,), complex)
+            for x, v in ((zc, z), (z, zc)):
+                spray, L = m.spray(x, v), m.L(x, v)
+                assert spray.shape == lead + (dim,) and spray.dtype == complex
+                assert L.shape == lead and L.dtype == complex
+
     @pytest.mark.parametrize("m", _stack_catalog(), ids=lambda m: f"{m.kind}-{m.dim}")
     def test_component_stack_equals_per_point(self, m):
         # stack cuts the flat tuples of a stack of points as of each point

@@ -2,13 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 from scipy.linalg import eigh as scipy_eigh
 
 import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
-from fbt.jacobi import (ConjugateInstant, ConjugateReport, conjugate_scan, focal_scan,
-                        jacobi_frame)
+from fbt.jacobi import (ConjugateInstant, ConjugateReport, NotPerpendicular,
+                        conjugate_scan, focal_scan, jacobi_frame, normal_basis)
 from fbt.metric import PhaseState
 from fbt.morse import (
     KER_FLOOR,
@@ -24,7 +23,7 @@ from fbt.morse import (
 )
 
 from _oracles import (assemble_loop, flat_axis_warped_eigenvalue,
-                      flat_axis_warped_mu, warped_metric)
+                      flat_axis_warped_mu, normal_pencil_loop, warped_metric)
 
 
 def _report(instants, tau):
@@ -187,6 +186,12 @@ def _assembly_path(name):
     if name == "sphere3":
         m = fbt.sphere_stereo(1.0, dim=3)
         return integrate_geodesic(m, PhaseState([0, 0, -1], [0.3, 0, 0.2]), 2.0)
+    if name == "randers3":
+        # the normal direction turns out of any fixed plane along this path
+        m = fbt.randers_expr(3, [["1+0.1*x2^2", "0", "0"], ["0", "1+0.1*x3^2", "0"],
+                                 ["0", "0", "1+0.1*x1^2"]],
+                             ["0.2*sin(x2)", "0.1*sin(x3)", "0.1*sin(x1)"])
+        return integrate_geodesic(m, PhaseState([0.1, 0.0, 0.2], [1.0, 0.2, 0.1]), 2.5)
     if name == "warped":
         m = fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-lam*x1^2)"]],
                                 params={"lam": 1.3})
@@ -196,29 +201,43 @@ def _assembly_path(name):
     return integrate_geodesic(m, PhaseState([0.1, 0.0], [1.0, 0.2]), 2.5)
 
 
+def _start_basis(path, k):
+    """k orthonormal columns of the g_v-orthogonal complement of v0: the
+    tangent space of a start submanifold the path leaves perpendicularly."""
+    gv = path.metric.fundamental_tensor(path.x0, path.v0) @ path.v0
+    return np.linalg.svd(gv[None])[2][1:1 + k].T
+
+
+SHAPES = {1: [[0.7]], 2: [[0.4, -0.2], [-0.2, 1.1]]}
+
+
+def _starts(path):
+    """A point and curved start submanifolds of every dimension
+    k = 1 .. n - 1 that the path leaves perpendicularly."""
+    return [None] + [BoundaryData(path.x0, _start_basis(path, k), SHAPES[k])
+                     for k in range(1, path.dim)]
+
+
 def _reference(path, boundary, mesh):
-    """_oracles.assemble_loop's (K, M), written in _assemble's coordinates:
-    with W = Q R and U = [Q, Q_perp] from the complete QR of the basis, node
-    0's basis coefficients are R^-1 b and every other node is U z."""
-    K, M = assemble_loop(path, boundary, mesh)
-    if isinstance(boundary, BoundaryData):
-        U, R = np.linalg.qr(boundary.basis, mode="complete")
-        k = boundary.basis.shape[1]
-        P = block_diag(np.linalg.inv(R[:k]), *[U] * (mesh - 1))
-        K, M = P.T @ K @ P, P.T @ M @ P
-    return K, M
+    """_oracles.normal_pencil_loop's (K, M), its frame started at t = 0 on
+    _assemble's basis there.  Any orthonormal start basis gives the same
+    eigenvalues; this one gives the same coordinates."""
+    gv = path.metric.fundamental_tensor(path.x0, path.v0) @ path.v0
+    Q = None if boundary is None else np.linalg.qr(boundary.basis)[0]
+    start = normal_basis((gv / np.linalg.norm(gv))[None], Q)[0]
+    return normal_pencil_loop(path, boundary, mesh, start)
 
 
-def _mass(diag, off, k, n):
-    """The dense mass T (x) I_n without node 0's last n - k components."""
+def _mass(diag, off, k, r):
+    """The dense mass T (x) I_r without node 0's last r - k components."""
     T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    keep = np.r_[:k, n:len(diag) * n]
-    return np.kron(T, np.eye(n))[np.ix_(keep, keep)]
+    keep = np.r_[:k, r:len(diag) * r]
+    return np.kron(T, np.eye(r))[np.ix_(keep, keep)]
 
 
 def _check_assembly(path, boundary, mesh):
     K, diag, off, k = _assemble(path, boundary, mesh)
-    M = _mass(diag, off, k, path.dim)
+    M = _mass(diag, off, k, path.dim - 1)
     K_ref, M_ref = _reference(path, boundary, mesh)
     assert K.shape == K_ref.shape
     assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
@@ -226,57 +245,64 @@ def _check_assembly(path, boundary, mesh):
 
 
 class TestVectorizedAssembly:
-    """_assemble (one stacked evaluation, blocks by broadcasting) against
-    the element-by-element loop of _oracles.assemble_loop."""
+    """_assemble (one stacked evaluation, blocks by broadcasting, the normal
+    frame by a rank-one rotation per Gauss point) against the element by
+    element, point by point loop of _oracles.normal_pencil_loop."""
 
-    @pytest.mark.parametrize("name", ["warped", "randers", "sphere3"])
+    @pytest.mark.parametrize("name", ["warped", "randers", "sphere3", "randers3"])
     def test_matches_loop(self, name):
         path = _assembly_path(name)
-        e = np.eye(path.dim)
-        boundaries = [
-            None,
-            BoundaryData(path.x0, e[:, 1], [[0.7]]),  # k = 1, curved
-            BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
-        ]
-        for boundary in boundaries:
+        for boundary in _starts(path):
             for mesh in (4, 16, 64):
                 _check_assembly(path, boundary, mesh)
 
 
 class TestBoundaryReduction:
     """The BoundaryData reduction by slicing K against the dense T^T K T
-    product of _oracles.assemble_loop, up to mesh 256."""
+    product of _oracles.normal_pencil_loop, up to mesh 256."""
 
-    @pytest.mark.parametrize("name", ["warped", "randers", "sphere3"])
+    @pytest.mark.parametrize("name", ["warped", "randers", "sphere3", "randers3"])
     def test_matches_dense_product(self, name):
         path = _assembly_path(name)
-        e = np.eye(path.dim)
-        boundaries = [
-            BoundaryData(path.x0, e[:, 1], [[0.7]]),
-            BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
-        ]
-        for boundary in boundaries:
+        for boundary in _starts(path)[1:]:
             for mesh in (4, 16, 64, 256):
                 _check_assembly(path, boundary, mesh)
 
 
+class TestStartOffTheNormal:
+    """A start submanifold the path does not leave g_v-orthogonally is
+    rejected by the spectral route as by the frames: node 0's dofs must lie
+    in the normal complement, so k <= n - 1."""
+
+    @pytest.mark.parametrize("name", ["warped", "randers", "sphere3"])
+    def test_rejected(self, name):
+        path = _assembly_path(name)
+        e = np.eye(path.dim)
+        for boundary in (BoundaryData(path.x0, e[:, 0], [[0.7]]),
+                         BoundaryData(path.x0, e[:, :2], SHAPES[2])):
+            with pytest.raises(NotPerpendicular):
+                index_spectral(path, boundary, mesh_fixed=16)
+            with pytest.raises(NotPerpendicular):
+                jacobi_frame(path, boundary)
+
+
 def _solver_boundaries(path):
-    e = np.eye(3)
     rng = np.random.default_rng(7)
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    W = _start_basis(path, 2)
+    Q = W @ np.linalg.qr(rng.standard_normal((2, 2)))[0]
     loose = Q + 1e-9 * rng.standard_normal((3, 2))  # orthonormal to about 1e-9
     return {
         "point-point": None,
-        "k1": BoundaryData(path.x0, e[:, 1], [[0.7]]),
-        "k2": BoundaryData(path.x0, e[:, :2], [[0.4, -0.2], [-0.2, 1.1]]),
+        "k1": BoundaryData(path.x0, np.eye(3)[:, 1], SHAPES[1]),
+        "k2": BoundaryData(path.x0, W, SHAPES[2]),
         "k2-loose": BoundaryData(path.x0, loose, [[-0.5, 0.3], [0.3, 0.9]]),
     }
 
 
 class TestPencilSolver:
     """morse.eigh (Cholesky reduction through the Kronecker mass) against
-    SciPy's generalized eigh on the pencil of _oracles.assemble_loop, in its
-    own basis coordinates."""
+    SciPy's generalized eigh on the pencil of _oracles.normal_pencil_loop,
+    in its own frame and basis coordinates."""
 
     @pytest.mark.parametrize("which", ["point-point", "k1", "k2", "k2-loose"])
     def test_matches_scipy(self, which):
@@ -286,7 +312,7 @@ class TestPencilSolver:
             gram = boundary.basis.T @ boundary.basis
             assert 1e-10 < np.max(np.abs(gram - np.eye(2))) < 1e-8
         for mesh in (4, 8, 16, 32, 64, 128):
-            w_ref = scipy_eigh(*assemble_loop(path, boundary, mesh),
+            w_ref = scipy_eigh(*normal_pencil_loop(path, boundary, mesh),
                                eigvals_only=True)
             scale = np.max(np.abs(w_ref))
             w = eigh(*_assemble(path, boundary, mesh))
@@ -301,6 +327,73 @@ class TestPencilSolver:
             rep = index_spectral(path, boundary, mesh_fixed=mesh)
             assert (rep.m_minus, rep.m_zero) == (
                 int(np.sum(w_ref < -theta)), int(np.sum(np.abs(w_ref) <= theta)))
+
+
+def _full_counts(path, boundary, mesh):
+    """(m-, m0) of the full n-dof pencil of _oracles.assemble_loop, by SciPy,
+    read by index_spectral's rule."""
+    w = scipy_eigh(*assemble_loop(path, boundary, mesh), eigvals_only=True)
+    theta = max(KER_FLOOR, KER_SHADOW * np.pi**2 / mesh**2) * np.max(np.abs(w))
+    return int(np.sum(w < -theta)), int(np.sum(np.abs(w) <= theta))
+
+
+class TestNormalReductionKeepsCounts:
+    """The pencil on normal fields has the counts of the pencil on all
+    fields: the tangential part of the index form is positive, and every
+    null field is normal.  Compared on the mesh where index_spectral settles."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("K", [0.5, 1.0])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_sphere_great_circle(self, dim, K, k):
+        m = fbt.sphere_stereo(K, dim=dim)
+        e = np.eye(dim)
+        path = integrate_geodesic(m, PhaseState(-e[1], np.sqrt(K) * e[0]),
+                                  (k + 0.5) * np.pi / np.sqrt(K))
+        rep = index_spectral(path)
+        assert (rep.m_minus, rep.m_zero) == (k * (dim - 1), 0)
+        assert _full_counts(path, None, rep.spectral.mesh) == (rep.m_minus, rep.m_zero)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("K", [0.5, 1.0, 1.25])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sphere_null_modes(self, dim, K, k):
+        # a great circle ending at its k-th conjugate point: k - 1 interior
+        # instants and a null mode of k half-waves, each of multiplicity n - 1
+        m = fbt.sphere_stereo(K, dim=dim)
+        e = np.eye(dim)
+        path = integrate_geodesic(m, PhaseState(e[0], np.sqrt(K) * e[1]),
+                                  k * np.pi / np.sqrt(K))
+        rep = index_spectral(path)
+        assert (rep.m_minus, rep.m_zero) == ((k - 1) * (dim - 1), dim - 1)
+
+    @pytest.mark.parametrize("name", ["warped", "randers", "randers3"])
+    def test_family_paths(self, name):
+        path = _assembly_path(name)
+        for boundary in _starts(path):
+            rep = index_spectral(path, boundary)
+            assert _full_counts(path, boundary, rep.spectral.mesh) == (
+                rep.m_minus, rep.m_zero)
+
+
+class TestOneDimensional:
+    """A 1-D metric has no normal field: its pencil is empty, its index is
+    (0, 0) on every mesh, and nothing is assembled or solved."""
+
+    def test_empty_pencil(self, monkeypatch):
+        path = integrate_geodesic(fbt.euclidean(1), PhaseState([0.0], [1.0]), 2.0)
+
+        def unreachable(*args):
+            raise AssertionError("a 1-D pencil was assembled or solved")
+
+        monkeypatch.setattr(fbt.morse, "_assemble", unreachable)
+        monkeypatch.setattr(fbt.morse, "eigh", unreachable)
+        rep = index_spectral(path)
+        assert (rep.m_minus, rep.m_zero) == (0, 0)
+        sd = rep.spectral
+        assert (sd.smallest, sd.min_abs_eig, sd.eigs_near_zero) == (None, None, [])
+        assert sd.history == [(16, 0, 0), (32, 0, 0), (64, 0, 0)]
+        assert cross_check(path).agree
 
 
 class TestRichardson:
@@ -400,6 +493,7 @@ class TestPointStart:
             for a, b in ((K, K_p), (diag, diag_p), (off, off_p)):
                 assert np.array_equal(a, b)
             assert np.array_equal(eigh(K, diag, off, k), eigh(K_p, diag_p, off_p, k_p))
+            _check_assembly(path, None, mesh)
 
     @pytest.mark.parametrize("name", ["sphere2", "sphere3-double", "warped"])
     def test_cross_check(self, name):
