@@ -47,7 +47,6 @@ __all__ = [
     "expmap_jacobian",
     "conjugate_scan",
     "focal_scan",
-    "normal_basis",
     "NotPerpendicular",
 ]
 
@@ -145,41 +144,6 @@ def _basis(N, last):
     return np.concatenate([N.reshape(last.shape + (n - 1,)), last[..., None]], axis=-1)
 
 
-def normal_basis(u, head=None):
-    """Chart-orthonormal bases P (N, n, n - 1) of the complements of the unit
-    vectors u (N, n), met in this order along a path, chosen continuously.
-
-    In 2-D P is (-u_2, u_1) in closed form.  From 3-D on, each basis is the
-    previous one turned by the rotation taking u_(i-1) to u_i in their
-    plane, which is the orthogonal Procrustes fit of the new complement to
-    the previous basis; it leaves P^T P' = 0 in the limit, P' = -u u'^T P.
-    head (n x k, orthonormal, in the first complement to a tolerance)
-    gives the first basis's first k columns, up to that tolerance; in 2-D
-    it could only fix a sign, which no quadratic form reads, and is not
-    read."""
-    n = u.shape[-1]
-    if n == 2:
-        return np.stack([-u[:, 1], u[:, 0]], axis=-1)[..., None]
-    head = np.zeros((n, 0)) if head is None else head
-    k = head.shape[1]
-    # head lies in the first complement only to a tolerance: start on the
-    # complement's orthonormal basis nearest to [head, rest]
-    X = np.hstack([head, np.linalg.svd(np.vstack([head.T, u[:1]]))[2][k + 1:].T])
-    U, _, Vt = np.linalg.svd(X - np.outer(u[0], u[0] @ X), full_matrices=False)
-    P0 = U @ Vt
-    # R_i, the rotation taking u_(i-1) to u_i in their plane, and the
-    # products R_i ... R_1 by recursive doubling (Hillis & Steele)
-    a, b = u[:-1, :, None], u[1:, :, None]
-    ab = a + b
-    R = (np.eye(n) - ab * np.swapaxes(ab, 1, 2) / (1.0 + np.swapaxes(a, 1, 2) @ b)
-         + 2.0 * b * np.swapaxes(a, 1, 2))
-    d = 1
-    while d < len(R):
-        R[d:] = R[d:] @ R[:-d]
-        d *= 2
-    return np.concatenate([P0[None], R @ P0])
-
-
 def check_perpendicular(W, gv, v0):
     """Raise NotPerpendicular unless the columns of W are g_v-orthogonal to
     v0, gv = g_v v0."""
@@ -201,21 +165,21 @@ def _frame_init(path, boundary):
     dxL.J(0) / 2 + g_v(v0, J'(0)) (by the Euler-Lagrange equation of L), so
     the flow carries k columns with M'(0) = W S + v0 alpha, alpha chosen to
     cancel the slope, and n - k - 1 with M(0) = 0 and M'(0) spanning the
-    g_v-orthogonal complement of [W, v0] (of v0 alone, normal_basis, for a
-    point): each stays g-orthogonal to v(t).  The tangential field t v(t),
-    which never vanishes, completes them, and C maps that basis onto M.  On
-    the indefinite quadratic kind g_v(v0, v0) may vanish, so there the
-    complement is chart-orthogonal to v0 and no slope is cancelled."""
+    g_v-orthogonal complement of [W, v0]: each stays g-orthogonal to v(t).
+    The tangential field t v(t), which never vanishes, completes them, and
+    C maps that basis onto M.  On the indefinite quadratic kind g_v(v0, v0)
+    may vanish, so there the complement is chart-orthogonal to v0 and no
+    slope is cancelled."""
     m, n, x0, v0 = path.metric, path.dim, path.x0, path.v0
     W, S = np.zeros((n, 0)), np.zeros((0, 0))
     if boundary is not None:
         boundary.check_start(x0)
         W, S = boundary.basis, boundary.shape_operator
     k = W.shape[1]
+    G = m.fundamental_tensor(x0, v0)
+    gv = G @ v0
     M0, Md0, WS = np.zeros((n, n)), np.eye(n), W @ S
     if k > 0:
-        G = m.fundamental_tensor(x0, v0)
-        gv = G @ v0
         check_perpendicular(W, gv, v0)
         M0[:, :k], Md0[:, :k] = W, WS
         # complement: null space of the k x n constraint matrix (G W)^T
@@ -223,12 +187,8 @@ def _frame_init(path, boundary):
         if not m.pseudo:
             dxL = m.L(x0 + 1j * COMPLEX_STEP * W.T, v0).imag / COMPLEX_STEP
             WS = WS - np.outer(v0, 0.5 * dxL + gv @ WS) / float(v0 @ gv)
-        ends = np.vstack([W.T @ G, v0 if m.pseudo else gv])
-        rest = np.linalg.svd(ends)[2][k + 1:].T
-    else:
-        gv = v0 if m.pseudo else m.dvL(x0, v0)
-        rest = normal_basis(gv[None] / np.linalg.norm(gv))[0]
-    Nd0 = np.hstack([WS, rest])
+    ends = np.vstack([W.T @ G, v0 if m.pseudo else gv])
+    Nd0 = np.hstack([WS, np.linalg.svd(ends)[2][k + 1:].T])
     y0 = np.concatenate([x0, v0, M0[:, :-1].ravel(), Nd0.ravel()])
     C = np.linalg.lstsq(np.vstack([M0, np.column_stack([Nd0, v0])]),
                         np.vstack([M0, Md0]), rcond=None)[0]

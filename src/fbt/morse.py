@@ -18,7 +18,7 @@ tangential part int f'^2 g_T(T, T) > 0, and every null field is normal
 (Bao, Chern & Shen, An Introduction to Riemann-Finsler Geometry, ch. 7), so
 the fields g_v-orthogonal to the velocity carry m- and m0.  They are
 written V(t) = P(t) c(t): P(t) a chart-orthonormal basis of the complement
-of g v(t), turned along the path without spin (jacobi.normal_basis;
+of g v(t), turned along the path without spin (_normal_basis;
 P' = -u u'^T P, u = g v / |g v|), and c piecewise linear with n - 1
 components a node.  P and P' are read at the Gauss points from the Hessians
 evaluated there (2 g v = dvvL v, and along a geodesic (2 g v)' = dxL =
@@ -121,6 +121,37 @@ def index_by_counting(report):
     )
 
 
+def _normal_basis(u, head=None):
+    """Chart-orthonormal bases P (N, n, n - 1) of the complements of the unit
+    vectors u (N, n), met in this order along a path, chosen continuously.
+
+    Each basis is the previous one turned by the rotation taking u_(i-1) to
+    u_i in their plane, which is the orthogonal Procrustes fit of the new
+    complement to the previous basis; it leaves P^T P' = 0 in the limit,
+    P' = -u u'^T P.  head (n x k, orthonormal, in the first complement to a
+    tolerance) gives the first basis's first k columns, up to that
+    tolerance."""
+    n = u.shape[-1]
+    head = np.zeros((n, 0)) if head is None else head
+    k = head.shape[1]
+    # head lies in the first complement only to a tolerance: start on the
+    # complement's orthonormal basis nearest to [head, rest]
+    X = np.hstack([head, np.linalg.svd(np.vstack([head.T, u[:1]]))[2][k + 1:].T])
+    U, _, Vt = np.linalg.svd(X - np.outer(u[0], u[0] @ X), full_matrices=False)
+    P0 = U @ Vt
+    # R_i, the rotation taking u_(i-1) to u_i in their plane, and the
+    # products R_i ... R_1 by recursive doubling (Hillis & Steele)
+    a, b = u[:-1, :, None], u[1:, :, None]
+    ab = a + b
+    R = (np.eye(n) - ab * np.swapaxes(ab, 1, 2) / (1.0 + np.swapaxes(a, 1, 2) @ b)
+         + 2.0 * b * np.swapaxes(a, 1, 2))
+    d = 1
+    while d < len(R):
+        R[d:] = R[d:] @ R[:-d]
+        d *= 2
+    return np.concatenate([P0[None], R @ P0])
+
+
 def _assemble(path, boundary, mesh):
     """Second variation K on normal fields and the W^{1,2} mass of its
     pencil on a uniform mesh.
@@ -164,7 +195,7 @@ def _assemble(path, boundary, mesh):
     u = gv / size
     du = 0.5 * (Lxv @ v[:, :, None])[..., 0] / size
     du -= u * np.sum(u * du, axis=-1, keepdims=True)
-    P = _jacobi.normal_basis(u, Q)[1:]
+    P = _normal_basis(u, Q)[1:]
     dP = -u[1:, :, None] * (du[1:, None, :] @ P)
     # the coefficient Hessians: B[V, W] of V = P c, V' = P' c + P c'
     Lxx, Lxv, Lvv = Lxx[1:], Lxv[1:], Lvv[1:]

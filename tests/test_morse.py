@@ -7,13 +7,14 @@ from scipy.linalg import eigh as scipy_eigh
 import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
 from fbt.jacobi import (ConjugateInstant, ConjugateReport, NotPerpendicular,
-                        conjugate_scan, focal_scan, jacobi_frame, normal_basis)
+                        conjugate_scan, focal_scan, jacobi_frame)
 from fbt.metric import PhaseState
 from fbt.morse import (
     KER_FLOOR,
     KER_SHADOW,
     NotCritical,
     _assemble,
+    _normal_basis,
     _spectrum,
     cross_check,
     eigh,
@@ -224,7 +225,7 @@ def _reference(path, boundary, mesh):
     eigenvalues; this one gives the same coordinates."""
     gv = path.metric.fundamental_tensor(path.x0, path.v0) @ path.v0
     Q = None if boundary is None else np.linalg.qr(boundary.basis)[0]
-    start = normal_basis((gv / np.linalg.norm(gv))[None], Q)[0]
+    start = _normal_basis((gv / np.linalg.norm(gv))[None], Q)[0]
     return normal_pencil_loop(path, boundary, mesh, start)
 
 
