@@ -1,5 +1,5 @@
-"""Microseconds per call of MetricField.spray and second_derivatives, and
-of the two complex-step callers built on MetricField.complex_step.
+"""Microseconds per call of MetricField.spray and second_derivatives, of
+the flow right-hand sides and of spray_jacobians.
 
 For each catalog kind in 2-D and 3-D this prints the minimum over repeats
 of the mean time per call on
@@ -11,13 +11,16 @@ of the mean time per call on
 * a real stack of 3*64 states (the Gauss points of a 64-element mesh).
 
 second_derivatives takes real states only, so its complex columns read "-".
-Three more rows per kind time whole callers: shoot_rhs, the variational
-right-hand side _frame_rhs at endpoint_jacobian's start state (p, v, 0, I),
-n complex-step rows (column cs_n); frame_rhs, the same right-hand side at a
-conjugate scan frame's start state (jacobi._frame_init), n - 1 rows (also
-under cs_n); and spray_jacobians, the independent check of the frame
-equation in JacobiFrame.residual_max, at one real state (column real1).
-Their other columns read "-".
+Four more rows per kind time whole callers: geodesic_rhs, the geodesic
+flow's right-hand side _geodesic_rhs at one real state (column real1);
+shoot_rhs, the variational right-hand side _frame_rhs at
+endpoint_jacobian's start state (p, v, 0, I), n complex-step rows (column
+cs_n); frame_rhs, the same right-hand side at a conjugate scan frame's
+start state (jacobi._frame_init), n - 1 rows (also under cs_n); and
+spray_jacobians, the independent check of the frame equation in
+JacobiFrame.residual_max, at one real state (column real1).  The three
+right-hand sides are the metric's generated straight-line flows; their
+other columns read "-".
 
     PYTHONPATH=src python scripts/spray_timing.py [--repeat 5] [--number 200]
 """
@@ -29,7 +32,7 @@ import numpy as np
 
 import fbt
 import fbt.nav as nav
-from fbt.geoflow import _frame_rhs
+from fbt.geoflow import _frame_rhs, _geodesic_rhs
 from fbt.jacobi import _frame_init, spray_jacobians
 from fbt.metric import COMPLEX_STEP
 
@@ -103,12 +106,13 @@ def states(dim, seed=0):
 
 
 def callers(m, shapes):
-    """The complex-step callers timed per kind: (row name, column, fn, args)."""
+    """The callers timed per kind: (row name, column, fn, args)."""
     x, v = shapes["real1"]
     n = m.dim
     shoot = np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
     frame, _ = _frame_init(fbt.integrate_geodesic(m, fbt.PhaseState(x, v), 0.1), None)
-    return [("shoot_rhs", "cs_n", _frame_rhs(m), (0.0, shoot)),
+    return [("geodesic_rhs", "real1", _geodesic_rhs(m), (0.0, np.concatenate([x, v]))),
+            ("shoot_rhs", "cs_n", _frame_rhs(m), (0.0, shoot)),
             ("frame_rhs", "cs_n", _frame_rhs(m), (0.0, frame)),
             ("spray_jacobians", "real1", spray_jacobians, (m, *shapes["real1"]))]
 

@@ -4,7 +4,10 @@ Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) by
 the 8th-order Dormand-Prince pair (ode.dop853), with dense output where a
 path is kept.  Their linearization on (x, v, M, M') has one right-hand
 side, _frame_rhs, for any number of columns: Jacobi frames carry n - 1 with
-M and M' in the error norm, shooting all n with (x, v) alone in it.
+M and M' in the error norm, shooting all n with (x, v) alone in it.  Both
+are the metric's generated straight-line flows (metric._flow_source): one
+component jet a call, then the spray kernel, real on no column and lifted
+once per column.
 Two-point problems are solved by one damped, optionally deflated Newton
 loop; each iterate integrates that flow once from (p, v, 0, I) and reads
 the shooting Jacobian M(tau).  A damped line-search trial needs the
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .metric import COMPLEX_STEP, PhaseState, ZeroVelocity
+from .metric import PhaseState, ZeroVelocity
 from .ode import StepFailure, dop853
 
 __all__ = [
@@ -170,34 +173,22 @@ def _residual_times(tau):
 
 
 def _geodesic_rhs(m):
-    """(x, v)' = (v, spray(x, v)) on the flat real state."""
-    n = m.dim
-
-    def rhs(t, y):
-        return np.concatenate([y[n:], m.spray(y[:n], y[n:])])
-
-    return rhs
+    """(x, v)' = (v, spray(x, v)) on the flat real state: the metric's
+    straight-line flow right-hand side on no column."""
+    return m._flow_rhs(0)
 
 
 def _frame_rhs(m):
     """The variational flow's right-hand side on the flat real (x, v, M, M')
     with M and M' of n rows and as many columns as y carries (n for
-    shooting, n - 1 for a frame, row-major), from one complex-step row
-    spray(x + i h M_j, v + i h M'_j) per column; with no column, the real
-    spray."""
+    shooting, n - 1 for a frame, row-major): the metric's straight-line flow
+    right-hand side on that many columns, one complex-step spray
+    spray(x + i h M_j, v + i h M'_j) per column; with no column, the
+    geodesic's."""
     n = m.dim
 
     def rhs(t, y):
-        z = y.tolist()
-        c = len(z) // (2 * n) - 1
-        k = 2 * n + n * c
-        u, M, Md = z[n:2 * n], z[2 * n:k], z[k:]
-        rows = [([COMPLEX_STEP * w for w in M[j::c]],
-                 [complex(r, COMPLEX_STEP * w) for r, w in zip(u, Md[j::c])])
-                for j in range(c)]
-        out = m.complex_step("spray", z[:n], rows) if c else m.spray(y[:n], y[n:])[None]
-        return np.concatenate([y[n:2 * n], out[0].real, y[k:],
-                               out[:c].imag.T.ravel() / COMPLEX_STEP])
+        return m._flow_rhs(len(y) // (2 * n) - 1)(t, y)
 
     return rhs
 

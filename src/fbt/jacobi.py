@@ -8,8 +8,9 @@ g_v-orthogonal to v with zero slope (_frame_init), together with its own
 geodesic: one real flow on (x, v, N, N') (geoflow._frame_rhs) from a path's
 start state by the 8th-order Dormand-Prince pair (ode.dop853), with N and
 N' in the error norm.  Each stage evaluates the n - 1 complex-step rows
-spray(x + i h N_j, v + i h N'_j): the real part is the geodesic's spray,
-Im / h the column's J''.  M = [N | t v] C and M' = [N' | v + t a] C, with a
+spray(x + i h N_j, v + i h N'_j) in the metric's generated straight-line
+flow (metric._flow_source), on one component jet: the real part is the
+geodesic's spray, Im / h the column's J''.  M = [N | t v] C and M' = [N' | v + t a] C, with a
 the spray at the frame's state and C the constant change to the start
 basis.  So the counting index route (these scans) rides the frame's
 geodesic at SCAN_RTOL, the spectral one (morse) the stored path at its

@@ -32,6 +32,14 @@ straight-line prologue of the kernel lifts each placeholder,
 h_ij -> h_ij + i*sum_k y_k dh_kij; the template is analytic, so
 Im f = y.df/dx + w.df/dv to rounding.  Checks read real parts.
 
+The geodesic flow and its linearization on c columns (geoflow's right-hand
+sides) are generated as well, one straight-line function per (dim, c),
+bound per metric to its bundle and spray kernel: it unpacks the flat state
+into floats, evaluates the jet once, calls the real spray kernel (c = 0)
+or the lifted one once per column, and returns one array.  These are the
+operations of spray and complex_step on the same state, so the values are
+theirs bit for bit, without their per-call dispatch.
+
 The evaluators accept a state (x, v of shape (n,)) or a stack of states (x,
 v of shape (N, n)) and return results with the matching leading shape.  One
 kernel source is compiled twice: over Python floats, run once per row for a
@@ -197,10 +205,11 @@ def _d(name, k):
     return base + "".join(f"_d{j}" for j in sorted([*map(int, ders), k]))
 
 
+@functools.lru_cache(maxsize=None)
 def _layout(dim, oneform, order):
     """The placeholder at each position of the flat component tuple (a
     compiled bundle's layout: per derivative order, h then beta, derivative
-    indices first), "_" where an entry repeats by symmetry."""
+    indices first), "_" where an entry repeats by symmetry; a tuple."""
     groups = [[f"h_{min(i, j)}_{max(i, j)}" for i in range(dim) for j in range(dim)]]
     if oneform:
         groups.append([f"b_{i}" for i in range(dim)])
@@ -212,7 +221,7 @@ def _layout(dim, oneform, order):
                     for k in der:
                         name = _d(name, k)
                     out.append("_" if name in out else name)
-    return out
+    return tuple(out)
 
 
 class _Template:
@@ -427,6 +436,46 @@ def _kernel(dim, oneform, entry, mode, zeros):
     return ns["kernel"]
 
 
+@functools.lru_cache(maxsize=None)
+def _flow_source(dim, cols):
+    """Source of flow(_jet, _spray) -> rhs(t, y), the straight-line right-hand
+    side of the geodesic flow on the flat real (x, v) (cols 0) or of its
+    linearization on (x, v, M, M'), M and M' of dim rows and cols columns,
+    row-major.  _jet is the metric's component bundle and _spray its real
+    spray kernel (cols 0) or its lifted one, called once per column j on the
+    complex step x + i h M_j, v + i h M'_j: the real part of column 0 is the
+    spray, Im / h of column j the column's M''.  These are the operations
+    of the metric's evaluators on the same state, in the same order."""
+    n, c = dim, cols
+    xs, vs = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)]
+    Ms = [f"m{i}_{j}" for i in range(n) for j in range(c)]
+    Ds = [f"d{i}_{j}" for i in range(n) for j in range(c)]
+    args = lambda names: "".join(f"{a}, " for a in names)
+    body = [f"{args(xs + vs + Ms + Ds)}= y.tolist()", f"c = _jet([{args(xs)}])"]
+    if not c:
+        body.append(f"{args(f's{i}' for i in range(n))}= _spray(c, [{args(vs)}])")
+        outs = vs + [f"s{i}" for i in range(n)]
+    else:
+        for j in range(c):
+            steps = [f"_h * m{i}_{j}" for i in range(n)]
+            lifts = [f"_complex(v{i}, _h * d{i}_{j})" for i in range(n)]
+            body.append(f"{args(f's{j}_{i}' for i in range(n))}= "
+                        f"_spray(c, [{args(steps)}], [{args(lifts)}])")
+        outs = (vs + [f"s0_{i}.real" for i in range(n)] + Ds
+                + [f"s{j}_{i}.imag / _h" for i in range(n) for j in range(c)])
+    return "\n".join(["def flow(_jet, _spray):", "    def rhs(t, y):",
+                      *(f"        {line}" for line in body),
+                      f"        return _array(({args(outs)}))", "    return rhs"])
+
+
+@functools.lru_cache(maxsize=None)
+def _flow(dim, cols):
+    """The compiled flow factory of _flow_source."""
+    ns = {"_array": np.array, "_complex": complex, "_h": COMPLEX_STEP}
+    exec(compile(_flow_source(dim, cols), f"<fbt.metric flow {cols}>", "exec"), ns)
+    return ns["flow"]
+
+
 def _chart_box(box, dim):
     """box, or the default box [-w, w]^dim, w = DEFAULT_CHART_HALF_WIDTH."""
     w = DEFAULT_CHART_HALF_WIDTH
@@ -450,6 +499,7 @@ class MetricField:
         ):
             raise ConfigError(f"chart_box must be shape ({dim}, 2) with lo < hi")
         self.v_min = float(v_min)
+        self._flows = {}
         if comps.oneform and not self.pseudo and RANDERS_CHECK:
             _check_randers_bound(self)
 
@@ -515,6 +565,18 @@ class MetricField:
         kernel = _kernel(self.dim, self._c.oneform, entry, "lifted", self._c.zeros(order))
         c = self._c.bundle(order)(a)
         return np.array([kernel(c, y, u) for y, u in rows], complex)
+
+    def _flow_rhs(self, cols):
+        """rhs(t, y) of the geodesic flow (cols 0) or of its linearization
+        on cols columns (see _flow_source), bound to this metric's bundle
+        and spray kernel."""
+        rhs = self._flows.get(cols)
+        if rhs is None:
+            order, c = 1 + bool(cols), self._c
+            kernel = _kernel(self.dim, c.oneform, "spray", "lifted" if cols else "real",
+                             c.zeros(order))
+            rhs = self._flows[cols] = _flow(self.dim, cols)(c.bundle(order), kernel)
+        return rhs
 
     def _matrices(self, entry, x, v):
         out = self._eval(entry, x, v)

@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .geoflow import DEFAULT_TOL_RES
+from .metric import ConvexityViolation
 from . import jacobi as _jacobi
 
 __all__ = [
@@ -161,7 +162,9 @@ def _assemble(path, boundary, mesh):
     of nodes 1 .. mesh - 1, the last node being clamped; a BoundaryData
     start writes node 0's basis coefficients a as R a.  The mass on these
     dofs is T (x) I_{n-1}, T the scalar tridiagonal (diag, off) over nodes
-    0 .. mesh - 1.
+    0 .. mesh - 1.  On a pseudo-metric, a coefficient Hessian P^T Lvv P that
+    is not positive definite (relative to |Lvv|) at a Gauss point raises
+    ConvexityViolation.
     """
     m = path.metric
     n = m.dim
@@ -205,6 +208,19 @@ def _assemble(path, boundary, mesh):
         Pt @ Lxx @ P + C + np.swapaxes(C, -1, -2) + dPt @ Lvv @ dP,
         Pt @ Lxv @ P + dPt @ Lvv @ P,
         Pt @ Lvv @ P))
+    if m.pseudo:
+        # an indefinite kind can have a timelike normal direction: then the
+        # index form is unbounded below on every mesh (Legendre's condition
+        # fails), so no mesh gives a finite index.  Definite relative to
+        # |Lvv|, as in fundamental_tensor: on a null geodesic v is its own
+        # normal and the smallest eigenvalue is a rounding error.
+        low = np.linalg.eigvalsh(Avv)[..., 0].ravel()
+        bad = np.flatnonzero(low <= 1e-10 * np.linalg.norm(Lvv, axis=(-2, -1)))
+        if len(bad):
+            i = bad[0]
+            raise ConvexityViolation(
+                f"normal vertical Hessian not positive definite at t = {t.flat[i]:.6g} "
+                f"(min eig {low[i]:.3e}): the index form has no finite index")
     s = (t - ta[:, None]) / h
     phi = np.stack([1.0 - s, s], axis=-1)  # (mesh, 3, 2)
     dphi = np.array([-1.0 / h, 1.0 / h])

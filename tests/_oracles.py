@@ -353,10 +353,10 @@ def spray_jacobians_loop(m, x, v, step):
 # ---------------------------------------------------------------------------
 # Complex-step states by numpy broadcasting
 #
-# The complex-step spray linearization and the variational right-hand side
-# written as array expressions over one m.spray call, the formulas the
-# list-level MetricField.complex_step callers replaced; the callers must
-# match them bit for bit.  shooting_rhs_broadcast is the former encoding of
+# The complex-step spray linearization and the flow right-hand sides
+# written as array expressions over one m.spray call: spray_jacobians (a
+# list-level MetricField.complex_step caller) and the generated straight-line
+# flows must match them bit for bit.  shooting_rhs_broadcast is the former encoding of
 # the shooting derivative, n complex-step copies (x_j, v_j) of the flow; it
 # stays as the reference that endpoint_jacobian is checked against.
 
@@ -374,12 +374,17 @@ def spray_jacobians_broadcast(m, x, v):
 
 
 def frame_rhs_broadcast(m, y):
-    """d/dt of the flat real (x, v, M, M') from one spray call on the n
-    complex-step states x + i*h*M_j, v + i*h*M'_j (M_j column j of M)."""
+    """d/dt of the flat real (x, v, M, M'), M and M' of n rows and as many
+    columns c as y carries (row-major), from one spray call on the c
+    complex-step states x + i*h*M_j, v + i*h*M'_j (M_j column j of M); with
+    no column, (v, spray(x, v)) from one real spray call."""
     n, h = m.dim, fbt.metric.COMPLEX_STEP
+    c = len(y) // (2 * n) - 1
     x, v = y[:n], y[n:2 * n]
-    M = y[2 * n:2 * n + n * n].reshape(n, n)
-    Md = y[2 * n + n * n:].reshape(n, n)
+    if not c:
+        return np.concatenate([v, m.spray(x, v)])
+    M = y[2 * n:2 * n + n * c].reshape(n, c)
+    Md = y[2 * n + n * c:].reshape(n, c)
     a = m.spray(x + 1j * h * M.T, v + 1j * h * Md.T)
     return np.concatenate([v, a[0].real, Md.ravel(), (a.imag.T / h).ravel()])
 

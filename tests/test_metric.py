@@ -16,7 +16,7 @@ from fbt.metric import (_ORDER, COMPLEX_STEP, ConvexityViolation,
                         OutsideChart, RandersBoundError, SingularVerticalHessian,
                         ZeroVelocity, _kernel, _kernel_source, _layout)
 
-from fbt.geoflow import _frame_rhs
+from fbt.geoflow import _frame_rhs, _geodesic_rhs
 from fbt.jacobi import spray_jacobians
 
 from conftest import locally_constant
@@ -561,10 +561,23 @@ def _shooting_state(x, v):
     return np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
 
 
+def _flow_states(x, v, rng=None):
+    """One state of each layout of the flow right-hand sides: the geodesic
+    (x, v), a frame on n - 1 columns and shooting on n (random columns with
+    J != 0 given rng, else M = 0 and M' the first unit vectors), and the
+    shooting start."""
+    n = len(x)
+    cols = lambda c: (rng.normal(size=2 * n * c) if rng is not None
+                      else np.r_[np.zeros(n * c), np.eye(n)[:, :c].ravel()])
+    return [np.concatenate([x, v])] + [np.concatenate([x, v, cols(c)])
+                                       for c in (n - 1, n)] + [_shooting_state(x, v)]
+
+
 class TestComplexStep:
-    """The list-level callers of MetricField.complex_step (the variational
-    right-hand side and spray_jacobians) equal the broadcast formulas of
-    _oracles bit for bit, and the kernel and jet errors reach them."""
+    """The flow right-hand sides (the geodesic's, and the variational one on
+    frame and shooting columns) and spray_jacobians, the list-level caller
+    of MetricField.complex_step, equal the broadcast formulas of _oracles
+    bit for bit, and the kernel and jet errors reach them."""
 
     @staticmethod
     def _cases():
@@ -580,12 +593,14 @@ class TestComplexStep:
 
     def test_frame_rhs_matches_broadcast(self):
         for m, x, v, rng in self._cases():
-            n = m.dim
-            # a frame with J != 0 in every column, and the shooting start
-            y = np.concatenate([x, v, rng.normal(size=2 * n * n)])
-            for state in (y, _shooting_state(x, v)):
-                np.testing.assert_array_equal(_frame_rhs(m)(0.0, state),
-                                              frame_rhs_broadcast(m, state))
+            for state in _flow_states(x, v, rng):
+                got, want = _frame_rhs(m)(0.0, state), frame_rhs_broadcast(m, state)
+                assert got.dtype == want.dtype == float
+                assert got.tobytes() == want.tobytes()
+            # the geodesic layout through both doors
+            want = np.concatenate([v, m.spray(x, v)])
+            for rhs in (_geodesic_rhs(m), _frame_rhs(m)):
+                assert rhs(0.0, np.concatenate([x, v])).tobytes() == want.tobytes()
 
     def test_spray_jacobians_match_broadcast(self):
         for m, x, v, rng in self._cases():
@@ -621,8 +636,11 @@ class TestComplexStep:
                 m.complex_step("spray", x, step)
             with pytest.raises(err):
                 spray_jacobians(m, np.array(x), np.array([0.3, 1.0]))
+            for state in _flow_states(np.array(x), np.array([0.3, 1.0])):
+                with pytest.raises(err):
+                    _frame_rhs(m)(0.0, state)
             with pytest.raises(err):
-                _frame_rhs(m)(0.0, _shooting_state(x, [0.3, 1.0]))
+                _geodesic_rhs(m)(0.0, np.array(x + [0.3, 1.0]))
 
     def test_second_order_entries_rejected(self, randers_const):
         with pytest.raises(TypeError):

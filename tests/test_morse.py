@@ -8,7 +8,7 @@ import fbt
 from fbt.geoflow import BoundaryData, integrate_geodesic
 from fbt.jacobi import (ConjugateInstant, ConjugateReport, NotPerpendicular,
                         conjugate_scan, focal_scan, jacobi_frame)
-from fbt.metric import PhaseState
+from fbt.metric import ConvexityViolation, PhaseState
 from fbt.morse import (
     KER_FLOOR,
     KER_SHADOW,
@@ -395,6 +395,36 @@ class TestOneDimensional:
         assert (sd.smallest, sd.min_abs_eig, sd.eigs_near_zero) == (None, None, [])
         assert sd.history == [(16, 0, 0), (32, 0, 0), (64, 0, 0)]
         assert cross_check(path).agree
+
+
+class TestIndefiniteKind:
+    """On the quadratic pseudo-kind the spectral route needs the normal
+    vertical Hessian positive definite: a timelike normal leaves the index
+    form unbounded below on every mesh (m- = mesh - 1 on flat diag(1, -1)),
+    so the route raises at its first assembly instead of refining up to
+    max_mesh into NoStabilization."""
+
+    @pytest.mark.parametrize("v0", [[1.0, 0.0], [1.0, 1.0]], ids=["spacelike", "null"])
+    def test_timelike_normal_raises_before_solving(self, minkowski, monkeypatch, v0):
+        # a null geodesic is its own normal: the normal Hessian is singular
+        solved = []
+        monkeypatch.setattr(fbt.morse, "eigh", lambda *a: solved.append(a))
+        path = integrate_geodesic(minkowski, PhaseState([0.0, 0.0], v0), 2.0)
+        with pytest.raises(ConvexityViolation, match="normal vertical Hessian"):
+            index_spectral(path)
+        with pytest.raises(ConvexityViolation):
+            cross_check(path)
+        assert solved == [] and path._spectra == {}
+
+    @pytest.mark.parametrize("g, v0", [
+        ([["1", "0"], ["0", "-1"]], [0.0, 1.0]),
+        ([["1", "0"], ["0", "-(1+0.1*x1^2)"]], [0.3, 1.0]),
+        ([["1", "0"], ["0", "1+0.1*x1^2"]], [0.3, 1.0]),
+    ])
+    def test_positive_definite_normal_reads_zero(self, g, v0):
+        m = fbt.quadratic_expr(2, g)
+        rep = cross_check(integrate_geodesic(m, PhaseState([0.0, 0.0], v0), 2.0))
+        assert (rep.m_minus, rep.m_zero, rep.agree) == (0, 0, True)
 
 
 class TestRichardson:

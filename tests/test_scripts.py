@@ -44,9 +44,10 @@ def test_spray_timing_script():
             for caller in ("shoot_rhs", "frame_rhs"):
                 cells = rows[kind, dim, caller]
                 assert cells[0] == cells[2] == cells[3] == "-" and float(cells[1]) > 0.0
-            frame = rows[kind, dim, "spray_jacobians"]
-            assert frame[1:] == ["-", "-", "-"] and float(frame[0]) > 0.0
-    assert len(rows) == 2 * 5 * len(kinds)
+            for caller in ("geodesic_rhs", "spray_jacobians"):
+                cells = rows[kind, dim, caller]
+                assert cells[1:] == ["-", "-", "-"] and float(cells[0]) > 0.0
+    assert len(rows) == 2 * 6 * len(kinds)
 
 
 def test_warped_sweep_script():
