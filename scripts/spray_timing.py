@@ -12,11 +12,12 @@ of the mean time per call on
 
 second_derivatives takes real states only, so its complex columns read "-".
 Four more rows per kind time whole callers: geodesic_rhs, the geodesic
-flow's right-hand side _geodesic_rhs at one real state (column real1);
-shoot_rhs, the variational right-hand side _frame_rhs at
+flow's right-hand side m._flow_rhs(0) at one real state (column real1);
+shoot_rhs, the variational right-hand side m._flow_rhs(n) at
 endpoint_jacobian's start state (p, v, 0, I), n complex-step rows (column
-cs_n); frame_rhs, the same right-hand side at a conjugate scan frame's
-start state (jacobi._frame_init), n - 1 rows (also under cs_n); and
+cs_n); frame_rhs, the variational right-hand side m._flow_rhs(n - 1) at a
+conjugate scan frame's start state (jacobi._frame_init), n - 1 rows (also
+under cs_n); and
 spray_jacobians, the independent check of the frame equation in
 JacobiFrame.residual_max, at one real state (column real1).  The three
 right-hand sides are the metric's generated straight-line flows; their
@@ -32,7 +33,6 @@ import numpy as np
 
 import fbt
 import fbt.nav as nav
-from fbt.geoflow import _frame_rhs, _geodesic_rhs
 from fbt.jacobi import _frame_init, spray_jacobians
 from fbt.metric import COMPLEX_STEP
 
@@ -111,9 +111,9 @@ def callers(m, shapes):
     n = m.dim
     shoot = np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
     frame, _ = _frame_init(fbt.integrate_geodesic(m, fbt.PhaseState(x, v), 0.1), None)
-    return [("geodesic_rhs", "real1", _geodesic_rhs(m), (0.0, np.concatenate([x, v]))),
-            ("shoot_rhs", "cs_n", _frame_rhs(m), (0.0, shoot)),
-            ("frame_rhs", "cs_n", _frame_rhs(m), (0.0, frame)),
+    return [("geodesic_rhs", "real1", m._flow_rhs(0), (0.0, np.concatenate([x, v]))),
+            ("shoot_rhs", "cs_n", m._flow_rhs(n), (0.0, shoot)),
+            ("frame_rhs", "cs_n", m._flow_rhs(n - 1), (0.0, frame)),
             ("spray_jacobians", "real1", spray_jacobians, (m, *shapes["real1"]))]
 
 

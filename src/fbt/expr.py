@@ -4,7 +4,12 @@ Metric tensors, one-forms, wind fields and conformal factors are supplied in
 config files as strings like ``"4/(K*(1+x1^2+x2^2)^2)"``.  This module parses
 them into immutable ASTs, differentiates the ASTs symbolically, and compiles
 bundles of expressions together with their chart derivatives into
-straight-line Python functions.
+straight-line Python functions.  A bundle's emitted operations are compiled
+twice: over the floats of one point, and (on first use) over the numpy
+columns of a stack of points, run once for the whole stack.  Over columns,
+arithmetic and sqrt are numpy's IEEE operations and every other function
+and ``^`` calls the same math function per element, so a stack gives each
+point's bits and raises each point's errors.
 
 Grammar (recursive descent, see docs/expression-grammar.md)::
 
@@ -26,6 +31,7 @@ never silently returns NaN or infinity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -550,6 +556,8 @@ def _literal(value):
 class _Emitter:
     """Emits one assignment per distinct subexpression, operands first, so
     the operations run in the order a depth-first evaluation takes them.
+    ``lines`` holds them as source over one point; ``ops`` as (name,
+    operation, operands), for _column_lines to render over columns.
 
     In placeholder mode (``placeholders=True``) every name is a variable
     the surrounding code binds, emitted as itself and collected in
@@ -558,6 +566,7 @@ class _Emitter:
     def __init__(self, dim, placeholders=False):
         self.dim = dim
         self.lines = []
+        self.ops = []
         self.memo = {}
         self.params = set()
         self.placeholders = placeholders
@@ -581,20 +590,107 @@ class _Emitter:
             k = int(m.group(1))
             if k > self.dim:
                 raise UnboundName(node.ident)
-            code = f"float(x[{k - 1}])"
+            op, args = "x", (k - 1,)
         elif isinstance(node, Unary):
-            code = f"-{self(node.arg)}"
+            op, args = "neg", (self(node.arg),)
         elif isinstance(node, Call):
-            code = f"_{node.fn}({self(node.arg)})"
+            op, args = node.fn, (self(node.arg),)
         elif isinstance(node, Bin):
-            a, b = self(node.lhs), self(node.rhs)
-            code = f"_pow({a}, {b})" if node.op == "^" else f"{a} {node.op} {b}"
+            op, args = node.op, (self(node.lhs), self(node.rhs))
         else:
             raise TypeError(f"not an expression node: {node!r}")
         name = f"_t{len(self.lines)}"
-        self.lines.append(f"{name} = {code}")
+        self.ops.append((name, op, args))
+        self.lines.append(f"{name} = {_point_code(op, args)}")
         self.memo[node] = name
         return name
+
+
+def _point_code(op, args):
+    """The code of an emitted operation on floats."""
+    if op == "x":
+        return f"float(x[{args[0]}])"
+    if op == "neg":
+        return f"-{args[0]}"
+    if op == "^":
+        return f"_pow({args[0]}, {args[1]})"
+    if len(args) == 1:
+        return f"_{op}({args[0]})"
+    return f"{args[0]} {op} {args[1]}"
+
+
+def _column_lines(ops):
+    """The emitted operations over columns, and the names holding columns.
+
+    x is the (n, N) array of N points' coordinates, so x[k] is the column
+    of coordinate k; an operation on floats alone stays as it is.  Every
+    other one does per element what its point code does, with the same
+    bits and errors: + - * and sqrt are IEEE operations in numpy as in
+    Python; the other functions and ^ call the same math function per
+    element; the first division by a divisor checks it for a zero, and
+    sqrt its argument for a negative, and they raise as the float
+    operations do."""
+    columns, divisors, lines = set(), set(), []
+    for name, op, args in ops:
+        a, over = args[0], op == "x" or not columns.isdisjoint(args)
+        if op == "x":
+            code = f"x[{a}]"
+        elif not over or op in ("neg", "+", "-", "*", "abs"):
+            code = _point_code(op, args)
+        elif op == "/" and args[1] not in divisors:
+            divisors.add(args[1])
+            code = f"{a} / _divisor({args[1]})"
+        elif op == "/":
+            code = _point_code(op, args)
+        elif op == "^":
+            code = f"_pow_columns({a}, {args[1]})"
+        elif op in ("sqrt", "sign"):
+            code = f"_{op}_column({a})"
+        else:
+            code = f"_map(_{op}, {a})"
+        if over:
+            columns.add(name)
+        lines.append(f"{name} = {code}")
+    return lines, columns
+
+
+def _divisor(b):
+    """b, a column or float divisor; raises on a zero as float division does."""
+    if not (b.all() if isinstance(b, np.ndarray) else b):
+        raise ZeroDivisionError("float division by zero")
+    return b
+
+
+def _sqrt_column(a):
+    if (a < 0.0).any():
+        raise ValueError("math domain error")
+    return np.sqrt(a)
+
+
+def _sign_column(a):
+    """_sign per element: NaN and both zeros give 0.0."""
+    return np.where(a > 0.0, 1.0, np.where(a < 0.0, -1.0, 0.0))
+
+
+def _map(fn, a):
+    return np.fromiter(map(fn, a.tolist()), float, len(a))
+
+
+def _pow_columns(a, b):
+    """math.pow per element; a and b are columns or floats, one a column."""
+    n = len(a if isinstance(a, np.ndarray) else b)
+    return np.fromiter(map(math.pow, *(c.tolist() if isinstance(c, np.ndarray)
+                                       else itertools.repeat(c, n) for c in (a, b))),
+                       float, n)
+
+
+def _all_finite(cols):
+    return np.isfinite(np.concatenate(cols)).all()
+
+
+_COLUMN_NAMESPACE = dict(
+    _NAMESPACE, _divisor=_divisor, _sqrt_column=_sqrt_column, _sign_column=_sign_column,
+    _map=_map, _pow_columns=_pow_columns, _all_finite=_all_finite)
 
 
 def _derivative_blocks(groups, dim, order):
@@ -621,50 +717,74 @@ def _derivative_blocks(groups, dim, order):
     return blocks
 
 
+class _Compiled:
+    """A bundle compiled over one point (``make``), over columns on first
+    use (``make_columns``), from the same emitted operations: factories
+    over the parameters ``params``; ``zeros`` are the positions of the
+    outputs whose AST is the constant zero."""
+
+    def __init__(self, emit, outputs):
+        self.ops, self.params = emit.ops, sorted(emit.params)
+        self.outputs = [code for _, code in outputs]
+        self.zeros = tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO)
+        self.checked = list(dict.fromkeys(
+            code for e, code in outputs
+            if not (isinstance(e, Num) and math.isfinite(e.value))
+        ))
+        self.make = self._compile(emit.lines, set(), _NAMESPACE)
+
+    @functools.cached_property
+    def make_columns(self):
+        return self._compile(*_column_lines(self.ops), _COLUMN_NAMESPACE)
+
+    def _compile(self, lines, columns, namespace):
+        checks = [f"_isfinite({c})" for c in self.checked if c not in columns]
+        arrays = [c for c in self.checked if c in columns]
+        if arrays:
+            checks.append(f"_all_finite(({''.join(c + ', ' for c in arrays)}))")
+        body = [f"            {line}" for line in lines] or ["            pass"]
+        src = "\n".join([
+            f"def _make({', '.join('p_' + p for p in self.params)}):",
+            "    def bundle(x):",
+            "        try:",
+            *body,
+            "        except (ValueError, OverflowError, ZeroDivisionError) as exc:",
+            "            raise DomainError(f'expression evaluation: {exc}') from None",
+            *([f"        if not ({' and '.join(checks)}):",
+               "            raise DomainError('non-finite result')"] if checks else []),
+            f"        return ({''.join(code + ', ' for code in self.outputs)})",
+            "    return bundle",
+        ])
+        ns = dict(namespace, DomainError=DomainError)
+        exec(compile(src, "<fbt.expr bundle>", "exec"), ns)
+        return ns["_make"]
+
+
 @functools.lru_cache(maxsize=256)
 def _generate(groups, dim, order):
     """Compile groups (a tuple of node tuples) with their derivatives up to
-    order; returns (factory over the parameters, parameter names, the
-    positions of the outputs whose AST is the constant zero)."""
+    order into a _Compiled."""
     emit = _Emitter(dim)
     outputs = []
     for block in _derivative_blocks(groups, dim, order):
         for nodes in block:
             outputs += [(e, emit(e)) for e in nodes]
-    params = sorted(emit.params)
-    zeros = tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO)
-    checked = list(dict.fromkeys(
-        code for e, code in outputs
-        if not (isinstance(e, Num) and math.isfinite(e.value))
-    ))
-    body = [f"            {line}" for line in emit.lines] or ["            pass"]
-    src = "\n".join([
-        f"def _make({', '.join('p_' + p for p in params)}):",
-        "    def bundle(x):",
-        "        try:",
-        *body,
-        "        except (ValueError, OverflowError, ZeroDivisionError) as exc:",
-        "            raise DomainError(f'expression evaluation: {exc}') from None",
-        *([f"        if not ({' and '.join(f'_isfinite({c})' for c in checked)}):",
-           "            raise DomainError('non-finite result')"] if checked else []),
-        f"        return ({''.join(code + ', ' for _, code in outputs)})",
-        "    return bundle",
-    ])
-    ns = dict(_NAMESPACE, DomainError=DomainError)
-    exec(compile(src, "<fbt.expr bundle>", "exec"), ns)
-    return ns["_make"], params, zeros
+    return _Compiled(emit, outputs)
 
 
-def _bound(groups, dim, params, order):
-    """The bundle's function of x at the parameter binding, and the
-    positions of its outputs whose AST is the constant zero."""
-    make, names_, zeros = _generate(groups, dim, order)
+def _bound(groups, dim, params, order, columns=False):
+    """The bundle at the parameter binding, and the positions of its outputs
+    whose AST is the constant zero.  The bundle is a function of the point
+    x, or with columns a function of the (n, N) array x of N points giving
+    each output as a column of N values, or as one float when it does not
+    depend on x."""
+    gen = _generate(groups, dim, order)
     values = []
-    for name in names_:
+    for name in gen.params:
         if name not in params:
             raise UnboundName(name)
         values.append(float(params[name]))
-    return make(*values), zeros
+    return (gen.make_columns if columns else gen.make)(*values), gen.zeros
 
 
 def _as_node(e):
@@ -681,9 +801,10 @@ def jet(groups, dim, params=None, order=0):
     the group with the derivative indices first, shape (dim,)*r + shape of
     the group; entry [k, l, i, j] is d^2 g[i][j] / dx_k dx_l.  Shared
     subexpressions are computed once.  On a stack of points (..., dim) the
-    function runs once per point and every array gains the leading axes of
-    the stack.  Unbound names raise here; domain violations and non-finite
-    results raise DomainError at call time.
+    function runs once over the columns of the stack, with each point's
+    operations, and every array gains the leading axes of the stack.
+    Unbound names raise here; domain violations and non-finite results
+    raise DomainError at call time.
     """
     shapes, flat = [], []
     for g in groups:
@@ -693,14 +814,25 @@ def jet(groups, dim, params=None, order=0):
         else:
             shapes.append((len(g),))
             flat.append(tuple(_as_node(e) for e in g))
-    fn, _ = _bound(tuple(flat), dim, dict(params or {}), order)
+    fn, _ = _bound(tuple(flat), dim, dict(params or {}), order, columns=True)
 
     def f(x):
-        out = np.array([fn(xi) for xi in np.reshape(x, (-1, dim)).tolist()])
-        return _unflatten(out.reshape(np.shape(x)[:-1] + out.shape[-1:]), shapes, dim,
+        x = np.asarray(x, dtype=float)
+        points = x.reshape(-1, dim)
+        out = _stacked(fn(points.T), len(points)).T
+        return _unflatten(out.reshape(x.shape[:-1] + out.shape[-1:]), shapes, dim,
                           order)
 
     return f
+
+
+def _stacked(cols, count):
+    """The (len(cols), count) array whose row k is cols[k], a column of
+    count values or one value for every row."""
+    out = np.empty((len(cols), count))
+    for row, col in zip(out, cols):
+        row[...] = col
+    return out
 
 
 def _unflatten(flat, shapes, dim, order):

@@ -2,12 +2,12 @@
 
 Geodesics are integrated in first-order form (x, v)' = (v, spray(x, v)) by
 the 8th-order Dormand-Prince pair (ode.dop853), with dense output where a
-path is kept.  Their linearization on (x, v, M, M') has one right-hand
-side, _frame_rhs, for any number of columns: Jacobi frames carry n - 1 with
-M and M' in the error norm, shooting all n with (x, v) alone in it.  Both
-are the metric's generated straight-line flows (metric._flow_source): one
-component jet a call, then the spray kernel, real on no column and lifted
-once per column.
+path is kept.  Their linearization on (x, v, M, M') on c columns is the
+same generated flow, m._flow_rhs(c), which callers pick by the columns
+they carry: Jacobi frames n - 1 with M and M' in the error norm, shooting
+all n with (x, v) alone in it.  Each is the metric's straight-line flow
+(metric._flow_source): one component jet a call, then the spray kernel,
+real on no column and lifted once per column.
 Two-point problems are solved by one damped, optionally deflated Newton
 loop; each iterate integrates that flow once from (p, v, 0, I) and reads
 the shooting Jacobian M(tau).  A damped line-search trial needs the
@@ -172,27 +172,6 @@ def _residual_times(tau):
     return rng.uniform(0.05 * tau, 0.95 * tau, size=RESIDUAL_SAMPLES)
 
 
-def _geodesic_rhs(m):
-    """(x, v)' = (v, spray(x, v)) on the flat real state: the metric's
-    straight-line flow right-hand side on no column."""
-    return m._flow_rhs(0)
-
-
-def _frame_rhs(m):
-    """The variational flow's right-hand side on the flat real (x, v, M, M')
-    with M and M' of n rows and as many columns as y carries (n for
-    shooting, n - 1 for a frame, row-major): the metric's straight-line flow
-    right-hand side on that many columns, one complex-step spray
-    spray(x + i h M_j, v + i h M'_j) per column; with no column, the
-    geodesic's."""
-    n = m.dim
-
-    def rhs(t, y):
-        return m._flow_rhs(len(y) // (2 * n) - 1)(t, y)
-
-    return rhs
-
-
 def _solve(m, rhs, tau, y0, *, rtol, atol, **kw):
     """ode.dop853 over [0, tau], stopped where the state's (x, v) leaves the
     chart box or its speed reaches the floor; raises then and on failure."""
@@ -222,7 +201,7 @@ def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     m._check(s0.x, s0.v)
     F0 = m.F(s0.x, s0.v) if not m.pseudo else abs(m.F(s0.x, s0.v))
     y0 = np.concatenate([s0.x, s0.v])
-    res = _solve(m, _geodesic_rhs(m), tau, y0, rtol=rtol, atol=atol, dense=True)
+    res = _solve(m, m._flow_rhs(0), tau, y0, rtol=rtol, atol=atol, dense=True)
     return GeodesicPath(m, s0.x.copy(), s0.v.copy(), tau, res.ts, res.ys, res.sol, F0)
 
 
@@ -234,7 +213,7 @@ def exp_map(m, p, v, tau=1.0, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     m._check(p, v)
-    res = _solve(m, _geodesic_rhs(m), tau, np.concatenate([p, v]), rtol=rtol, atol=atol)
+    res = _solve(m, m._flow_rhs(0), tau, np.concatenate([p, v]), rtol=rtol, atol=atol)
     return res.ys[-1, :m.dim]
 
 
@@ -249,7 +228,7 @@ def endpoint_jacobian(m, p, v, tau, *, rtol, atol):
     m._check(p, v)
     n = m.dim
     y0 = np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
-    y = _solve(m, _frame_rhs(m), tau, y0, rtol=rtol, atol=atol,
+    y = _solve(m, m._flow_rhs(n), tau, y0, rtol=rtol, atol=atol,
                norm_size=2 * n).ys[-1]
     return y[:n], y[2 * n:2 * n + n * n].reshape(n, n)
 

@@ -5,7 +5,7 @@ equation J'' = Dx spray . J + Dv spray . J'.  The tangential field t v(t)
 is one of them in closed form, and g_v(J, v) is affine in t for every
 Jacobi field, so the frame flow carries only n - 1 columns N, started
 g_v-orthogonal to v with zero slope (_frame_init), together with its own
-geodesic: one real flow on (x, v, N, N') (geoflow._frame_rhs) from a path's
+geodesic: one real flow on (x, v, N, N') (m._flow_rhs(n - 1)) from a path's
 start state by the 8th-order Dormand-Prince pair (ode.dop853), with N and
 N' in the error norm.  Each stage evaluates the n - 1 complex-step rows
 spray(x + i h N_j, v + i h N'_j) in the metric's generated straight-line
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, GeodesicPath, _frame_rhs,
-                      _residual_times, _solve, endpoint_jacobian)
+from .geoflow import (DEFAULT_ATOL, DEFAULT_RTOL, GeodesicPath, _residual_times,
+                      _solve, endpoint_jacobian)
 from .metric import COMPLEX_STEP
 
 __all__ = [
@@ -207,7 +207,7 @@ def jacobi_frame(path, boundary=None):
     """
     m = path.metric
     y0, C = _frame_init(path, boundary)
-    res = _solve(m, _frame_rhs(m), path.tau, y0, rtol=SCAN_RTOL, atol=SCAN_ATOL,
+    res = _solve(m, m._flow_rhs(path.dim - 1), path.tau, y0, rtol=SCAN_RTOL, atol=SCAN_ATOL,
                  dense=True)
     return JacobiFrame(path, res.sol, res.ts, C)
 

@@ -44,9 +44,13 @@ The evaluators accept a state (x, v of shape (n,)) or a stack of states (x,
 v of shape (N, n)) and return results with the matching leading shape.  One
 kernel source is compiled twice: over Python floats, run once per row for a
 single state and for complex-step stacks, and over numpy arrays, run once
-for a real stack.  Checks keep their per-state meaning: any state with
-q <= 0 (with a one-form, or in F), F <= 0 or a singular vertical Hessian
-raises for the whole call.
+for a real stack.  A real stack reads its components the same way: the
+expression bundle compiled over columns runs once for the stack, with each
+state's operations and math functions per element (see fbt.expr), and hands
+its columns straight to the stack kernel, so every state keeps its bits
+(from_callables components call their callables once per state).  Checks
+keep their per-state meaning: any state with q <= 0 (with a one-form, or
+in F), F <= 0 or a singular vertical Hessian raises for the whole call.
 """
 
 from __future__ import annotations
@@ -135,15 +139,19 @@ class _Components:
 
     ``compile(order)`` returns the bundle, a function of x giving the flat
     component tuple up to that derivative order (see _layout), and the
-    positions of its structural zeros.  ``rows(xs, order)`` stacks the tuples
-    of many points; ``stack(x, order)`` cuts them, at a point or a stack of
-    points (..., n), into (h, beta, dh, dbeta, d2h, d2beta) up to the order,
-    None for beta and its derivatives when the kind has no one-form."""
+    positions of its structural zeros; ``compile(order, columns=True)``
+    the same over columns, a function of the (n, N) coordinates of N
+    points giving each entry of the tuple as a column of N values (or one
+    float for every point).  ``columns(x, order)`` runs that on a stack of
+    points (N, n); ``stack(x, order)`` cuts its entries, at a point or a
+    stack of points (..., n), into (h, beta, dh, dbeta, d2h, d2beta) up to
+    the order, None for beta and its derivatives when the kind has no
+    one-form."""
 
     def __init__(self, dim, oneform, compile, chart_constant):
         self.dim, self.oneform, self.chart_constant = dim, oneform, chart_constant
         self._compile = compile
-        self._bundles, self._zeros = [None] * 3, [None] * 3
+        self._bundles, self._columns, self._zeros = [None] * 3, [None] * 3, [None] * 3
         self.bundle(0)  # eagerly, so unbound names fail at construction
 
     def bundle(self, order):
@@ -161,16 +169,16 @@ class _Components:
         self.bundle(order)
         return self._zeros[order]
 
-    def rows(self, xs, order):
-        if not xs:
-            return np.empty((0, len(_layout(self.dim, self.oneform, order))))
-        out = list(map(self.bundle(order), xs))
-        return np.fromiter(itertools.chain.from_iterable(out), float,
-                           len(out) * len(out[0])).reshape(len(out), -1)
+    def columns(self, x, order):
+        fn = self._columns[order]
+        if fn is None:
+            fn = self._columns[order] = self._compile(order, columns=True)[0]
+        return fn(np.asarray(x, dtype=float).T)
 
     def stack(self, x, order):
         x, n = np.asarray(x, dtype=float), self.dim
-        c = self.rows(x.reshape(-1, n).tolist(), order)
+        points = x.reshape(-1, n)
+        c = _expr._stacked(self.columns(points, order), len(points)).T
         out = _expr._unflatten(c.reshape(x.shape[:-1] + c.shape[-1:]),
                                [(n, n)] + [(n,)] * self.oneform, n, order)
         return out if self.oneform else [a for h in out for a in (h, None)]
@@ -543,14 +551,11 @@ class MetricField:
             return np.array(_kernel(n, comps.oneform, entry, "real", comps.zeros(order))(
                 comps.bundle(order)(x.tolist()), v.tolist()))
         else:
-            c = comps.rows(x.reshape(-1, n).tolist(), order)
+            points = x.reshape(-1, n)
             cols = _kernel(n, comps.oneform, entry, "stack", comps.zeros(order))(
-                np.ascontiguousarray(c.T), np.ascontiguousarray(v.reshape(-1, n).T))
+                comps.columns(points, order), np.ascontiguousarray(v.reshape(-1, n).T))
             # a literal output (a term-free structural zero) stands for every row
-            out = np.empty((len(cols), len(c)))
-            for row, col in zip(out, cols):
-                row[...] = col
-            out = out.T
+            out = _expr._stacked(cols, len(points)).T
         return out.reshape(x.shape[:-1] + out.shape[-1:])
 
     def complex_step(self, entry, a, rows):
@@ -853,13 +858,18 @@ def from_callables(dim, kind, h, beta=None, *, dh=None, d2h=None, dbeta=None,
             "riemannian_expr and randers_expr differentiate formulas exactly")
     fns = [f for f in (h, beta, dh, dbeta, d2h, d2beta) if f is not None]
 
-    def compile(order):
+    def compile(order, columns=False):
         cut = fns[:len(fns) // 3 * (order + 1)]  # per order, h then beta
 
         def bundle(x):
             x = np.asarray(x, dtype=float)
             return np.concatenate([np.asarray(f(x), float).ravel() for f in cut]).tolist()
 
-        return bundle, ()  # opaque callables: no structural zeros
+        def over_columns(x):
+            # the callables once per point
+            width = len(_layout(dim, beta is not None, order))
+            return np.array([bundle(p) for p in x.T.tolist()]).reshape(-1, width).T
+
+        return (over_columns if columns else bundle), ()  # opaque: no structural zeros
 
     return MetricField(dim, kind, _Components(dim, beta is not None, compile, False), **kw)

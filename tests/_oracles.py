@@ -478,7 +478,7 @@ def reference_frame(path, boundary=None):
         G = m.fundamental_tensor(path.x0, path.v0)
         Md0[:, k:] = np.linalg.svd(W.T @ G)[2][k:].T
     y0 = np.concatenate([path.x0, path.v0, M0.ravel(), Md0.ravel()])
-    res = fbt.geoflow._solve(m, fbt.geoflow._frame_rhs(m), path.tau, y0,
+    res = fbt.geoflow._solve(m, m._flow_rhs(n), path.tau, y0,
                              rtol=fbt.jacobi.SCAN_RTOL, atol=fbt.jacobi.SCAN_ATOL,
                              dense=True)
     return FlatFrame(path, res.sol, res.ts, np.eye(n))

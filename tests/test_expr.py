@@ -282,3 +282,91 @@ def test_diff_chains_through_names():
     want = 2 * t * b + a * math.cos(t) + 2 * t / (2 * math.sqrt(a))
     assert ev(expr.to_source(d), params={"a": a, "b": b, "t": t}) == pytest.approx(want, rel=1e-15)
     assert expr.diff(e, "t") == expr.ZERO
+
+
+# every grammar function (sign through the derivatives of abs), division,
+# and ^ with integer, non-integer and coordinate exponents
+_COLUMN_CATALOG = (
+    ("sin(x1)*cos(x2) - tan(x1/3)", "exp(x1) + exp(-x2^2)/K",
+     "log(2+x1)*sqrt(3+x2)", "sinh(x1) - cosh(x2) + tanh(x1*x2)"),
+    ("atan(x2)*abs(x1-0.1) + abs(-x1)", "x1^2 + x2^3 + (2+x1)^2.5 + (3+x2)^x1",
+     "K/(1+x1^2) + 2^x2", "K"),
+)
+
+
+def _column_bundles(order, sources=_COLUMN_CATALOG, dim=2):
+    groups = tuple(tuple(expr.parse(e) for e in g) for g in sources)
+    return [expr._bound(groups, dim, {"K": 1.7}, order, columns=c)[0]
+            for c in (False, True)]
+
+
+class TestColumnBundle:
+    """The bundle over columns gives each point's bits and errors: the
+    bundle over one point, run on each row alone."""
+
+    # the origin first: there -x1 is -0.0, whose sign is 0.0
+    points = np.vstack([np.zeros(2),
+                        np.random.default_rng(33).uniform(-1.0, 1.0, size=(255, 2))])
+
+    def test_exp_differs_from_numpy_somewhere(self):
+        # so the parity below would catch a bundle that used np.exp
+        a = self.points[:, 0]
+        assert np.any(np.exp(a) != np.array([math.exp(t) for t in a.tolist()]))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("count", [0, 1, 256])
+    def test_stack_equals_each_point(self, order, count):
+        point, columns = _column_bundles(order)
+        X = self.points[:count]
+        got = expr._stacked(columns(X.T), count)
+        width = len(point(self.points[0].tolist()))
+        want = np.array([point(x) for x in X.tolist()]).reshape(count, width).T
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_sign_maps_nan_and_zeros_to_zero(self):
+        a = np.array([math.nan, 0.0, -0.0, 2.0, -3.0, math.inf])
+        want = np.array([expr._sign(t) for t in a.tolist()])
+        assert expr._sign_column(a).tobytes() == want.tobytes()
+
+    def test_sign_and_integer_powers_are_reached(self):
+        src = "\n".join(expr._column_lines(expr._generate(
+            tuple(tuple(expr.parse(e) for e in g) for g in _COLUMN_CATALOG), 2, 2).ops)[0])
+        for code in ("_sign_column(", "_pow_columns(", "_divisor(", "_sqrt_column(",
+                     *(f"_map(_{fn}," for fn in expr.FUNCTIONS if fn not in ("sqrt", "abs"))):
+            assert code in src, code
+
+    @pytest.mark.parametrize("src, bad", [
+        ("log(x1)", -1.0),
+        ("sqrt(x1)", -1.0),
+        ("1/x1", 0.0),
+        ("1/x1", -0.0),
+        ("exp(x1)", 1000.0),
+        ("x1^1.5", -1.0),
+        ("x1*1e308*10", 1.0),
+    ])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_bad_row_raises_as_alone(self, src, bad, order):
+        point, columns = _column_bundles(order, ((src,),), dim=1)
+        X = np.array([[0.5], [1.5], [bad], [0.7]])
+        with pytest.raises(DomainError) as alone:
+            point([bad])
+        with pytest.raises(DomainError) as stacked:
+            columns(X.T)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(DomainError) as jet:
+            expr.jet([[src]], 1, order=order)(X)
+        assert str(jet.value) == str(alone.value)
+
+    def test_second_stacked_call_skips_the_cache(self):
+        import fbt
+
+        m = fbt.randers_expr(2, [["exp(-x2^2)", "0"], ["0", "1"]],
+                             ["0.2*exp(-x2^2)", "0"])
+        X, V = self.points[:9], self.points[9:18] + [2.0, 0.0]
+        first = m.second_derivatives(X, V)
+        info = expr._generate.cache_info()
+        again = m.second_derivatives(X, V)
+        m._c.stack(X, 2)
+        assert expr._generate.cache_info()[:2] == info[:2]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))

@@ -14,9 +14,8 @@ from fbt.errors import ConfigError
 from fbt.expr import DomainError
 from fbt.metric import (_ORDER, COMPLEX_STEP, ConvexityViolation,
                         OutsideChart, RandersBoundError, SingularVerticalHessian,
-                        ZeroVelocity, _kernel, _kernel_source, _layout)
+                        ZeroVelocity, _kernel, _kernel_source)
 
-from fbt.geoflow import _frame_rhs, _geodesic_rhs
 from fbt.jacobi import spray_jacobians
 
 from conftest import locally_constant
@@ -340,8 +339,9 @@ class TestStackedEvaluation:
             for d2 in m.second_derivatives(z, z):
                 assert d2.shape == lead + (n, n)
         for order in range(3):
-            width = len(_layout(n, m._c.oneform, order))
-            assert m._c.rows([], order).shape == (0, width)
+            for k, block in enumerate(m._c.stack(np.zeros((0, n)), order)):
+                rank = k // 2 + 2 - k % 2  # as in test_component_stack_equals_per_point
+                assert block is None or block.shape == (0,) + (n,) * rank
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_empty_complex_stack(self, dim):
@@ -573,6 +573,11 @@ def _flow_states(x, v, rng=None):
                                        for c in (n - 1, n)] + [_shooting_state(x, v)]
 
 
+def _columns(m, state):
+    """The number of (M, M') columns a flow state carries."""
+    return len(state) // (2 * m.dim) - 1
+
+
 class TestComplexStep:
     """The flow right-hand sides (the geodesic's, and the variational one on
     frame and shooting columns) and spray_jacobians, the list-level caller
@@ -594,13 +599,12 @@ class TestComplexStep:
     def test_frame_rhs_matches_broadcast(self):
         for m, x, v, rng in self._cases():
             for state in _flow_states(x, v, rng):
-                got, want = _frame_rhs(m)(0.0, state), frame_rhs_broadcast(m, state)
+                got = m._flow_rhs(_columns(m, state))(0.0, state)
+                want = frame_rhs_broadcast(m, state)
                 assert got.dtype == want.dtype == float
                 assert got.tobytes() == want.tobytes()
-            # the geodesic layout through both doors
             want = np.concatenate([v, m.spray(x, v)])
-            for rhs in (_geodesic_rhs(m), _frame_rhs(m)):
-                assert rhs(0.0, np.concatenate([x, v])).tobytes() == want.tobytes()
+            assert m._flow_rhs(0)(0.0, np.concatenate([x, v])).tobytes() == want.tobytes()
 
     def test_spray_jacobians_match_broadcast(self):
         for m, x, v, rng in self._cases():
@@ -638,9 +642,7 @@ class TestComplexStep:
                 spray_jacobians(m, np.array(x), np.array([0.3, 1.0]))
             for state in _flow_states(np.array(x), np.array([0.3, 1.0])):
                 with pytest.raises(err):
-                    _frame_rhs(m)(0.0, state)
-            with pytest.raises(err):
-                _geodesic_rhs(m)(0.0, np.array(x + [0.3, 1.0]))
+                    m._flow_rhs(_columns(m, state))(0.0, state)
 
     def test_second_order_entries_rejected(self, randers_const):
         with pytest.raises(TypeError):
@@ -747,8 +749,7 @@ class TestStructuralZeros:
                 self._assert_bits(got, want, (entry, "real"))
                 X = x + 0.05 * rng.normal(size=(3, n))
                 V = v + 0.1 * rng.normal(size=(3, n))
-                args = (np.ascontiguousarray(comps.rows(X.tolist(), order).T),
-                        np.ascontiguousarray(V.T))
+                args = (comps.columns(X, order), np.ascontiguousarray(V.T))
                 got, want = self._both(m, entry, "stack", *args)
                 self._assert_bits(got, want, (entry, "stack"))
                 if order == 2:

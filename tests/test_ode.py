@@ -14,8 +14,8 @@ from scipy.optimize import brentq as scipy_brentq
 
 import fbt
 from fbt import ode
-from fbt.geoflow import (LeftChart, StepFailure, _frame_rhs, _geodesic_rhs,
-                         endpoint_jacobian, exp_map, integrate_geodesic)
+from fbt.geoflow import (LeftChart, StepFailure, endpoint_jacobian, exp_map,
+                         integrate_geodesic)
 from fbt.jacobi import SCAN_ATOL, SCAN_RTOL, _frame_init, jacobi_frame
 from fbt.metric import COMPLEX_STEP, PhaseState, ZeroVelocity
 
@@ -53,11 +53,11 @@ class TestMirrorsSolveIvp:
         m = fbt.sphere_stereo(1.0) if metric == "sphere" else _randers()
         s0 = PhaseState([0.2, -0.9], [0.8, 0.3])
         path = integrate_geodesic(m, s0, 3.0)
-        ref = _reference(_geodesic_rhs(m), np.concatenate([s0.x, s0.v]), 3.0,
+        ref = _reference(m._flow_rhs(0), np.concatenate([s0.x, s0.v]), 3.0,
                          rtol=1e-9, atol=1e-12, dense_output=True)
         np.testing.assert_array_equal(path.ts, ref.t)
         np.testing.assert_array_equal(path.ys, ref.y.T)
-        got = ode.dop853(_geodesic_rhs(m), np.concatenate([s0.x, s0.v]), 3.0,
+        got = ode.dop853(m._flow_rhs(0), np.concatenate([s0.x, s0.v]), 3.0,
                          rtol=1e-9, atol=1e-12, dense=True)
         _assert_same_steps(got, ref)
         _assert_dense_close(path.sol, ref.sol, path.ts, path.ys)
@@ -72,7 +72,7 @@ class TestMirrorsSolveIvp:
         for size in (2 * n, None):
             for s in (1.0, 1e6):
                 y0 = np.concatenate([p, v, np.zeros(n * n), s * np.eye(n).ravel()])
-                runs[size, s] = ode.dop853(_frame_rhs(m), y0, 2.0, rtol=1e-9,
+                runs[size, s] = ode.dop853(m._flow_rhs(n), y0, 2.0, rtol=1e-9,
                                            atol=1e-12, norm_size=size)
         a, b = runs[2 * n, 1.0], runs[2 * n, 1e6]
         np.testing.assert_array_equal(a.ts, b.ts)
@@ -109,10 +109,10 @@ class TestMirrorsSolveIvp:
         n = m.dim
         y0, _ = _frame_init(path, None)
         frame = jacobi_frame(path)
-        ref = _reference(_frame_rhs(m), y0, path.tau, rtol=SCAN_RTOL,
+        ref = _reference(m._flow_rhs(n - 1), y0, path.tau, rtol=SCAN_RTOL,
                          atol=SCAN_ATOL, dense_output=True)
         np.testing.assert_array_equal(frame.ts, ref.t)
-        got = ode.dop853(_frame_rhs(m), y0, path.tau, rtol=SCAN_RTOL,
+        got = ode.dop853(m._flow_rhs(n - 1), y0, path.tau, rtol=SCAN_RTOL,
                          atol=SCAN_ATOL, dense=True)
         _assert_same_steps(got, ref)
         _assert_dense_close(frame.sol, ref.sol, frame.ts, got.ys)
@@ -173,7 +173,7 @@ class TestEvents:
         m = fbt.euclidean(2, chart_box=[[-1, 1], [-1, 1]])
         with pytest.raises(LeftChart) as exc:
             integrate_geodesic(m, PhaseState([0.0, 0.0], [0.7, 0.2]), 5.0)
-        ref = _reference(_geodesic_rhs(m), np.array([0.0, 0.0, 0.7, 0.2]), 5.0,
+        ref = _reference(m._flow_rhs(0), np.array([0.0, 0.0, 0.7, 0.2]), 5.0,
                          rtol=1e-9, atol=1e-12, events=_chart_events(m))
         assert ref.status == 1
         assert abs(exc.value.t_exit - ref.t_events[0][0]) <= 4e-15
@@ -186,10 +186,10 @@ class TestEvents:
         m = fbt.sphere_stereo(1.0)
         m.v_min = 1.0
         y0 = np.array([0.0, 3.0, 0.0, -3.0])
-        ref = _reference(_geodesic_rhs(m), y0, 3.0, rtol=1e-9, atol=1e-12,
+        ref = _reference(m._flow_rhs(0), y0, 3.0, rtol=1e-9, atol=1e-12,
                          events=_chart_events(m))
         assert ref.status == 1 and len(ref.t_events[1]) == 1
-        got = ode.dop853(_geodesic_rhs(m), y0, 3.0, rtol=1e-9, atol=1e-12,
+        got = ode.dop853(m._flow_rhs(0), y0, 3.0, rtol=1e-9, atol=1e-12,
                          events=_chart_events(m))
         assert got.event == 1
         assert abs(got.ts[-1] - ref.t_events[1][0]) <= 4e-15
@@ -204,9 +204,9 @@ class TestEvents:
         m = fbt.sphere_stereo(1.0)
         m.v_min = 1.0
         y0 = np.array([0.0, 3.0, 0.0, -3.0])
-        ref = _reference(_geodesic_rhs(m), y0, 3.0, rtol=1e-9, atol=1e-12,
+        ref = _reference(m._flow_rhs(0), y0, 3.0, rtol=1e-9, atol=1e-12,
                          events=_chart_events(m), dense_output=True)
-        got = ode.dop853(_geodesic_rhs(m), y0, 3.0, rtol=1e-9, atol=1e-12,
+        got = ode.dop853(m._flow_rhs(0), y0, 3.0, rtol=1e-9, atol=1e-12,
                          events=_chart_events(m), dense=True)
         assert got.event == 1
         t_old, t_root = got.ts[-2], got.ts[-1]
