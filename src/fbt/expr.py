@@ -557,7 +557,7 @@ class _Emitter:
     """Emits one assignment per distinct subexpression, operands first, so
     the operations run in the order a depth-first evaluation takes them.
     ``lines`` holds them as source over one point; ``ops`` as (name,
-    operation, operands), for _column_lines to render over columns.
+    operation, *operands), for _column_lines to render over columns.
 
     In placeholder mode (``placeholders=True``) every name is a variable
     the surrounding code binds, emitted as itself and collected in
@@ -600,7 +600,7 @@ class _Emitter:
         else:
             raise TypeError(f"not an expression node: {node!r}")
         name = f"_t{len(self.lines)}"
-        self.ops.append((name, op, args))
+        self.ops.append((name, op, *args))
         self.lines.append(f"{name} = {_point_code(op, args)}")
         self.memo[node] = name
         return name
@@ -619,8 +619,15 @@ def _point_code(op, args):
     return f"{args[0]} {op} {args[1]}"
 
 
+def _packed(ops):
+    """Emitted operations as one string, a line of space-separated fields
+    (name, operation, operands) each: no field holds a space."""
+    return "\n".join(" ".join(map(str, op)) for op in ops)
+
+
 def _column_lines(ops):
-    """The emitted operations over columns, and the names holding columns.
+    """The emitted operations, packed, over columns, and the names holding
+    columns.
 
     x is the (n, N) array of N points' coordinates, so x[k] is the column
     of coordinate k; an operation on floats alone stays as it is.  Every
@@ -631,7 +638,7 @@ def _column_lines(ops):
     sqrt its argument for a negative, and they raise as the float
     operations do."""
     columns, divisors, lines = set(), set(), []
-    for name, op, args in ops:
+    for name, op, *args in map(str.split, ops.splitlines()):
         a, over = args[0], op == "x" or not columns.isdisjoint(args)
         if op == "x":
             code = f"x[{a}]"
@@ -721,13 +728,15 @@ class _Compiled:
     """A bundle compiled over one point (``make``), over columns on first
     use (``make_columns``), from the same emitted operations: factories
     over the parameters ``params``; ``zeros`` are the positions of the
-    outputs whose AST is the constant zero."""
+    outputs whose AST is the constant zero.  Until then it keeps the
+    operations, the output codes and the codes checked for finiteness
+    packed in strings, a fraction of the size of their lists."""
 
     def __init__(self, emit, outputs):
-        self.ops, self.params = emit.ops, sorted(emit.params)
-        self.outputs = [code for _, code in outputs]
+        self.ops, self.params = _packed(emit.ops), sorted(emit.params)
+        self.outputs = " ".join(code for _, code in outputs)
         self.zeros = tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO)
-        self.checked = list(dict.fromkeys(
+        self.checked = " ".join(dict.fromkeys(
             code for e, code in outputs
             if not (isinstance(e, Num) and math.isfinite(e.value))
         ))
@@ -738,8 +747,9 @@ class _Compiled:
         return self._compile(*_column_lines(self.ops), _COLUMN_NAMESPACE)
 
     def _compile(self, lines, columns, namespace):
-        checks = [f"_isfinite({c})" for c in self.checked if c not in columns]
-        arrays = [c for c in self.checked if c in columns]
+        checked = self.checked.split()
+        checks = [f"_isfinite({c})" for c in checked if c not in columns]
+        arrays = [c for c in checked if c in columns]
         if arrays:
             checks.append(f"_all_finite(({''.join(c + ', ' for c in arrays)}))")
         body = [f"            {line}" for line in lines] or ["            pass"]
@@ -752,7 +762,7 @@ class _Compiled:
             "            raise DomainError(f'expression evaluation: {exc}') from None",
             *([f"        if not ({' and '.join(checks)}):",
                "            raise DomainError('non-finite result')"] if checks else []),
-            f"        return ({''.join(code + ', ' for code in self.outputs)})",
+            f"        return ({''.join(code + ', ' for code in self.outputs.split())})",
             "    return bundle",
         ])
         ns = dict(namespace, DomainError=DomainError)
