@@ -556,8 +556,9 @@ def _literal(value):
 class _Emitter:
     """Emits one assignment per distinct subexpression, operands first, so
     the operations run in the order a depth-first evaluation takes them.
-    ``lines`` holds them as source over one point; ``ops`` as (name,
-    operation, *operands), for _column_lines to render over columns.
+    ``lines`` holds them as source over one point; ``ops`` as lines of
+    space-separated fields (name, operation, operands; no field holds a
+    space), for _column_lines to render over columns.
 
     In placeholder mode (``placeholders=True``) every name is a variable
     the surrounding code binds, emitted as itself and collected in
@@ -600,7 +601,7 @@ class _Emitter:
         else:
             raise TypeError(f"not an expression node: {node!r}")
         name = f"_t{len(self.lines)}"
-        self.ops.append((name, op, *args))
+        self.ops.append(" ".join((name, op, *map(str, args))))
         self.lines.append(f"{name} = {_point_code(op, args)}")
         self.memo[node] = name
         return name
@@ -619,15 +620,9 @@ def _point_code(op, args):
     return f"{args[0]} {op} {args[1]}"
 
 
-def _packed(ops):
-    """Emitted operations as one string, a line of space-separated fields
-    (name, operation, operands) each: no field holds a space."""
-    return "\n".join(" ".join(map(str, op)) for op in ops)
-
-
 def _column_lines(ops):
-    """The emitted operations, packed, over columns, and the names holding
-    columns.
+    """The emitted operations (the lines of ops) over columns, and the
+    names holding columns.
 
     x is the (n, N) array of N points' coordinates, so x[k] is the column
     of coordinate k; an operation on floats alone stays as it is.  Every
@@ -697,7 +692,7 @@ def _all_finite(cols):
 
 _COLUMN_NAMESPACE = dict(
     _NAMESPACE, _divisor=_divisor, _sqrt_column=_sqrt_column, _sign_column=_sign_column,
-    _map=_map, _pow_columns=_pow_columns, _all_finite=_all_finite)
+    _map=_map, _pow_columns=_pow_columns, _all_finite=_all_finite, _no_rows=np.empty(0))
 
 
 def _derivative_blocks(groups, dim, order):
@@ -728,12 +723,13 @@ class _Compiled:
     """A bundle compiled over one point (``make``), over columns on first
     use (``make_columns``), from the same emitted operations: factories
     over the parameters ``params``; ``zeros`` are the positions of the
-    outputs whose AST is the constant zero.  Until then it keeps the
-    operations, the output codes and the codes checked for finiteness
-    packed in strings, a fraction of the size of their lists."""
+    outputs whose AST is the constant zero.  For the compile over columns
+    it keeps the operations, the output codes and the codes checked for
+    finiteness as strings, a fraction of the size of lists of them: every
+    cached bundle holds them."""
 
     def __init__(self, emit, outputs):
-        self.ops, self.params = _packed(emit.ops), sorted(emit.params)
+        self.ops, self.params = "\n".join(emit.ops), sorted(emit.params)
         self.outputs = " ".join(code for _, code in outputs)
         self.zeros = tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO)
         self.checked = " ".join(dict.fromkeys(
@@ -744,7 +740,11 @@ class _Compiled:
 
     @functools.cached_property
     def make_columns(self):
-        return self._compile(*_column_lines(self.ops), _COLUMN_NAMESPACE)
+        lines, columns = _column_lines(self.ops)
+        # a stack of no points evaluates nothing, as a loop over its points
+        # would not: not even the operations on floats alone
+        empty = f"if not len(x[0]): return ({'_no_rows, ' * len(self.outputs.split())})"
+        return self._compile([empty, *lines], columns, _COLUMN_NAMESPACE)
 
     def _compile(self, lines, columns, namespace):
         checked = self.checked.split()

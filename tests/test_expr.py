@@ -324,6 +324,17 @@ class TestColumnBundle:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    def test_empty_stack_evaluates_nothing(self):
+        # log(0-1) is left unfolded: every point fails, a stack of none not
+        import fbt
+
+        point, columns = _column_bundles(0, (("log(0-1)*x1", "x1"),), dim=1)
+        with pytest.raises(DomainError):
+            point([0.5])
+        assert [c.shape for c in columns(np.zeros((1, 0)))] == [(0,), (0,)]
+        m = fbt.riemannian_expr(2, [["log(0-1)", "0"], ["0", "1"]])
+        assert m.F(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
     def test_sign_maps_nan_and_zeros_to_zero(self):
         a = np.array([math.nan, 0.0, -0.0, 2.0, -3.0, math.inf])
         want = np.array([expr._sign(t) for t in a.tolist()])
