@@ -110,7 +110,7 @@ def callers(m, shapes):
     x, v = shapes["real1"]
     n = m.dim
     shoot = np.concatenate([x, v, np.zeros(n * n), np.eye(n).ravel()])
-    frame, _ = _frame_init(fbt.integrate_geodesic(m, fbt.PhaseState(x, v), 0.1), None)
+    frame = _frame_init(fbt.integrate_geodesic(m, fbt.PhaseState(x, v), 0.1), None)
     return [("geodesic_rhs", "real1", m._flow_rhs(0), (0.0, np.concatenate([x, v]))),
             ("shoot_rhs", "cs_n", m._flow_rhs(n), (0.0, shoot)),
             ("frame_rhs", "cs_n", m._flow_rhs(n - 1), (0.0, frame)),

@@ -692,7 +692,8 @@ def _all_finite(cols):
 
 _COLUMN_NAMESPACE = dict(
     _NAMESPACE, _divisor=_divisor, _sqrt_column=_sqrt_column, _sign_column=_sign_column,
-    _map=_map, _pow_columns=_pow_columns, _all_finite=_all_finite, _no_rows=np.empty(0))
+    _map=_map, _pow_columns=_pow_columns, _all_finite=_all_finite, _no_rows=np.empty(0),
+    _errstate=np.errstate)
 
 
 def _derivative_blocks(groups, dim, order):
@@ -744,7 +745,10 @@ class _Compiled:
         # a stack of no points evaluates nothing, as a loop over its points
         # would not: not even the operations on floats alone
         empty = f"if not len(x[0]): return ({'_no_rows, ' * len(self.outputs.split())})"
-        return self._compile([empty, *lines], columns, _COLUMN_NAMESPACE)
+        # numpy warns on an overflow or inf - inf, where floats are silent:
+        # the finite check raises for both alike
+        quiet = ["with _errstate(all='ignore'):", *(f"    {line}" for line in lines or ["pass"])]
+        return self._compile([empty, *quiet], columns, _COLUMN_NAMESPACE)
 
     def _compile(self, lines, columns, namespace):
         checked = self.checked.split()
@@ -825,15 +829,17 @@ def jet(groups, dim, params=None, order=0):
             shapes.append((len(g),))
             flat.append(tuple(_as_node(e) for e in g))
     fn, _ = _bound(tuple(flat), dim, dict(params or {}), order, columns=True)
+    return lambda x: _cut_columns(lambda points: fn(points.T), x, dim, shapes, order)
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        points = x.reshape(-1, dim)
-        out = _stacked(fn(points.T), len(points)).T
-        return _unflatten(out.reshape(x.shape[:-1] + out.shape[-1:]), shapes, dim,
-                          order)
 
-    return f
+def _cut_columns(run, x, dim, shapes, order):
+    """Run a bundle over columns, run(points) on the (N, dim) points of a
+    point or a stack of points x (..., dim), and cut its outputs with
+    _unflatten, each array with the stack's leading axes."""
+    x = np.asarray(x, dtype=float)
+    points = x.reshape(-1, dim)
+    out = _stacked(run(points), len(points)).T
+    return _unflatten(out.reshape(x.shape[:-1] + out.shape[-1:]), shapes, dim, order)
 
 
 def _stacked(cols, count):

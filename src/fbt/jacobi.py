@@ -10,23 +10,25 @@ start state by the 8th-order Dormand-Prince pair (ode.dop853), with N and
 N' in the error norm.  Each stage evaluates the n - 1 complex-step rows
 spray(x + i h N_j, v + i h N'_j) in the metric's generated straight-line
 flow (metric._flow_source), on one component jet: the real part is the
-geodesic's spray, Im / h the column's J''.  M = [N | t v] C and M' = [N' | v + t a] C, with a
-the spray at the frame's state and C the constant change to the start
-basis.  So the counting index route (these scans) rides the frame's
-geodesic at SCAN_RTOL, the spectral one (morse) the stored path at its
-rtol, from the same (x0, v0, tau).  Every metric's chart derivatives are
-exact, so every frame runs at SCAN_RTOL / SCAN_ATOL: no finite-difference
-noise floor sits above them.  D exp is the shooting derivative
-(geoflow.endpoint_jacobian): the same right-hand side on all n columns from
-(p, v, 0, I), with (x, v) alone in the error norm.
+geodesic's spray, Im / h the column's J''.  The frame is the basis
+M = [N | t v], M' = [N' | v + t a], with a the spray at the frame's state.
+So the counting index route (these scans) rides the frame's geodesic at
+SCAN_RTOL, the spectral one (morse) the stored path at its rtol, from the
+same (x0, v0, tau).  Every metric's chart derivatives are exact, so every
+frame runs at SCAN_RTOL / SCAN_ATOL: no finite-difference noise floor sits
+above them.  D exp is the shooting derivative (geoflow.endpoint_jacobian):
+the same right-hand side on all n columns from (p, v, 0, I), with (x, v)
+alone in the error norm.
 
-Conjugate and focal instants show up as rank drops of M(t).  A point start
-is boundary None, the 0-dimensional start submanifold (M(0) = 0, M'(0) = I),
-so a conjugate scan is the focal scan of a point.  A scan reads its grid
-with one dense-output call and brackets the instants there: sign changes of
-det M catch odd multiplicities, dips of the smallest singular value the
-rest.  Newton steps on the pencil (M(t), -M'(t)) refine each bracket and
-give the multiplicity (see _refine), flagged above n - 1 for every start.
+Conjugate and focal instants show up as rank drops of M(t); a rank drop,
+a sign change of det M and a pencil offset do not depend on the basis of
+the fields.  A point start is boundary None, the 0-dimensional start
+submanifold (M(0) = 0), so a conjugate scan is the focal scan of a point.
+A scan reads its grid with one dense-output call and brackets the instants
+there: sign changes of det M catch odd multiplicities, dips of the
+smallest singular value the rest.  Newton steps on the pencil
+(M(t), -M'(t)) refine each bracket and give the multiplicity (see
+_refine), flagged above n - 1 for every start.
 """
 
 from __future__ import annotations
@@ -93,14 +95,12 @@ def spray_jacobians(m, x, v):
 class JacobiFrame:
     """M and M' along a path.  sol (ode.DenseOutput, with step times ts) is
     the frame flow on (x, v, N, N') of the n - 1 carried columns N, row-major
-    n x (n - 1); with the tangential field t v(t) last they form the basis
-    B = [N | t v], B' = [N' | v + t a] (a = v' the frame's spray), and
-    M = B C, M' = B' C for the constant C of _frame_init."""
+    n x (n - 1); with the tangential field t v(t) last they form
+    M = [N | t v], M' = [N' | v + t a] (a = v' the frame's spray)."""
 
     path: GeodesicPath
     sol: object
     ts: np.ndarray
-    C: np.ndarray
 
     @property
     def dim(self):
@@ -110,8 +110,8 @@ class JacobiFrame:
         """M(t); at an array of times, a stack of matrices."""
         n, ts = self.dim, np.atleast_1d(t)
         y = self.sol(ts).T
-        B = _basis(y[:, 2 * n:n * n + n], ts[:, None] * y[:, n:2 * n])
-        return (B @ self.C).reshape(np.shape(t) + (n, n))
+        M = _basis(y[:, 2 * n:n * n + n], ts[:, None] * y[:, n:2 * n])
+        return M.reshape(np.shape(t) + (n, n))
 
     def pencil(self, t):
         """M(t) and M'(t) from one dense-output call and the spray a = v' at
@@ -120,9 +120,8 @@ class JacobiFrame:
         y = np.moveaxis(self.sol(t), 0, -1)
         tv, v = np.asarray(t, dtype=float)[..., None], y[..., n:2 * n]
         a = self.path.metric.spray(y[..., :n], v)
-        B = _basis(y[..., 2 * n:n * n + n], tv * v)
-        Bd = _basis(y[..., n * n + n:], v + tv * a)
-        return B @ self.C, Bd @ self.C
+        return (_basis(y[..., 2 * n:n * n + n], tv * v),
+                _basis(y[..., n * n + n:], v + tv * a))
 
     def residual_max(self):
         """Linearized-equation residual of the carried columns, with N'' the
@@ -156,21 +155,17 @@ def check_perpendicular(W, gv, v0):
 
 
 def _frame_init(path, boundary):
-    """The frame flow's initial state and the matrix C of JacobiFrame, for a
-    start submanifold P of basis W and shape operator S (None: a point,
-    k = 0).
+    """The frame flow's start state (x0, v0, N(0), N'(0)) for a start
+    submanifold P of basis W and shape operator S (None: a point, k = 0).
 
-    The frame M has k columns with M(0) = W, M'(0) = W S and n - k columns
-    with M(0) = 0 and M'(0) spanning the g_v-orthogonal complement of T_pP.
     g_{v(t)}(J, v(t)) is affine in t for every Jacobi field J, with slope
     dxL.J(0) / 2 + g_v(v0, J'(0)) (by the Euler-Lagrange equation of L), so
-    the flow carries k columns with M'(0) = W S + v0 alpha, alpha chosen to
-    cancel the slope, and n - k - 1 with M(0) = 0 and M'(0) spanning the
+    k columns start at N(0) = W, N'(0) = W S + v0 alpha, alpha chosen to
+    cancel the slope, and n - k - 1 at N(0) = 0 with N'(0) spanning the
     g_v-orthogonal complement of [W, v0]: each stays g-orthogonal to v(t).
-    The tangential field t v(t), which never vanishes, completes them, and
-    C maps that basis onto M.  On the indefinite quadratic kind g_v(v0, v0)
-    may vanish, so there the complement is chart-orthogonal to v0 and no
-    slope is cancelled."""
+    With t v(t), which never vanishes, they span the P-Jacobi fields.  On
+    the indefinite quadratic kind g_v(v0, v0) may vanish, so there the
+    complement is chart-orthogonal to v0 and no slope is cancelled."""
     m, n, x0, v0 = path.metric, path.dim, path.x0, path.v0
     W, S = np.zeros((n, 0)), np.zeros((0, 0))
     if boundary is not None:
@@ -178,22 +173,16 @@ def _frame_init(path, boundary):
         W, S = boundary.basis, boundary.shape_operator
     k = W.shape[1]
     G = m.fundamental_tensor(x0, v0)
-    gv = G @ v0
-    M0, Md0, WS = np.zeros((n, n)), np.eye(n), W @ S
+    gv, WS = G @ v0, W @ S
     if k > 0:
         check_perpendicular(W, gv, v0)
-        M0[:, :k], Md0[:, :k] = W, WS
-        # complement: null space of the k x n constraint matrix (G W)^T
-        Md0[:, k:] = np.linalg.svd(W.T @ G)[2][k:].T
         if not m.pseudo:
             dxL = m.L(x0 + 1j * COMPLEX_STEP * W.T, v0).imag / COMPLEX_STEP
             WS = WS - np.outer(v0, 0.5 * dxL + gv @ WS) / float(v0 @ gv)
     ends = np.vstack([W.T @ G, v0 if m.pseudo else gv])
+    N0 = np.hstack([W, np.zeros((n, n - k - 1))])
     Nd0 = np.hstack([WS, np.linalg.svd(ends)[2][k + 1:].T])
-    y0 = np.concatenate([x0, v0, M0[:, :-1].ravel(), Nd0.ravel()])
-    C = np.linalg.lstsq(np.vstack([M0, np.column_stack([Nd0, v0])]),
-                        np.vstack([M0, Md0]), rcond=None)[0]
-    return y0, C
+    return np.concatenate([x0, v0, N0.ravel(), Nd0.ravel()])
 
 
 def jacobi_frame(path, boundary=None):
@@ -201,15 +190,14 @@ def jacobi_frame(path, boundary=None):
     state over [0, path.tau].
 
     boundary is the BoundaryData of a start submanifold P, or None for a
-    point start (M(0) = 0, M'(0) = I).  The flow carries n - 1 columns (see
+    point start (M(0) = 0).  The flow carries n - 1 columns (see
     _frame_init), runs at SCAN_RTOL / SCAN_ATOL and raises LeftChart and
     ZeroVelocity as the geodesic flow does.
     """
     m = path.metric
-    y0, C = _frame_init(path, boundary)
-    res = _solve(m, m._flow_rhs(path.dim - 1), path.tau, y0, rtol=SCAN_RTOL, atol=SCAN_ATOL,
-                 dense=True)
-    return JacobiFrame(path, res.sol, res.ts, C)
+    res = _solve(m, m._flow_rhs(path.dim - 1), path.tau, _frame_init(path, boundary),
+                 rtol=SCAN_RTOL, atol=SCAN_ATOL, dense=True)
+    return JacobiFrame(path, res.sol, res.ts)
 
 
 def expmap_jacobian(m, p, v, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):

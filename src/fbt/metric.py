@@ -176,11 +176,9 @@ class _Components:
         return fn(np.asarray(x, dtype=float).T)
 
     def stack(self, x, order):
-        x, n = np.asarray(x, dtype=float), self.dim
-        points = x.reshape(-1, n)
-        c = _expr._stacked(self.columns(points, order), len(points)).T
-        out = _expr._unflatten(c.reshape(x.shape[:-1] + c.shape[-1:]),
-                               [(n, n)] + [(n,)] * self.oneform, n, order)
+        n = self.dim
+        out = _expr._cut_columns(functools.partial(self.columns, order=order), x, n,
+                                 [(n, n)] + [(n,)] * self.oneform, order)
         return out if self.oneform else [a for h in out for a in (h, None)]
 
 
@@ -552,8 +550,10 @@ class MetricField:
                 comps.bundle(order)(x.tolist()), v.tolist()))
         else:
             points = x.reshape(-1, n)
-            cols = _kernel(n, comps.oneform, entry, "stack", comps.zeros(order))(
-                comps.columns(points, order), np.ascontiguousarray(v.reshape(-1, n).T))
+            kernel = _kernel(n, comps.oneform, entry, "stack", comps.zeros(order))
+            with np.errstate(all="ignore"):  # as the bundle over columns
+                cols = kernel(comps.columns(points, order),
+                              np.ascontiguousarray(v.reshape(-1, n).T))
             # a literal output (a term-free structural zero) stands for every row
             out = _expr._stacked(cols, len(points)).T
         return out.reshape(x.shape[:-1] + out.shape[-1:])

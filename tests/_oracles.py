@@ -453,7 +453,8 @@ def frame_joint_flow(m, x0, v0, ts):
 
 class FlatFrame(fbt.jacobi.JacobiFrame):
     """A frame whose sol(t) ends with M and M', n^2 components each,
-    row-major; C is unused."""
+    row-major: an n-column frame in its own basis, which scans read as
+    they read the [N | t v] of JacobiFrame."""
 
     def M(self, t):
         return self.pencil(t)[0]
@@ -481,7 +482,7 @@ def reference_frame(path, boundary=None):
     res = fbt.geoflow._solve(m, m._flow_rhs(n), path.tau, y0,
                              rtol=fbt.jacobi.SCAN_RTOL, atol=fbt.jacobi.SCAN_ATOL,
                              dense=True)
-    return FlatFrame(path, res.sol, res.ts, np.eye(n))
+    return FlatFrame(path, res.sol, res.ts)
 
 
 # ---------------------------------------------------------------------------

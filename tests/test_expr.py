@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -381,3 +382,31 @@ class TestColumnBundle:
         m._c.stack(X, 2)
         assert expr._generate.cache_info()[:2] == info[:2]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
+    def test_overflow_raises_as_alone_with_warnings_as_errors(self):
+        # numpy warns on an overflow where a float is silent; the stacked
+        # evaluators raise the lone row's DomainError, not the warning
+        import fbt
+
+        X = np.array([[0.5], [1.5], [1.0], [0.7]])
+        cases = [("x1*1e308*10", 0, X), ("x1*1e308*10", 1, X), ("1e307*x1^10", 2, X[2:])]
+        m = fbt.riemannian_expr(1, [["1e307*x1^10"]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for src, order, rows in cases:
+                point, columns = _column_bundles(order, ((src,),), dim=1)
+                with pytest.raises(DomainError) as alone:
+                    point([1.0])
+                for stacked in (lambda: columns(rows.T),
+                                lambda: expr.jet([[src]], 1, order=order)(rows)):
+                    with pytest.raises(DomainError) as got:
+                        stacked()
+                    assert str(got.value) == str(alone.value)
+            with pytest.raises(DomainError) as alone:
+                m.second_derivatives(X[2], X[2])
+            with pytest.raises(DomainError) as got:
+                m.second_derivatives(X, np.ones_like(X))
+            assert str(got.value) == str(alone.value)
+            # the stack kernel overflows to inf as each state alone does
+            m, V = fbt.riemannian_expr(1, [["1+x1^2"]]), np.full_like(X, 1e155)
+            assert m.L(X, V).tolist() == [m.L(x, v) for x, v in zip(X, V)] == [math.inf] * 4

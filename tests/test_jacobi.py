@@ -37,8 +37,10 @@ class TestFrame:
     def test_flat_frame_linear(self, euclid):
         path = integrate_geodesic(euclid, PhaseState([0, 0], [1, 0]), 3.0)
         frame = jacobi_frame(path)
+        # from a point, M(t) = M_ref(t) M'(0) for the frame with M_ref'(0) = I
+        Md0 = frame.pencil(0.0)[1]
         for t in (0.5, 1.7, 3.0):
-            assert np.max(np.abs(frame.M(t) - t * np.eye(2))) < 1e-12
+            assert np.max(np.abs(frame.M(t) - t * Md0)) < 1e-12
 
     def test_sphere_transverse_sine(self, sphere):
         path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 3.2)
@@ -56,11 +58,13 @@ class TestFrame:
         m = warped_metric(lam)
         path = integrate_geodesic(m, PhaseState([0.0, 0.0], [1.0, 0.0]), 2.0)
         frame = jacobi_frame(path)
+        Md0 = frame.pencil(0.0)[1]
         sol = jacobi_scalar(lambda t: lam - lam**2 * t**2, (0.0, 2.0), 0.0, 1.0)
         for t in np.linspace(0.2, 2.0, 8):
             u = sol.sol(t)[0]
             f = np.exp(-lam * t**2 / 2.0)
-            chart = frame.M(t)[1, 1]
+            # the frame with M'(0) = I is M(t) M'(0)^-1
+            chart = (frame.M(t) @ np.linalg.inv(Md0))[1, 1]
             assert chart == pytest.approx(u / f, rel=1e-7, abs=1e-9)
 
     def test_linearization_residual(self, sphere):
@@ -397,8 +401,10 @@ class TestFrameAccuracy:
         m = make()
         path = integrate_geodesic(m, PhaseState(x0, v0), tau, rtol=1e-12, atol=1e-14)
         ts = np.linspace(0.0, tau, 401)[1:]
-        ref = frame_joint_flow(m, x0, v0, ts)
-        err = np.max(np.abs(jacobi_frame(path).M(ts) - ref)) / np.max(np.abs(ref))
+        frame = jacobi_frame(path)
+        # the joint flow starts at M'(0) = I, the frame at its own M'(0)
+        ref = frame_joint_flow(m, x0, v0, ts) @ frame.pencil(0.0)[1]
+        err = np.max(np.abs(frame.M(ts) - ref)) / np.max(np.abs(ref))
         assert err <= bound
 
     @pytest.mark.parametrize("name", sorted(FRAME_CASES))
@@ -483,7 +489,8 @@ class TestCarriedColumns:
         path = integrate_geodesic(m, PhaseState([0.0, 0.0], [1.0, 1.0]), 3.0)
         assert abs(m.F(path.x0, path.v0)) <= 1e-15
         ts = np.linspace(0.0, 3.0, 41)[1:]
-        M, ref = jacobi_frame(path).M(ts), reference_frame(path).M(ts)
+        frame = jacobi_frame(path)
+        M, ref = frame.M(ts), reference_frame(path).M(ts) @ frame.pencil(0.0)[1]
         assert np.max(np.abs(M - ref)) <= 1e-9 * np.max(np.abs(ref))
         assert conjugate_scan(path).instants == []
 
@@ -501,6 +508,26 @@ class TestCarriedColumns:
         for c, r in zip(got.instants, ref.instants):
             assert abs(c.t - r.t) <= 1e-10
         assert got.warnings == ref.warnings == []
+
+    @pytest.mark.parametrize("name", sorted(k for k in SCAN_CASES if "focal" in k))
+    def test_boundary_frames_span_the_reference_fields(self, name):
+        # the frame's fields are the reference's, recombined by the X that
+        # maps the reference's start data onto the frame's, and the carried
+        # ones stay g-orthogonal to the reference's velocity
+        m, x0, v0, tau, b = SCAN_CASES[name]()
+        path = integrate_geodesic(m, PhaseState(x0, fbt.geoflow.orthogonal_initial(m, b, v0)),
+                                  tau)
+        frame, ref = jacobi_frame(path, b), reference_frame(path, b)
+        X = np.linalg.lstsq(np.vstack(ref.pencil(0.0)), np.vstack(frame.pencil(0.0)),
+                            rcond=None)[0]
+        ts = np.linspace(0.0, tau, 41)[1:]
+        M, want = frame.M(ts), ref.M(ts) @ X
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(M - want)) <= 1e-9 * scale
+        n, y = m.dim, ref.sol(ts).T
+        x, v = y[:, :n], y[:, n:2 * n]
+        g = np.einsum("tij,tj,tik->tk", m.fundamental_tensor(x, v), v, want[..., :-1])
+        assert np.max(np.abs(g)) <= 1e-9 * scale
 
 
 class TestScanGrid:
@@ -520,7 +547,7 @@ def _closed_form_frame(sol, n, tau):
     closed form sol(t) (the layout of an n-column frame flow's dense
     output), so a scan sees no integration error."""
     path = integrate_geodesic(fbt.euclidean(n), PhaseState(np.zeros(n), np.eye(n)[0]), tau)
-    return FlatFrame(path, sol, np.array([0.0, tau]), np.eye(n))
+    return FlatFrame(path, sol, np.array([0.0, tau]))
 
 
 def _diagonal_frame(a, tau=4.0, q=None):

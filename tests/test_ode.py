@@ -107,7 +107,7 @@ class TestMirrorsSolveIvp:
         s0 = PhaseState([0.1, -0.9, 0.2], [0.8, 0.3, -0.2])
         path = integrate_geodesic(m, s0, 4.0)
         n = m.dim
-        y0, _ = _frame_init(path, None)
+        y0 = _frame_init(path, None)
         frame = jacobi_frame(path)
         ref = _reference(m._flow_rhs(n - 1), y0, path.tau, rtol=SCAN_RTOL,
                          atol=SCAN_ATOL, dense_output=True)
