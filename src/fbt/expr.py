@@ -9,7 +9,9 @@ twice: over the floats of one point, and (on first use) over the numpy
 columns of a stack of points, run once for the whole stack.  Over columns,
 arithmetic and sqrt are numpy's IEEE operations and every other function
 and ``^`` calls the same math function per element, so a stack gives each
-point's bits and raises each point's errors.
+point's bits and raises each point's errors.  Numbers are bound values of
+the compiled shape, not text in its source, so bundles that differ only in
+their numbers share one compile.
 
 Grammar (recursive descent, see docs/expression-grammar.md)::
 
@@ -36,6 +38,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,15 +288,20 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def _prec(node):
     if isinstance(node, Bin):
         return _PREC[node.op]
-    if isinstance(node, Unary):
+    # a negative number reads back as a negation
+    if isinstance(node, Unary) or (isinstance(node, Num)
+                                   and math.copysign(1.0, node.value) < 0.0):
         return _PREC["neg"]
     return 9
 
 
 def to_source(node):
-    """Render an AST back to parseable text; parse(to_source(e)) evaluates like e."""
+    """Render an AST back to parseable text; parse(to_source(e)) evaluates like e.
+    (The sign function of abs's derivatives renders, but is not in the grammar.)"""
     if isinstance(node, Num):
-        return repr(node.value)
+        if math.isfinite(node.value):
+            return repr(node.value)
+        return "1e999" if node.value > 0.0 else "-1e999"  # read back as inf
     if isinstance(node, Name):
         return node.ident
     if isinstance(node, Unary):
@@ -315,8 +323,9 @@ def to_source(node):
         else:
             if _prec(node.lhs) < p:
                 ls = f"({ls})"
-            # - and / do not associate to the right
-            if _prec(node.rhs) < p or (_prec(node.rhs) == p and node.op in "-/"):
+            # the parser groups to the left, and float operations do not
+            # associate: a * (b / c) is not (a * b) / c bit for bit
+            if _prec(node.rhs) <= p:
                 rs = f"({rs})"
         return f"{ls} {node.op} {rs}"
     raise TypeError(f"not an expression node: {node!r}")
@@ -544,13 +553,7 @@ def _zeroed(node, zeros, memo):
 # Code generation: one straight-line function per bundle of expressions
 
 _NAMESPACE = {"_" + fn: impl for fn, impl in _FN_IMPL.items()}
-_NAMESPACE.update(_pow=math.pow, _isfinite=math.isfinite, _inf=math.inf)
-
-
-def _literal(value):
-    if math.isfinite(value):
-        return repr(value) if value >= 0.0 else f"({value!r})"
-    return "_inf" if value > 0.0 else "(-_inf)"
+_NAMESPACE.update(_pow=math.pow, _isfinite=math.isfinite)
 
 
 class _Emitter:
@@ -558,11 +561,15 @@ class _Emitter:
     the operations run in the order a depth-first evaluation takes them.
     ``lines`` holds them as source over one point; ``ops`` as lines of
     space-separated fields (name, operation, operands; no field holds a
-    space), for _column_lines to render over columns.
+    space), for _point_lines and _column_lines to render.
 
-    In placeholder mode (``placeholders=True``) every name is a variable
-    the surrounding code binds, emitted as itself and collected in
-    ``params``; no name is a chart coordinate."""
+    Every number is a slot, a variable s<k> the surrounding code binds:
+    ``slots`` maps the float.hex of each distinct number (its bits: 0.0
+    and -0.0 are two slots) to its slot, so trees that differ only in
+    their numbers emit the same text.  In placeholder mode
+    (``placeholders=True``) numbers are literals, and every name is a
+    variable the surrounding code binds, emitted as itself and collected
+    in ``params``; no name is a chart coordinate."""
 
     def __init__(self, dim, placeholders=False):
         self.dim = dim
@@ -570,11 +577,14 @@ class _Emitter:
         self.ops = []
         self.memo = {}
         self.params = set()
+        self.slots = {}
         self.placeholders = placeholders
 
     def __call__(self, node):
+        if isinstance(node, Num) and self.placeholders:
+            return repr(node.value) if node.value >= 0.0 else f"({node.value!r})"
         if isinstance(node, Num):
-            return _literal(node.value)
+            return self.slots.setdefault(node.value.hex(), f"s{len(self.slots)}")
         got = self.memo.get(node)
         if got is not None:
             return got
@@ -618,6 +628,12 @@ def _point_code(op, args):
     if len(args) == 1:
         return f"_{op}({args[0]})"
     return f"{args[0]} {op} {args[1]}"
+
+
+def _point_lines(ops):
+    """The emitted operations (the lines of ops) over the floats of one point."""
+    return [f"{name} = {_point_code(op, args)}"
+            for name, op, *args in map(str.split, ops.splitlines())]
 
 
 def _column_lines(ops):
@@ -721,23 +737,19 @@ def _derivative_blocks(groups, dim, order):
 
 
 class _Compiled:
-    """A bundle compiled over one point (``make``), over columns on first
-    use (``make_columns``), from the same emitted operations: factories
-    over the parameters ``params``; ``zeros`` are the positions of the
-    outputs whose AST is the constant zero.  For the compile over columns
-    it keeps the operations, the output codes and the codes checked for
-    finiteness as strings, a fraction of the size of lists of them: every
-    cached bundle holds them."""
+    """A bundle shape compiled over one point (``make``) and, on first use,
+    over columns (``make_columns``), from the same emitted operations:
+    factories over the parameters ``params`` and then the slots, the
+    numbers of the bundle.  Bundles whose ASTs differ only in their numbers
+    emit the same text and share one _Compiled (_shape).  It keeps the
+    operations, the output codes and the codes checked for finiteness as
+    strings, the key of the shape and the source of the compile over
+    columns."""
 
-    def __init__(self, emit, outputs):
-        self.ops, self.params = "\n".join(emit.ops), sorted(emit.params)
-        self.outputs = " ".join(code for _, code in outputs)
-        self.zeros = tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO)
-        self.checked = " ".join(dict.fromkeys(
-            code for e, code in outputs
-            if not (isinstance(e, Num) and math.isfinite(e.value))
-        ))
-        self.make = self._compile(emit.lines, set(), _NAMESPACE)
+    def __init__(self, ops, outputs, checked, params, slots):
+        self.ops, self.outputs, self.checked, self.params = ops, outputs, checked, params
+        self.args = ", ".join([*("p_" + p for p in params), *slots])
+        self.make = self._compile(_point_lines(ops), set(), _NAMESPACE)
 
     @functools.cached_property
     def make_columns(self):
@@ -758,7 +770,7 @@ class _Compiled:
             checks.append(f"_all_finite(({''.join(c + ', ' for c in arrays)}))")
         body = [f"            {line}" for line in lines] or ["            pass"]
         src = "\n".join([
-            f"def _make({', '.join('p_' + p for p in self.params)}):",
+            f"def _make({self.args}):",
             "    def bundle(x):",
             "        try:",
             *body,
@@ -775,15 +787,38 @@ class _Compiled:
 
 
 @functools.lru_cache(maxsize=256)
+def _shape(ops, outputs, checked, params, slots):
+    """The _Compiled of an emitted text, shared by every bundle that emits it."""
+    return _Compiled(ops, outputs, checked, params, slots)
+
+
+class _Generated(NamedTuple):
+    """A compiled bundle: its shape, its slot values and the positions of
+    its outputs whose AST is the constant zero."""
+
+    shape: _Compiled
+    slots: tuple
+    zeros: tuple
+
+    @property
+    def ops(self):
+        return self.shape.ops
+
+
+@functools.lru_cache(maxsize=256)
 def _generate(groups, dim, order):
     """Compile groups (a tuple of node tuples) with their derivatives up to
-    order into a _Compiled."""
+    order into a _Generated: the shape is looked up by its emitted text,
+    the numbers are this bundle's."""
     emit = _Emitter(dim)
-    outputs = []
-    for block in _derivative_blocks(groups, dim, order):
-        for nodes in block:
-            outputs += [(e, emit(e)) for e in nodes]
-    return _Compiled(emit, outputs)
+    outputs = [(e, emit(e)) for block in _derivative_blocks(groups, dim, order)
+               for nodes in block for e in nodes]
+    checked = dict.fromkeys(code for e, code in outputs
+                            if not (isinstance(e, Num) and math.isfinite(e.value)))
+    shape = _shape("\n".join(emit.ops), " ".join(code for _, code in outputs),
+                   " ".join(checked), tuple(sorted(emit.params)), tuple(emit.slots.values()))
+    return _Generated(shape, tuple(map(float.fromhex, emit.slots)),
+                      tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO))
 
 
 def _bound(groups, dim, params, order, columns=False):
@@ -794,11 +829,12 @@ def _bound(groups, dim, params, order, columns=False):
     depend on x."""
     gen = _generate(groups, dim, order)
     values = []
-    for name in gen.params:
+    for name in gen.shape.params:
         if name not in params:
             raise UnboundName(name)
         values.append(float(params[name]))
-    return (gen.make_columns if columns else gen.make)(*values), gen.zeros
+    make = gen.shape.make_columns if columns else gen.shape.make
+    return make(*values, *gen.slots), gen.zeros
 
 
 def _as_node(e):

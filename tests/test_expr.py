@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -6,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fbt import expr
 from fbt.expr import DomainError, ExprSyntaxError, UnboundName
@@ -229,25 +230,103 @@ def _tree_or_error(node, point, params):
     return val if math.isfinite(val) else None
 
 
+def _perturbed(node):
+    """The tree with every number outside an exponent scaled by 1.001."""
+    if isinstance(node, expr.Num):
+        return expr.Num(node.value * 1.001)
+    if isinstance(node, (expr.Unary, expr.Call)):
+        return dataclasses.replace(node, arg=_perturbed(node.arg))
+    if isinstance(node, expr.Bin):
+        return expr.Bin(node.op, _perturbed(node.lhs),
+                        node.rhs if node.op == "^" else _perturbed(node.rhs))
+    return node
+
+
+def _skeleton(nodes):
+    """The trees with each number replaced by the rank of its bits among
+    the numbers in order of appearance: what the trees share when they
+    differ only in their numbers."""
+    numbers = {}
+
+    def walk(node):
+        if isinstance(node, expr.Num):
+            return numbers.setdefault(node.value.hex(), len(numbers))
+        if isinstance(node, expr.Name):
+            return node.ident
+        if isinstance(node, (expr.Unary, expr.Call)):
+            return (getattr(node, "fn", "-"), walk(node.arg))
+        return (node.op, walk(node.lhs), walk(node.rhs))
+
+    return [walk(e) for e in nodes]
+
+
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+def _jet_nodes(tree):
+    return [tree, expr.diff(tree, "x1"), expr.diff(tree, "x2")]
+
+
+def _assert_bits_equal_tree_walk(tree, point, params):
+    want = [_tree_or_error(e, point, params) for e in _jet_nodes(tree)]
+    run, value = expr.jet([[tree]], 2, params, order=1), expr.bind(tree, 2, params)
+    try:
+        val, grad = run(point)
+    except DomainError:
+        assert None in want
+        return
+    got = [val[0], grad[0, 0], grad[1, 0]]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert value(point).hex() == want[0].hex()
+
+
 @settings(max_examples=200, deadline=None)
 @given(tree=_deriv_trees(3), x1=st.floats(-2.0, 2.0), x2=st.floats(0.2, 2.0))
 def test_compiled_bits_equal_tree_walk(tree, x1, x2):
     """Values and first derivatives from one compiled bundle equal, bit for
     bit, a node-by-node evaluation of the AST and of its derivative ASTs;
     wherever that evaluation fails or is not finite, the bundle raises
-    DomainError."""
+    DomainError.  The same tree with other numbers outside its exponents
+    does too, and when its derivatives keep their structure it compiles
+    nothing new: it reuses the first tree's shapes."""
     params = {"a": 1.7, "b": 0.3}
     point = np.array([x1, x2])
-    nodes = [tree, expr.diff(tree, "x1"), expr.diff(tree, "x2")]
-    want = [_tree_or_error(e, point, params) for e in nodes]
-    try:
-        val, grad = expr.jet([[tree]], 2, params, order=1)(point)
-    except DomainError:
-        assert None in want
-        return
-    got = [val[0], grad[0, 0], grad[1, 0]]
-    assert [g.hex() for g in got] == [w.hex() for w in want]
-    assert evaluate(tree, point, params).hex() == want[0].hex()
+    _assert_bits_equal_tree_walk(tree, point, params)
+    other = _perturbed(tree)
+    # a folded number that lands on 0 or 1 can drop a term from one tree only
+    assume(_skeleton(_jet_nodes(other)) == _skeleton(_jet_nodes(tree)))
+    misses = expr._shape.cache_info().misses
+    _assert_bits_equal_tree_walk(other, point, params)
+    assert expr._shape.cache_info().misses == misses
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_deriv_trees(3), x1=st.floats(-2.0, 2.0), x2=st.floats(0.2, 2.0))
+def test_derivative_print_parse_round_trip(tree, x1, x2):
+    """parse(to_source(d)) evaluates like d, bit for bit, on derivative
+    trees, and on them with the parameter a set to zero, whose folded
+    numbers may be negative (a base among them) or -0.0.  (Derivatives of
+    abs hold sign, which the grammar does not have.)"""
+    params = {"a": 1.7, "b": 0.3}
+    derivs = _jet_nodes(tree)[1:]
+    for d in derivs + [expr._zeroed(d, {"a"}, {}) for d in derivs]:
+        src = expr.to_source(d)
+        if "sign(" in src:
+            continue
+        want, got = (_tree_or_error(e, (x1, x2), params) for e in (d, expr.parse(src)))
+        assert _hex(got) == _hex(want), src
+
+
+@pytest.mark.parametrize("node", [
+    expr.Bin("^", expr.Num(-0.5), expr.Num(2.0)),   # not -(0.5 ^ 2.0)
+    expr.Bin("^", expr.Num(-0.0), expr.Num(2.0)),
+    expr.Num(math.inf),                             # not a parameter named inf
+    expr.Bin("*", expr.Num(-math.inf), expr.Name("x1")),
+])
+def test_print_parse_keeps_negative_bases_and_infinities(node):
+    want = tree_eval(node, [2.0])
+    assert tree_eval(expr.parse(expr.to_source(node)), [2.0]).hex() == want.hex()
 
 
 @pytest.mark.parametrize("src, point, order", [
@@ -410,3 +489,41 @@ class TestColumnBundle:
             # the stack kernel overflows to inf as each state alone does
             m, V = fbt.riemannian_expr(1, [["1+x1^2"]]), np.full_like(X, 1e155)
             assert m.L(X, V).tolist() == [m.L(x, v) for x, v in zip(X, V)] == [math.inf] * 4
+
+
+class TestSharedShapes:
+    """Numbers are bound values of a compiled shape: bundles that differ
+    only in their numbers share one compile, and keep their own bits."""
+
+    def test_zero_signs_are_two_slots(self):
+        # -ZERO folds to -0.0, which equals 0.0: a slot table keyed by
+        # value would give both outputs the sign of the first
+        groups = ((expr.parse("x1*3.75"), -expr.ZERO, expr.ZERO),)
+        want = np.array([[1.875, -0.0, 0.0], [7.5, -0.0, 0.0]])
+        point, columns = (expr._bound(groups, 1, {}, 0, columns=c)[0] for c in (False, True))
+        for x, row in zip([[0.5], [2.0]], want):
+            assert np.array(point(x)).tobytes() == row.tobytes()
+        assert expr._stacked(columns(np.array([[0.5, 2.0]])), 2).T.tobytes() == want.tobytes()
+
+    def test_family_members_compile_once(self, monkeypatch):
+        # warped and Randers members built as perfbench builds them: the
+        # drawn numbers are written into the expressions
+        import fbt
+
+        compiles = []
+        monkeypatch.setattr(expr, "compile", lambda *a: compiles.append(a) or compile(*a),
+                            raising=False)
+        rng = np.random.default_rng(35)
+        X = rng.uniform(-1.0, 1.0, size=(5, 2))
+        seen = []
+        for member in range(20):
+            c, b, lam = rng.uniform(0.75, 1.25), rng.uniform(0.1, 0.3), rng.uniform(1.0, 3.0)
+            h = [[f"exp(-lam*{c!r}*x2^2)", "0"], ["0", "1"]]
+            beta = [f"{b!r}*exp(-lam*{c!r}*x2^2)", "0"]
+            for m in (fbt.riemannian_expr(2, h, {"lam": lam}),
+                      fbt.randers_expr(2, h, beta, {"lam": lam})):
+                for order in range(3):
+                    m._c.bundle(order)(X[0])
+                    m._c.columns(X, order)
+            seen.append((len(compiles), expr._shape.cache_info().misses))
+        assert seen[1:] == seen[:1] * 19
