@@ -128,6 +128,10 @@ class _Node:
 class Num(_Node):
     value: float
 
+    def __post_init__(self):
+        # an AST has one zero: -0.0 + 0.0 is 0.0
+        object.__setattr__(self, "value", self.value + 0.0)
+
 
 @dataclass(frozen=True)
 class Name(_Node):
@@ -238,7 +242,10 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Unary(self.unary())
+            arg = self.unary()
+            # a negated literal is a number, so numbers of either sign
+            # emit the same shape; --x stays as it is written
+            return Num(-arg.value) if isinstance(arg, Num) else Unary(arg)
         return self.power()
 
     def power(self):
@@ -289,8 +296,7 @@ def _prec(node):
     if isinstance(node, Bin):
         return _PREC[node.op]
     # a negative number reads back as a negation
-    if isinstance(node, Unary) or (isinstance(node, Num)
-                                   and math.copysign(1.0, node.value) < 0.0):
+    if isinstance(node, Unary) or (isinstance(node, Num) and node.value < 0.0):
         return _PREC["neg"]
     return 9
 
@@ -526,29 +532,6 @@ def _diff(node, ident, memo, chain):
     return out
 
 
-def _zeroed(node, zeros, memo):
-    """The AST with ZERO for every name in zeros, rebuilt through the
-    folding constructors, so the terms those zeros annihilate drop out."""
-    got = memo.get(node)
-    if got is not None:
-        return got
-    if isinstance(node, Num):
-        out = node
-    elif isinstance(node, Name):
-        out = ZERO if node.ident in zeros else node
-    elif isinstance(node, Unary):
-        out = -_zeroed(node.arg, zeros, memo)
-    elif isinstance(node, Call):
-        out = _call(node.fn, _zeroed(node.arg, zeros, memo))
-    elif isinstance(node, Bin):
-        out = _bin(node.op, _zeroed(node.lhs, zeros, memo),
-                   _zeroed(node.rhs, zeros, memo))
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    memo[node] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Code generation: one straight-line function per bundle of expressions
 
@@ -564,12 +547,11 @@ class _Emitter:
     space), for _point_lines and _column_lines to render.
 
     Every number is a slot, a variable s<k> the surrounding code binds:
-    ``slots`` maps the float.hex of each distinct number (its bits: 0.0
-    and -0.0 are two slots) to its slot, so trees that differ only in
-    their numbers emit the same text.  In placeholder mode
-    (``placeholders=True``) numbers are literals, and every name is a
-    variable the surrounding code binds, emitted as itself and collected
-    in ``params``; no name is a chart coordinate."""
+    ``slots`` maps each distinct number (an AST has one zero) to its slot,
+    so trees that differ only in their numbers emit the same text.  In
+    placeholder mode (``placeholders=True``) numbers are literals, and
+    every name is a variable the surrounding code binds, emitted as itself
+    and collected in ``params``; no name is a chart coordinate."""
 
     def __init__(self, dim, placeholders=False):
         self.dim = dim
@@ -584,7 +566,7 @@ class _Emitter:
         if isinstance(node, Num) and self.placeholders:
             return repr(node.value) if node.value >= 0.0 else f"({node.value!r})"
         if isinstance(node, Num):
-            return self.slots.setdefault(node.value.hex(), f"s{len(self.slots)}")
+            return self.slots.setdefault(node.value, f"s{len(self.slots)}")
         got = self.memo.get(node)
         if got is not None:
             return got
@@ -800,10 +782,6 @@ class _Generated(NamedTuple):
     slots: tuple
     zeros: tuple
 
-    @property
-    def ops(self):
-        return self.shape.ops
-
 
 @functools.lru_cache(maxsize=256)
 def _generate(groups, dim, order):
@@ -817,7 +795,7 @@ def _generate(groups, dim, order):
                             if not (isinstance(e, Num) and math.isfinite(e.value)))
     shape = _shape("\n".join(emit.ops), " ".join(code for _, code in outputs),
                    " ".join(checked), tuple(sorted(emit.params)), tuple(emit.slots.values()))
-    return _Generated(shape, tuple(map(float.fromhex, emit.slots)),
+    return _Generated(shape, tuple(emit.slots),
                       tuple(i for i, (e, _) in enumerate(outputs) if e == ZERO))
 
 

@@ -11,18 +11,19 @@ Every supported kind fits one algebraic template,
 
 with the one-form b absent for plain Riemannian/quadratic kinds (then
 L = q = v.h v, possibly indefinite for the quadratic pseudo-kind).  The
-template is written once as an expression AST over placeholders for the
-components h_ij, b_i, their chart derivatives and v.  Symbolic
+template is written as an expression AST over placeholders for the
+components h_ij, b_i, their chart derivatives and v, once per (dim,
+one-form or not, structural zeros): 0 stands for each component that is
+identically zero, so the terms it annihilates fold away.  Symbolic
 differentiation gives the v-derivatives, and the chain rule through the
-derivative placeholders the x-derivatives.  One kernel per (dim, one-form
-or not, structural zeros) is generated lazily from it: straight-line code
-for F, L, every derivative piece and the spray (Cramer's rule up to dim 3,
-np.linalg.solve above), common subexpressions computed once, the terms
-the metric's identically zero components annihilate left out.  The kernel
-reads the flat component tuple of the metric's compiled bundle
-(from_callables metrics flatten their callables' arrays into the same
-layout).  Chart derivatives are exact on every path: symbolic for
-expression metrics, the caller's derivative callables for from_callables.
+derivative placeholders the x-derivatives.  Kernels are generated lazily
+from it: straight-line code for F, L, every derivative piece and the spray
+(Cramer's rule up to dim 3, np.linalg.solve above), common subexpressions
+computed once.  A kernel reads the flat component tuple of the metric's
+compiled bundle (from_callables metrics flatten their callables' arrays
+into the same layout).  Chart derivatives are exact on every path:
+symbolic for expression metrics, the caller's derivative callables for
+from_callables.
 
 Evaluators needing at most first chart derivatives (all but
 second_derivatives) also take complex-step states x = a + i*y,
@@ -234,22 +235,24 @@ class _Template:
     """L(v; h, b) = (sqrt(v.h.v) + b.v)^2, or q = v.h.v without a one-form,
     and its derivatives as ASTs over the placeholders: in v by symbolic
     differentiation, in x by the chain rule through the component
-    placeholders."""
+    placeholders.  A placeholder in zeros is ZERO, as a leaf and as a chain
+    rule derivative, so the terms it annihilates fold away as they are built."""
 
-    def __init__(self, dim, oneform):
+    def __init__(self, dim, oneform, zeros):
         Name, ZERO = _expr.Name, _expr.ZERO
+        leaf = lambda c: ZERO if c in zeros else Name(c)
         self.dim = dim
         self.v = v = [Name(f"v{i}") for i in range(dim)]
         # q = sum over i <= j of h_ij w_ij, w_ii = v_i^2, w_ij = 2 v_i v_j
-        self.q = sum((Name(f"h_{i}_{j}") * (v[i] * v[i] if i == j else 2.0 * v[i] * v[j])
+        self.q = sum((leaf(f"h_{i}_{j}") * (v[i] * v[i] if i == j else 2.0 * v[i] * v[j])
                       for i in range(dim) for j in range(i, dim)), ZERO)
         self.F = _expr._call("sqrt", self.q)
         self.L = self.q
         if oneform:
-            self.F = self.F + sum((Name(f"b_{i}") * v[i] for i in range(dim)), ZERO)
+            self.F = self.F + sum((leaf(f"b_{i}") * v[i] for i in range(dim)), ZERO)
             self.L = self.F ** 2
         comps = [c for c in _layout(dim, oneform, 1) if c != "_"]
-        self._chain = [{c: Name(_d(c, k)) for c in comps} for k in range(dim)]
+        self._chain = [{c: leaf(_d(c, k)) for c in comps} for k in range(dim)]
         self._memo = {}
 
     def dv(self, e, j):
@@ -317,8 +320,8 @@ def _cramer(H, r):
 
 
 @functools.lru_cache(maxsize=None)
-def _template(dim, oneform):
-    return _Template(dim, oneform)
+def _template(dim, oneform, zeros):
+    return _Template(dim, oneform, zeros)
 
 
 def _outputs(t, entry):
@@ -343,36 +346,33 @@ def _kernel_source(dim, oneform, entry, lifted, zeros):
     zeros names the metric's structural zeros among the placeholders c
     holds: those whose component AST is the constant zero (an off-diagonal
     h_ij of a conformal metric, every derivative of a constant entry).  The
-    kernel is generated with ZERO in their place, so the products they
-    annihilate and the sums they pad fold away, and the prologue lifts
-    neither them nor by them.  Every dropped term is an exact zero, and
-    adding an exact zero to a non-zero sum is exact in IEEE arithmetic, so
-    every non-zero output keeps its value bit for bit.  An output that is
-    zero may change the sign of that zero (0 * x is -0.0 for x < 0, and
-    -0.0 + 0.0 is 0.0).  An output with no term left is a literal.  The
-    empty set gives the generic kernel, which from_callables metrics use."""
-    t = _template(dim, oneform)
-    memo = {}
-    cut = lambda e: _expr._zeroed(e, zeros, memo)
+    kernel emits the template built with them (_Template), and the
+    prologue lifts neither them nor by them.  Every dropped term is an
+    exact zero, and adding an exact zero to a non-zero sum is exact in IEEE
+    arithmetic, so every non-zero output keeps its value bit for bit.  An
+    output that is zero may change the sign of that zero (0 * x is -0.0 for
+    x < 0, and -0.0 + 0.0 is 0.0).  An output with no term left is a
+    literal.  The empty set gives the generic kernel, which from_callables
+    metrics use."""
+    t = _template(dim, oneform, zeros)
     emit = _expr._Emitter(dim, placeholders=True)
     body = emit.lines
     if oneform or entry == "F":
-        q = emit(cut(t.q))
+        q = emit(t.q)
         body.append(f"if _any({q}.real <= 0.0): _not_convex('quadratic part', {q})")
     if oneform and entry == "F":
-        F = emit(cut(t.F))
+        F = emit(t.F)
         body.append(f"if _any({F}.real <= 0.0): _not_convex('F', {F})")
     if entry != "spray":
-        outs = [emit(cut(e)) for e in _outputs(t, entry)]
+        outs = [emit(e) for e in _outputs(t, entry)]
     elif dim <= 3:
-        det, num = _cramer([[cut(e) for e in row] for row in t.dvvL],
-                           [cut(e) for e in t.rhs])
+        det, num = _cramer(t.dvvL, t.rhs)
         d = emit(det)
         body.append(f"if _any({d}.real == 0.0): _singular({d})")
         outs = [emit(e / det) for e in num]
     else:
-        H = ", ".join(f"({''.join(emit(cut(e)) + ', ' for e in row)})" for row in t.dvvL)
-        r = "".join(emit(cut(e)) + ", " for e in t.rhs)
+        H = ", ".join(f"({''.join(emit(e) + ', ' for e in row)})" for row in t.dvvL)
+        r = "".join(emit(e) + ", " for e in t.rhs)
         outs = [f"_a{i}" for i in range(dim)]
         body.append(f"{', '.join(outs)}, = _solve(({H}), ({r}))")
     order = _ORDER[entry]
@@ -442,7 +442,6 @@ def _kernel(dim, oneform, entry, mode, zeros):
     return ns["kernel"]
 
 
-@functools.lru_cache(maxsize=None)
 def _flow_source(dim, cols):
     """Source of flow(_jet, _spray) -> rhs(t, y), the straight-line right-hand
     side of the geodesic flow on the flat real (x, v) (cols 0) or of its

@@ -43,6 +43,16 @@ class TestParse:
     def test_power_binds_tighter_than_unary_minus(self):
         assert ev("-2^2") == -4.0
         assert ev("2^-2") == 0.25
+        two = expr.Num(2.0)
+        assert expr.parse("-2^2") == expr.Unary(expr.Bin("^", two, two))
+        assert expr.parse("2^-3") == expr.Bin("^", two, expr.Num(-3.0))
+
+    def test_negated_literal_is_a_number(self):
+        assert expr.parse("-0.3") == expr.Num(-0.3)
+        assert expr.parse("--0.3") == expr.Num(0.3)
+        assert expr.parse("x1*-1") == expr.Bin("*", expr.Name("x1"), expr.Num(-1.0))
+        assert math.copysign(1.0, expr.parse("-0").value) == 1.0
+        assert expr.parse("--x1") == expr.Unary(expr.Unary(expr.Name("x1")))
 
     def test_left_associativity(self):
         assert ev("6-2-1") == 3.0
@@ -301,16 +311,31 @@ def test_compiled_bits_equal_tree_walk(tree, x1, x2):
     assert expr._shape.cache_info().misses == misses
 
 
+def _a_zeroed(node):
+    """The tree with ZERO for the parameter a, rebuilt through the folding
+    constructors, so the terms a annihilates drop out and the numbers
+    around them fold."""
+    if isinstance(node, expr.Name):
+        return expr.ZERO if node.ident == "a" else node
+    if isinstance(node, expr.Unary):
+        return -_a_zeroed(node.arg)
+    if isinstance(node, expr.Call):
+        return expr._call(node.fn, _a_zeroed(node.arg))
+    if isinstance(node, expr.Bin):
+        return expr._bin(node.op, _a_zeroed(node.lhs), _a_zeroed(node.rhs))
+    return node
+
+
 @settings(max_examples=200, deadline=None)
 @given(tree=_deriv_trees(3), x1=st.floats(-2.0, 2.0), x2=st.floats(0.2, 2.0))
 def test_derivative_print_parse_round_trip(tree, x1, x2):
     """parse(to_source(d)) evaluates like d, bit for bit, on derivative
     trees, and on them with the parameter a set to zero, whose folded
-    numbers may be negative (a base among them) or -0.0.  (Derivatives of
-    abs hold sign, which the grammar does not have.)"""
+    numbers may be negative (a base among them).  (Derivatives of abs hold
+    sign, which the grammar does not have.)"""
     params = {"a": 1.7, "b": 0.3}
     derivs = _jet_nodes(tree)[1:]
-    for d in derivs + [expr._zeroed(d, {"a"}, {}) for d in derivs]:
+    for d in derivs + [_a_zeroed(d) for d in derivs]:
         src = expr.to_source(d)
         if "sign(" in src:
             continue
@@ -422,7 +447,7 @@ class TestColumnBundle:
 
     def test_sign_and_integer_powers_are_reached(self):
         src = "\n".join(expr._column_lines(expr._generate(
-            tuple(tuple(expr.parse(e) for e in g) for g in _COLUMN_CATALOG), 2, 2).ops)[0])
+            tuple(tuple(expr.parse(e) for e in g) for g in _COLUMN_CATALOG), 2, 2).shape.ops)[0])
         for code in ("_sign_column(", "_pow_columns(", "_divisor(", "_sqrt_column(",
                      *(f"_map(_{fn}," for fn in expr.FUNCTIONS if fn not in ("sqrt", "abs"))):
             assert code in src, code
@@ -495,15 +520,34 @@ class TestSharedShapes:
     """Numbers are bound values of a compiled shape: bundles that differ
     only in their numbers share one compile, and keep their own bits."""
 
-    def test_zero_signs_are_two_slots(self):
-        # -ZERO folds to -0.0, which equals 0.0: a slot table keyed by
-        # value would give both outputs the sign of the first
-        groups = ((expr.parse("x1*3.75"), -expr.ZERO, expr.ZERO),)
-        want = np.array([[1.875, -0.0, 0.0], [7.5, -0.0, 0.0]])
-        point, columns = (expr._bound(groups, 1, {}, 0, columns=c)[0] for c in (False, True))
-        for x, row in zip([[0.5], [2.0]], want):
-            assert np.array(point(x)).tobytes() == row.tobytes()
-        assert expr._stacked(columns(np.array([[0.5, 2.0]])), 2).T.tobytes() == want.tobytes()
+    def test_one_zero(self):
+        # an AST has one zero: -ZERO is ZERO, so the bundles of the two
+        # groups, one cache entry, give the same zero
+        x1 = expr.Name("x1")
+        for zero in (-expr.ZERO, expr.ZERO):
+            val, grad = expr.jet([[zero, x1]], 1, order=1)([0.5])
+            assert val.tobytes() == np.array([0.0, 0.5]).tobytes()
+            assert grad.tobytes() == np.array([[0.0, 1.0]]).tobytes()
+        assert math.copysign(1.0, expr.Num(-0.0).value) == 1.0
+
+    def test_wind_sign_adds_no_shape(self):
+        # a negated literal is a number: constant winds that differ only in
+        # the sign of a component compile one shape
+        import fbt.nav as nav
+
+        X = np.array([[0.1, -0.2], [0.3, 0.4]])
+
+        def build(wind):
+            z = nav.ZermeloData.from_exprs(2, [["1", "0"], ["0", "1"]], [wind, "0"])
+            m = nav.zermelo_to_randers(z)
+            for order in range(3):
+                m._c.bundle(order)(X[0])
+                m._c.columns(X, order)
+
+        build("0.3")
+        misses = expr._shape.cache_info().misses
+        build("-0.3")
+        assert expr._shape.cache_info().misses == misses
 
     def test_family_members_compile_once(self, monkeypatch):
         # warped and Randers members built as perfbench builds them: the

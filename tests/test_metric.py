@@ -11,10 +11,11 @@ import pytest
 import fbt
 from fbt.cli import _jsonable
 from fbt.errors import ConfigError
+from fbt import expr
 from fbt.expr import DomainError
 from fbt.metric import (_ORDER, COMPLEX_STEP, ConvexityViolation,
                         OutsideChart, RandersBoundError, SingularVerticalHessian,
-                        ZeroVelocity, _kernel, _kernel_source)
+                        ZeroVelocity, _kernel, _kernel_source, _outputs, _template)
 
 from fbt.jacobi import spray_jacobians
 
@@ -786,6 +787,23 @@ class TestStructuralZeros:
         warped = fbt.riemannian_expr(2, [["1", "0"], ["0", "exp(-x1^2)"]])
         assert {"h_0_0_d0", "h_0_0_d1", "h_1_1_d1"} <= warped._c.zeros(1)
         assert "h_1_1_d0" not in warped._c.zeros(1)
+
+    def test_template_names_no_zero(self):
+        """A template built with a metric's zeros names none of them, in any
+        derivative: the 3-D sphere's off-diagonal entries, and a constant
+        wind's every derivative and zero one-form components."""
+        import fbt.nav as nav
+
+        eye = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+        z = nav.ZermeloData.from_exprs(3, eye, ["0.3", "0", "0"])
+        for m in (fbt.sphere_stereo(1.0, dim=3), nav.zermelo_to_randers(z)):
+            zeros = m._c.zeros(2)
+            named = []
+            for t in (_template(3, m._c.oneform, zeros), _template(3, m._c.oneform, frozenset())):
+                trees = [t.q, t.F, t.L, *t.dvL, *t.rhs, *_outputs(t, "second_derivatives")]
+                named.append(set().union(*map(expr.names, trees)))
+            assert not named[0] & zeros
+            assert zeros <= named[1]
 
     def test_specialized_source_reads_no_zero(self):
         m = fbt.sphere_stereo(1.0, dim=3)
