@@ -8,7 +8,9 @@ round.  It prints one sha256 per workload over every task's outputs and
 what its check returns (a cli task's check returns the digest of its
 artifact files), each serialized with fbt.cli._jsonable as sorted-key JSON.
 Per round it prints the misses of expr._generate (bundles generated from
-new ASTs) and of expr._shape (new emitted texts, one compile each).
+new ASTs) and of expr._shape (new emitted texts, one compile each), and on
+a line of its own those of morse._grid (a mesh's mass factor and assembly
+constants, built once per mesh, tau and start dimension).
 
     PYTHONPATH=src python scripts/output_digests.py [--seed 1] [--rounds 2]
 """
@@ -24,17 +26,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 
 import workloads  # noqa: E402
-from fbt import expr  # noqa: E402
+from fbt import expr, morse  # noqa: E402
 from fbt.cli import _jsonable  # noqa: E402
 
 
 def _misses():
-    return expr._generate.cache_info().misses, expr._shape.cache_info().misses
+    return (expr._generate.cache_info().misses, expr._shape.cache_info().misses,
+            morse._grid.cache_info().misses)
 
 
 def digest(name, seed, rounds, work_dir):
     """The sha256 over the outputs of the workload's first rounds, and the
-    (_generate, _shape) misses of each round."""
+    (_generate, _shape, _grid) misses of each round."""
     tasks, warmup = workloads.build(name, seed, rounds, work_dir)
     warmup.check(warmup.work())
     h, misses = hashlib.sha256(), []
@@ -57,8 +60,10 @@ def main(argv=None):
         for name in workloads.WORKLOAD_NAMES:
             sha, misses = digest(name, args.seed, args.rounds, work_dir)
             print(f"{name} misses per round: _generate "
-                  + " ".join(str(g) for g, _ in misses)
-                  + ", _shape " + " ".join(str(s) for _, s in misses))
+                  + " ".join(str(g) for g, _, _ in misses)
+                  + ", _shape " + " ".join(str(s) for _, s, _ in misses))
+            print(f"{name} mass factor misses per round: _grid "
+                  + " ".join(str(f) for _, _, f in misses))
             print(f"{name} digest {sha}")
     return 0
 

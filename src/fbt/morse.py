@@ -26,10 +26,12 @@ dxvL v / 2), so the element blocks come from (n - 1) x (n - 1) coefficient
 Hessians.  The mass goes on the coefficients, T (x) I_{n-1}, T the scalar
 tridiagonal W^{1,2} mass of one component over the nodes; by Sylvester's
 law of inertia the counts hold for any SPD mass.  Its Cholesky factor is a
-scalar bidiagonal matrix times I_{n-1}: the pencil reduces to one symmetric
-eigenproblem by two sweeps of a two-term recurrence over the nodes (Golub &
-Van Loan, Matrix Computations, 8.7).  A 1-D metric has no normal field: its
-pencil is empty and its index (0, 0).
+scalar bidiagonal matrix times I_{n-1}, and it depends on the mesh, tau and
+the start alone, so every member of a family shares it: _grid keeps the
+inverse of the scalar factor, with the assembly's other mesh constants, and
+each pencil reduces to one symmetric eigenproblem by two matrix products
+(Golub & Van Loan, Matrix Computations, 8.7).  A 1-D metric has no normal
+field: its pencil is empty and its index (0, 0).
 
 A perpendicular start keeps k = dim T_{x0}P dofs at node 0 (a point start,
 boundary None, keeps none).  T_{x0}P lies in the complement of g v0 (a start
@@ -42,8 +44,9 @@ mass keeps its Kronecker form: components j < k run over nodes
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +78,8 @@ MAX_REFINEMENTS = 8
 KER_SHADOW = 0.5  # multiplies pi^2/N^2
 GAUSS3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+# meshes whose _grid is kept: a ladder of doublings from 16 to 2048
+GRID_CACHE = 8
 
 
 class NotCritical(NumericalError):
@@ -153,25 +158,123 @@ def _normal_basis(u, head=None):
     return np.concatenate([P0[None], R @ P0])
 
 
-def _assemble(path, boundary, mesh):
-    """Second variation K on normal fields and the W^{1,2} mass of its
-    pencil on a uniform mesh.
+class _Grid(NamedTuple):
+    """What every pencil on a uniform mesh of [0, tau] shares, for node 0's
+    first k of the r coefficients a node (_grid).  Its arrays are read-only."""
+    mesh: int
+    k: int
+    r: int
+    # t = 0, then the Gauss points t[e, g] of element e, in that order
+    times: np.ndarray
+    # Gauss weights, shaped against the element blocks (mesh, 3, 2, 2, r, r)
+    w: np.ndarray
+    # phi_a phi_b, phi_a phi_b', phi_a' phi_b and phi_a' phi_b', shaped alike
+    shapes: tuple
+    # the nonzeros of K: each entry of the element blocks' slot among them
+    # (a dropped entry's is the last, one past them), the slots of node 0's
+    # k x k block in row order, each one's transpose, and their flat
+    # positions in K
+    slot: np.ndarray
+    head: np.ndarray
+    mirror: np.ndarray
+    at: np.ndarray
+    # the mass: T, the scalar tridiagonal (diag, off) over nodes 0 .. mesh - 1
+    diag: np.ndarray
+    off: np.ndarray
+    # inverse Cholesky factors of T (for the k tangent components; None for
+    # k = 0) and of T without node 0 (for the others)
+    tangent: np.ndarray | None
+    normal: np.ndarray
 
-    Returns (K, diag, off, k).  The dofs are node 0's first k normal
-    coefficients (k = 0 for a point, boundary None) and the n - 1 of each
-    of nodes 1 .. mesh - 1, the last node being clamped; a BoundaryData
-    start writes node 0's basis coefficients a as R a.  The mass on these
-    dofs is T (x) I_{n-1}, T the scalar tridiagonal (diag, off) over nodes
-    0 .. mesh - 1.  On a pseudo-metric, a coefficient Hessian P^T Lvv P that
-    is not positive definite (relative to |Lvv|) at a Gauss point raises
-    ConvexityViolation.
+
+def _inverse_cholesky(diag, off):
+    """F = L^-1, L the Cholesky factor of the SPD tridiagonal (diag, off).
+
+    Column j is the forward substitution of e_j through the bidiagonal L:
+    1 / L[j, j], then a running product of -L[i, i-1] / L[i, i] down the
+    rows.  A quotient of two cumulative products instead would divide by
+    zero where an off-diagonal vanishes (h = sqrt(6)) and underflow where it
+    is small."""
+    n = len(diag)
+    # cholesky reads the lower triangle
+    F = np.zeros((n, n))
+    F.flat[::n + 1] = diag
+    F.flat[n::n + 1] = off
+    L = np.linalg.cholesky(F)
+    d = np.diagonal(L).copy()
+    ratio = -np.diagonal(L, -1) / d[1:]
+    del L
+    # in place: the ratios below the diagonal, 1 above it, then the
+    # products down each column, then 0 above the diagonal again
+    upper = np.arange(n)[:, None] < np.arange(n)
+    F[1:] = ratio[:, None]
+    F[upper] = 1.0
+    np.fill_diagonal(F, 1.0 / d)
+    np.cumprod(F, axis=0, out=F)
+    F[upper] = 0.0
+    return F
+
+
+@functools.lru_cache(maxsize=GRID_CACHE)
+def _grid(mesh, tau, k, r):
+    """The _Grid of a uniform mesh of [0, tau]; every member of a family
+    has the same tau, so a sweep builds each of its meshes once."""
+    h = tau / mesh
+    ta = np.arange(mesh) * h
+    t = ta[:, None] + 0.5 * h * (1.0 + GAUSS3_NODES)
+    w = 0.5 * h * GAUSS3_WEIGHTS
+    s = (t - ta[:, None]) / h
+    phi = np.stack([1.0 - s, s], axis=-1)  # (mesh, 3, 2)
+    dphi = np.array([-1.0 / h, 1.0 / h])
+    pa, pb = phi[..., :, None], phi[..., None, :]
+    da, db = dphi[:, None], dphi[None, :]
+    T_loc = np.einsum("g,egab->eab", w, pa * pb + da * db)
+    diag = T_loc[:, 0, 0].copy()
+    diag[1:] += T_loc[:-1, 1, 1]
+    off = T_loc[:-1, 0, 1]
+    # element e couples nodes e and e + 1; node 0 keeps its first k
+    # coefficients and node mesh none
+    nd = k + (mesh - 1) * r
+    e, a, b, p, q = np.indices((mesh, 2, 2, r, r)).reshape(5, -1)
+
+    def dof(node, c):
+        return np.where(node == 0, np.where(c < k, c, -1),
+                        np.where(node < mesh, k + (node - 1) * r + c, -1))
+
+    i, j = dof(e + a, p), dof(e + b, q)
+    kept = (i >= 0) & (j >= 0)
+    nonzero = np.zeros(nd * nd, dtype=bool)
+    nonzero[i[kept] * nd + j[kept]] = True
+    at = np.flatnonzero(nonzero)
+    slot = np.where(kept, np.searchsorted(at, i * nd + j), len(at))
+    head = np.searchsorted(at, (np.arange(k)[:, None] * nd + np.arange(k)).ravel())
+    mirror = np.searchsorted(at, at % nd * nd + at // nd)
+    grid = _Grid(mesh, k, r, np.r_[0.0, t.ravel()], w[:, None, None, None, None],
+                 tuple(c[..., None, None] for c in (pa * pb, pa * db, da * pb, da * db)),
+                 slot, head, mirror, at, diag, off,
+                 _inverse_cholesky(diag, off) if k else None,
+                 _inverse_cholesky(diag[1:], off[1:]))
+    for arr in (*grid, *grid.shapes):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return grid
+
+
+def _assemble(path, boundary, mesh):
+    """Second variation K on normal fields, and the _Grid of its pencil, on
+    a uniform mesh.
+
+    The dofs are node 0's first k normal coefficients (k = 0 for a point,
+    boundary None) and the n - 1 of each of nodes 1 .. mesh - 1, the last
+    node being clamped; a BoundaryData start writes node 0's basis
+    coefficients a as R a.  The mass on these dofs is T (x) I_{n-1}, T the
+    grid's scalar tridiagonal over nodes 0 .. mesh - 1.  On a pseudo-metric,
+    a coefficient Hessian P^T Lvv P that is not positive definite (relative
+    to |Lvv|) at a Gauss point raises ConvexityViolation.
     """
     m = path.metric
     n = m.dim
     r = n - 1
-    tau = path.tau
-    nn = mesh + 1
-    h = tau / mesh
     k, K0, Q = 0, np.zeros((0, 0)), None
     if boundary is not None:
         boundary.check_start(path.x0)
@@ -183,12 +286,9 @@ def _assemble(path, boundary, mesh):
         # 2 W^T G0 W S in the coordinates R a; W^T W is the identity only
         # to the basis validation's 1e-8
         K0 = 2.0 * (Q.T @ G0 @ W @ boundary.shape_operator @ np.linalg.inv(R))
-    # the start and the Gauss points (element e, point g), all evaluated in
-    # one stacked call
-    ta = np.arange(mesh) * h
-    t = ta[:, None] + 0.5 * h * (1.0 + GAUSS3_NODES)
-    w = 0.5 * h * GAUSS3_WEIGHTS
-    x, v = path.state(np.r_[0.0, t.ravel()])
+    grid = _grid(mesh, path.tau, k, r)
+    # the start and the Gauss points, all evaluated in one stacked call
+    x, v = path.state(grid.times)
     Lxx, Lxv, Lvv = m.second_derivatives(x, v)
     # the normal frame P and its rate P' = -u u'^T P, u the unit vector
     # along g v: by Euler's theorem 2 g v = dvvL v, and along a geodesic
@@ -219,79 +319,62 @@ def _assemble(path, boundary, mesh):
         if len(bad):
             i = bad[0]
             raise ConvexityViolation(
-                f"normal vertical Hessian not positive definite at t = {t.flat[i]:.6g} "
+                f"normal vertical Hessian not positive definite at "
+                f"t = {grid.times[1 + i]:.6g} "
                 f"(min eig {low[i]:.3e}): the index form has no finite index")
-    s = (t - ta[:, None]) / h
-    phi = np.stack([1.0 - s, s], axis=-1)  # (mesh, 3, 2)
-    dphi = np.array([-1.0 / h, 1.0 / h])
-    pa, pb = phi[..., :, None], phi[..., None, :]
-    da, db = dphi[:, None], dphi[None, :]
-
-    def weighted(c, A):
-        # c (.., 2, 2) times A (mesh, 3, r, r): (mesh, 3, 2, 2, r, r)
-        return c[..., None, None] * A[:, :, None, None]
-
     # element blocks [e, a, b] = sum over the element's Gauss points g of
     # w_g * B[phi_a, phi_b](g), summed in g order as a scalar loop would
-    blk = (weighted(pa * pb, Axx) + weighted(pa * db, Axv)
-           + weighted(da * pb, np.swapaxes(Axv, -1, -2)) + weighted(da * db, Avv))
-    K_loc = (w[:, None, None, None, None] * blk).sum(axis=1)
-    T_loc = np.einsum("g,egab->eab", w, pa * pb + da * db)
-    # block-tridiagonal scatter: element e couples nodes e and e + 1
-    K = np.zeros((nn, r, nn, r))
-    e = np.arange(mesh)
-    K[e, :, e, :] += K_loc[:, 0, 0]
-    K[e + 1, :, e + 1, :] += K_loc[:, 1, 1]
-    K[e, :, e + 1, :] += K_loc[:, 0, 1]
-    K[e + 1, :, e, :] += K_loc[:, 1, 0]
-    keep = np.r_[:k, r:mesh * r]
-    K = K.reshape(nn * r, nn * r)[np.ix_(keep, keep)]
-    K[:k, :k] += 0.5 * (K0 + K0.T)
-    diag = T_loc[:, 0, 0].copy()
-    diag[1:] += T_loc[:-1, 1, 1]
-    return 0.5 * (K + K.T), diag, T_loc[:-1, 0, 1], k
+    pp, pd, dp, dd = grid.shapes
+    blk = (pp * Axx[:, :, None, None] + pd * Axv[:, :, None, None]
+           + dp * np.swapaxes(Axv, -1, -2)[:, :, None, None] + dd * Avv[:, :, None, None])
+    K_loc = (grid.w * blk).sum(axis=1)
+    # block-tridiagonal scatter: a node's diagonal block sums its two
+    # elements' blocks, and the pencil is symmetrized on the nonzeros alone
+    nz = np.bincount(grid.slot, weights=K_loc.ravel(), minlength=len(grid.at) + 1)[:-1]
+    nz[grid.head] += 0.5 * (K0 + K0.T).ravel()
+    nd = k + (mesh - 1) * r
+    K = np.zeros(nd * nd)
+    K[grid.at] = 0.5 * (nz + nz[grid.mirror])
+    return K.reshape(nd, nd), grid
 
 
-def _chain(diag, off):
-    """Diagonal d of the bidiagonal Cholesky factor L of the tridiagonal
-    (diag, off), and a_i = L[i, i-1] / d_i (a_0 = 0)."""
-    d, a = [math.sqrt(diag[0])], [0.0]
-    for t, o in zip(diag[1:], off):
-        lo = o / d[-1]
-        d.append(math.sqrt(t - lo * lo))
-        a.append(lo / d[-1])
-    return np.array(d), np.array(a)
-
-
-def eigh(K, diag, off, k):
-    """Ascending eigenvalues of the pencil (K, M) of _assemble.
-
-    M factors as L L^T, L = (bidiagonal Cholesky factor of T) (x) I_r, r the
-    components a node: the first k run over nodes 0 .. mesh - 1, the others
-    over nodes 1 .. mesh - 1.  C = L^-1 K L^-T then takes two sweeps of a two-term
-    recurrence over the nodes, and eigvalsh(C) gives the eigenvalues (Golub
-    & Van Loan, Matrix Computations, 8.7).
-    """
-    nodes = len(diag)
-    r = (K.shape[0] - k) // (nodes - 1)
+def _factor(grid):
+    """L^-1 on the dofs of a grid with k > 0, M = L L^T: the node-level
+    factors times I_r, the tangent one over nodes 0 .. mesh - 1 for
+    components j < k, the normal one over nodes 1 .. mesh - 1 for the
+    others."""
+    mesh, k, r = grid.mesh, grid.k, grid.r
     tangent = np.arange(r) < k
-    dA, aA = _chain(diag.tolist(), off.tolist())
-    dB, aB = _chain(diag[1:].tolist(), off[1:].tolist())
-    d = np.concatenate([np.full(k, dA[0]),
-                        np.where(tangent, dA[1:, None], dB[:, None]).ravel()])
-    a = np.where(tangent, aA[1:, None], aB[:, None])[:, :, None]
+    normal = np.zeros((mesh, mesh))
+    normal[1:, 1:] = grid.normal
+    F = np.kron(grid.tangent, np.diag(tangent)) + np.kron(normal, np.diag(~tangent))
+    keep = np.r_[:k, r:mesh * r]
+    return F[np.ix_(keep, keep)]
 
-    def sweep(A):
-        # rows of L^-1 A in place: y_i = x_i / d_i - a_i y_(i-1), node by node
-        A /= d[:, None]
-        B = A[k:].reshape(nodes - 1, r, -1)
-        B[0, :k] -= a[0, :k] * A[:k]
-        for i in range(1, nodes - 1):
-            B[i] -= a[i] * B[i - 1]
-        return A
 
-    C = sweep(sweep(np.array(K)).T.copy())
-    return np.linalg.eigvalsh(C)
+def eigh(K, grid):
+    """Ascending eigenvalues of the pencil (K, M) of _assemble; K is
+    overwritten.
+
+    M = L L^T, L = (Cholesky factor of T) (x) I_r, r the components a node,
+    and the grid holds L^-1 at node level.  C = L^-1 K L^-T takes two
+    matrix products, and eigvalsh(C) gives the eigenvalues (Golub & Van
+    Loan, Matrix Computations, 8.7).  For a point start (k = 0) the products
+    run on the r^2 node-by-node blocks of component pairs, each
+    F K_cc' F^T with the grid's (mesh - 1)-square factor F, and C is read
+    in component order, a permutation; on r = 1 that is K itself.  For
+    k > 0 the factor is expanded to the dofs.
+    """
+    if grid.k:
+        F = _factor(grid)
+        np.matmul(F @ K, F.T, out=K)
+        return np.linalg.eigvalsh(K)
+    F, m, r = grid.normal, grid.mesh - 1, grid.r
+    blocks = np.ascontiguousarray(K.reshape(m, r, m, r).transpose(1, 3, 0, 2))
+    np.matmul(F @ blocks, F.T, out=blocks)
+    if r > 1:
+        K.reshape(r, m, r, m)[...] = blocks.transpose(0, 2, 1, 3)
+    return np.linalg.eigvalsh(K)
 
 
 def _spectrum(path, boundary, mesh):
@@ -302,6 +385,9 @@ def _spectrum(path, boundary, mesh):
     with the boundary object they were computed for, and a later call hits
     only for that same object.
     """
+    if mesh < 2:
+        raise ValueError(f"mesh {mesh}: a spectral mesh needs at least 2 elements, "
+                         "since its last node is clamped")
     hit = path._spectra.get(mesh)
     if hit is None or hit[0] is not boundary:
         w = np.zeros(0) if path.dim == 1 else eigh(*_assemble(path, boundary, mesh))

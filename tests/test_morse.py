@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.linalg import eigh as scipy_eigh
 
 import fbt
+from fbt.bifurc import FamilySpec, InitialStateBranch, sweep_family
 from fbt.geoflow import BoundaryData, integrate_geodesic
 from fbt.jacobi import (ConjugateInstant, ConjugateReport, NotPerpendicular,
                         conjugate_scan, focal_scan, jacobi_frame)
@@ -64,6 +66,18 @@ class TestSpectral:
         path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), np.pi)
         rep = index_spectral(path)
         assert (rep.m_minus, rep.m_zero) == (0, 1)
+
+    def test_mesh_below_two_rejected(self, euclid):
+        # the last node is clamped, so mesh 1 has no normal field to solve on
+        path = integrate_geodesic(euclid, PhaseState([0, 0], [1, 0]), 3.0)
+        for mesh in (1, 0):
+            with pytest.raises(ValueError, match=f"mesh {mesh}:"):
+                index_spectral(path, mesh_fixed=mesh)
+            with pytest.raises(ValueError, match=f"mesh {mesh}:"):
+                index_spectral(path, mesh0=mesh)
+            with pytest.raises(ValueError, match=f"mesh {mesh}:"):
+                smallest_eigenvalue(path, None, mesh)
+        assert path._spectra == {}
 
     def test_non_critical_rejected(self, euclid):
         # a geodesic of a *different* metric is not a critical point here
@@ -237,8 +251,8 @@ def _mass(diag, off, k, r):
 
 
 def _check_assembly(path, boundary, mesh):
-    K, diag, off, k = _assemble(path, boundary, mesh)
-    M = _mass(diag, off, k, path.dim - 1)
+    K, grid = _assemble(path, boundary, mesh)
+    M = _mass(grid.diag, grid.off, grid.k, path.dim - 1)
     K_ref, M_ref = _reference(path, boundary, mesh)
     assert K.shape == K_ref.shape
     assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
@@ -328,6 +342,99 @@ class TestPencilSolver:
             rep = index_spectral(path, boundary, mesh_fixed=mesh)
             assert (rep.m_minus, rep.m_zero) == (
                 int(np.sum(w_ref < -theta)), int(np.sum(np.abs(w_ref) <= theta)))
+
+
+def _matches_scipy(path, boundary, mesh):
+    """eigh against SciPy's generalized eigh on _oracles.normal_pencil_loop,
+    within TestPencilSolver's bound; returns the pencil's grid."""
+    w_ref = scipy_eigh(*normal_pencil_loop(path, boundary, mesh), eigvals_only=True)
+    K, grid = _assemble(path, boundary, mesh)
+    w = eigh(K, grid)
+    assert w.shape == w_ref.shape and np.all(np.isfinite(w))
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+    return grid
+
+
+class TestMeshFactorCache:
+    """A pencil's mass depends on (mesh, tau, k, r) alone, so morse._grid
+    keeps its inverse Cholesky factor, with the assembly's mesh constants,
+    for every pencil on that mesh."""
+
+    def test_sweep_builds_each_factor_once(self, monkeypatch):
+        fam = FamilySpec(param_name="lam", param_range=(0.5, 5.0), samples=4,
+                         metric_builder=lambda lam: warped_metric(lam, flat_axis=True),
+                         branch=InitialStateBranch([-1.0, 0.0], [1.0, 0.0], 2.0))
+        built = collections.Counter()
+        pencils = collections.Counter()
+        factor, assemble = fbt.morse._inverse_cholesky, fbt.morse._assemble
+
+        def counted_factor(diag, off):
+            built[len(diag)] += 1
+            return factor(diag, off)
+
+        def counted_assemble(path, boundary, mesh):
+            pencils[mesh] += 1
+            return assemble(path, boundary, mesh)
+
+        monkeypatch.setattr(fbt.morse, "_inverse_cholesky", counted_factor)
+        monkeypatch.setattr(fbt.morse, "_assemble", counted_assemble)
+        fbt.morse._grid.cache_clear()
+        sweep_family(fam, max_mesh=256, refine_mesh=128)
+        # a point start (k = 0) on a 2-D metric needs the factor over nodes
+        # 1 .. mesh - 1 alone, once per mesh, however many members share it
+        assert built == {mesh - 1: 1 for mesh in pencils}
+        assert max(pencils.values()) > 1
+
+    def test_tau_and_k_get_their_own_factors(self):
+        path = _assembly_path("sphere3")
+        longer = integrate_geodesic(path.metric, PhaseState(path.x0, path.v0), 2.5)
+        boundaries = _solver_boundaries(path)
+        grids = [_matches_scipy(path, boundaries["k1"], 32),
+                 _matches_scipy(path, boundaries["k2"], 32),
+                 _matches_scipy(path, None, 32),
+                 _matches_scipy(longer, None, 32)]
+        assert [(g.mesh, g.k, g.r) for g in grids] == [(32, 1, 2), (32, 2, 2),
+                                                       (32, 0, 2), (32, 0, 2)]
+        for i, a in enumerate(grids):
+            for b in grids[i + 1:]:
+                assert a is not b
+        assert not np.array_equal(grids[2].normal, grids[3].normal)
+        assert _assemble(path, None, 32)[1] is grids[2]
+
+    def test_cached_arrays_are_read_only(self):
+        path = _assembly_path("sphere3")
+        grid = _assemble(path, _solver_boundaries(path)["k1"], 16)[1]
+        arrays = [a for a in grid if isinstance(a, np.ndarray)] + list(grid.shapes)
+        assert len(arrays) == 14
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+
+
+class TestPencilEdgeCases:
+    """The reduction where the mass dominates and on a fine 2-D mesh, against
+    SciPy's generalized eigh."""
+
+    @pytest.mark.parametrize("mesh, tau", [(3, 3.0 * np.sqrt(6.0)), (24, 24.0 * np.sqrt(6.0)),
+                                           (2, 8.0), (3, 9.0)])
+    def test_mass_dominated_coarse_mesh(self, mesh, tau):
+        # h >= sqrt(6): T's off-diagonal h / 6 - 1 / h is zero (to rounding)
+        # or positive, for the tangent chain over node 0 of a k = 1 start too.
+        # At h = sqrt(6) the factor's entries fall like 1e-16 per node, so a
+        # quotient of cumulative products would read 0 / 0 by node 20
+        path = integrate_geodesic(fbt.sphere_stereo(1.0, dim=3),
+                                  PhaseState([0.0, -1.0, 0.0], [1.0, 0.0, 0.0]), tau)
+        assert tau / mesh >= np.sqrt(6.0) - 1e-15
+        boundary = BoundaryData(path.x0, np.eye(3)[:, 2], SHAPES[1])
+        for b in (None, boundary):
+            grid = _matches_scipy(path, b, mesh)
+            assert np.all(grid.off >= -1e-15)
+
+    @pytest.mark.parametrize("name", ["warped", "randers"])
+    def test_fine_2d_mesh(self, name):
+        path = _assembly_path(name)
+        for boundary in _starts(path):
+            _matches_scipy(path, boundary, 256)
 
 
 def _full_counts(path, boundary, mesh):
@@ -518,12 +625,12 @@ class TestPointStart:
     def test_assembly_and_pencil(self, name):
         path = _point_start_path(name)
         for mesh in (16, 64):
-            K, diag, off, k = _assemble(path, None, mesh)
-            K_p, diag_p, off_p, k_p = _assemble(path, self._point(path), mesh)
-            assert k == k_p == 0
-            for a, b in ((K, K_p), (diag, diag_p), (off, off_p)):
+            K, grid = _assemble(path, None, mesh)
+            K_p, grid_p = _assemble(path, self._point(path), mesh)
+            assert grid.k == grid_p.k == 0
+            for a, b in ((K, K_p), (grid.diag, grid_p.diag), (grid.off, grid_p.off)):
                 assert np.array_equal(a, b)
-            assert np.array_equal(eigh(K, diag, off, k), eigh(K_p, diag_p, off_p, k_p))
+            assert np.array_equal(eigh(K, grid), eigh(K_p, grid_p))
             _check_assembly(path, None, mesh)
 
     @pytest.mark.parametrize("name", ["sphere2", "sphere3-double", "warped"])

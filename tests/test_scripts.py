@@ -74,9 +74,9 @@ def test_output_digests_script():
     out = _run("output_digests.py", "--seed", "1", "--rounds", "1").stdout
     digests = dict(re.findall(r"^(\w+) digest ([0-9a-f]{64})$", out, re.M))
     assert digests == {
-        "sweep": "ac0f961261e492241fac7ce1637f5759f277faf880df731fb4e09e3d5b1d12ec",
+        "sweep": "9eda7f9bb534edc49fd21dc5f0520de71668c40f59aef858ca048c9b3ae74567",
         "shoot": "6e2e2cbee9e0bdc75d1985ca8eba773a6504bf4af0836008853db0be4127882b",
-        "cli": "1592d07778a0d3746a0836ee5af0f546fdfe7de92a37aa7f53ae4b2e8c6e7596",
+        "cli": "d01f8c92f8ed02ce40a832e96a1ff95296e6137783b9bb2f63b621e5f2396632",
     }, out
     misses = re.findall(r"^(\w+) misses per round: _generate (\d+), _shape (\d+)$", out, re.M)
     assert [name for name, *_ in misses] == ["sweep", "shoot", "cli"], out
