@@ -191,6 +191,11 @@ def _validate_semantics(cfg):
     for name in names:
         if name not in mc.get("params", {}):
             raise SchemaError(f"/metric/params/{name}: required for kind '{kind}'")
+    sv = cfg["solver"]
+    if sv["max_mesh"] <= 2 * sv["mesh0"]:
+        raise SchemaError(f"/solver/max_mesh: {sv['max_mesh']} must exceed 2 * mesh0 = "
+                          f"{2 * sv['mesh0']}, since the index counts settle on three "
+                          "meshes mesh0, 2 mesh0 and 4 mesh0")
     problem = cfg.get("problem", {})
     if "initial" in problem and "connect" in problem:
         raise SchemaError("/problem: give an 'initial' or a 'connect' block, not both")

@@ -23,28 +23,29 @@ P' = -u u'^T P, u = g v / |g v|), and c piecewise linear with n - 1
 components a node.  P and P' are read at the Gauss points from the Hessians
 evaluated there (2 g v = dvvL v, and along a geodesic (2 g v)' = dxL =
 dxvL v / 2), so the element blocks come from (n - 1) x (n - 1) coefficient
-Hessians.  The mass goes on the coefficients, T (x) I_{n-1}, T the scalar
-tridiagonal W^{1,2} mass of one component over the nodes; by Sylvester's
-law of inertia the counts hold for any SPD mass.  Its Cholesky factor is a
-scalar bidiagonal matrix times I_{n-1}, and it depends on the mesh, tau and
-the start alone, so every member of a family shares it: _grid keeps the
-inverse of the scalar factor, with the assembly's other mesh constants, and
-each pencil reduces to one symmetric eigenproblem by two matrix products
-(Golub & Van Loan, Matrix Computations, 8.7).  A 1-D metric has no normal
-field: its pencil is empty and its index (0, 0).
+Hessians.  The dofs run component by component, and the mass on each
+component is T, the scalar tridiagonal W^{1,2} mass over its nodes: the
+mass is block diagonal, one block per component, and by Sylvester's law of
+inertia the counts hold for any SPD mass.  Its Cholesky factors depend on
+the mesh, tau and the start alone, so every member of a family shares them:
+_grid keeps their inverses, with the assembly's other mesh constants, and
+each pencil reduces to one symmetric eigenproblem by two matrix products a
+component pair (Golub & Van Loan, Matrix Computations, 8.7).  A 1-D metric
+has no normal field: its pencil is empty and its index (0, 0).
 
 A perpendicular start keeps k = dim T_{x0}P dofs at node 0 (a point start,
 boundary None, keeps none).  T_{x0}P lies in the complement of g v0 (a start
 that is not g_v-orthogonal raises NotPerpendicular, as the frames do), so
 P(0)'s first k columns are Q from the QR factorization W = Q R of the chart
-basis W of T_{x0}P: node 0's dofs are its first k coefficients, and the
-mass keeps its Kronecker form: components j < k run over nodes
-0 .. mesh - 1, the others over nodes 1 .. mesh - 1.
+basis W of T_{x0}P: node 0's dofs are its first k coefficients, so
+components j < k run over nodes 0 .. mesh - 1 and the others over nodes
+1 .. mesh - 1.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -178,11 +179,9 @@ class _Grid(NamedTuple):
     head: np.ndarray
     mirror: np.ndarray
     at: np.ndarray
-    # the mass: T, the scalar tridiagonal (diag, off) over nodes 0 .. mesh - 1
-    diag: np.ndarray
-    off: np.ndarray
-    # inverse Cholesky factors of T (for the k tangent components; None for
-    # k = 0) and of T without node 0 (for the others)
+    # the inverse Cholesky factors of the mass's blocks: of T, the scalar
+    # tridiagonal over nodes 0 .. mesh - 1, for each of the k tangent
+    # components (None for k = 0), and of T without node 0 for the others
     tangent: np.ndarray | None
     normal: np.ndarray
 
@@ -232,14 +231,16 @@ def _grid(mesh, tau, k, r):
     diag = T_loc[:, 0, 0].copy()
     diag[1:] += T_loc[:-1, 1, 1]
     off = T_loc[:-1, 0, 1]
-    # element e couples nodes e and e + 1; node 0 keeps its first k
-    # coefficients and node mesh none
+    # element e couples nodes e and e + 1.  The dofs run component by
+    # component: each of the first k over nodes 0 .. mesh - 1, each of the
+    # others over nodes 1 .. mesh - 1; node mesh is clamped
     nd = k + (mesh - 1) * r
     e, a, b, p, q = np.indices((mesh, 2, 2, r, r)).reshape(5, -1)
 
     def dof(node, c):
-        return np.where(node == 0, np.where(c < k, c, -1),
-                        np.where(node < mesh, k + (node - 1) * r + c, -1))
+        tangent = c < k
+        i = np.where(tangent, c * mesh + node, k + c * (mesh - 1) + node - 1)
+        return np.where((node < mesh) & (tangent | (node > 0)), i, -1)
 
     i, j = dof(e + a, p), dof(e + b, q)
     kept = (i >= 0) & (j >= 0)
@@ -247,11 +248,12 @@ def _grid(mesh, tau, k, r):
     nonzero[i[kept] * nd + j[kept]] = True
     at = np.flatnonzero(nonzero)
     slot = np.where(kept, np.searchsorted(at, i * nd + j), len(at))
-    head = np.searchsorted(at, (np.arange(k)[:, None] * nd + np.arange(k)).ravel())
+    d = np.arange(k) * mesh
+    head = np.searchsorted(at, (d[:, None] * nd + d).ravel())
     mirror = np.searchsorted(at, at % nd * nd + at // nd)
     grid = _Grid(mesh, k, r, np.r_[0.0, t.ravel()], w[:, None, None, None, None],
                  tuple(c[..., None, None] for c in (pa * pb, pa * db, da * pb, da * db)),
-                 slot, head, mirror, at, diag, off,
+                 slot, head, mirror, at,
                  _inverse_cholesky(diag, off) if k else None,
                  _inverse_cholesky(diag[1:], off[1:]))
     for arr in (*grid, *grid.shapes):
@@ -264,13 +266,16 @@ def _assemble(path, boundary, mesh):
     """Second variation K on normal fields, and the _Grid of its pencil, on
     a uniform mesh.
 
-    The dofs are node 0's first k normal coefficients (k = 0 for a point,
-    boundary None) and the n - 1 of each of nodes 1 .. mesh - 1, the last
+    The dofs are the n - 1 normal coefficients, one component after the
+    other: each of the first k (k = 0 for a point, boundary None) over nodes
+    0 .. mesh - 1, each of the others over nodes 1 .. mesh - 1, the last
     node being clamped; a BoundaryData start writes node 0's basis
-    coefficients a as R a.  The mass on these dofs is T (x) I_{n-1}, T the
-    grid's scalar tridiagonal over nodes 0 .. mesh - 1.  On a pseudo-metric,
-    a coefficient Hessian P^T Lvv P that is not positive definite (relative
-    to |Lvv|) at a Gauss point raises ConvexityViolation.
+    coefficients a as R a.  The mass on these dofs is block diagonal, one
+    block per component, each the scalar tridiagonal W^{1,2} mass over that
+    component's nodes; the grid holds the blocks' inverse Cholesky factors.
+    On a pseudo-metric, a coefficient Hessian P^T Lvv P that is not
+    positive definite (relative to |Lvv|) at a Gauss point raises
+    ConvexityViolation.
     """
     m = path.metric
     n = m.dim
@@ -338,42 +343,21 @@ def _assemble(path, boundary, mesh):
     return K.reshape(nd, nd), grid
 
 
-def _factor(grid):
-    """L^-1 on the dofs of a grid with k > 0, M = L L^T: the node-level
-    factors times I_r, the tangent one over nodes 0 .. mesh - 1 for
-    components j < k, the normal one over nodes 1 .. mesh - 1 for the
-    others."""
-    mesh, k, r = grid.mesh, grid.k, grid.r
-    tangent = np.arange(r) < k
-    normal = np.zeros((mesh, mesh))
-    normal[1:, 1:] = grid.normal
-    F = np.kron(grid.tangent, np.diag(tangent)) + np.kron(normal, np.diag(~tangent))
-    keep = np.r_[:k, r:mesh * r]
-    return F[np.ix_(keep, keep)]
-
-
 def eigh(K, grid):
     """Ascending eigenvalues of the pencil (K, M) of _assemble; K is
     overwritten.
 
-    M = L L^T, L = (Cholesky factor of T) (x) I_r, r the components a node,
-    and the grid holds L^-1 at node level.  C = L^-1 K L^-T takes two
-    matrix products, and eigvalsh(C) gives the eigenvalues (Golub & Van
-    Loan, Matrix Computations, 8.7).  For a point start (k = 0) the products
-    run on the r^2 node-by-node blocks of component pairs, each
-    F K_cc' F^T with the grid's (mesh - 1)-square factor F, and C is read
-    in component order, a permutation; on r = 1 that is K itself.  For
-    k > 0 the factor is expanded to the dofs.
+    M = L L^T is block diagonal, one block per component, and the grid
+    holds each block's L^-1, F.  C = L^-1 K L^-T takes two matrix products a
+    component pair, F_i K_ij F_j^T written over K's block (i, j), and
+    eigvalsh(C) gives the eigenvalues (Golub & Van Loan, Matrix
+    Computations, 8.7).
     """
-    if grid.k:
-        F = _factor(grid)
-        np.matmul(F @ K, F.T, out=K)
-        return np.linalg.eigvalsh(K)
-    F, m, r = grid.normal, grid.mesh - 1, grid.r
-    blocks = np.ascontiguousarray(K.reshape(m, r, m, r).transpose(1, 3, 0, 2))
-    np.matmul(F @ blocks, F.T, out=blocks)
-    if r > 1:
-        K.reshape(r, m, r, m)[...] = blocks.transpose(0, 2, 1, 3)
+    F = [grid.tangent] * grid.k + [grid.normal] * (grid.r - grid.k)
+    rows = [slice(e - len(f), e) for f, e in zip(F, itertools.accumulate(map(len, F)))]
+    for Fi, i in zip(F, rows):
+        for Fj, j in zip(F, rows):
+            np.matmul(Fi @ K[i, j], Fj.T, out=K[i, j])
     return np.linalg.eigvalsh(K)
 
 
@@ -433,8 +417,12 @@ def index_spectral(path, boundary=None, *, mesh0=DEFAULT_MESH0,
     """Morse index and nullity from the discrete second variation.
 
     The mesh doubles until (m_minus, m_zero) agree on three consecutive
-    meshes; ``mesh_fixed`` skips refinement (used inside parameter sweeps).
+    meshes, so max_mesh must exceed 2 mesh0; ``mesh_fixed`` skips refinement
+    (used inside parameter sweeps).
     """
+    if mesh_fixed is None and max_mesh <= 2 * mesh0:
+        raise ValueError(f"max_mesh {max_mesh} <= 2 * mesh0 {mesh0}: the counts "
+                         "settle on three meshes mesh0, 2 mesh0 and 4 mesh0")
     res = path.max_el_residual()
     if res > DEFAULT_TOL_RES:
         raise NotCritical(

@@ -26,7 +26,6 @@ makes the same evaluations and returns the same x.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,19 +218,14 @@ class DenseOutput:
     one-time value.  derivative(t) reads y'(t) in the same shapes."""
 
     def __init__(self, t_old, h, y_old, F):
-        # lists for the one-time lookup, arrays for the stacked one
-        self._t_old, self._h = t_old, h
-        self._t_old_a, self._h_a = np.array(t_old), np.array(h)
+        self._t_old, self._h = np.array(t_old), np.array(h)
         self._y_old = y_old  # (steps, N)
         self._F = F  # (steps, 7, N)
 
     def __call__(self, t):
-        if isinstance(t, float) or np.ndim(t) == 0:
-            t = float(t)
-            i = min(max(bisect_left(self._t_old, t) - 1, 0), len(self._h) - 1)
-            w = np.array(_weights((t - self._t_old[i]) / self._h[i]))
-            return w @ self._F[i] + self._y_old[i]
-        return self._stacked(t, 0)
+        """y(t); one time is read as a stack of one."""
+        y = self._stacked(np.atleast_1d(t), 0)
+        return y.reshape(y.shape[:1] + np.shape(t))
 
     def derivative(self, t):
         """y'(t) as Im y(t + i c) / c at c = COMPLEX_STEP: the complex step of
@@ -243,8 +237,8 @@ class DenseOutput:
     def _stacked(self, t, shift):
         """y(t + shift) at an array of real times t."""
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self._t_old_a, t) - 1, 0, len(self._h) - 1)
-        w = np.stack(_weights((t - self._t_old_a[i] + shift) / self._h_a[i]), axis=-1)
+        i = np.clip(np.searchsorted(self._t_old, t) - 1, 0, len(self._h) - 1)
+        w = np.stack(_weights((t - self._t_old[i] + shift) / self._h[i]), axis=-1)
         return ((w[:, None, :] @ self._F[i])[:, 0, :] + self._y_old[i]).T
 
 

@@ -233,6 +233,21 @@ class TestCommands:
         diag = json.loads((out / "diagnostic.json").read_text())
         assert diag["error"] == "LeftChart"
 
+    @pytest.mark.parametrize("solver", [{"mesh0": 16, "max_mesh": 32},
+                                        {"mesh0": 64, "max_mesh": 16}])
+    def test_mesh_ladder_too_short_exit_1(self, tmp_path, capsys, solver):
+        # the counts settle on three meshes mesh0, 2 mesh0 and 4 mesh0, and
+        # the doubling stops at max_mesh: below 2 mesh0 they never could
+        cfg = write_cfg(tmp_path, {
+            "metric": SPHERE["metric"],
+            "problem": {"initial": {"x": [0, -1], "v": [1, 0], "tau": 4.0}},
+            "solver": solver})
+        out = tmp_path / "run"
+        assert cli.main(["index", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: /solver/max_mesh: {solver['max_mesh']} must exceed ")
+        assert not out.exists()
+
     def test_lost_branch_diagnostic_names_the_parameter(self, tmp_path):
         # a 3.85 pi great circle at rtol 1e-6 is not critical at K = 0.9
         cfg = load_config(write_cfg(tmp_path, {

@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh as scipy_eigh
+from scipy.linalg import block_diag, eigh as scipy_eigh
 
 import fbt
 from fbt.bifurc import FamilySpec, InitialStateBranch, sweep_family
@@ -78,6 +78,17 @@ class TestSpectral:
             with pytest.raises(ValueError, match=f"mesh {mesh}:"):
                 smallest_eigenvalue(path, None, mesh)
         assert path._spectra == {}
+
+    def test_mesh_ladder_too_short_rejected(self, sphere):
+        # three agreeing meshes mesh0, 2 mesh0 and 4 mesh0 need
+        # max_mesh > 2 mesh0; a shorter ladder is refused before assembly
+        path = integrate_geodesic(sphere, PhaseState([0, -1], [1, 0]), 4.0)
+        for mesh0, max_mesh in [(16, 32), (64, 16)]:
+            with pytest.raises(ValueError, match=rf"max_mesh {max_mesh} <= 2 \* mesh0 {mesh0}"):
+                index_spectral(path, mesh0=mesh0, max_mesh=max_mesh)
+        assert path._spectra == {}
+        rep = index_spectral(path, mesh0=16, max_mesh=33)
+        assert rep.spectral.history == [(16, 1, 0), (32, 1, 0), (64, 1, 0)]
 
     def test_non_critical_rejected(self, euclid):
         # a geodesic of a *different* metric is not a critical point here
@@ -243,20 +254,29 @@ def _reference(path, boundary, mesh):
     return normal_pencil_loop(path, boundary, mesh, start)
 
 
-def _mass(diag, off, k, r):
-    """The dense mass T (x) I_r without node 0's last r - k components."""
-    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    keep = np.r_[:k, r:len(diag) * r]
-    return np.kron(T, np.eye(r))[np.ix_(keep, keep)]
+def _component_order(mesh, k, r):
+    """The oracle's dof (node 0's first k coefficients, then the r of each
+    of nodes 1 .. mesh - 1) of each of _assemble's dofs, which run component
+    by component: the first k over nodes 0 .. mesh - 1, the others over
+    nodes 1 .. mesh - 1."""
+    dofs = []
+    for c in range(r):
+        nodes = np.arange(0 if c < k else 1, mesh)
+        dofs.append(np.where(nodes == 0, c, k + (nodes - 1) * r + c))
+    return np.concatenate(dofs)
 
 
 def _check_assembly(path, boundary, mesh):
+    """K against the oracle's, read in _assemble's order, and the grid's
+    inverse Cholesky factors F against the oracle's mass: F M F^T = I."""
     K, grid = _assemble(path, boundary, mesh)
-    M = _mass(grid.diag, grid.off, grid.k, path.dim - 1)
     K_ref, M_ref = _reference(path, boundary, mesh)
+    order = np.ix_(*2 * [_component_order(mesh, grid.k, grid.r)])
+    K_ref, M_ref = K_ref[order], M_ref[order]
+    F = block_diag(*[grid.tangent] * grid.k + [grid.normal] * (grid.r - grid.k))
     assert K.shape == K_ref.shape
     assert np.max(np.abs(K - K_ref)) <= 1e-13 * np.max(np.abs(K_ref))
-    assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+    assert np.max(np.abs(F @ M_ref @ F.T - np.eye(len(K)))) <= 1e-13
 
 
 class TestVectorizedAssembly:
@@ -315,7 +335,7 @@ def _solver_boundaries(path):
 
 
 class TestPencilSolver:
-    """morse.eigh (Cholesky reduction through the Kronecker mass) against
+    """morse.eigh (Cholesky reduction through the block-diagonal mass) against
     SciPy's generalized eigh on the pencil of _oracles.normal_pencil_loop,
     in its own frame and basis coordinates."""
 
@@ -405,15 +425,15 @@ class TestMeshFactorCache:
         path = _assembly_path("sphere3")
         grid = _assemble(path, _solver_boundaries(path)["k1"], 16)[1]
         arrays = [a for a in grid if isinstance(a, np.ndarray)] + list(grid.shapes)
-        assert len(arrays) == 14
+        assert len(arrays) == 12
         for a in arrays:
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
 
 
 class TestPencilEdgeCases:
-    """The reduction where the mass dominates and on a fine 2-D mesh, against
-    SciPy's generalized eigh."""
+    """The reduction where the mass dominates and on fine 2-D and 3-D meshes,
+    against SciPy's generalized eigh."""
 
     @pytest.mark.parametrize("mesh, tau", [(3, 3.0 * np.sqrt(6.0)), (24, 24.0 * np.sqrt(6.0)),
                                            (2, 8.0), (3, 9.0)])
@@ -427,11 +447,18 @@ class TestPencilEdgeCases:
         assert tau / mesh >= np.sqrt(6.0) - 1e-15
         boundary = BoundaryData(path.x0, np.eye(3)[:, 2], SHAPES[1])
         for b in (None, boundary):
-            grid = _matches_scipy(path, b, mesh)
-            assert np.all(grid.off >= -1e-15)
+            _matches_scipy(path, b, mesh)
 
     @pytest.mark.parametrize("name", ["warped", "randers"])
     def test_fine_2d_mesh(self, name):
+        path = _assembly_path(name)
+        for boundary in _starts(path):
+            _matches_scipy(path, boundary, 256)
+
+    @pytest.mark.parametrize("name", ["sphere3", "randers3"])
+    def test_fine_3d_mesh(self, name):
+        # k = 1 gives component blocks of mesh and mesh - 1 nodes; randers3's
+        # normal turns out of every fixed plane
         path = _assembly_path(name)
         for boundary in _starts(path):
             _matches_scipy(path, boundary, 256)
@@ -627,9 +654,8 @@ class TestPointStart:
         for mesh in (16, 64):
             K, grid = _assemble(path, None, mesh)
             K_p, grid_p = _assemble(path, self._point(path), mesh)
-            assert grid.k == grid_p.k == 0
-            for a, b in ((K, K_p), (grid.diag, grid_p.diag), (grid.off, grid_p.off)):
-                assert np.array_equal(a, b)
+            assert grid is grid_p and grid.k == 0
+            assert np.array_equal(K, K_p)
             assert np.array_equal(eigh(K, grid), eigh(K_p, grid_p))
             _check_assembly(path, None, mesh)
 

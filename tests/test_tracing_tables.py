@@ -9,6 +9,11 @@ import sys
 
 import pytest
 
+import fbt
+from fbt.geoflow import integrate_geodesic
+from fbt.metric import PhaseState
+from fbt.morse import _assemble, eigh
+
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -43,3 +48,12 @@ def test_hot_entries_resolve(tracing):
     pairs = {(owner.__name__, attr) for owner, attr, _ in tracing.HOT}
     assert {("fbt.jacobi", "spray_jacobians"), ("GeodesicPath", "state"),
             ("MetricField", "second_derivatives"), ("MetricField", "spray")} <= pairs
+
+
+def test_eigh_dof_reads_the_pencil(tracing):
+    # morse.eigh.dof_max is read off eigh's arguments: K must stay first
+    path = integrate_geodesic(fbt.sphere_stereo(1.0, dim=3),
+                              PhaseState([0, 0, -1], [0.3, 0, 0.2]), 2.0)
+    args = _assemble(path, None, 16)
+    w = eigh(*args)
+    assert tracing._dof(args, {}, w) == {"dof": len(w)} == {"dof": 2 * 15}
