@@ -266,6 +266,7 @@ def sweep_family(f, boundary=None, *, grid=DEFAULT_GRID,
     InitialStateBranch the bracket ends are the sample paths themselves;
     a ConnectBranch's samples are seeded by continuation, so the
     refinement realizes its own."""
+    _morse.check_ladder(mesh0, max_mesh)
     a, b = f.param_range
     lams = np.linspace(a, b, f.samples)
     records = []

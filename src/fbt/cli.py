@@ -1,8 +1,8 @@
 """Configuration loading, subcommand dispatch, and report persistence.
 
 The only module with I/O.  Configs are strict JSON validated against the
-published schema (docs/config.schema.json, also shipped inside the package)
-by fbt's own walk, which knows exactly the keywords the schema uses; numpy
+published schema (config.schema.json, shipped inside the package) by
+fbt's own walk, which knows exactly the keywords the schema uses; numpy
 is the only run-time dependency.  Artifacts are CSV for sampled data and
 JSON for structured verdicts, a result dataclass written by its fields
 (_jsonable); every artifact embeds or sits next to the fully resolved

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .metric import PhaseState, ZeroVelocity
+from .metric import ZeroVelocity
 from .ode import StepFailure, dop853
 
 __all__ = [
@@ -89,8 +89,6 @@ class BoundaryData:
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
         self.basis = np.asarray(self.basis, dtype=float)
-        if self.basis.ndim == 1:
-            self.basis = self.basis[:, None]
         n, k = self.basis.shape
         if k > 0:
             gram = self.basis.T @ self.basis
@@ -196,8 +194,6 @@ def integrate_geodesic(m, s0, tau, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Integrate the geodesic with initial PhaseState s0 over [0, tau]."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if not isinstance(s0, PhaseState):
-        s0 = PhaseState(*s0)
     m._check(s0.x, s0.v)
     F0 = m.F(s0.x, s0.v) if not m.pseudo else abs(m.F(s0.x, s0.v))
     y0 = np.concatenate([s0.x, s0.v])

@@ -314,9 +314,9 @@ def _scan_frame(frame, grid):
     return ConjugateReport(tau=tau, instants=found, grid=grid, warnings=notes)
 
 
-def conjugate_scan(path, *, grid=DEFAULT_GRID):
+def conjugate_scan(path):
     """Locate conjugate instants with multiplicities over (0, tau]."""
-    return _scan_frame(jacobi_frame(path), grid)
+    return _scan_frame(jacobi_frame(path), DEFAULT_GRID)
 
 
 def focal_scan(path, boundary, *, grid=DEFAULT_GRID):

@@ -171,14 +171,9 @@ class _Grid(NamedTuple):
     w: np.ndarray
     # phi_a phi_b, phi_a phi_b', phi_a' phi_b and phi_a' phi_b', shaped alike
     shapes: tuple
-    # the nonzeros of K: each entry of the element blocks' slot among them
-    # (a dropped entry's is the last, one past them), the slots of node 0's
-    # k x k block in row order, each one's transpose, and their flat
-    # positions in K
-    slot: np.ndarray
-    head: np.ndarray
-    mirror: np.ndarray
-    at: np.ndarray
+    # dofs[node, c], the dof of coefficient c at node (mesh + 1, r): of the
+    # nd dofs, or nd itself for a clamped coefficient
+    dofs: np.ndarray
     # the inverse Cholesky factors of the mass's blocks: of T, the scalar
     # tridiagonal over nodes 0 .. mesh - 1, for each of the k tangent
     # components (None for k = 0), and of T without node 0 for the others
@@ -231,29 +226,17 @@ def _grid(mesh, tau, k, r):
     diag = T_loc[:, 0, 0].copy()
     diag[1:] += T_loc[:-1, 1, 1]
     off = T_loc[:-1, 0, 1]
-    # element e couples nodes e and e + 1.  The dofs run component by
-    # component: each of the first k over nodes 0 .. mesh - 1, each of the
-    # others over nodes 1 .. mesh - 1; node mesh is clamped
+    # the dofs run component by component: each of the first k over nodes
+    # 0 .. mesh - 1, each of the others over nodes 1 .. mesh - 1; node mesh
+    # is clamped
     nd = k + (mesh - 1) * r
-    e, a, b, p, q = np.indices((mesh, 2, 2, r, r)).reshape(5, -1)
-
-    def dof(node, c):
-        tangent = c < k
-        i = np.where(tangent, c * mesh + node, k + c * (mesh - 1) + node - 1)
-        return np.where((node < mesh) & (tangent | (node > 0)), i, -1)
-
-    i, j = dof(e + a, p), dof(e + b, q)
-    kept = (i >= 0) & (j >= 0)
-    nonzero = np.zeros(nd * nd, dtype=bool)
-    nonzero[i[kept] * nd + j[kept]] = True
-    at = np.flatnonzero(nonzero)
-    slot = np.where(kept, np.searchsorted(at, i * nd + j), len(at))
-    d = np.arange(k) * mesh
-    head = np.searchsorted(at, (d[:, None] * nd + d).ravel())
-    mirror = np.searchsorted(at, at % nd * nd + at // nd)
+    node = np.arange(mesh + 1)
+    kept = (node < mesh) & ((node > 0) | (np.arange(r)[:, None] < k))
+    dofs = np.full((r, mesh + 1), nd)
+    dofs[kept] = np.arange(nd)
     grid = _Grid(mesh, k, r, np.r_[0.0, t.ravel()], w[:, None, None, None, None],
                  tuple(c[..., None, None] for c in (pa * pb, pa * db, da * pb, da * db)),
-                 slot, head, mirror, at,
+                 dofs.T,
                  _inverse_cholesky(diag, off) if k else None,
                  _inverse_cholesky(diag[1:], off[1:]))
     for arr in (*grid, *grid.shapes):
@@ -270,9 +253,11 @@ def _assemble(path, boundary, mesh):
     other: each of the first k (k = 0 for a point, boundary None) over nodes
     0 .. mesh - 1, each of the others over nodes 1 .. mesh - 1, the last
     node being clamped; a BoundaryData start writes node 0's basis
-    coefficients a as R a.  The mass on these dofs is block diagonal, one
-    block per component, each the scalar tridiagonal W^{1,2} mass over that
-    component's nodes; the grid holds the blocks' inverse Cholesky factors.
+    coefficients a as R a.  K is block tridiagonal over the nodes, and
+    grid.dofs places its blocks.  The mass on these dofs is block diagonal,
+    one block per component, each the scalar tridiagonal W^{1,2} mass over
+    that component's nodes; the grid holds the blocks' inverse Cholesky
+    factors.
     On a pseudo-metric, a coefficient Hessian P^T Lvv P that is not
     positive definite (relative to |Lvv|) at a Gauss point raises
     ConvexityViolation.
@@ -333,14 +318,21 @@ def _assemble(path, boundary, mesh):
     blk = (pp * Axx[:, :, None, None] + pd * Axv[:, :, None, None]
            + dp * np.swapaxes(Axv, -1, -2)[:, :, None, None] + dd * Avv[:, :, None, None])
     K_loc = (grid.w * blk).sum(axis=1)
-    # block-tridiagonal scatter: a node's diagonal block sums its two
-    # elements' blocks, and the pencil is symmetrized on the nonzeros alone
-    nz = np.bincount(grid.slot, weights=K_loc.ravel(), minlength=len(grid.at) + 1)[:-1]
-    nz[grid.head] += 0.5 * (K0 + K0.T).ravel()
+    # K from its node blocks: node e's diagonal block D_e sums those of
+    # elements e and e - 1, and O_e couples nodes e and e + 1.  Each is
+    # symmetrized after the sum, and starts from 0.0 so that no zero is -0.0
+    D = K_loc[:, 0, 0] + 0.0
+    D[1:] += K_loc[:-1, 1, 1]
+    D[0, :k, :k] += 0.5 * (K0 + K0.T)
+    O = 0.5 * (K_loc[:, 0, 1] + 0.0 + np.swapaxes(K_loc[:, 1, 0], -1, -2))
+    # clamped coefficients write K's last row and column, which are dropped
     nd = k + (mesh - 1) * r
-    K = np.zeros(nd * nd)
-    K[grid.at] = 0.5 * (nz + nz[grid.mirror])
-    return K.reshape(nd, nd), grid
+    K = np.zeros((nd + 1, nd + 1))
+    a, b = grid.dofs[:-1], grid.dofs[1:]
+    K[a[:, :, None], a[:, None]] = 0.5 * (D + np.swapaxes(D, -1, -2))
+    K[a[:, :, None], b[:, None]] = O
+    K[b[:, :, None], a[:, None]] = np.swapaxes(O, -1, -2)
+    return K[:nd, :nd], grid
 
 
 def eigh(K, grid):
@@ -412,6 +404,13 @@ def smallest_eigenvalue(path, boundary, mesh, k=0):
     return (r2 * fine - coarse) / (r2 - 1.0)
 
 
+def check_ladder(mesh0, max_mesh):
+    """Raise ValueError unless max_mesh > 2 mesh0 (see index_spectral)."""
+    if max_mesh <= 2 * mesh0:
+        raise ValueError(f"max_mesh {max_mesh} <= 2 * mesh0 {mesh0}: the counts "
+                         "settle on three meshes mesh0, 2 mesh0 and 4 mesh0")
+
+
 def index_spectral(path, boundary=None, *, mesh0=DEFAULT_MESH0,
                    max_mesh=DEFAULT_MAX_MESH, mesh_fixed=None):
     """Morse index and nullity from the discrete second variation.
@@ -420,9 +419,8 @@ def index_spectral(path, boundary=None, *, mesh0=DEFAULT_MESH0,
     meshes, so max_mesh must exceed 2 mesh0; ``mesh_fixed`` skips refinement
     (used inside parameter sweeps).
     """
-    if mesh_fixed is None and max_mesh <= 2 * mesh0:
-        raise ValueError(f"max_mesh {max_mesh} <= 2 * mesh0 {mesh0}: the counts "
-                         "settle on three meshes mesh0, 2 mesh0 and 4 mesh0")
+    if mesh_fixed is None:
+        check_ladder(mesh0, max_mesh)
     res = path.max_el_residual()
     if res > DEFAULT_TOL_RES:
         raise NotCritical(
@@ -455,6 +453,7 @@ def cross_check(path, boundary=None, *, grid=_jacobi.DEFAULT_GRID,
                 mesh0=DEFAULT_MESH0, max_mesh=DEFAULT_MAX_MESH):
     """Run the counting route (a scan on grid) and the spectral one (meshes
     from mesh0 up to max_mesh) and compare them."""
+    check_ladder(mesh0, max_mesh)
     counting = index_by_counting(_jacobi.focal_scan(path, boundary, grid=grid))
     spectral = index_spectral(path, boundary, mesh0=mesh0, max_mesh=max_mesh)
     agree = (

@@ -109,6 +109,24 @@ class TestSweep:
                        metric_builder=lambda lam: warped_metric(lam, flat_axis=True),
                        branch=InitialStateBranch([-1.0, 0.0], [1.0, 0.0], 2.0))
 
+    def test_short_mesh_ladder_rejected_before_any_work(self, monkeypatch):
+        built, scans = [], []
+        scan = fbt.jacobi.focal_scan
+
+        def build(K):
+            built.append(K)
+            return fbt.sphere_stereo(K)
+
+        def counted(path, boundary, **kw):
+            scans.append(path)
+            return scan(path, boundary, **kw)
+
+        fam = dataclasses.replace(sphere_family(samples=4), metric_builder=build)
+        monkeypatch.setattr(fbt.jacobi, "focal_scan", counted)
+        with pytest.raises(ValueError, match=r"max_mesh 32 <= 2 \* mesh0 16"):
+            sweep_family(fam, mesh0=16, max_mesh=32)
+        assert built == [] and scans == []
+
     def test_warped_family_crossing(self):
         scan = sweep_family(warped_family())
         assert len(scan.detections) == 1

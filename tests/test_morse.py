@@ -164,6 +164,22 @@ class TestCrossCheck:
             assert rep.agree
             assert (rep.m_minus, rep.m_zero) == want
 
+    def test_short_mesh_ladder_rejected_before_the_scan(self, sphere3, monkeypatch):
+        scans, scan = [], fbt.jacobi.focal_scan
+
+        def counted(path, boundary, **kw):
+            scans.append(path)
+            return scan(path, boundary, **kw)
+
+        monkeypatch.setattr(fbt.jacobi, "focal_scan", counted)
+        path = integrate_geodesic(sphere3, PhaseState([0, 0, -1], [1, 0, 0]), 4.0)
+        with pytest.raises(ValueError, match=r"max_mesh 32 <= 2 \* mesh0 16"):
+            cross_check(path, mesh0=16, max_mesh=32)
+        assert scans == [] and path._spectra == {}
+        # a fixed mesh reads no ladder
+        rep = index_spectral(path, mesh0=16, max_mesh=32, mesh_fixed=32)
+        assert rep.spectral.history == [(32, rep.m_minus, rep.m_zero)]
+
     def test_boundary_off_the_start_rejected(self, euclid):
         # P through (1, 0) is not the submanifold of a path from (0, 0)
         b = BoundaryData([1.0, 0.0], np.array([[0.0], [1.0]]))
@@ -268,8 +284,18 @@ def _component_order(mesh, k, r):
 
 def _check_assembly(path, boundary, mesh):
     """K against the oracle's, read in _assemble's order, and the grid's
-    inverse Cholesky factors F against the oracle's mass: F M F^T = I."""
+    inverse Cholesky factors F against the oracle's mass: F M F^T = I.
+    K is exactly symmetric and exactly zero between dofs whose nodes
+    (grid.dofs) are not neighbours."""
     K, grid = _assemble(path, boundary, mesh)
+    nd = len(K)
+    nodes, comps = np.nonzero(grid.dofs < nd)
+    assert grid.dofs.shape == (mesh + 1, grid.r)
+    assert np.array_equal(np.sort(grid.dofs[nodes, comps]), np.arange(nd))
+    node = np.empty(nd, dtype=int)
+    node[grid.dofs[nodes, comps]] = nodes
+    assert np.array_equal(K, K.T)
+    assert not np.any(K[np.abs(node[:, None] - node) > 1])
     K_ref, M_ref = _reference(path, boundary, mesh)
     order = np.ix_(*2 * [_component_order(mesh, grid.k, grid.r)])
     K_ref, M_ref = K_ref[order], M_ref[order]
@@ -313,7 +339,7 @@ class TestStartOffTheNormal:
     def test_rejected(self, name):
         path = _assembly_path(name)
         e = np.eye(path.dim)
-        for boundary in (BoundaryData(path.x0, e[:, 0], [[0.7]]),
+        for boundary in (BoundaryData(path.x0, e[:, :1], [[0.7]]),
                          BoundaryData(path.x0, e[:, :2], SHAPES[2])):
             with pytest.raises(NotPerpendicular):
                 index_spectral(path, boundary, mesh_fixed=16)
@@ -328,7 +354,7 @@ def _solver_boundaries(path):
     loose = Q + 1e-9 * rng.standard_normal((3, 2))  # orthonormal to about 1e-9
     return {
         "point-point": None,
-        "k1": BoundaryData(path.x0, np.eye(3)[:, 1], SHAPES[1]),
+        "k1": BoundaryData(path.x0, np.eye(3)[:, 1:2], SHAPES[1]),
         "k2": BoundaryData(path.x0, W, SHAPES[2]),
         "k2-loose": BoundaryData(path.x0, loose, [[-0.5, 0.3], [0.3, 0.9]]),
     }
@@ -425,7 +451,7 @@ class TestMeshFactorCache:
         path = _assembly_path("sphere3")
         grid = _assemble(path, _solver_boundaries(path)["k1"], 16)[1]
         arrays = [a for a in grid if isinstance(a, np.ndarray)] + list(grid.shapes)
-        assert len(arrays) == 12
+        assert len(arrays) == 9
         for a in arrays:
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
@@ -445,7 +471,7 @@ class TestPencilEdgeCases:
         path = integrate_geodesic(fbt.sphere_stereo(1.0, dim=3),
                                   PhaseState([0.0, -1.0, 0.0], [1.0, 0.0, 0.0]), tau)
         assert tau / mesh >= np.sqrt(6.0) - 1e-15
-        boundary = BoundaryData(path.x0, np.eye(3)[:, 2], SHAPES[1])
+        boundary = BoundaryData(path.x0, np.eye(3)[:, 2:], SHAPES[1])
         for b in (None, boundary):
             _matches_scipy(path, b, mesh)
 
@@ -586,8 +612,8 @@ class TestSpectrumMemo:
     def test_other_boundary_is_solved_afresh(self):
         path = _assembly_path("sphere3")
         e = np.eye(3)
-        b1 = BoundaryData(path.x0, e[:, 1], [[0.7]])
-        b2 = BoundaryData(path.x0, e[:, 1], [[-3.0]])
+        b1 = BoundaryData(path.x0, e[:, 1:2], [[0.7]])
+        b2 = BoundaryData(path.x0, e[:, 1:2], [[-3.0]])
         counts = []
         for b in (b1, b2, b1):
             rep = index_spectral(path, b, mesh_fixed=32)
